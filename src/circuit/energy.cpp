@@ -12,13 +12,18 @@ void EnergyLedger::add_energy(const std::string& category, double joules) {
 void EnergyLedger::add_static_power(const std::string& category, double watts) {
   expects(watts >= 0.0, "power must be >= 0");
   static_powers_[category] += watts;
+  static_slots_.clear();
 }
 
 void EnergyLedger::accrue_static(double dt) {
   expects(dt >= 0.0, "dt must be >= 0");
-  for (const auto& [category, watts] : static_powers_) {
-    energies_[category] += watts * dt;
+  if (!static_slots_.valid) {
+    for (const auto& [category, watts] : static_powers_) {
+      static_slots_.slots.emplace_back(&energies_[category], watts);
+    }
+    static_slots_.valid = true;
   }
+  for (const auto& [slot, watts] : static_slots_.slots) *slot += watts * dt;
 }
 
 double EnergyLedger::energy(const std::string& category) const {
@@ -60,6 +65,7 @@ std::vector<EnergyLedger::Entry> EnergyLedger::entries() const {
 void EnergyLedger::reset() {
   energies_.clear();
   static_powers_.clear();
+  static_slots_.clear();
 }
 
 }  // namespace ptc::circuit

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 /// Per-category energy/power accounting.  Every block of the tensor core
@@ -47,8 +48,38 @@ class EnergyLedger {
   void reset();
 
  private:
+  /// (energy slot, watts) per static-power category in map order, so
+  /// accrue_static adds watts * dt without string-keyed lookups.  Map nodes
+  /// never move, so the slots stay valid until the static powers change or
+  /// the ledger is reset.  A copied cache would point into the source's
+  /// maps (and a moved-from one into the destination's), so a copied,
+  /// moved or assigned ledger starts without a cache and a moved-from one
+  /// drops its own.
+  struct StaticSlots {
+    std::vector<std::pair<double*, double>> slots;
+    bool valid = false;
+
+    StaticSlots() = default;
+    StaticSlots(const StaticSlots&) {}
+    StaticSlots(StaticSlots&& other) noexcept { other.clear(); }
+    StaticSlots& operator=(const StaticSlots&) {
+      clear();
+      return *this;
+    }
+    StaticSlots& operator=(StaticSlots&& other) noexcept {
+      clear();
+      other.clear();
+      return *this;
+    }
+    void clear() {
+      slots.clear();
+      valid = false;
+    }
+  };
+
   std::map<std::string, double> energies_;
   std::map<std::string, double> static_powers_;
+  StaticSlots static_slots_;
 };
 
 }  // namespace ptc::circuit

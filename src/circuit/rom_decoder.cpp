@@ -56,6 +56,11 @@ CeilingRomDecoder::Decode CeilingRomDecoder::decode(
   for (std::size_t ch = 0; ch < active.size(); ++ch) {
     if (active[ch]) pattern |= 1u << ch;
   }
+  return decode(pattern);
+}
+
+CeilingRomDecoder::Decode CeilingRomDecoder::decode(unsigned pattern) {
+  expects(pattern < rom_.size(), "activation pattern wider than 2^bits");
   ++decodes_;
   const Word word = rom_[pattern];
   Decode out;

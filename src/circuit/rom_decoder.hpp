@@ -37,6 +37,10 @@ class CeilingRomDecoder {
   /// Decodes a channel activation vector of length 2^bits.
   Decode decode(const std::vector<bool>& active);
 
+  /// Decodes a packed activation pattern: bit k set when channel k fired.
+  /// Same ROM word and decode count as the vector form.
+  Decode decode(unsigned pattern);
+
   unsigned bits() const { return bits_; }
   std::size_t channel_count() const { return std::size_t{1} << bits_; }
 

@@ -27,16 +27,6 @@ Matrix Matrix::identity(std::size_t n) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  expects(r < rows_ && c < cols_, "Matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  expects(r < rows_ && c < cols_, "Matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
 Matrix Matrix::transposed() const {
   Matrix out(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)

@@ -6,6 +6,8 @@
 #include <initializer_list>
 #include <vector>
 
+#include "common/expects.hpp"
+
 /// Small dense linear-algebra layer.  The photonic tensor core itself only
 /// needs real matrices (weights / activations), while the MZI-mesh baseline
 /// (Table I, ref. [33]) needs complex unitaries and a singular value
@@ -30,8 +32,16 @@ class Matrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  /// Bounds-checked element access; inline, because the tiling and
+  /// readout loops index every sample through it.
+  double& operator()(std::size_t r, std::size_t c) {
+    expects(r < rows_ && c < cols_, "Matrix index out of range");
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    expects(r < rows_ && c < cols_, "Matrix index out of range");
+    return data_[r * cols_ + c];
+  }
 
   /// Raw storage (row-major), useful for iteration.
   const std::vector<double>& data() const { return data_; }

@@ -40,6 +40,53 @@ EoAdc::EoAdc(const EoAdcConfig& config)
     }
     vref_.push_back(vref);
   }
+  locate_window();
+}
+
+bool EoAdc::fires_at_bias(double bias) {
+  rings_.front().set_bias(bias);
+  return config_.input_power_per_ring *
+             rings_.front().thru_transmission(tech_adc_wavelength) <
+         activation_threshold_power();
+}
+
+void EoAdc::locate_window() {
+  // Within half an FSR of resonance the thru notch rises monotonically
+  // with |detuning|, so the active set is one bias interval around 0.
+  // Past that, the next resonance order could fire again: find the bias
+  // whose electro-optic shift reaches FSR/2 (the shift is odd and
+  // monotone) and keep window conversions inside it.
+  const optics::Microring& ring = rings_.front();
+  const double half_fsr = 0.5 * ring.fsr(tech_adc_wavelength);
+  double reach = 1.0;
+  while (ring.junction().resonance_shift(reach) < half_fsr) reach *= 2.0;
+  double near = 0.0;
+  for (int i = 0; i < 100; ++i) {
+    const double mid = 0.5 * (near + reach);
+    if (ring.junction().resonance_shift(mid) < half_fsr) {
+      near = mid;
+    } else {
+      reach = mid;
+    }
+  }
+  bias_limit_ = near;
+  if (!fires_at_bias(0.0) || fires_at_bias(bias_limit_) ||
+      fires_at_bias(-bias_limit_)) {
+    return;  // no single window: code() always walks the rings
+  }
+
+  // Bisect each edge to adjacent doubles: `in` fires, `out` does not.
+  auto edge = [this](double in, double out) {
+    for (;;) {
+      const double mid = in + 0.5 * (out - in);
+      if (mid == in || mid == out) return in;
+      (fires_at_bias(mid) ? in : out) = mid;
+    }
+  };
+  window_lo_ = edge(0.0, -bias_limit_);
+  window_hi_ = edge(0.0, bias_limit_);
+  window_v_lo_ = *std::max_element(vref_.begin(), vref_.end()) - bias_limit_;
+  window_v_hi_ = *std::min_element(vref_.begin(), vref_.end()) + bias_limit_;
 }
 
 double EoAdc::lsb() const {
@@ -82,26 +129,41 @@ EoAdc::Conversion EoAdc::convert(double v_in) {
   out.any_active = decode.any_active;
   out.boundary = decode.boundary;
   out.fault = decode.fault;
-  if (decode.any_active) {
-    out.code = decode.code;
-  } else {
-    // Out-of-range or (mis-calibrated) dead zone: fall back to the channel
-    // with the deepest dip — the physically nearest code.
-    std::size_t best = 0;
-    double best_power = channel_thru_power(0, v_in);
-    for (std::size_t ch = 1; ch < channel_count(); ++ch) {
-      const double p = channel_thru_power(ch, v_in);
-      if (p < best_power) {
-        best_power = p;
-        best = ch;
-      }
-    }
-    out.code = static_cast<unsigned>(best);
-  }
+  out.code = decode.any_active ? decode.code : deepest_channel(v_in);
   return out;
 }
 
-unsigned EoAdc::code(double v_in) { return convert(v_in).code; }
+unsigned EoAdc::deepest_channel(double v_in) const {
+  // Out-of-range or (mis-calibrated) dead zone: fall back to the channel
+  // with the deepest dip — the physically nearest code.
+  std::size_t best = 0;
+  double best_power = channel_thru_power(0, v_in);
+  for (std::size_t ch = 1; ch < channel_count(); ++ch) {
+    const double p = channel_thru_power(ch, v_in);
+    if (p < best_power) {
+      best_power = p;
+      best = ch;
+    }
+  }
+  return static_cast<unsigned>(best);
+}
+
+unsigned EoAdc::code(double v_in) {
+  // The negated test also sends NaN inputs down the ring walk.
+  if (!(v_in >= window_v_lo_ && v_in <= window_v_hi_)) {
+    return convert(v_in).code;
+  }
+  unsigned pattern = 0;
+  for (std::size_t ch = 0; ch < vref_.size(); ++ch) {
+    // The same subtraction ring_thru_transmission biases the ring with.
+    const double bias = vref_[ch] - v_in;
+    // Bitwise & keeps the test branch-free: which channel fires is data.
+    const bool fires = (bias >= window_lo_) & (bias <= window_hi_);
+    pattern |= static_cast<unsigned>(fires) << ch;
+  }
+  const auto decode = decoder_.decode(pattern);
+  return decode.any_active ? decode.code : deepest_channel(v_in);
+}
 
 EoAdc::TransientResult EoAdc::convert_transient(double v_in,
                                                 sim::TraceSet* traces) {

@@ -95,10 +95,16 @@ class EoAdc {
     std::vector<bool> active;
   };
 
-  /// Static (settled) conversion.
+  /// Static (settled) conversion: walks every channel's ring physics.
   Conversion convert(double v_in);
 
-  /// Shorthand for convert(v).code.
+  /// Output code, equal to convert(v).code for every input.  All rings
+  /// share one design, so channel k fires exactly when its junction bias
+  /// V_REF,k - V_IN lies in one active window [beta_lo, beta_hi], located
+  /// once at construction to adjacent doubles.  The conversion is then a
+  /// comparison per channel and one ROM lookup; the ring walk runs only
+  /// when no channel fires (deepest-dip fallback) or the input is far
+  /// enough out of range to reach another resonance order.
   unsigned code(double v_in);
 
   struct TransientResult {
@@ -146,8 +152,19 @@ class EoAdc {
   const EoAdcConfig& config() const { return config_; }
 
  private:
+  /// Test fixture that pins the decision window to the ring physics.
+  friend class EoAdcWindow;
+
   double ring_thru_transmission(std::size_t ch, double v_in) const;
   double activation_threshold_power() const;
+  /// The channel predicate shared by every ring, as a function of junction
+  /// bias V_pn = V_REF - V_IN: thru power below the trip level.  Sets ring
+  /// 0's bias.
+  bool fires_at_bias(double bias);
+  /// Locates the active window and the input range where it is exact.
+  void locate_window();
+  /// No channel fired: the channel with the deepest dip (nearest code).
+  unsigned deepest_channel(double v_in) const;
 
   EoAdcConfig config_;
   /// Bias is evaluation scratch state (set per query from V_REF - V_IN), so
@@ -156,6 +173,18 @@ class EoAdc {
   std::vector<double> vref_;
   optics::Photodiode photodiode_;
   circuit::CeilingRomDecoder decoder_;
+  /// Bias whose electro-optic shift reaches half an FSR [V]: up to it the
+  /// thru notch rises monotonically with |bias|.
+  double bias_limit_ = 0.0;
+  /// Active bias window [window_lo_, window_hi_] [V]: for |bias| up to
+  /// bias_limit_, fires_at_bias(b) holds exactly for lo <= b <= hi.  Empty
+  /// (lo > hi) when no single window exists; code() then walks the rings.
+  double window_lo_ = 1.0;
+  double window_hi_ = -1.0;
+  /// Inputs for which every channel's bias stays within half an FSR of
+  /// resonance, so the window is the whole active set.
+  double window_v_lo_ = 1.0;
+  double window_v_hi_ = -1.0;
 };
 
 }  // namespace ptc::core

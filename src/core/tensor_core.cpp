@@ -203,14 +203,23 @@ std::shared_ptr<const std::vector<double>> TensorCore::build_chain() const {
   const std::size_t bits = config_.weight_bits;
   const std::size_t m = config_.macro.channels;
   const std::size_t tiles = macros_per_row();
-  auto chain =
-      std::make_shared<std::vector<double>>(config_.rows * tiles * bits * m);
+  // Rows are grouped in blocks of kRowBlock with their gains interleaved
+  // innermost, so the side-by-side replay reads them contiguously; the last
+  // block is padded with zero-gain rows whose sums are never read out.
+  const std::size_t blocks = (config_.rows + kRowBlock - 1) / kRowBlock;
+  auto chain = std::make_shared<std::vector<double>>(
+      blocks * kRowBlock * tiles * bits * m, 0.0);
   std::size_t idx = 0;
-  for (std::size_t row = 0; row < config_.rows; ++row) {
+  for (std::size_t block = 0; block < blocks; ++block) {
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       for (std::size_t bit = 0; bit < bits; ++bit) {
         for (std::size_t ch = 0; ch < m; ++ch) {
-          (*chain)[idx++] = macros_[row][tile].chain_transmission(bit, ch);
+          for (std::size_t j = 0; j < kRowBlock; ++j, ++idx) {
+            const std::size_t row = block * kRowBlock + j;
+            if (row < config_.rows) {
+              (*chain)[idx] = macros_[row][tile].chain_transmission(bit, ch);
+            }
+          }
         }
       }
     }
@@ -325,24 +334,54 @@ void TensorCore::analog_row_values(const double* input, double* out) {
     }
   }
 
+  if (m == tech_wdm_channels) {
+    replay_rows<tech_wdm_channels>(out);
+  } else {
+    replay_rows<0>(out);
+  }
+}
+
+template <std::size_t kChannels>
+void TensorCore::replay_rows(double* out) const {
   // Canonical-order photocurrent sum: channels within a bit row, bit rows
   // within a macro, macro tiles along the row — the same nesting the
-  // spectral walk uses, so the accumulation is bit-identical.
-  for (std::size_t row = 0; row < config_.rows; ++row) {
-    const double* gains = fast_.chain->data() + row * tiles * bits * m;
-    double current = 0.0;
+  // spectral walk uses, so the accumulation is bit-identical.  Rows are
+  // independent sums, so kRowBlock of them replay side by side (each with
+  // its own accumulators, each in the canonical order) over their
+  // interleaved gains; the tap powers are loaded once per block.  A
+  // compile-time channel count only lets the compiler unroll the channel
+  // loop; the operation order is the same.
+  const std::size_t bits = config_.weight_bits;
+  const std::size_t m = kChannels != 0 ? kChannels : config_.macro.channels;
+  const std::size_t tiles = macros_per_row();
+  const double* taps = tap_scratch_.data();
+  const std::size_t row_stride = tiles * bits * m;
+  for (std::size_t row = 0; row < config_.rows; row += kRowBlock) {
+    const double* gains = fast_.chain->data() + row * row_stride;
+    double current[kRowBlock] = {};
     for (std::size_t tile = 0; tile < tiles; ++tile) {
-      double power_on_pds = 0.0;
+      double power_on_pds[kRowBlock] = {};
       for (std::size_t bit = 0; bit < bits; ++bit) {
-        const double* q = tap_scratch_.data() + (tile * bits + bit) * m;
-        const double* g = gains + (tile * bits + bit) * m;
-        double row_power = 0.0;
-        for (std::size_t ch = 0; ch < m; ++ch) row_power += q[ch] * g[ch];
-        power_on_pds += row_power;
+        const std::size_t offset = (tile * bits + bit) * m;
+        const double* q = taps + offset;
+        const double* g = gains + offset * kRowBlock;
+        double row_power[kRowBlock] = {};
+        for (std::size_t ch = 0; ch < m; ++ch) {
+          for (std::size_t j = 0; j < kRowBlock; ++j) {
+            row_power[j] += q[ch] * g[ch * kRowBlock + j];
+          }
+        }
+        for (std::size_t j = 0; j < kRowBlock; ++j) {
+          power_on_pds[j] += row_power[j];
+        }
       }
-      current += fast_.responsivity * power_on_pds;
+      for (std::size_t j = 0; j < kRowBlock; ++j) {
+        current[j] += fast_.responsivity * power_on_pds[j];
+      }
     }
-    out[row] = current / full_scale_row_current_;
+    for (std::size_t j = 0; j < kRowBlock && row + j < config_.rows; ++j) {
+      out[row + j] = current[j] / full_scale_row_current_;
+    }
   }
 }
 
@@ -354,18 +393,28 @@ std::vector<double> TensorCore::multiply_analog(
   return row_values;
 }
 
+unsigned TensorCore::convert_row(std::size_t row, double analog) {
+  // Row TIA maps the full-scale current range onto the ADC input range,
+  // scaled by the programmable readout gain.
+  const double v_adc = analog * readout_gain_ * config_.adc.v_full_scale;
+  // A dead ladder clocks its conversion but reads out all-zero codes.  The
+  // physics oracle converts through the ring walk, so every fast-vs-physics
+  // comparison also pins the eoADC decision window.
+  unsigned code = 0;
+  if (adc_dead_[row] == 0) {
+    code = config_.fast_path ? adcs_[row].code(v_adc)
+                             : adcs_[row].convert(v_adc).code;
+  }
+  ++adc_conversions_;
+  if (code == adcs_[row].max_code()) ++adc_saturations_;
+  return code;
+}
+
 std::vector<unsigned> TensorCore::multiply(const std::vector<double>& input) {
   const std::vector<double> analog = multiply_analog(input);
   std::vector<unsigned> codes(config_.rows, 0);
   for (std::size_t row = 0; row < config_.rows; ++row) {
-    // Row TIA maps the full-scale current range onto the ADC input range,
-    // scaled by the programmable readout gain.
-    const double v_adc =
-        analog[row] * readout_gain_ * config_.adc.v_full_scale;
-    // A dead ladder clocks its conversion but reads out all-zero codes.
-    codes[row] = adc_dead_[row] != 0 ? 0u : adcs_[row].code(v_adc);
-    ++adc_conversions_;
-    if (codes[row] == adcs_[row].max_code()) ++adc_saturations_;
+    codes[row] = convert_row(row, analog[row]);
   }
   ++samples_;
   // One ADC sample window of static power is burned per multiply.
@@ -394,12 +443,7 @@ Matrix TensorCore::multiply_batch(const Matrix& inputs) {
   for (std::size_t s = 0; s < inputs.rows(); ++s) {
     analog_row_values(inputs.data().data() + s * inputs.cols(), analog.data());
     for (std::size_t r = 0; r < config_.rows; ++r) {
-      const double v_adc =
-          analog[r] * readout_gain_ * config_.adc.v_full_scale;
-      const unsigned code = adc_dead_[r] != 0 ? 0u : adcs_[r].code(v_adc);
-      ++adc_conversions_;
-      if (code == adcs_[r].max_code()) ++adc_saturations_;
-      out(s, r) = static_cast<double>(code) / scale;
+      out(s, r) = static_cast<double>(convert_row(r, analog[r])) / scale;
     }
     ++samples_;
     ledger_.accrue_static(sample_window);

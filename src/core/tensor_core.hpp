@@ -253,6 +253,9 @@ class TensorCore {
   EoAdc& adc(std::size_t row);
 
  private:
+  /// Rows the fast path replays side by side.
+  static constexpr std::size_t kRowBlock = 4;
+
   /// Weight-load-time linearization of the analog multiply.  The physics
   /// walk per sample is (per macro): encode the comb lines, split them into
   /// binary-weighted bit-row taps, and attenuate each tap channel by the
@@ -269,8 +272,10 @@ class TensorCore {
     double encoder_floor = 0.0;  ///< finite-extinction leakage floor
     double tap_factor = 0.0;     ///< per-splitter-stage factor (0.5 * excess)
     double responsivity = 0.0;   ///< photodiode responsivity [A/W]
-    /// Ring-chain transmissions, [row][tile][bit_row][channel] flattened.
-    /// Shared with the calibration memo — treat as immutable.
+    /// Ring-chain transmissions in blocks of kRowBlock rows,
+    /// [block][tile][bit_row][channel][row in block] flattened; the last
+    /// block is padded with zero gains.  Shared with the calibration memo —
+    /// treat as immutable.
     std::shared_ptr<const std::vector<double>> chain;
   };
 
@@ -307,6 +312,17 @@ class TensorCore {
 
   /// The per-sample physics walk (reference oracle).
   void analog_row_values_physics(const double* input, double* out);
+
+  /// Row sums of the fast replay over the sample's tap powers (already in
+  /// tap_scratch_).  kChannels is the macro channel count when fixed at
+  /// compile time, 0 to read it from the config.
+  template <std::size_t kChannels>
+  void replay_rows(double* out) const;
+
+  /// Digitizes one row's normalized analog value through its eoADC (the
+  /// decision window on the fast path, the ring walk otherwise) and books
+  /// the conversion in the saturation counters.
+  unsigned convert_row(std::size_t row, double analog);
 
   TensorCoreConfig config_;
   PsramArray psram_;

@@ -293,10 +293,17 @@ Matrix Accelerator::matmul(const Matrix& x, const Matrix& w,
   // Each shard runs its passes on its own core (shard.core is a rotation
   // slot, mapped through active_ to the physical core); results land in
   // disjoint slots, so the only synchronization needed is the parallel_for
-  // barrier.
+  // barrier.  Only shards that received passes go to the pool: a small
+  // matmul on a large fleet would otherwise submit one empty task per idle
+  // core.
+  std::vector<const CoreShard*> busy;
+  busy.reserve(schedule.shards.size());
+  for (const CoreShard& shard : schedule.shards) {
+    if (!shard.pass_indices.empty()) busy.push_back(&shard);
+  }
   std::vector<nn::TilePassResult> results(plan.passes.size());
-  pool_.parallel_for(0, schedule.shards.size(), [&](std::size_t s) {
-    const CoreShard& shard = schedule.shards[s];
+  pool_.parallel_for(0, busy.size(), [&](std::size_t s) {
+    const CoreShard& shard = *busy[s];
     core::TensorCore& shard_core = *cores_[active_[shard.core]];
     for (std::size_t index : shard.pass_indices) {
       results[index] =

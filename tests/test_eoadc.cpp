@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "core/eoadc.hpp"
 
 namespace {
@@ -184,6 +188,219 @@ TEST(EoAdc, FourBitVariantWorks) {
   EXPECT_EQ(adc.code(0.125), 0u);
   EXPECT_EQ(adc.code(2.125), 8u);
   EXPECT_EQ(adc.code(3.875), 15u);
+}
+
+// --- decision window vs ring walk ---------------------------------------------
+//
+// code() decides through the bias window located at construction; convert()
+// walks every ring.  The two must agree on every input, so the sweeps below
+// hunt where a mismatch could hide: far out in bias up to (and past) the
+// half-FSR limit the window is trusted to, the last doubles at either window
+// edge, and the code edges of every channel (including ladders mismatched
+// badly enough to leave dead zones, where the deepest-dip fallback decides).
+
+}  // namespace
+
+namespace ptc::core {
+
+/// Reads the decision window EoAdc keeps private.
+class EoAdcWindow : public ::testing::Test {
+ protected:
+  static bool fires(EoAdc& adc, double bias) { return adc.fires_at_bias(bias); }
+  static double low(const EoAdc& adc) { return adc.window_lo_; }
+  static double high(const EoAdc& adc) { return adc.window_hi_; }
+  static double bias_limit(const EoAdc& adc) { return adc.bias_limit_; }
+  static bool in_window(const EoAdc& adc, double bias) {
+    return bias >= low(adc) && bias <= high(adc);
+  }
+};
+
+}  // namespace ptc::core
+
+namespace {
+
+struct WindowCase {
+  unsigned bits;
+  double sigma;
+  bool amplifiers;
+};
+
+std::string describe(const WindowCase& c) {
+  return std::to_string(c.bits) + "-bit, sigma " + std::to_string(c.sigma) +
+         (c.amplifiers ? "" : ", amplifier-less");
+}
+
+/// Ladders of every width and mismatch, plus the amplifier-less mode.
+std::vector<WindowCase> window_cases() {
+  std::vector<WindowCase> cases;
+  for (unsigned bits = 1; bits <= 4; ++bits) {
+    for (const double sigma : {0.01, 0.05, 0.2}) {
+      cases.push_back({bits, sigma, true});
+    }
+  }
+  cases.push_back({3, 0.0, false});
+  return cases;
+}
+
+/// The bias predicate depends only on the ring design, which only the
+/// width changes (finer LSBs tune harder): one ideal ladder per width.
+std::vector<WindowCase> ring_cases() {
+  std::vector<WindowCase> cases;
+  for (unsigned bits = 1; bits <= 4; ++bits) cases.push_back({bits, 0.0, true});
+  return cases;
+}
+
+EoAdc make_adc(const WindowCase& c) {
+  EoAdcConfig config;
+  config.bits = c.bits;
+  config.vref_mismatch_sigma = c.sigma;
+  config.mismatch_seed = 11;
+  config.use_amplifier_chain = c.amplifiers;
+  return EoAdc(config);
+}
+
+/// Number of inputs where the window code differs from the ring walk.
+std::size_t code_mismatches(EoAdc& adc, const std::vector<double>& inputs) {
+  std::size_t mismatches = 0;
+  for (const double v : inputs) {
+    mismatches += adc.code(v) != adc.convert(v).code ? 1 : 0;
+  }
+  return mismatches;
+}
+
+TEST_F(EoAdcWindow, WindowIsTheWholeActiveSetUpToHalfAnFsr) {
+  // Dense 1e-4 V steps over +-20 V of bias, where the window and the first
+  // resonance order sit, then 0.1 % geometric steps out to the bias whose
+  // electro-optic shift reaches half an FSR (kilovolts), the limit itself
+  // and just past it: the predicate is the window everywhere.
+  for (const WindowCase& c : ring_cases()) {
+    EoAdc adc = make_adc(c);
+    const double limit = bias_limit(adc);
+    ASSERT_LT(low(adc), 0.0) << describe(c);
+    ASSERT_GT(high(adc), 0.0) << describe(c);
+    ASSERT_GT(limit, 20.0) << describe(c);
+    std::vector<double> biases;
+    for (int i = -200000; i <= 200000; ++i) biases.push_back(1e-4 * i);
+    for (double b = 20.0; b < limit; b *= 1.001) {
+      biases.push_back(b);
+      biases.push_back(-b);
+    }
+    for (const double b : {limit, limit * (1.0 + 1e-12), limit * 1.001}) {
+      biases.push_back(b);
+      biases.push_back(-b);
+    }
+    std::size_t mismatches = 0;
+    for (const double bias : biases) {
+      mismatches += fires(adc, bias) != in_window(adc, bias) ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0u) << describe(c);
+  }
+}
+
+TEST_F(EoAdcWindow, CodeMatchesRingWalkPastTheHalfFsrLimit) {
+  // Near four times the limit the shift reaches a whole FSR and the next
+  // resonance order fires again, outside the window.  Inputs that put a
+  // channel's bias there, or anywhere on 0.1 % geometric steps from the
+  // limit out to six times it, must go to the ring walk.
+  for (const WindowCase& c : ring_cases()) {
+    EoAdc adc = make_adc(c);
+    const double limit = bias_limit(adc);
+    std::vector<double> second_order;
+    std::vector<double> inputs;
+    for (double b = limit; b < 6.0 * limit; b *= 1.001) {
+      for (const double bias : {b, -b}) {
+        if (fires(adc, bias)) second_order.push_back(bias);
+        inputs.push_back(adc.reference_voltage(0) - bias);
+        inputs.push_back(adc.reference_voltage(adc.channel_count() - 1) - bias);
+      }
+    }
+    ASSERT_FALSE(second_order.empty()) << describe(c);
+    for (const double bias : second_order) {
+      for (std::size_t ch = 0; ch < adc.channel_count(); ++ch) {
+        inputs.push_back(adc.reference_voltage(ch) - bias);
+      }
+    }
+    EXPECT_EQ(code_mismatches(adc, inputs), 0u) << describe(c);
+  }
+}
+
+TEST_F(EoAdcWindow, EdgesAreExactToTheLastDouble) {
+  // Every double within 2^16 ulps of both edges: the predicate flips once,
+  // exactly between the edge and its outward neighbour.
+  constexpr int kUlps = 1 << 16;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const WindowCase& c : ring_cases()) {
+    EoAdc adc = make_adc(c);
+    std::size_t mismatches = 0;
+    for (const double edge : {low(adc), high(adc)}) {
+      double below = edge;
+      double above = edge;
+      for (int i = 0; i < kUlps; ++i) {
+        below = std::nextafter(below, -kInf);
+        above = std::nextafter(above, kInf);
+        mismatches += fires(adc, below) != in_window(adc, below);
+        mismatches += fires(adc, above) != in_window(adc, above);
+      }
+      mismatches += fires(adc, edge) ? 0 : 1;
+    }
+    EXPECT_EQ(mismatches, 0u) << describe(c);
+  }
+}
+
+TEST_F(EoAdcWindow, CodeMatchesRingWalkOnRandomInputs) {
+  for (const WindowCase& c : window_cases()) {
+    EoAdc adc = make_adc(c);
+    ptc::Rng rng(c.bits * 100 + static_cast<unsigned>(c.sigma * 1000));
+    std::vector<double> inputs(4000);
+    for (double& v : inputs) v = -2.0 + 14.0 * rng.uniform();
+    EXPECT_EQ(code_mismatches(adc, inputs), 0u) << describe(c);
+  }
+}
+
+TEST_F(EoAdcWindow, CodeMatchesRingWalkAroundEveryChannelEdge) {
+  // +-2000 ulps of input around the two inputs where each channel's bias
+  // V_REF,k - V_IN crosses a window edge.
+  constexpr int kUlps = 2000;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const WindowCase& c : window_cases()) {
+    EoAdc adc = make_adc(c);
+    std::vector<double> inputs;
+    for (std::size_t ch = 0; ch < adc.channel_count(); ++ch) {
+      for (const double edge : {low(adc), high(adc)}) {
+        const double centre = adc.reference_voltage(ch) - edge;
+        double below = centre;
+        double above = centre;
+        inputs.push_back(centre);
+        for (int i = 0; i < kUlps; ++i) {
+          below = std::nextafter(below, -kInf);
+          above = std::nextafter(above, kInf);
+          inputs.push_back(below);
+          inputs.push_back(above);
+        }
+      }
+    }
+    EXPECT_EQ(code_mismatches(adc, inputs), 0u) << describe(c);
+  }
+}
+
+TEST_F(EoAdcWindow, NoChannelFallbackMatchesRingWalk) {
+  // Out of range on either side, and inside the dead zones of a badly
+  // mismatched ladder, no channel fires: the deepest dip decides.
+  for (const WindowCase& c : window_cases()) {
+    EoAdc adc = make_adc(c);
+    std::vector<double> dead;
+    for (int i = -400; i <= 1200; ++i) {
+      const double v = 1e-2 * i;
+      if (!adc.convert(v).any_active) dead.push_back(v);
+    }
+    ASSERT_FALSE(dead.empty()) << describe(c);
+    EXPECT_EQ(code_mismatches(adc, dead), 0u) << describe(c);
+  }
+  // Far enough out to reach other resonance orders, and NaN: the ring walk.
+  EoAdc adc;
+  const std::vector<double> extreme = {
+      -1e6, -2e4, 2e4, 1e6, std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_EQ(code_mismatches(adc, extreme), 0u);
 }
 
 TEST(EoAdc, RejectsBadConfig) {

@@ -7,10 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <stdexcept>
+#include <string>
+#include <typeindex>
+#include <utility>
 #include <vector>
 
+#include "common/expects.hpp"
 #include "common/random_matrix.hpp"
 #include "common/rng.hpp"
 #include "core/tensor_core.hpp"
@@ -24,10 +32,47 @@
 #include "runtime/accelerator.hpp"
 #include "runtime/backend.hpp"
 
+// --- global allocation counter (for the allocation-free hot path check) ----
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+// The nothrow forms (std::stable_sort's temporary buffer) must come from
+// malloc too, since every delete below frees.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace {
 
 using namespace ptc;
 using namespace ptc::nn;
+
+template <typename Call>
+std::size_t allocations_during(Call&& call) {
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  call();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
 
 core::TensorCoreConfig core_config(bool fast_path) {
   core::TensorCoreConfig config;
@@ -84,6 +129,115 @@ TEST(FastPath, QuantizedBatchBitIdenticalAndAccounted) {
   // Every batch row burns one ADC sample window, exactly like multiply().
   EXPECT_EQ(fast.samples_processed(), 40u);
   EXPECT_EQ(physics.samples_processed(), 40u);
+}
+
+TEST(FastPath, BitIdenticalForRowCountsOffTheReplayBlock) {
+  // The replay runs rows four at a time, the last block padded with
+  // zero-gain rows.  Every row count must match the physics walk, analog
+  // and quantized.
+  for (const std::size_t rows : {1, 3, 6, 9, 16}) {
+    core::TensorCoreConfig config = core_config(true);
+    config.rows = rows;
+    config.cols = 8;
+    core::TensorCore fast(config);
+    config.fast_path = false;
+    core::TensorCore physics(config);
+    Rng rng(40 + rows);
+    const Matrix w = random_activations(rows, 8, rng);
+    fast.load_weights_normalized(w);
+    physics.load_weights_normalized(w);
+    const Matrix x = random_activations(24, 8, rng);
+    EXPECT_EQ(fast.multiply_analog_batch(x).max_abs_diff(
+                  physics.multiply_analog_batch(x)),
+              0.0)
+        << rows << " rows";
+    EXPECT_EQ(fast.multiply_batch(x).max_abs_diff(physics.multiply_batch(x)),
+              0.0)
+        << rows << " rows";
+  }
+}
+
+TEST(FastPath, BitIdenticalForChannelCountsOffTheSpecialization) {
+  // The replay is compiled for the default 4-channel macro and for a
+  // channel count read at run time; the run-time one must match the
+  // physics walk too.
+  for (const std::size_t channels : {1, 2, 3, 8}) {
+    core::TensorCoreConfig config = core_config(true);
+    config.macro.channels = channels;
+    config.rows = 6;
+    config.cols = 4 * channels;
+    core::TensorCore fast(config);
+    config.fast_path = false;
+    core::TensorCore physics(config);
+    Rng rng(60 + channels);
+    const Matrix w = random_activations(config.rows, config.cols, rng);
+    fast.load_weights_normalized(w);
+    physics.load_weights_normalized(w);
+    ASSERT_TRUE(fast.fast_path_active()) << channels << " channels";
+    const Matrix x = random_activations(24, config.cols, rng);
+    EXPECT_EQ(fast.multiply_analog_batch(x).max_abs_diff(
+                  physics.multiply_analog_batch(x)),
+              0.0)
+        << channels << " channels";
+    EXPECT_EQ(fast.multiply_batch(x).max_abs_diff(physics.multiply_batch(x)),
+              0.0)
+        << channels << " channels";
+  }
+}
+
+TEST(FastPath, BatchAllocationsDoNotGrowWithSamples) {
+  core::TensorCore core(core_config(true));
+  Rng rng(21);
+  core.load_weights_normalized(random_activations(16, 16, rng));
+  const Matrix small = random_activations(16, 16, rng);
+  const Matrix large = random_activations(256, 16, rng);
+  // Warm-up sizes the scratch buffers and the ledger's static slots.
+  core.multiply_batch(large);
+  core.multiply_analog_batch(large);
+
+  for (const bool quantize : {true, false}) {
+    auto run = [&](const Matrix& x) {
+      return allocations_during([&] {
+        const Matrix y =
+            quantize ? core.multiply_batch(x) : core.multiply_analog_batch(x);
+        EXPECT_EQ(y.rows(), x.rows());
+      });
+    };
+    EXPECT_EQ(run(small), run(large)) << (quantize ? "quantized" : "analog");
+  }
+}
+
+/// Type and message of the exception `call` throws.
+template <typename Call>
+std::pair<std::type_index, std::string> thrown(Call&& call) {
+  try {
+    call();
+  } catch (const std::exception& e) {
+    return {typeid(e), e.what()};
+  }
+  return {typeid(void), ""};
+}
+
+TEST(Contracts, LiteralAndStringMessagesThrowAlike) {
+  const std::string text = "weights must be in range";
+  const auto pre_literal = thrown([] { expects(false, "weights must be in range"); });
+  const auto pre_string = thrown([&] { expects(false, text); });
+  EXPECT_EQ(pre_literal.first, std::type_index(typeid(std::invalid_argument)));
+  EXPECT_EQ(pre_literal.second, "precondition violated: " + text);
+  EXPECT_EQ(pre_literal, pre_string);
+
+  const auto post_literal = thrown([] { ensures(false, "weights must be in range"); });
+  const auto post_string = thrown([&] { ensures(false, text); });
+  EXPECT_EQ(post_literal.first, std::type_index(typeid(std::logic_error)));
+  EXPECT_EQ(post_literal.second, "postcondition violated: " + text);
+  EXPECT_EQ(post_literal, post_string);
+
+  // A passing check with a literal builds no message at all.
+  EXPECT_EQ(allocations_during([] {
+              expects(true, "a literal longer than any small-string buffer");
+              ensures(true, "a literal longer than any small-string buffer");
+            }),
+            0u);
 }
 
 TEST(FastPath, RecalibratesWhenWeightsChange) {
