@@ -17,6 +17,14 @@ class EnergyLedger {
   /// Books a one-off energy amount [J] under a category.
   void add_energy(const std::string& category, double joules);
 
+  /// The running total [J] a category books into, created at 0 if unknown.
+  /// Adding amounts to it in order sums exactly as add_energy does, without
+  /// a lookup per amount; the caller keeps amounts >= 0.  The reference
+  /// stays valid until reset().
+  double& energy_slot(const std::string& category) {
+    return energies_[category];
+  }
+
   /// Registers a continuously-drawn static power [W]; repeated calls
   /// accumulate.
   void add_static_power(const std::string& category, double watts);

@@ -43,10 +43,9 @@ EoAdc::EoAdc(const EoAdcConfig& config)
   locate_window();
 }
 
-bool EoAdc::fires_at_bias(double bias) {
-  rings_.front().set_bias(bias);
+bool EoAdc::fires_at_bias(double bias) const {
   return config_.input_power_per_ring *
-             rings_.front().thru_transmission(tech_adc_wavelength) <
+             rings_.front().thru_transmission_at(bias, tech_adc_wavelength) <
          activation_threshold_power();
 }
 
@@ -101,8 +100,8 @@ double EoAdc::reference_voltage(std::size_t ch) const {
 double EoAdc::ring_thru_transmission(std::size_t ch, double v_in) const {
   // The junction sees V_pn = V_REF - V_IN (p-terminal at the reference,
   // n-terminal at the input, paper Sec. II-C).
-  rings_[ch].set_bias(vref_[ch] - v_in);
-  return rings_[ch].thru_transmission(tech_adc_wavelength);
+  return rings_[ch].thru_transmission_at(vref_[ch] - v_in,
+                                         tech_adc_wavelength);
 }
 
 double EoAdc::channel_thru_power(std::size_t ch, double v_in) const {
@@ -155,7 +154,7 @@ unsigned EoAdc::code(double v_in) {
   }
   unsigned pattern = 0;
   for (std::size_t ch = 0; ch < vref_.size(); ++ch) {
-    // The same subtraction ring_thru_transmission biases the ring with.
+    // The same subtraction ring_thru_transmission evaluates the ring at.
     const double bias = vref_[ch] - v_in;
     // Bitwise & keeps the test branch-free: which channel fires is data.
     const bool fires = (bias >= window_lo_) & (bias <= window_hi_);
@@ -214,11 +213,9 @@ EoAdc::TransientResult EoAdc::convert_transient(double v_in,
     for (std::size_t ch = 0; ch < n; ++ch) {
       // Junction voltage settles with the depletion response time.
       const double v_pn = ring_lag[ch].step(vref_[ch] - v_in, dt);
-      auto& ring = rings_[ch];
-      ring.set_bias(v_pn);
       const double p_thru_inst =
           config_.input_power_per_ring *
-          ring.thru_transmission(tech_adc_wavelength);
+          rings_[ch].thru_transmission_at(v_pn, tech_adc_wavelength);
       const double p_thru = pd_lag[ch].step(p_thru_inst, dt);
       // Balanced PD: top (thru) charges Qp, bottom (reference) + keeper
       // discharge it.

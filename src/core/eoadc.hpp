@@ -158,18 +158,17 @@ class EoAdc {
   double ring_thru_transmission(std::size_t ch, double v_in) const;
   double activation_threshold_power() const;
   /// The channel predicate shared by every ring, as a function of junction
-  /// bias V_pn = V_REF - V_IN: thru power below the trip level.  Sets ring
-  /// 0's bias.
-  bool fires_at_bias(double bias);
+  /// bias V_pn = V_REF - V_IN: thru power below the trip level.
+  bool fires_at_bias(double bias) const;
   /// Locates the active window and the input range where it is exact.
   void locate_window();
   /// No channel fired: the channel with the deepest dip (nearest code).
   unsigned deepest_channel(double v_in) const;
 
   EoAdcConfig config_;
-  /// Bias is evaluation scratch state (set per query from V_REF - V_IN), so
-  /// spectral queries remain logically const.
-  mutable std::vector<optics::Microring> rings_;
+  /// One ring per channel; each evaluation passes its junction bias
+  /// (V_REF - V_IN) explicitly, so the rings' own bias stays unused.
+  std::vector<optics::Microring> rings_;
   std::vector<double> vref_;
   optics::Photodiode photodiode_;
   circuit::CeilingRomDecoder decoder_;

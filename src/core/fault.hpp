@@ -23,8 +23,9 @@
 ///    switching events and hold their last value forever.
 ///
 /// Everything is seeded and deterministic.  Faults are applied at the ring
-/// *bias* level (see VectorComputeMacro::set_ring_fault), so the fast path
-/// and the physics oracle — which share chain_transmission() — stay
+/// *bias* level (see VectorComputeMacro::set_ring_fault): the physics walk
+/// and the fast path's per-ring transmission table both derive each ring's
+/// bias from (stored bit, drive-level offset, fault latch), so they stay
 /// bit-identical under any fault set.
 namespace ptc::core {
 

@@ -2,6 +2,7 @@
 #define PTC_CORE_PSRAM_ARRAY_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/energy.hpp"
@@ -60,9 +61,12 @@ class PsramArray {
 
   /// Writes a full weight matrix (row-major, rows x words_per_row).
   /// All rows are written in parallel; returns the reload latency [s].
-  double write_matrix(const std::vector<std::uint32_t>& values);
+  double write_matrix(std::span<const std::uint32_t> values);
 
   std::uint32_t word(std::size_t row, std::size_t index) const;
+
+  /// Every stored word, row-major (rows x words_per_row).
+  std::span<const std::uint32_t> words() const { return words_; }
 
   /// Individual stored bit (bit b of word (row, index)); this is the line
   /// that drives a multiply ring.
@@ -102,6 +106,13 @@ class PsramArray {
   std::uint64_t write_errors() const { return write_errors_; }
 
  private:
+  /// Stores checked words from flat word index `first` on, booking each
+  /// word's energy into `energy` (the ledger's psram_write slot) in word
+  /// order.  Returns the number of flipped bits.
+  std::size_t store_words(std::size_t first,
+                          std::span<const std::uint32_t> values,
+                          double& energy);
+
   PsramArrayConfig config_;
   std::vector<std::uint32_t> words_;  // row-major
   circuit::EnergyLedger ledger_;

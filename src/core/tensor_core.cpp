@@ -93,6 +93,16 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
   full_scale_row_current_ = fs.photocurrent * static_cast<double>(tiles);
   ensures(full_scale_row_current_ > 0.0, "row full-scale calibration failed");
 
+  // Constants of the per-sample walk, computed exactly as the physics path
+  // computes them (same functions, same inputs -> same doubles).
+  fast_.comb_power = config_.macro.comb_power_per_line;
+  fast_.encoder_loss =
+      units::db_to_ratio(-config_.macro.encoder_insertion_loss_db);
+  fast_.encoder_floor = units::db_to_ratio(-config_.macro.encoder_extinction_db);
+  // Each 50:50 splitter stage multiplies the remainder by excess * 0.5.
+  fast_.tap_factor = units::db_to_ratio(-config_.macro.splitter_excess_db) * 0.5;
+  fast_.responsivity = config_.macro.photodiode.responsivity;
+
   const auto power_parts = breakdown();
   ledger_.add_static_power("adc", power_parts.adc);
   ledger_.add_static_power("row_tia", power_parts.row_tia);
@@ -109,122 +119,110 @@ std::size_t TensorCore::macros_per_row() const {
 double TensorCore::load_weights(
     const std::vector<std::vector<std::uint32_t>>& weights) {
   expects(weights.size() == config_.rows, "weight matrix row count mismatch");
-  std::vector<std::uint32_t> flat;
-  flat.reserve(config_.rows * config_.cols);
+  word_scratch_.clear();
   for (const auto& row : weights) {
     expects(row.size() == config_.cols, "weight matrix column count mismatch");
-    flat.insert(flat.end(), row.begin(), row.end());
+    word_scratch_.insert(word_scratch_.end(), row.begin(), row.end());
   }
-  const double latency = psram_.write_matrix(flat);
-  if (psram_.endurance_enabled()) {
-    // Worn cells may have refused bit toggles; from here on everything —
-    // ring biases, the digital reference, and the fast-path memo key —
-    // must see what the array actually *stores*, not what was requested.
-    for (std::size_t row = 0; row < config_.rows; ++row) {
-      for (std::size_t col = 0; col < config_.cols; ++col) {
-        flat[row * config_.cols + col] = psram_.word(row, col);
-      }
-    }
-  }
+  return load_words();
+}
 
-  // The stored bits drive the multiply rings tile by tile.
+double TensorCore::load_weights_normalized(const Matrix& weights) {
+  expects(weights.rows() == config_.rows && weights.cols() == config_.cols,
+          "weight matrix shape mismatch");
+  const double scale = static_cast<double>(max_weight());
+  // Matrix storage is row-major, the pSRAM's word order.
+  const std::vector<double>& values = weights.data();
+  word_scratch_.resize(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double w = values[i];
+    expects(w >= 0.0 && w <= 1.0, "normalized weights must be in [0, 1]");
+    // std::lround without the library call: rounds half away from zero.
+    // x is in [0, max_weight], where x minus its truncation is exact.
+    const double x = w * scale;
+    const auto whole = static_cast<std::uint32_t>(x);
+    word_scratch_[i] =
+        whole + (x - static_cast<double>(whole) >= 0.5 ? 1u : 0u);
+  }
+  return load_words();
+}
+
+double TensorCore::load_words() {
+  const double latency = psram_.write_matrix(word_scratch_);
+  // Worn cells may have refused bit toggles; from here on everything —
+  // ring biases, the digital reference, and the fast-path gains — sees
+  // what the array actually *stores*, not what was requested.
+  const std::span<const std::uint32_t> words = psram_.words();
   const std::size_t m = config_.macro.channels;
   for (std::size_t row = 0; row < config_.rows; ++row) {
     for (std::size_t tile = 0; tile < macros_per_row(); ++tile) {
-      std::vector<std::uint32_t> tile_weights(m);
-      for (std::size_t ch = 0; ch < m; ++ch) {
-        tile_weights[ch] = psram_.word(row, tile * m + ch);
-      }
-      macros_[row][tile].load_weights(tile_weights);
+      macros_[row][tile].load_weights(
+          words.subspan(row * config_.cols + tile * m, m));
     }
   }
-  loaded_words_ = flat;
-  if (config_.fast_path) {
-    calibrate_fast_path(flat);
-  } else {
-    fast_.valid = false;
-  }
+  weights_loaded_ = true;
+  if (config_.fast_path) build_chain();
   return latency;
 }
 
-void TensorCore::calibrate_fast_path(const std::vector<std::uint32_t>& words) {
-  // Constants of the per-sample walk, computed exactly as the physics path
-  // computes them (same functions, same inputs -> same doubles).
-  fast_.comb_power = config_.macro.comb_power_per_line;
-  fast_.encoder_loss =
-      units::db_to_ratio(-config_.macro.encoder_insertion_loss_db);
-  fast_.encoder_floor = units::db_to_ratio(-config_.macro.encoder_extinction_db);
-  // Each 50:50 splitter stage multiplies the remainder by excess * 0.5.
-  fast_.tap_factor = units::db_to_ratio(-config_.macro.splitter_excess_db) * 0.5;
-  fast_.responsivity = config_.macro.photodiode.responsivity;
-
-  // The chain transmissions are a pure function of (loaded weight words,
-  // thermal detuning), and a serving fleet reloads the same few blocks on
-  // the same core every dispatch — recall the memoized calibration when
-  // both match.  Under drift the detuning key misses and the walk re-runs:
-  // the modeled cost of serving on a drifting device.
-  for (std::size_t i = 0; i < calibrations_.size(); ++i) {
-    if (calibrations_[i].detuning == detuning_ &&
-        calibrations_[i].words == words) {
-      fast_.chain = calibrations_[i].chain;
-      if (i != 0) std::rotate(calibrations_.begin(),
-                              calibrations_.begin() + i,
-                              calibrations_.begin() + i + 1);
-      fast_.valid = true;
-      return;
-    }
-  }
-
-  // Ring-chain transmissions: the expensive spectral product (every ring of
-  // a bit row evaluated at every channel wavelength — the crosstalk walk)
-  // only changes when the multiply rings are re-biased or detuned, i.e.
-  // here or in set_thermal_detuning.
-  fast_.chain = build_chain();
-  calibrations_.insert(calibrations_.begin(),
-                       CalibrationEntry{words, detuning_, fast_.chain});
-  fast_.valid = true;
-  // Enough slots for every block of a resident model shard plus headroom.
-  // Evict drifted (nonzero-detuning) entries first: a wandering detuning
-  // key almost never recurs, while the detuning-0 entries are exactly what
-  // every post-re-lock reload hits again.
-  constexpr std::size_t kMaxCalibrations = 64;
-  if (calibrations_.size() > kMaxCalibrations) {
-    for (auto it = calibrations_.rbegin(); it != calibrations_.rend(); ++it) {
-      if (it->detuning != 0.0) {
-        calibrations_.erase(std::next(it).base());
-        return;
-      }
-    }
-    calibrations_.pop_back();
-  }
-}
-
-std::shared_ptr<const std::vector<double>> TensorCore::build_chain() const {
+void TensorCore::build_chain() {
   const std::size_t bits = config_.weight_bits;
   const std::size_t m = config_.macro.channels;
   const std::size_t tiles = macros_per_row();
-  // Rows are grouped in blocks of kRowBlock with their gains interleaved
-  // innermost, so the side-by-side replay reads them contiguously; the last
-  // block is padded with zero-gain rows whose sums are never read out.
-  const std::size_t blocks = (config_.rows + kRowBlock - 1) / kRowBlock;
-  auto chain = std::make_shared<std::vector<double>>(
-      blocks * kRowBlock * tiles * bits * m, 0.0);
-  std::size_t idx = 0;
-  for (std::size_t block = 0; block < blocks; ++block) {
+  const std::size_t rings = config_.rows * tiles * bits * m;
+  if (fast_.table.empty()) {
+    // Rows are grouped in blocks of kRowBlock with their gains interleaved
+    // innermost, so the side-by-side replay reads them contiguously; the
+    // last block is padded with zero-gain rows whose sums are never read.
+    const std::size_t blocks = (config_.rows + kRowBlock - 1) / kRowBlock;
+    fast_.chain.assign(blocks * kRowBlock * tiles * bits * m, 0.0);
+    fast_.table.assign(rings * 2 * m, 0.0);
+    fast_.filled.assign(rings * 2, 0);
+  }
+  const std::span<const std::uint32_t> words = psram_.words();
+  for (std::size_t row = 0; row < config_.rows; ++row) {
+    const std::size_t block = row / kRowBlock;
+    const std::size_t j = row % kRowBlock;
     for (std::size_t tile = 0; tile < tiles; ++tile) {
+      const std::uint32_t* tile_words = words.data() + row * config_.cols +
+                                        tile * m;
+      const VectorComputeMacro& macro = macros_[row][tile];
       for (std::size_t bit = 0; bit < bits; ++bit) {
-        for (std::size_t ch = 0; ch < m; ++ch) {
-          for (std::size_t j = 0; j < kRowBlock; ++j, ++idx) {
-            const std::size_t row = block * kRowBlock + j;
-            if (row < config_.rows) {
-              (*chain)[idx] = macros_[row][tile].chain_transmission(bit, ch);
-            }
+        // Bit row 0 is the MSB (significance 2^(n-1)).
+        const std::size_t shift = bits - 1 - bit;
+        const std::size_t ring0 = ((row * tiles + tile) * bits + bit) * m;
+        // Per-channel products over the bit row's rings in ring order, each
+        // ring at the spectrum of its stored bit.
+        double transmission[2 * tech_wdm_channels];
+        std::fill_n(transmission, m, 1.0);
+        for (std::size_t k = 0; k < m; ++k) {
+          const bool stored = (tile_words[k] >> shift) & 1u;
+          const std::size_t slot = (ring0 + k) * 2 + (stored ? 1 : 0);
+          double* spectrum = fast_.table.data() + slot * m;
+          if (fast_.filled[slot] == 0) {
+            macro.ring_spectrum(static_cast<unsigned>(bit), k, stored,
+                                std::span(spectrum, m));
+            fast_.filled[slot] = 1;
           }
+          for (std::size_t ch = 0; ch < m; ++ch) {
+            transmission[ch] *= spectrum[ch];
+          }
+        }
+        double* gains =
+            fast_.chain.data() + ((block * tiles + tile) * bits + bit) * m *
+                                     kRowBlock + j;
+        for (std::size_t ch = 0; ch < m; ++ch) {
+          gains[ch * kRowBlock] = transmission[ch];
         }
       }
     }
   }
-  return chain;
+  fast_.stale = false;
+}
+
+void TensorCore::invalidate_fast_path() {
+  std::fill(fast_.filled.begin(), fast_.filled.end(), std::uint8_t{0});
+  fast_.stale = true;
 }
 
 void TensorCore::set_thermal_detuning(double delta_kelvin) {
@@ -243,11 +241,9 @@ void TensorCore::set_thermal_detuning(double delta_kelvin) {
   for (auto& macro : probe_macros_) {
     macro.set_temperature_offset(delta_kelvin);
   }
-  // Refresh the armed fast path at the new operating point so it stays
-  // bit-identical to the physics walk (same chain function, same state).
-  if (fast_.valid) {
-    calibrate_fast_path(loaded_words_);
-  }
+  // Serving reloads before it samples, so the gains are rebuilt lazily: by
+  // the next load, or by the first sample if none comes first.
+  invalidate_fast_path();
 }
 
 void TensorCore::recalibrate() {
@@ -275,22 +271,6 @@ std::vector<double> TensorCore::probe_response_curve(
   return out;
 }
 
-double TensorCore::load_weights_normalized(const Matrix& weights) {
-  expects(weights.rows() == config_.rows && weights.cols() == config_.cols,
-          "weight matrix shape mismatch");
-  const double scale = static_cast<double>(max_weight());
-  std::vector<std::vector<std::uint32_t>> quantized(
-      config_.rows, std::vector<std::uint32_t>(config_.cols));
-  for (std::size_t r = 0; r < config_.rows; ++r) {
-    for (std::size_t c = 0; c < config_.cols; ++c) {
-      const double w = weights(r, c);
-      expects(w >= 0.0 && w <= 1.0, "normalized weights must be in [0, 1]");
-      quantized[r][c] = static_cast<std::uint32_t>(std::lround(w * scale));
-    }
-  }
-  return load_weights(quantized);
-}
-
 void TensorCore::analog_row_values_physics(const double* input, double* out) {
   const std::size_t m = config_.macro.channels;
   input_scratch_.resize(m);
@@ -305,10 +285,11 @@ void TensorCore::analog_row_values_physics(const double* input, double* out) {
 }
 
 void TensorCore::analog_row_values(const double* input, double* out) {
-  if (!fast_.valid) {
+  if (!fast_path_active()) {
     analog_row_values_physics(input, out);
     return;
   }
+  if (fast_.stale) build_chain();
 
   // Per-sample tap powers q[tile][bit_row][ch]: the encoded channel power
   // after the binary-weighted splitter cascade.  These replay the physics
@@ -357,7 +338,7 @@ void TensorCore::replay_rows(double* out) const {
   const double* taps = tap_scratch_.data();
   const std::size_t row_stride = tiles * bits * m;
   for (std::size_t row = 0; row < config_.rows; row += kRowBlock) {
-    const double* gains = fast_.chain->data() + row * row_stride;
+    const double* gains = fast_.chain.data() + row * row_stride;
     double current[kRowBlock] = {};
     for (std::size_t tile = 0; tile < tiles; ++tile) {
       double power_on_pds[kRowBlock] = {};
@@ -511,20 +492,13 @@ EoAdc& TensorCore::adc(std::size_t row) {
   return adcs_[row];
 }
 
-void TensorCore::refresh_fast_path() {
-  calibrations_.clear();
-  if (config_.fast_path && !loaded_words_.empty()) {
-    calibrate_fast_path(loaded_words_);
-  }
-}
-
 void TensorCore::inject_ring_fault(std::size_t row, std::size_t col,
                                    unsigned bit, RingFaultKind kind) {
   expects(row < config_.rows && col < config_.cols,
           "ring coordinates out of range");
   const std::size_t m = config_.macro.channels;
   macros_[row][col / m].set_ring_fault(bit, col % m, kind);
-  refresh_fast_path();
+  invalidate_fast_path();
 }
 
 void TensorCore::inject_ring_faults(const std::vector<RingFaultSite>& sites) {
@@ -535,7 +509,7 @@ void TensorCore::inject_ring_faults(const std::vector<RingFaultSite>& sites) {
     macros_[site.row][site.col / m].set_ring_fault(site.bit, site.col % m,
                                                    site.kind);
   }
-  refresh_fast_path();
+  invalidate_fast_path();
 }
 
 void TensorCore::inject_stuck_heater() { heater_stuck_ = true; }
@@ -572,13 +546,13 @@ void TensorCore::clear_faults() {
   }
   std::fill(adc_dead_.begin(), adc_dead_.end(), 0);
   heater_stuck_ = false;
-  refresh_fast_path();
+  invalidate_fast_path();
 }
 
 TensorCore::SelfTestResult TensorCore::self_test(std::size_t samples,
                                                  std::uint64_t seed) {
   expects(samples >= 1, "self-test needs at least one probe vector");
-  if (loaded_words_.empty()) {
+  if (!weights_loaded_) {
     // Nothing resident: program a checkerboard BIST pattern so the probes
     // exercise every ring row in both bit polarities.
     std::vector<std::vector<std::uint32_t>> pattern(

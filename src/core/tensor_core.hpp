@@ -2,7 +2,6 @@
 #define PTC_CORE_TENSOR_CORE_HPP
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "circuit/energy.hpp"
@@ -42,12 +41,13 @@ struct TensorCoreConfig {
   double control_power = 160e-3;
   double wall_plug_efficiency = tech_wall_plug;
   /// Calibrated fast path: at load_weights time the core freezes every
-  /// macro's ring-chain transmissions (they only change at weight load) and
-  /// multiply_analog replays the photocurrent sum over the cached gains
-  /// instead of re-walking the spectral physics per sample.  The replay uses
-  /// the identical floating-point operation sequence, so results are
-  /// bit-identical to the physics walk (which remains available as the
-  /// reference oracle when this is false).
+  /// macro's ring-chain transmissions (they only change at weight load,
+  /// detuning or fault injection), building them from a per-ring table of
+  /// thru transmissions, and multiply_analog replays the photocurrent sum
+  /// over the cached gains instead of re-walking the spectral physics per
+  /// sample.  Table and replay use the identical floating-point operation
+  /// sequence, so results are bit-identical to the physics walk (which
+  /// remains available as the reference oracle when this is false).
   bool fast_path = true;
   /// Per-die fabrication/drive-level variation (see core/variation.hpp).
   /// variation.seed == 0 is the pristine design die; a nonzero seed derives
@@ -107,22 +107,26 @@ class TensorCore {
 
   /// True when the calibrated fast path is armed (config.fast_path and
   /// weights have been loaded since).
-  bool fast_path_active() const { return fast_.valid; }
+  bool fast_path_active() const {
+    return config_.fast_path && weights_loaded_;
+  }
 
   // --- thermal drift / online recalibration ---------------------------------
   /// Ambient thermal detuning from the calibrated operating point [K]:
   /// every multiply ring is detuned through its own (variation-spread)
-  /// thermo-optic sensitivity, and the cached fast-path gains are refreshed
-  /// through the spectral walk at the new operating point — the fast path
-  /// stays bit-identical to the physics walk at every detuning.  Costs one
-  /// weight-load-grade calibration walk when the fast path is armed.
+  /// thermo-optic sensitivity.  The fast path's transmission table is
+  /// dropped and its gains are rebuilt at the new operating point by the
+  /// next weight load or sample, whichever comes first, so the fast path
+  /// stays bit-identical to the physics walk at every detuning.  The call
+  /// itself evaluates no ring.
   void set_thermal_detuning(double delta_kelvin);
   double thermal_detuning() const { return detuning_; }
 
   /// Heater re-lock: pulls every ring back to the calibrated operating
-  /// point (detuning -> 0), re-freezes the fast-path gains there, and opens
-  /// a new calibration epoch.  The modeled downtime of the fleet-level
-  /// recalibration is billed by runtime::Accelerator::recalibrate().
+  /// point (detuning -> 0), where the fast-path gains are re-frozen as
+  /// after any detuning, and opens a new calibration epoch.  The modeled
+  /// downtime of the fleet-level recalibration is billed by
+  /// runtime::Accelerator::recalibrate().
   void recalibrate();
 
   /// Number of recalibrations performed (epoch 0 = as-constructed).
@@ -173,9 +177,9 @@ class TensorCore {
   // --- hard-fault injection (core/fault.hpp) --------------------------------
   /// Latches one multiply ring's drive line.  (row, col) address the weight
   /// matrix entry, bit the weight-bit row (0 = MSB).  The fault is applied
-  /// at the ring-bias level and the fast path is recalibrated through the
-  /// same spectral walk, so fast path and physics oracle stay bit-identical
-  /// under the fault.
+  /// at the ring-bias level and the fast path's transmission table is
+  /// rebuilt under it before the next sample, so fast path and physics
+  /// oracle stay bit-identical under the fault.
   void inject_ring_fault(std::size_t row, std::size_t col, unsigned bit,
                          RingFaultKind kind);
   void inject_ring_faults(const std::vector<RingFaultSite>& sites);
@@ -266,7 +270,6 @@ class TensorCore {
   /// tile-order summation) — bit-identical to the physics walk by
   /// construction.
   struct FastGains {
-    bool valid = false;
     double comb_power = 0.0;     ///< per-line comb power [W]
     double encoder_loss = 0.0;   ///< encoder insertion loss (power ratio)
     double encoder_floor = 0.0;  ///< finite-extinction leakage floor
@@ -274,36 +277,35 @@ class TensorCore {
     double responsivity = 0.0;   ///< photodiode responsivity [A/W]
     /// Ring-chain transmissions in blocks of kRowBlock rows,
     /// [block][tile][bit_row][channel][row in block] flattened; the last
-    /// block is padded with zero gains.  Shared with the calibration memo —
-    /// treat as immutable.
-    std::shared_ptr<const std::vector<double>> chain;
+    /// block is padded with zero gains.
+    std::vector<double> chain;
+    /// True when the chain predates the current detuning or fault set.
+    bool stale = true;
+    /// Per-ring thru transmissions at the current detuning and fault set.
+    /// A multiply ring's bias takes one of two values (its stored bit plus
+    /// drive offset, or its fault latch), so each ring has two spectra of m
+    /// channel transmissions, [row][tile][bit_row][ring][bit][channel]
+    /// flattened, each filled on first use.
+    std::vector<double> table;
+    /// One flag per (ring, bit) spectrum of `table`: filled since the last
+    /// detuning or fault change.
+    std::vector<std::uint8_t> filled;
   };
 
-  /// One memoized calibration: the integer weight words that were loaded,
-  /// the thermal detuning they were calibrated at, and the chain
-  /// transmissions they produce.  Serving steady-state reloads the same few
-  /// blocks on the same core every dispatch, so the spectral calibration
-  /// walk runs once per distinct (block, detuning), not per pass — under
-  /// active drift the detuning key misses and every reload pays the walk,
-  /// which is exactly the modeled cost of serving through drift.
-  struct CalibrationEntry {
-    std::vector<std::uint32_t> words;
-    double detuning = 0.0;
-    std::shared_ptr<const std::vector<double>> chain;
-  };
+  /// Programs the rings from the words the pSRAM stores after writing
+  /// word_scratch_, and rebuilds the fast-path gains.  Returns the reload
+  /// latency [s].
+  double load_words();
 
-  /// Rebuilds (or recalls) the cached gains for the loaded weight words.
-  void calibrate_fast_path(const std::vector<std::uint32_t>& words);
+  /// Rebuilds the chain transmissions for the stored words from the
+  /// transmission table, filling the spectra it lacks: each chain entry is
+  /// the product over its bit row's rings in ring order, exactly as
+  /// VectorComputeMacro::chain_transmission multiplies.
+  void build_chain();
 
-  /// Drops the calibration memo and re-freezes the fast path after a fault
-  /// set change (the memo keys on (words, detuning) only, so entries built
-  /// under a different fault set would be stale).
-  void refresh_fast_path();
-
-  /// The expensive spectral product over the currently-programmed rings at
-  /// the current detuning (every ring of a bit row evaluated at every
-  /// channel wavelength — the crosstalk walk).
-  std::shared_ptr<const std::vector<double>> build_chain() const;
+  /// Drops the transmission table and marks the chain stale after the
+  /// rings were detuned or a fault set changed.
+  void invalidate_fast_path();
 
   /// Normalized analog row values for one sample: fast replay when armed,
   /// full spectral walk otherwise.  `input` has cols() entries; `out` has
@@ -343,11 +345,11 @@ class TensorCore {
   circuit::EnergyLedger ledger_;
   std::size_t samples_ = 0;
   FastGains fast_;
-  std::vector<CalibrationEntry> calibrations_;  ///< MRU-first memo
-  /// Words the pSRAM actually *stores* after the last load (worn cells may
-  /// refuse bits, so this can differ from the requested payload) — the
-  /// quantity the rings are programmed from and the memo keys on.
-  std::vector<std::uint32_t> loaded_words_;
+  bool weights_loaded_ = false;
+  /// Requested words of the load in progress, reused across loads.  Worn
+  /// cells may refuse bits, so the rings are programmed from what the
+  /// pSRAM then stores (psram_.words()), not from this.
+  std::vector<std::uint32_t> word_scratch_;
   /// Per-row dead ADC ladders; empty-equivalent (all zero) when healthy.
   std::vector<std::uint8_t> adc_dead_;
   bool heater_stuck_ = false;

@@ -17,6 +17,11 @@ VectorComputeMacro::VectorComputeMacro(const VectorMacroConfig& config)
           "weight precision must be in [1, 8] bits");
   expects(config.comb_power_per_line > 0.0, "comb power must be positive");
 
+  wavelengths_.reserve(config.channels);
+  for (std::size_t ch = 0; ch < config.channels; ++ch) {
+    wavelengths_.push_back(channel_wavelength(ch));
+  }
+
   const VariationModel variation(config.variation);
   Rng variation_rng(config.variation.seed);
   rings_.resize(config.weight_bits);
@@ -53,44 +58,42 @@ VectorComputeMacro::VectorComputeMacro(const VectorMacroConfig& config)
   load_weights(std::vector<std::uint32_t>(config.channels, 0));
 }
 
-void VectorComputeMacro::load_weights(const std::vector<std::uint32_t>& weights) {
+void VectorComputeMacro::load_weights(std::span<const std::uint32_t> weights) {
   expects(weights.size() == config_.channels,
           "need exactly one weight per channel");
   for (std::uint32_t w : weights) {
     expects(w <= max_weight(), "weight exceeds the configured precision");
   }
-  weights_ = weights;
-  apply_weight_biases();
+  weights_.assign(weights.begin(), weights.end());
 }
 
-void VectorComputeMacro::apply_weight_biases() {
-  for (unsigned row = 0; row < config_.weight_bits; ++row) {
-    // Bit row 0 is the MSB (significance 2^(n-1)).
-    const unsigned bit_index = config_.weight_bits - 1 - row;
-    for (std::size_t ch = 0; ch < config_.channels; ++ch) {
-      const bool bit = (weights_[ch] >> bit_index) & 1u;
-      const double offset =
-          bias_offsets_.empty() ? 0.0 : bias_offsets_[row][ch];
-      double bias = (bit ? tech_vdd : 0.0) + offset;
-      if (!ring_faults_.empty()) {
-        // A latched drive line pins the ring regardless of the stored bit:
-        // stuck-ON parks it on resonance (permanent bit 0, channel always
-        // stripped), stuck-OFF latches it at VDD (permanent bit 1).
-        switch (static_cast<RingFaultKind>(
-            ring_faults_[row * config_.channels + ch])) {
-          case RingFaultKind::kStuckOn:
-            bias = 0.0;
-            break;
-          case RingFaultKind::kStuckOff:
-            bias = tech_vdd;
-            break;
-          case RingFaultKind::kNone:
-            break;
-        }
-      }
-      rings_[row][ch].set_bias(bias);
+double VectorComputeMacro::ring_bias(unsigned bit_row, std::size_t ring,
+                                     bool bit) const {
+  if (!ring_faults_.empty()) {
+    // A latched drive line pins the ring regardless of the stored bit:
+    // stuck-ON parks it on resonance (permanent bit 0, channel always
+    // stripped), stuck-OFF latches it at VDD (permanent bit 1).
+    switch (static_cast<RingFaultKind>(
+        ring_faults_[bit_row * config_.channels + ring])) {
+      case RingFaultKind::kStuckOn:
+        return 0.0;
+      case RingFaultKind::kStuckOff:
+        return tech_vdd;
+      case RingFaultKind::kNone:
+        break;
     }
   }
+  const double offset =
+      bias_offsets_.empty() ? 0.0 : bias_offsets_[bit_row][ring];
+  return (bit ? tech_vdd : 0.0) + offset;
+}
+
+void VectorComputeMacro::ring_spectrum(unsigned bit_row, std::size_t ring,
+                                       bool bit, std::span<double> out) const {
+  expects(bit_row < config_.weight_bits, "bit row out of range");
+  expects(ring < config_.channels, "ring out of range");
+  rings_[bit_row][ring].thru_spectrum_at(ring_bias(bit_row, ring, bit),
+                                         wavelengths_, out);
 }
 
 void VectorComputeMacro::set_ring_fault(unsigned bit_row, std::size_t channel,
@@ -110,14 +113,11 @@ void VectorComputeMacro::set_ring_fault(unsigned bit_row, std::size_t channel,
     --ring_fault_count_;
   }
   slot = static_cast<std::uint8_t>(kind);
-  apply_weight_biases();
 }
 
 void VectorComputeMacro::clear_ring_faults() {
-  if (ring_faults_.empty()) return;
   ring_faults_.clear();
   ring_fault_count_ = 0;
-  apply_weight_biases();
 }
 
 void VectorComputeMacro::set_temperature_offset(double delta_kelvin) {
@@ -133,10 +133,14 @@ double VectorComputeMacro::chain_transmission(std::size_t bit_row,
                                               std::size_t channel) const {
   expects(bit_row < rings_.size(), "bit row out of range");
   expects(channel < config_.channels, "channel out of range");
-  const double lambda = channel_wavelength(channel);
+  const double lambda = wavelengths_[channel];
+  // Bit row 0 is the MSB (significance 2^(n-1)).
+  const unsigned bit_index = config_.weight_bits - 1 - bit_row;
   double transmission = 1.0;
-  for (const auto& ring : rings_[bit_row]) {
-    transmission *= ring.thru_transmission(lambda);
+  for (std::size_t ring = 0; ring < config_.channels; ++ring) {
+    const bool bit = (weights_[ring] >> bit_index) & 1u;
+    transmission *= rings_[bit_row][ring].thru_transmission_at(
+        ring_bias(static_cast<unsigned>(bit_row), ring, bit), lambda);
   }
   return transmission;
 }
@@ -147,11 +151,7 @@ double VectorComputeMacro::compute_current(const std::vector<double>& inputs,
           "need exactly one input per channel");
 
   // Comb + encoders produce the WDM input bundle.
-  std::vector<double> wavelengths(config_.channels);
-  for (std::size_t ch = 0; ch < config_.channels; ++ch) {
-    wavelengths[ch] = channel_wavelength(ch);
-  }
-  optics::FrequencyComb comb(optics::WavelengthGrid(wavelengths),
+  optics::FrequencyComb comb(optics::WavelengthGrid(wavelengths_),
                              config_.comb_power_per_line,
                              config_.wall_plug_efficiency);
   const optics::WdmSignal encoded = encoder_.encode(comb.emit(), inputs);

@@ -2,6 +2,8 @@
 #define PTC_CORE_VECTOR_MACRO_HPP
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "core/fault.hpp"
@@ -59,7 +61,10 @@ class VectorComputeMacro {
   /// Loads the n-bit weights (one per channel); weights drive the multiply
   /// rings' bias lines (plus each ring's static pSRAM drive-level offset
   /// when variation is enabled).
-  void load_weights(const std::vector<std::uint32_t>& weights);
+  void load_weights(std::span<const std::uint32_t> weights);
+  void load_weights(std::initializer_list<std::uint32_t> weights) {
+    load_weights(std::span(weights.begin(), weights.size()));
+  }
 
   /// Ambient temperature deviation from the calibrated operating point [K],
   /// applied to every multiply ring.  Each ring responds through its own
@@ -88,18 +93,27 @@ class VectorComputeMacro {
   double full_scale_current() const { return full_scale_current_; }
 
   /// Transmission of channel `channel` through bit-row `bit_row`'s ring
-  /// chain, given current weights — exposes crosstalk for tests/benches.
+  /// chain, given current weights — the ring walk of the physics path, and
+  /// exposes crosstalk for tests/benches.
   double chain_transmission(std::size_t bit_row, std::size_t channel) const;
+
+  /// Thru transmissions of ring `ring` of bit row `bit_row` at every
+  /// channel wavelength (out[ch], channels() entries) when its pSRAM cell
+  /// stores `bit`, whatever the loaded weights.  chain_transmission(b, ch)
+  /// is the product of out[ch] over the row's rings in ring order, each at
+  /// its stored bit.
+  void ring_spectrum(unsigned bit_row, std::size_t ring, bool bit,
+                     std::span<double> out) const;
 
   // --- hard faults -----------------------------------------------------------
   /// Latches one multiply ring's drive line: from now on the ring ignores
   /// its weight bit (and drive-level offset) and sits at the stuck bias.
-  /// Takes effect immediately on the currently loaded weights, and flows
-  /// through chain_transmission(), so the physics walk and the fast path
-  /// see the identical faulted device.
+  /// Every transmission evaluation derives the ring's bias from (stored
+  /// bit, drive-level offset, fault latch), so the physics walk and the
+  /// fast path see the identical faulted device.
   void set_ring_fault(unsigned bit_row, std::size_t channel,
                       RingFaultKind kind);
-  /// Releases every latched ring and restores the weight-driven biases.
+  /// Releases every latched ring: biases follow the weight bits again.
   void clear_ring_faults();
   std::size_t ring_fault_count() const { return ring_fault_count_; }
 
@@ -111,12 +125,16 @@ class VectorComputeMacro {
  private:
   double compute_current(const std::vector<double>& inputs,
                          std::vector<double>* per_bit) const;
-  void apply_weight_biases();
+  /// Junction bias of ring (bit_row, ring) storing `bit`: VDD or 0 plus the
+  /// ring's drive-level offset, unless a fault latches the drive line.
+  double ring_bias(unsigned bit_row, std::size_t ring, bool bit) const;
 
   VectorMacroConfig config_;
+  std::vector<double> wavelengths_;  ///< channel_wavelength(ch) per channel
   optics::IntensityEncoder encoder_;
   optics::Photodiode photodiode_;
-  /// rings_[bit_row][channel]; bit_row 0 = MSB (receives IN/2).
+  /// rings_[bit_row][channel]; bit_row 0 = MSB (receives IN/2).  Their
+  /// bias is never set: evaluations pass ring_bias() explicitly.
   std::vector<std::vector<optics::Microring>> rings_;
   /// Static per-ring pSRAM drive-level offsets [V], same indexing as
   /// rings_; empty when variation is disabled.

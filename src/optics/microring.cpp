@@ -14,7 +14,9 @@ constexpr double two_pi = 2.0 * std::numbers::pi;
 }
 
 Microring::Microring(const MicroringConfig& config)
-    : config_(config), junction_(config.junction) {
+    : config_(config),
+      junction_(config.junction),
+      pin_shift_(junction_.resonance_shift(config.pin_bias)) {
   expects(config.radius > 0.0, "ring radius must be positive");
   expects(config.dl >= 0.0, "ring length adjustment must be >= 0");
   expects(config.design_wavelength > 0.0, "design wavelength must be positive");
@@ -49,19 +51,20 @@ void Microring::set_heater_shift(double dlambda) {
   heater_shift_ = dlambda;
 }
 
-double Microring::tuning_shift() const {
-  const double electro_optic = junction_.resonance_shift(bias_) -
-                               junction_.resonance_shift(config_.pin_bias);
+double Microring::tuning_shift(double bias) const {
+  const double electro_optic = junction_.resonance_shift(bias) - pin_shift_;
   const double thermal = config_.dlambda_dt * dtemp_;
   return electro_optic + thermal + heater_shift_ + fab_error_;
 }
 
-double Microring::round_trip_phase(double wavelength) const {
+double Microring::index_shift(double bias) const {
   // Tuning is expressed as a resonance shift; the equivalent index change is
   // delta_n = n_g * delta_lambda / lambda (group index because a resonance
   // displacement is a group-delay quantity).
-  const double dn_tuning =
-      config_.n_g * tuning_shift() / config_.design_wavelength;
+  return config_.n_g * tuning_shift(bias) / config_.design_wavelength;
+}
+
+double Microring::round_trip_phase(double dn_tuning, double wavelength) const {
   const double n_eff = n_eff0_ +
                        dn_dlambda_ * (wavelength - config_.design_wavelength) +
                        dn_tuning;
@@ -70,10 +73,9 @@ double Microring::round_trip_phase(double wavelength) const {
   return two_pi * optical_path / wavelength;
 }
 
-double Microring::thru_transmission(double wavelength) const {
-  expects(wavelength > 0.0, "wavelength must be positive");
+double Microring::thru_at_phase(double phase) const {
   const double a = amplitude_;
-  const double cos_phi = std::cos(round_trip_phase(wavelength));
+  const double cos_phi = std::cos(phase);
   if (config_.add_drop) {
     const double t1t2a = t1_ * t2_ * a;
     const double d = 1.0 - 2.0 * t1t2a * cos_phi + t1t2a * t1t2a;
@@ -87,11 +89,29 @@ double Microring::thru_transmission(double wavelength) const {
   return std::clamp(numer / d, 0.0, 1.0);
 }
 
+double Microring::thru_transmission_at(double bias, double wavelength) const {
+  expects(wavelength > 0.0, "wavelength must be positive");
+  return thru_at_phase(round_trip_phase(index_shift(bias), wavelength));
+}
+
+void Microring::thru_spectrum_at(double bias,
+                                 std::span<const double> wavelengths,
+                                 std::span<double> out) const {
+  expects(out.size() == wavelengths.size(),
+          "need one output per wavelength");
+  const double dn_tuning = index_shift(bias);
+  for (std::size_t i = 0; i < wavelengths.size(); ++i) {
+    expects(wavelengths[i] > 0.0, "wavelength must be positive");
+    out[i] = thru_at_phase(round_trip_phase(dn_tuning, wavelengths[i]));
+  }
+}
+
 double Microring::drop_transmission(double wavelength) const {
   expects(wavelength > 0.0, "wavelength must be positive");
   if (!config_.add_drop) return 0.0;
   const double a = amplitude_;
-  const double cos_phi = std::cos(round_trip_phase(wavelength));
+  const double cos_phi =
+      std::cos(round_trip_phase(index_shift(bias_), wavelength));
   const double t1t2a = t1_ * t2_ * a;
   const double d = 1.0 - 2.0 * t1t2a * cos_phi + t1t2a * t1t2a;
   const double numer = (1.0 - t1_ * t1_) * (1.0 - t2_ * t2_) * a;
@@ -107,8 +127,7 @@ double Microring::absorbed_fraction(double wavelength) const {
 double Microring::resonance_near(double wavelength) const {
   // Solve n(lambda) L + n_section dL = m lambda by fixed-point iteration;
   // the index varies slowly, so a handful of iterations suffices.
-  const double dn_tuning =
-      config_.n_g * tuning_shift() / config_.design_wavelength;
+  const double dn_tuning = index_shift(bias_);
   auto optical_path = [&](double lam) {
     const double n_eff = n_eff0_ +
                          dn_dlambda_ * (lam - config_.design_wavelength) +

@@ -1,6 +1,8 @@
 #ifndef PTC_OPTICS_MICRORING_HPP
 #define PTC_OPTICS_MICRORING_HPP
 
+#include <span>
+
 #include "optics/coupler.hpp"
 #include "optics/pn_phase_shifter.hpp"
 
@@ -73,7 +75,20 @@ class Microring {
 
   // --- spectral responses ---------------------------------------------------
   /// Power transmission input -> thru port at the given wavelength [0, 1].
-  double thru_transmission(double wavelength) const;
+  double thru_transmission(double wavelength) const {
+    return thru_transmission_at(bias_, wavelength);
+  }
+
+  /// Thru transmission the ring would have at junction bias `bias` [V],
+  /// every other tuning contribution as currently set.  Callers that derive
+  /// the bias per evaluation (weight bits, reference ladders) read the
+  /// spectrum through this without writing the bias into the ring.
+  double thru_transmission_at(double bias, double wavelength) const;
+
+  /// thru_transmission_at(bias, wavelengths[i]) into out[i] for every i,
+  /// evaluating the bias's tuning shift once.
+  void thru_spectrum_at(double bias, std::span<const double> wavelengths,
+                        std::span<double> out) const;
 
   /// Power transmission input -> drop port (0 for all-pass rings).
   double drop_transmission(double wavelength) const;
@@ -106,13 +121,20 @@ class Microring {
 
  private:
   /// Aggregate resonance shift from bias/thermal/heater/fabrication [m].
-  double tuning_shift() const;
+  double tuning_shift(double bias) const;
 
-  /// Round-trip phase at the given wavelength.
-  double round_trip_phase(double wavelength) const;
+  /// Effective-index change of the tuning shift at the given bias.
+  double index_shift(double bias) const;
+
+  /// Round-trip phase at the given wavelength and tuning index change.
+  double round_trip_phase(double dn_tuning, double wavelength) const;
+
+  /// Thru transmission at the given round-trip phase.
+  double thru_at_phase(double phase) const;
 
   MicroringConfig config_;
   PnPhaseShifter junction_;
+  double pin_shift_;   ///< electro-optic shift at pin_bias [m]
   double circumference_;
   double n_eff0_;      ///< pinned effective index at design wavelength
   double dn_dlambda_;  ///< modal dispersion, reproduces n_g

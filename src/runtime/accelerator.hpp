@@ -146,7 +146,8 @@ class Accelerator {
 
   /// Advances the fleet clock to modeled time `t` [s]: steps every core's
   /// OU detuning process over the elapsed interval and applies the new
-  /// detuning to the core (refreshing its cached fast-path gains).  The
+  /// detuning to the core (its fast-path gains follow at the core's next
+  /// weight load or sample).  The
   /// serve layer calls this at every batch dispatch.  Monotonic; t at or
   /// before the current clock is a no-op.  No-op while drift is disabled.
   void advance_to(double t);

@@ -259,11 +259,93 @@ TEST(FastPath, RecalibratesWhenWeightsChange) {
   EXPECT_EQ(y2.max_abs_diff(physics.multiply_analog_batch(x)), 0.0);
   EXPECT_GT(y2.max_abs_diff(y1), 0.0);  // the gains really changed
 
-  // Reloading w1 recalls the memoized calibration — still bit-identical.
+  // Reloading w1 rebuilds its gains from the transmission table, every
+  // ring state already filled — still bit-identical.
   fast.load_weights_normalized(w1);
   physics.load_weights_normalized(w1);
   EXPECT_EQ(fast.multiply_analog_batch(x).max_abs_diff(y1), 0.0);
   EXPECT_EQ(physics.multiply_analog_batch(x).max_abs_diff(y1), 0.0);
+}
+
+TEST(FastPath, TableFollowsDetuningFaultsAndReloads) {
+  // A varied die with 6-bit weights driven through the same calls on a
+  // fast and a physics core: the per-ring transmission table must be
+  // dropped by every detuning and fault change, and a stale chain rebuilt
+  // before its first sample, so every sample matches the ring walk.
+  core::TensorCoreConfig config = core_config(true);
+  config.weight_bits = 6;
+  config.variation.seed = 11;
+  core::TensorCore fast(config);
+  config.fast_path = false;
+  core::TensorCore physics(config);
+  Rng rng(70);
+  const Matrix w1 = random_activations(16, 16, rng);
+  const Matrix w2 = random_activations(16, 16, rng);
+  const Matrix x = random_activations(6, 16, rng);
+
+  auto on_both = [&](auto&& step) {
+    step(fast);
+    step(physics);
+  };
+  // Compares analog and quantized samples; returns the analog ones.
+  auto sample = [&](const char* stage) {
+    const Matrix analog = fast.multiply_analog_batch(x);
+    EXPECT_EQ(analog.max_abs_diff(physics.multiply_analog_batch(x)), 0.0)
+        << stage;
+    EXPECT_EQ(fast.multiply_batch(x).max_abs_diff(physics.multiply_batch(x)),
+              0.0)
+        << stage;
+    return analog;
+  };
+
+  on_both([&](core::TensorCore& c) {
+    c.load_weights_normalized(w1);
+    c.set_thermal_detuning(0.7);
+  });
+  const Matrix detuned_w1 = sample("w1, detuned after the load");
+
+  // Random 6-bit words share about half their bits, so about half of w2's
+  // ring states come from the table w1 filled at this detuning.
+  on_both([&](core::TensorCore& c) { c.load_weights_normalized(w2); });
+  sample("w2 at the same detuning");
+
+  on_both([&](core::TensorCore& c) {
+    c.inject_ring_fault(2, 5, 1, core::RingFaultKind::kStuckOn);
+  });
+  sample("ring fault injected");
+  on_both([](core::TensorCore& c) { c.clear_faults(); });
+  sample("ring fault cleared");
+
+  on_both([&](core::TensorCore& c) {
+    c.recalibrate();
+    c.load_weights_normalized(w1);
+  });
+  const Matrix locked_w1 = sample("re-locked, w1 reloaded");
+  EXPECT_GT(locked_w1.max_abs_diff(detuned_w1), 0.0);  // detuning moved it
+
+  // Detuned and reloaded with no sample between: the deferred path.
+  on_both([&](core::TensorCore& c) {
+    c.set_thermal_detuning(-0.4);
+    c.load_weights_normalized(w2);
+  });
+  const Matrix reloaded = sample("detuned, then reloaded");
+
+  // Detuned with no reload: the stale chain is rebuilt by the sample.
+  on_both([](core::TensorCore& c) { c.set_thermal_detuning(1.1); });
+  EXPECT_GT(sample("detuned, no reload").max_abs_diff(reloaded), 0.0);
+}
+
+TEST(FastPath, WeightLoadsAllocateNothingAfterTheFirst) {
+  core::TensorCore core(core_config(true));
+  Rng rng(23);
+  const Matrix w1 = random_activations(16, 16, rng);
+  const Matrix w2 = random_activations(16, 16, rng);
+  // The first load sizes the word buffer, the chain and the table.
+  core.load_weights_normalized(w1);
+  EXPECT_EQ(allocations_during([&] { core.load_weights_normalized(w2); }), 0u);
+  // A detuning drops the table; the reload refills it in place.
+  core.set_thermal_detuning(0.5);
+  EXPECT_EQ(allocations_during([&] { core.load_weights_normalized(w1); }), 0u);
 }
 
 /// Backend-level identity across encodings and readout modes, including

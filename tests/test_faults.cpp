@@ -93,9 +93,10 @@ core::TensorCoreConfig core_config(bool fast_path) {
 }
 
 TEST(CoreFaults, FastPathBitIdenticalToPhysicsUnderAnyFaultSet) {
-  // Faults land at the ring-bias level and re-freeze the calibration memo,
-  // so the calibrated fast path and the spectral physics walk must stay
-  // bit-identical under dead rings and dead ADC ladders alike.
+  // Faults land at the ring-bias level and drop the fast path's
+  // transmission table, so the calibrated fast path and the spectral
+  // physics walk must stay bit-identical under dead rings and dead ADC
+  // ladders alike.
   Rng rng(404);
   const Matrix x = random_activations(6, 16, rng);
   const Matrix w = random_signed(16, 16, rng);
