@@ -35,7 +35,7 @@ int main() {
                    units::si_format(model.weight_reload_time(), "s")});
   summary.print(std::cout);
 
-  std::cout << "\npower breakdown (calibration documented in DESIGN.md):\n";
+  std::cout << "\npower breakdown:\n";
   TablePrinter breakdown({"component", "power", "share"});
   for (const auto& [name, watts] : model.power_table()) {
     breakdown.add_row({name, units::si_format(watts, "W"),

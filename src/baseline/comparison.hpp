@@ -5,12 +5,11 @@
 
 #include "core/performance.hpp"
 
-/// Table I of the paper: behavioral architecture models of the published
-/// photonic IMC macros the tensor core is compared against.  Each model
-/// derives its throughput from the architecture's own arithmetic (device
-/// counts x rates from the cited publications) rather than quoting a bare
-/// number, so the comparison's *mechanism* is explicit — see the per-model
-/// notes below and DESIGN.md section 1.
+/// Table I of the paper: the published photonic IMC macros the tensor core
+/// is compared against.  Each row carries the cited work's published
+/// throughput, efficiency and weight-update figures (the TFLN row derives
+/// its throughput from the published core size and symbol rate), except
+/// This Work, which comes from core::PerformanceModel.
 namespace ptc::baseline {
 
 /// Ref. [33]: Lin et al., thin-film lithium niobate photonic tensor core.

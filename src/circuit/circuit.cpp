@@ -1,6 +1,5 @@
 #include "circuit/circuit.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/expects.hpp"
@@ -16,45 +15,6 @@ double FirstOrderLag::step(double x, double dt) {
   const double alpha = 1.0 - std::exp(-dt / tau_);
   y_ += (x - y_) * alpha;
   return y_;
-}
-
-Circuit::NodeId Circuit::add_node(const NodeConfig& config) {
-  expects(config.capacitance > 0.0, "node capacitance must be positive");
-  expects(config.v_max > config.v_min, "node rail window must be non-empty");
-  expects(config.v_init >= config.v_min && config.v_init <= config.v_max,
-          "initial voltage must lie within the rails");
-  nodes_.push_back({config, config.v_init});
-  return nodes_.size() - 1;
-}
-
-double Circuit::voltage(NodeId node) const {
-  expects(node < nodes_.size(), "node id out of range");
-  return nodes_[node].v;
-}
-
-void Circuit::set_voltage(NodeId node, double v) {
-  expects(node < nodes_.size(), "node id out of range");
-  nodes_[node].v =
-      std::clamp(v, nodes_[node].config.v_min, nodes_[node].config.v_max);
-}
-
-double Circuit::capacitance(NodeId node) const {
-  expects(node < nodes_.size(), "node id out of range");
-  return nodes_[node].config.capacitance;
-}
-
-void Circuit::inject_current(NodeId node, double amps) {
-  expects(node < nodes_.size(), "node id out of range");
-  nodes_[node].i_accum += amps;
-}
-
-void Circuit::step(double dt) {
-  expects(dt > 0.0, "dt must be positive");
-  for (auto& node : nodes_) {
-    node.v += node.i_accum * dt / node.config.capacitance;
-    node.v = std::clamp(node.v, node.config.v_min, node.config.v_max);
-    node.i_accum = 0.0;
-  }
 }
 
 }  // namespace ptc::circuit

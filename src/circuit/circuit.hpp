@@ -1,18 +1,9 @@
 #ifndef PTC_CIRCUIT_CIRCUIT_HPP
 #define PTC_CIRCUIT_CIRCUIT_HPP
 
-#include <cstddef>
-#include <vector>
-
-/// Behavioral electrical network: a set of capacitive nodes integrated with
-/// forward Euler under rail clamping.
-///
-/// The photonic blocks (photodiodes, drivers, TIAs) inject currents each
-/// timestep; `step(dt)` advances  C dV/dt = sum(I)  per node and clamps the
-/// result into the node's rail window.  This is intentionally a behavioral
-/// model — the paper's latch and ADC dynamics are RC-plus-feedback systems
-/// for which this level of abstraction reproduces switching thresholds,
-/// settling times and CV^2 energies.
+/// Behavioral circuit dynamics: the paper's latch and ADC blocks are
+/// RC-plus-feedback systems, modelled as first-order lags that reproduce
+/// their settling times.
 namespace ptc::circuit {
 
 /// First-order low-pass state, used for driver/amplifier/photodiode dynamics:
@@ -33,42 +24,6 @@ class FirstOrderLag {
  private:
   double tau_;
   double y_;
-};
-
-class Circuit {
- public:
-  using NodeId = std::size_t;
-
-  struct NodeConfig {
-    double capacitance = 1e-15;  ///< [F], must be > 0
-    double v_init = 0.0;         ///< initial voltage [V]
-    double v_min = 0.0;          ///< lower rail clamp [V]
-    double v_max = 1.8;          ///< upper rail clamp [V]
-  };
-
-  /// Adds a node and returns its id.
-  NodeId add_node(const NodeConfig& config);
-
-  std::size_t node_count() const { return nodes_.size(); }
-
-  double voltage(NodeId node) const;
-  void set_voltage(NodeId node, double v);
-  double capacitance(NodeId node) const;
-
-  /// Accumulates current [A] into the node for the current step
-  /// (positive charges the node).
-  void inject_current(NodeId node, double amps);
-
-  /// Integrates all nodes over dt [s] and clears the current accumulators.
-  void step(double dt);
-
- private:
-  struct Node {
-    NodeConfig config;
-    double v;
-    double i_accum = 0.0;
-  };
-  std::vector<Node> nodes_;
 };
 
 }  // namespace ptc::circuit

@@ -62,9 +62,14 @@ class Parser {
   Value parse_value() {
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        Value v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value::string(parse_string());
       case 't':
@@ -189,8 +194,14 @@ class Parser {
     return Value::number(x);
   }
 
+  /// Each nesting level is one recursion, so the bound keeps hostile input
+  /// from exhausting the stack.  The deepest document the tools read, a
+  /// benchmark results file, nests 6 levels.
+  static constexpr std::size_t kMaxDepth = 64;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -1,17 +1,13 @@
 #ifndef PTC_COMMON_LINALG_HPP
 #define PTC_COMMON_LINALG_HPP
 
-#include <complex>
 #include <cstddef>
 #include <initializer_list>
 #include <vector>
 
 #include "common/expects.hpp"
 
-/// Small dense linear-algebra layer.  The photonic tensor core itself only
-/// needs real matrices (weights / activations), while the MZI-mesh baseline
-/// (Table I, ref. [33]) needs complex unitaries and a singular value
-/// decomposition to program arbitrary matrices into a Clements mesh.
+/// Small dense real linear-algebra layer for weights and activations.
 namespace ptc {
 
 /// Dense row-major matrix of doubles.
@@ -76,55 +72,6 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 
 /// Matrix-vector product (x.size() must equal a.cols()).
 std::vector<double> matvec(const Matrix& a, const std::vector<double>& x);
-
-/// Result of a thin singular value decomposition A = U * diag(S) * V^T.
-struct Svd {
-  Matrix u;                     ///< rows x rank orthonormal columns
-  std::vector<double> s;        ///< singular values, descending
-  Matrix v;                     ///< cols x rank orthonormal columns
-};
-
-/// One-sided Jacobi SVD for real matrices.  Intended for the small (<= 64x64)
-/// matrices that get programmed into the MZI-mesh baseline; O(n^3) per sweep.
-Svd svd(const Matrix& a, int max_sweeps = 60, double tol = 1e-12);
-
-/// Dense row-major complex matrix used to model coherent optical meshes.
-class CMatrix {
- public:
-  using value_type = std::complex<double>;
-
-  CMatrix() = default;
-  CMatrix(std::size_t rows, std::size_t cols, value_type fill = {});
-
-  static CMatrix identity(std::size_t n);
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-
-  value_type& operator()(std::size_t r, std::size_t c);
-  value_type operator()(std::size_t r, std::size_t c) const;
-
-  /// Conjugate transpose.
-  CMatrix dagger() const;
-
-  /// Maximum absolute element difference against `other` (same shape).
-  double max_abs_diff(const CMatrix& other) const;
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<value_type> data_;
-};
-
-/// Complex matrix product.
-CMatrix matmul(const CMatrix& a, const CMatrix& b);
-
-/// Complex matrix-vector product.
-std::vector<std::complex<double>> matvec(const CMatrix& a,
-                                         const std::vector<std::complex<double>>& x);
-
-/// True when u * u^dagger is within tol of identity.
-bool is_unitary(const CMatrix& u, double tol = 1e-9);
 
 }  // namespace ptc
 

@@ -1,5 +1,6 @@
 #include "console/console.hpp"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -16,14 +17,13 @@ std::string num(double x) { return json::format_number(x); }
 
 std::string count(std::size_t n) { return std::to_string(n); }
 
-/// Strict decimal parse for console arguments (no signs, no suffixes).
+/// Strict decimal parse for console arguments (no signs, no suffixes, no
+/// wrap-around past size_t's range).
 bool parse_size(const std::string& s, std::size_t* out) {
-  if (s.empty()) return false;
   std::size_t value = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-  }
+  const char* end = s.data() + s.size();
+  const auto [stop, ec] = std::from_chars(s.data(), end, value);
+  if (ec != std::errc{} || stop != end) return false;
   *out = value;
   return true;
 }

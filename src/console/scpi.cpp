@@ -1,6 +1,7 @@
 #include "console/scpi.hpp"
 
 #include <cctype>
+#include <charconv>
 
 namespace ptc::console {
 namespace {
@@ -50,12 +51,9 @@ bool mnemonic_index(const std::string& token, const std::string& spec,
   }
   if (digits == token.size()) return false;  // no numeric suffix
   if (!mnemonic_matches(token.substr(0, digits), spec)) return false;
-  std::size_t value = 0;
-  for (std::size_t i = digits; i < token.size(); ++i) {
-    value = value * 10 + static_cast<std::size_t>(token[i] - '0');
-  }
-  *index = value;
-  return true;
+  // from_chars refuses a suffix past size_t's range instead of wrapping it.
+  const char* end = token.data() + token.size();
+  return std::from_chars(token.data() + digits, end, *index).ec == std::errc{};
 }
 
 bool parse_scpi(const std::string& line, ScpiCommand* command,

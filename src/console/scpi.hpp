@@ -37,7 +37,8 @@ bool mnemonic_matches(const std::string& token, const std::string& spec);
 
 /// Matches `token` against an indexed mnemonic (`CORE<n>`): the leading
 /// alphabetic part must match `spec` (short/long rules as above) and the
-/// decimal suffix parses into `index`.  `CORE2` -> true, index 2.
+/// decimal suffix parses into `index`.  `CORE2` -> true, index 2; a suffix
+/// too large for size_t does not match.
 bool mnemonic_index(const std::string& token, const std::string& spec,
                     std::size_t* index);
 

@@ -32,14 +32,15 @@
 /// deliberate overlap between adjacent activation windows (paper Fig. 9,
 /// V_IN = 2 V activates B4 *and* B5, decoded as 100).
 ///
-/// Quantization geometry (derived in DESIGN.md from the paper's transient
-/// cases): V_FS = 4.0 V, LSB = 0.5 V; activation window half-width
-/// ~0.26 V > LSB/2, so windows overlap only at bin boundaries.
+/// Quantization geometry: Fig. 9 puts V_IN = 2 V on the B4/B5 boundary
+/// (decoded 100 = 4 LSB), so LSB = 0.5 V and V_FS = 2^3 LSB = 4.0 V;
+/// activation window half-width ~0.26 V > LSB/2, so windows overlap only at
+/// bin boundaries.
 namespace ptc::core {
 
 struct EoAdcConfig {
   unsigned bits = 3;
-  double v_full_scale = 4.0;            ///< [V] (see DESIGN.md)
+  double v_full_scale = 4.0;            ///< [V], 2^bits x 0.5 V LSB
   double input_power_per_ring = 200e-6; ///< [W] (paper: 200 uW)
   double reference_power = 18e-6;       ///< [W] per channel (paper: 18 uW)
   /// Deliberate sense asymmetry: a channel activates when its thru power is

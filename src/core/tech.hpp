@@ -9,8 +9,8 @@
 ///
 /// The paper's device models come from GlobalFoundries' proprietary
 /// monolithic 45SPCLO PDK; this header centralizes the calibrated behavioral
-/// equivalents (see DESIGN.md section 3).  Every number below is either
-/// stated in the paper or back-derived from a number stated in the paper:
+/// equivalents.  Every number below is either stated in the paper or
+/// back-derived from a number stated in the paper:
 ///
 ///  * compute/pSRAM ring: 7.5 um radius, 200 nm gaps (paper Sec. IV-B)
 ///    -> with group index 3.8907 the FSR is the paper's 9.36 nm;

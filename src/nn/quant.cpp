@@ -7,26 +7,6 @@
 
 namespace ptc::nn {
 
-UnsignedQuantizer::UnsignedQuantizer(unsigned bits) : bits_(bits) {
-  expects(bits >= 1 && bits <= 16, "bits must be in [1, 16]");
-}
-
-std::uint32_t UnsignedQuantizer::quantize(double x) const {
-  expects(x >= -1e-9 && x <= 1.0 + 1e-9, "input must be normalized to [0, 1]");
-  const double clamped = std::clamp(x, 0.0, 1.0);
-  return static_cast<std::uint32_t>(
-      std::lround(clamped * static_cast<double>(max_code())));
-}
-
-double UnsignedQuantizer::dequantize(std::uint32_t code) const {
-  expects(code <= max_code(), "code out of range");
-  return static_cast<double>(code) / static_cast<double>(max_code());
-}
-
-double UnsignedQuantizer::max_error() const {
-  return 0.5 / static_cast<double>(max_code());
-}
-
 double SignedMapping::to_unit(double w) const {
   return 0.5 * (w / scale + 1.0);
 }
@@ -47,28 +27,13 @@ Matrix to_unit_matrix(const Matrix& w, const SignedMapping& mapping) {
   return out;
 }
 
-namespace {
-
-/// Validated max-element scale of an activation matrix (1 when all zero).
-double activation_scale(const Matrix& x) {
+double normalized_activations(const Matrix& x, Matrix& out) {
   double max_val = 0.0;
   for (double v : x.data()) {
     expects(v >= 0.0, "activations must be non-negative (intensity encoding)");
     max_val = std::max(max_val, v);
   }
-  return max_val > 0.0 ? max_val : 1.0;
-}
-
-}  // namespace
-
-double normalize_activations(Matrix& x) {
-  const double scale = activation_scale(x);
-  for (double& v : x.data()) v /= scale;
-  return scale;
-}
-
-double normalized_activations(const Matrix& x, Matrix& out) {
-  const double scale = activation_scale(x);
+  const double scale = max_val > 0.0 ? max_val : 1.0;
   out = Matrix(x.rows(), x.cols());
   for (std::size_t i = 0; i < x.data().size(); ++i) {
     out.data()[i] = x.data()[i] / scale;

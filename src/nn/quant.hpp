@@ -1,9 +1,6 @@
 #ifndef PTC_NN_QUANT_HPP
 #define PTC_NN_QUANT_HPP
 
-#include <cstdint>
-#include <vector>
-
 #include "common/linalg.hpp"
 
 /// Quantization schemes that map real-valued network tensors onto what the
@@ -12,28 +9,6 @@
 /// Signed weights use the offset trick w -> (w/scale + 1)/2, undone
 /// digitally after the optical dot product.
 namespace ptc::nn {
-
-/// Uniform unsigned quantizer over [0, 1].
-class UnsignedQuantizer {
- public:
-  explicit UnsignedQuantizer(unsigned bits);
-
-  unsigned bits() const { return bits_; }
-  std::uint32_t levels() const { return (1u << bits_); }
-  std::uint32_t max_code() const { return levels() - 1; }
-
-  /// Quantizes x in [0, 1] to the nearest code.
-  std::uint32_t quantize(double x) const;
-
-  /// Code -> real value in [0, 1].
-  double dequantize(std::uint32_t code) const;
-
-  /// Worst-case quantization error, 1 / (2 * (2^n - 1)).
-  double max_error() const;
-
- private:
-  unsigned bits_;
-};
 
 /// Affine mapping of a signed tensor onto the unsigned optical domain.
 struct SignedMapping {
@@ -51,14 +26,9 @@ SignedMapping signed_mapping_for(const Matrix& w);
 /// Maps a whole matrix into [0, 1] with the given mapping.
 Matrix to_unit_matrix(const Matrix& w, const SignedMapping& mapping);
 
-/// Normalization of a non-negative activation matrix to [0, 1].
-/// Returns the scale (max element; 1 when all zero).
-double normalize_activations(Matrix& x);
-
-/// Normalized copy: writes x / scale into `out` (resized to x's shape)
-/// without mutating x and without the intermediate full copy a
-/// copy-then-normalize pays.  Bit-identical to normalize_activations on a
-/// copy of x; returns the scale.
+/// Normalization of a non-negative activation matrix to [0, 1]: writes
+/// x / scale into `out` (resized to x's shape) without mutating x and
+/// returns the scale (max element; 1 when all zero).
 double normalized_activations(const Matrix& x, Matrix& out);
 
 }  // namespace ptc::nn

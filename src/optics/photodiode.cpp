@@ -42,13 +42,4 @@ double Photodiode::response_time_constant() const {
   return 1.0 / (2.0 * std::numbers::pi * config_.bandwidth);
 }
 
-BalancedPhotodiode::BalancedPhotodiode(const PhotodiodeConfig& config)
-    : top_(config), bottom_(config) {}
-
-double BalancedPhotodiode::net_current(double top_power,
-                                       double bottom_power) const {
-  // Dark currents cancel in the balanced configuration.
-  return top_.current(top_power) - bottom_.current(bottom_power);
-}
-
 }  // namespace ptc::optics

@@ -36,25 +36,6 @@ class Photodiode {
   PhotodiodeConfig config_;
 };
 
-/// Balanced photodiode pair: output current is the difference between the
-/// top (signal) and bottom (reference) photocurrents.  This is the eoADC's
-/// opto-electric thresholding element (paper Fig. 3(b)).
-class BalancedPhotodiode {
- public:
-  explicit BalancedPhotodiode(const PhotodiodeConfig& config = {});
-
-  /// Net current: positive when the top (signal) power exceeds the bottom
-  /// (reference) power [A].
-  double net_current(double top_power, double bottom_power) const;
-
-  const Photodiode& top() const { return top_; }
-  const Photodiode& bottom() const { return bottom_; }
-
- private:
-  Photodiode top_;
-  Photodiode bottom_;
-};
-
 }  // namespace ptc::optics
 
 #endif  // PTC_OPTICS_PHOTODIODE_HPP

@@ -23,26 +23,6 @@ std::pair<WdmSignal, WdmSignal> PowerSplitter::split(const WdmSignal& in) const 
   return {std::move(a), std::move(b)};
 }
 
-namespace {
-bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
-}  // namespace
-
-SplitterTree::SplitterTree(std::size_t n_outputs, double excess_loss_db_per_stage)
-    : n_outputs_(n_outputs), excess_loss_db_per_stage_(excess_loss_db_per_stage) {
-  expects(is_power_of_two(n_outputs), "splitter tree size must be a power of two");
-  expects(excess_loss_db_per_stage >= 0.0, "excess loss must be >= 0 dB");
-}
-
-std::vector<WdmSignal> SplitterTree::split(const WdmSignal& in) const {
-  std::size_t stages = 0;
-  for (std::size_t n = n_outputs_; n > 1; n >>= 1) ++stages;
-  const double survive =
-      units::db_to_ratio(-excess_loss_db_per_stage_ * static_cast<double>(stages));
-  WdmSignal leaf = in;
-  leaf.scale(survive / static_cast<double>(n_outputs_));
-  return std::vector<WdmSignal>(n_outputs_, leaf);
-}
-
 BinaryWeightedTaps::BinaryWeightedTaps(std::size_t n_taps,
                                        double excess_loss_db_per_stage)
     : n_taps_(n_taps), excess_loss_db_per_stage_(excess_loss_db_per_stage) {

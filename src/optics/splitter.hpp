@@ -29,22 +29,6 @@ class PowerSplitter {
   double excess_loss_db_;
 };
 
-/// Balanced 1xN splitter tree built from 1x2 stages; each output carries
-/// total/N (times the accumulated excess loss of log2(N) stages).
-class SplitterTree {
- public:
-  /// n_outputs must be a power of two.
-  explicit SplitterTree(std::size_t n_outputs, double excess_loss_db_per_stage = 0.1);
-
-  std::vector<WdmSignal> split(const WdmSignal& in) const;
-
-  std::size_t n_outputs() const { return n_outputs_; }
-
- private:
-  std::size_t n_outputs_;
-  double excess_loss_db_per_stage_;
-};
-
 /// Cascade of n 50:50 splitters producing binary-weighted taps:
 /// tap k (k = 0 .. n-1) carries IN / 2^(k+1); the residual IN / 2^n after the
 /// last stage is terminated into an absorber.  Tap 0 (IN/2) feeds the MSB row

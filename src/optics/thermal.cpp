@@ -1,38 +1,10 @@
 #include "optics/thermal.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/expects.hpp"
 
 namespace ptc::optics {
-
-ThermalTuner::ThermalTuner(const ThermalTunerConfig& config) : config_(config) {
-  expects(config.dlambda_dt > 0.0, "thermal coefficient must be positive");
-  expects(config.heater_power_per_kelvin > 0.0,
-          "heater efficiency must be positive");
-  expects(config.max_heater_power > 0.0, "heater power limit must be positive");
-}
-
-void ThermalTuner::set_heater_power(double watts) {
-  expects(watts >= 0.0, "heater power must be >= 0");
-  heater_power_ = std::min(watts, config_.max_heater_power);
-}
-
-double ThermalTuner::temperature_rise() const {
-  return heater_power_ / config_.heater_power_per_kelvin;
-}
-
-double ThermalTuner::resonance_shift() const {
-  return config_.dlambda_dt * temperature_rise();
-}
-
-double ThermalTuner::power_for_shift(double dlambda) const {
-  expects(dlambda >= 0.0, "heaters can only red-shift; dlambda must be >= 0");
-  const double watts =
-      dlambda / config_.dlambda_dt * config_.heater_power_per_kelvin;
-  return std::min(watts, config_.max_heater_power);
-}
 
 ThermalDrift::ThermalDrift(double mean, double tau, double sigma)
     : mean_(mean), tau_(tau), sigma_(sigma), temperature_(mean) {

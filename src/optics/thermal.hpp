@@ -9,6 +9,7 @@
 /// feeds the Monte-Carlo robustness benches.
 namespace ptc::optics {
 
+/// Integrated micro-heater: resonance red-shift per kelvin and its power cost.
 struct ThermalTunerConfig {
   /// Resonance shift per kelvin [m/K].
   double dlambda_dt = 70e-12;
@@ -16,32 +17,6 @@ struct ThermalTunerConfig {
   double heater_power_per_kelvin = 0.25e-3;
   /// Maximum heater power [W].
   double max_heater_power = 10e-3;
-};
-
-/// Integrated micro-heater: converts heater power into a resonance red-shift.
-class ThermalTuner {
- public:
-  explicit ThermalTuner(const ThermalTunerConfig& config = {});
-
-  /// Sets the heater drive power [W]; clamped to [0, max].
-  void set_heater_power(double watts);
-
-  double heater_power() const { return heater_power_; }
-
-  /// Temperature rise above ambient produced by the heater [K].
-  double temperature_rise() const;
-
-  /// Resonance shift produced by the heater [m].
-  double resonance_shift() const;
-
-  /// Heater power needed to shift the resonance by `dlambda` [W] (clamped).
-  double power_for_shift(double dlambda) const;
-
-  const ThermalTunerConfig& config() const { return config_; }
-
- private:
-  ThermalTunerConfig config_;
-  double heater_power_ = 0.0;
 };
 
 /// Mean-reverting ambient temperature fluctuation (Ornstein-Uhlenbeck):

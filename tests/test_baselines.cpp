@@ -1,128 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "baseline/comparison.hpp"
-#include "baseline/mzi_mesh.hpp"
 #include "baseline/pcm_crossbar.hpp"
-#include "common/rng.hpp"
 
 namespace {
 
 using namespace ptc;
 using namespace ptc::baseline;
-
-CMatrix random_unitary(std::size_t n, std::uint64_t seed) {
-  // QR-free construction: start from a random complex matrix and
-  // Gram-Schmidt its columns.
-  Rng rng(seed);
-  std::vector<std::vector<std::complex<double>>> cols(n);
-  for (auto& col : cols) {
-    col.resize(n);
-    for (auto& v : col) v = {rng.normal(), rng.normal()};
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t k = 0; k < j; ++k) {
-      std::complex<double> dot{};
-      for (std::size_t i = 0; i < n; ++i)
-        dot += std::conj(cols[k][i]) * cols[j][i];
-      for (std::size_t i = 0; i < n; ++i) cols[j][i] -= dot * cols[k][i];
-    }
-    double norm = 0.0;
-    for (const auto& v : cols[j]) norm += std::norm(v);
-    norm = std::sqrt(norm);
-    for (auto& v : cols[j]) v /= norm;
-  }
-  CMatrix u(n, n);
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i < n; ++i) u(i, j) = cols[j][i];
-  return u;
-}
-
-class MeshSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(MeshSizes, ProgramsRandomUnitaryWithHighFidelity) {
-  const std::size_t n = GetParam();
-  const CMatrix u = random_unitary(n, 1000 + n);
-  ASSERT_TRUE(is_unitary(u, 1e-9));
-  MziMesh mesh(n);
-  mesh.program_unitary(u);
-  const CMatrix realized = mesh.realized_unitary();
-  EXPECT_LT(realized.max_abs_diff(u), 1e-9) << "n = " << n;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, MeshSizes, ::testing::Values(2, 3, 4, 6, 8));
-
-TEST(MziMesh, MziCountIsTriangular) {
-  MziMesh mesh(6);
-  mesh.program_unitary(random_unitary(6, 7));
-  // Reck-style decomposition uses at most n(n-1)/2 elements.
-  EXPECT_LE(mesh.mzi_count(), 15u);
-  EXPECT_GE(mesh.mzi_count(), 10u);  // dense unitary needs almost all
-}
-
-TEST(MziMesh, RejectsNonUnitary) {
-  MziMesh mesh(3);
-  CMatrix not_unitary(3, 3);
-  not_unitary(0, 0) = 2.0;
-  EXPECT_THROW(mesh.program_unitary(not_unitary), std::invalid_argument);
-}
-
-TEST(MziMesh, PropagateMatchesMatvec) {
-  const std::size_t n = 5;
-  const CMatrix u = random_unitary(n, 77);
-  MziMesh mesh(n);
-  mesh.program_unitary(u);
-  std::vector<std::complex<double>> in(n);
-  Rng rng(3);
-  for (auto& v : in) v = {rng.uniform(), rng.uniform()};
-  const auto direct = matvec(u, in);
-  const auto meshed = mesh.propagate(in);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(std::abs(direct[i] - meshed[i]), 0.0, 1e-9);
-  }
-}
-
-TEST(MziMesh, InsertionLossAttenuates) {
-  const std::size_t n = 4;
-  const CMatrix u = random_unitary(n, 21);
-  MziMesh mesh(n);
-  mesh.program_unitary(u);
-  std::vector<std::complex<double>> in(n, {0.5, 0.0});
-  const auto lossless = mesh.propagate(in);
-  mesh.set_insertion_loss_db(0.5);
-  const auto lossy = mesh.propagate(in);
-  double p_lossless = 0.0, p_lossy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    p_lossless += std::norm(lossless[i]);
-    p_lossy += std::norm(lossy[i]);
-  }
-  EXPECT_LT(p_lossy, p_lossless);
-  EXPECT_THROW(mesh.set_insertion_loss_db(-1.0), std::invalid_argument);
-}
-
-TEST(MziProcessor, ProgramsArbitraryRealMatrix) {
-  const std::size_t n = 6;
-  Rng rng(42);
-  Matrix w(n, n);
-  for (double& v : w.data()) v = rng.uniform(-1.0, 1.0);
-  MziMatrixProcessor processor(n);
-  processor.program(w);
-  std::vector<double> x(n);
-  for (auto& v : x) v = rng.uniform(-1.0, 1.0);
-  const auto y = processor.multiply(x);
-  const auto expected = matvec(w, x);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(y[i], expected[i], 1e-8);
-  }
-}
-
-TEST(MziProcessor, DeviceCountQuadratic) {
-  // The paper's scalability argument against MZI meshes: O(N^2) devices.
-  EXPECT_EQ(MziMatrixProcessor::mzi_count_for(4), 16u);   // 12 MZIs + 4 att
-  EXPECT_EQ(MziMatrixProcessor::mzi_count_for(16), 256u);
-  EXPECT_EQ(MziMatrixProcessor::mzi_count_for(64), 4096u);
-}
 
 TEST(PcmCrossbar, ProgramAndRead) {
   PcmCrossbar xbar;

@@ -32,75 +32,4 @@ TEST(FirstOrderLag, ManySmallStepsMatchAnalytic) {
   EXPECT_THROW(FirstOrderLag(0.0), std::invalid_argument);
 }
 
-TEST(Circuit, NodeLifecycle) {
-  Circuit ckt;
-  const auto n = ckt.add_node({.capacitance = 1e-15, .v_init = 0.5});
-  EXPECT_EQ(ckt.node_count(), 1u);
-  EXPECT_DOUBLE_EQ(ckt.voltage(n), 0.5);
-  EXPECT_DOUBLE_EQ(ckt.capacitance(n), 1e-15);
-  ckt.set_voltage(n, 1.0);
-  EXPECT_DOUBLE_EQ(ckt.voltage(n), 1.0);
-  EXPECT_THROW(ckt.voltage(5), std::invalid_argument);
-}
-
-TEST(Circuit, CurrentIntegration) {
-  Circuit ckt;
-  const auto n = ckt.add_node({.capacitance = 10e-15, .v_init = 0.0});
-  // 1 mA into 10 fF for 1 ps -> dV = I dt / C = 0.1 V.
-  ckt.inject_current(n, 1e-3);
-  ckt.step(1e-12);
-  EXPECT_NEAR(ckt.voltage(n), 0.1, 1e-12);
-  // Accumulator cleared: stepping again without current keeps the voltage.
-  ckt.step(1e-12);
-  EXPECT_NEAR(ckt.voltage(n), 0.1, 1e-12);
-}
-
-TEST(Circuit, MultipleInjectionsSum) {
-  Circuit ckt;
-  const auto n = ckt.add_node({.capacitance = 1e-15, .v_init = 0.0});
-  ckt.inject_current(n, 2e-6);
-  ckt.inject_current(n, -0.5e-6);
-  ckt.step(1e-13);
-  EXPECT_NEAR(ckt.voltage(n), 1.5e-6 * 1e-13 / 1e-15, 1e-12);
-}
-
-TEST(Circuit, RailClamping) {
-  Circuit ckt;
-  const auto n =
-      ckt.add_node({.capacitance = 1e-15, .v_init = 1.7, .v_min = 0.0,
-                    .v_max = 1.8});
-  ckt.inject_current(n, 1e-3);
-  ckt.step(1e-12);
-  EXPECT_DOUBLE_EQ(ckt.voltage(n), 1.8);
-  ckt.inject_current(n, -1e-3);
-  ckt.step(1e-9);
-  EXPECT_DOUBLE_EQ(ckt.voltage(n), 0.0);
-  // set_voltage also clamps.
-  ckt.set_voltage(n, 5.0);
-  EXPECT_DOUBLE_EQ(ckt.voltage(n), 1.8);
-}
-
-TEST(Circuit, RcDischargeThroughFeedback) {
-  // Model a resistor to ground as a voltage-dependent current source and
-  // check the exponential decay: tau = R C = 1 ns.
-  Circuit ckt;
-  const auto n = ckt.add_node({.capacitance = 1e-12, .v_init = 1.0});
-  const double r = 1e3;
-  const double dt = 1e-12;
-  for (int i = 0; i < 1000; ++i) {
-    ckt.inject_current(n, -ckt.voltage(n) / r);
-    ckt.step(dt);
-  }
-  EXPECT_NEAR(ckt.voltage(n), std::exp(-1.0), 2e-3);
-}
-
-TEST(Circuit, RejectsBadNodes) {
-  Circuit ckt;
-  EXPECT_THROW(ckt.add_node({.capacitance = 0.0}), std::invalid_argument);
-  EXPECT_THROW(ckt.add_node({.capacitance = 1e-15, .v_init = 2.0,
-                             .v_min = 0.0, .v_max = 1.8}),
-               std::invalid_argument);
-  EXPECT_THROW(ckt.step(0.0), std::invalid_argument);
-}
-
 }  // namespace

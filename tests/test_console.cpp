@@ -75,6 +75,9 @@ TEST(Scpi, IndexedMnemonicParsesDecimalSuffix) {
   EXPECT_FALSE(console::mnemonic_index("CORE", "CORE", &index));   // no digit
   EXPECT_FALSE(console::mnemonic_index("CORE2X", "CORE", &index));  // tail junk
   EXPECT_FALSE(console::mnemonic_index("BUS2", "CORE", &index));
+  // 2^64 + 2 overflows size_t; it must not wrap around to core 2.
+  EXPECT_FALSE(
+      console::mnemonic_index("CORE18446744073709551618", "CORE", &index));
 }
 
 TEST(Scpi, ParseSplitsHeaderQueryAndArgs) {
@@ -123,6 +126,15 @@ TEST(Console, UnknownCommandQueuesSystemError) {
   // SYST:ERR? pops the queued message, then reports an empty queue.
   EXPECT_NE(console.eval("SYST:ERR?"), "0,\"No error\"");
   EXPECT_EQ(console.eval("SYST:ERR?"), "0,\"No error\"");
+}
+
+TEST(Console, CoreIndexOutsideTheFleetAnswersError) {
+  DemoScenario demo(1);
+  Console console = demo.make_console();
+  EXPECT_EQ(console.eval("FLEET:CORE99:EPOCH?").rfind("ERR:", 0), 0u);
+  const std::string wrapped =
+      console.eval("FLEET:CORE18446744073709551618:DETUN?");
+  EXPECT_EQ(wrapped.rfind("ERR:", 0), 0u) << wrapped;
 }
 
 TEST(Console, QueriesBeforeAnyRunAnswerEmptyNotCrash) {
@@ -214,6 +226,9 @@ TEST(Console, FaultCommandsRejectBadArguments) {
   EXPECT_EQ(console.eval("FAULT:INJ DEADRINGS x").rfind("ERR:", 0), 0u);
   EXPECT_EQ(console.eval("FAULT:INJ ADC 0 9999").rfind("ERR:", 0), 0u);
   EXPECT_EQ(console.eval("FAULT:EVIC 99").rfind("ERR:", 0), 0u);
+  // 2^64 + 2 must not wrap around to core 2.
+  EXPECT_EQ(console.eval("FAULT:EVIC 18446744073709551618").rfind("ERR:", 0),
+            0u);
   EXPECT_EQ(console.eval("FAULT:READ 0").rfind("ERR:", 0), 0u);  // not evicted
   EXPECT_EQ(console.eval("FAULT:CLE").rfind("ERR:", 0), 0u);
 

@@ -5,38 +5,12 @@
 #include "circuit/amplifier.hpp"
 #include "circuit/comparator.hpp"
 #include "circuit/driver.hpp"
-#include "circuit/inverter.hpp"
-#include "circuit/sample_hold.hpp"
 #include "circuit/tia.hpp"
 
 namespace {
 
 using namespace ptc;
 using namespace ptc::circuit;
-
-TEST(Inverter, StaticVtc) {
-  const Inverter inv;
-  EXPECT_NEAR(inv.transfer(0.0), 1.8, 1e-3);
-  EXPECT_NEAR(inv.transfer(1.8), 0.0, 1e-3);
-  EXPECT_NEAR(inv.transfer(0.9), 0.9, 1e-9);  // trip point
-  EXPECT_TRUE(inv.logic_in(1.2));
-  EXPECT_FALSE(inv.logic_in(0.3));
-}
-
-TEST(Inverter, GainAtTripPoint) {
-  InverterConfig config;
-  config.gain = 20.0;
-  const Inverter inv(config);
-  const double dv = 1e-4;
-  const double slope = (inv.transfer(0.9 + dv) - inv.transfer(0.9 - dv)) / (2 * dv);
-  EXPECT_NEAR(slope, -20.0, 0.1);
-}
-
-TEST(Inverter, SwitchingEnergyScale) {
-  const Inverter inv;
-  // 0.5 * 2 fF * 1.8^2 * 1.2 = 3.9 fJ.
-  EXPECT_NEAR(inv.switching_energy(), 3.89e-15, 0.05e-15);
-}
 
 TEST(RingDriver, DigitalRegeneration) {
   RingDriver driver;
@@ -132,34 +106,6 @@ TEST(Comparator, NoisyDecisionsFlipNearThreshold) {
   // Exactly at threshold, noise splits decisions roughly evenly.
   EXPECT_GT(highs, 350);
   EXPECT_LT(highs, 650);
-}
-
-TEST(SampleHold, TracksThenHolds) {
-  SampleHold sh;
-  for (int i = 0; i < 100; ++i) sh.step(1.2, true, 1e-12);
-  EXPECT_NEAR(sh.value(), 1.2, 1e-3);
-  const double held = sh.step(0.3, false, 1e-12);  // hold: input ignored
-  EXPECT_NEAR(held, 1.2, 1e-2);
-  for (int i = 0; i < 100; ++i) sh.step(0.3, false, 1e-12);
-  EXPECT_NEAR(sh.value(), 1.2, 1e-2);  // droop is tiny over 100 ps
-}
-
-TEST(SampleHold, KtcNoiseOnHold) {
-  SampleHoldConfig config;
-  config.include_ktc_noise = true;
-  config.hold_capacitance = 1e-15;  // exaggerate kT/C (~2 mV)
-  Rng rng(3);
-  std::vector<double> held;
-  for (int trial = 0; trial < 200; ++trial) {
-    SampleHold sh(config);
-    sh.reset(1.0);
-    for (int i = 0; i < 10; ++i) sh.step(1.0, true, 1e-12);
-    held.push_back(sh.step(1.0, false, 1e-12, &rng));
-  }
-  double spread = 0.0;
-  for (double h : held) spread = std::max(spread, std::abs(h - 1.0));
-  EXPECT_GT(spread, 1e-4);  // noise present
-  EXPECT_LT(spread, 2e-2);  // but bounded
 }
 
 }  // namespace

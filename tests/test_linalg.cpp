@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/linalg.hpp"
-#include "common/rng.hpp"
 
 namespace {
 
@@ -57,101 +58,6 @@ TEST(Matrix, MatvecMatchesMatmul) {
   ASSERT_EQ(y.size(), 2u);
   EXPECT_DOUBLE_EQ(y[0], 2.0);
   EXPECT_DOUBLE_EQ(y[1], 7.0);
-}
-
-class SvdSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(SvdSizes, ReconstructsRandomMatrix) {
-  const std::size_t n = GetParam();
-  Rng rng(100 + n);
-  Matrix a(n, n);
-  for (double& v : a.data()) v = rng.uniform(-1.0, 1.0);
-
-  const Svd d = svd(a);
-  // Reconstruct A = U diag(S) V^T.
-  Matrix us = d.u;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) us(i, j) *= d.s[j];
-  const Matrix back = matmul(us, d.v.transposed());
-  EXPECT_LT(back.max_abs_diff(a), 1e-9);
-
-  // Singular values descending and non-negative.
-  for (std::size_t j = 0; j + 1 < n; ++j) {
-    EXPECT_GE(d.s[j], d.s[j + 1]);
-    EXPECT_GE(d.s[j + 1], 0.0);
-  }
-
-  // U and V have orthonormal columns.
-  const Matrix utu = matmul(d.u.transposed(), d.u);
-  const Matrix vtv = matmul(d.v.transposed(), d.v);
-  EXPECT_LT(utu.max_abs_diff(Matrix::identity(n)), 1e-9);
-  EXPECT_LT(vtv.max_abs_diff(Matrix::identity(n)), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, SvdSizes,
-                         ::testing::Values(2, 3, 4, 6, 8, 12, 16));
-
-TEST(Svd, HandlesRectangularTall) {
-  Rng rng(55);
-  Matrix a(6, 3);
-  for (double& v : a.data()) v = rng.uniform(-1.0, 1.0);
-  const Svd d = svd(a);
-  Matrix us = d.u;
-  for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 3; ++j) us(i, j) *= d.s[j];
-  EXPECT_LT(matmul(us, d.v.transposed()).max_abs_diff(a), 1e-9);
-}
-
-TEST(Svd, DiagonalMatrixGivesDiagonalValues) {
-  Matrix a{{3.0, 0.0}, {0.0, 1.5}};
-  const Svd d = svd(a);
-  EXPECT_NEAR(d.s[0], 3.0, 1e-12);
-  EXPECT_NEAR(d.s[1], 1.5, 1e-12);
-}
-
-TEST(CMatrix, IdentityAndDagger) {
-  CMatrix u(2, 2);
-  u(0, 0) = {0.0, 1.0};
-  u(0, 1) = {1.0, 0.0};
-  u(1, 0) = {2.0, -1.0};
-  u(1, 1) = {0.0, 0.0};
-  const CMatrix d = u.dagger();
-  EXPECT_EQ(d(0, 0), std::complex<double>(0.0, -1.0));
-  EXPECT_EQ(d(0, 1), std::complex<double>(2.0, 1.0));
-  EXPECT_LT(CMatrix::identity(3).max_abs_diff(CMatrix::identity(3)), 1e-15);
-}
-
-TEST(CMatrix, UnitarityCheck) {
-  // Hadamard-like unitary.
-  const double s = 1.0 / std::sqrt(2.0);
-  CMatrix h(2, 2);
-  h(0, 0) = s;
-  h(0, 1) = s;
-  h(1, 0) = s;
-  h(1, 1) = -s;
-  EXPECT_TRUE(is_unitary(h));
-  h(1, 1) = -0.9 * s;
-  EXPECT_FALSE(is_unitary(h));
-  EXPECT_FALSE(is_unitary(CMatrix(2, 3)));
-}
-
-TEST(CMatrix, ComplexMatvec) {
-  // y = A x with A = [[1, i], [-i, 1]], x = [1, i]:
-  //   y0 = 1*1 + i*i = 0,  y1 = -i*1 + 1*i = 0.
-  CMatrix a(2, 2);
-  a(0, 0) = {1.0, 0.0};
-  a(0, 1) = {0.0, 1.0};
-  a(1, 0) = {0.0, -1.0};
-  a(1, 1) = {1.0, 0.0};
-  const std::vector<std::complex<double>> x{{1.0, 0.0}, {0.0, 1.0}};
-  const auto y = matvec(a, x);
-  EXPECT_NEAR(std::abs(y[0]), 0.0, 1e-12);
-  EXPECT_NEAR(std::abs(y[1]), 0.0, 1e-12);
-
-  // And with x = [1, 0]: y = first column.
-  const auto y2 = matvec(a, {{1.0, 0.0}, {0.0, 0.0}});
-  EXPECT_NEAR(y2[0].real(), 1.0, 1e-12);
-  EXPECT_NEAR(y2[1].imag(), -1.0, 1e-12);
 }
 
 }  // namespace

@@ -136,8 +136,8 @@ TEST(AdcRing, NearCriticalCouplingExtinction) {
 }
 
 TEST(AdcRing, ThresholdCrossingAtQuarterVolt) {
-  // DESIGN.md calibration: at |V_pn| = LSB/2 = 0.25 V the thru power on
-  // 200 uW input equals the 18 uW reference.
+  // Calibration (core/tech.hpp): at |V_pn| = LSB/2 = 0.25 V the thru power
+  // on 200 uW input equals the 18 uW reference.
   Microring ring(adc_ring_config());
   ring.set_bias(0.25);
   EXPECT_NEAR(200e-6 * ring.thru_transmission(1310.5e-9), 18e-6, 0.5e-6);

@@ -60,21 +60,4 @@ TEST(Photodiode, RejectsBadConfig) {
   EXPECT_THROW(Photodiode{bad}, std::invalid_argument);
 }
 
-TEST(BalancedPhotodiode, SignOfNetCurrent) {
-  const BalancedPhotodiode bpd;
-  // Top power above reference: positive (charges Qp).
-  EXPECT_GT(bpd.net_current(200e-6, 18e-6), 0.0);
-  // Below reference: negative (discharges Qp) — the eoADC activation.
-  EXPECT_LT(bpd.net_current(1e-6, 18e-6), 0.0);
-  // Balanced: dark currents cancel exactly.
-  EXPECT_NEAR(bpd.net_current(18e-6, 18e-6), 0.0, 1e-18);
-}
-
-TEST(BalancedPhotodiode, MagnitudeMatchesResponsivity) {
-  PhotodiodeConfig config;
-  config.responsivity = 0.8;
-  const BalancedPhotodiode bpd(config);
-  EXPECT_NEAR(bpd.net_current(100e-6, 18e-6), 0.8 * 82e-6, 1e-12);
-}
-
 }  // namespace

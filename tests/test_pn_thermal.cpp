@@ -61,23 +61,6 @@ TEST(PnPhaseShifter, SwitchingEnergyQuadraticInSwing) {
   EXPECT_NEAR(pn.switching_energy(1.8, 1.8), 0.0, 1e-24);
 }
 
-TEST(ThermalTuner, ShiftAndPowerInverse) {
-  ThermalTuner tuner;
-  tuner.set_heater_power(1e-3);
-  EXPECT_NEAR(tuner.temperature_rise(), 4.0, 1e-9);      // 1 mW / 0.25 mW/K
-  EXPECT_NEAR(tuner.resonance_shift(), 280e-12, 1e-15);  // 4 K x 70 pm/K
-  const double p = tuner.power_for_shift(280e-12);
-  EXPECT_NEAR(p, 1e-3, 1e-9);
-}
-
-TEST(ThermalTuner, ClampsAtMaxPower) {
-  ThermalTuner tuner;
-  tuner.set_heater_power(1.0);  // way above the 10 mW limit
-  EXPECT_NEAR(tuner.heater_power(), 10e-3, 1e-12);
-  EXPECT_THROW(tuner.set_heater_power(-1e-3), std::invalid_argument);
-  EXPECT_THROW(tuner.power_for_shift(-1e-12), std::invalid_argument);
-}
-
 TEST(ThermalDrift, MeanRevertingStatistics) {
   ThermalDrift drift(300.0, 1e-3, 0.5);
   Rng rng(31);

@@ -408,6 +408,8 @@ TEST(Json, ParsesDocumentsAndRejectsGarbage) {
   EXPECT_THROW(json::parse("[1,]"), std::invalid_argument);
   EXPECT_THROW(json::parse("{} trailing"), std::invalid_argument);
   EXPECT_THROW(v.at("s").as_number(), std::invalid_argument);
+  // Deep nesting is refused before it can exhaust the stack.
+  EXPECT_THROW(json::parse(std::string(50000, '[')), std::invalid_argument);
 }
 
 TEST(Json, NumberFormattingRoundTrips) {
