@@ -1,7 +1,7 @@
 // The transformer serving frontier: token-level decoding of a registered
 // decoder-only transformer swept over sequence length x scheduling policy
 // (static padded batches vs continuous batching) through the deterministic
-// TokenServer event loop on a photonic fleet.
+// token event loop of serve::Server on a photonic fleet.
 //
 // The point of the sweep: under a saturated queue with mixed generation
 // lengths, a static batch holds its freed slots hostage until the longest
@@ -34,7 +34,7 @@
 #include "nn/transformer.hpp"
 #include "runtime/accelerator.hpp"
 #include "serve/model_registry.hpp"
-#include "serve/token_server.hpp"
+#include "serve/server.hpp"
 #include "telemetry/bench_report.hpp"
 
 namespace {
@@ -95,7 +95,7 @@ TokenServeReport run_row(std::size_t seq, TokenPolicy::Schedule schedule,
   Rng rng(71);
   registry.add_transformer("tf",
                            nn::TransformerModel::random(model_config(), rng));
-  TokenServer server(registry);
+  Server server(registry);
   TokenPolicy policy;
   policy.schedule = schedule;
   policy.max_batch = kMaxBatch;

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/json.hpp"
+#include "serve/attribution.hpp"
 
 namespace ptc::console {
 namespace {
@@ -41,14 +42,6 @@ void Console::set_run_callback(std::function<serve::ServeReport()> callback) {
 void Console::set_token_run_callback(
     std::function<serve::TokenServeReport()> callback) {
   token_run_callback_ = std::move(callback);
-}
-
-void Console::set_report(serve::ServeReport report) {
-  report_ = std::move(report);
-}
-
-void Console::set_token_report(serve::TokenServeReport report) {
-  token_report_ = std::move(report);
 }
 
 std::string Console::error(const std::string& message) {
@@ -196,11 +189,8 @@ std::string Console::cmd_measure(const ScpiCommand& command) {
     serve::LatencyStats stats = report_.total;
     if (command.args.size() >= 2) {
       const std::string& tenant = command.args[1];
-      if (report_.tenant_cost(tenant) == nullptr) {
+      if (serve::tenant_cost(report_.tenant_costs, tenant) == nullptr) {
         return error("unknown tenant \"" + tenant + "\"");
-      }
-      if (report_.requests.empty()) {
-        return error("per-tenant latency needs keep_records");
       }
       stats = report_.tenant_total(tenant);
     }
@@ -218,7 +208,8 @@ std::string Console::cmd_measure(const ScpiCommand& command) {
   if (mnemonic_matches(what, "UTILization")) return num(report_.utilization());
   if (mnemonic_matches(what, "ENERgy")) {
     if (command.args.empty()) return num(report_.energy);
-    const serve::TenantCost* cost = report_.tenant_cost(command.args[0]);
+    const serve::TenantCost* cost =
+        serve::tenant_cost(report_.tenant_costs, command.args[0]);
     if (cost == nullptr) {
       return error("unknown tenant \"" + command.args[0] + "\"");
     }
@@ -292,7 +283,9 @@ std::string Console::cmd_tenant(const ScpiCommand& command) {
       out += cost.tenant;
     }
     for (const serve::TenantCost& cost : token_report_.tenant_costs) {
-      if (report_.tenant_cost(cost.tenant) != nullptr) continue;
+      if (serve::tenant_cost(report_.tenant_costs, cost.tenant) != nullptr) {
+        continue;
+      }
       if (!out.empty()) out += ",";
       out += cost.tenant;
     }
@@ -302,8 +295,11 @@ std::string Console::cmd_tenant(const ScpiCommand& command) {
     if (command.args.empty()) return error("TEN:COST? needs a tenant name");
     // Batch-serving row first; token-serving tenants answer from the last
     // TOK:RUN? report (same TenantCost shape, token fields live).
-    const serve::TenantCost* cost = report_.tenant_cost(command.args[0]);
-    if (cost == nullptr) cost = token_report_.tenant_cost(command.args[0]);
+    const serve::TenantCost* cost =
+        serve::tenant_cost(report_.tenant_costs, command.args[0]);
+    if (cost == nullptr) {
+      cost = serve::tenant_cost(token_report_.tenant_costs, command.args[0]);
+    }
     if (cost == nullptr) {
       return error("unknown tenant \"" + command.args[0] + "\"");
     }

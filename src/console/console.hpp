@@ -47,15 +47,6 @@ class Console {
   void set_token_run_callback(
       std::function<serve::TokenServeReport()> callback);
 
-  /// Seeds the report queries answer from (e.g. a run performed before
-  /// the console attached).
-  void set_report(serve::ServeReport report);
-  const serve::ServeReport& report() const { return report_; }
-
-  /// Seeds the token-serving report (as set_report, for TOK:RUN? state).
-  void set_token_report(serve::TokenServeReport report);
-  const serve::TokenServeReport& token_report() const { return token_report_; }
-
   /// Evaluates one command line and returns the reply ("" for a blank or
   /// comment-only line; "ERR: ..." on failure, which also queues the
   /// message for SYSTem:ERRor?).  Replies are single lines except the

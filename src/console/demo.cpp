@@ -5,7 +5,6 @@
 #include "nn/transformer.hpp"
 #include "serve/batcher.hpp"
 #include "serve/load_generator.hpp"
-#include "serve/token_server.hpp"
 
 namespace ptc::console {
 namespace {
@@ -106,13 +105,11 @@ serve::TokenServeReport DemoScenario::run_tokens() {
     request.max_new = 3 + load.below(6);
     requests.push_back(std::move(request));
   }
-  serve::TokenServer server(registry_);
-  server.set_tracer(&tracer_);
   serve::TokenPolicy policy;
   policy.schedule = serve::TokenPolicy::Schedule::kContinuous;
   policy.max_batch = 8;
   policy.kv_budget_rows = 16;
-  return server.run(requests, policy);
+  return server_.run(requests, policy);
 }
 
 Console DemoScenario::make_console() {

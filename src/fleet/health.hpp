@@ -84,7 +84,6 @@ class DriftEstimator {
   std::uint64_t observations() const { return observations_; }
 
   const std::vector<double>& curve_kelvin() const { return kelvin_; }
-  const std::vector<double>& curve_ratio() const { return ratio_; }
 
  private:
   DriftEstimatorConfig config_;

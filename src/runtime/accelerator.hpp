@@ -206,12 +206,11 @@ class Accelerator {
   CoreHealth core_health(std::size_t index) const;
   bool core_evicted(std::size_t index) const;
   std::size_t evicted_count() const { return cores_.size() - active_.size(); }
-  /// Cores currently in the scheduling rotation (ids ascending).  All tile
-  /// passes — matmul(), batch_cost(), recalibrate() — schedule over these
-  /// only; health state alone never changes routing (that separation is
-  /// what lets a no-mitigation serving policy keep routing to FAILED
-  /// hardware, and what the fault frontier bench measures).
-  const std::vector<std::size_t>& active_cores() const { return active_; }
+  /// Cores currently in the scheduling rotation.  All tile passes —
+  /// matmul(), batch_cost(), recalibrate() — schedule over these only;
+  /// health state alone never changes routing (that separation is what
+  /// lets a no-mitigation serving policy keep routing to FAILED hardware,
+  /// and what the fault frontier bench measures).
   std::size_t active_core_count() const { return active_.size(); }
 
   /// Takes a core out of the scheduling rotation / returns it.  The last
@@ -253,7 +252,6 @@ class Accelerator {
   /// fleet_plan_cache_{hits,misses}_total, fleet_recalibrations_total, and
   /// the fleet_max_abs_detuning_kelvin gauge.
   void set_metrics(telemetry::MetricsRegistry* metrics);
-  telemetry::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Fleet statistics accumulated since construction (or reset_stats()),
   /// with energy/power drawn from the live per-core ledgers.

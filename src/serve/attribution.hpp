@@ -4,12 +4,18 @@
 #include <cstddef>
 #include <map>
 #include <string>
+#include <vector>
 
-/// Exact integer cost apportionment shared by the batch Server and the
-/// token-level TokenServer.  Both split every batch/step cost across the
-/// participating tenants; keeping the arithmetic in one place is what
-/// makes the two layers' conservation contracts (tenant rows sum to the
-/// fleet totals bit-exactly) the same contract.
+#include "runtime/accelerator.hpp"
+#include "serve/latency_stats.hpp"
+#include "serve/model_registry.hpp"
+#include "telemetry/metrics.hpp"
+
+/// Exact cost attribution shared by both serving loops (Server::run's
+/// one-shot batches and its token overload's decode steps).  Both bill
+/// through one TenantBilling, which is what makes their conservation
+/// contracts (tenant rows sum to the fleet totals bit-exactly) the same
+/// contract.
 namespace ptc::serve {
 
 /// Work units one tenant contributed to the current batch/step — the
@@ -26,6 +32,50 @@ using TenantShares = std::map<std::string, std::size_t>;
 std::map<std::string, std::size_t> split_exact(std::size_t total,
                                                const TenantShares& shares,
                                                std::size_t weight_sum);
+
+/// The row billed to `tenant` among a report's tenant_costs (nullptr when
+/// the run billed it nothing).
+const TenantCost* tenant_cost(const std::vector<TenantCost>& rows,
+                              const std::string& tenant);
+
+/// One run's tenant ledger: the billing rows, a cursor over the fleet
+/// energy ledger that hands every charge exactly the energy delta it
+/// caused, and the sorted close the report's fleet totals derive from.
+class TenantBilling {
+ public:
+  /// Starts the ledger cursor at the fleet's current total energy.
+  explicit TenantBilling(const runtime::Accelerator& accelerator);
+
+  /// The tenant's row, created on first use.
+  TenantCost& row(const std::string& tenant);
+
+  /// Fleet ledger energy charged since the previous take [J]; advances the
+  /// cursor by exactly that delta.
+  double take_energy();
+
+  /// Bills one dispatched batch or decode step, plus the ledger energy it
+  /// charged, to the tenants in `shares` (work units per tenant: requests
+  /// or tokens, credited to the `units` field).  Integer passes split
+  /// exactly; busy time and energy split by the unit fraction, which a
+  /// single-tenant step takes whole, bitwise; service latency is per unit,
+  /// so a tenant's share is exactly units * latency.  With `metrics`
+  /// attached, every share also lands in the serve_tenant_*_total
+  /// families labeled {tenant, model}.
+  void charge(const TenantShares& shares, std::size_t TenantCost::*units,
+              const BatchDispatch& cost, telemetry::MetricsRegistry* metrics,
+              const std::string& model);
+
+  /// Closes the run: bills any ledger energy no charge claimed to the
+  /// fleet row, appends the rows to `rows` in sorted-tenant order, and
+  /// returns their field-wise sum in that order — the report's fleet
+  /// totals, which conserve bit-exactly because they are these sums.
+  TenantCost close(std::vector<TenantCost>& rows);
+
+ private:
+  const runtime::Accelerator& accelerator_;
+  double cursor_;
+  std::map<std::string, TenantCost> rows_;
+};
 
 }  // namespace ptc::serve
 

@@ -66,6 +66,9 @@ DynamicBatcher::DynamicBatcher(const BatchPolicy& policy) : policy_(policy) {
           "recalibration_period must be non-negative");
   expects(policy.drift_threshold >= 0.0,
           "drift_threshold must be non-negative");
+  expects(policy.probe_period >= 0.0, "probe_period must be non-negative");
+  expects(policy.estimated_drift_threshold >= 0.0,
+          "estimated_drift_threshold must be non-negative");
 }
 
 void DynamicBatcher::enqueue(Request request) { queue_.push(std::move(request)); }

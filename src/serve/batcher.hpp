@@ -112,6 +112,9 @@ class RequestQueue {
 /// the next batch could be ready and (b) for the batch to launch now.
 class DynamicBatcher {
  public:
+  /// Rejects a policy with a non-positive max_batch or a negative (or NaN)
+  /// time/threshold field — the check Server::run makes before any fleet
+  /// state moves.
   explicit DynamicBatcher(const BatchPolicy& policy);
 
   const BatchPolicy& policy() const { return policy_; }

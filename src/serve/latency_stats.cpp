@@ -70,13 +70,6 @@ double ServeReport::mean_batch() const {
                                        static_cast<double>(dispatched_batches);
 }
 
-const TenantCost* ServeReport::tenant_cost(const std::string& tenant) const {
-  for (const TenantCost& cost : tenant_costs) {
-    if (cost.tenant == tenant) return &cost;
-  }
-  return nullptr;
-}
-
 LatencyStats ServeReport::tenant_total(const std::string& tenant) const {
   std::vector<double> totals;
   for (const RequestRecord& record : requests) {

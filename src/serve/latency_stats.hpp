@@ -67,7 +67,7 @@ struct TenantCost {
   /// shedding is the one cost a tenant pays directly, in lost requests).
   std::size_t shed_requests = 0;
 
-  // --- token serving (TokenServer runs only; zero for batch runs) ----------
+  // --- token serving (token runs only; zero for batch runs) ----------------
   /// Decoded tokens (prefill + generation — every decode step that fed one
   /// of this tenant's tokens through the fleet).
   std::size_t tokens = 0;
@@ -95,10 +95,7 @@ struct SloSummary {
 /// Everything one Server::run produced: the request/batch trace, the
 /// latency decomposition, and the fleet-level serving metrics.
 struct ServeReport {
-  /// Per-request / per-batch traces, in dispatch order.  Populated by
-  /// default; a run with RunOptions::keep_records = false leaves them empty
-  /// (O(histogram-buckets) memory at any request count) and the scalar
-  /// counters below still carry the fleet totals.
+  /// Per-request / per-batch traces, in dispatch order.
   std::vector<RequestRecord> requests;
   std::vector<BatchRecord> batches;
 
@@ -186,9 +183,6 @@ struct ServeReport {
   /// Final state of every SLO monitor attached to the Server, in
   /// registration order.
   std::vector<SloSummary> slos;
-
-  /// Cost row for one tenant (nullptr when it served no requests).
-  const TenantCost* tenant_cost(const std::string& tenant) const;
 
   /// Completed requests per modeled second.
   double throughput() const;

@@ -117,6 +117,7 @@ BatchDispatch ModelRegistry::run_batch(const std::string& name,
 
   const bool warm = resident_ == name && fits_resident(name);
   BatchDispatch out;
+  out.warm = warm;
 
   // In serve mode the modeled timing comes from the batch_cost loop below,
   // not from the real execution — detach the tracer around graph::run so
@@ -142,11 +143,6 @@ BatchDispatch ModelRegistry::run_batch(const std::string& name,
     out.busy += cost.busy;
     out.passes += sp.passes;
     if (warm) out.warm_passes += sp.passes;
-  }
-  if (telemetry::MetricsRegistry* metrics = accelerator_.metrics()) {
-    metrics->counter(warm ? "serve_warm_batches_total"
-                          : "serve_cold_batches_total")
-        .inc();
   }
   resident_ = fits_resident(name) ? name : std::string();
   return out;

@@ -33,6 +33,7 @@ struct BatchDispatch {
   double busy = 0.0;           ///< summed core-busy time [s]
   std::size_t passes = 0;      ///< weight-tile residencies streamed
   std::size_t warm_passes = 0; ///< residencies reused (no reload paid)
+  bool warm = false;           ///< the model's tiles were already resident
 };
 
 class ModelRegistry {
@@ -51,8 +52,8 @@ class ModelRegistry {
 
   /// Registers a decoder-only transformer under `name` (unique across both
   /// stores).  Token-level serving decodes it incrementally through the
-  /// fleet backend (TokenServer); the full-sequence graph path stays
-  /// available via the model itself.
+  /// fleet backend (Server::run's token overload); the full-sequence graph
+  /// path stays available via the model itself.
   void add_transformer(const std::string& name,
                        const nn::TransformerModel& model);
 

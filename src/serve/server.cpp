@@ -43,11 +43,6 @@ void Server::set_metrics(telemetry::MetricsRegistry* metrics) {
   accelerator_.set_metrics(metrics);
 }
 
-void Server::set_health_config(const fleet::HealthConfig& config) {
-  health_config_ = config;
-  health_.reset();
-}
-
 void Server::add_slo(const SloObjective& objective) {
   for (const SloMonitor& monitor : slos_) {
     expects(monitor.objective().name != objective.name,
@@ -55,8 +50,6 @@ void Server::add_slo(const SloObjective& objective) {
   }
   slos_.emplace_back(objective);
 }
-
-void Server::clear_slos() { slos_.clear(); }
 
 void Server::set_fault_schedule(std::vector<runtime::FaultEvent> schedule) {
   for (std::size_t i = 0; i + 1 < schedule.size(); ++i) {
@@ -67,11 +60,25 @@ void Server::set_fault_schedule(std::vector<runtime::FaultEvent> schedule) {
 }
 
 ServeReport Server::run(const std::vector<Request>& requests,
-                        const BatchPolicy& policy, const RunOptions& options) {
-  for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
-    expects(requests[i].arrival <= requests[i + 1].arrival,
-            "requests must be sorted by arrival time");
-  }
+                        const BatchPolicy& policy) {
+  // Reject bad input before any fleet state moves: the batcher checks the
+  // policy's own fields, the lines below how they combine.
+  expect_sorted_arrivals(requests);
+  DynamicBatcher batcher(policy);
+  // Probing policies sample the fleet health monitor on a modeled-time
+  // cadence; the estimate/anomaly triggers read *it*, never the oracle.
+  const bool probing = policy.probe_period > 0.0;
+  expects(probing || (policy.estimated_drift_threshold == 0.0 &&
+                      !policy.recalibrate_on_anomaly),
+          "estimate/anomaly recalibration triggers need probe_period > 0");
+  // A period shorter than the sweep's own modeled latency could never
+  // keep up — and would starve dispatch during a drain flush.
+  expects(!probing ||
+              policy.probe_period >=
+                  accelerator_.probe_cost(fleet::HealthConfig{}.probe_samples)
+                      .latency,
+          "probe_period must cover the probe sweep latency");
+
   registry_.reset_residency();
   accelerator_.reset_drift();
   // A scheduled-fault run replays its schedule from a healthy fleet, so the
@@ -80,30 +87,21 @@ ServeReport Server::run(const std::vector<Request>& requests,
   // place — the operator's fleet state persists across SERVE:RUN?.
   if (!fault_schedule_.empty()) accelerator_.reset_faults();
   accelerator_.set_trace_time(0.0);
-  const double energy_before = accelerator_.fleet_ledger().total_energy();
+  // Every joule and second the run charges is billed to a tenant row as it
+  // happens; fleet-side work (probes, faults, recalibration) lands on the
+  // reserved TenantCost::kFleetTenant row.
+  TenantBilling billing(accelerator_);
 
-  // Probing policies sample the fleet health monitor on a modeled-time
-  // cadence; the estimate/anomaly triggers read *it*, never the oracle.
-  const bool probing = policy.probe_period > 0.0;
-  expects(probing || (policy.estimated_drift_threshold == 0.0 &&
-                      !policy.recalibrate_on_anomaly),
-          "estimate/anomaly recalibration triggers need probe_period > 0");
   if (probing) {
     if (health_ == nullptr) {
       // Characterization (probe response curves per core) happens once and
       // is reused across runs — it is a property of the devices, not of
       // any run's drift trajectory.
-      health_ = std::make_unique<fleet::FleetHealthMonitor>(accelerator_,
-                                                            health_config_);
+      health_ = std::make_unique<fleet::FleetHealthMonitor>(accelerator_);
     }
     health_->reset();
     health_->set_metrics(metrics_);
     health_->set_tracer(tracer_);
-    // A period shorter than the sweep's own modeled latency could never
-    // keep up — and would starve dispatch during a drain flush.
-    expects(policy.probe_period >=
-                accelerator_.probe_cost(health_config_.probe_samples).latency,
-            "probe_period must cover the probe sweep latency");
   }
   fleet::FleetHealthMonitor* health = probing ? health_.get() : nullptr;
   double next_probe =
@@ -126,28 +124,14 @@ ServeReport Server::run(const std::vector<Request>& requests,
     }
   };
 
-  // --- cost attribution state ---
-  // Every joule and second the run charges is attributed to a tenant row
-  // as it happens; fleet-side work (recalibration) lands on the reserved
-  // TenantCost::kFleetTenant row.  `ledger_last` walks the fleet energy
-  // ledger so each attribution event gets exactly the delta it caused.
-  std::map<std::string, TenantCost> costs;
-  double ledger_last = energy_before;
-  const auto cost_row = [&costs](const std::string& tenant) -> TenantCost& {
-    TenantCost& row = costs[tenant];
-    if (row.tenant.empty()) row.tenant = tenant;
-    return row;
-  };
   for (SloMonitor& monitor : slos_) monitor.reset();
 
-  DynamicBatcher batcher(policy);
   ServeReport report;
   report.cores = accelerator_.core_count();
-  if (options.keep_records) report.requests.reserve(requests.size());
+  report.requests.reserve(requests.size());
 
-  // O(buckets) per-run latency aggregation (satellite of the telemetry
-  // subsystem): the report summaries come from these, not from the record
-  // vectors, so keep_records = false loses nothing but the raw traces.
+  // O(buckets) per-run latency aggregation: the report summaries come from
+  // these, not from the record vectors.
   const telemetry::HistogramOptions hopts = latency_histogram_options();
   telemetry::Histogram wait_hist(hopts);
   telemetry::Histogram service_hist(hopts);
@@ -181,7 +165,7 @@ ServeReport Server::run(const std::vector<Request>& requests,
     // tenant's shed tally and the run's availability() pays for them.
     if (policy.degraded_queue_limit > 0 && accelerator_.evicted_count() > 0 &&
         batcher.pending() >= policy.degraded_queue_limit) {
-      ++cost_row(request.tenant).shed_requests;
+      ++billing.row(request.tenant).shed_requests;
       if (tracer_ != nullptr) {
         tracer_->instant(telemetry::track::kServe, "request_shed", "serve",
                          request.arrival,
@@ -260,12 +244,10 @@ ServeReport Server::run(const std::vector<Request>& requests,
       const bool repair = event.kind == runtime::FaultEvent::Kind::kClear;
       fleet_free = std::max(fleet_free, fault_at + bist.latency);
       {
-        const double ledger_now = accelerator_.fleet_ledger().total_energy();
-        TenantCost& fleet_row = cost_row(TenantCost::kFleetTenant);
+        TenantCost& fleet_row = billing.row(TenantCost::kFleetTenant);
         if (!repair) ++fleet_row.faults;
         fleet_row.fault_seconds += bist.latency;
-        fleet_row.energy_joules += ledger_now - ledger_last;
-        ledger_last = ledger_now;
+        fleet_row.energy_joules += billing.take_energy();
       }
       if (policy.recalibrate_on_fault) fault_recal_pending = true;
       if (tracer_ != nullptr) {
@@ -336,7 +318,7 @@ ServeReport Server::run(const std::vector<Request>& requests,
       fleet_free = std::max(fleet_free, probe_at + probe.latency);
       // Probing is fleet overhead no tenant caused: bill the reserved row,
       // so the report's probe totals conserve like every other cost.
-      TenantCost& fleet_row = cost_row(TenantCost::kFleetTenant);
+      TenantCost& fleet_row = billing.row(TenantCost::kFleetTenant);
       ++fleet_row.probes;
       fleet_row.probe_seconds += probe.latency;
       if (tracer_ != nullptr) {
@@ -405,11 +387,8 @@ ServeReport Server::run(const std::vector<Request>& requests,
         // Recalibration is fleet overhead no tenant caused: its downtime
         // and ledger energy bill to the reserved fleet row.
         {
-          const double ledger_now =
-              accelerator_.fleet_ledger().total_energy();
-          const double recal_energy = ledger_now - ledger_last;
-          ledger_last = ledger_now;
-          TenantCost& fleet_row = cost_row(TenantCost::kFleetTenant);
+          const double recal_energy = billing.take_energy();
+          TenantCost& fleet_row = billing.row(TenantCost::kFleetTenant);
           ++fleet_row.recalibrations;
           fleet_row.recalibration_seconds += downtime.latency;
           fleet_row.energy_joules += recal_energy;
@@ -464,11 +443,15 @@ ServeReport Server::run(const std::vector<Request>& requests,
     accelerator_.set_trace_time(dispatch_at);
     const BatchDispatch result =
         registry_.run_batch(batch.front().model, x);
-    // Snapshot the ledger before the float-reference scoring below: this
-    // batch's energy delta is exactly what its tile passes charged.
-    const double batch_energy =
-        accelerator_.fleet_ledger().total_energy() - ledger_last;
-    ledger_last += batch_energy;
+    // Bill the batch before the float-reference scoring below, so its
+    // energy delta is exactly what its tile passes charged: weighted by
+    // request count, every tenant's share of passes, time, and energy.
+    {
+      TenantShares shares;
+      for (const Request& request : batch) ++shares[request.tenant];
+      billing.charge(shares, &TenantCost::requests, result, metrics_,
+                     batch.front().model);
+    }
     const double completion = dispatch_at + result.latency;
     const std::vector<std::size_t> predicted =
         nn::argmax_rows(result.logits);
@@ -506,67 +489,12 @@ ServeReport Server::run(const std::vector<Request>& requests,
            {"epoch", batch_record.epoch}});
     }
     if (metrics_ != nullptr) {
+      metrics_->counter(result.warm ? "serve_warm_batches_total"
+                                    : "serve_cold_batches_total")
+          .inc();
       metrics_->counter("serve_batches_total").inc();
       metrics_->histogram("serve_batch_size", "requests per dispatched batch")
           .observe(static_cast<double>(batch.size()));
-    }
-
-    // Attribute this batch's cost to its tenants, weighted by request
-    // count: integers by exact largest-remainder apportionment, time and
-    // energy by the count fraction (a single-tenant batch takes the whole
-    // quantity bitwise — the fraction is exactly 1.0).  Service latency is
-    // per-request, so a tenant's share is exactly n_i * latency.
-    {
-      TenantShares shares;
-      for (const Request& request : batch) ++shares[request.tenant];
-      const auto pass_split =
-          split_exact(result.passes, shares, batch.size());
-      const auto warm_split =
-          split_exact(result.warm_passes, shares, batch.size());
-      for (const auto& [tenant, count] : shares) {
-        const double fraction =
-            static_cast<double>(count) / static_cast<double>(batch.size());
-        const double service_share =
-            static_cast<double>(count) * result.latency;
-        const double busy_share = result.busy * fraction;
-        const double energy_share = batch_energy * fraction;
-        TenantCost& row = cost_row(tenant);
-        row.requests += count;
-        ++row.batches;
-        row.passes += pass_split.at(tenant);
-        row.warm_passes += warm_split.at(tenant);
-        row.service_seconds += service_share;
-        row.busy_seconds += busy_share;
-        row.energy_joules += energy_share;
-        if (metrics_ != nullptr) {
-          const telemetry::LabelSet labels = {
-              {"tenant", tenant}, {"model", batch_record.model}};
-          metrics_
-              ->counter("serve_tenant_requests_total", labels,
-                        "completed requests per tenant x model")
-              .inc(static_cast<double>(count));
-          metrics_
-              ->counter("serve_tenant_passes_total", labels,
-                        "attributed weight-tile residencies")
-              .inc(static_cast<double>(pass_split.at(tenant)));
-          metrics_
-              ->counter("serve_tenant_warm_passes_total", labels,
-                        "attributed reload-free residencies")
-              .inc(static_cast<double>(warm_split.at(tenant)));
-          metrics_
-              ->counter("serve_tenant_service_seconds_total", labels,
-                        "attributed service latency [s]")
-              .inc(service_share);
-          metrics_
-              ->counter("serve_tenant_busy_seconds_total", labels,
-                        "attributed core-busy time [s]")
-              .inc(busy_share);
-          metrics_
-              ->counter("serve_tenant_energy_joules_total", labels,
-                        "attributed fleet ledger energy [J]")
-              .inc(energy_share);
-        }
-      }
     }
 
     for (std::size_t r = 0; r < batch.size(); ++r) {
@@ -597,23 +525,21 @@ ServeReport Server::run(const std::vector<Request>& requests,
       if (tracer_ != nullptr) {
         tracer_->async_end("request", "request", batch[r].id, completion);
       }
-      if (options.keep_records) {
-        RequestRecord record;
-        record.id = batch[r].id;
-        record.tenant = std::move(batch[r].tenant);
-        record.model = std::move(batch[r].model);
-        record.batch = batch_record.id;
-        record.predicted = predicted[r];
-        record.matches_reference = matches;
-        record.arrival = batch[r].arrival;
-        record.dispatch = dispatch_at;
-        record.completion = completion;
-        report.requests.push_back(std::move(record));
-      }
+      RequestRecord record;
+      record.id = batch[r].id;
+      record.tenant = std::move(batch[r].tenant);
+      record.model = std::move(batch[r].model);
+      record.batch = batch_record.id;
+      record.predicted = predicted[r];
+      record.matches_reference = matches;
+      record.arrival = batch[r].arrival;
+      record.dispatch = dispatch_at;
+      record.completion = completion;
+      report.requests.push_back(std::move(record));
     }
     report.completed += batch.size();
     ++report.dispatched_batches;
-    if (options.keep_records) report.batches.push_back(std::move(batch_record));
+    report.batches.push_back(std::move(batch_record));
     report.passes += result.passes;
     report.warm_passes += result.warm_passes;
     // report.busy is derived from the attribution rows at finalize.
@@ -622,55 +548,25 @@ ServeReport Server::run(const std::vector<Request>& requests,
 
   report.makespan = fleet_free;
 
-  // Any ledger energy charged outside the attributed windows (there is
-  // normally none) is fleet overhead; bill it so attribution stays
-  // exhaustive.
-  const double unattributed =
-      accelerator_.fleet_ledger().total_energy() - ledger_last;
-  if (unattributed != 0.0) {
-    cost_row(TenantCost::kFleetTenant).energy_joules += unattributed;
-  }
-
-  // The fleet totals are *derived* from the attribution rows, summed in
-  // sorted-tenant order — the conservation contract: per-tenant costs sum
-  // to these bit-exactly because these ARE those sums.  The integer
-  // cross-checks catch a cost path that forgot to attribute.
-  report.tenant_costs.reserve(costs.size());
-  std::size_t attributed_requests = 0;
-  std::size_t attributed_passes = 0;
-  std::size_t attributed_warm = 0;
-  for (auto& [tenant, row] : costs) {
-    attributed_requests += row.requests;
-    attributed_passes += row.passes;
-    attributed_warm += row.warm_passes;
-    report.tenant_costs.push_back(std::move(row));
-  }
-  expects(attributed_requests == report.completed,
+  // The fleet totals are *derived* from the attribution rows (the
+  // conservation contract); the integer cross-checks catch a cost path
+  // that forgot to attribute.
+  const TenantCost total = billing.close(report.tenant_costs);
+  expects(total.requests == report.completed,
           "attributed requests must equal completions");
-  expects(attributed_passes == report.passes,
+  expects(total.passes == report.passes,
           "attributed passes must conserve the fleet total");
-  expects(attributed_warm == report.warm_passes,
+  expects(total.warm_passes == report.warm_passes,
           "attributed warm passes must conserve the fleet total");
-  report.busy = 0.0;
-  report.energy = 0.0;
-  report.service_time = 0.0;
-  report.recalibration_time = 0.0;
-  report.probes = 0;
-  report.probe_time = 0.0;
-  report.faults = 0;
-  report.fault_time = 0.0;
-  report.shed = 0;
-  for (const TenantCost& row : report.tenant_costs) {
-    report.busy += row.busy_seconds;
-    report.energy += row.energy_joules;
-    report.service_time += row.service_seconds;
-    report.recalibration_time += row.recalibration_seconds;
-    report.probes += row.probes;
-    report.probe_time += row.probe_seconds;
-    report.faults += row.faults;
-    report.fault_time += row.fault_seconds;
-    report.shed += row.shed_requests;
-  }
+  report.busy = total.busy_seconds;
+  report.energy = total.energy_joules;
+  report.service_time = total.service_seconds;
+  report.recalibration_time = total.recalibration_seconds;
+  report.probes = total.probes;
+  report.probe_time = total.probe_seconds;
+  report.faults = total.faults;
+  report.fault_time = total.fault_seconds;
+  report.shed = total.shed_requests;
   report.trigger_lag = LatencyStats::from_histogram(lag_hist);
   report.health_alerts = health != nullptr ? health->alerts().size() : 0;
 

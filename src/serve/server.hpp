@@ -1,9 +1,11 @@
 #ifndef PTC_SERVE_SERVER_HPP
 #define PTC_SERVE_SERVER_HPP
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
+#include "common/expects.hpp"
 #include "fleet/health.hpp"
 #include "runtime/accelerator.hpp"
 #include "serve/batcher.hpp"
@@ -11,6 +13,7 @@
 #include "serve/model_registry.hpp"
 #include "serve/request.hpp"
 #include "serve/slo.hpp"
+#include "serve/token_server.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 
@@ -18,7 +21,9 @@
 /// DynamicBatcher -> accelerator fleet, all on modeled hardware time.  The
 /// fleet serves one batch at a time (every tensor core participates in the
 /// batch's tile schedule), which makes this the single-station queueing
-/// model whose saturation the serving benches sweep.
+/// model whose saturation the serving benches sweep.  The same object
+/// serves token traffic (run's TokenRequest overload), so both loops share
+/// one registry, fleet, tracer, metrics registry and tenant ledger.
 ///
 /// Determinism contract: identical (requests, policy, registry contents,
 /// accelerator config) produce an identical batch trace and identical
@@ -28,16 +33,6 @@
 /// from host wall time.
 namespace ptc::serve {
 
-/// Per-run knobs orthogonal to the batching policy.
-struct RunOptions {
-  /// Keep the per-request / per-batch vectors on the report.  Disabling
-  /// them makes a run's memory O(histogram buckets) regardless of request
-  /// count (1M+ requests) — the latency summaries, counters, and ratios
-  /// are unaffected; only ServeReport::requests / batches / tenant_total
-  /// are empty.
-  bool keep_records = true;
-};
-
 class Server {
  public:
   /// Serves the registry's models on the registry's accelerator fleet.
@@ -46,8 +41,9 @@ class Server {
   /// Attaches a span tracer for the run's full lifecycle — request async
   /// spans (arrive -> complete), batch dispatch windows, per-core tile
   /// passes/reloads, per-step execution, recalibration downtime, and
-  /// queue-depth counters — all on modeled hardware time.  Fans out to the
-  /// accelerator; nullptr detaches.
+  /// queue-depth counters; on token runs, decode-step spans, token_step /
+  /// request_preempted / kv_evicted instants and KV-row counters — all on
+  /// modeled hardware time.  Fans out to the accelerator; nullptr detaches.
   void set_tracer(telemetry::Tracer* tracer);
   telemetry::Tracer* tracer() const { return tracer_; }
 
@@ -62,39 +58,33 @@ class Server {
   /// resets their window state), are fed every completion in event-loop
   /// order, and summarize into ServeReport::slos.
   void add_slo(const SloObjective& objective);
-  void clear_slos();
   const std::vector<SloMonitor>& slos() const { return slos_; }
 
-  /// Configuration for the fleet health monitor probing policies create
-  /// (estimator curve resolution, anomaly detection, probe cost).  Drops
-  /// the cached monitor; the next probing run re-characterizes.
-  void set_health_config(const fleet::HealthConfig& config);
-  const fleet::HealthConfig& health_config() const { return health_config_; }
-
-  /// The fleet health monitor, created lazily by the first run whose
-  /// policy probes (BatchPolicy::probe_period > 0) and reused across runs
-  /// (characterization curves are device properties).  nullptr before any
-  /// probing run; afterwards its estimators / alerts / time-series store
-  /// reflect the most recent run — the operator console's HEALth source.
+  /// The fleet health monitor (default fleet::HealthConfig), created lazily
+  /// by the first run whose policy probes (BatchPolicy::probe_period > 0)
+  /// and reused across runs (characterization curves are device
+  /// properties).  nullptr before any probing run; afterwards its
+  /// estimators / alerts / time-series store reflect the most recent run —
+  /// the operator console's HEALth source.
   fleet::FleetHealthMonitor* health() { return health_.get(); }
   const fleet::FleetHealthMonitor* health() const { return health_.get(); }
 
   /// Deterministic hard-fault schedule the next runs replay on *modeled*
-  /// time: each event injects at the first instant >= its time (after the
-  /// fleet frees up), triggers the self-test on the struck core, and —
-  /// under an evicting policy — drops FAILED cores from the rotation.
-  /// Events must be sorted by time.  A non-empty schedule makes run()
-  /// reset the fleet's fault state at start, so every run replays the same
-  /// schedule from a healthy fleet; an empty schedule (the default) leaves
-  /// console-injected faults in place across runs.  Persists until
-  /// replaced or cleared.
+  /// time — one-shot runs only; the token overload neither replays nor
+  /// resets it.  Each event injects at the first instant >= its time
+  /// (after the fleet frees up), triggers the self-test on the struck core,
+  /// and — under an evicting policy — drops FAILED cores from the
+  /// rotation.  Events must be sorted by time.  A non-empty schedule makes
+  /// a one-shot run reset the fleet's fault state at start, so every run
+  /// replays the same schedule from a healthy fleet; an empty schedule
+  /// (the default) leaves console-injected faults in place across runs.
+  /// Persists until replaced or cleared.
   void set_fault_schedule(std::vector<runtime::FaultEvent> schedule);
-  const std::vector<runtime::FaultEvent>& fault_schedule() const {
-    return fault_schedule_;
-  }
 
-  /// Serves `requests` (sorted by arrival — LoadGenerator output
-  /// qualifies) under `policy` and returns the full report.  Arrivals at
+  /// Serves `requests` (finite arrivals, sorted — LoadGenerator output
+  /// qualifies) under `policy` and returns the full report.  Bad requests
+  /// or a bad policy throw std::invalid_argument before any fleet state
+  /// moves.  Arrivals at
   /// exactly the dispatch instant join the closing batch.  Once the
   /// arrival stream ends, leftover queued requests drain as partial
   /// batches.  Residency and drift state reset at the start of every run.
@@ -126,18 +116,40 @@ class Server {
   /// bit-exactly.  Registered SLO monitors observe every completion and
   /// summarize into ServeReport::slos.
   ServeReport run(const std::vector<Request>& requests,
-                  const BatchPolicy& policy, const RunOptions& options = {});
+                  const BatchPolicy& policy);
+
+  /// Serves token `requests` (finite arrivals, sorted; all naming one
+  /// registered transformer) under `policy` (serve/token_server.hpp),
+  /// billed per tenant like one-shot runs.  It resets residency and drift
+  /// at start and runs no fleet events: no drift advance, probes, fault
+  /// replay, or SLO feed.  Deterministic in (requests, policy, fleet
+  /// config) — byte-identical reports across host thread counts.
+  TokenServeReport run(const std::vector<TokenRequest>& requests,
+                       const TokenPolicy& policy);
 
  private:
+  /// Both loops' input contract: finite arrival times in ascending order.
+  template <typename R>
+  static void expect_sorted_arrivals(const std::vector<R>& requests) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      expects(std::isfinite(requests[i].arrival),
+              "request arrivals must be finite");
+      expects(i == 0 || requests[i - 1].arrival <= requests[i].arrival,
+              "requests must be sorted by arrival time");
+    }
+  }
+
   runtime::Accelerator& accelerator_;
   ModelRegistry& registry_;
   telemetry::Tracer* tracer_ = nullptr;
   telemetry::MetricsRegistry* metrics_ = nullptr;
   std::vector<SloMonitor> slos_;
-  fleet::HealthConfig health_config_{};
   std::unique_ptr<fleet::FleetHealthMonitor> health_;
   std::vector<runtime::FaultEvent> fault_schedule_;
 };
+
+/// The token engine's former class name: Server serves both request kinds.
+using TokenServer = Server;
 
 }  // namespace ptc::serve
 

@@ -1,8 +1,7 @@
-#include "serve/token_server.hpp"
+#include "serve/server.hpp"
 
 #include <algorithm>
 #include <deque>
-#include <limits>
 #include <utility>
 
 #include "common/expects.hpp"
@@ -38,33 +37,11 @@ std::size_t argmax(const std::vector<double>& xs) {
 
 }  // namespace
 
-const TenantCost* TokenServeReport::tenant_cost(
-    const std::string& tenant) const {
-  for (const TenantCost& row : tenant_costs)
-    if (row.tenant == tenant) return &row;
-  return nullptr;
-}
-
-TokenServer::TokenServer(ModelRegistry& registry)
-    : accelerator_(registry.accelerator()), registry_(registry) {}
-
-void TokenServer::set_tracer(telemetry::Tracer* tracer) {
-  tracer_ = tracer;
-  accelerator_.set_tracer(tracer);
-  if (tracer_ == nullptr) return;
-  tracer_->set_track_name(telemetry::track::kServe, "serving");
-  tracer_->set_track_name(telemetry::track::kSteps, "graph steps");
-  tracer_->set_track_name(telemetry::track::kQueue, "queue");
-}
-
-TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
-                                  const TokenPolicy& policy) {
+TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
+                             const TokenPolicy& policy) {
   expects(policy.max_batch >= 1, "token policy needs at least one slot");
   expects(!requests.empty(), "token run needs at least one request");
-  for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
-    expects(requests[i].arrival <= requests[i + 1].arrival,
-            "requests must be sorted by arrival time");
-  }
+  expect_sorted_arrivals(requests);
   const std::string& model_name = requests.front().model;
   const nn::TransformerModel& model = registry_.transformer(model_name);
   const std::size_t layers = model.config().layers;
@@ -85,15 +62,7 @@ TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
   nn::MatmulBackend& backend = registry_.decode_backend();
   const std::size_t weight_passes =
       registry_.transformer_weight_passes(model_name);
-  double ledger_last = accelerator_.fleet_ledger().total_energy();
-
-  // --- attribution state (same conservation contract as Server::run) ---
-  std::map<std::string, TenantCost> costs;
-  const auto cost_row = [&costs](const std::string& tenant) -> TenantCost& {
-    TenantCost& row = costs[tenant];
-    if (row.tenant.empty()) row.tenant = tenant;
-    return row;
-  };
+  TenantBilling billing(accelerator_);
 
   TokenServeReport report;
   std::vector<Progress> progress(requests.size());
@@ -176,7 +145,7 @@ TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
         const std::size_t dropped = slot.cache.rows();
         const TokenRequest& request = requests[slot.req];
         ++progress[slot.req].preemptions;
-        TenantCost& row = cost_row(request.tenant);
+        TenantCost& row = billing.row(request.tenant);
         row.kv_evicted_rows += dropped;
         ++row.preemptions;
         waiting.push_front(slot.req);  // readmit first when room frees
@@ -211,21 +180,34 @@ TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
     }
     if (tracer != nullptr) accelerator_.set_tracer(tracer);
 
+    // The step's modeled cost: the static weight tiles (warm once streamed,
+    // while they fit the active rotation) plus every request's attention.
     const std::size_t step_tokens = active.size();
-    const std::size_t warm =
-        weights_streamed &&
-                weight_passes <= accelerator_.active_core_count()
-            ? weight_passes
-            : 0;
+    BatchDispatch step;
+    step.passes = weight_passes + attention_passes;
+    step.warm = weights_streamed &&
+                weight_passes <= accelerator_.active_core_count();
+    step.warm_passes = step.warm ? weight_passes : 0;
     weights_streamed = true;
     accelerator_.set_trace_time(step_start);
-    const runtime::BatchCost cost = accelerator_.batch_cost(
-        weight_passes + attention_passes, warm, step_tokens);
-    const double step_end = step_start + cost.latency;
-    const double step_energy =
-        accelerator_.fleet_ledger().total_energy() - ledger_last;
-    ledger_last += step_energy;
+    const runtime::BatchCost cost =
+        accelerator_.batch_cost(step.passes, step.warm_passes, step_tokens);
+    step.latency = cost.latency;
+    step.busy = cost.busy;
+    const double step_end = step_start + step.latency;
     ++report.steps;
+
+    // Bill the step to its tenants, weighted by tokens decoded (one per
+    // live request); KV row-seconds by each request's own cache occupancy.
+    {
+      TenantShares shares;
+      for (const Slot& slot : active) ++shares[requests[slot.req].tenant];
+      billing.charge(shares, &TenantCost::tokens, step, nullptr, model_name);
+      for (const Slot& slot : active) {
+        billing.row(requests[slot.req].tenant).kv_row_seconds +=
+            static_cast<double>(slot.cache.rows()) * step.latency;
+      }
+    }
 
     const std::size_t kv_rows_now = kv_rows_active();
     report.kv_peak_rows = std::max(report.kv_peak_rows, kv_rows_now);
@@ -233,45 +215,18 @@ TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
       tracer_->instant(telemetry::track::kServe, "token_step", "serve",
                        step_start,
                        {{"batch", step_tokens},
-                        {"passes", weight_passes + attention_passes},
-                        {"warm_passes", warm},
+                        {"passes", step.passes},
+                        {"warm_passes", step.warm_passes},
                         {"kv_rows", kv_rows_now}});
       tracer_->complete(telemetry::track::kServe, "decode_step", "serve",
                         step_start, step_end,
                         {{"batch", step_tokens},
-                         {"passes", weight_passes + attention_passes},
-                         {"warm_passes", warm}});
+                         {"passes", step.passes},
+                         {"warm_passes", step.warm_passes}});
       tracer_->counter(telemetry::track::kQueue, "kv_rows", step_end,
                        static_cast<double>(kv_rows_now));
       tracer_->counter(telemetry::track::kQueue, "token_queue_depth",
                        step_end, static_cast<double>(waiting.size()));
-    }
-
-    // Attribute the step to its tenants, weighted by tokens decoded (one
-    // per live request): integers exactly, time/energy by fraction, KV
-    // row-seconds by each request's own cache occupancy.
-    {
-      TenantShares shares;
-      for (const Slot& slot : active) ++shares[requests[slot.req].tenant];
-      const auto pass_split = split_exact(weight_passes + attention_passes,
-                                          shares, step_tokens);
-      const auto warm_split = split_exact(warm, shares, step_tokens);
-      for (const auto& [tenant, count] : shares) {
-        const double fraction =
-            static_cast<double>(count) / static_cast<double>(step_tokens);
-        TenantCost& row = cost_row(tenant);
-        row.tokens += count;
-        ++row.batches;
-        row.passes += pass_split.at(tenant);
-        row.warm_passes += warm_split.at(tenant);
-        row.service_seconds += static_cast<double>(count) * cost.latency;
-        row.busy_seconds += cost.busy * fraction;
-        row.energy_joules += step_energy * fraction;
-      }
-      for (const Slot& slot : active) {
-        cost_row(requests[slot.req].tenant).kv_row_seconds +=
-            static_cast<double>(slot.cache.rows()) * cost.latency;
-      }
     }
 
     // Token bookkeeping, in admission order: requests whose prefill just
@@ -306,7 +261,7 @@ TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
         record.completion = step_end;
         totals.push_back(record.completion - record.arrival);
         first_tokens.push_back(record.first_token - record.arrival);
-        ++cost_row(request.tenant).requests;
+        ++billing.row(request.tenant).requests;
         if (tracer_ != nullptr) {
           tracer_->async_end("token_request", "request", request.id,
                              step_end);
@@ -322,22 +277,18 @@ TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
 
   report.makespan = now;
 
-  // Fleet totals are *derived* from the attribution rows, summed in
-  // sorted-tenant order — the same bit-exact conservation contract
-  // ServeReport is under.
-  report.tenant_costs.reserve(costs.size());
-  for (auto& [tenant, row] : costs) {
-    report.completed += row.requests;
-    report.tokens += row.tokens;
-    report.busy += row.busy_seconds;
-    report.energy += row.energy_joules;
-    report.passes += row.passes;
-    report.warm_passes += row.warm_passes;
-    report.kv_row_seconds += row.kv_row_seconds;
-    report.kv_evicted_rows += row.kv_evicted_rows;
-    report.preemptions += row.preemptions;
-    report.tenant_costs.push_back(std::move(row));
-  }
+  // Fleet totals are *derived* from the attribution rows — the same
+  // bit-exact conservation contract ServeReport is under.
+  const TenantCost total = billing.close(report.tenant_costs);
+  report.completed = total.requests;
+  report.tokens = total.tokens;
+  report.busy = total.busy_seconds;
+  report.energy = total.energy_joules;
+  report.passes = total.passes;
+  report.warm_passes = total.warm_passes;
+  report.kv_row_seconds = total.kv_row_seconds;
+  report.kv_evicted_rows = total.kv_evicted_rows;
+  report.preemptions = total.preemptions;
   expects(report.completed == requests.size(),
           "every token request must complete");
   expects(report.completed == report.requests.size(),

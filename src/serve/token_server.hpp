@@ -6,11 +6,10 @@
 #include <vector>
 
 #include "serve/latency_stats.hpp"
-#include "serve/model_registry.hpp"
-#include "telemetry/trace.hpp"
 
-/// Token-level serving of registered transformers: requests carry a
-/// growing sequence and a per-request KV cache, and the decode batch
+/// Token-level serving of registered transformers (Server::run's
+/// TokenRequest overload, implemented in token_server.cpp): requests carry
+/// a growing sequence and a per-request KV cache, and the decode batch
 /// re-forms every step.  Two schedulers over the same deterministic
 /// event loop:
 ///
@@ -78,7 +77,7 @@ struct TokenRequestRecord {
   double time_to_first_token() const { return first_token - arrival; }
 };
 
-/// Everything one TokenServer::run produced.
+/// Everything one token run (Server::run's TokenRequest overload) produced.
 struct TokenServeReport {
   std::vector<TokenRequestRecord> requests;  ///< in completion order
 
@@ -111,8 +110,6 @@ struct TokenServeReport {
   /// order — bit-exact conservation, same contract as ServeReport.
   std::vector<TenantCost> tenant_costs;
 
-  const TenantCost* tenant_cost(const std::string& tenant) const;
-
   /// Decoded tokens per modeled second — the serving throughput number.
   double tokens_per_second() const {
     return makespan > 0.0 ? static_cast<double>(tokens) / makespan : 0.0;
@@ -127,27 +124,6 @@ struct TokenServeReport {
                             static_cast<double>(passes)
                       : 0.0;
   }
-};
-
-class TokenServer {
- public:
-  explicit TokenServer(ModelRegistry& registry);
-
-  /// Attaches a tracer: step spans on the serve track, token_step /
-  /// kv_evicted / request_preempted instants, KV row counters.
-  void set_tracer(telemetry::Tracer* tracer);
-
-  /// Serves `requests` (sorted by arrival; all must name registered
-  /// transformers of one model) under `policy`.  Deterministic in
-  /// (requests, policy, fleet config) — byte-identical reports across host
-  /// thread counts.
-  TokenServeReport run(const std::vector<TokenRequest>& requests,
-                       const TokenPolicy& policy);
-
- private:
-  runtime::Accelerator& accelerator_;
-  ModelRegistry& registry_;
-  telemetry::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace ptc::serve

@@ -18,6 +18,7 @@
 #include "fleet/health.hpp"
 #include "nn/mlp.hpp"
 #include "runtime/accelerator.hpp"
+#include "serve/attribution.hpp"
 #include "serve/load_generator.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/server.hpp"
@@ -381,7 +382,7 @@ TEST(ServerHealth, EstimatedTriggerClosesTheLoopOracleFree) {
   EXPECT_LT(report.probe_overhead(), 0.05);
   // Probe accounting conserves through the fleet attribution row.
   const serve::TenantCost* fleet_row =
-      report.tenant_cost(serve::TenantCost::kFleetTenant);
+      serve::tenant_cost(report.tenant_costs, serve::TenantCost::kFleetTenant);
   ASSERT_NE(fleet_row, nullptr);
   EXPECT_EQ(fleet_row->probes, report.probes);
   EXPECT_EQ(fleet_row->probe_seconds, report.probe_time);

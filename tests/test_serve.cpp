@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -132,6 +133,19 @@ TEST(DynamicBatcher, DrainFlushesPartialBatches) {
 TEST(DynamicBatcher, RejectsBadPolicy) {
   EXPECT_THROW(DynamicBatcher({.max_batch = 0}), std::invalid_argument);
   EXPECT_THROW(DynamicBatcher({.max_batch = 1, .max_wait = -1.0}),
+               std::invalid_argument);
+  // A negative or NaN probe field would switch probing or the estimated
+  // trigger off without a word.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(DynamicBatcher({.max_batch = 1, .probe_period = -1e-6}),
+               std::invalid_argument);
+  EXPECT_THROW(DynamicBatcher({.max_batch = 1, .probe_period = nan}),
+               std::invalid_argument);
+  EXPECT_THROW(DynamicBatcher({.max_batch = 1, .probe_period = 1e-6,
+                               .estimated_drift_threshold = -0.1}),
+               std::invalid_argument);
+  EXPECT_THROW(DynamicBatcher({.max_batch = 1, .probe_period = 1e-6,
+                               .estimated_drift_threshold = nan}),
                std::invalid_argument);
 }
 
@@ -454,6 +468,38 @@ TEST(Server, MultiTenantRunServesEveryTenantAndSplitsStats) {
   EXPECT_EQ(report.tenant_total("bob").count, 10u);
   EXPECT_EQ(report.tenant_total("nobody").count, 0u);
   EXPECT_GT(report.tenant_total("alice").p99, 0.0);
+}
+
+TEST(Server, RejectsNonFiniteArrivalsAndBadPoliciesBeforeTheFleetMoves) {
+  Fixture f;
+  // Leave a model resident and a fault injected: a rejected run must throw
+  // before it resets either.
+  f.registry.run_batch("compact", Matrix(1, 32));
+  ASSERT_EQ(f.registry.resident_model(), "compact");
+  f.server.set_fault_schedule({{.time = 1e-9, .core = 1}});
+  f.accelerator.inject({.core = 0});
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const BatchPolicy policy{.max_batch = 4, .max_wait = 1e-9};
+  // A lone NaN arrival would trip the "ready batch must be non-empty"
+  // invariant, and a +inf one would be served with a queue wait of -inf.
+  for (const double arrival : {nan, inf}) {
+    std::vector<Request> requests = f.trace("compact", 1e9, 1);
+    requests.front().arrival = arrival;
+    EXPECT_THROW(f.server.run(requests, policy), std::invalid_argument);
+  }
+  const std::vector<Request> requests = f.trace("compact", 1e9, 2);
+  for (const BatchPolicy& bad :
+       {BatchPolicy{.max_batch = 0},
+        BatchPolicy{.max_batch = 4, .probe_period = -1e-6},
+        BatchPolicy{.max_batch = 4, .probe_period = 1e-6,
+                    .estimated_drift_threshold = nan},
+        BatchPolicy{.max_batch = 4, .estimated_drift_threshold = 0.1}}) {
+    EXPECT_THROW(f.server.run(requests, bad), std::invalid_argument);
+  }
+  EXPECT_EQ(f.registry.resident_model(), "compact");
+  EXPECT_EQ(f.accelerator.faults_injected(), 1u);
 }
 
 TEST(LatencyStatsSummary, EmptySampleYieldsZeros) {

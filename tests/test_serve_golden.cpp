@@ -27,7 +27,6 @@
 #include "serve/load_generator.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/server.hpp"
-#include "serve/token_server.hpp"
 
 namespace {
 
@@ -223,7 +222,7 @@ TokenServeReport run_token_scenario() {
     requests.push_back(std::move(request));
   }
 
-  TokenServer server(registry);
+  Server server(registry);
   TokenPolicy policy;
   policy.schedule = TokenPolicy::Schedule::kContinuous;
   policy.max_batch = 8;

@@ -1,12 +1,12 @@
 // Telemetry subsystem tests: histogram bucket semantics, metrics
-// exposition, span-trace determinism and linting, the golden Chrome trace
-// of a small multi-tenant serve run, the zero-allocation no-op tracing
-// path, and the BENCH_*.json comparison gate.
+// exposition, span-trace determinism and linting, the golden Chrome traces
+// of a small multi-tenant serve run and a small token run, the
+// zero-allocation no-op tracing path, and the BENCH_*.json comparison gate.
 //
 // Golden-trace update workflow: when a deliberate serving/trace change
-// moves the committed trace, this test writes the observed JSON next to
-// the golden file as serve_trace.actual.json — review the diff in
-// Perfetto, then copy it over tests/golden/serve_trace.json.
+// moves a committed trace, its test writes the observed JSON next to the
+// golden file as <golden>.actual — review the diff in Perfetto, then copy
+// it over the golden file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,7 +28,6 @@
 #include "serve/load_generator.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/server.hpp"
-#include "serve/token_server.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -104,9 +103,44 @@ ServeReport traced_run(telemetry::Tracer* tracer,
   return report;
 }
 
-std::string golden_trace_path() {
-  const std::string self = __FILE__;
-  return self.substr(0, self.find_last_of('/')) + "/golden/serve_trace.json";
+/// Token run on a 2-core fleet: a one-layer transformer, three requests
+/// from two tenants, and a KV budget tight enough to preempt one — small
+/// enough to pin as a golden trace, and it emits every token event kind
+/// (request lifecycles, token_step / decode_step, request_preempted /
+/// kv_evicted, and the kv_rows / token_queue_depth counters).
+TokenServeReport token_traced_run(telemetry::Tracer* tracer) {
+  runtime::AcceleratorConfig config;
+  config.cores = 2;
+  runtime::Accelerator accelerator(config);
+  ModelRegistry registry(accelerator);
+  nn::TransformerConfig tf_config;
+  tf_config.vocab = 16;
+  tf_config.d_model = 8;
+  tf_config.heads = 2;
+  tf_config.layers = 1;
+  tf_config.d_ff = 12;
+  tf_config.max_seq = 16;
+  Rng rng(71);
+  registry.add_transformer("tf",
+                           nn::TransformerModel::random(tf_config, rng));
+  std::vector<TokenRequest> requests;
+  for (std::size_t i = 0; i < 3; ++i) {
+    TokenRequest request;
+    request.id = i;
+    request.tenant = i == 1 ? "globex" : "acme";
+    request.model = "tf";
+    request.arrival = static_cast<double>(i) * 1e-9;
+    request.prompt = {1 + i, 2 + i};
+    request.max_new = 2;
+    requests.push_back(std::move(request));
+  }
+  Server server(registry);
+  server.set_tracer(tracer);
+  TokenPolicy policy;
+  policy.schedule = TokenPolicy::Schedule::kContinuous;
+  policy.max_batch = 4;
+  policy.kv_budget_rows = 5;
+  return server.run(requests, policy);
 }
 
 std::string read_file(const std::string& path) {
@@ -114,6 +148,21 @@ std::string read_file(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// Compares a trace byte for byte with tests/golden/<name>; on a mismatch
+/// writes the observed trace next to it as <name>.actual for diffing.
+void expect_matches_golden_trace(const std::string& actual,
+                                 const std::string& name) {
+  const std::string self = __FILE__;
+  const std::string path =
+      self.substr(0, self.find_last_of('/')) + "/golden/" + name;
+  if (actual == read_file(path)) return;
+  std::ofstream(path + ".actual") << actual;
+  ADD_FAILURE() << "trace diverged from tests/golden/" << name << "; wrote "
+                << path << ".actual — review the diff (ui.perfetto.dev "
+                << "renders both), then copy it over the golden file if the "
+                << "change is intended";
 }
 
 // --- histogram --------------------------------------------------------------
@@ -607,49 +656,12 @@ TEST(Trace, LintEnforcesTokenServingInstantArgSchemas) {
   EXPECT_TRUE(telemetry::lint_chrome_trace(conforming).empty());
 }
 
-TEST(Trace, TokenServerRunEmitsLintCleanTokenInstants) {
+TEST(Trace, TokenRunEmitsLintCleanTokenInstants) {
   // An end-to-end token-serving run under a tight KV budget emits
   // token_step / request_preempted / kv_evicted instants that pass the
   // linter's arg schemas.
-  runtime::AcceleratorConfig config;
-  config.cores = 4;
-  config.variation.seed = 7;
-  runtime::Accelerator accelerator(config);
-  serve::ModelRegistry registry(accelerator);
-  nn::TransformerConfig tf_config;
-  tf_config.vocab = 16;
-  tf_config.d_model = 8;
-  tf_config.heads = 2;
-  tf_config.layers = 2;
-  tf_config.d_ff = 12;
-  tf_config.max_seq = 24;
-  Rng rng(71);
-  registry.add_transformer("tf",
-                           nn::TransformerModel::random(tf_config, rng));
-
-  std::vector<serve::TokenRequest> requests;
-  Rng load(72);
-  for (std::size_t i = 0; i < 6; ++i) {
-    serve::TokenRequest request;
-    request.id = i;
-    request.tenant = i % 2 == 0 ? "acme" : "globex";
-    request.model = "tf";
-    request.arrival = static_cast<double>(i) * 1e-9;
-    const std::size_t prompt_len = 1 + load.below(4);
-    for (std::size_t t = 0; t < prompt_len; ++t) {
-      request.prompt.push_back(load.below(tf_config.vocab));
-    }
-    request.max_new = 3 + load.below(6);
-    requests.push_back(std::move(request));
-  }
-
-  serve::TokenServer server(registry);
   telemetry::Tracer tracer;
-  server.set_tracer(&tracer);
-  serve::TokenPolicy policy;
-  policy.schedule = serve::TokenPolicy::Schedule::kContinuous;
-  policy.kv_budget_rows = 8 * tf_config.layers;
-  const serve::TokenServeReport report = server.run(requests, policy);
+  const TokenServeReport report = token_traced_run(&tracer);
   ASSERT_GT(report.preemptions, 0u);
 
   std::size_t token_steps = 0;
@@ -728,17 +740,13 @@ TEST(Trace, BitIdenticalAcrossHostThreadCounts) {
 TEST(Trace, MatchesCommittedGoldenChromeTrace) {
   telemetry::Tracer tracer;
   traced_run(&tracer, nullptr);
-  const std::string actual = tracer.chrome_json();
-  const std::string golden = read_file(golden_trace_path());
-  if (actual != golden) {
-    const std::string actual_path =
-        golden_trace_path() + ".actual";  // next to the golden, for diffing
-    std::ofstream(actual_path) << actual;
-    FAIL() << "trace diverged from tests/golden/serve_trace.json; wrote "
-           << actual_path
-           << " — review the diff (ui.perfetto.dev renders both), then copy "
-              "it over the golden file if the change is intended";
-  }
+  expect_matches_golden_trace(tracer.chrome_json(), "serve_trace.json");
+}
+
+TEST(Trace, TokenRunMatchesCommittedGoldenChromeTrace) {
+  telemetry::Tracer tracer;
+  token_traced_run(&tracer);
+  expect_matches_golden_trace(tracer.chrome_json(), "token_trace.json");
 }
 
 TEST(Trace, UnattachedEmissionSitesDoNotAllocate) {
@@ -787,44 +795,6 @@ TEST(Trace, ChromeJsonCarriesMetadataAndMicroseconds) {
 }
 
 // --- serve integration ------------------------------------------------------
-
-TEST(Serve, KeepRecordsFalseDropsTracesButKeepsSummaries) {
-  telemetry::Tracer tracer;
-  const ServeReport full = traced_run(&tracer, nullptr);
-
-  // Re-run the identical scenario without record retention.
-  runtime::AcceleratorConfig config;
-  config.cores = 2;
-  config.variation.seed = 7;
-  config.drift.sigma = 0.5;
-  config.drift.tau = 1e-6;
-  runtime::Accelerator accelerator(config);
-  ModelRegistry registry(accelerator);
-  Rng rng(5);
-  registry.add("small", nn::Mlp(8, 6, 4, rng));
-  registry.add("wide", nn::Mlp(16, 12, 4, rng));
-  Server server(registry);
-  const LoadGenerator generator(
-      {{.name = "alpha", .model = "small", .rate = 400e6, .requests = 6},
-       {.name = "beta", .model = "wide", .rate = 150e6, .requests = 4}},
-      99);
-  const BatchPolicy policy{.max_batch = 4, .max_wait = 10e-9,
-                           .recalibration_period = 10e-9};
-  const ServeReport lean = server.run(generator.generate(registry), policy,
-                                      {.keep_records = false});
-
-  EXPECT_TRUE(lean.requests.empty());
-  EXPECT_TRUE(lean.batches.empty());
-  EXPECT_EQ(lean.completed, full.completed);
-  EXPECT_EQ(lean.dispatched_batches, full.dispatched_batches);
-  EXPECT_DOUBLE_EQ(lean.makespan, full.makespan);
-  EXPECT_DOUBLE_EQ(lean.total.p99, full.total.p99);
-  EXPECT_DOUBLE_EQ(lean.total.mean, full.total.mean);
-  EXPECT_EQ(lean.total.count, full.total.count);
-  EXPECT_DOUBLE_EQ(lean.throughput(), full.throughput());
-  EXPECT_DOUBLE_EQ(lean.mean_batch(), full.mean_batch());
-  EXPECT_EQ(lean.reference_matches, full.reference_matches);
-}
 
 TEST(Serve, MetricsRegistryCarriesFleetAndServeTallies) {
   telemetry::MetricsRegistry metrics;

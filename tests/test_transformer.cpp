@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,7 +27,7 @@
 #include "runtime/accelerator.hpp"
 #include "runtime/backend.hpp"
 #include "serve/model_registry.hpp"
-#include "serve/token_server.hpp"
+#include "serve/server.hpp"
 
 namespace {
 
@@ -318,7 +320,7 @@ TEST(TokenServing, ContinuousBatchingIsBitIdenticalToSequentialDecoding) {
   runtime::Accelerator accelerator({.cores = 32});
   serve::ModelRegistry registry(accelerator);
   registry.add_transformer("tf", model);
-  serve::TokenServer server(registry);
+  serve::Server server(registry);
   const serve::TokenServeReport report =
       server.run(requests, {.schedule =
                                 serve::TokenPolicy::Schedule::kContinuous,
@@ -355,7 +357,7 @@ TEST(TokenServing, ReportIsByteStableAcrossHostThreadCounts) {
     runtime::Accelerator accelerator({.cores = 4, .threads = threads[i]});
     serve::ModelRegistry registry(accelerator);
     registry.add_transformer("tf", model);
-    serve::TokenServer server(registry);
+    serve::Server server(registry);
     const auto report = server.run(
         requests,
         {.schedule = serve::TokenPolicy::Schedule::kContinuous,
@@ -381,7 +383,7 @@ TEST(TokenServing, StaticScheduleHoldsSlotsUntilTheBatchDrains) {
   runtime::Accelerator accelerator({.cores = 4});
   serve::ModelRegistry registry(accelerator);
   registry.add_transformer("tf", model);
-  serve::TokenServer server(registry);
+  serve::Server server(registry);
   const auto report = server.run(
       requests, {.schedule = serve::TokenPolicy::Schedule::kStatic,
                  .max_batch = 3});
@@ -403,7 +405,7 @@ TEST(TokenServing, KvBudgetPreemptsYoungestAndOutputsStayBitIdentical) {
   runtime::Accelerator accelerator({.cores = 4});
   serve::ModelRegistry registry(accelerator);
   registry.add_transformer("tf", model);
-  serve::TokenServer server(registry);
+  serve::Server server(registry);
   // Budget fits ~2 requests' worth of modest contexts: the third admission
   // forces growth past the line and the youngest request loses its cache.
   const auto report = server.run(
@@ -420,7 +422,7 @@ TEST(TokenServing, KvBudgetPreemptsYoungestAndOutputsStayBitIdentical) {
     runtime::Accelerator free_accelerator({.cores = 4});
     serve::ModelRegistry free_registry(free_accelerator);
     free_registry.add_transformer("tf", model);
-    serve::TokenServer free_server(free_registry);
+    serve::Server free_server(free_registry);
     const auto unbudgeted = free_server.run(
         requests, {.schedule = serve::TokenPolicy::Schedule::kContinuous,
                    .max_batch = 3});
@@ -444,6 +446,25 @@ TEST(TokenServing, KvBudgetPreemptsYoungestAndOutputsStayBitIdentical) {
   for (const auto& record : report.requests)
     lower_bound += record.tokens.size() - 1;
   EXPECT_GT(billed, lower_bound);
+}
+
+TEST(TokenServing, RejectsNonFiniteArrivals) {
+  const TransformerModel model = serving_model();
+  runtime::Accelerator accelerator({.cores = 4});
+  serve::ModelRegistry registry(accelerator);
+  registry.add_transformer("tf", model);
+  serve::Server server(registry);
+  // A lone NaN arrival would spin the idle loop forever: max(now, NaN)
+  // never moves the clock to it.
+  for (const double arrival : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    std::vector<serve::TokenRequest> requests =
+        serving_requests(model.config());
+    requests.resize(1);
+    requests.front().arrival = arrival;
+    EXPECT_THROW(server.run(requests, serve::TokenPolicy{}),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Transformer, DecodeRejectsBadTokensAndOverflowingContext) {
