@@ -109,8 +109,14 @@ Row run_config(std::size_t cores, std::size_t batch, bool quantize,
 }
 
 std::string row_suffix(const Row& row) {
-  return "c" + std::to_string(row.cores) + "_b" + std::to_string(row.batch) +
-         (row.quantize ? "" : "_analog");
+  // Built by appends: the equivalent operator+ chain trips GCC 12's
+  // -Wrestrict.
+  std::string suffix = "c";
+  suffix += std::to_string(row.cores);
+  suffix += "_b";
+  suffix += std::to_string(row.batch);
+  if (!row.quantize) suffix += "_analog";
+  return suffix;
 }
 
 /// One traced dispatch at the acceptance point: the per-core pass/reload

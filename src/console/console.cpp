@@ -374,22 +374,18 @@ std::string Console::cmd_core_health(std::size_t core) {
   }
   const fleet::DriftEstimator& estimator = health->estimator(core);
   const fleet::AnomalyDetector& detector = health->detector(core);
-  telemetry::TimeSeriesStore& store = health->store();
-  // Last raw reading of one of this core's sensor channels (0 before the
-  // first sweep — the channels appear on the first sample()).
-  const auto last = [&](const char* sensor) {
-    const std::string name = "core" + count(core) + "/" + sensor;
-    return store.contains(name) ? store.channel(name).last_value() : 0.0;
-  };
+  // The last sweep's readings (all 0 before the first sweep).
+  const fleet::SensorReading& reading = health->reading(core);
   std::ostringstream out;
   out << "core=" << count(core) << " estimate_K=" << num(estimator.estimate())
       << " raw_K=" << num(estimator.raw())
       << " slope_K_per_s=" << num(estimator.slope())
-      << " probe_transmission=" << num(last("probe_transmission"))
-      << " heater_duty=" << num(last("heater_duty"))
+      << " probe_transmission=" << num(reading.probe_transmission)
+      << " heater_duty=" << num(reading.heater_duty)
       << " epoch=" << count(accelerator_.core(core).calibration_epoch())
-      << " psram_bit_flips=" << num(last("psram_bit_flips"))
-      << " adc_saturation_rate=" << num(last("adc_saturation_rate"))
+      << " psram_bit_flips="
+      << num(static_cast<double>(reading.psram_bit_flips))
+      << " adc_saturation_rate=" << num(reading.adc_saturation_rate)
       << " anomalous=" << (detector.anomalous() ? 1 : 0)
       << " score=" << num(detector.score())
       << " samples=" << count(health->samples_taken());

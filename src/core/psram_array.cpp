@@ -107,14 +107,6 @@ double PsramArray::hold_wall_power() const {
          config_.wall_plug_efficiency;
 }
 
-std::uint64_t PsramArray::max_cell_flips() const {
-  std::uint32_t worst = 0;
-  for (const std::uint32_t flips : cell_flips_) {
-    if (flips > worst) worst = flips;
-  }
-  return worst;
-}
-
 double PsramArray::word_write_time() const {
   return static_cast<double>(config_.bits_per_word) / config_.write_rate;
 }

@@ -88,9 +88,6 @@ class PsramArray {
   /// Bitcell switching events since construction — the wear quantity an
   /// endurance budget is written against.
   std::uint64_t bit_flips() const { return bit_flips_; }
-  /// Switching events of the most-worn bitcell — the wear-leveling view an
-  /// endurance monitor alarms on.
-  std::uint64_t max_cell_flips() const;
 
   // --- endurance hard faults -------------------------------------------------
   bool endurance_enabled() const { return !cell_limits_.empty(); }

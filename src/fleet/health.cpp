@@ -201,22 +201,44 @@ bool AnomalyDetector::observe(double /*t*/, double v) {
   return detect;
 }
 
-FleetHealthMonitor::FleetHealthMonitor(runtime::Accelerator& accelerator,
-                                       const HealthConfig& config)
-    : accelerator_(accelerator), config_(config), store_(config.series) {
-  expects(config_.probe_samples >= 1,
-          "a probe sweep must burn at least one ADC window");
+namespace {
+
+/// Characterization sweep range [K] and points per signed branch.
+constexpr double kCurveMaxKelvin = 4.0;
+constexpr std::size_t kCurvePoints = 33;
+
+/// Change detection on each core's pSRAM endurance-remaining reading —
+/// CUSUM, because wear is a slow monotone ramp whose *rate change* (a cell
+/// population starting to fail) is the anomaly, not any single reading.
+/// Probe-transmission detection runs the default z-score AnomalyConfig.
+constexpr AnomalyConfig kEnduranceAnomaly{
+    .kind = AnomalyConfig::Kind::kCusum,
+    .window = 16,
+    .min_samples = 8,
+    .threshold = 8.0,
+    .slack = 0.5,
+    .min_sigma = 1e-12,
+};
+
+/// Hard floor on endurance remaining: crossing below it fires a
+/// `coreN-endurance` alert (rising edge) regardless of the detector — the
+/// end-of-life warning the operator acts on.
+constexpr double kEnduranceFloor = 0.1;
+
+}  // namespace
+
+FleetHealthMonitor::FleetHealthMonitor(runtime::Accelerator& accelerator)
+    : accelerator_(accelerator) {
   estimators_.reserve(accelerator_.core_count());
-  detectors_.reserve(accelerator_.core_count());
-  endurance_detectors_.reserve(accelerator_.core_count());
   for (std::size_t i = 0; i < accelerator_.core_count(); ++i) {
     estimators_.push_back(DriftEstimator::characterize(
-        accelerator_.core(i), config_.curve_max_kelvin, config_.curve_points,
-        config_.estimator));
-    detectors_.emplace_back(config_.anomaly);
-    endurance_detectors_.emplace_back(config_.endurance);
+        accelerator_.core(i), kCurveMaxKelvin, kCurvePoints));
   }
+  detectors_.resize(accelerator_.core_count());
+  endurance_detectors_.assign(accelerator_.core_count(),
+                              AnomalyDetector(kEnduranceAnomaly));
   endurance_floor_fired_.assign(accelerator_.core_count(), 0);
+  readings_.resize(accelerator_.core_count());
 }
 
 void FleetHealthMonitor::set_metrics(telemetry::MetricsRegistry* metrics) {
@@ -232,17 +254,12 @@ void FleetHealthMonitor::reset() {
   for (AnomalyDetector& detector : detectors_) detector.reset();
   for (AnomalyDetector& detector : endurance_detectors_) detector.reset();
   endurance_floor_fired_.assign(endurance_floor_fired_.size(), 0);
-  store_.clear();
+  readings_.assign(readings_.size(), SensorReading{});
   alerts_.clear();
   alerts_since_recalibration_ = 0;
   endurance_alarms_ = 0;
   samples_taken_ = 0;
   last_sample_time_ = 0.0;
-}
-
-std::string FleetHealthMonitor::channel_name(std::size_t core,
-                                             const char* sensor) const {
-  return "core" + std::to_string(core) + "/" + sensor;
 }
 
 void FleetHealthMonitor::sample(double t) {
@@ -278,8 +295,9 @@ void FleetHealthMonitor::sample(double t) {
   };
   for (std::size_t i = 0; i < estimators_.size(); ++i) {
     // An evicted core is out of the serving rotation: the sweep does not
-    // probe it, and (below) its stale estimate cannot drive fleet-wide
-    // recalibration.  Readmission resumes sampling where it left off.
+    // probe it (its reading stays as it was), and its stale estimate cannot
+    // drive fleet-wide recalibration.  Readmission resumes sampling where
+    // it left off.
     if (accelerator_.core_evicted(i)) continue;
     core::TensorCore& core = accelerator_.core(i);
     const double ratio = core.probe_transmission();
@@ -291,20 +309,10 @@ void FleetHealthMonitor::sample(double t) {
     const double duty =
         std::min(1.0, heater_.heater_power_per_kelvin * kelvin /
                           heater_.max_heater_power);
-    const double saturation = core.adc_saturation_rate();
-
-    store_.channel(channel_name(i, "probe_transmission")).append(t, ratio);
-    store_.channel(channel_name(i, "detuning_estimate_kelvin"))
-        .append(t, kelvin);
-    store_.channel(channel_name(i, "heater_duty")).append(t, duty);
-    store_.channel(channel_name(i, "calibration_epoch"))
-        .append(t, static_cast<double>(core.calibration_epoch()));
-    store_.channel(channel_name(i, "psram_bit_flips"))
-        .append(t, static_cast<double>(core.psram().bit_flips()));
-    store_.channel(channel_name(i, "psram_max_cell_flips"))
-        .append(t, static_cast<double>(core.psram().max_cell_flips()));
-    store_.channel(channel_name(i, "adc_saturation_rate"))
-        .append(t, saturation);
+    readings_[i] = {.probe_transmission = ratio,
+                    .heater_duty = duty,
+                    .psram_bit_flips = core.psram().bit_flips(),
+                    .adc_saturation_rate = core.adc_saturation_rate()};
 
     if (metrics_ != nullptr) {
       const telemetry::LabelSet labels = {{"core", std::to_string(i)}};
@@ -332,11 +340,9 @@ void FleetHealthMonitor::sample(double t) {
     // pSRAM endurance: only meaningful on fleets that model wear-out
     // (core::FaultConfig::psram_endurance_median > 0).  The remaining
     // budget is a measurable — the controller counts its own writes
-    // against the rated endurance — so the channel stays oracle-free.
+    // against the rated endurance — so the reading stays oracle-free.
     if (core.psram().endurance_enabled()) {
       const double remaining = core.psram().endurance_remaining();
-      store_.channel(channel_name(i, "endurance_remaining"))
-          .append(t, remaining);
       if (metrics_ != nullptr) {
         metrics_
             ->gauge("fleet_core_endurance_remaining",
@@ -347,7 +353,7 @@ void FleetHealthMonitor::sample(double t) {
       AnomalyDetector& wear = endurance_detectors_[i];
       const bool rate_change = wear.observe(t, remaining);
       const bool floor_crossed =
-          remaining < config_.endurance_floor && endurance_floor_fired_[i] == 0;
+          remaining < kEnduranceFloor && endurance_floor_fired_[i] == 0;
       if (floor_crossed) endurance_floor_fired_[i] = 1;
       if (rate_change || floor_crossed) {
         ++endurance_alarms_;
@@ -375,6 +381,11 @@ const DriftEstimator& FleetHealthMonitor::estimator(std::size_t core) const {
 const AnomalyDetector& FleetHealthMonitor::detector(std::size_t core) const {
   expects(core < detectors_.size(), "core index out of range");
   return detectors_[core];
+}
+
+const SensorReading& FleetHealthMonitor::reading(std::size_t core) const {
+  expects(core < readings_.size(), "core index out of range");
+  return readings_[core];
 }
 
 double FleetHealthMonitor::estimate(std::size_t core) const {

@@ -10,7 +10,6 @@
 #include "optics/thermal.hpp"
 #include "runtime/accelerator.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/timeseries.hpp"
 #include "telemetry/trace.hpp"
 
 /// Fleet health monitoring: per-core sensor channels sampled on modeled
@@ -162,45 +161,29 @@ struct HealthAlert {
   double score = 0.0;    ///< detector statistic [sigmas]
 };
 
-struct HealthConfig {
-  /// ADC sample windows each core's probe burns per sensor sweep — the
-  /// probe-cost knob (runtime::Accelerator::probe_cost).
-  std::size_t probe_samples = 4;
-  /// Characterization sweep range [K] and points per signed branch.
-  double curve_max_kelvin = 4.0;
-  std::size_t curve_points = 33;
-  DriftEstimatorConfig estimator{};
-  /// Change detection on each core's probe-transmission channel.
-  AnomalyConfig anomaly{};
-  /// Change detection on each core's pSRAM endurance-remaining channel —
-  /// CUSUM by default, because wear is a slow monotone ramp whose *rate
-  /// change* (a cell population starting to fail) is the anomaly, not any
-  /// single reading.  Only sampled on fleets that model endurance
-  /// (core::FaultConfig::psram_endurance_median > 0).
-  AnomalyConfig endurance{
-      .kind = AnomalyConfig::Kind::kCusum,
-      .window = 16,
-      .min_samples = 8,
-      .threshold = 8.0,
-      .slack = 0.5,
-      .min_sigma = 1e-12,
-  };
-  /// Hard floor on endurance remaining: crossing below it fires a
-  /// `coreN-endurance` alert (rising edge) regardless of the detector —
-  /// the end-of-life warning the operator acts on.
-  double endurance_floor = 0.1;
-  /// Ring geometry for every sensor channel.
-  telemetry::TimeSeriesOptions series{};
+/// One core's readings from the last sensor sweep that probed it — what
+/// FLEET:CORE<n>:HEALth? prints.  All zero before the first sweep and
+/// after reset(); left as they were while the core is evicted.
+struct SensorReading {
+  double probe_transmission = 0.0;  ///< pilot-tone probe ratio
+  double heater_duty = 0.0;  ///< re-lock servo duty for the estimate, [0, 1]
+  std::uint64_t psram_bit_flips = 0;  ///< cumulative pSRAM bit flips
+  double adc_saturation_rate = 0.0;
 };
 
-/// Owns the per-core sensor channels, estimators, and detectors; the
+/// Owns the per-core sensor readings, estimators, and detectors; the
 /// Server samples it at the policy's probe cadence and consults
 /// max_estimate() for the oracle-free recalibration trigger.  The operator
 /// console answers FLEET:CORE<n>:HEALth? / HEALth:ALERts? from it.
 class FleetHealthMonitor {
  public:
-  FleetHealthMonitor(runtime::Accelerator& accelerator,
-                     const HealthConfig& config = {});
+  /// ADC sample windows each core's probe burns per sensor sweep — what
+  /// the serving loop bills through runtime::Accelerator::probe_cost.
+  static constexpr std::size_t kProbeSamples = 4;
+
+  /// Characterizes every core's probe response curve (a device property,
+  /// kept across reset()).
+  explicit FleetHealthMonitor(runtime::Accelerator& accelerator);
 
   /// Telemetry sinks (nullptr detaches).  While attached, every sample
   /// publishes fleet_core_detuning_estimate{core} /
@@ -210,14 +193,15 @@ class FleetHealthMonitor {
   void set_metrics(telemetry::MetricsRegistry* metrics);
   void set_tracer(telemetry::Tracer* tracer);
 
-  /// Forgets run state: estimators, detectors, series, alerts.  The
+  /// Forgets run state: estimators, detectors, readings, alerts.  The
   /// characterization curves persist — they are device properties.
   void reset();
 
-  /// One sensor sweep across the fleet at modeled time `t`: reads each
-  /// core's probe transmission, epoch, pSRAM endurance counters, and ADC
-  /// saturation rate into the time-series store, updates the estimators
-  /// and detectors, and publishes to the attached sinks.  Reads sensors
+  /// One sensor sweep across the fleet at modeled time `t`: takes each
+  /// in-rotation core's reading (probe transmission, heater duty, pSRAM
+  /// bit flips, ADC saturation rate), updates its estimator and detectors
+  /// (the endurance detector from pSRAM endurance remaining, on fleets
+  /// that model wear), and publishes to the attached sinks.  Reads sensors
   /// only — never the oracle detuning.
   void sample(double t);
 
@@ -228,6 +212,7 @@ class FleetHealthMonitor {
   std::size_t core_count() const { return estimators_.size(); }
   const DriftEstimator& estimator(std::size_t core) const;
   const AnomalyDetector& detector(std::size_t core) const;
+  const SensorReading& reading(std::size_t core) const;
 
   /// EWMA |detuning| estimate for one core / the worst across the fleet
   /// [K] — the Server's estimated_drift_threshold trigger input.  The max
@@ -252,27 +237,19 @@ class FleetHealthMonitor {
     return alerts_since_recalibration_;
   }
 
-  const telemetry::TimeSeriesStore& store() const { return store_; }
-  telemetry::TimeSeriesStore& store() { return store_; }
-
-  const HealthConfig& config() const { return config_; }
-
  private:
-  std::string channel_name(std::size_t core, const char* sensor) const;
-
   runtime::Accelerator& accelerator_;
-  HealthConfig config_;
   std::vector<DriftEstimator> estimators_;
   std::vector<AnomalyDetector> detectors_;
   std::vector<AnomalyDetector> endurance_detectors_;
   std::vector<std::uint8_t> endurance_floor_fired_;  ///< rising-edge latch
-  telemetry::TimeSeriesStore store_;
+  std::vector<SensorReading> readings_;
   std::vector<HealthAlert> alerts_;
   std::uint64_t alerts_since_recalibration_ = 0;
   std::uint64_t endurance_alarms_ = 0;
   std::uint64_t samples_taken_ = 0;
   double last_sample_time_ = 0.0;
-  optics::ThermalTunerConfig heater_;  ///< duty model for the heater channel
+  optics::ThermalTunerConfig heater_;  ///< duty model for heater_duty
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::Tracer* tracer_ = nullptr;
 };

@@ -8,6 +8,32 @@
 #include "nn/tiling.hpp"
 
 namespace ptc::runtime {
+namespace {
+
+/// Root of every core's OU drift stream (split per core).
+constexpr std::uint64_t kDriftSeed = 77;
+
+/// Fault-triggered built-in self-test: seeded probe vectors streamed
+/// through one core and judged against the digital reference (see
+/// core::TensorCore::self_test).  The BIST runs at the calibration lock
+/// point (detuning pulled to 0 for the test, restored after), so thermal
+/// drift cannot masquerade as a hard fault — a heater that cannot be
+/// pulled to the lock point is caught by the heater_locked flag instead.
+/// The thresholds classify core health: a core FAILS on gross analog
+/// corruption, a stuck ADC ladder, or a heater that cannot re-lock; it is
+/// DEGRADED on elevated-but-servable error, worn pSRAM cells, or a thin
+/// endurance margin.  The error bars sit well above the healthy variation
+/// fleet's locked deviation (~0.003) and below a 24-ring dead cluster's
+/// (~0.02-0.05).
+constexpr std::size_t kSelfTestSamples = 8;
+constexpr std::uint64_t kSelfTestSeed = 2026;
+constexpr double kDegradedError = 0.008;  ///< max row |analog - reference| bar
+constexpr double kFailError = 0.015;
+/// DEGRADED when the most-worn pSRAM cell's remaining endurance fraction
+/// drops below this.
+constexpr double kDegradedEndurance = 0.1;
+
+}  // namespace
 
 Accelerator::Accelerator(const AcceleratorConfig& config)
     : config_(config),
@@ -17,19 +43,12 @@ Accelerator::Accelerator(const AcceleratorConfig& config)
 
   expects(config_.drift.sigma >= 0.0, "drift sigma must be >= 0");
   expects(config_.drift.tau > 0.0, "drift tau must be positive");
-  expects(config_.drift.recalibration_samples >= 1,
-          "recalibration must stream at least one probe vector");
 
-  Rng variation(config_.variation_seed);
   const core::VariationModel fleet_variation(config_.variation);
   const Rng fault_streams(config_.fault.seed);
   cores_.reserve(config_.cores);
   for (std::size_t i = 0; i < config_.cores; ++i) {
     core::TensorCoreConfig core_config = config_.core;
-    if (config_.variation_seed != 0) {
-      // Independent, reproducible per-die variation stream (see rng.hpp).
-      core_config.adc.mismatch_seed = variation.split(i).next_u64();
-    }
     if (fleet_variation.enabled()) {
       // Full per-die device variation: every core is a distinct die drawn
       // from an independent child stream of the fleet seed.
@@ -165,7 +184,7 @@ void Accelerator::reset_drift() {
   clock_ = 0.0;
   recalibrations_ = 0;
   if (!drift_enabled()) return;
-  const Rng streams(config_.drift.seed);
+  const Rng streams(kDriftSeed);
   drift_.reserve(cores_.size());
   drift_rng_.reserve(cores_.size());
   for (std::size_t i = 0; i < cores_.size(); ++i) {
@@ -237,7 +256,7 @@ BatchCost Accelerator::recalibrate() {
   telemetry::Tracer* tracer = tracer_;
   tracer_ = nullptr;
   const BatchCost downtime =
-      batch_cost(relock.size(), 0, config_.drift.recalibration_samples);
+      batch_cost(relock.size(), 0, kRecalibrationSamples);
   tracer_ = tracer;
   if (tracer_ != nullptr) {
     const double start = trace_time_;
@@ -245,7 +264,7 @@ BatchCost Accelerator::recalibrate() {
       tracer_->complete(
           telemetry::track::kCoreBase + static_cast<int>(i), "recalibrate",
           "fleet", start, start + downtime.latency,
-          {{"probe_samples", config_.drift.recalibration_samples}});
+          {{"probe_samples", kRecalibrationSamples}});
     }
     trace_time_ = start + downtime.latency;
   }
@@ -441,15 +460,15 @@ CoreHealth Accelerator::run_self_test(std::size_t index) {
   const double detuning = target.thermal_detuning();
   if (detuning != 0.0) target.set_thermal_detuning(0.0);
   const core::TensorCore::SelfTestResult result =
-      target.self_test(config_.self_test.samples, config_.self_test.seed);
+      target.self_test(kSelfTestSamples, kSelfTestSeed);
   if (detuning != 0.0) target.set_thermal_detuning(detuning);
   CoreHealth health = CoreHealth::kOk;
-  if (result.max_row_error >= config_.self_test.degraded_error ||
+  if (result.max_row_error >= kDegradedError ||
       result.psram_failed_cells > 0 ||
-      result.endurance_remaining < config_.self_test.degraded_endurance) {
+      result.endurance_remaining < kDegradedEndurance) {
     health = CoreHealth::kDegraded;
   }
-  if (result.max_row_error >= config_.self_test.fail_error ||
+  if (result.max_row_error >= kFailError ||
       result.stuck_adc_rows > 0 || !result.heater_locked) {
     health = CoreHealth::kFailed;
   }
@@ -468,8 +487,7 @@ BatchCost Accelerator::self_test_cost() const {
   // The BIST streams its probe batch twice through one core: once through
   // the analog tap, once through the quantized path.
   BatchCost out;
-  out.latency =
-      2.0 * static_cast<double>(config_.self_test.samples) / sample_rate_;
+  out.latency = 2.0 * static_cast<double>(kSelfTestSamples) / sample_rate_;
   out.busy = out.latency;
   return out;
 }

@@ -29,8 +29,9 @@ namespace ptc::runtime {
 /// Slow thermal drift of the fleet's operating point, modeled per core as a
 /// mean-reverting Ornstein-Uhlenbeck detuning process (optics::ThermalDrift)
 /// on modeled serving time.  Every core drifts through an independent,
-/// reproducible child stream of `seed`, and each core's rings respond
-/// through their own (variation-spread) thermo-optic sensitivities.
+/// reproducible child stream of one fixed fleet drift seed, and each core's
+/// rings respond through their own (variation-spread) thermo-optic
+/// sensitivities.
 struct DriftConfig {
   /// Stationary detuning standard deviation [K]; 0 disables drift.
   double sigma = 0.0;
@@ -38,32 +39,6 @@ struct DriftConfig {
   /// time constants are "slow" relative to the ns-scale batch service
   /// times, so the default is ~1000 batch latencies.
   double tau = 2e-6;
-  std::uint64_t seed = 77;
-  /// Probe vectors each core streams during a recalibration — sets the
-  /// modeled downtime recalibrate() bills through batch_cost.
-  std::size_t recalibration_samples = 64;
-};
-
-/// Fault-triggered built-in self-test: seeded probe vectors streamed
-/// through one core and judged against the digital reference (see
-/// core::TensorCore::self_test).  The BIST runs at the calibration lock
-/// point (detuning pulled to 0 for the test, restored after), so thermal
-/// drift cannot masquerade as a hard fault — a heater that cannot be
-/// pulled to the lock point is caught by the heater_locked flag instead.
-/// The thresholds classify core health: a core FAILS on gross analog
-/// corruption, a stuck ADC ladder, or a heater that cannot re-lock; it is
-/// DEGRADED on elevated-but-servable error, worn pSRAM cells, or a thin
-/// endurance margin.  The error bars sit well above the healthy variation
-/// fleet's locked deviation (~0.003) and below a 24-ring dead cluster's
-/// (~0.02-0.05).
-struct SelfTestConfig {
-  std::size_t samples = 8;
-  std::uint64_t seed = 2026;
-  double degraded_error = 0.008;  ///< max row |analog - reference| bar
-  double fail_error = 0.015;
-  /// DEGRADED when the most-worn pSRAM cell's remaining endurance
-  /// fraction drops below this.
-  double degraded_endurance = 0.1;
 };
 
 struct AcceleratorConfig {
@@ -74,19 +49,14 @@ struct AcceleratorConfig {
   core::TensorCoreConfig core{};
   /// Host worker threads; 0 = one thread per core.
   std::size_t threads = 0;
-  /// When nonzero, models per-die fabrication spread: core i's eoADC ladder
-  /// mismatch is seeded from Rng(variation_seed).split(i), giving each die
-  /// an independent, reproducible variation stream.  Takes effect through
-  /// core.adc.vref_mismatch_sigma.  When zero (default) all cores are
-  /// identical devices and accelerator results are bit-identical to a
-  /// single-core nn::PhotonicBackend.
-  std::uint64_t variation_seed = 0;
-  /// Full per-die device variation (core/variation.hpp): when
-  /// variation.seed != 0 every core receives an independent child stream,
-  /// so the pool is a realistically heterogeneous fabricated fleet.  The
-  /// determinism contract still holds — results are a pure function of
-  /// (config, inputs) — but fleet results are no longer bit-identical to a
+  /// Per-die device variation (core/variation.hpp): when variation.seed
+  /// != 0 every core receives an independent child stream, so the pool is
+  /// a realistically heterogeneous fabricated fleet.  The determinism
+  /// contract still holds — results are a pure function of (config,
+  /// inputs) — but fleet results are no longer bit-identical to a
   /// single-core backend, since different cores are different devices.
+  /// When zero (default) all cores are identical devices and accelerator
+  /// results are bit-identical to a single-core nn::PhotonicBackend.
   core::VariationConfig variation{};
   /// Thermal drift of the fleet's operating point on modeled serving time.
   DriftConfig drift{};
@@ -94,8 +64,6 @@ struct AcceleratorConfig {
   /// receives an independent child stream for its pSRAM endurance sampler.
   /// Injected faults (inject()) work regardless of this seed.
   core::FaultConfig fault{};
-  /// Health classification thresholds for run_self_test().
-  SelfTestConfig self_test{};
 };
 
 /// Determinism contract: matmul results depend only on (config, inputs) —
@@ -104,6 +72,10 @@ struct AcceleratorConfig {
 /// never change a single bit of the output.
 class Accelerator {
  public:
+  /// Probe vectors each core streams during a recalibration — sets the
+  /// modeled downtime recalibrate() bills through batch_cost.
+  static constexpr std::size_t kRecalibrationSamples = 64;
+
   explicit Accelerator(const AcceleratorConfig& config = {});
 
   std::size_t core_count() const { return cores_.size(); }
@@ -163,7 +135,7 @@ class Accelerator {
   /// operating point (detuning -> 0, a new calibration epoch per core) and
   /// re-freezes the fast-path gains there.  Cores recalibrate in parallel;
   /// the returned BatchCost is the modeled fleet downtime — one probe
-  /// residency per core streaming drift.recalibration_samples vectors,
+  /// residency per core streaming kRecalibrationSamples vectors,
   /// costed through the same batch_cost model serving batches use.
   /// Resident weight tiles survive (recalibration re-freezes gains, it does
   /// not evict pSRAM state).
@@ -194,7 +166,7 @@ class Accelerator {
   /// separate step — call run_self_test() afterwards.
   void inject(const FaultEvent& event);
 
-  /// Runs the target core's BIST and classifies it against the self_test
+  /// Runs the target core's BIST and classifies it against the self-test
   /// thresholds; records and returns the new health state.  The modeled
   /// downtime is self_test_cost() — billed by the serve layer.
   CoreHealth run_self_test(std::size_t index);

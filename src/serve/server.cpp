@@ -52,9 +52,18 @@ void Server::add_slo(const SloObjective& objective) {
 }
 
 void Server::set_fault_schedule(std::vector<runtime::FaultEvent> schedule) {
-  for (std::size_t i = 0; i + 1 < schedule.size(); ++i) {
-    expects(schedule[i].time <= schedule[i + 1].time,
+  // Reject here, not mid-run: Server::run resets residency, drift and
+  // faults before it replays the first event.
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    const runtime::FaultEvent& event = schedule[i];
+    expects(std::isfinite(event.time), "fault event time must be finite");
+    expects(i == 0 || schedule[i - 1].time <= event.time,
             "fault events must be sorted by time");
+    expects(event.core < accelerator_.core_count(),
+            "fault event core out of range");
+    expects(event.kind != runtime::FaultEvent::Kind::kAdcLadder ||
+                event.row < accelerator_.core(event.core).rows(),
+            "fault event row out of range");
   }
   fault_schedule_ = std::move(schedule);
 }
@@ -75,7 +84,8 @@ ServeReport Server::run(const std::vector<Request>& requests,
   // keep up — and would starve dispatch during a drain flush.
   expects(!probing ||
               policy.probe_period >=
-                  accelerator_.probe_cost(fleet::HealthConfig{}.probe_samples)
+                  accelerator_
+                      .probe_cost(fleet::FleetHealthMonitor::kProbeSamples)
                       .latency,
           "probe_period must cover the probe sweep latency");
 
@@ -143,10 +153,8 @@ ServeReport Server::run(const std::vector<Request>& requests,
   double last_recalibration = 0.0;
   // Accuracy scoring costs one float-reference execution per batch; only
   // pay it where the comparison is non-trivial (varied or drifting fleet).
-  const runtime::AcceleratorConfig& fleet_config = accelerator_.config();
   report.accuracy_scored = accelerator_.drift_enabled() ||
-                           fleet_config.variation.seed != 0 ||
-                           fleet_config.variation_seed != 0;
+                           accelerator_.config().variation.seed != 0;
   // At most one re-lock between dispatches, so a policy whose period is
   // shorter than the recalibration downtime still makes forward progress.
   bool recalibrated_since_dispatch = false;
@@ -312,7 +320,7 @@ ServeReport Server::run(const std::vector<Request>& requests,
       note_crossings(probe_at);
       accelerator_.set_trace_time(probe_at);
       const runtime::BatchCost probe =
-          accelerator_.probe_cost(health->config().probe_samples);
+          accelerator_.probe_cost(fleet::FleetHealthMonitor::kProbeSamples);
       health->sample(probe_at);
       next_probe = probe_at + policy.probe_period;
       fleet_free = std::max(fleet_free, probe_at + probe.latency);
@@ -322,10 +330,11 @@ ServeReport Server::run(const std::vector<Request>& requests,
       ++fleet_row.probes;
       fleet_row.probe_seconds += probe.latency;
       if (tracer_ != nullptr) {
-        tracer_->complete(telemetry::track::kServe, "probe", "serve",
-                          probe_at, probe_at + probe.latency,
-                          {{"samples", health->config().probe_samples},
-                           {"estimate_kelvin", health->max_estimate()}});
+        tracer_->complete(
+            telemetry::track::kServe, "probe", "serve", probe_at,
+            probe_at + probe.latency,
+            {{"samples", fleet::FleetHealthMonitor::kProbeSamples},
+             {"estimate_kelvin", health->max_estimate()}});
       }
       if (metrics_ != nullptr) {
         metrics_->counter("serve_probes_total").inc();

@@ -60,12 +60,12 @@ class Server {
   void add_slo(const SloObjective& objective);
   const std::vector<SloMonitor>& slos() const { return slos_; }
 
-  /// The fleet health monitor (default fleet::HealthConfig), created lazily
-  /// by the first run whose policy probes (BatchPolicy::probe_period > 0)
-  /// and reused across runs (characterization curves are device
-  /// properties).  nullptr before any probing run; afterwards its
-  /// estimators / alerts / time-series store reflect the most recent run —
-  /// the operator console's HEALth source.
+  /// The fleet health monitor, created lazily by the first run whose
+  /// policy probes (BatchPolicy::probe_period > 0) and reused across runs
+  /// (characterization curves are device properties).  nullptr before any
+  /// probing run; afterwards its estimators, alerts and per-core sensor
+  /// readings reflect the most recent run's sweeps — the operator
+  /// console's HEALth source.
   fleet::FleetHealthMonitor* health() { return health_.get(); }
   const fleet::FleetHealthMonitor* health() const { return health_.get(); }
 
@@ -74,11 +74,13 @@ class Server {
   /// resets it.  Each event injects at the first instant >= its time
   /// (after the fleet frees up), triggers the self-test on the struck core,
   /// and — under an evicting policy — drops FAILED cores from the
-  /// rotation.  Events must be sorted by time.  A non-empty schedule makes
-  /// a one-shot run reset the fleet's fault state at start, so every run
-  /// replays the same schedule from a healthy fleet; an empty schedule
-  /// (the default) leaves console-injected faults in place across runs.
-  /// Persists until replaced or cleared.
+  /// rotation.  Events must be sorted by finite time and name a core of
+  /// this fleet (and, for kAdcLadder, one of its rows); a bad schedule
+  /// throws std::invalid_argument and the previous one stays attached.  A
+  /// non-empty schedule makes a one-shot run reset the fleet's fault state
+  /// at start, so every run replays the same schedule from a healthy
+  /// fleet; an empty schedule (the default) leaves console-injected faults
+  /// in place across runs.  Persists until replaced or cleared.
   void set_fault_schedule(std::vector<runtime::FaultEvent> schedule);
 
   /// Serves `requests` (finite arrivals, sorted — LoadGenerator output

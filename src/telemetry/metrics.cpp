@@ -302,9 +302,14 @@ std::string MetricsRegistry::prometheus_text() const {
         }
         out << name << "_bucket{" << prefix << "le=\"+Inf\"} " << h.count()
             << "\n";
-        const std::string selector =
-            prefix.empty() ? ""
-                           : "{" + prefix.substr(0, prefix.size() - 1) + "}";
+        // `{` + prefix without its trailing comma + `}`, built by appends:
+        // the equivalent operator+ chain trips GCC 12's -Wrestrict.
+        std::string selector;
+        if (!prefix.empty()) {
+          selector += '{';
+          selector.append(prefix, 0, prefix.size() - 1);
+          selector += '}';
+        }
         out << name << "_sum" << selector << " "
             << json::format_number(h.sum()) << "\n";
         out << name << "_count" << selector << " " << h.count() << "\n";

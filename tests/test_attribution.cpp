@@ -188,8 +188,10 @@ TEST(Attribution, MixedTenantBatchSplitsIntegersExactly) {
   for (std::size_t i = 0; i < 9; ++i) {
     Request request;
     request.id = i;
-    request.tenant = (i % 3 == 0) ? "a" : "b";  // 3 of "a", 6 of "b"
-    request.model = "m";
+    // Appends, not operator=(const char*): GCC 12 flags the latter with a
+    // false -Wrestrict positive here.
+    request.tenant += (i % 3 == 0) ? 'a' : 'b';  // 3 of "a", 6 of "b"
+    request.model += 'm';
     request.arrival = 0.0;
     request.input.assign(16, 0.5);
     requests.push_back(std::move(request));

@@ -10,6 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
+#include "common/random_matrix.hpp"
+#include "common/rng.hpp"
 #include "console/console.hpp"
 #include "console/demo.hpp"
 #include "console/scpi.hpp"
@@ -187,6 +190,39 @@ TEST(Console, RecalibrateActsOnTheLiveFleet) {
   EXPECT_EQ(reply.rfind("OK", 0), 0u) << reply;
   // A fresh re-lock pins every heater back on resonance.
   EXPECT_EQ(console.eval("FLEET:DETUN?"), "0");
+}
+
+TEST(Console, CoreHealthAnswersFromTheLastSweepNotTheLiveDevice) {
+  DemoScenario demo(1);
+  Console console = demo.make_console();
+  console.eval("SERVE:RUN?");  // the demo policy probes: the monitor sweeps
+  const fleet::SensorReading swept = demo.server().health()->reading(3);
+
+  // The device moves on after the run: detuned, and its pSRAM rewritten.
+  core::TensorCore& core = demo.accelerator().core(3);
+  core.set_thermal_detuning(core.thermal_detuning() + 0.5);
+  Rng rng(11);
+  demo.accelerator().matmul(random_activations(2, 64, rng),
+                            random_signed(64, 64, rng));
+  ASSERT_NE(core.probe_transmission(), swept.probe_transmission);
+  ASSERT_NE(core.psram().bit_flips(), swept.psram_bit_flips);
+
+  // HEALth? still prints the last sweep's readings.
+  const std::string health = console.eval("FLEET:CORE3:HEAL?");
+  const auto field = [&health](const std::string& key) {
+    const std::size_t at = health.find(" " + key + "=");
+    if (at == std::string::npos) return std::string("<missing>");
+    const std::size_t begin = at + key.size() + 2;
+    return health.substr(begin, health.find(' ', begin) - begin);
+  };
+  EXPECT_EQ(field("probe_transmission"),
+            json::format_number(swept.probe_transmission))
+      << health;
+  EXPECT_EQ(field("heater_duty"), json::format_number(swept.heater_duty))
+      << health;
+  EXPECT_EQ(field("psram_bit_flips"),
+            json::format_number(static_cast<double>(swept.psram_bit_flips)))
+      << health;
 }
 
 TEST(Console, FaultDrillInjectsEvictsClearsAndReadmits) {

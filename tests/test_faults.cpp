@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <tuple>
@@ -541,18 +542,53 @@ TEST(ServerFaults, FaultRunsAreBitIdenticalAcrossHostThreadCounts) {
   }
 }
 
-TEST(ServerFaults, ScheduleMustBeSortedByTime) {
+TEST(ServerFaults, ScheduleIsValidatedWhenSet) {
+  // A bad event must be refused at set_fault_schedule, not mid-run after
+  // the run has reset the fleet and served the batches before it.
   AcceleratorConfig config;
-  config.cores = 2;
+  config.cores = 4;  // 16-row cores
   Accelerator accelerator(config);
   serve::ModelRegistry registry(accelerator);
   Rng rng(7);
   registry.add("m", nn::Mlp(16, 8, 4, rng));
   serve::Server server(registry);
-  EXPECT_THROW(server.set_fault_schedule(
-                   {{.time = 2e-9, .core = 0},
-                    {.time = 1e-9, .core = 1}}),
-               std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<FaultEvent>> bad = {
+      {{.time = 2e-9, .core = 0}, {.time = 1e-9, .core = 1}},  // unsorted
+      {{.time = 1e-9, .core = 99}},                            // no such core
+      {{.time = 1e-9, .core = 0, .kind = FaultEvent::Kind::kAdcLadder,
+        .row = 40}},                                           // no such row
+      {{.time = nan, .core = 1}},                              // never fires
+      {{.time = inf, .core = 1}},
+      {{.time = -inf, .core = 1}},
+      {{.time = 1e-9, .core = 0}, {.time = nan, .core = 1}},
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_THROW(server.set_fault_schedule(bad[i]), std::invalid_argument)
+        << "schedule " << i;
+  }
+
+  // A refused schedule leaves the previous one attached: the empty default
+  // here, so a console-injected fault survives the next run.
+  accelerator.inject({.core = 1, .kind = FaultEvent::Kind::kStuckHeater});
+  ASSERT_EQ(accelerator.run_self_test(1), CoreHealth::kFailed);
+  const serve::LoadGenerator generator(
+      {{.name = "t", .model = "m", .rate = 100e6, .requests = 16}}, 3);
+  const serve::BatchPolicy policy{.max_batch = 4, .max_wait = 20e-9};
+  serve::ServeReport report = server.run(generator.generate(registry), policy);
+  EXPECT_EQ(report.faults, 0u);
+  EXPECT_EQ(accelerator.faults_injected(), 1u);
+  EXPECT_EQ(accelerator.core_health(1), CoreHealth::kFailed);
+
+  // ... and a valid schedule stays in force after a refused replacement.
+  server.set_fault_schedule(
+      {{.time = 1e-9, .core = 2, .kind = FaultEvent::Kind::kStuckHeater}});
+  EXPECT_THROW(server.set_fault_schedule(bad[1]), std::invalid_argument);
+  report = server.run(generator.generate(registry), policy);
+  EXPECT_EQ(report.faults, 1u);
+  EXPECT_EQ(accelerator.core_health(1), CoreHealth::kOk);  // reset at start
+  EXPECT_EQ(accelerator.core_health(2), CoreHealth::kFailed);
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ using fleet::AnomalyDetector;
 using fleet::DriftEstimator;
 using fleet::DriftEstimatorConfig;
 using fleet::FleetHealthMonitor;
-using fleet::HealthConfig;
+using fleet::SensorReading;
 
 // ---------------------------------------------------------------------------
 // DriftEstimator
@@ -192,8 +192,7 @@ TEST(FleetHealthMonitor, SamplesChannelsAndTracksTheOracleWithinTolerance) {
   runtime::AcceleratorConfig config = fleet_config(1);
   config.drift.sigma = 0.0;  // detunings set manually below
   runtime::Accelerator accelerator(config);
-  HealthConfig health_config;
-  FleetHealthMonitor monitor(accelerator, health_config);
+  FleetHealthMonitor monitor(accelerator);
   ASSERT_EQ(monitor.core_count(), 4u);
 
   const std::vector<double> detunings = {0.05, -0.2, 0.4, 0.0};
@@ -214,17 +213,18 @@ TEST(FleetHealthMonitor, SamplesChannelsAndTracksTheOracleWithinTolerance) {
   }
   EXPECT_NEAR(monitor.max_estimate(), 0.4, 0.05);
 
-  // Every sensor channel exists, per core.
-  for (const char* sensor :
-       {"probe_transmission", "detuning_estimate_kelvin", "heater_duty",
-        "calibration_epoch", "psram_bit_flips", "psram_max_cell_flips",
-        "adc_saturation_rate"}) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      const std::string name =
-          "core" + std::to_string(i) + "/" + sensor;
-      EXPECT_TRUE(monitor.store().contains(name)) << name;
-    }
+  // Every core's reading is what its sensors showed at the sweep.
+  for (std::size_t i = 0; i < 4; ++i) {
+    const core::TensorCore& core = accelerator.core(i);
+    const SensorReading& reading = monitor.reading(i);
+    EXPECT_EQ(reading.probe_transmission, core.probe_transmission()) << i;
+    EXPECT_EQ(reading.psram_bit_flips, core.psram().bit_flips()) << i;
+    EXPECT_EQ(reading.adc_saturation_rate, core.adc_saturation_rate()) << i;
+    EXPECT_GE(reading.heater_duty, 0.0) << i;
+    EXPECT_LE(reading.heater_duty, 1.0) << i;
   }
+  // The servo duty follows the estimate: the 0.4 K core runs hottest.
+  EXPECT_GT(monitor.reading(2).heater_duty, monitor.reading(0).heater_duty);
 
   // on_recalibration clears the run state but keeps the curves.
   monitor.on_recalibration(2e-9);
@@ -237,21 +237,19 @@ TEST(FleetHealthMonitor, PublishesGaugesCountersAndAlertSchema) {
   runtime::AcceleratorConfig config = fleet_config(1);
   config.drift.sigma = 0.0;
   runtime::Accelerator accelerator(config);
-  HealthConfig health_config;
-  health_config.anomaly.min_samples = 2;
-  health_config.anomaly.window = 8;
-  FleetHealthMonitor monitor(accelerator, health_config);
+  FleetHealthMonitor monitor(accelerator);
   telemetry::MetricsRegistry metrics;
   telemetry::Tracer tracer;
   monitor.set_metrics(&metrics);
   monitor.set_tracer(&tracer);
 
-  // A flat baseline, then a step on core 1's probe channel -> one alert.
-  for (int i = 0; i < 4; ++i) {
+  // A flat baseline long enough to warm the z-score detector up (8
+  // samples), then a step on core 1's probe channel -> one alert.
+  for (int i = 0; i < 8; ++i) {
     monitor.sample(1e-9 * (i + 1));
   }
   accelerator.core(1).set_thermal_detuning(1.5);
-  monitor.sample(5e-9);
+  monitor.sample(9e-9);
   ASSERT_EQ(monitor.alerts().size(), 1u);
   EXPECT_EQ(monitor.alerts()[0].core, 1u);
   EXPECT_EQ(monitor.alerts()[0].name, "core1-probe-anomaly");
@@ -282,8 +280,7 @@ TEST(FleetHealthMonitor, EnduranceAlarmFiresOnceAndBypassesRecalibration) {
   config.fault.seed = 17;
   config.fault.psram_endurance_median = 6.0;  // dies within a few reloads
   runtime::Accelerator accelerator(config);
-  HealthConfig health_config;
-  FleetHealthMonitor monitor(accelerator, health_config);
+  FleetHealthMonitor monitor(accelerator);
   telemetry::MetricsRegistry metrics;
   monitor.set_metrics(&metrics);
 
@@ -301,7 +298,7 @@ TEST(FleetHealthMonitor, EnduranceAlarmFiresOnceAndBypassesRecalibration) {
                        random_signed(64, 64, rng), options);
   }
   ASSERT_LT(accelerator.core(0).psram().endurance_remaining(),
-            health_config.endurance_floor);
+            0.1);  // the monitor's endurance floor
   monitor.sample(2e-9);
   EXPECT_GE(monitor.endurance_alarms(), 4u);  // every core crossed
   bool found = false;
@@ -326,7 +323,7 @@ TEST(FleetHealthMonitor, EvictedCoresAreSkippedAndLeaveMaxEstimate) {
   runtime::AcceleratorConfig config = fleet_config(1);
   config.drift.sigma = 0.0;
   runtime::Accelerator accelerator(config);
-  FleetHealthMonitor monitor(accelerator, HealthConfig{});
+  FleetHealthMonitor monitor(accelerator);
 
   accelerator.core(2).set_thermal_detuning(0.5);
   monitor.sample(1e-9);
@@ -335,15 +332,53 @@ TEST(FleetHealthMonitor, EvictedCoresAreSkippedAndLeaveMaxEstimate) {
   accelerator.evict_core(2);
   EXPECT_LT(monitor.max_estimate(), 0.1);  // stale estimate masked
 
-  // Samples taken while evicted leave the core's channels untouched.
-  const std::uint64_t probe_points =
-      monitor.store().channel("core2/probe_transmission").appended();
+  // Sweeps taken while evicted leave the core's reading untouched, even
+  // though its probe now reads differently.
+  const SensorReading before = monitor.reading(2);
+  accelerator.core(2).set_thermal_detuning(1.0);
+  ASSERT_NE(accelerator.core(2).probe_transmission(),
+            before.probe_transmission);
   monitor.sample(2e-9);
-  EXPECT_EQ(monitor.store().channel("core2/probe_transmission").appended(),
-            probe_points);
+  EXPECT_EQ(monitor.reading(2).probe_transmission, before.probe_transmission);
+  EXPECT_EQ(monitor.reading(2).heater_duty, before.heater_duty);
 
   accelerator.readmit_core(2);
   EXPECT_GT(monitor.max_estimate(), 0.3);  // back in the rotation
+}
+
+TEST(FleetHealthMonitor, ReadingsAreZeroBeforeTheFirstSweepAndAfterReset) {
+  // FLEET:CORE<n>:HEALth? prints these readings, so "no sweep yet" must
+  // read as zeros, not as whatever the sensors show right now.
+  runtime::AcceleratorConfig config = fleet_config(1);
+  config.drift.sigma = 0.0;
+  runtime::Accelerator accelerator(config);
+  Rng rng(5);
+  accelerator.matmul(random_activations(2, 64, rng),
+                     random_signed(64, 64, rng));  // pSRAM writes
+  for (std::size_t i = 0; i < accelerator.core_count(); ++i) {
+    accelerator.core(i).set_thermal_detuning(0.3);
+  }
+  FleetHealthMonitor monitor(accelerator);
+  const auto expect_zero = [&monitor](const char* when) {
+    for (std::size_t i = 0; i < monitor.core_count(); ++i) {
+      const SensorReading& reading = monitor.reading(i);
+      EXPECT_EQ(reading.probe_transmission, 0.0) << when << ", core " << i;
+      EXPECT_EQ(reading.heater_duty, 0.0) << when << ", core " << i;
+      EXPECT_EQ(reading.psram_bit_flips, 0u) << when << ", core " << i;
+      EXPECT_EQ(reading.adc_saturation_rate, 0.0) << when << ", core " << i;
+    }
+  };
+  expect_zero("before the first sweep");
+
+  monitor.sample(1e-9);
+  for (std::size_t i = 0; i < monitor.core_count(); ++i) {
+    EXPECT_GT(monitor.reading(i).probe_transmission, 0.0) << i;
+    EXPECT_GT(monitor.reading(i).heater_duty, 0.0) << i;
+    EXPECT_GT(monitor.reading(i).psram_bit_flips, 0u) << i;
+  }
+
+  monitor.reset();
+  expect_zero("after reset()");
 }
 
 // ---------------------------------------------------------------------------

@@ -234,32 +234,6 @@ TEST(Accelerator, MlpRunsUnchangedOnTheCorePool) {
   EXPECT_EQ(logits_single.max_abs_diff(logits_multi), 0.0);
 }
 
-TEST(Accelerator, VariationSeedGivesEachDieItsOwnStream) {
-  AcceleratorConfig varied;
-  varied.cores = 4;
-  varied.variation_seed = 99;
-  const Accelerator accelerator(varied);
-  std::set<std::uint64_t> seeds;
-  for (std::size_t i = 0; i < 4; ++i) {
-    seeds.insert(accelerator.core(i).config().adc.mismatch_seed);
-  }
-  EXPECT_EQ(seeds.size(), 4u);  // every die distinct
-
-  // Reproducible: the same variation seed derives the same dies.
-  const Accelerator again(varied);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(accelerator.core(i).config().adc.mismatch_seed,
-              again.core(i).config().adc.mismatch_seed);
-  }
-
-  // Default: all dies identical (the bit-identity precondition).
-  const Accelerator uniform({.cores = 3});
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(uniform.core(i).config().adc.mismatch_seed,
-              core::TensorCoreConfig{}.adc.mismatch_seed);
-  }
-}
-
 TEST(Accelerator, StatsResetClearsCounters) {
   Rng rng(8);
   Accelerator accelerator({.cores = 2});

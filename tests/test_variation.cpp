@@ -37,12 +37,12 @@ VariationConfig test_variation(std::uint64_t seed) {
   return v;
 }
 
-TensorCoreConfig small_core(std::uint64_t variation_seed, bool fast_path) {
+TensorCoreConfig small_core(std::uint64_t seed, bool fast_path) {
   TensorCoreConfig config;
   config.rows = 4;
   config.cols = 4;
   config.fast_path = fast_path;
-  config.variation = test_variation(variation_seed);
+  config.variation = test_variation(seed);
   return config;
 }
 
@@ -240,9 +240,9 @@ TEST(AcceleratorDrift, RecalibrateRelocksAndBillsDowntime) {
     EXPECT_EQ(accelerator.core(i).calibration_epoch(), 1u);
   }
   // One probe residency per core, costed like a cold serving batch.
-  const runtime::BatchCost expected = accelerator.batch_cost(
-      accelerator.core_count(), 0,
-      accelerator.config().drift.recalibration_samples);
+  const runtime::BatchCost expected =
+      accelerator.batch_cost(accelerator.core_count(), 0,
+                             runtime::Accelerator::kRecalibrationSamples);
   EXPECT_EQ(downtime.latency, expected.latency);
   EXPECT_GT(downtime.latency, 0.0);
 }
