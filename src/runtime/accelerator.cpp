@@ -312,9 +312,9 @@ Matrix Accelerator::matmul(const Matrix& x, const Matrix& w,
   // Each shard runs its passes on its own core (shard.core is a rotation
   // slot, mapped through active_ to the physical core); results land in
   // disjoint slots, so the only synchronization needed is the parallel_for
-  // barrier.  Only shards that received passes go to the pool: a small
-  // matmul on a large fleet would otherwise submit one empty task per idle
-  // core.
+  // barrier.  Only shards that received passes become indices: a small
+  // matmul on a large fleet would otherwise wake a worker per idle core, and
+  // a one-shard matmul runs on the calling thread without waking any.
   std::vector<const CoreShard*> busy;
   busy.reserve(schedule.shards.size());
   for (const CoreShard& shard : schedule.shards) {

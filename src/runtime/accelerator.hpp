@@ -81,7 +81,6 @@ class Accelerator {
   std::size_t core_count() const { return cores_.size(); }
   core::TensorCore& core(std::size_t index);
   const core::TensorCore& core(std::size_t index) const;
-  ThreadPool& pool() { return pool_; }
   const AcceleratorConfig& config() const { return config_; }
 
   /// Sharded matmul with nn::PhotonicBackend semantics: x (s x k) times

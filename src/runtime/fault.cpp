@@ -1,5 +1,7 @@
 #include "runtime/fault.hpp"
 
+#include <cmath>
+
 #include "common/expects.hpp"
 #include "common/rng.hpp"
 
@@ -35,8 +37,12 @@ std::vector<FaultEvent> poisson_fault_schedule(double rate, double horizon,
                                                std::size_t cores,
                                                std::uint64_t seed,
                                                std::size_t rows) {
-  expects(rate >= 0.0, "fault rate must be non-negative");
-  expects(horizon >= 0.0, "horizon must be non-negative");
+  // An infinite rate makes every gap 0 and an infinite horizon is never
+  // reached: either would grow the schedule until memory runs out.
+  expects(std::isfinite(rate) && rate >= 0.0,
+          "fault rate must be finite and non-negative");
+  expects(std::isfinite(horizon) && horizon >= 0.0,
+          "horizon must be finite and non-negative");
   expects(cores >= 1, "fleet must have at least one core");
   expects(rows >= 1, "cores must have at least one ADC row");
   std::vector<FaultEvent> schedule;

@@ -51,8 +51,9 @@ const char* to_string(FaultEvent::Kind kind);
 /// ADC-ladder — dead rings corrupt accuracy, the other two cost capacity
 /// once the self-test fails the core.  ADC-ladder strikes kill a
 /// uniformly drawn row in [0, rows) — every event consumes the same draw
-/// count, so the stream stays aligned whatever kinds come up.  Pure
-/// function of the arguments.
+/// count, so the stream stays aligned whatever kinds come up.  `rate` and
+/// `horizon` must be finite and non-negative.  Pure function of the
+/// arguments.
 std::vector<FaultEvent> poisson_fault_schedule(double rate, double horizon,
                                                std::size_t cores,
                                                std::uint64_t seed,

@@ -1,175 +1,97 @@
 #include "runtime/thread_pool.hpp"
 
-#include <chrono>
-#include <exception>
+#include <algorithm>
+#include <utility>
 
 #include "common/expects.hpp"
 
 namespace ptc::runtime {
 
-namespace {
-
-/// Identity of the worker deque owned by the current thread.  The pool
-/// pointer disambiguates nested pools: a worker of pool A calling into
-/// pool B must not be mistaken for pool B's worker with the same index.
-thread_local const void* tls_worker_pool = nullptr;
-thread_local std::size_t tls_worker_index = static_cast<std::size_t>(-1);
-
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
+    threads = std::max(1u, std::thread::hardware_concurrency());
   }
   threads_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true);
   {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
-  sleep_cv_.notify_all();
+  wake_.notify_all();
   for (auto& thread : threads_) thread.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  expects(static_cast<bool>(task), "thread pool task must be callable");
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> future = packaged.get_future();
-  enqueue(std::move(packaged));
-  return future;
-}
-
-void ThreadPool::enqueue(std::packaged_task<void()> task) {
-  // Workers push onto their own deque (popped LIFO); external submitters
-  // round-robin across deques so the load spreads even before stealing.
-  std::size_t index = tls_worker_pool == this
-                          ? tls_worker_index
-                          : static_cast<std::size_t>(-1);
-  if (index >= workers_.size()) {
-    index = next_queue_.fetch_add(1) % workers_.size();
-  }
-  {
-    std::lock_guard<std::mutex> lock(workers_[index]->mutex);
-    workers_[index]->queue.push_back(std::move(task));
-  }
-  pending_.fetch_add(1);
-  {
-    // Synchronize with the wait predicate so the increment cannot slip into
-    // the window between a worker's predicate check and its block.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-  }
-  sleep_cv_.notify_one();
-}
-
-bool ThreadPool::try_pop(std::size_t index, bool from_back,
-                         std::packaged_task<void()>& out) {
-  Worker& worker = *workers_[index];
-  std::lock_guard<std::mutex> lock(worker.mutex);
-  if (worker.queue.empty()) return false;
-  if (from_back) {
-    out = std::move(worker.queue.back());
-    worker.queue.pop_back();
-  } else {
-    out = std::move(worker.queue.front());
-    worker.queue.pop_front();
-  }
-  pending_.fetch_sub(1);
-  return true;
-}
-
-bool ThreadPool::run_pending_task() {
-  const std::size_t self = tls_worker_pool == this
-                               ? tls_worker_index
-                               : static_cast<std::size_t>(-1);
-  std::packaged_task<void()> task;
-  // Own deque first (LIFO), then steal oldest work from siblings (FIFO).
-  if (self < workers_.size() && try_pop(self, /*from_back=*/true, task)) {
-    task();
-    return true;
-  }
-  const std::size_t n = workers_.size();
-  const std::size_t start = (self < n) ? self + 1 : 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t victim = (start + k) % n;
-    if (victim == self) continue;
-    if (try_pop(victim, /*from_back=*/false, task)) {
-      task();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  tls_worker_pool = this;
-  tls_worker_index = self;
+void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    if (run_pending_task()) continue;
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    sleep_cv_.wait(lock, [this] {
-      return stop_.load() || pending_.load() > 0;
-    });
-    if (stop_.load() && pending_.load() == 0) return;
+    wake_.wait(lock, [this] { return stop_ || wanted_ > 0; });
+    if (stop_) return;
+    --wanted_;
+    ++joined_;
+    const Body& body = *body_;
+    const std::size_t end = end_;
+    lock.unlock();
+    claim(body, end);
+    lock.lock();
+    if (--joined_ == 0) done_.notify_one();
+  }
+}
+
+void ThreadPool::claim(const Body& body, std::size_t end) {
+  for (std::size_t i = next_++; i < end; i = next_++) {
+    try {
+      body(i);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+    }
   }
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
+                              const Body& body) {
   expects(static_cast<bool>(body), "parallel_for body must be callable");
   if (begin >= end) return;
   const std::size_t count = end - begin;
-
-  // Completion state is shared with the tasks so the last one can still
-  // touch it safely after the caller has observed remaining == 0.
-  struct Sync {
-    std::atomic<std::size_t> remaining;
-    std::mutex mutex;
-    std::condition_variable cv;
+  // One range at a time.  The busy mark is an atomic flag, not a mutex held
+  // across the range: a nested call would lock it on the thread holding it.
+  if (count == 1 || in_flight_.exchange(true)) {
     std::exception_ptr error;
-  };
-  auto sync = std::make_shared<Sync>();
-  sync->remaining.store(count);
-
-  for (std::size_t i = begin; i < end; ++i) {
-    submit([sync, &body, i] {
+    for (std::size_t i = begin; i < end; ++i) {
       try {
         body(i);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(sync->mutex);
-        if (!sync->error) sync->error = std::current_exception();
+        if (!error) error = std::current_exception();
       }
-      if (sync->remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(sync->mutex);
-        sync->cv.notify_all();
-      }
-    });
+    }
+    if (error) std::rethrow_exception(error);
+    return;
   }
-
-  // Help drain the pool instead of blocking outright, so parallel_for can
-  // be called from inside a pool task (or on a pool whose workers are all
-  // busy).  Once no task is claimable the caller parks on the completion
-  // condition variable — the timed wait keeps it helping again if stolen
-  // work spawns new tasks.
-  while (sync->remaining.load() != 0) {
-    if (run_pending_task()) continue;
-    std::unique_lock<std::mutex> lock(sync->mutex);
-    sync->cv.wait_for(lock, std::chrono::milliseconds(1),
-                      [&] { return sync->remaining.load() == 0; });
-  }
+  const std::size_t helpers = std::min(size(), count - 1);
   {
-    std::lock_guard<std::mutex> lock(sync->mutex);
-    if (sync->error) std::rethrow_exception(sync->error);
+    std::lock_guard<std::mutex> lock(mutex_);
+    body_ = &body;
+    end_ = end;
+    wanted_ = helpers;
+    next_ = begin;
   }
+  for (std::size_t k = 0; k < helpers; ++k) wake_.notify_one();
+  claim(body, end);
+
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    wanted_ = 0;  // a worker woken too late must not join a finished range
+    done_.wait(lock, [this] { return joined_ == 0; });
+    error = std::exchange(error_, nullptr);
+  }
+  in_flight_ = false;
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace ptc::runtime

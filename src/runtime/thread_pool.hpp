@@ -4,75 +4,65 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-/// Host-side execution runtime for the multi-tile accelerator: a
-/// work-stealing thread pool that the `Accelerator` uses to run per-core
-/// tile shards concurrently and that the sweep helpers use to parallelize
-/// parameter grids.  All scheduling here is *host* scheduling — simulated
-/// hardware results never depend on thread interleaving (see
-/// runtime/accelerator.hpp for the determinism contract).
+/// Host-side execution runtime for the multi-tile accelerator: a fork-join
+/// thread pool that the `Accelerator` uses to run per-core tile shards
+/// concurrently and that the sweep helpers use to parallelize parameter
+/// grids.  All scheduling here is *host* scheduling — simulated hardware
+/// results never depend on thread interleaving (see runtime/accelerator.hpp
+/// for the determinism contract).
 namespace ptc::runtime {
 
-/// Fixed-size work-stealing thread pool.
+/// Fixed-size fork-join thread pool whose one operation is parallel_for.
 ///
-/// Each worker owns a deque: it pops its own tasks LIFO (cache-friendly for
-/// recursively submitted work) and steals FIFO from siblings when its deque
-/// runs dry — the classic Chase-Lev discipline, implemented with per-deque
-/// locks since tasks here are coarse (whole tile shards or sweep points).
-///
-/// Threads waiting inside `parallel_for` help execute pending tasks instead
-/// of blocking, so nested parallelism cannot deadlock even on a single
-/// worker.
+/// A call publishes its index range, wakes at most min(size(), count - 1)
+/// sleeping workers, and the calling thread and those workers claim indices
+/// from one atomic counter until the range is done.  One range is in flight
+/// at a time: a one-index range, and a call made while another range runs
+/// (nested inside a body, or from a second thread), run on the calling
+/// thread, so nesting cannot deadlock.  Workers block on a condition
+/// variable between ranges, and the pool allocates nothing per call.
 class ThreadPool {
  public:
+  using Body = std::function<void(std::size_t)>;
+
   /// Spawns `threads` workers; 0 picks std::thread::hardware_concurrency()
-  /// (at least 1).
+  /// (at least 1).  The thread calling parallel_for takes a share as well.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
+  std::size_t size() const { return threads_.size(); }
 
-  /// Enqueues a task; the future rethrows any exception the task raised.
-  std::future<void> submit(std::function<void()> task);
-
-  /// Runs body(i) for every i in [begin, end) across the pool and waits for
-  /// completion.  The calling thread participates by executing pending
-  /// tasks.  The first exception thrown by any iteration is rethrown.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body);
-
-  /// Executes one pending task if any is available.  Returns false when
-  /// every deque was empty.  Exposed so external wait loops can help.
-  bool run_pending_task();
+  /// Runs body(i) exactly once for every i in [begin, end) and returns when
+  /// all have finished.  Every index runs even when one throws; the first
+  /// exception is then rethrown.
+  void parallel_for(std::size_t begin, std::size_t end, const Body& body);
 
  private:
-  struct Worker {
-    std::deque<std::packaged_task<void()>> queue;
-    std::mutex mutex;
-  };
+  void worker_loop();
+  /// Claims indices of the published range until none is left below `end`.
+  void claim(const Body& body, std::size_t end);
 
-  void worker_loop(std::size_t self);
-  void enqueue(std::packaged_task<void()> task);
-  bool try_pop(std::size_t index, bool from_back,
-               std::packaged_task<void()>& out);
-
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<bool> stop_{false};
+  std::atomic<bool> in_flight_{false};  ///< a range is published
+  std::atomic<std::size_t> next_{0};    ///< next unclaimed index
+  std::mutex mutex_;                    ///< guards body_ through stop_
+  std::condition_variable wake_;        ///< workers: a range was published
+  std::condition_variable done_;        ///< caller: the last helper left
+  const Body* body_ = nullptr;
+  std::size_t end_ = 0;
+  std::size_t wanted_ = 0;  ///< woken workers still allowed to join
+  std::size_t joined_ = 0;  ///< workers inside the range
+  std::exception_ptr error_;
+  bool stop_ = false;
+  std::vector<std::thread> threads_;  ///< last: workers use every member
 };
 
 }  // namespace ptc::runtime

@@ -24,6 +24,30 @@ telemetry::HistogramOptions latency_histogram_options() {
   return options;
 }
 
+/// The one-shot loop's request contract: each request names a registered
+/// batch model and carries exactly its input width of finite, non-negative
+/// intensities.
+void expect_servable(const ModelRegistry& registry,
+                     const std::vector<Request>& requests) {
+  std::map<std::string, std::size_t> widths;  // one lookup per model
+  for (const Request& request : requests) {
+    auto width = widths.find(request.model);
+    if (width == widths.end()) {
+      expects(registry.contains(request.model),
+              "requests must name a registered batch model");
+      width = widths
+                  .emplace(request.model, registry.input_width(request.model))
+                  .first;
+    }
+    expects(request.input.size() == width->second,
+            "request input width does not match its model");
+    for (const double v : request.input) {
+      expects(std::isfinite(v) && v >= 0.0,
+              "request inputs must be finite and non-negative");
+    }
+  }
+}
+
 }  // namespace
 
 Server::Server(ModelRegistry& registry)
@@ -73,6 +97,7 @@ ServeReport Server::run(const std::vector<Request>& requests,
   // Reject bad input before any fleet state moves: the batcher checks the
   // policy's own fields, the lines below how they combine.
   expect_sorted_arrivals(requests);
+  expect_servable(registry_, requests);
   DynamicBatcher batcher(policy);
   // Probing policies sample the fleet health monitor on a modeled-time
   // cadence; the estimate/anomaly triggers read *it*, never the oracle.
@@ -439,8 +464,6 @@ ServeReport Server::run(const std::vector<Request>& requests,
 
     Matrix x(batch.size(), batch.front().input.size());
     for (std::size_t r = 0; r < batch.size(); ++r) {
-      expects(batch[r].input.size() == x.cols(),
-              "requests of one model must share the input width");
       for (std::size_t c = 0; c < x.cols(); ++c) {
         x(r, c) = batch[r].input[c];
       }

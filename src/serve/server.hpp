@@ -84,9 +84,10 @@ class Server {
   void set_fault_schedule(std::vector<runtime::FaultEvent> schedule);
 
   /// Serves `requests` (finite arrivals, sorted — LoadGenerator output
-  /// qualifies) under `policy` and returns the full report.  Bad requests
-  /// or a bad policy throw std::invalid_argument before any fleet state
-  /// moves.  Arrivals at
+  /// qualifies; each naming a registered batch model and carrying its
+  /// input_width of finite, non-negative inputs) under `policy` and returns
+  /// the full report.  Bad requests or a bad policy throw
+  /// std::invalid_argument before any fleet state moves.  Arrivals at
   /// exactly the dispatch instant join the closing batch.  Once the
   /// arrival stream ends, leftover queued requests drain as partial
   /// batches.  Residency and drift state reset at the start of every run.
@@ -121,11 +122,13 @@ class Server {
                   const BatchPolicy& policy);
 
   /// Serves token `requests` (finite arrivals, sorted; all naming one
-  /// registered transformer) under `policy` (serve/token_server.hpp),
-  /// billed per tenant like one-shot runs.  It resets residency and drift
-  /// at start and runs no fleet events: no drift advance, probes, fault
-  /// replay, or SLO feed.  Deterministic in (requests, policy, fleet
-  /// config) — byte-identical reports across host thread counts.
+  /// registered transformer, prompt ids below its vocab) under `policy`
+  /// (serve/token_server.hpp), billed per tenant like one-shot runs.  Bad
+  /// requests throw std::invalid_argument before any fleet state moves.
+  /// It resets residency and drift at start and runs no fleet events: no
+  /// drift advance, probes, fault replay, or SLO feed.  Deterministic in
+  /// (requests, policy, fleet config) — byte-identical reports across host
+  /// thread counts.
   TokenServeReport run(const std::vector<TokenRequest>& requests,
                        const TokenPolicy& policy);
 

@@ -52,6 +52,10 @@ TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
     expects(request.max_new >= 1, "max_new must be >= 1");
     expects(request.prompt.size() <= model.config().max_seq,
             "prompt exceeds the model context window");
+    for (const std::size_t token : request.prompt) {
+      expects(token < model.config().vocab,
+              "prompt token out of vocabulary range");
+    }
   }
   expects(policy.kv_budget_rows == 0 || policy.kv_budget_rows >= layers,
           "kv budget must admit at least one position");

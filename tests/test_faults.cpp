@@ -354,6 +354,13 @@ TEST(PoissonFaults, ScheduleIsDeterministicSortedAndRateScaled) {
   EXPECT_TRUE(runtime::poisson_fault_schedule(0.0, 2.0e-6, 8, 905).empty());
   EXPECT_GT(runtime::poisson_fault_schedule(20e6, 2.0e-6, 8, 905).size(),
             schedule.size());
+
+  // An infinite rate or horizon would never end the schedule.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(runtime::poisson_fault_schedule(inf, 2.0e-6, 8, 905),
+               std::invalid_argument);
+  EXPECT_THROW(runtime::poisson_fault_schedule(6e6, inf, 8, 905),
+               std::invalid_argument);
 }
 
 TEST(PoissonFaults, AdcRowIsDrawnPerEventNotPinnedToRowZero) {

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
+#include <functional>
+#include <latch>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/random_matrix.hpp"
@@ -29,24 +32,6 @@ using namespace ptc::runtime;
 // ThreadPool
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPool, ExecutesEverySubmittedTask) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&count] { count.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, SubmitPropagatesExceptionsThroughTheFuture) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-}
-
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<int> hits(257, 0);
@@ -64,6 +49,53 @@ TEST(ThreadPool, ParallelForPropagatesTheFirstException) {
                                    }
                                  }),
                std::invalid_argument);
+}
+
+TEST(ThreadPool, EveryIndexRunsOnceWhenOneThrows) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.size(), 3u);
+  std::vector<std::atomic<int>> hits(64);
+  EXPECT_THROW(pool.parallel_for(0, hits.size(),
+                                 [&](std::size_t i) {
+                                   hits[i].fetch_add(1);
+                                   if (i % 16 == 5) {
+                                     throw std::invalid_argument("boom");
+                                   }
+                                 }),
+               std::invalid_argument);
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeExactlyOnce) {
+  ThreadPool pool(2);
+  constexpr std::size_t kRounds = 50;
+  constexpr std::size_t kCount = 200;
+  std::vector<std::atomic<int>> a(kRounds * kCount), b(kRounds * kCount);
+  std::latch start(2);
+  const auto caller = [&](std::vector<std::atomic<int>>& hits) {
+    start.arrive_and_wait();
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      pool.parallel_for(0, kCount, [&](std::size_t i) {
+        hits[r * kCount + i].fetch_add(1);
+      });
+    }
+  };
+  std::thread first(caller, std::ref(a));
+  std::thread second(caller, std::ref(b));
+  first.join();
+  second.join();
+  for (const std::atomic<int>& h : a) EXPECT_EQ(h.load(), 1);
+  for (const std::atomic<int>& h : b) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, OneIndexRangeRunsOnTheCallingThread) {
+  ThreadPool pool(4);
+  std::thread::id ran_on;
+  pool.parallel_for(7, 8, [&](std::size_t i) {
+    EXPECT_EQ(i, 7u);
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {

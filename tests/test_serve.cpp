@@ -15,6 +15,7 @@
 #include "core/tensor_core.hpp"
 #include "nn/backend.hpp"
 #include "nn/mlp.hpp"
+#include "nn/transformer.hpp"
 #include "runtime/accelerator.hpp"
 #include "serve/batcher.hpp"
 #include "serve/latency_stats.hpp"
@@ -470,14 +471,24 @@ TEST(Server, MultiTenantRunServesEveryTenantAndSplitsStats) {
   EXPECT_GT(report.tenant_total("alice").p99, 0.0);
 }
 
-TEST(Server, RejectsNonFiniteArrivalsAndBadPoliciesBeforeTheFleetMoves) {
+TEST(Server, RejectsBadRequestsAndPoliciesBeforeTheFleetMoves) {
   Fixture f;
+  Rng rng(5);
+  f.registry.add_transformer(
+      "tf", nn::TransformerModel::random({.vocab = 8, .d_model = 8}, rng));
   // Leave a model resident and a fault injected: a rejected run must throw
   // before it resets either.
   f.registry.run_batch("compact", Matrix(1, 32));
   ASSERT_EQ(f.registry.resident_model(), "compact");
   f.server.set_fault_schedule({{.time = 1e-9, .core = 1}});
   f.accelerator.inject({.core = 0});
+  const std::size_t dead_rings = f.accelerator.core(0).ring_fault_count();
+  ASSERT_GT(dead_rings, 0u);
+  const auto fleet_untouched = [&] {
+    EXPECT_EQ(f.registry.resident_model(), "compact");
+    EXPECT_EQ(f.accelerator.faults_injected(), 1u);
+    EXPECT_EQ(f.accelerator.core(0).ring_fault_count(), dead_rings);
+  };
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -489,6 +500,28 @@ TEST(Server, RejectsNonFiniteArrivalsAndBadPoliciesBeforeTheFleetMoves) {
     requests.front().arrival = arrival;
     EXPECT_THROW(f.server.run(requests, policy), std::invalid_argument);
   }
+  // Request contents are checked up front too, not at dispatch after the
+  // resets: each run below leads with a good request.
+  for (const char* model : {"nope", "tf"}) {
+    std::vector<Request> requests = f.trace("compact", 1e9, 2);
+    requests.back().model = model;
+    EXPECT_THROW(f.server.run(requests, policy), std::invalid_argument)
+        << model;
+    fleet_untouched();
+  }
+  for (const double input : {-1.0, nan, inf}) {
+    std::vector<Request> requests = f.trace("compact", 1e9, 2);
+    requests.back().input[3] = input;
+    EXPECT_THROW(f.server.run(requests, policy), std::invalid_argument)
+        << input;
+    fleet_untouched();
+  }
+  {
+    std::vector<Request> requests = f.trace("compact", 1e9, 2);
+    requests.back().input.resize(5);
+    EXPECT_THROW(f.server.run(requests, policy), std::invalid_argument);
+    fleet_untouched();
+  }
   const std::vector<Request> requests = f.trace("compact", 1e9, 2);
   for (const BatchPolicy& bad :
        {BatchPolicy{.max_batch = 0},
@@ -498,8 +531,7 @@ TEST(Server, RejectsNonFiniteArrivalsAndBadPoliciesBeforeTheFleetMoves) {
         BatchPolicy{.max_batch = 4, .estimated_drift_threshold = 0.1}}) {
     EXPECT_THROW(f.server.run(requests, bad), std::invalid_argument);
   }
-  EXPECT_EQ(f.registry.resident_model(), "compact");
-  EXPECT_EQ(f.accelerator.faults_injected(), 1u);
+  fleet_untouched();
 }
 
 TEST(LatencyStatsSummary, EmptySampleYieldsZeros) {

@@ -23,6 +23,7 @@
 #include "graph/executor.hpp"
 #include "graph/ir.hpp"
 #include "nn/backend.hpp"
+#include "nn/mlp.hpp"
 #include "nn/transformer.hpp"
 #include "runtime/accelerator.hpp"
 #include "runtime/backend.hpp"
@@ -448,12 +449,18 @@ TEST(TokenServing, KvBudgetPreemptsYoungestAndOutputsStayBitIdentical) {
   EXPECT_GT(billed, lower_bound);
 }
 
-TEST(TokenServing, RejectsNonFiniteArrivals) {
+TEST(TokenServing, RejectsBadRequestsBeforeTheFleetMoves) {
   const TransformerModel model = serving_model();
   runtime::Accelerator accelerator({.cores = 4});
   serve::ModelRegistry registry(accelerator);
   registry.add_transformer("tf", model);
   serve::Server server(registry);
+  // Leave a batch model resident: a rejected run must throw before the
+  // token loop resets residency.
+  Rng rng(73);
+  registry.add("mlp", nn::Mlp(8, 8, 4, rng));
+  registry.run_batch("mlp", Matrix(1, 8));
+  ASSERT_EQ(registry.resident_model(), "mlp");
   // A lone NaN arrival would spin the idle loop forever: max(now, NaN)
   // never moves the clock to it.
   for (const double arrival : {std::numeric_limits<double>::quiet_NaN(),
@@ -464,7 +471,15 @@ TEST(TokenServing, RejectsNonFiniteArrivals) {
     requests.front().arrival = arrival;
     EXPECT_THROW(server.run(requests, serve::TokenPolicy{}),
                  std::invalid_argument);
+    EXPECT_EQ(registry.resident_model(), "mlp");
   }
+  // An out-of-vocabulary prompt id would otherwise throw from the decode
+  // step, after residency and drift were reset.
+  std::vector<serve::TokenRequest> requests = serving_requests(model.config());
+  requests.back().prompt.back() = model.config().vocab;
+  EXPECT_THROW(server.run(requests, serve::TokenPolicy{}),
+               std::invalid_argument);
+  EXPECT_EQ(registry.resident_model(), "mlp");
 }
 
 TEST(Transformer, DecodeRejectsBadTokensAndOverflowingContext) {
