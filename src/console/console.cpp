@@ -1,6 +1,7 @@
 #include "console/console.hpp"
 
 #include <charconv>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -8,6 +9,10 @@
 
 #include "common/json.hpp"
 #include "serve/attribution.hpp"
+
+#ifndef _WIN32
+#include <sys/socket.h>
+#endif
 
 namespace ptc::console {
 namespace {
@@ -17,6 +22,10 @@ namespace {
 std::string num(double x) { return json::format_number(x); }
 
 std::string count(std::size_t n) { return std::to_string(n); }
+
+/// Longest command line a socket session accepts: far above any command,
+/// a TRACE:DUMP path included.
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
 
 /// Strict decimal parse for console arguments (no signs, no suffixes, no
 /// wrap-around past size_t's range).
@@ -670,5 +679,56 @@ std::size_t Console::run_stream(std::istream& in, std::ostream& out,
   }
   return errors;
 }
+
+#ifndef _WIN32
+std::size_t Console::serve_connection(int fd) {
+  // MSG_NOSIGNAL turns a vanished peer into a failed send, not a SIGPIPE
+  // that would kill the whole server.
+  const auto send_reply = [fd](std::string reply) {
+    reply += reply.find('\n') != std::string::npos ? "\n\n" : "\n";
+    for (std::size_t off = 0; off < reply.size();) {
+      const ssize_t sent = ::send(fd, reply.data() + off, reply.size() - off,
+                                  MSG_NOSIGNAL);
+      if (sent <= 0) return false;
+      off += static_cast<std::size_t>(sent);
+    }
+    return true;
+  };
+  std::size_t errors = 0;
+  std::string line;
+  bool discarding = false;  // inside an over-long line, up to its newline
+  char chunk[4096];
+  while (!exit_requested_) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    // Only the bytes just read are searched for line ends.
+    const char* next = chunk;
+    const char* const end = chunk + n;
+    while (next < end && !exit_requested_) {
+      const auto* eol = static_cast<const char*>(
+          std::memchr(next, '\n', static_cast<std::size_t>(end - next)));
+      std::string reply;
+      if (!discarding) {
+        line.append(next, eol != nullptr ? eol : end);
+        if (line.size() > kMaxLineBytes) {
+          reply = error("command line longer than " + count(kMaxLineBytes) +
+                        " bytes");
+          line.clear();
+          discarding = eol == nullptr;
+        } else if (eol != nullptr) {
+          reply = eval(line);
+          line.clear();
+        }
+      } else if (eol != nullptr) {
+        discarding = false;
+      }
+      next = eol != nullptr ? eol + 1 : end;
+      if (reply.rfind("ERR:", 0) == 0) ++errors;
+      if (!reply.empty() && !send_reply(std::move(reply))) return errors;
+    }
+  }
+  return errors;
+}
+#endif
 
 }  // namespace ptc::console

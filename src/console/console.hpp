@@ -61,6 +61,15 @@ class Console {
   std::size_t run_stream(std::istream& in, std::ostream& out,
                          const StreamOptions& options = {});
 
+  /// Serves one connected stream socket (POSIX): one reply per command
+  /// line, multi-line replies ending with a blank line so clients can
+  /// frame them, until the peer closes, a reply cannot be sent, or EXIT.
+  /// A line longer than 64 KiB draws one "ERR: ..." reply and is
+  /// discarded through its newline.  The peer may disconnect at any time;
+  /// that ends only this session.  Does not close `fd`.  Returns the
+  /// number of commands that replied "ERR: ...".
+  std::size_t serve_connection(int fd);
+
  private:
   std::string dispatch(const ScpiCommand& command);
   std::string error(const std::string& message);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <string_view>
+#include <type_traits>
 
 #include "common/expects.hpp"
 #include "common/json.hpp"
@@ -102,6 +102,18 @@ std::string escape_label_value(const std::string& value) {
   return out;
 }
 
+template <typename T>
+constexpr std::size_t kKindIndex = std::is_same_v<T, Counter> ? 0
+                                   : std::is_same_v<T, Gauge> ? 1
+                                                               : 2;
+constexpr const char* kKindNames[] = {"counter", "gauge", "histogram"};
+
+template <typename T>
+T make_instrument(const HistogramOptions& options) {
+  if constexpr (std::is_same_v<T, Histogram>) return Histogram(options);
+  else return T{};
+}
+
 /// Canonical form: sorted by key, duplicate keys rejected.
 LabelSet canonicalize(const LabelSet& labels) {
   LabelSet sorted = labels;
@@ -114,6 +126,73 @@ LabelSet canonicalize(const LabelSet& labels) {
     expects(!key.empty(), "metric label key must be non-empty");
   }
   return sorted;
+}
+
+/// One counter or gauge sample: `name{k="v",...} value`.
+template <typename T>
+void write_samples(std::ostream& out, const std::string& name,
+                   const std::string& selector, const T& instrument) {
+  out << name << selector << " " << json::format_number(instrument.value())
+      << "\n";
+}
+
+/// Cumulative buckets, empty ones elided to keep the exposition small (the
+/// +Inf series always carries the total).  A child's labels join every
+/// bucket selector (`{core="0",le="..."}`) and label its _sum/_count; the
+/// plain instrument and an empty label set both print them bare.
+void write_samples(std::ostream& out, const std::string& name,
+                   const std::string& selector, const Histogram& h) {
+  const bool bare = selector.size() <= 2;  // "" or "{}"
+  std::string bucket = name + "_bucket{";
+  if (!bare) bucket.append(selector, 1, selector.size() - 2) += ',';
+  bucket += "le=\"";
+  std::uint64_t cumulative = h.underflow();
+  if (cumulative > 0) {
+    out << bucket << json::format_number(h.options().min) << "\"} "
+        << cumulative << "\n";
+  }
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+    if (h.bucket(i) == 0) continue;
+    cumulative += h.bucket(i);
+    out << bucket << json::format_number(h.bucket_upper_edge(i)) << "\"} "
+        << cumulative << "\n";
+  }
+  out << bucket << "+Inf\"} " << h.count() << "\n";
+  const std::string tail = bare ? "" : selector;
+  out << name << "_sum" << tail << " " << json::format_number(h.sum()) << "\n";
+  out << name << "_count" << tail << " " << h.count() << "\n";
+}
+
+std::string fields_json(const Counter& c) {
+  return "\"value\": " + json::format_number(c.value());
+}
+
+std::string fields_json(const Gauge& g) {
+  return "\"value\": " + json::format_number(g.value()) +
+         ", \"max\": " + json::format_number(g.max());
+}
+
+std::string fields_json(const Histogram& h) {
+  std::string out = "\"count\": " + std::to_string(h.count());
+  out += ", \"sum\": " + json::format_number(h.sum());
+  out += ", \"min\": " + json::format_number(h.min_value());
+  out += ", \"max\": " + json::format_number(h.max_value());
+  out += ", \"p50\": " + json::format_number(h.percentile(50.0));
+  out += ", \"p95\": " + json::format_number(h.percentile(95.0));
+  out += ", \"p99\": " + json::format_number(h.percentile(99.0));
+  return out;
+}
+
+std::string labels_json(const LabelSet& labels) {
+  std::string out = "{";
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += json::quote(labels[i].first);
+    out += ": ";
+    out += json::quote(labels[i].second);
+  }
+  out += "}";
+  return out;
 }
 
 }  // namespace
@@ -131,94 +210,67 @@ std::string render_labels(const LabelSet& labels) {
   return out;
 }
 
-MetricsRegistry::Entry& MetricsRegistry::entry_of_kind(const std::string& name,
-                                                       const char* kind) {
-  Entry& entry = entries_[name];
-  const bool is_counter =
-      entry.counter != nullptr || !entry.counter_children.empty();
-  const bool is_gauge =
-      entry.gauge != nullptr || !entry.gauge_children.empty();
-  const bool is_histogram =
-      entry.histogram != nullptr || !entry.histogram_children.empty();
-  const std::string_view want(kind);
-  expects((want == "counter" || !is_counter) &&
-              (want == "gauge" || !is_gauge) &&
-              (want == "histogram" || !is_histogram),
-          "metric name already registered with a different kind");
-  return entry;
+template <typename T>
+T& MetricsRegistry::lookup(const std::string& name, const LabelSet* labels,
+                           const std::string& help,
+                           const HistogramOptions& options) {
+  // Validate before touching the table, so a rejected call changes nothing.
+  LabelSet canonical = labels != nullptr ? canonicalize(*labels) : LabelSet{};
+  const std::string key = labels != nullptr ? render_labels(canonical) : "";
+  auto it = entries_.find(name);
+  if (it != entries_.end()) {
+    expects(it->second.kind == kKindIndex<T>,
+            "metric name already registered with a different kind");
+    const auto found = it->second.children.find(key);
+    if (found != it->second.children.end()) {
+      return std::get<T>(found->second.instrument);
+    }
+  }
+  // Build the instrument (a new name's geometry is checked here) before the
+  // table changes; an existing name keeps the geometry its first call set.
+  Child child{std::move(canonical),
+              make_instrument<T>(it != entries_.end() ? it->second.options
+                                                      : options)};
+  if (it == entries_.end()) {
+    it = entries_.emplace(name, Entry{kKindIndex<T>, "", options, {}}).first;
+  }
+  if (it->second.help.empty()) it->second.help = help;
+  return std::get<T>(it->second.children.emplace(key, std::move(child))
+                         .first->second.instrument);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& help) {
-  Entry& entry = entry_of_kind(name, "counter");
-  if (entry.counter == nullptr) {
-    entry.counter = std::make_unique<Counter>();
-    if (!help.empty() && entry.help.empty()) entry.help = help;
-  }
-  return *entry.counter;
+  return lookup<Counter>(name, nullptr, help);
 }
 
 Gauge& MetricsRegistry::gauge(const std::string& name,
                               const std::string& help) {
-  Entry& entry = entry_of_kind(name, "gauge");
-  if (entry.gauge == nullptr) {
-    entry.gauge = std::make_unique<Gauge>();
-    if (!help.empty() && entry.help.empty()) entry.help = help;
-  }
-  return *entry.gauge;
-}
-
-Counter& MetricsRegistry::counter(const std::string& name,
-                                  const LabelSet& labels,
-                                  const std::string& help) {
-  Entry& entry = entry_of_kind(name, "counter");
-  LabelSet canonical = canonicalize(labels);
-  auto& child = entry.counter_children[render_labels(canonical)];
-  if (child.instrument == nullptr) {
-    child.labels = std::move(canonical);
-    child.instrument = std::make_unique<Counter>();
-    if (!help.empty() && entry.help.empty()) entry.help = help;
-  }
-  return *child.instrument;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name, const LabelSet& labels,
-                              const std::string& help) {
-  Entry& entry = entry_of_kind(name, "gauge");
-  LabelSet canonical = canonicalize(labels);
-  auto& child = entry.gauge_children[render_labels(canonical)];
-  if (child.instrument == nullptr) {
-    child.labels = std::move(canonical);
-    child.instrument = std::make_unique<Gauge>();
-    if (!help.empty() && entry.help.empty()) entry.help = help;
-  }
-  return *child.instrument;
+  return lookup<Gauge>(name, nullptr, help);
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const std::string& help,
                                       const HistogramOptions& options) {
-  Entry& entry = entry_of_kind(name, "histogram");
-  if (entry.histogram == nullptr) {
-    entry.histogram = std::make_unique<Histogram>(options);
-    if (!help.empty() && entry.help.empty()) entry.help = help;
-  }
-  return *entry.histogram;
+  return lookup<Histogram>(name, nullptr, help, options);
+}
+
+Counter& MetricsRegistry::counter(const std::string& name,
+                                  const LabelSet& labels,
+                                  const std::string& help) {
+  return lookup<Counter>(name, &labels, help);
+}
+
+Gauge& MetricsRegistry::gauge(const std::string& name, const LabelSet& labels,
+                              const std::string& help) {
+  return lookup<Gauge>(name, &labels, help);
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const LabelSet& labels,
                                       const std::string& help,
                                       const HistogramOptions& options) {
-  Entry& entry = entry_of_kind(name, "histogram");
-  LabelSet canonical = canonicalize(labels);
-  auto& child = entry.histogram_children[render_labels(canonical)];
-  if (child.instrument == nullptr) {
-    child.labels = std::move(canonical);
-    child.instrument = std::make_unique<Histogram>(options);
-    if (!help.empty() && entry.help.empty()) entry.help = help;
-  }
-  return *child.instrument;
+  return lookup<Histogram>(name, &labels, help, options);
 }
 
 bool MetricsRegistry::contains(const std::string& name) const {
@@ -228,11 +280,8 @@ bool MetricsRegistry::contains(const std::string& name) const {
 bool MetricsRegistry::contains(const std::string& name,
                                const LabelSet& labels) const {
   const auto it = entries_.find(name);
-  if (it == entries_.end()) return false;
-  const std::string key = render_labels(canonicalize(labels));
-  return it->second.counter_children.count(key) > 0 ||
-         it->second.gauge_children.count(key) > 0 ||
-         it->second.histogram_children.count(key) > 0;
+  return it != entries_.end() &&
+         it->second.children.count(render_labels(canonicalize(labels))) > 0;
 }
 
 std::vector<LabelSet> MetricsRegistry::label_sets(
@@ -240,14 +289,8 @@ std::vector<LabelSet> MetricsRegistry::label_sets(
   std::vector<LabelSet> out;
   const auto it = entries_.find(name);
   if (it == entries_.end()) return out;
-  for (const auto& [key, child] : it->second.counter_children) {
-    out.push_back(child.labels);
-  }
-  for (const auto& [key, child] : it->second.gauge_children) {
-    out.push_back(child.labels);
-  }
-  for (const auto& [key, child] : it->second.histogram_children) {
-    out.push_back(child.labels);
+  for (const auto& [key, child] : it->second.children) {
+    if (!key.empty()) out.push_back(child.labels);
   }
   return out;
 }
@@ -258,179 +301,43 @@ std::string MetricsRegistry::prometheus_text() const {
     if (!entry.help.empty()) {
       out << "# HELP " << name << " " << entry.help << "\n";
     }
-    if (entry.counter != nullptr || !entry.counter_children.empty()) {
-      out << "# TYPE " << name << " counter\n";
-      if (entry.counter != nullptr) {
-        out << name << " " << json::format_number(entry.counter->value())
-            << "\n";
-      }
-      for (const auto& [selector, child] : entry.counter_children) {
-        out << name << selector << " "
-            << json::format_number(child.instrument->value()) << "\n";
-      }
-    } else if (entry.gauge != nullptr || !entry.gauge_children.empty()) {
-      out << "# TYPE " << name << " gauge\n";
-      if (entry.gauge != nullptr) {
-        out << name << " " << json::format_number(entry.gauge->value())
-            << "\n";
-      }
-      for (const auto& [selector, child] : entry.gauge_children) {
-        out << name << selector << " "
-            << json::format_number(child.instrument->value()) << "\n";
-      }
-    } else if (entry.histogram != nullptr ||
-               !entry.histogram_children.empty()) {
-      out << "# TYPE " << name << " histogram\n";
-      // Cumulative buckets, empty ones elided to keep the exposition small
-      // (the +Inf series always carries the total).  `prefix` carries a
-      // child's labels into every bucket selector (`{core="0",le="..."}`)
-      // and onto its _sum/_count samples.
-      const auto write_histogram = [&out, &name](const Histogram& h,
-                                                 const std::string& prefix) {
-        std::uint64_t cumulative = h.underflow();
-        if (cumulative > 0) {
-          out << name << "_bucket{" << prefix << "le=\""
-              << json::format_number(h.options().min) << "\"} " << cumulative
-              << "\n";
-        }
-        for (std::size_t i = 0; i < h.bucket_count(); ++i) {
-          if (h.bucket(i) == 0) continue;
-          cumulative += h.bucket(i);
-          out << name << "_bucket{" << prefix << "le=\""
-              << json::format_number(h.bucket_upper_edge(i)) << "\"} "
-              << cumulative << "\n";
-        }
-        out << name << "_bucket{" << prefix << "le=\"+Inf\"} " << h.count()
-            << "\n";
-        // `{` + prefix without its trailing comma + `}`, built by appends:
-        // the equivalent operator+ chain trips GCC 12's -Wrestrict.
-        std::string selector;
-        if (!prefix.empty()) {
-          selector += '{';
-          selector.append(prefix, 0, prefix.size() - 1);
-          selector += '}';
-        }
-        out << name << "_sum" << selector << " "
-            << json::format_number(h.sum()) << "\n";
-        out << name << "_count" << selector << " " << h.count() << "\n";
-      };
-      if (entry.histogram != nullptr) {
-        write_histogram(*entry.histogram, "");
-      }
-      for (const auto& [selector, child] : entry.histogram_children) {
-        // render_labels gives `{k="v",...}`; the bucket prefix is the
-        // interior plus a trailing comma before the `le` label.
-        std::string prefix = selector.substr(1, selector.size() - 2);
-        if (!prefix.empty()) prefix += ",";
-        write_histogram(*child.instrument, prefix);
-      }
+    out << "# TYPE " << name << " " << kKindNames[entry.kind] << "\n";
+    for (const auto& [selector, child] : entry.children) {
+      std::visit([&](const auto& m) { write_samples(out, name, selector, m); },
+                 child.instrument);
     }
   }
   return out.str();
 }
-
-namespace {
-
-std::string labels_json(const LabelSet& labels) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json::quote(labels[i].first);
-    out += ": ";
-    out += json::quote(labels[i].second);
-  }
-  out += "}";
-  return out;
-}
-
-}  // namespace
 
 std::string MetricsRegistry::to_json() const {
-  std::ostringstream counters, gauges, histograms;
-  bool first_c = true, first_g = true, first_h = true;
+  const auto fields = [](const Child& child) {
+    return std::visit([](const auto& m) { return fields_json(m); },
+                      child.instrument);
+  };
+  std::string kinds[3];  // indexed by Entry::kind
   for (const auto& [name, entry] : entries_) {
-    if (entry.counter != nullptr || !entry.counter_children.empty()) {
-      counters << (first_c ? "" : ", ") << json::quote(name) << ": {";
-      bool wrote = false;
-      if (entry.counter != nullptr) {
-        counters << "\"value\": "
-                 << json::format_number(entry.counter->value());
-        wrote = true;
+    std::string& out = kinds[entry.kind];
+    if (!out.empty()) out += ", ";
+    out += json::quote(name) + ": {";
+    // Plain fields lead the entry (the "" key sorts first); labeled
+    // children follow in one "series" array.
+    auto it = entry.children.begin();
+    if (it->first.empty()) out += fields((it++)->second);
+    if (it != entry.children.end()) {
+      if (it != entry.children.begin()) out += ", ";
+      out += "\"series\": [";
+      for (auto first = it; it != entry.children.end(); ++it) {
+        if (it != first) out += ", ";
+        out += "{\"labels\": " + labels_json(it->second.labels) + ", " +
+               fields(it->second) + "}";
       }
-      if (!entry.counter_children.empty()) {
-        counters << (wrote ? ", " : "") << "\"series\": [";
-        bool first_s = true;
-        for (const auto& [selector, child] : entry.counter_children) {
-          counters << (first_s ? "" : ", ") << "{\"labels\": "
-                   << labels_json(child.labels) << ", \"value\": "
-                   << json::format_number(child.instrument->value()) << "}";
-          first_s = false;
-        }
-        counters << "]";
-      }
-      counters << "}";
-      first_c = false;
-    } else if (entry.gauge != nullptr || !entry.gauge_children.empty()) {
-      gauges << (first_g ? "" : ", ") << json::quote(name) << ": {";
-      bool wrote = false;
-      if (entry.gauge != nullptr) {
-        gauges << "\"value\": " << json::format_number(entry.gauge->value())
-               << ", \"max\": " << json::format_number(entry.gauge->max());
-        wrote = true;
-      }
-      if (!entry.gauge_children.empty()) {
-        gauges << (wrote ? ", " : "") << "\"series\": [";
-        bool first_s = true;
-        for (const auto& [selector, child] : entry.gauge_children) {
-          gauges << (first_s ? "" : ", ") << "{\"labels\": "
-                 << labels_json(child.labels) << ", \"value\": "
-                 << json::format_number(child.instrument->value())
-                 << ", \"max\": "
-                 << json::format_number(child.instrument->max()) << "}";
-          first_s = false;
-        }
-        gauges << "]";
-      }
-      gauges << "}";
-      first_g = false;
-    } else if (entry.histogram != nullptr ||
-               !entry.histogram_children.empty()) {
-      const auto summary_json = [](const Histogram& h) {
-        std::string out = "\"count\": " + std::to_string(h.count());
-        out += ", \"sum\": " + json::format_number(h.sum());
-        out += ", \"min\": " + json::format_number(h.min_value());
-        out += ", \"max\": " + json::format_number(h.max_value());
-        out += ", \"p50\": " + json::format_number(h.percentile(50.0));
-        out += ", \"p95\": " + json::format_number(h.percentile(95.0));
-        out += ", \"p99\": " + json::format_number(h.percentile(99.0));
-        return out;
-      };
-      histograms << (first_h ? "" : ", ") << json::quote(name) << ": {";
-      bool wrote = false;
-      if (entry.histogram != nullptr) {
-        histograms << summary_json(*entry.histogram);
-        wrote = true;
-      }
-      if (!entry.histogram_children.empty()) {
-        histograms << (wrote ? ", " : "") << "\"series\": [";
-        bool first_s = true;
-        for (const auto& [selector, child] : entry.histogram_children) {
-          histograms << (first_s ? "" : ", ") << "{\"labels\": "
-                     << labels_json(child.labels) << ", "
-                     << summary_json(*child.instrument) << "}";
-          first_s = false;
-        }
-        histograms << "]";
-      }
-      histograms << "}";
-      first_h = false;
+      out += "]";
     }
+    out += "}";
   }
-  std::ostringstream out;
-  out << "{\n  \"counters\": {" << counters.str() << "},\n  \"gauges\": {"
-      << gauges.str() << "},\n  \"histograms\": {" << histograms.str()
-      << "}\n}\n";
-  return out.str();
+  return "{\n  \"counters\": {" + kinds[0] + "},\n  \"gauges\": {" + kinds[1] +
+         "},\n  \"histograms\": {" + kinds[2] + "}\n}\n";
 }
 
 }  // namespace ptc::telemetry

@@ -4,9 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 /// Uniform metrics spine for the simulator: counters, gauges, and
@@ -125,10 +125,10 @@ std::string render_labels(const LabelSet& labels);
 /// references (instruments never move once created); names should follow
 /// Prometheus conventions (snake_case, `_total` suffix on counters).
 ///
-/// A name addresses either one plain instrument or a labeled family of
-/// them (same kind across all children — mixing kinds under one name is an
-/// error); a plain sample and labeled children may coexist under one name,
-/// matching the text-exposition data model.
+/// A name has one kind (mixing kinds is an error) and holds a plain
+/// instrument, labeled children, or both, as in the text-exposition data
+/// model; the plain sample exports first.  A histogram name's geometry is
+/// fixed by its first call.  A rejected call leaves the registry unchanged.
 class MetricsRegistry {
  public:
   Counter& counter(const std::string& name, const std::string& help = "");
@@ -142,7 +142,7 @@ class MetricsRegistry {
   Gauge& gauge(const std::string& name, const LabelSet& labels,
                const std::string& help = "");
   /// Labeled histogram family (e.g. per-core trigger-lag distributions).
-  /// Options are fixed by the first child created under `name`.
+  /// Options are fixed by the first call under `name`.
   Histogram& histogram(const std::string& name, const LabelSet& labels,
                        const std::string& help = "",
                        const HistogramOptions& options = {});
@@ -167,23 +167,26 @@ class MetricsRegistry {
   std::string to_json() const;
 
  private:
-  template <typename T>
+  /// Every child of one name holds the same alternative: the name's kind.
+  using Instrument = std::variant<Counter, Gauge, Histogram>;
   struct Child {
     LabelSet labels;  ///< canonical (sorted by key)
-    std::unique_ptr<T> instrument;
+    Instrument instrument;
   };
   struct Entry {
+    std::size_t kind = 0;  ///< Instrument::index() of every child
     std::string help;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-    /// Labeled children keyed by render_labels() of the canonical set.
-    std::map<std::string, Child<Counter>> counter_children;
-    std::map<std::string, Child<Gauge>> gauge_children;
-    std::map<std::string, Child<Histogram>> histogram_children;
+    HistogramOptions options;  ///< histogram geometry, fixed by the first call
+    /// Keyed by render_labels() of the canonical set; the plain instrument
+    /// is keyed "", so it sorts (and exports) before every selector.
+    std::map<std::string, Child> children;
   };
 
-  Entry& entry_of_kind(const std::string& name, const char* kind);
+  /// Finds or creates `name`'s child for `labels` (nullptr: the plain
+  /// instrument).  A rejected call leaves the table unchanged.
+  template <typename T>
+  T& lookup(const std::string& name, const LabelSet* labels,
+            const std::string& help, const HistogramOptions& options = {});
 
   std::map<std::string, Entry> entries_;
 };

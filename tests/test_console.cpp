@@ -1,13 +1,19 @@
 // Operator console tests: the SCPI grammar, the command surface against a
-// live serving stack, and the CI golden-transcript contract — the committed
-// demo script replayed at several host thread counts must produce output
-// byte-identical to tests/golden/console_transcript.txt.  On divergence the
-// test writes console_transcript.txt.actual next to the golden for diffing.
+// live serving stack, socket sessions driven over socketpair(), and the CI
+// golden contracts — the committed demo script replayed at several host
+// thread counts must produce output byte-identical to
+// tests/golden/console_transcript.txt, and its METR:JSON? reply must match
+// tests/golden/console_metrics.json.  On divergence a test writes
+// <golden>.actual next to the golden for diffing.
 #include <gtest/gtest.h>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.hpp"
@@ -28,10 +34,6 @@ using console::StreamOptions;
 std::string tests_dir() {
   const std::string self = __FILE__;
   return self.substr(0, self.find_last_of('/'));
-}
-
-std::string golden_transcript_path() {
-  return tests_dir() + "/golden/console_transcript.txt";
 }
 
 std::string demo_script_path() {
@@ -304,11 +306,64 @@ TEST(Console, ExitStopsTheStreamAndCountsErrors) {
   EXPECT_EQ(out.str().find("SNAP?"), std::string::npos);
 }
 
+// --- socket sessions --------------------------------------------------------
+
+std::string read_until_eof(int fd) {
+  std::string out;
+  char chunk[4096];
+  ssize_t n;
+  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
+    out.append(chunk, static_cast<std::size_t>(n));
+  }
+  return out;
+}
+
+TEST(ConsoleSocket, PeerThatClosesBeforeItsReplyEndsOnlyItsSession) {
+  DemoScenario demo(1);
+  Console console = demo.make_console();
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string request = "SERVE:RUN?\n";
+  ASSERT_EQ(::write(fds[1], request.data(), request.size()),
+            static_cast<ssize_t>(request.size()));
+  ::close(fds[1]);
+  // The reply has nowhere to go: the session ends, and no SIGPIPE takes
+  // this process down with it.
+  EXPECT_EQ(console.serve_connection(fds[0]), 0u);
+  ::close(fds[0]);
+  EXPECT_EQ(console.eval("TEN:LIST?"), "(fleet),embedded,mobile");
+}
+
+TEST(ConsoleSocket, OverLongLineDrawsOneErrorAndTheNextLineIsAnswered) {
+  DemoScenario demo(1);
+  Console console = demo.make_console();
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::size_t errors = 0;
+  std::thread server([&] {
+    errors = console.serve_connection(fds[0]);
+    ::close(fds[0]);
+  });
+  const std::string input = std::string(1 << 20, 'A') + "\n*IDN?\n";
+  for (std::size_t off = 0; off < input.size();) {
+    const ssize_t n = ::write(fds[1], input.data() + off, input.size() - off);
+    if (n <= 0) break;
+    off += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fds[1], SHUT_WR);
+  const std::string replies = read_until_eof(fds[1]);
+  server.join();
+  ::close(fds[1]);
+  EXPECT_EQ(replies, "ERR: command line longer than 65536 bytes\n" +
+                         console.eval("*IDN?") + "\n");
+  EXPECT_EQ(errors, 1u);
+}
+
 // --- golden transcript ------------------------------------------------------
 
-std::string transcript_for(std::size_t threads) {
-  DemoScenario demo(threads);
-  Console console = demo.make_console();
+/// Replays the committed demo script on `console` with ptc_console
+/// --script's echo, returning the transcript.
+std::string replay_demo_script(Console& console) {
   std::istringstream in(read_file(demo_script_path()));
   std::ostringstream out;
   StreamOptions options;
@@ -316,6 +371,24 @@ std::string transcript_for(std::size_t threads) {
   const std::size_t errors = console.run_stream(in, out, options);
   EXPECT_EQ(errors, 0u) << "demo script raised console errors";
   return out.str();
+}
+
+std::string transcript_for(std::size_t threads) {
+  DemoScenario demo(threads);
+  Console console = demo.make_console();
+  return replay_demo_script(console);
+}
+
+/// Compares `actual` byte for byte with tests/golden/<name>; on a mismatch
+/// writes it next to the golden as <name>.actual for diffing.
+void expect_matches_golden(const std::string& actual, const std::string& name) {
+  const std::string path = tests_dir() + "/golden/" + name;
+  if (actual == read_file(path)) return;
+  std::ofstream(path + ".actual") << actual;
+  ADD_FAILURE() << "console output diverged from tests/golden/" << name
+                << "; wrote " << path
+                << ".actual — review the diff, then copy it over the golden "
+                   "file if the change is intended";
 }
 
 TEST(Console, TranscriptIsByteIdenticalAcrossHostThreadCounts) {
@@ -329,17 +402,16 @@ TEST(Console, TranscriptIsByteIdenticalAcrossHostThreadCounts) {
 TEST(Console, TranscriptMatchesCommittedGolden) {
   const std::string actual = transcript_for(1);
   ASSERT_FALSE(actual.empty());
-  const std::string golden = read_file(golden_transcript_path());
-  if (actual != golden) {
-    const std::string actual_path =
-        golden_transcript_path() + ".actual";  // next to the golden
-    std::ofstream(actual_path) << actual;
-    FAIL() << "console transcript diverged from "
-              "tests/golden/console_transcript.txt; wrote "
-           << actual_path
-           << " — review the diff, then copy it over the golden file if the "
-              "change is intended";
-  }
+  expect_matches_golden(actual, "console_transcript.txt");
+}
+
+TEST(Console, MetricsJsonMatchesCommittedGolden) {
+  // The transcript pins METR:PROM?; this pins METR:JSON? after the same
+  // commands, so both registry writers are held to committed bytes.
+  DemoScenario demo(1);
+  Console console = demo.make_console();
+  replay_demo_script(console);
+  expect_matches_golden(console.eval("METR:JSON?"), "console_metrics.json");
 }
 
 }  // namespace

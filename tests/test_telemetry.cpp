@@ -440,6 +440,139 @@ TEST(MetricsRegistry, LabeledHistogramFamiliesRoundTripThroughTextAndJson) {
   EXPECT_THROW(registry.counter("trigger_lag_seconds"), std::invalid_argument);
 }
 
+/// One registry holding every shape the exports tell apart: a plain and a
+/// labeled child of each kind under one name, a labeled-only family, empty
+/// label sets, an escaped label value, and histogram samples below `min`
+/// and at or above `max`.
+void fill_every_export_shape(telemetry::MetricsRegistry& registry) {
+  registry.counter("requests_total", "requests admitted").inc(3.0);
+  registry.counter("requests_total", {{"tenant", "edge"}}).inc(2.5);
+  registry.gauge("queue_depth", "requests waiting").set(4.0);
+  registry.gauge("queue_depth").set(2.0);
+  registry.gauge("queue_depth", {{"core", "1"}}).set(0.5);
+  telemetry::HistogramOptions options;
+  options.min = 1e-3;
+  options.max = 1.0;
+  options.buckets_per_decade = 1;
+  telemetry::Histogram& plain =
+      registry.histogram("latency_seconds", "request latency", options);
+  plain.observe(1e-4);
+  plain.observe(0.05);
+  plain.observe(1.0);
+  plain.observe(2.0);
+  registry.histogram("latency_seconds", {{"core", "0"}}, "", options)
+      .observe(0.002);
+  registry
+      .counter("cost_total", {{"tenant", "mobile"}, {"model", "vision"}},
+               "attributed cost")
+      .inc(0.25);
+  registry.counter("cost_total", {{"path", "a\"b\\c\nd"}, {"model", "kw"}})
+      .inc(0.75);
+  registry.counter("empty_total", telemetry::LabelSet{}).inc();
+  registry.histogram("empty_seconds", telemetry::LabelSet{}, "", options)
+      .observe(0.5);
+}
+
+TEST(MetricsRegistry, ExportsEveryShapeByteForByte) {
+  const std::string expected_text =
+    R"(# HELP cost_total attributed cost)" "\n"
+    R"(# TYPE cost_total counter)" "\n"
+    R"(cost_total{model="kw",path="a\"b\\c\nd"} 0.75)" "\n"
+    R"(cost_total{model="vision",tenant="mobile"} 0.25)" "\n"
+    R"(# TYPE empty_seconds histogram)" "\n"
+    R"(empty_seconds_bucket{le="1"} 1)" "\n"
+    R"(empty_seconds_bucket{le="+Inf"} 1)" "\n"
+    R"(empty_seconds_sum 0.5)" "\n"
+    R"(empty_seconds_count 1)" "\n"
+    R"(# TYPE empty_total counter)" "\n"
+    R"(empty_total{} 1)" "\n"
+    R"(# HELP latency_seconds request latency)" "\n"
+    R"(# TYPE latency_seconds histogram)" "\n"
+    R"(latency_seconds_bucket{le="0.001"} 1)" "\n"
+    R"(latency_seconds_bucket{le="0.1"} 2)" "\n"
+    R"(latency_seconds_bucket{le="+Inf"} 4)" "\n"
+    R"(latency_seconds_sum 3.0501)" "\n"
+    R"(latency_seconds_count 4)" "\n"
+    R"(latency_seconds_bucket{core="0",le="0.01"} 1)" "\n"
+    R"(latency_seconds_bucket{core="0",le="+Inf"} 1)" "\n"
+    R"(latency_seconds_sum{core="0"} 0.002)" "\n"
+    R"(latency_seconds_count{core="0"} 1)" "\n"
+    R"(# HELP queue_depth requests waiting)" "\n"
+    R"(# TYPE queue_depth gauge)" "\n"
+    R"(queue_depth 2)" "\n"
+    R"(queue_depth{core="1"} 0.5)" "\n"
+    R"(# HELP requests_total requests admitted)" "\n"
+    R"(# TYPE requests_total counter)" "\n"
+    R"(requests_total 3)" "\n"
+    R"(requests_total{tenant="edge"} 2.5)" "\n";
+  const std::string expected_json =
+    R"({)" "\n"
+    R"(  "counters": {"cost_total": {"series": [{"labels": {"model": "kw", )"
+    R"("path": "a\"b\\c\nd"}, "value": 0.75}, )"
+    R"({"labels": {"model": "vision", "tenant": "mobile"}, )"
+    R"("value": 0.25}]}, "empty_total": {"series": [{"labels": {}, )"
+    R"("value": 1}]}, "requests_total": {"value": 3, )"
+    R"("series": [{"labels": {"tenant": "edge"}, "value": 2.5}]}},)" "\n"
+    R"(  "gauges": {"queue_depth": {"value": 2, "max": 4, )"
+    R"("series": [{"labels": {"core": "1"}, "value": 0.5, )"
+    R"("max": 0.5}]}},)" "\n"
+    R"(  "histograms": {"empty_seconds": {"series": [{"labels": {}, )"
+    R"("count": 1, "sum": 0.5, "min": 0.5, "max": 0.5, "p50": 0.5, )"
+    R"("p95": 0.5, "p99": 0.5}]}, "latency_seconds": {"count": 4, )"
+    R"("sum": 3.0501, "min": 0.0001, "max": 2, "p50": 0.1, "p95": 2, )"
+    R"("p99": 2, "series": [{"labels": {"core": "0"}, "count": 1, )"
+    R"("sum": 0.002, "min": 0.002, "max": 0.002, "p50": 0.002, )"
+    R"("p95": 0.002, "p99": 0.002}]}})" "\n"
+    R"(})" "\n";
+  telemetry::MetricsRegistry registry;
+  fill_every_export_shape(registry);
+  EXPECT_EQ(registry.prometheus_text(), expected_text);
+  EXPECT_EQ(registry.to_json(), expected_json);
+
+  // A duplicate or empty label key is rejected, under an existing name or a
+  // new one, and neither export changes.
+  EXPECT_THROW(
+      registry.counter("requests_total", {{"tenant", "a"}, {"tenant", "b"}}),
+      std::invalid_argument);
+  EXPECT_THROW(registry.gauge("fresh_gauge", {{"", "x"}}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      registry.histogram("fresh_seconds", {{"core", "0"}, {"core", "1"}}),
+      std::invalid_argument);
+  EXPECT_EQ(registry.prometheus_text(), expected_text);
+  EXPECT_EQ(registry.to_json(), expected_json);
+}
+
+TEST(MetricsRegistry, RejectedCallsLeaveNoEntryAndGeometryIsPerName) {
+  telemetry::MetricsRegistry registry;
+  EXPECT_THROW(registry.gauge("fresh_gauge", {{"", "x"}}),
+               std::invalid_argument);
+  telemetry::HistogramOptions bad;
+  bad.min = 0.0;
+  EXPECT_THROW(registry.histogram("bad_seconds", "", bad),
+               std::invalid_argument);
+  EXPECT_FALSE(registry.contains("fresh_gauge"));
+  EXPECT_FALSE(registry.contains("bad_seconds"));
+  EXPECT_EQ(registry.prometheus_text(), "");
+
+  // The first call under a name fixes the geometry of every child.
+  telemetry::HistogramOptions coarse;
+  coarse.min = 1e-3;
+  coarse.max = 1.0;
+  coarse.buckets_per_decade = 1;
+  telemetry::Histogram& first =
+      registry.histogram("lag_seconds", {{"core", "0"}}, "", coarse);
+  EXPECT_EQ(registry.histogram("lag_seconds", {{"core", "1"}}).bucket_count(),
+            3u);
+  EXPECT_EQ(registry.histogram("lag_seconds").bucket_count(), 3u);
+
+  // Instruments never move once created, however the table grows.
+  for (int i = 0; i < 64; ++i) {
+    registry.histogram("lag_seconds", {{"core", std::to_string(i)}});
+  }
+  EXPECT_EQ(&registry.histogram("lag_seconds", {{"core", "0"}}), &first);
+}
+
 // --- JSON parser ------------------------------------------------------------
 
 TEST(Json, ParsesDocumentsAndRejectsGarbage) {

@@ -34,9 +34,8 @@ int capped(std::size_t errors) {
 }
 
 #ifndef _WIN32
-/// Minimal line-oriented AF_UNIX server: one client at a time, one command
-/// per line, one reply per command (multi-line replies end with a blank
-/// line so clients can frame them).  `EXIT` closes the session and the
+/// Minimal line-oriented AF_UNIX server: one client at a time, each served
+/// by Console::serve_connection.  `EXIT` closes the session and the
 /// server.  socat readline UNIX-CONNECT:<path> makes a fine client.
 int serve_socket(ptc::console::Console& console, const std::string& path) {
   const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -67,31 +66,7 @@ int serve_socket(ptc::console::Console& console, const std::string& path) {
   while (!console.exit_requested()) {
     const int client = ::accept(listener, nullptr, nullptr);
     if (client < 0) break;
-    std::string buffer;
-    char chunk[512];
-    for (;;) {
-      const ssize_t n = ::read(client, chunk, sizeof(chunk));
-      if (n <= 0) break;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t eol;
-      while ((eol = buffer.find('\n')) != std::string::npos) {
-        const std::string line = buffer.substr(0, eol);
-        buffer.erase(0, eol + 1);
-        std::string reply = console.eval(line);
-        if (reply.rfind("ERR:", 0) == 0) ++errors;
-        if (reply.empty()) continue;
-        const bool multiline = reply.find('\n') != std::string::npos;
-        reply += multiline ? "\n\n" : "\n";
-        std::size_t off = 0;
-        while (off < reply.size()) {
-          const ssize_t wrote =
-              ::write(client, reply.data() + off, reply.size() - off);
-          if (wrote <= 0) break;
-          off += static_cast<std::size_t>(wrote);
-        }
-      }
-      if (console.exit_requested()) break;
-    }
+    errors += console.serve_connection(client);
     ::close(client);
   }
   ::close(listener);
