@@ -198,10 +198,12 @@ std::string Console::cmd_measure(const ScpiCommand& command) {
     serve::LatencyStats stats = report_.total;
     if (command.args.size() >= 2) {
       const std::string& tenant = command.args[1];
-      if (serve::tenant_cost(report_.tenant_costs, tenant) == nullptr) {
+      bool token = false;
+      if (find_tenant(tenant, &token) == nullptr) {
         return error("unknown tenant \"" + tenant + "\"");
       }
-      stats = report_.tenant_total(tenant);
+      stats = token ? token_report_.tenant_total(tenant)
+                    : report_.tenant_total(tenant);
     }
     const std::string stat = scpi_upper(command.args[0]);
     if (stat == "P50") return num(stats.p50);
@@ -217,14 +219,23 @@ std::string Console::cmd_measure(const ScpiCommand& command) {
   if (mnemonic_matches(what, "UTILization")) return num(report_.utilization());
   if (mnemonic_matches(what, "ENERgy")) {
     if (command.args.empty()) return num(report_.energy);
-    const serve::TenantCost* cost =
-        serve::tenant_cost(report_.tenant_costs, command.args[0]);
+    const serve::TenantCost* cost = find_tenant(command.args[0]);
     if (cost == nullptr) {
       return error("unknown tenant \"" + command.args[0] + "\"");
     }
     return num(cost->energy_joules);
   }
   return error("unknown MEASure command \"" + what + "\"");
+}
+
+const serve::TenantCost* Console::find_tenant(const std::string& tenant,
+                                             bool* token) const {
+  const serve::TenantCost* cost =
+      serve::tenant_cost(report_.tenant_costs, tenant);
+  if (token != nullptr) *token = cost == nullptr;
+  return cost != nullptr ? cost
+                         : serve::tenant_cost(token_report_.tenant_costs,
+                                              tenant);
 }
 
 std::string Console::cmd_fleet(const ScpiCommand& command) {
@@ -302,13 +313,7 @@ std::string Console::cmd_tenant(const ScpiCommand& command) {
   }
   if (mnemonic_matches(sub, "COST")) {
     if (command.args.empty()) return error("TEN:COST? needs a tenant name");
-    // Batch-serving row first; token-serving tenants answer from the last
-    // TOK:RUN? report (same TenantCost shape, token fields live).
-    const serve::TenantCost* cost =
-        serve::tenant_cost(report_.tenant_costs, command.args[0]);
-    if (cost == nullptr) {
-      cost = serve::tenant_cost(token_report_.tenant_costs, command.args[0]);
-    }
+    const serve::TenantCost* cost = find_tenant(command.args[0]);
     if (cost == nullptr) {
       return error("unknown tenant \"" + command.args[0] + "\"");
     }
@@ -546,7 +551,6 @@ std::string Console::cmd_fault(const ScpiCommand& command) {
       return error("cannot evict the last active core");
     }
     accelerator_.evict_core(core);
-    registry_.reset_residency();
     return "OK evicted=" + count(core) +
            " active=" + count(accelerator_.active_core_count());
   }
@@ -562,7 +566,6 @@ std::string Console::cmd_fault(const ScpiCommand& command) {
                    " is FAILED (FAULT:CLEar it first)");
     }
     accelerator_.readmit_core(core);
-    registry_.reset_residency();
     return "OK readmitted=" + count(core) +
            " active=" + count(accelerator_.active_core_count());
   }

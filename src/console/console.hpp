@@ -92,6 +92,11 @@ class Console {
   std::string cmd_model(const ScpiCommand& command);
   std::string cmd_help() const;
 
+  /// The tenant's row in the last SERVE:RUN? report, else in the last
+  /// TOK:RUN? one (`*token` set); nullptr for an unknown tenant.
+  const serve::TenantCost* find_tenant(const std::string& tenant,
+                                       bool* token = nullptr) const;
+
   serve::Server& server_;
   serve::ModelRegistry& registry_;
   runtime::Accelerator& accelerator_;

@@ -43,11 +43,7 @@ double PsramArray::write_matrix(std::span<const std::uint32_t> values) {
   // One ledger lookup per matrix; the words book their energy in word
   // order, the same sum write_word would build.
   store_words(0, values, ledger_.energy_slot("psram_write"));
-  // Rows update in parallel; each row streams words bit-serially at the
-  // write rate.
-  const double slots = static_cast<double>(config_.words_per_row) *
-                       static_cast<double>(config_.bits_per_word);
-  return slots / config_.write_rate;
+  return reload_time();
 }
 
 std::size_t PsramArray::store_words(std::size_t first,

@@ -60,8 +60,15 @@ class PsramArray {
                          std::uint32_t value);
 
   /// Writes a full weight matrix (row-major, rows x words_per_row).
-  /// All rows are written in parallel; returns the reload latency [s].
+  /// All rows are written in parallel; returns reload_time().
   double write_matrix(std::span<const std::uint32_t> values);
+
+  /// Full-array reload latency [s]: rows write in parallel, each streaming
+  /// words_per_row * bits_per_word slots at the write rate (paper: 2.4 ns).
+  double reload_time() const {
+    return static_cast<double>(config_.words_per_row) *
+           static_cast<double>(config_.bits_per_word) / config_.write_rate;
+  }
 
   std::uint32_t word(std::size_t row, std::size_t index) const;
 

@@ -13,8 +13,6 @@ namespace {
 constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
 constexpr std::size_t kNoNode = std::numeric_limits<std::size_t>::max();
 
-std::size_t div_ceil(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
 }  // namespace
 
 std::size_t Step::rows_per_sample() const {
@@ -321,9 +319,8 @@ PassProfile CompiledGraph::pass_profile(std::size_t tile_m, std::size_t tile_k,
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const Step& step = steps[i];
     if (!step.on_accelerator()) continue;
-    const std::size_t tiles = div_ceil(step.weight_rows(), tile_k) *
-                              div_ceil(step.weight_cols(), tile_m) *
-                              (differential ? 2 : 1);
+    const std::size_t tiles = nn::tile_passes(
+        step.weight_rows(), step.weight_cols(), tile_m, tile_k, differential);
     profile.steps.push_back({i, tiles, step.rows_per_sample()});
     profile.total_passes += tiles;
   }

@@ -48,6 +48,12 @@ std::size_t WeightPlanCache::builds() const {
   return builds_;
 }
 
+std::size_t tile_passes(std::size_t k, std::size_t m, std::size_t tile_m,
+                        std::size_t tile_k, bool differential) {
+  return (k + tile_k - 1) / tile_k * ((m + tile_m - 1) / tile_m) *
+         (differential ? 2 : 1);
+}
+
 std::shared_ptr<const WeightPlan> build_weight_plan(const Matrix& w,
                                                     std::size_t tile_m,
                                                     std::size_t tile_k,
@@ -63,8 +69,8 @@ std::shared_ptr<const WeightPlan> build_weight_plan(const Matrix& w,
   plan->mapping = signed_mapping_for(w);
   plan->source = w;
 
-  plan->passes.reserve(plan->m_tiles() * plan->k_tiles() *
-                       (differential ? 2 : 1));
+  plan->passes.reserve(
+      tile_passes(plan->k, plan->m, tile_m, tile_k, differential));
   for (std::size_t mt = 0; mt < plan->m_tiles(); ++mt) {
     for (std::size_t kt = 0; kt < plan->k_tiles(); ++kt) {
       if (differential) {

@@ -65,6 +65,12 @@ struct WeightPlan {
   std::size_t m_tiles() const { return (m + tile_m - 1) / tile_m; }
 };
 
+/// Tile passes of a k x m weight matrix on tile_m x tile_k cores — the size
+/// of build_weight_plan's pass list: ceil(k / tile_k) * ceil(m / tile_m)
+/// blocks, twice under the differential W+/W- encoding.
+std::size_t tile_passes(std::size_t k, std::size_t m, std::size_t tile_m,
+                        std::size_t tile_k, bool differential);
+
 /// Builds the weight half for an (s x k) times w (k x m) matmul on cores
 /// with tile_m rows and tile_k cols.  Pure function of its arguments.
 std::shared_ptr<const WeightPlan> build_weight_plan(const Matrix& w,

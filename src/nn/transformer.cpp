@@ -5,6 +5,7 @@
 
 #include "common/expects.hpp"
 #include "nn/layers.hpp"
+#include "nn/tiling.hpp"
 
 namespace ptc::nn {
 namespace {
@@ -14,16 +15,6 @@ Matrix random_matrix(std::size_t rows, std::size_t cols, double sigma,
   Matrix m(rows, cols);
   for (double& v : m.data()) v = rng.normal(0.0, sigma);
   return m;
-}
-
-std::size_t div_ceil(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
-/// Tile passes of one rows x cols weight load at the given tiling — the
-/// same count graph::pass_profile derives per step.
-std::size_t tile_passes(std::size_t rows, std::size_t cols, std::size_t tile_m,
-                        std::size_t tile_k, bool differential) {
-  return div_ceil(rows, tile_k) * div_ceil(cols, tile_m) *
-         (differential ? 2 : 1);
 }
 
 }  // namespace

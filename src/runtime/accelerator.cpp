@@ -70,10 +70,7 @@ Accelerator::Accelerator(const AcceleratorConfig& config)
 
   core::TensorCore& probe = *cores_.front();
   sample_rate_ = probe.adc(0).sample_rate();
-  // Full-tile reload: every row writes in parallel, cols * bits slots each.
-  reload_latency_ = static_cast<double>(probe.cols()) *
-                    static_cast<double>(probe.weight_bits()) /
-                    probe.weight_update_rate();
+  reload_latency_ = probe.psram().reload_time();
 
   stats_.cores = cores_.size();
   stats_.core_busy.assign(cores_.size(), 0.0);
@@ -409,6 +406,7 @@ void Accelerator::rebuild_active() {
   for (std::size_t i = 0; i < cores_.size(); ++i) {
     if (evicted_[i] == 0) active_.push_back(i);
   }
+  ++rotation_changes_;
   if (metrics_ != nullptr) {
     metrics_
         ->gauge("fleet_active_cores",

@@ -191,6 +191,11 @@ class Accelerator {
   void evict_core(std::size_t index);
   void readmit_core(std::size_t index);
 
+  /// Times the rotation was rebuilt (construction, evict_core, readmit_core,
+  /// reset_faults): state planned against it, like weight residency, is
+  /// stale once this moves.
+  std::size_t rotation_changes() const { return rotation_changes_; }
+
   /// Clears every injected fault, readmits every core, heals all health
   /// states, and re-locks (detuning 0).  pSRAM endurance wear is physical
   /// damage and persists.  Server::run calls this when a fault schedule is
@@ -255,6 +260,7 @@ class Accelerator {
   std::vector<CoreHealth> health_;
   std::vector<std::uint8_t> evicted_;
   std::vector<std::size_t> active_;
+  std::size_t rotation_changes_ = 0;
   std::size_t faults_injected_ = 0;
   double sample_rate_ = 0.0;     ///< per-core ADC sample rate [Hz]
   double reload_latency_ = 0.0;  ///< modeled full-tile reload latency [s]

@@ -1,5 +1,6 @@
 #include "serve/model_registry.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/expects.hpp"
@@ -7,6 +8,20 @@
 #include "nn/tiling.hpp"
 
 namespace ptc::serve {
+namespace {
+
+/// Runs `work` with the fleet tracer detached: serving's modeled timing
+/// comes from the batch_cost pass, not from the real execution, so each
+/// hardware span is emitted exactly once, by the costing pass.
+template <typename Work>
+void run_untraced(runtime::Accelerator& fleet, Work&& work) {
+  telemetry::Tracer* tracer = fleet.tracer();
+  if (tracer != nullptr) fleet.set_tracer(nullptr);
+  work();
+  if (tracer != nullptr) fleet.set_tracer(tracer);
+}
+
+}  // namespace
 
 ModelRegistry::ModelRegistry(runtime::Accelerator& accelerator,
                              const nn::PhotonicBackendOptions& options)
@@ -21,9 +36,7 @@ void ModelRegistry::add_graph(const std::string& name, const graph::Graph& g) {
   expects(!contains(name) && !is_transformer(name),
           "model name already registered");
 
-  // The pass profile mirrors nn::plan_tiled_matmul: a k x m weight matrix
-  // cuts into ceil(k / cols) x ceil(m / rows) tiles, twice under the
-  // differential W+/W- encoding.
+  // The pass profile counts each step's nn::tile_passes at this geometry.
   const core::TensorCore& probe = accelerator_.core(0);
   Entry entry;
   entry.compiled = graph::compile(g);
@@ -66,21 +79,6 @@ const nn::TransformerModel& ModelRegistry::transformer(
   return it->second;
 }
 
-std::size_t ModelRegistry::transformer_weight_passes(
-    const std::string& name) const {
-  const core::TensorCore& probe = accelerator_.core(0);
-  return transformer(name).weight_passes(
-      probe.rows(), probe.cols(), backend_.options().differential_weights);
-}
-
-std::size_t ModelRegistry::transformer_attention_passes(
-    const std::string& name, std::size_t context_len) const {
-  const core::TensorCore& probe = accelerator_.core(0);
-  return transformer(name).attention_passes(
-      context_len, probe.rows(), probe.cols(),
-      backend_.options().differential_weights);
-}
-
 const ModelRegistry::Entry& ModelRegistry::entry(
     const std::string& name) const {
   const auto it = models_.find(name);
@@ -98,6 +96,11 @@ std::size_t ModelRegistry::input_width(const std::string& name) const {
 }
 
 std::size_t ModelRegistry::passes(const std::string& name) const {
+  if (is_transformer(name)) {
+    const core::TensorCore& probe = accelerator_.core(0);
+    return transformer(name).weight_passes(
+        probe.rows(), probe.cols(), backend_.options().differential_weights);
+  }
   return entry(name).profile.total_passes;
 }
 
@@ -108,6 +111,11 @@ bool ModelRegistry::fits_resident(const std::string& name) const {
   return passes(name) <= accelerator_.active_core_count();
 }
 
+void ModelRegistry::take_residency(const std::string& name) {
+  resident_ = fits_resident(name) ? name : std::string();
+  resident_rotation_ = accelerator_.rotation_changes();
+}
+
 BatchDispatch ModelRegistry::run_batch(const std::string& name,
                                        const Matrix& x) {
   const Entry& e = entry(name);
@@ -115,36 +123,63 @@ BatchDispatch ModelRegistry::run_batch(const std::string& name,
   expects(x.cols() == e.compiled.input_size(),
           "batch width does not match the model input width");
 
-  const bool warm = resident_ == name && fits_resident(name);
   BatchDispatch out;
-  out.warm = warm;
+  out.warm = warm(name);
+  run_untraced(accelerator_,
+               [&] { out.logits = graph::run(e.compiled, backend_, x); });
 
-  // In serve mode the modeled timing comes from the batch_cost loop below,
-  // not from the real execution — detach the tracer around graph::run so
-  // each hardware span is emitted exactly once, by the costing pass.
   telemetry::Tracer* tracer = accelerator_.tracer();
-  if (tracer != nullptr) accelerator_.set_tracer(nullptr);
-  out.logits = graph::run(e.compiled, backend_, x);
-  if (tracer != nullptr) accelerator_.set_tracer(tracer);
-
   for (const graph::StepPasses& sp : e.profile.steps) {
     const double step_start = accelerator_.trace_time();
     const runtime::BatchCost cost = accelerator_.batch_cost(
-        sp.passes, warm ? sp.passes : 0, x.rows() * sp.rows_per_sample);
+        sp.passes, out.warm ? sp.passes : 0, x.rows() * sp.rows_per_sample);
     if (tracer != nullptr) {
       tracer->complete(telemetry::track::kSteps,
                        e.compiled.steps[sp.step].label.c_str(), "step",
                        step_start, accelerator_.trace_time(),
                        {{"passes", sp.passes},
-                        {"warm", warm},
+                        {"warm", out.warm},
                         {"rows", x.rows() * sp.rows_per_sample}});
     }
     out.latency += cost.latency;
     out.busy += cost.busy;
     out.passes += sp.passes;
-    if (warm) out.warm_passes += sp.passes;
+    if (out.warm) out.warm_passes += sp.passes;
   }
-  resident_ = fits_resident(name) ? name : std::string();
+  take_residency(name);
+  return out;
+}
+
+BatchDispatch ModelRegistry::run_decode_step(
+    const std::string& name, const std::vector<nn::KvCache*>& caches,
+    const std::vector<std::size_t>& tokens) {
+  const nn::TransformerModel& model = transformer(name);
+  expects(!caches.empty() && tokens.size() == caches.size(),
+          "a decode step needs one token per cache");
+
+  BatchDispatch out;
+  out.warm = warm(name);
+  out.logits = Matrix(caches.size(), model.config().vocab);
+  run_untraced(accelerator_, [&] {
+    for (std::size_t i = 0; i < caches.size(); ++i) {
+      std::ranges::copy(model.decode_step(backend_, *caches[i], tokens[i]),
+                        &out.logits(i, 0));
+    }
+  });
+
+  out.passes = passes(name);
+  out.warm_passes = out.warm ? out.passes : 0;
+  const core::TensorCore& probe = accelerator_.core(0);
+  for (const nn::KvCache* cache : caches) {
+    out.passes += model.attention_passes(
+        cache->length, probe.rows(), probe.cols(),
+        backend_.options().differential_weights);
+  }
+  const runtime::BatchCost cost =
+      accelerator_.batch_cost(out.passes, out.warm_passes, caches.size());
+  out.latency = cost.latency;
+  out.busy = cost.busy;
+  take_residency(name);
   return out;
 }
 

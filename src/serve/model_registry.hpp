@@ -15,15 +15,15 @@
 #include "runtime/accelerator.hpp"
 #include "runtime/backend.hpp"
 
-/// Named model store over compiled graphs, with weight-tile residency
-/// accounting.  Every registered model — an nn::Mlp or any dataflow graph
-/// (CNNs, residual nets) — is lowered through the graph compiler at
-/// registration; the resulting schedule's pass profile tells the registry
-/// how many pSRAM residencies one batch streams per step, and whether the
-/// previous dispatch left those tiles on the fleet — the signal the
-/// DynamicBatcher uses to favor batches that skip reloads entirely, which
-/// is the serving-side payoff of the paper's 20 GHz weight-streaming
-/// argument.
+/// Named model store over compiled graphs and decoder-only transformers,
+/// with the fleet's one weight-tile residency rule.  Every batch model — an
+/// nn::Mlp or any dataflow graph (CNNs, residual nets) — is lowered through
+/// the graph compiler at registration; its pass profile tells the registry
+/// how many pSRAM residencies one batch streams per step.  A batch or a
+/// decode step is warm when the previous dispatch left its model's tiles on
+/// the current rotation — the signal the DynamicBatcher uses to favor
+/// batches that skip reloads entirely, the serving-side payoff of the
+/// paper's 20 GHz weight-streaming argument.
 namespace ptc::serve {
 
 /// Output + modeled cost of dispatching one batch through the fleet.
@@ -51,8 +51,8 @@ class ModelRegistry {
   void add_graph(const std::string& name, const graph::Graph& g);
 
   /// Registers a decoder-only transformer under `name` (unique across both
-  /// stores).  Token-level serving decodes it incrementally through the
-  /// fleet backend (Server::run's token overload); the full-sequence graph
+  /// stores).  Token-level serving decodes it incrementally through
+  /// run_decode_step (Server::run's token overload); the full-sequence graph
   /// path stays available via the model itself.
   void add_transformer(const std::string& name,
                        const nn::TransformerModel& model);
@@ -63,21 +63,8 @@ class ModelRegistry {
   /// A registered transformer's weights.
   const nn::TransformerModel& transformer(const std::string& name) const;
 
-  /// Static weight-tile passes of one decode step of this transformer at
-  /// the fleet's core geometry — the residency-eligible passes (identical
-  /// every step, so back-to-back steps of the resident model reuse them
-  /// warm).  Attention passes come on top, per request, per context length
-  /// (nn::TransformerModel::attention_passes) and are never warm.
-  std::size_t transformer_weight_passes(const std::string& name) const;
-
-  /// Attention passes of one decode step for one request with the given
-  /// post-append context length, at the fleet's core geometry.
-  std::size_t transformer_attention_passes(const std::string& name,
-                                           std::size_t context_len) const;
-
-  /// The fleet-wide backend decode steps stream through (same one
-  /// run_batch uses, so token and batch serving share residency state and
-  /// the energy ledger).
+  /// The fleet backend run_batch and run_decode_step stream through;
+  /// decoding through it directly gives run_decode_step's logits bitwise.
   runtime::AcceleratorBackend& decode_backend() { return backend_; }
 
   /// The fleet every registered model executes on.
@@ -98,16 +85,24 @@ class ModelRegistry {
   std::size_t input_width(const std::string& name) const;
 
   /// Weight-tile passes one batch of this model streams (all accelerator
-  /// steps of the schedule, doubled under differential encoding).
+  /// steps of the schedule, doubled under differential encoding).  For a
+  /// transformer: the static weight passes of one decode step, identical
+  /// every step — its per-request attention passes are never warm.
   std::size_t passes(const std::string& name) const;
 
   /// True when the model's tiles all fit on the fleet simultaneously — the
-  /// precondition for back-to-back batches to reuse residencies.
+  /// precondition for back-to-back batches (or decode steps) to reuse
+  /// residencies.
   bool fits_resident(const std::string& name) const;
 
-  /// Model whose tiles are currently resident across the fleet ("" when
-  /// none is coherently resident).
-  const std::string& resident_model() const { return resident_; }
+  /// Model whose tiles are currently resident across the fleet: the last
+  /// dispatched model, if it fits.  "" when none is, and once the fleet's
+  /// rotation changes (evict_core, readmit_core, reset_faults) — residency
+  /// was planned against the old rotation.
+  std::string resident_model() const {
+    return resident_rotation_ == accelerator_.rotation_changes() ? resident_
+                                                                 : "";
+  }
 
   /// Executes one batch (x: samples x input_width) on the fleet and
   /// returns logits plus the modeled batch cost, summed over the
@@ -124,6 +119,16 @@ class ModelRegistry {
   /// thermal drift; costs nothing on the modeled hardware clock.
   Matrix reference_batch(const std::string& name, const Matrix& x);
 
+  /// One token step of a registered transformer: cache i decodes tokens[i]
+  /// through decode_backend(), in order, into logits row i.  Costed as one
+  /// batch of caches.size() samples at the trace cursor: the static weight
+  /// passes, warm under run_batch's residency rule, plus each request's
+  /// attention passes at its post-append context length, never warm.  No
+  /// step span is traced; the token loop traces its decode_step window.
+  BatchDispatch run_decode_step(const std::string& name,
+                                const std::vector<nn::KvCache*>& caches,
+                                const std::vector<std::size_t>& tokens);
+
   /// Forgets residency state (fresh fleet), e.g. at the start of a run.
   void reset_residency() { resident_.clear(); }
 
@@ -135,12 +140,22 @@ class ModelRegistry {
 
   const Entry& entry(const std::string& name) const;
 
+  /// The residency rule both request kinds are costed by: a dispatch of
+  /// `name` reuses every tile when `name` is resident and still fits, and
+  /// leaves `name` resident on the current rotation if it fits.
+  bool warm(const std::string& name) const {
+    return resident_model() == name && fits_resident(name);
+  }
+  void take_residency(const std::string& name);
+
   runtime::Accelerator& accelerator_;
   runtime::AcceleratorBackend backend_;
   nn::FloatBackend reference_backend_;
   std::map<std::string, Entry> models_;
   std::map<std::string, nn::TransformerModel> transformers_;
   std::string resident_;
+  /// accelerator_.rotation_changes() when resident_ was taken.
+  std::size_t resident_rotation_ = 0;
 };
 
 }  // namespace ptc::serve

@@ -304,7 +304,6 @@ ServeReport Server::run(const std::vector<Request>& requests,
         if (accelerator_.core_evicted(event.core) &&
             verdict != runtime::CoreHealth::kFailed) {
           accelerator_.readmit_core(event.core);
-          registry_.reset_residency();
           ++report.core_readmissions;
           if (tracer_ != nullptr) {
             tracer_->instant(telemetry::track::kServe, "core_readmitted",
@@ -319,9 +318,6 @@ ServeReport Server::run(const std::vector<Request>& requests,
                  !accelerator_.core_evicted(event.core) &&
                  accelerator_.active_core_count() > 1) {
         accelerator_.evict_core(event.core);
-        // Residency was planned against the old rotation; drop it so the
-        // next batch restreams against the survivors.
-        registry_.reset_residency();
         ++report.core_evictions;
         if (tracer_ != nullptr) {
           tracer_->instant(telemetry::track::kServe, "core_evicted", "serve",

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/expects.hpp"
+#include "nn/layers.hpp"
 #include "serve/attribution.hpp"
 
 namespace ptc::serve {
@@ -25,17 +26,17 @@ struct Progress {
   std::size_t generated = 0;
   std::size_t preemptions = 0;
   double first_token = 0.0;
-  std::vector<double> logits;  ///< last decode step's logit row
 };
 
-std::size_t argmax(const std::vector<double>& xs) {
-  std::size_t best = 0;
-  for (std::size_t j = 1; j < xs.size(); ++j)
-    if (xs[j] > xs[best]) best = j;
-  return best;
-}
-
 }  // namespace
+
+LatencyStats TokenServeReport::tenant_total(const std::string& tenant) const {
+  std::vector<double> totals;
+  for (const TokenRequestRecord& record : requests) {
+    if (record.tenant == tenant) totals.push_back(record.total());
+  }
+  return LatencyStats::from(totals);
+}
 
 TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
                              const TokenPolicy& policy) {
@@ -63,9 +64,6 @@ TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
   registry_.reset_residency();
   accelerator_.reset_drift();
   accelerator_.set_trace_time(0.0);
-  nn::MatmulBackend& backend = registry_.decode_backend();
-  const std::size_t weight_passes =
-      registry_.transformer_weight_passes(model_name);
   TenantBilling billing(accelerator_);
 
   TokenServeReport report;
@@ -78,7 +76,6 @@ TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
   std::size_t next_arrival = 0;
   std::size_t admit_counter = 0;
   double now = 0.0;
-  bool weights_streamed = false;  ///< a step has run: static tiles resident
   std::vector<double> totals, first_tokens;
 
   const auto admit_arrivals = [&] {
@@ -167,37 +164,19 @@ TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
     }
 
     // --- one token step: every live request decodes exactly one token ---
+    // The registry executes and costs it, from the step's start.
     const double step_start = now;
-    // The decode matmuls charge the energy ledger; the modeled timing
-    // comes from the batch_cost pass below — detach the tracer around the
-    // real execution so each hardware span is emitted exactly once.
-    telemetry::Tracer* tracer = accelerator_.tracer();
-    if (tracer != nullptr) accelerator_.set_tracer(nullptr);
-    std::size_t attention_passes = 0;
+    std::vector<nn::KvCache*> caches;
+    std::vector<std::size_t> step_inputs;
     for (Slot& slot : active) {
-      Progress& p = progress[slot.req];
-      p.logits = model.decode_step(backend, slot.cache, p.stream[slot.fed]);
-      ++slot.fed;
-      attention_passes +=
-          registry_.transformer_attention_passes(model_name,
-                                                 slot.cache.length);
+      caches.push_back(&slot.cache);
+      step_inputs.push_back(progress[slot.req].stream[slot.fed++]);
     }
-    if (tracer != nullptr) accelerator_.set_tracer(tracer);
-
-    // The step's modeled cost: the static weight tiles (warm once streamed,
-    // while they fit the active rotation) plus every request's attention.
-    const std::size_t step_tokens = active.size();
-    BatchDispatch step;
-    step.passes = weight_passes + attention_passes;
-    step.warm = weights_streamed &&
-                weight_passes <= accelerator_.active_core_count();
-    step.warm_passes = step.warm ? weight_passes : 0;
-    weights_streamed = true;
     accelerator_.set_trace_time(step_start);
-    const runtime::BatchCost cost =
-        accelerator_.batch_cost(step.passes, step.warm_passes, step_tokens);
-    step.latency = cost.latency;
-    step.busy = cost.busy;
+    const BatchDispatch step =
+        registry_.run_decode_step(model_name, caches, step_inputs);
+    const std::vector<std::size_t> sampled = nn::argmax_rows(step.logits);
+    const std::size_t step_tokens = active.size();
     const double step_end = step_start + step.latency;
     ++report.steps;
 
@@ -237,12 +216,13 @@ TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
     // finished sample their next token; finished requests free their slot.
     std::vector<Slot> still_active;
     still_active.reserve(active.size());
-    for (Slot& slot : active) {
+    for (std::size_t i = 0; i < active.size(); ++i) {
+      Slot& slot = active[i];
       const TokenRequest& request = requests[slot.req];
       Progress& p = progress[slot.req];
       bool done = false;
       if (slot.fed == p.stream.size()) {
-        p.stream.push_back(argmax(p.logits));
+        p.stream.push_back(sampled[i]);
         ++p.generated;
         if (p.generated == 1) p.first_token = step_end;
         // Same stopping rule as TransformerModel::generate: done at

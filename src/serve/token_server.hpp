@@ -20,15 +20,15 @@
 ///    so the fleet's static weight passes amortize over whichever requests
 ///    are live right now.
 ///
-/// Costs are modeled per step: the transformer's static weight tiles
-/// (residency-warm after the first step while they fit the active
-/// rotation) plus per-request attention passes that grow with each
-/// request's context — the KV rows are that request's own "weights",
-/// reloaded every step.  KV state is accounted like weight residency:
-/// budgeted (kv_budget_rows), billed per tenant as a row-seconds
-/// integral, and evictable — over budget, the youngest active request is
-/// preempted (its cache drops, it re-prefills on readmission), never the
-/// oldest, so the loop always makes progress.
+/// ModelRegistry::run_decode_step executes and costs each step: the static
+/// weight tiles (warm under the registry's residency rule) plus per-request
+/// attention passes that grow with each request's context — the KV rows
+/// are that request's own "weights", reloaded every step.  The loop only
+/// schedules.  KV state is accounted like weight residency: budgeted
+/// (kv_budget_rows), billed per tenant as a row-seconds integral, and
+/// evictable — over budget, the youngest active request is preempted (its
+/// cache drops, it re-prefills on readmission), never the oldest, so the
+/// loop always makes progress.
 ///
 /// Determinism: decode arithmetic is per-request (nn::TransformerModel::
 /// decode_step), so every generated token stream is bit-identical to
@@ -118,6 +118,10 @@ struct TokenServeReport {
   double energy_per_token() const {
     return tokens > 0 ? energy / static_cast<double>(tokens) : 0.0;
   }
+  /// Latency summary restricted to one tenant's requests (arrival ->
+  /// completion); a tenant with no requests yields all zeros.
+  LatencyStats tenant_total(const std::string& tenant) const;
+
   /// Fraction of tile passes served without a pSRAM reload.
   double warm_fraction() const {
     return passes > 0 ? static_cast<double>(warm_passes) /

@@ -184,6 +184,29 @@ TEST(Console, TokenRunPopulatesTokenReportAndChatTenants) {
             "(fleet),embedded,mobile,chat-free,chat-pro");
 }
 
+TEST(Console, MeasureQueriesAnswerTokenTenants) {
+  DemoScenario demo(1);
+  Console console = demo.make_console();
+  console.eval("SERVE:RUN?");
+  console.eval("TOK:RUN?");
+  // A tenant TEN:LIST? names answers MEAS queries from the same row
+  // TEN:COST? prints — here the last TOK:RUN? report's.
+  const std::string cost = console.eval("TEN:COST? chat-pro");
+  const std::size_t at = cost.find(" energy_J=");
+  ASSERT_NE(at, std::string::npos) << cost;
+  const std::size_t begin = at + std::string(" energy_J=").size();
+  EXPECT_EQ(console.eval("MEAS:ENER? chat-pro"),
+            cost.substr(begin, cost.find(' ', begin) - begin));
+  EXPECT_EQ(console.eval("MEAS:LAT? COUNT chat-free"), "3");
+  const std::string p99 = console.eval("MEAS:LAT? P99 chat-pro");
+  ASSERT_EQ(p99.rfind("ERR:", 0), std::string::npos) << p99;
+  EXPECT_GT(std::stod(p99), 0.0);
+  // Batch tenants still answer from the batch report; strangers do not.
+  EXPECT_NE(console.eval("MEAS:LAT? COUNT mobile"), "0");
+  EXPECT_EQ(console.eval("MEAS:ENER? nobody").rfind("ERR:", 0), 0u);
+  EXPECT_EQ(console.eval("MEAS:LAT? P99 nobody").rfind("ERR:", 0), 0u);
+}
+
 TEST(Console, RecalibrateActsOnTheLiveFleet) {
   DemoScenario demo(1);
   Console console = demo.make_console();

@@ -206,6 +206,31 @@ TEST(ModelRegistry, OversizedModelNeverClaimsResidency) {
   EXPECT_EQ(registry.run_batch("wide", x).warm_passes, 0u);
 }
 
+TEST(ModelRegistry, RotationChangeDropsResidency) {
+  runtime::Accelerator accelerator({.cores = 4});
+  ModelRegistry registry(accelerator);
+  Rng rng(6);
+  registry.add("compact", nn::Mlp(32, 16, 10, rng));  // 3 tiles
+  const Matrix x = random_activations(2, 32, rng);
+  registry.run_batch("compact", x);
+  ASSERT_EQ(registry.run_batch("compact", x).warm_passes, 3u);
+  ASSERT_EQ(registry.resident_model(), "compact");
+
+  // Residency was planned against the old rotation: an eviction alone
+  // drops it, though the 3 tiles still fit the 3 survivors.
+  accelerator.evict_core(1);
+  EXPECT_EQ(registry.resident_model(), "");
+  const BatchDispatch after_evict = registry.run_batch("compact", x);
+  EXPECT_FALSE(after_evict.warm);
+  EXPECT_EQ(after_evict.warm_passes, 0u);
+  EXPECT_EQ(registry.run_batch("compact", x).warm_passes, 3u);
+
+  accelerator.readmit_core(1);
+  EXPECT_EQ(registry.resident_model(), "");
+  EXPECT_EQ(registry.run_batch("compact", x).warm_passes, 0u);
+  EXPECT_EQ(registry.resident_model(), "compact");
+}
+
 TEST(ModelRegistry, LogitsMatchTheSingleCorePhotonicBackend) {
   Rng rng(4);
   nn::Mlp mlp(32, 16, 10, rng);

@@ -115,6 +115,27 @@ TEST(TilingEdgeCases, SingleTileFitsWithoutPaddingArtifacts) {
   check_shape(2, 16, 16, 106);  // exact tile boundary
 }
 
+TEST(TilingEdgeCases, TilePassesCountsTheBuiltPassList) {
+  // nn::tile_passes is the size of build_weight_plan's pass list: ragged
+  // and exact shapes, square and non-square tiles, offset and differential.
+  Rng rng(12);
+  const std::size_t shapes[][2] = {{17, 23}, {16, 16}, {32, 48}, {1, 20},
+                                   {40, 12}};
+  const std::size_t tiles[][2] = {{16, 16}, {8, 4}};
+  for (const auto& [k, m] : shapes) {
+    const Matrix w = random_signed(k, m, rng);
+    for (const auto& [tile_m, tile_k] : tiles) {
+      for (const bool differential : {false, true}) {
+        EXPECT_EQ(tile_passes(k, m, tile_m, tile_k, differential),
+                  build_weight_plan(w, tile_m, tile_k, differential)
+                      ->passes.size())
+            << k << "x" << m << " on " << tile_m << "x" << tile_k
+            << (differential ? " differential" : " offset");
+      }
+    }
+  }
+}
+
 TEST(TilingEdgeCases, SingleTileGraphRunsOnTheFleetBitIdentically) {
   // A whole graph whose every matmul is one tile — the smallest compiled
   // schedule the serving layer can mark fully resident.

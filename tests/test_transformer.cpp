@@ -449,6 +449,87 @@ TEST(TokenServing, KvBudgetPreemptsYoungestAndOutputsStayBitIdentical) {
   EXPECT_GT(billed, lower_bound);
 }
 
+TEST(TokenServing, DecodeStepsRideTheRegistryResidencyRule) {
+  const TransformerModel model = serving_model();
+  // 13 static weight passes: resident on 32 cores (and on 31 after an
+  // eviction), never on 4.
+  runtime::Accelerator accelerator({.cores = 32});
+  serve::ModelRegistry registry(accelerator);
+  registry.add_transformer("tf", model);
+  const std::size_t weight_passes = registry.passes("tf");
+  ASSERT_EQ(weight_passes, model.weight_passes(16, 16, false));
+  ASSERT_TRUE(registry.fits_resident("tf"));
+
+  KvCache a = model.make_cache();
+  KvCache b = model.make_cache();
+  const std::vector<KvCache*> caches = {&a, &b};
+  const serve::BatchDispatch first =
+      registry.run_decode_step("tf", caches, {1, 2});
+  EXPECT_FALSE(first.warm);
+  EXPECT_EQ(first.warm_passes, 0u);
+  EXPECT_EQ(first.passes,
+            weight_passes + 2 * model.attention_passes(1, 16, 16, false));
+  EXPECT_EQ(registry.resident_model(), "tf");
+  const serve::BatchDispatch second =
+      registry.run_decode_step("tf", caches, {3, 4});
+  EXPECT_TRUE(second.warm);
+  EXPECT_EQ(second.warm_passes, weight_passes);
+  EXPECT_EQ(second.passes,
+            weight_passes + 2 * model.attention_passes(2, 16, 16, false));
+
+  // The rotation changed under the resident tiles: the next step is cold.
+  accelerator.evict_core(5);
+  ASSERT_TRUE(registry.fits_resident("tf"));
+  EXPECT_EQ(registry.run_decode_step("tf", caches, {5, 6}).warm_passes, 0u);
+  EXPECT_EQ(registry.run_decode_step("tf", caches, {7, 8}).warm_passes,
+            weight_passes);
+
+  // Static tiles that do not fit the fleet never ride residency.
+  runtime::Accelerator small({.cores = 4});
+  serve::ModelRegistry small_registry(small);
+  small_registry.add_transformer("tf", model);
+  ASSERT_FALSE(small_registry.fits_resident("tf"));
+  KvCache c = model.make_cache();
+  for (const std::size_t token : {1, 2, 3}) {
+    const serve::BatchDispatch step =
+        small_registry.run_decode_step("tf", {&c}, {token});
+    EXPECT_FALSE(step.warm);
+    EXPECT_EQ(step.warm_passes, 0u);
+  }
+  EXPECT_EQ(small_registry.resident_model(), "");
+}
+
+TEST(TokenServing, DecodeStepLogitsEqualDecodingThroughTheFleetBackend) {
+  const TransformerModel model = serving_model();
+  runtime::Accelerator accelerator({.cores = 4});
+  serve::ModelRegistry registry(accelerator);
+  registry.add_transformer("tf", model);
+
+  KvCache a = model.make_cache();
+  KvCache b = model.make_cache();
+  KvCache ref_a = model.make_cache();
+  KvCache ref_b = model.make_cache();
+  const std::size_t stream_a[] = {3, 1, 4, 1};
+  const std::size_t stream_b[] = {5, 9, 2, 6};
+  for (std::size_t t = 0; t < 4; ++t) {
+    const serve::BatchDispatch step =
+        registry.run_decode_step("tf", {&a, &b}, {stream_a[t], stream_b[t]});
+    ASSERT_EQ(step.logits.rows(), 2u);
+    const std::vector<double> expected[] = {
+        model.decode_step(registry.decode_backend(), ref_a, stream_a[t]),
+        model.decode_step(registry.decode_backend(), ref_b, stream_b[t])};
+    for (std::size_t i = 0; i < 2; ++i) {
+      ASSERT_EQ(step.logits.cols(), expected[i].size());
+      for (std::size_t j = 0; j < expected[i].size(); ++j) {
+        EXPECT_EQ(step.logits(i, j), expected[i][j])
+            << "step " << t << " row " << i << " logit " << j;
+      }
+    }
+  }
+  EXPECT_EQ(a.length, ref_a.length);
+  EXPECT_EQ(b.length, ref_b.length);
+}
+
 TEST(TokenServing, RejectsBadRequestsBeforeTheFleetMoves) {
   const TransformerModel model = serving_model();
   runtime::Accelerator accelerator({.cores = 4});
