@@ -149,11 +149,38 @@ CompiledGraph compile(const Graph& g) {
     step.input_slot = slot_of[n.inputs[0]];
     step.in_shape = nodes[n.inputs[0]].shape;
     std::ostringstream label;
-    const auto push_epilogue = [&step](EpilogueOp::Kind kind) -> EpilogueOp& {
+    // Appends elementwise node `e` to the epilogue, labeled `prefix` + its
+    // op name; `residual_slot` is an add's other operand.
+    const auto lower_elementwise = [&step, &label](const Node& e,
+                                                   const char* prefix,
+                                                   std::size_t residual_slot) {
       EpilogueOp op;
-      op.kind = kind;
+      switch (e.op) {
+        case Op::kRelu: op.kind = EpilogueOp::Kind::kRelu; break;
+        case Op::kBias:
+          op.kind = EpilogueOp::Kind::kBias;
+          op.bias = e.bias;
+          break;
+        case Op::kSoftmax: op.kind = EpilogueOp::Kind::kSoftmax; break;
+        case Op::kGelu: op.kind = EpilogueOp::Kind::kGelu; break;
+        case Op::kLayerNorm:
+          op.kind = EpilogueOp::Kind::kLayerNorm;
+          op.gain = e.gain;
+          op.bias = e.bias;
+          break;
+        case Op::kCausalMask:
+          op.kind = EpilogueOp::Kind::kCausalMask;
+          op.scale = e.scale;
+          break;
+        case Op::kAdd:
+          op.kind = EpilogueOp::Kind::kResidual;
+          op.residual_slot = residual_slot;
+          break;
+        default:
+          ensures(false, "unreachable elementwise op");
+      }
       step.epilogue.push_back(std::move(op));
-      return step.epilogue.back();
+      label << prefix << op_name(e.op);
     };
     switch (n.op) {
       case Op::kMatmul:
@@ -208,36 +235,15 @@ CompiledGraph compile(const Graph& g) {
         break;
       }
       case Op::kRelu:
-        push_epilogue(EpilogueOp::Kind::kRelu);
-        label << "relu";
-        break;
       case Op::kBias:
-        push_epilogue(EpilogueOp::Kind::kBias).bias = n.bias;
-        label << "bias";
-        break;
       case Op::kSoftmax:
-        push_epilogue(EpilogueOp::Kind::kSoftmax);
-        label << "softmax";
-        break;
       case Op::kGelu:
-        push_epilogue(EpilogueOp::Kind::kGelu);
-        label << "gelu";
-        break;
-      case Op::kLayerNorm: {
-        EpilogueOp& op = push_epilogue(EpilogueOp::Kind::kLayerNorm);
-        op.gain = n.gain;
-        op.bias = n.bias;
-        label << "layernorm";
-        break;
-      }
+      case Op::kLayerNorm:
       case Op::kCausalMask:
-        push_epilogue(EpilogueOp::Kind::kCausalMask).scale = n.scale;
-        label << "causal_mask";
+        lower_elementwise(n, "", kNoSlot);
         break;
       case Op::kAdd:
-        push_epilogue(EpilogueOp::Kind::kResidual).residual_slot =
-            slot_of[n.inputs[1]];
-        label << "add";
+        lower_elementwise(n, "", slot_of[n.inputs[1]]);
         break;
       case Op::kInput:
       case Op::kFlatten:
@@ -249,47 +255,14 @@ CompiledGraph compile(const Graph& g) {
     std::size_t tail = id;
     for (std::size_t c = fusable_consumer(tail); c != kNoNode;
          c = fusable_consumer(tail)) {
+      // A fused flatten is metadata only: the tail's shape absorbs it.
       const Node& cn = nodes[c];
-      switch (cn.op) {
-        case Op::kRelu:
-          push_epilogue(EpilogueOp::Kind::kRelu);
-          label << " +relu";
-          break;
-        case Op::kBias:
-          push_epilogue(EpilogueOp::Kind::kBias).bias = cn.bias;
-          label << " +bias";
-          break;
-        case Op::kSoftmax:
-          push_epilogue(EpilogueOp::Kind::kSoftmax);
-          label << " +softmax";
-          break;
-        case Op::kGelu:
-          push_epilogue(EpilogueOp::Kind::kGelu);
-          label << " +gelu";
-          break;
-        case Op::kLayerNorm: {
-          EpilogueOp& op = push_epilogue(EpilogueOp::Kind::kLayerNorm);
-          op.gain = cn.gain;
-          op.bias = cn.bias;
-          label << " +layernorm";
-          break;
-        }
-        case Op::kCausalMask:
-          push_epilogue(EpilogueOp::Kind::kCausalMask).scale = cn.scale;
-          label << " +causal_mask";
-          break;
-        case Op::kFlatten:
-          break;  // metadata only; the tail's shape absorbs it
-        case Op::kAdd: {
-          const std::size_t other =
-              cn.inputs[0] == tail ? cn.inputs[1] : cn.inputs[0];
-          push_epilogue(EpilogueOp::Kind::kResidual).residual_slot =
-              slot_of[other];
-          label << " +add";
-          break;
-        }
-        default:
-          ensures(false, "unreachable fused op");
+      if (cn.op == Op::kAdd) {
+        const std::size_t other =
+            cn.inputs[0] == tail ? cn.inputs[1] : cn.inputs[0];
+        lower_elementwise(cn, " +", slot_of[other]);
+      } else if (cn.op != Op::kFlatten) {
+        lower_elementwise(cn, " +", kNoSlot);
       }
       emitted[c] = true;
       tail = c;

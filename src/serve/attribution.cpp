@@ -112,7 +112,7 @@ void TenantBilling::charge(const TenantShares& shares,
   }
 }
 
-TenantCost TenantBilling::close(std::vector<TenantCost>& rows) {
+TenantCost TenantBilling::close_rows(std::vector<TenantCost>& rows) {
   // Ledger energy charged outside every billed event (there is normally
   // none) is fleet overhead: billing it keeps attribution exhaustive.
   const double unattributed = take_energy();

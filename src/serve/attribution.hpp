@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/expects.hpp"
 #include "runtime/accelerator.hpp"
 #include "serve/latency_stats.hpp"
 #include "serve/model_registry.hpp"
@@ -65,13 +66,31 @@ class TenantBilling {
               const BatchDispatch& cost, telemetry::MetricsRegistry* metrics,
               const std::string& model);
 
-  /// Closes the run: bills any ledger energy no charge claimed to the
-  /// fleet row, appends the rows to `rows` in sorted-tenant order, and
-  /// returns their field-wise sum in that order — the report's fleet
-  /// totals, which conserve bit-exactly because they are these sums.
-  TenantCost close(std::vector<TenantCost>& rows);
+  /// Closes the run into `report`, which holds the loop's records and the
+  /// passes it dispatched: bills any ledger energy no charge claimed to the
+  /// fleet row, appends the rows to tenant_costs in sorted-tenant order,
+  /// sets completed, busy, energy and `total` (over the records), and
+  /// returns the rows' field-wise sum for each report's own totals.  The
+  /// checks catch a cost path that forgot to attribute.
+  template <typename Record>
+  TenantCost close(RunReport<Record>& report) {
+    const TenantCost total = close_rows(report.tenant_costs);
+    expects(total.requests == report.requests.size(),
+            "attributed requests must equal completions");
+    expects(total.passes == report.passes,
+            "attributed passes must conserve the fleet total");
+    expects(total.warm_passes == report.warm_passes,
+            "attributed warm passes must conserve the fleet total");
+    report.completed = total.requests;
+    report.busy = total.busy_seconds;
+    report.energy = total.energy_joules;
+    report.total = report.summarize(&Record::total);
+    return total;
+  }
 
  private:
+  TenantCost close_rows(std::vector<TenantCost>& rows);
+
   const runtime::Accelerator& accelerator_;
   double cursor_;
   std::map<std::string, TenantCost> rows_;

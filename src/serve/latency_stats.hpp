@@ -2,15 +2,17 @@
 #define PTC_SERVE_LATENCY_STATS_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/request.hpp"
-#include "telemetry/metrics.hpp"
 
-/// Tail-latency summaries and the full per-run report the Server returns.
-/// Percentiles are nearest-rank (statistics::percentile), the convention
-/// serving SLOs quote.
+/// Tail-latency summaries and the per-run reports the Server returns.
+/// Every report statistic is exact nearest-rank over the run's records
+/// (statistics::percentile), the convention serving SLOs quote; log-scale
+/// histograms live only in the metrics registry's export.
 namespace ptc::serve {
 
 /// Summary of one latency sample [s].
@@ -23,14 +25,7 @@ struct LatencyStats {
   double max = 0.0;
 
   /// Nearest-rank summary of `xs`; an empty sample yields all zeros.
-  static LatencyStats from(const std::vector<double>& xs);
-
-  /// Summary of a telemetry histogram: count/mean/max are exact,
-  /// percentiles are nearest-rank over the log-scale buckets — within one
-  /// bucket (~7.5% at the default resolution) of the exact sample, with
-  /// O(buckets) memory however many requests the run served.  This is how
-  /// Server::run aggregates its fleet-level tails.
-  static LatencyStats from_histogram(const telemetry::Histogram& histogram);
+  static LatencyStats from(std::vector<double> xs);
 };
 
 /// Exact cost attribution of one run to one tenant — the billing row the
@@ -40,13 +35,14 @@ struct LatencyStats {
 /// downtime and its energy land on the reserved `kFleetTenant` row, since
 /// no tenant caused them.
 ///
-/// Conservation contract: the fleet totals in ServeReport (passes,
-/// warm_passes, busy, service_time, energy, recalibration_time) are
+/// Conservation contract: the fleet totals in both reports (completed,
+/// passes, warm_passes, busy, energy, and each report's own) are
 /// *derived* from these rows — summed in sorted-tenant order — so
 /// per-tenant costs sum to the fleet totals bit-exactly, by construction,
 /// and a cost path that forgets to attribute breaks the conservation test.
 struct TenantCost {
-  /// Reserved row for fleet-side operations (recalibration downtime).
+  /// Reserved row for fleet-side operations (recalibration, probes,
+  /// faults); no request may carry this tenant name.
   static constexpr const char* kFleetTenant = "(fleet)";
 
   std::string tenant;
@@ -92,34 +88,73 @@ struct SloSummary {
   std::size_t alerts = 0;      ///< multi-window breach firings
 };
 
-/// Everything one Server::run produced: the request/batch trace, the
-/// latency decomposition, and the fleet-level serving metrics.
-struct ServeReport {
-  /// Per-request / per-batch traces, in dispatch order.
-  std::vector<RequestRecord> requests;
-  std::vector<BatchRecord> batches;
+/// What both serving reports carry (ServeReport for one-shot requests,
+/// TokenServeReport for token requests) over the run's per-request
+/// `Record`; TenantBilling::close fills the totals and `total`.
+template <typename Record>
+struct RunReport {
+  std::vector<Record> requests;  ///< one per completion, in that order
 
-  std::size_t completed = 0;           ///< requests served
-  std::size_t dispatched_batches = 0;  ///< batches dispatched
+  std::size_t completed = 0;  ///< requests served
+  LatencyStats total;         ///< arrival -> completion (the SLO number)
 
-  LatencyStats queue_wait;  ///< arrival -> dispatch
-  LatencyStats service;     ///< dispatch -> completion
-  LatencyStats total;       ///< arrival -> completion (the SLO number)
-
-  double makespan = 0.0;  ///< last batch completion time [s]
+  double makespan = 0.0;  ///< last completion time [s]
   double busy = 0.0;      ///< summed core-busy time [s]
-  /// Summed per-batch service latencies [s] (dispatch -> completion, over
-  /// batches) — the quantity TenantCost::service_seconds decomposes.
-  double service_time = 0.0;
-  /// Fleet ledger energy consumed executing the run's forward passes [J].
+  /// Fleet ledger energy consumed executing the run [J].
   /// This is the full (cold) execution energy: warm passes shorten the
   /// modeled latency but are not credited here — the ledger still pays
   /// every reload, and it is dominated by static power over the fixed
   /// per-request sample count, so energy/request barely moves with policy.
   double energy = 0.0;
-  std::size_t cores = 0;        ///< fleet size the run used
   std::size_t passes = 0;       ///< weight-tile residencies streamed
   std::size_t warm_passes = 0;  ///< residencies served without a reload
+
+  /// Exact per-tenant costs, sorted by tenant name; the fleet totals are
+  /// their sums in this order (TenantCost's conservation contract).
+  std::vector<TenantCost> tenant_costs;
+
+  /// Fraction of tile passes that skipped the pSRAM reload.
+  double warm_fraction() const {
+    return passes > 0 ? static_cast<double>(warm_passes) /
+                            static_cast<double>(passes)
+                      : 0.0;
+  }
+
+  /// LatencyStats::from over a latency of each record (of `tenant`, if set).
+  LatencyStats summarize(double (Record::*latency)() const,
+                         const std::string* tenant = nullptr) const {
+    std::vector<double> xs;
+    for (const Record& record : requests) {
+      if (tenant == nullptr || record.tenant == *tenant) {
+        xs.push_back((record.*latency)());
+      }
+    }
+    return LatencyStats::from(std::move(xs));
+  }
+
+  /// Latency summary restricted to one tenant's requests (arrival ->
+  /// completion); a tenant with no requests yields all zeros.
+  LatencyStats tenant_total(const std::string& tenant) const {
+    return summarize(&Record::total, &tenant);
+  }
+};
+
+/// Everything one Server::run over one-shot requests produced: the
+/// request/batch trace, the latency decomposition, and the fleet-level
+/// serving metrics.
+struct ServeReport : RunReport<RequestRecord> {
+  /// Per-batch trace, in dispatch order.
+  std::vector<BatchRecord> batches;
+
+  std::size_t dispatched_batches = 0;  ///< batches dispatched
+
+  LatencyStats queue_wait;  ///< arrival -> dispatch
+  LatencyStats service;     ///< dispatch -> completion
+
+  /// Summed per-batch service latencies [s] (dispatch -> completion, over
+  /// batches) — the quantity TenantCost::service_seconds decomposes.
+  double service_time = 0.0;
+  std::size_t cores = 0;  ///< fleet size the run used
 
   // --- drift / online recalibration ----------------------------------------
   /// True when the run scored batches against the float reference.  The
@@ -129,7 +164,8 @@ struct ServeReport {
   bool accuracy_scored = false;
   /// Requests whose predicted class matched the float-reference argmax.
   std::size_t reference_matches = 0;
-  /// Recalibrations the serving policy triggered during the run.
+  /// Recalibrations the serving policy triggered during the run (from the
+  /// fleet attribution row, like probes and faults).
   std::size_t recalibrations = 0;
   /// Modeled fleet downtime spent recalibrating [s] (included in makespan).
   double recalibration_time = 0.0;
@@ -174,12 +210,7 @@ struct ServeReport {
   /// this >= 0.95 at the gated fault rate under the eviction policy.
   double availability() const;
 
-  // --- attribution / SLOs ---------------------------------------------------
-  /// Exact per-tenant cost decomposition, sorted by tenant name.  The
-  /// fleet totals above (passes, warm_passes, busy, service_time, energy,
-  /// recalibration_time) are the sums over these rows in this order, so
-  /// attribution conserves them bit-exactly.
-  std::vector<TenantCost> tenant_costs;
+  // --- SLOs -----------------------------------------------------------------
   /// Final state of every SLO monitor attached to the Server, in
   /// registration order.
   std::vector<SloSummary> slos;
@@ -193,9 +224,6 @@ struct ServeReport {
   /// Fraction of fleet capacity in use: busy / (cores * makespan).
   double utilization() const;
 
-  /// Fraction of tile passes that skipped the pSRAM reload.
-  double warm_fraction() const;
-
   /// Fraction of requests whose predicted class matched the float
   /// reference — the serving-level accuracy the drift/recalibration
   /// frontier trades against downtime.
@@ -203,10 +231,6 @@ struct ServeReport {
 
   /// Mean dispatched batch size.
   double mean_batch() const;
-
-  /// Latency summary restricted to one tenant's requests (arrival ->
-  /// completion); a tenant with no requests yields all zeros.
-  LatencyStats tenant_total(const std::string& tenant) const;
 };
 
 }  // namespace ptc::serve

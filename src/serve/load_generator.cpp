@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/expects.hpp"
+#include "serve/latency_stats.hpp"
 
 namespace ptc::serve {
 
@@ -14,6 +15,8 @@ LoadGenerator::LoadGenerator(std::vector<TenantConfig> tenants,
   expects(!tenants_.empty(), "load generator needs at least one tenant");
   for (const TenantConfig& tenant : tenants_) {
     expects(!tenant.name.empty(), "tenant name must be non-empty");
+    expects(tenant.name != TenantCost::kFleetTenant,
+            "the (fleet) tenant is reserved for fleet overhead");
     expects(!tenant.model.empty(), "tenant model must be non-empty");
     expects(tenant.rate > 0.0, "tenant rate must be positive");
   }

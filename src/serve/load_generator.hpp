@@ -20,7 +20,7 @@ namespace ptc::serve {
 
 /// One open-loop request stream.
 struct TenantConfig {
-  std::string name;          ///< tenant id stamped on every request
+  std::string name;          ///< request tenant id; "(fleet)" is reserved
   std::string model;         ///< registry model the requests run
   double rate = 1.0;         ///< mean arrival rate [req per modeled second]
   std::size_t requests = 0;  ///< requests to generate

@@ -14,15 +14,13 @@
 namespace ptc::serve {
 namespace {
 
-/// Latency histograms cover 1 ns .. 10 ks of modeled time at ~7.5% bucket
-/// width — generous on both ends for any policy sweep the benches run.
-telemetry::HistogramOptions latency_histogram_options() {
-  telemetry::HistogramOptions options;
-  options.min = 1e-9;
-  options.max = 1e4;
-  options.buckets_per_decade = 32;
-  return options;
-}
+/// Exported histograms at ~7.5% bucket width: latencies over 1 ns .. 10 ks
+/// of modeled time (generous for any policy sweep the benches run), batch
+/// sizes over 1 .. 10^4 requests, so every size lands in a finite bucket.
+constexpr telemetry::HistogramOptions kLatencyHistogram{
+    .min = 1e-9, .max = 1e4, .buckets_per_decade = 32};
+constexpr telemetry::HistogramOptions kBatchSizeHistogram{
+    .min = 1.0, .max = 1e4, .buckets_per_decade = 32};
 
 /// The one-shot loop's request contract: each request names a registered
 /// batch model and carries exactly its input width of finite, non-negative
@@ -96,7 +94,7 @@ ServeReport Server::run(const std::vector<Request>& requests,
                         const BatchPolicy& policy) {
   // Reject bad input before any fleet state moves: the batcher checks the
   // policy's own fields, the lines below how they combine.
-  expect_sorted_arrivals(requests);
+  expect_request_stream(requests);
   expect_servable(registry_, requests);
   DynamicBatcher batcher(policy);
   // Probing policies sample the fleet health monitor on a modeled-time
@@ -164,14 +162,7 @@ ServeReport Server::run(const std::vector<Request>& requests,
   ServeReport report;
   report.cores = accelerator_.core_count();
   report.requests.reserve(requests.size());
-
-  // O(buckets) per-run latency aggregation: the report summaries come from
-  // these, not from the record vectors.
-  const telemetry::HistogramOptions hopts = latency_histogram_options();
-  telemetry::Histogram wait_hist(hopts);
-  telemetry::Histogram service_hist(hopts);
-  telemetry::Histogram total_hist(hopts);
-  telemetry::Histogram lag_hist(hopts);
+  std::vector<double> lags;  // trigger lags, summarized at close
 
   std::size_t next = 0;
   double fleet_free = 0.0;
@@ -396,19 +387,19 @@ ServeReport Server::run(const std::vector<Request>& requests,
         // the window the event loop charges for them.
         accelerator_.set_trace_time(dispatch_at);
         const runtime::BatchCost downtime = accelerator_.recalibrate();
-        ++report.recalibrations;
         last_recalibration = dispatch_at;
         // Trigger lag (oracle-measured, reporting only): time from each
         // core's true threshold crossing to the re-lock that cleared it.
         for (std::size_t i = 0; i < crossed_at.size(); ++i) {
           if (crossed_at[i] < 0.0) continue;
           const double lag = dispatch_at - crossed_at[i];
-          lag_hist.observe(lag);
+          lags.push_back(lag);
           if (metrics_ != nullptr) {
             metrics_
                 ->histogram("serve_trigger_lag_seconds",
                             {{"core", std::to_string(i)}},
-                            "threshold-crossing -> re-lock lag [s]", hopts)
+                            "threshold-crossing -> re-lock lag [s]",
+                            kLatencyHistogram)
                 .observe(lag);
           }
           crossed_at[i] = -1.0;
@@ -521,25 +512,23 @@ ServeReport Server::run(const std::vector<Request>& requests,
                                     : "serve_cold_batches_total")
           .inc();
       metrics_->counter("serve_batches_total").inc();
-      metrics_->histogram("serve_batch_size", "requests per dispatched batch")
+      metrics_
+          ->histogram("serve_batch_size", "requests per dispatched batch",
+                      kBatchSizeHistogram)
           .observe(static_cast<double>(batch.size()));
     }
 
     for (std::size_t r = 0; r < batch.size(); ++r) {
-      const double wait = dispatch_at - batch[r].arrival;
-      const double service = result.latency;
       const double total = completion - batch[r].arrival;
-      wait_hist.observe(wait);
-      service_hist.observe(service);
-      total_hist.observe(total);
       if (metrics_ != nullptr) {
         metrics_
             ->histogram("serve_queue_wait_seconds",
-                        "arrival -> dispatch latency [s]", hopts)
-            .observe(wait);
+                        "arrival -> dispatch latency [s]", kLatencyHistogram)
+            .observe(dispatch_at - batch[r].arrival);
         metrics_
             ->histogram("serve_total_seconds",
-                        "arrival -> completion latency [s]", hopts)
+                        "arrival -> completion latency [s]",
+                        kLatencyHistogram)
             .observe(total);
       }
       const bool matches = !report.accuracy_scored || predicted[r] == reference[r];
@@ -565,7 +554,6 @@ ServeReport Server::run(const std::vector<Request>& requests,
       record.completion = completion;
       report.requests.push_back(std::move(record));
     }
-    report.completed += batch.size();
     ++report.dispatched_batches;
     report.batches.push_back(std::move(batch_record));
     report.passes += result.passes;
@@ -577,25 +565,20 @@ ServeReport Server::run(const std::vector<Request>& requests,
   report.makespan = fleet_free;
 
   // The fleet totals are *derived* from the attribution rows (the
-  // conservation contract); the integer cross-checks catch a cost path
-  // that forgot to attribute.
-  const TenantCost total = billing.close(report.tenant_costs);
-  expects(total.requests == report.completed,
-          "attributed requests must equal completions");
-  expects(total.passes == report.passes,
-          "attributed passes must conserve the fleet total");
-  expects(total.warm_passes == report.warm_passes,
-          "attributed warm passes must conserve the fleet total");
-  report.busy = total.busy_seconds;
-  report.energy = total.energy_joules;
+  // conservation contract), and every latency summary is exact over the
+  // records.
+  const TenantCost total = billing.close(report);
+  report.queue_wait = report.summarize(&RequestRecord::queue_wait);
+  report.service = report.summarize(&RequestRecord::service);
   report.service_time = total.service_seconds;
+  report.recalibrations = total.recalibrations;
   report.recalibration_time = total.recalibration_seconds;
   report.probes = total.probes;
   report.probe_time = total.probe_seconds;
   report.faults = total.faults;
   report.fault_time = total.fault_seconds;
   report.shed = total.shed_requests;
-  report.trigger_lag = LatencyStats::from_histogram(lag_hist);
+  report.trigger_lag = LatencyStats::from(std::move(lags));
   report.health_alerts = health != nullptr ? health->alerts().size() : 0;
 
   report.slos.reserve(slos_.size());
@@ -609,10 +592,6 @@ ServeReport Server::run(const std::vector<Request>& requests,
     summary.alerts = monitor.alerts().size();
     report.slos.push_back(std::move(summary));
   }
-
-  report.queue_wait = LatencyStats::from_histogram(wait_hist);
-  report.service = LatencyStats::from_histogram(service_hist);
-  report.total = LatencyStats::from_histogram(total_hist);
   return report;
 }
 

@@ -86,11 +86,12 @@ class Server {
   /// Serves `requests` (finite arrivals, sorted — LoadGenerator output
   /// qualifies; each naming a registered batch model and carrying its
   /// input_width of finite, non-negative inputs) under `policy` and returns
-  /// the full report.  Bad requests or a bad policy throw
-  /// std::invalid_argument before any fleet state moves.  Arrivals at
-  /// exactly the dispatch instant join the closing batch.  Once the
-  /// arrival stream ends, leftover queued requests drain as partial
-  /// batches.  Residency and drift state reset at the start of every run.
+  /// the full report.  Bad requests (including any billed to the reserved
+  /// TenantCost::kFleetTenant) or a bad policy throw std::invalid_argument
+  /// before any fleet state moves.  Arrivals at exactly the dispatch
+  /// instant join the closing batch.  Once the arrival stream ends,
+  /// leftover queued requests drain as partial batches.  Residency and
+  /// drift state reset at the start of every run.
   ///
   /// When the fleet models thermal drift, the event loop advances the
   /// accelerator's drift clock to every dispatch instant and applies the
@@ -108,9 +109,9 @@ class Server {
   /// batch is also scored against the float-reference logits, giving the
   /// report its accuracy / drift / recalibration accounting.
   ///
-  /// Latency summaries (queue_wait / service / total) are aggregated in
-  /// O(buckets) log-scale histograms: count, mean, and max are exact;
-  /// percentiles are within one bucket (~7.5%) of the exact sample.
+  /// Every latency summary (queue_wait / service / total / trigger_lag,
+  /// and tenant_total) is exact nearest-rank over the run's records; the
+  /// log-scale histograms are only for the metrics registry's export.
   ///
   /// Every batch's cost (passes, busy time, ledger energy, service
   /// latency) is attributed to the batch's tenants as it completes
@@ -124,23 +125,26 @@ class Server {
   /// Serves token `requests` (finite arrivals, sorted; all naming one
   /// registered transformer, prompt ids below its vocab) under `policy`
   /// (serve/token_server.hpp), billed per tenant like one-shot runs.  Bad
-  /// requests throw std::invalid_argument before any fleet state moves.
-  /// It resets residency and drift at start and runs no fleet events: no
-  /// drift advance, probes, fault replay, or SLO feed.  Deterministic in
-  /// (requests, policy, fleet config) — byte-identical reports across host
-  /// thread counts.
+  /// requests, the reserved tenant included, throw std::invalid_argument
+  /// before any fleet state moves.  It resets residency and drift at start
+  /// and runs no fleet events: no drift advance, probes, fault replay, or
+  /// SLO feed.  Deterministic in (requests, policy, fleet config) —
+  /// byte-identical reports across host thread counts.
   TokenServeReport run(const std::vector<TokenRequest>& requests,
                        const TokenPolicy& policy);
 
  private:
-  /// Both loops' input contract: finite arrival times in ascending order.
+  /// Both loops' input contract: finite arrival times in ascending order,
+  /// and no request billed to the reserved fleet row.
   template <typename R>
-  static void expect_sorted_arrivals(const std::vector<R>& requests) {
+  static void expect_request_stream(const std::vector<R>& requests) {
     for (std::size_t i = 0; i < requests.size(); ++i) {
       expects(std::isfinite(requests[i].arrival),
               "request arrivals must be finite");
       expects(i == 0 || requests[i - 1].arrival <= requests[i].arrival,
               "requests must be sorted by arrival time");
+      expects(requests[i].tenant != TenantCost::kFleetTenant,
+              "the (fleet) tenant is reserved for fleet overhead");
     }
   }
 

@@ -30,19 +30,11 @@ struct Progress {
 
 }  // namespace
 
-LatencyStats TokenServeReport::tenant_total(const std::string& tenant) const {
-  std::vector<double> totals;
-  for (const TokenRequestRecord& record : requests) {
-    if (record.tenant == tenant) totals.push_back(record.total());
-  }
-  return LatencyStats::from(totals);
-}
-
 TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
                              const TokenPolicy& policy) {
   expects(policy.max_batch >= 1, "token policy needs at least one slot");
   expects(!requests.empty(), "token run needs at least one request");
-  expect_sorted_arrivals(requests);
+  expect_request_stream(requests);
   const std::string& model_name = requests.front().model;
   const nn::TransformerModel& model = registry_.transformer(model_name);
   const std::size_t layers = model.config().layers;
@@ -76,7 +68,6 @@ TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
   std::size_t next_arrival = 0;
   std::size_t admit_counter = 0;
   double now = 0.0;
-  std::vector<double> totals, first_tokens;
 
   const auto admit_arrivals = [&] {
     while (next_arrival < requests.size() &&
@@ -179,6 +170,8 @@ TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
     const std::size_t step_tokens = active.size();
     const double step_end = step_start + step.latency;
     ++report.steps;
+    report.passes += step.passes;
+    report.warm_passes += step.warm_passes;
 
     // Bill the step to its tenants, weighted by tokens decoded (one per
     // live request); KV row-seconds by each request's own cache occupancy.
@@ -243,8 +236,6 @@ TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
         record.arrival = request.arrival;
         record.first_token = p.first_token;
         record.completion = step_end;
-        totals.push_back(record.completion - record.arrival);
-        first_tokens.push_back(record.first_token - record.arrival);
         ++billing.row(request.tenant).requests;
         if (tracer_ != nullptr) {
           tracer_->async_end("token_request", "request", request.id,
@@ -261,25 +252,16 @@ TokenServeReport Server::run(const std::vector<TokenRequest>& requests,
 
   report.makespan = now;
 
-  // Fleet totals are *derived* from the attribution rows — the same
-  // bit-exact conservation contract ServeReport is under.
-  const TenantCost total = billing.close(report.tenant_costs);
-  report.completed = total.requests;
+  // Fleet totals are *derived* from the attribution rows.
+  const TenantCost total = billing.close(report);
+  expects(report.completed == requests.size(),
+          "every token request must complete");
   report.tokens = total.tokens;
-  report.busy = total.busy_seconds;
-  report.energy = total.energy_joules;
-  report.passes = total.passes;
-  report.warm_passes = total.warm_passes;
   report.kv_row_seconds = total.kv_row_seconds;
   report.kv_evicted_rows = total.kv_evicted_rows;
   report.preemptions = total.preemptions;
-  expects(report.completed == requests.size(),
-          "every token request must complete");
-  expects(report.completed == report.requests.size(),
-          "attributed completions must match the records");
-
-  report.total = LatencyStats::from(totals);
-  report.first_token = LatencyStats::from(first_tokens);
+  report.first_token =
+      report.summarize(&TokenRequestRecord::time_to_first_token);
   return report;
 }
 

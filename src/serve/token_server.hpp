@@ -77,25 +77,15 @@ struct TokenRequestRecord {
   double time_to_first_token() const { return first_token - arrival; }
 };
 
-/// Everything one token run (Server::run's TokenRequest overload) produced.
-struct TokenServeReport {
-  std::vector<TokenRequestRecord> requests;  ///< in completion order
-
-  std::size_t completed = 0;  ///< requests fully generated
-  std::size_t steps = 0;      ///< decode steps dispatched
+/// Everything one token run (Server::run's TokenRequest overload)
+/// produced; `total` is the p99 the bench frontier gates.
+struct TokenServeReport : RunReport<TokenRequestRecord> {
+  std::size_t steps = 0;  ///< decode steps dispatched
   /// Tokens fed through the fleet (prefill + generation), derived from the
   /// tenant rows — the conservation contract token billing is under.
   std::size_t tokens = 0;
 
-  LatencyStats total;        ///< arrival -> completion (the p99 the bench
-                             ///< frontier gates)
   LatencyStats first_token;  ///< arrival -> first generated token
-
-  double makespan = 0.0;  ///< last step completion [s]
-  double busy = 0.0;      ///< summed core-busy time [s], from tenant rows
-  double energy = 0.0;    ///< fleet ledger energy [J], from tenant rows
-  std::size_t passes = 0;       ///< tile passes (weights + attention)
-  std::size_t warm_passes = 0;  ///< reload-free weight passes
 
   // --- KV residency ---------------------------------------------------------
   std::size_t kv_peak_rows = 0;     ///< max simultaneous cached rows
@@ -104,12 +94,6 @@ struct TokenServeReport {
   /// KV row-seconds integral over the run, from the tenant rows.
   double kv_row_seconds = 0.0;
 
-  /// Exact per-tenant decomposition, sorted by tenant name; the totals
-  /// above (tokens, busy, energy, passes, warm_passes, kv_row_seconds,
-  /// kv_evicted_rows, preemptions) are the sums over these rows in this
-  /// order — bit-exact conservation, same contract as ServeReport.
-  std::vector<TenantCost> tenant_costs;
-
   /// Decoded tokens per modeled second — the serving throughput number.
   double tokens_per_second() const {
     return makespan > 0.0 ? static_cast<double>(tokens) / makespan : 0.0;
@@ -117,16 +101,6 @@ struct TokenServeReport {
   /// Fleet energy per decoded token [J].
   double energy_per_token() const {
     return tokens > 0 ? energy / static_cast<double>(tokens) : 0.0;
-  }
-  /// Latency summary restricted to one tenant's requests (arrival ->
-  /// completion); a tenant with no requests yields all zeros.
-  LatencyStats tenant_total(const std::string& tenant) const;
-
-  /// Fraction of tile passes served without a pSRAM reload.
-  double warm_fraction() const {
-    return passes > 0 ? static_cast<double>(warm_passes) /
-                            static_cast<double>(passes)
-                      : 0.0;
   }
 };
 

@@ -333,6 +333,11 @@ TEST(LoadGenerator, RejectsBadConfigs) {
   EXPECT_THROW(
       LoadGenerator({{.name = "t", .model = "m", .rate = 0.0}}, 1),
       std::invalid_argument);
+  EXPECT_THROW(LoadGenerator({{.name = TenantCost::kFleetTenant,
+                               .model = "m",
+                               .rate = 1.0}},
+                             1),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -547,6 +552,14 @@ TEST(Server, RejectsBadRequestsAndPoliciesBeforeTheFleetMoves) {
     EXPECT_THROW(f.server.run(requests, policy), std::invalid_argument);
     fleet_untouched();
   }
+  {
+    // Billed to the fleet row, tenant work would merge with the
+    // recalibration, probe and fault overhead that row carries.
+    std::vector<Request> requests = f.trace("compact", 1e9, 2);
+    requests.back().tenant = TenantCost::kFleetTenant;
+    EXPECT_THROW(f.server.run(requests, policy), std::invalid_argument);
+    fleet_untouched();
+  }
   const std::vector<Request> requests = f.trace("compact", 1e9, 2);
   for (const BatchPolicy& bad :
        {BatchPolicy{.max_batch = 0},
@@ -557,6 +570,19 @@ TEST(Server, RejectsBadRequestsAndPoliciesBeforeTheFleetMoves) {
     EXPECT_THROW(f.server.run(requests, bad), std::invalid_argument);
   }
   fleet_untouched();
+}
+
+TEST(Server, BatchSizeHistogramKeepsEveryBatchInAFiniteBucket) {
+  Fixture f;
+  telemetry::MetricsRegistry metrics;
+  f.server.set_metrics(&metrics);
+  const ServeReport report = f.server.run(f.trace("compact", 1e9, 40),
+                                          {.max_batch = 8, .max_wait = 20e-9});
+  const telemetry::Histogram& sizes = metrics.histogram("serve_batch_size");
+  EXPECT_EQ(sizes.count(), report.dispatched_batches);
+  EXPECT_EQ(sizes.underflow(), 0u);
+  EXPECT_EQ(sizes.overflow(), 0u);
+  EXPECT_LE(sizes.percentile(99.0), 8.0);
 }
 
 TEST(LatencyStatsSummary, EmptySampleYieldsZeros) {

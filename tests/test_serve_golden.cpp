@@ -52,11 +52,11 @@ constexpr GoldenValue kGolden[] = {
     {"busy", 1.7560000000000001e-07, false},
     {"warm_fraction", 0.058823529411764705, false},
     {"mean_batch", 3.4285714285714284, false},
-    {"total_p50", 1.9109529749704404e-08, false},
-    {"total_p95", 3.0800000000000011e-08, false},
+    {"total_p50", 1.8963040307513216e-08, false},
+    {"total_p95", 3.0549999999999992e-08, false},
     {"total_p99", 3.0800000000000011e-08, false},
     {"queue_wait_p99", 2.4999999999999999e-08, false},
-    {"service_p99", 6.7999999999999997e-09, false},
+    {"service_p99", 6.8000000000000013e-09, false},
     {"alpha_p50", 1.1520241744525871e-08, false},
     {"alpha_p95", 2.867554243755994e-08, false},
     {"alpha_p99", 3.0799999999999998e-08, false},
@@ -302,6 +302,68 @@ TEST(ServeGolden, TokenScenarioIsReproducibleWithinOneProcess) {
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.kv_peak_rows, b.kv_peak_rows);
   EXPECT_EQ(a.preemptions, b.preemptions);
+}
+
+// --- report statistics are exact over the records --------------------------
+
+/// Nearest-rank summary of `latency` over the records (of one tenant, when
+/// `tenant` is set), gathered here rather than by the report.
+template <typename Record, typename Latency>
+LatencyStats exact(const std::vector<Record>& records, Latency latency,
+                   const std::string* tenant = nullptr) {
+  std::vector<double> xs;
+  for (const Record& record : records) {
+    if (tenant == nullptr || record.tenant == *tenant) {
+      xs.push_back(latency(record));
+    }
+  }
+  return LatencyStats::from(xs);
+}
+
+void expect_same(const LatencyStats& actual, const LatencyStats& expected,
+                 const std::string& what) {
+  EXPECT_EQ(actual.count, expected.count) << what;
+  EXPECT_EQ(actual.mean, expected.mean) << what;
+  EXPECT_EQ(actual.p50, expected.p50) << what;
+  EXPECT_EQ(actual.p95, expected.p95) << what;
+  EXPECT_EQ(actual.p99, expected.p99) << what;
+  EXPECT_EQ(actual.max, expected.max) << what;
+}
+
+TEST(ServeGolden, ReportStatisticsAreExactOverTheRecords) {
+  const ServeReport report = run_scenario();
+  const auto total = [](const RequestRecord& r) { return r.total(); };
+  expect_same(report.total, exact(report.requests, total), "total");
+  expect_same(report.queue_wait,
+              exact(report.requests,
+                    [](const RequestRecord& r) { return r.queue_wait(); }),
+              "queue_wait");
+  expect_same(report.service,
+              exact(report.requests,
+                    [](const RequestRecord& r) { return r.service(); }),
+              "service");
+  ASSERT_EQ(report.tenant_costs.size(), 2u);
+  for (const TenantCost& row : report.tenant_costs) {
+    expect_same(report.tenant_total(row.tenant),
+                exact(report.requests, total, &row.tenant), row.tenant);
+  }
+}
+
+TEST(ServeGolden, TokenReportStatisticsAreExactOverTheRecords) {
+  const TokenServeReport report = run_token_scenario();
+  const auto total = [](const TokenRequestRecord& r) { return r.total(); };
+  expect_same(report.total, exact(report.requests, total), "total");
+  expect_same(report.first_token,
+              exact(report.requests,
+                    [](const TokenRequestRecord& r) {
+                      return r.time_to_first_token();
+                    }),
+              "first_token");
+  ASSERT_EQ(report.tenant_costs.size(), 3u);
+  for (const TenantCost& row : report.tenant_costs) {
+    expect_same(report.tenant_total(row.tenant),
+                exact(report.requests, total, &row.tenant), row.tenant);
+  }
 }
 
 TEST(ServeGolden, ScenarioIsReproducibleWithinOneProcess) {

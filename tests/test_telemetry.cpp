@@ -240,26 +240,6 @@ TEST(Histogram, PercentilesWithinOneBucketOfExactAtScale) {
   }
 }
 
-TEST(Histogram, LatencyStatsFromHistogramTracksExact) {
-  const std::vector<double> xs = {1.0, 2.0, 2.0, 3.0, 4.0};
-  telemetry::HistogramOptions options;
-  options.min = 1e-2;
-  options.max = 1e2;
-  telemetry::Histogram h(options);
-  for (const double x : xs) h.observe(x);
-
-  const LatencyStats exact = LatencyStats::from(xs);
-  const LatencyStats approx = LatencyStats::from_histogram(h);
-  EXPECT_EQ(approx.count, exact.count);
-  EXPECT_DOUBLE_EQ(approx.mean, exact.mean);
-  EXPECT_DOUBLE_EQ(approx.max, exact.max);  // max is exact
-  const double width = h.bucket_width_ratio();
-  EXPECT_LE(approx.p50, exact.p50 * width);
-  EXPECT_GE(approx.p50, exact.p50 / width);
-  EXPECT_LE(approx.p99, exact.p99 * width);
-  EXPECT_GE(approx.p99, exact.p99 / width);
-}
-
 // --- metrics registry -------------------------------------------------------
 
 TEST(MetricsRegistry, CountersGaugesAndExposition) {

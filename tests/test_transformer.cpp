@@ -561,6 +561,12 @@ TEST(TokenServing, RejectsBadRequestsBeforeTheFleetMoves) {
   EXPECT_THROW(server.run(requests, serve::TokenPolicy{}),
                std::invalid_argument);
   EXPECT_EQ(registry.resident_model(), "mlp");
+  // The fleet attribution row is reserved for fleet overhead.
+  requests = serving_requests(model.config());
+  requests.back().tenant = serve::TenantCost::kFleetTenant;
+  EXPECT_THROW(server.run(requests, serve::TokenPolicy{}),
+               std::invalid_argument);
+  EXPECT_EQ(registry.resident_model(), "mlp");
 }
 
 TEST(Transformer, DecodeRejectsBadTokensAndOverflowingContext) {

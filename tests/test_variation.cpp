@@ -321,6 +321,32 @@ TEST(ServeDrift, PolicyTriggersRecalibrationAndAccountsDowntime) {
   EXPECT_EQ(again.makespan, recal.makespan);
 }
 
+TEST(ServeDrift, OracleTriggerReportsAZeroLagAsZero) {
+  // The oracle threshold trigger mostly re-locks at the very dispatch
+  // instant that first sees a core past the threshold: a lag of exactly
+  // zero, which the report must not round up to a histogram bucket edge.
+  // Some crossings wait out a re-lock's downtime, so the lags also vary.
+  runtime::AcceleratorConfig config;
+  config.cores = 4;
+  config.variation.seed = 42;
+  config.drift.sigma = 0.5;
+  config.drift.tau = 1e-6;
+  runtime::Accelerator accelerator(config);
+  serve::ModelRegistry registry(accelerator);
+  Rng rng(3);
+  registry.add("m", nn::Mlp(16, 8, 4, rng));
+  serve::Server server(registry);
+  const serve::LoadGenerator generator(
+      {{.name = "t", .model = "m", .rate = 100e6, .requests = 48}}, 99);
+
+  const serve::ServeReport report =
+      server.run(generator.generate(registry),
+                 {.max_batch = 8, .max_wait = 20e-9, .drift_threshold = 0.10});
+  ASSERT_GT(report.trigger_lag.count, 0u);
+  EXPECT_GT(report.trigger_lag.max, 0.0);
+  EXPECT_EQ(report.trigger_lag.p50, 0.0);
+}
+
 TEST(ServeDrift, DriftFreeFleetReportsNoDriftTelemetry) {
   // Varied (so the run scores accuracy) but drift-free fleet.
   runtime::AcceleratorConfig config;
