@@ -19,23 +19,9 @@ std::size_t Step::rows_per_sample() const {
   std::size_t rows = 1;
   if (kind == Kind::kConv2d) {
     rows = (in_shape.height() - kernel + 1) * (in_shape.width() - kernel + 1);
-  } else if (kind == Kind::kMatmul || kind == Kind::kMatmulPair) {
-    rows = in_shape.positions();
   }
   if (on_accelerator() && signed_input) rows *= 2;
   return rows;
-}
-
-std::size_t Step::weight_rows() const {
-  // kMatmulPair loads the second activation as the weight matrix: k wide
-  // however it is oriented (A {t, k} x B^T {u, k} or B {k, u}).
-  if (kind == Kind::kMatmulPair) return in_shape.channels();
-  return weights.rows();
-}
-
-std::size_t Step::weight_cols() const {
-  if (kind == Kind::kMatmulPair) return out_shape.channels();
-  return weights.cols();
 }
 
 CompiledGraph compile(const Graph& g) {
@@ -65,11 +51,10 @@ CompiledGraph compile(const Graph& g) {
 
   // Non-negativity lattice: which values are provably >= 0 everywhere, and
   // can therefore stream straight onto the intensity-encoded photonic
-  // input.  Everything else (embeddings, layernorm/GELU outputs, projection
-  // results) marks its consuming accelerator step signed_input, which the
-  // executor serves with a differential x+ / x- double-stream.  The lattice
-  // keeps all pre-transformer graphs (inputs, relu chains, pooling) on the
-  // single-stream path bit-for-bit.
+  // input.  Everything else (projection and bias results) marks its
+  // consuming accelerator step signed_input, which the executor serves with
+  // a differential x+ / x- double-stream.  The lattice keeps relu-separated
+  // graphs (inputs, relu chains, pooling) on the single-stream path.
   std::vector<bool> nonneg(nodes.size(), false);
   for (std::size_t id = 0; id < nodes.size(); ++id) {
     const Node& n = nodes[id];
@@ -81,19 +66,12 @@ CompiledGraph compile(const Graph& g) {
         break;
       case Op::kMaxPool:
       case Op::kFlatten:
-      case Op::kSlice:
         nonneg[id] = nonneg[n.inputs[0]];
         break;
       case Op::kAdd:
         nonneg[id] = nonneg[n.inputs[0]] && nonneg[n.inputs[1]];
         break;
-      case Op::kConcat: {
-        bool all = true;
-        for (std::size_t in : n.inputs) all = all && nonneg[in];
-        nonneg[id] = all;
-        break;
-      }
-      default:  // matmuls, conv, bias, embedding, layernorm, gelu, mask
+      default:  // matmul, conv, bias
         nonneg[id] = false;
         break;
     }
@@ -118,9 +96,6 @@ CompiledGraph compile(const Graph& g) {
       case Op::kBias:
       case Op::kSoftmax:
       case Op::kFlatten:
-      case Op::kLayerNorm:
-      case Op::kGelu:
-      case Op::kCausalMask:
         return c;
       case Op::kAdd: {
         // Residuals fuse when the other branch is already materialized.
@@ -162,16 +137,6 @@ CompiledGraph compile(const Graph& g) {
           op.bias = e.bias;
           break;
         case Op::kSoftmax: op.kind = EpilogueOp::Kind::kSoftmax; break;
-        case Op::kGelu: op.kind = EpilogueOp::Kind::kGelu; break;
-        case Op::kLayerNorm:
-          op.kind = EpilogueOp::Kind::kLayerNorm;
-          op.gain = e.gain;
-          op.bias = e.bias;
-          break;
-        case Op::kCausalMask:
-          op.kind = EpilogueOp::Kind::kCausalMask;
-          op.scale = e.scale;
-          break;
         case Op::kAdd:
           op.kind = EpilogueOp::Kind::kResidual;
           op.residual_slot = residual_slot;
@@ -202,44 +167,9 @@ CompiledGraph compile(const Graph& g) {
         step.pool = n.pool;
         label << "maxpool " << n.pool << "x" << n.pool;
         break;
-      case Op::kMatmulPair: {
-        step.kind = Step::Kind::kMatmulPair;
-        const std::size_t rhs = slot_of[n.inputs[1]];
-        ensures(rhs != kNoSlot, "matmul_pair operand was never materialized");
-        step.rhs_slot = rhs;
-        step.transpose_b = n.transpose_b;
-        step.signed_input = !nonneg[n.inputs[0]];
-        label << "matmul_pair" << (n.transpose_b ? " ABt" : " AB");
-        break;
-      }
-      case Op::kEmbedding:
-        step.kind = Step::Kind::kEmbedding;
-        step.weights = n.weights;
-        step.weights2 = n.weights2;
-        label << "embedding " << n.weights.rows() << "->" << n.weights.cols();
-        break;
-      case Op::kSlice:
-        step.kind = Step::Kind::kSlice;
-        step.offset = n.offset;
-        label << "slice [" << n.offset << ":"
-              << n.offset + n.shape.channels() << "]";
-        break;
-      case Op::kConcat: {
-        step.kind = Step::Kind::kConcat;
-        for (std::size_t i = 1; i < n.inputs.size(); ++i) {
-          const std::size_t slot = slot_of[n.inputs[i]];
-          ensures(slot != kNoSlot, "concat operand was never materialized");
-          step.extra_slots.push_back(slot);
-        }
-        label << "concat x" << n.inputs.size();
-        break;
-      }
       case Op::kRelu:
       case Op::kBias:
       case Op::kSoftmax:
-      case Op::kGelu:
-      case Op::kLayerNorm:
-      case Op::kCausalMask:
         lower_elementwise(n, "", kNoSlot);
         break;
       case Op::kAdd:
@@ -292,8 +222,9 @@ PassProfile CompiledGraph::pass_profile(std::size_t tile_m, std::size_t tile_k,
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const Step& step = steps[i];
     if (!step.on_accelerator()) continue;
-    const std::size_t tiles = nn::tile_passes(
-        step.weight_rows(), step.weight_cols(), tile_m, tile_k, differential);
+    const std::size_t tiles =
+        nn::tile_passes(step.weights.rows(), step.weights.cols(), tile_m,
+                        tile_k, differential);
     profile.steps.push_back({i, tiles, step.rows_per_sample()});
     profile.total_passes += tiles;
   }
@@ -311,8 +242,8 @@ std::string CompiledGraph::schedule_dump(std::size_t tile_m,
     out << "step " << i << ": " << step.label;
     if (step.on_accelerator()) {
       const StepPasses& sp = profile.steps[next_accel++];
-      out << " | weights " << step.weight_rows() << "x"
-          << step.weight_cols() << " | " << sp.passes << " tile pass"
+      out << " | weights " << step.weights.rows() << "x"
+          << step.weights.cols() << " | " << sp.passes << " tile pass"
           << (sp.passes == 1 ? "" : "es") << " | " << sp.rows_per_sample
           << " row" << (sp.rows_per_sample == 1 ? "" : "s") << "/sample";
     } else {

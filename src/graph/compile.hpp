@@ -25,20 +25,17 @@ class WeightPlanCache;
 ///    batch streams through each kernel-tile residency in a single pass —
 ///    the conv lowering that maximizes the paper's reload amortization
 ///    (positions-per-sample rows per request instead of 1).
-///  - `matmul_pair` becomes a kMatmulPair step: the second *activation* is
-///    loaded as the weight matrix, per sample, so attention's Q K^T and
-///    P V products stream through the exact tiling/fast-path machinery
-///    weight matmuls use — at the price of an always-cold residency (the
-///    "weights" change every dispatch, so nothing can stay warm).
-///  - elementwise ops (`bias`, `relu`, `add`, `softmax`, `layernorm`,
-///    `gelu`, `causal_mask`) are FUSED into the producing step's epilogue
-///    whenever they are the sole consumer chain; they cost no extra
-///    accelerator passes.  An elementwise op without a fusable producer
-///    (e.g. directly on the input) lowers to a host-side kElementwise step.
+///  - elementwise ops (`bias`, `relu`, `add`, `softmax`) are FUSED into the
+///    producing step's epilogue whenever they are the sole consumer chain;
+///    they cost no extra accelerator passes.  An elementwise op without a
+///    fusable producer (e.g. directly on the input) lowers to a host-side
+///    kElementwise step.
 ///  - `maxpool` is a host-side kMaxPool step (data marshalling between
-///    accelerator passes), `embedding` / `slice` / `concat` are host-side
-///    gathers, and `flatten` disappears entirely: storage is already flat,
-///    so it only rewrites the value's shape metadata.
+///    accelerator passes), and `flatten` disappears entirely: storage is
+///    already flat, so it only rewrites the value's shape metadata.
+///  - an accelerator step whose input can be negative (anything but the
+///    graph input, relu and softmax outputs, and maxpool / flatten / add of
+///    those) is marked `signed_input`: see Step.
 /// Nodes not reachable from the output are dead code and emit nothing.
 namespace ptc::graph {
 
@@ -49,30 +46,20 @@ struct EpilogueOp {
     kRelu,
     kSoftmax,
     kResidual,
-    kGelu,
-    kLayerNorm,
-    kCausalMask,
   };
   Kind kind = Kind::kRelu;
-  std::vector<double> bias;       ///< kBias / kLayerNorm: per-channel addends
-  std::vector<double> gain;       ///< kLayerNorm: per-channel scales
+  std::vector<double> bias;       ///< kBias: per-channel addends
   std::size_t residual_slot = 0;  ///< kResidual: value slot added in
-  double scale = 1.0;             ///< kCausalMask: pre-mask score scale
 };
 
-/// One schedule step.  kMatmul / kConv2d / kMatmulPair run on the
-/// accelerator backend; kMaxPool / kEmbedding / kSlice / kConcat /
-/// kElementwise are host-side data marshalling.
+/// One schedule step.  kMatmul / kConv2d run on the accelerator backend;
+/// kMaxPool / kElementwise are host-side data marshalling.
 struct Step {
   enum class Kind {
     kMatmul,
     kConv2d,
     kMaxPool,
     kElementwise,
-    kMatmulPair,
-    kEmbedding,
-    kSlice,
-    kConcat,
   };
   Kind kind = Kind::kElementwise;
 
@@ -81,23 +68,17 @@ struct Step {
   Shape in_shape;               ///< shape of the consumed value
   Shape out_shape;              ///< shape after the step + its epilogue
 
-  Matrix weights;          ///< kMatmul: k x m; kConv2d: (k*k*c_in) x c_out;
-                           ///< kEmbedding: vocab x d token table
-  Matrix weights2;         ///< kEmbedding: positional table (may be 0x0)
+  Matrix weights;          ///< kMatmul: k x m; kConv2d: (k*k*c_in) x c_out
   std::size_t kernel = 0;  ///< kConv2d: square kernel side
   std::size_t pool = 0;    ///< kMaxPool: window == stride
-  std::size_t rhs_slot = 0;   ///< kMatmulPair: slot of the second activation
-  bool transpose_b = false;   ///< kMatmulPair: stream A B^T
-  std::size_t offset = 0;     ///< kSlice: first innermost index taken
-  std::vector<std::size_t> extra_slots;  ///< kConcat: slots after input_slot
 
-  /// Accelerator steps whose streamed activation can be negative (layernorm
-  /// / GELU / embedding outputs).  The photonic input is intensity-encoded
-  /// (non-negative), so the executor splits x = x+ - x- and streams both
-  /// halves through the same weight plan — twice the rows, digitally
-  /// recombined.  Derived at compile time from a non-negativity lattice
-  /// (inputs, relu and softmax outputs are provably non-negative), so
-  /// existing MLP/CNN schedules keep the single-stream path bit-for-bit.
+  /// Accelerator steps whose streamed activation can be negative (e.g. a
+  /// biased projection feeding the next matmul).  The photonic input is
+  /// intensity-encoded (non-negative), so the executor splits x = x+ - x-
+  /// and streams both halves through the same weight plan — twice the rows,
+  /// digitally recombined.  Derived at compile time from a non-negativity
+  /// lattice (inputs, relu and softmax outputs are provably non-negative),
+  /// so relu-separated MLP/CNN schedules keep the single-stream path.
   bool signed_input = false;
 
   std::vector<EpilogueOp> epilogue;  ///< fused elementwise tail, in order
@@ -113,21 +94,13 @@ struct Step {
   std::shared_ptr<nn::WeightPlanCache> plan_cache;
 
   bool on_accelerator() const {
-    return kind == Kind::kMatmul || kind == Kind::kConv2d ||
-           kind == Kind::kMatmulPair;
+    return kind == Kind::kMatmul || kind == Kind::kConv2d;
   }
 
   /// Matmul rows one sample streams through this step: im2col positions for
-  /// kConv2d, sequence positions for rank-2 kMatmul / kMatmulPair, 1 for a
-  /// rank-1 kMatmul — doubled when signed_input streams the differential
-  /// x+ / x- halves.
+  /// kConv2d, 1 for kMatmul — doubled when signed_input streams the
+  /// differential x+ / x- halves.
   std::size_t rows_per_sample() const;
-
-  /// Effective weight-matrix geometry streamed on the accelerator: the
-  /// static weights for kMatmul / kConv2d, the second activation (as
-  /// loaded, i.e. transposed for A B^T) for kMatmulPair.
-  std::size_t weight_rows() const;
-  std::size_t weight_cols() const;
 };
 
 /// Weight-tile residency footprint of one accelerator step, for a given

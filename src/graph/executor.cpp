@@ -12,26 +12,15 @@
 namespace ptc::graph {
 namespace {
 
-/// Reinterprets a flattened value matrix with a new geometry over the same
-/// row-major data.  The positions-innermost flattening makes stacking a
-/// batch of {t, d} sequences into (batch * t) activation rows — and packing
-/// the result back — a pure relabel, no element moves.
-Matrix reshape(const Matrix& m, std::size_t rows, std::size_t cols) {
-  expects(rows * cols == m.rows() * m.cols(), "reshape changes element count");
-  Matrix out(rows, cols);
-  out.data() = m.data();
-  return out;
-}
-
 /// Backend matmul through the step's weight-plan cache when it has one
 /// (accelerator steps compiled by graph::compile), so per-batch execution
 /// skips the weight-side planning and encoding entirely.
 Matrix matmul_rows(nn::MatmulBackend& backend, const Step& step,
                    const Matrix& x) {
   if (step.signed_input) {
-    // The streamed activation can be negative (layernorm / GELU /
-    // embedding outputs): differential input streaming through the same
-    // weight plan, recombined digitally.
+    // The streamed activation can be negative (e.g. a biased projection):
+    // differential input streaming through the same weight plan,
+    // recombined digitally.
     return nn::signed_matmul(backend, x, step.weights,
                              step.plan_cache.get());
   }
@@ -39,108 +28,6 @@ Matrix matmul_rows(nn::MatmulBackend& backend, const Step& step,
     return backend.matmul_cached(x, step.weights, *step.plan_cache);
   }
   return backend.matmul(x, step.weights);
-}
-
-/// Weight matmul over a (possibly sequence-valued) step input.  Sequence
-/// values stream every position of every sample as its own activation row
-/// through one backend call, so the whole batch shares each weight-tile
-/// residency — the same stacking trick conv2d uses for patches.
-Matrix step_matmul(nn::MatmulBackend& backend, const Step& step,
-                   const Matrix& x) {
-  if (step.kind == Step::Kind::kMatmul && step.in_shape.is_sequence()) {
-    const std::size_t t = step.in_shape.dims[0];
-    const Matrix stacked = reshape(x, x.rows() * t, step.weights.rows());
-    const Matrix y = matmul_rows(backend, step, stacked);
-    return reshape(y, x.rows(), t * step.weights.cols());
-  }
-  return matmul_rows(backend, step, x);
-}
-
-/// Activation x activation product, per sample: the second value is loaded
-/// as the weight matrix (transposed for A B^T), so attention scores and
-/// context products run on the accelerator exactly like weight matmuls —
-/// but per sample, since every sample carries its own "weights".
-Matrix matmul_pair_step(nn::MatmulBackend& backend, const Step& step,
-                        const Matrix& a, const Matrix& b) {
-  const std::size_t t = step.in_shape.dims[0];
-  const std::size_t k = step.in_shape.dims[1];
-  const std::size_t u = step.out_shape.channels();
-
-  Matrix out(a.rows(), t * u);
-  Matrix lhs(t, k);
-  Matrix rhs(k, u);
-  for (std::size_t s = 0; s < a.rows(); ++s) {
-    for (std::size_t p = 0; p < t; ++p)
-      for (std::size_t c = 0; c < k; ++c) lhs(p, c) = a(s, p * k + c);
-    if (step.transpose_b) {
-      for (std::size_t c = 0; c < k; ++c)
-        for (std::size_t j = 0; j < u; ++j) rhs(c, j) = b(s, j * k + c);
-    } else {
-      for (std::size_t c = 0; c < k; ++c)
-        for (std::size_t j = 0; j < u; ++j) rhs(c, j) = b(s, c * u + j);
-    }
-    const Matrix y = step.signed_input
-                         ? nn::signed_matmul(backend, lhs, rhs)
-                         : backend.matmul(lhs, rhs);
-    for (std::size_t p = 0; p < t; ++p)
-      for (std::size_t j = 0; j < u; ++j) out(s, p * u + j) = y(p, j);
-  }
-  return out;
-}
-
-/// Host-side token-id gather plus (optional) positional-table add.
-Matrix embedding_step(const Step& step, const Matrix& in) {
-  const std::size_t t = step.in_shape.dims[0];
-  const std::size_t d = step.weights.cols();
-  const bool positional = step.weights2.rows() > 0;
-
-  Matrix out(in.rows(), t * d);
-  for (std::size_t s = 0; s < in.rows(); ++s) {
-    for (std::size_t p = 0; p < t; ++p) {
-      const double raw = in(s, p);
-      expects(raw >= 0.0 && raw < static_cast<double>(step.weights.rows()),
-              "embedding id out of vocabulary range");
-      const std::size_t id = static_cast<std::size_t>(raw);
-      for (std::size_t ch = 0; ch < d; ++ch) {
-        out(s, p * d + ch) = step.weights(id, ch) +
-                             (positional ? step.weights2(p, ch) : 0.0);
-      }
-    }
-  }
-  return out;
-}
-
-Matrix slice_step(const Step& step, const Matrix& in) {
-  const std::size_t c_in = step.in_shape.channels();
-  const std::size_t count = step.out_shape.channels();
-  const std::size_t positions = step.in_shape.positions();
-
-  Matrix out(in.rows(), positions * count);
-  for (std::size_t s = 0; s < in.rows(); ++s)
-    for (std::size_t p = 0; p < positions; ++p)
-      for (std::size_t ch = 0; ch < count; ++ch)
-        out(s, p * count + ch) = in(s, p * c_in + step.offset + ch);
-  return out;
-}
-
-Matrix concat_step(const Step& step, const std::vector<Matrix>& slots,
-                   const Matrix& first) {
-  const std::size_t positions = step.out_shape.positions();
-  const std::size_t c_out = step.out_shape.channels();
-
-  Matrix out(first.rows(), positions * c_out);
-  std::size_t base = 0;
-  const auto append_part = [&](const Matrix& part) {
-    const std::size_t c = part.cols() / positions;
-    for (std::size_t s = 0; s < part.rows(); ++s)
-      for (std::size_t p = 0; p < positions; ++p)
-        for (std::size_t ch = 0; ch < c; ++ch)
-          out(s, p * c_out + base + ch) = part(s, p * c + ch);
-    base += c;
-  };
-  append_part(first);
-  for (std::size_t slot : step.extra_slots) append_part(slots[slot]);
-  return out;
 }
 
 /// Stacked im2col conv: every output position of every sample becomes one
@@ -173,7 +60,7 @@ Matrix conv2d_step(nn::MatmulBackend& backend, const Step& step,
     }
   }
 
-  const Matrix flat = step_matmul(backend, step, patches);
+  const Matrix flat = matmul_rows(backend, step, patches);
 
   // Repack (sample*position) x c_out rows into per-sample flat images.
   Matrix out(in.rows(), positions * c_out);
@@ -224,11 +111,6 @@ void apply_bias(Matrix& value, const std::vector<double>& bias) {
 
 void apply_epilogue(Matrix& value, const Step& step,
                     const std::vector<Matrix>& slots) {
-  // Chunked epilogue ops act per innermost feature row.  Every epilogue op
-  // preserves shape, so the step's out_shape gives the chunk for the whole
-  // chain; for rank-1 values the chunk is the full row and kSoftmax is
-  // bit-identical to the historical whole-row nn::softmax.
-  const std::size_t chunk = step.out_shape.channels();
   for (const EpilogueOp& op : step.epilogue) {
     switch (op.kind) {
       case EpilogueOp::Kind::kBias:
@@ -238,16 +120,8 @@ void apply_epilogue(Matrix& value, const Step& step,
         for (double& v : value.data()) v = std::max(0.0, v);
         break;
       case EpilogueOp::Kind::kSoftmax:
-        nn::softmax_chunks(value, chunk);
-        break;
-      case EpilogueOp::Kind::kGelu:
-        nn::gelu_inplace(value);
-        break;
-      case EpilogueOp::Kind::kLayerNorm:
-        nn::layernorm_chunks(value, chunk, op.gain, op.bias);
-        break;
-      case EpilogueOp::Kind::kCausalMask:
-        nn::causal_mask_chunks(value, chunk, op.scale);
+        // Softmax applies to rank-1 values only: the chunk is the whole row.
+        nn::softmax_chunks(value, value.cols());
         break;
       case EpilogueOp::Kind::kResidual:
         value += slots[op.residual_slot];
@@ -277,25 +151,13 @@ Matrix run(const CompiledGraph& compiled, nn::MatmulBackend& backend,
     Matrix out;
     switch (step.kind) {
       case Step::Kind::kMatmul:
-        out = step_matmul(backend, step, in);
+        out = matmul_rows(backend, step, in);
         break;
       case Step::Kind::kConv2d:
         out = conv2d_step(backend, step, in);
         break;
       case Step::Kind::kMaxPool:
         out = maxpool_step(step, in);
-        break;
-      case Step::Kind::kMatmulPair:
-        out = matmul_pair_step(backend, step, in, slots[step.rhs_slot]);
-        break;
-      case Step::Kind::kEmbedding:
-        out = embedding_step(step, in);
-        break;
-      case Step::Kind::kSlice:
-        out = slice_step(step, in);
-        break;
-      case Step::Kind::kConcat:
-        out = concat_step(step, slots, in);
         break;
       case Step::Kind::kElementwise:
         out = in;

@@ -18,12 +18,6 @@ std::size_t Shape::channels() const {
   return dims.back();
 }
 
-std::size_t Shape::positions() const {
-  std::size_t n = 1;
-  for (std::size_t i = 0; i + 1 < dims.size(); ++i) n *= dims[i];
-  return n;
-}
-
 std::string Shape::str() const {
   std::ostringstream out;
   for (std::size_t i = 0; i < dims.size(); ++i) {
@@ -44,13 +38,6 @@ const char* op_name(Op op) {
     case Op::kMaxPool: return "maxpool";
     case Op::kFlatten: return "flatten";
     case Op::kSoftmax: return "softmax";
-    case Op::kEmbedding: return "embedding";
-    case Op::kLayerNorm: return "layernorm";
-    case Op::kGelu: return "gelu";
-    case Op::kMatmulPair: return "matmul_pair";
-    case Op::kCausalMask: return "causal_mask";
-    case Op::kSlice: return "slice";
-    case Op::kConcat: return "concat";
   }
   return "?";
 }
@@ -85,9 +72,8 @@ Graph::NodeId Graph::input(Shape shape) {
 
 Graph::NodeId Graph::matmul(NodeId x, Matrix w) {
   const Node& in = producer(x);
-  expects(in.shape.dims.size() == 1 || in.shape.is_sequence(),
-          "matmul input must be a feature vector or a {t, d} sequence "
-          "(flatten images first)");
+  expects(in.shape.dims.size() == 1,
+          "matmul input must be a feature vector (flatten images first)");
   expects(w.rows() >= 1 && w.cols() >= 1, "matmul weights must be non-empty");
   expects(in.shape.channels() == w.rows(),
           "matmul input width " + in.shape.str() + " does not match weights " +
@@ -95,8 +81,7 @@ Graph::NodeId Graph::matmul(NodeId x, Matrix w) {
   Node n;
   n.op = Op::kMatmul;
   n.inputs = {x};
-  n.shape = in.shape.is_sequence() ? Shape{{in.shape.dims[0], w.cols()}}
-                                   : Shape{{w.cols()}};
+  n.shape = Shape{{w.cols()}};
   n.weights = std::move(w);
   return append(std::move(n));
 }
@@ -188,148 +173,11 @@ Graph::NodeId Graph::flatten(NodeId x) {
 
 Graph::NodeId Graph::softmax(NodeId x) {
   const Node& in = producer(x);
-  expects(in.shape.dims.size() == 1 || in.shape.is_sequence(),
-          "softmax input must be a feature vector or a {t, d} sequence");
+  expects(in.shape.dims.size() == 1, "softmax input must be a feature vector");
   Node n;
   n.op = Op::kSoftmax;
   n.inputs = {x};
   n.shape = in.shape;
-  return append(std::move(n));
-}
-
-Graph::NodeId Graph::embedding(NodeId ids, Matrix table, Matrix positions) {
-  const Node& in = producer(ids);
-  expects(in.shape.dims.size() == 1,
-          "embedding input must be a rank-1 vector of token ids");
-  expects(table.rows() >= 1 && table.cols() >= 1,
-          "embedding table must be non-empty");
-  const std::size_t t = in.shape.dims[0];
-  if (positions.rows() > 0 || positions.cols() > 0) {
-    expects(positions.cols() == table.cols(),
-            "positional table width " + std::to_string(positions.cols()) +
-                " does not match embedding width " +
-                std::to_string(table.cols()));
-    expects(positions.rows() >= t,
-            "positional table has " + std::to_string(positions.rows()) +
-                " rows but the sequence is " + std::to_string(t) + " long");
-  }
-  Node n;
-  n.op = Op::kEmbedding;
-  n.inputs = {ids};
-  n.shape = Shape{{t, table.cols()}};
-  n.weights = std::move(table);
-  n.weights2 = std::move(positions);
-  return append(std::move(n));
-}
-
-Graph::NodeId Graph::layernorm(NodeId x, std::vector<double> gain,
-                               std::vector<double> bias) {
-  const Node& in = producer(x);
-  expects(gain.size() == in.shape.channels(),
-          "layernorm gain of length " + std::to_string(gain.size()) +
-              " does not match the innermost dimension of " + in.shape.str());
-  expects(bias.size() == in.shape.channels(),
-          "layernorm bias of length " + std::to_string(bias.size()) +
-              " does not match the innermost dimension of " + in.shape.str());
-  expects(in.shape.channels() >= 2,
-          "layernorm needs >= 2 features per row (variance of one point)");
-  Node n;
-  n.op = Op::kLayerNorm;
-  n.inputs = {x};
-  n.shape = in.shape;
-  n.gain = std::move(gain);
-  n.bias = std::move(bias);
-  return append(std::move(n));
-}
-
-Graph::NodeId Graph::gelu(NodeId x) {
-  Node n;
-  n.op = Op::kGelu;
-  n.inputs = {x};
-  n.shape = producer(x).shape;
-  return append(std::move(n));
-}
-
-Graph::NodeId Graph::matmul_pair(NodeId a, NodeId b, bool transpose_b) {
-  const Node& na = producer(a);
-  const Node& nb = producer(b);
-  expects(na.shape.is_sequence() && nb.shape.is_sequence(),
-          "matmul_pair operands must both be {t, d} sequences (" +
-              na.shape.str() + " vs " + nb.shape.str() + ")");
-  const std::size_t k = na.shape.dims[1];
-  if (transpose_b) {
-    expects(nb.shape.dims[1] == k,
-            "matmul_pair A B^T inner widths differ: " + na.shape.str() +
-                " vs " + nb.shape.str());
-  } else {
-    expects(nb.shape.dims[0] == k,
-            "matmul_pair A B inner dimensions differ: " + na.shape.str() +
-                " vs " + nb.shape.str());
-  }
-  Node n;
-  n.op = Op::kMatmulPair;
-  n.inputs = {a, b};
-  n.shape = Shape{{na.shape.dims[0],
-                   transpose_b ? nb.shape.dims[0] : nb.shape.dims[1]}};
-  n.transpose_b = transpose_b;
-  return append(std::move(n));
-}
-
-Graph::NodeId Graph::causal_mask(NodeId x, double scale) {
-  const Node& in = producer(x);
-  expects(in.shape.is_sequence() && in.shape.dims[0] == in.shape.dims[1],
-          "causal_mask input must be a square {t, t} score matrix, got " +
-              in.shape.str());
-  expects(scale > 0.0, "causal_mask scale must be positive");
-  Node n;
-  n.op = Op::kCausalMask;
-  n.inputs = {x};
-  n.shape = in.shape;
-  n.scale = scale;
-  return append(std::move(n));
-}
-
-Graph::NodeId Graph::slice(NodeId x, std::size_t from, std::size_t count) {
-  const Node& in = producer(x);
-  expects(in.shape.dims.size() == 1 || in.shape.is_sequence(),
-          "slice input must be a feature vector or a {t, d} sequence");
-  expects(count >= 1, "slice must take at least one feature");
-  expects(from + count <= in.shape.channels(),
-          "slice [" + std::to_string(from) + ", " +
-              std::to_string(from + count) + ") out of range for " +
-              in.shape.str());
-  Node n;
-  n.op = Op::kSlice;
-  n.inputs = {x};
-  n.shape = in.shape;
-  n.shape.dims.back() = count;
-  n.offset = from;
-  return append(std::move(n));
-}
-
-Graph::NodeId Graph::concat(const std::vector<NodeId>& xs) {
-  expects(xs.size() >= 2, "concat needs at least two inputs");
-  const Node& first = producer(xs[0]);
-  expects(first.shape.dims.size() == 1 || first.shape.is_sequence(),
-          "concat inputs must be feature vectors or {t, d} sequences");
-  std::size_t total = 0;
-  for (NodeId id : xs) {
-    const Node& in = producer(id);
-    expects(in.shape.dims.size() == first.shape.dims.size(),
-            "concat inputs must have the same rank (" + first.shape.str() +
-                " vs " + in.shape.str() + ")");
-    for (std::size_t i = 0; i + 1 < in.shape.dims.size(); ++i) {
-      expects(in.shape.dims[i] == first.shape.dims[i],
-              "concat inputs must agree on leading dimensions (" +
-                  first.shape.str() + " vs " + in.shape.str() + ")");
-    }
-    total += in.shape.channels();
-  }
-  Node n;
-  n.op = Op::kConcat;
-  n.inputs = xs;
-  n.shape = first.shape;
-  n.shape.dims.back() = total;
   return append(std::move(n));
 }
 
@@ -367,13 +215,6 @@ std::string Graph::dump() const {
           << n.weights.cols() << " ch]";
     } else if (n.op == Op::kMaxPool) {
       out << " [" << n.pool << "x" << n.pool << "]";
-    } else if (n.op == Op::kEmbedding) {
-      out << " [" << n.weights.rows() << " x " << n.weights.cols()
-          << (n.weights2.rows() > 0 ? ", +pos]" : "]");
-    } else if (n.op == Op::kMatmulPair) {
-      out << (n.transpose_b ? " [A B^T]" : " [A B]");
-    } else if (n.op == Op::kSlice) {
-      out << " [" << n.offset << ":" << n.offset + n.shape.channels() << "]";
     }
     if (!n.inputs.empty()) {
       out << " (";

@@ -8,16 +8,15 @@
 #include "common/linalg.hpp"
 
 /// Dataflow IR for the graph compiler: a small single-input DAG of tensor
-/// ops (dense, convolutional, attention, elementwise, structural) that the
-/// compiler in compile.hpp lowers onto the accelerator's weight-tile pass
-/// schedule.
+/// ops (dense, convolutional, elementwise, structural) that the compiler in
+/// compile.hpp lowers onto the accelerator's weight-tile pass schedule.
+/// Transformers do not run through it: nn::TransformerModel::decode_step
+/// drives the backend directly, one token at a time.
 ///
-/// Values flowing along edges are per-sample tensors of rank 1 ({features}),
-/// rank 2 ({t, d} sequences of feature rows), or rank 3 ({h, w, c} images),
-/// stored flattened row-major with the innermost dimension (features /
-/// channels) fastest: index = (i * w + j) * c + ch for images, p * d + ch
-/// for sequences.  Rank-1 vectors use the same storage, which is what makes
-/// `flatten` a pure metadata operation.
+/// Values flowing along edges are per-sample tensors of rank 1 ({features})
+/// or rank 3 ({h, w, c} images), stored flattened row-major with channels
+/// fastest: index = (i * w + j) * c + ch.  Rank-1 vectors use the same
+/// storage, which is what makes `flatten` a pure metadata operation.
 ///
 /// Graphs are built through the typed builder methods below; every method
 /// runs shape inference eagerly and rejects ill-formed wiring via expects(),
@@ -26,8 +25,7 @@
 /// the property the compiler's single forward sweep relies on.
 namespace ptc::graph {
 
-/// Per-sample tensor shape: {n} features, {t, d} sequences, or {h, w, c}
-/// images.
+/// Per-sample tensor shape: {n} features or {h, w, c} images.
 struct Shape {
   std::vector<std::size_t> dims;
 
@@ -35,17 +33,10 @@ struct Shape {
   std::size_t size() const;
 
   bool is_image() const { return dims.size() == 3; }
-  /// {t, d}: a sequence of t feature rows of width d (attention values).
-  bool is_sequence() const { return dims.size() == 2; }
   std::size_t height() const { return dims.size() == 3 ? dims[0] : 1; }
   std::size_t width() const { return dims.size() == 3 ? dims[1] : 1; }
-  /// Innermost dimension: channels for images, features for vectors and
-  /// sequence rows.
+  /// Innermost dimension: channels for images, features for vectors.
   std::size_t channels() const;
-  /// Number of innermost chunks: sequence positions for rank 2, image
-  /// positions (h * w) for rank 3, 1 for rank 1.  size() == positions() *
-  /// channels() always.
-  std::size_t positions() const;
 
   bool operator==(const Shape& other) const { return dims == other.dims; }
   bool operator!=(const Shape& other) const { return !(*this == other); }
@@ -54,25 +45,17 @@ struct Shape {
   std::string str() const;
 };
 
-/// Operator set: everything a CNN / residual network / decoder-only
-/// transformer needs.
+/// Operator set: everything an MLP / CNN / residual network needs.
 enum class Op {
-  kInput,       ///< the graph's single entry point
-  kMatmul,      ///< dense y = x W (weights k x m; x rank 1 or rank 2)
-  kConv2d,      ///< valid square conv (weights (k*k*c_in) x c_out)
-  kRelu,        ///< elementwise max(0, x)
-  kBias,        ///< per-channel (or per-feature) additive bias
-  kAdd,         ///< elementwise sum of two same-shape values (residual)
-  kMaxPool,     ///< non-overlapping window max per channel
-  kFlatten,     ///< {h, w, c} -> {h*w*c} (metadata only)
-  kSoftmax,     ///< softmax over each innermost chunk (features / seq row)
-  kEmbedding,   ///< token-id lookup {t} -> {t, d} (+ positional table)
-  kLayerNorm,   ///< per-innermost-chunk normalization with gain/bias
-  kGelu,        ///< elementwise GELU (tanh approximation)
-  kMatmulPair,  ///< product of two activations: A B or A B^T (attention)
-  kCausalMask,  ///< scale scores and mask j > i to -inf ({t, t} only)
-  kSlice,       ///< innermost-dimension slice [from, from + count)
-  kConcat,      ///< innermost-dimension concatenation of >= 2 values
+  kInput,    ///< the graph's single entry point
+  kMatmul,   ///< dense y = x W (weights k x m; x rank 1)
+  kConv2d,   ///< valid square conv (weights (k*k*c_in) x c_out)
+  kRelu,     ///< elementwise max(0, x)
+  kBias,     ///< per-channel (or per-feature) additive bias
+  kAdd,      ///< elementwise sum of two same-shape values (residual)
+  kMaxPool,  ///< non-overlapping window max per channel
+  kFlatten,  ///< {h, w, c} -> {h*w*c} (metadata only)
+  kSoftmax,  ///< softmax over the feature vector
 };
 
 const char* op_name(Op op);
@@ -83,16 +66,10 @@ struct Node {
   std::vector<std::size_t> inputs;  ///< producer node ids (all < own id)
   Shape shape;                      ///< inferred output shape
 
-  Matrix weights;   ///< kMatmul: k x m; kConv2d: (k*k*c_in) x c_out;
-                    ///< kEmbedding: vocab x d token table
-  Matrix weights2;  ///< kEmbedding: max_seq x d positional table (may be 0x0)
-  std::vector<double> bias;  ///< kBias / kLayerNorm shift: length channels()
-  std::vector<double> gain;  ///< kLayerNorm scale: length channels()
+  Matrix weights;            ///< kMatmul: k x m; kConv2d: (k*k*c_in) x c_out
+  std::vector<double> bias;  ///< kBias: length channels()
   std::size_t kernel = 0;    ///< kConv2d: square kernel side
   std::size_t pool = 0;      ///< kMaxPool: window == stride
-  double scale = 1.0;        ///< kCausalMask: pre-mask score scale (1/sqrt(dk))
-  bool transpose_b = false;  ///< kMatmulPair: compute A B^T instead of A B
-  std::size_t offset = 0;    ///< kSlice: first innermost index taken
 };
 
 /// Builder + container.  The last node added is the graph output unless
@@ -104,9 +81,8 @@ class Graph {
   /// The single entry point; must be the first node added.
   NodeId input(Shape shape);
 
-  /// Dense product with a k x m weight matrix.  A rank-1 input of width k
-  /// yields {m}; a rank-2 {t, k} sequence multiplies every row, yielding
-  /// {t, m} (the per-position projections attention is built from).
+  /// Dense product with a k x m weight matrix: a rank-1 input of width k
+  /// yields {m}.
   NodeId matmul(NodeId x, Matrix w);
 
   /// Valid square convolution: input {h, w, c_in}, kernels is the im2col
@@ -130,44 +106,8 @@ class Graph {
   /// {h, w, c} -> {h*w*c}.  Free: storage is already flat.
   NodeId flatten(NodeId x);
 
-  /// Softmax over each innermost chunk: the whole vector for rank 1, each
-  /// sequence row independently for rank 2 (attention probabilities).
+  /// Softmax over a feature vector (rank 1).
   NodeId softmax(NodeId x);
-
-  /// Token-id lookup: input {t} of integer-valued ids, `table` is the
-  /// vocab x d token embedding matrix.  When `positions` is non-empty
-  /// (rows >= t, cols == d) row p of it is added to position p — learned
-  /// positional embeddings.  Output {t, d}.
-  NodeId embedding(NodeId ids, Matrix table, Matrix positions = Matrix());
-
-  /// Per-innermost-chunk layer normalization: each feature row is shifted
-  /// to zero mean / unit variance, then scaled by `gain` and shifted by
-  /// `bias` (both length channels()).  Shape-preserving.
-  NodeId layernorm(NodeId x, std::vector<double> gain,
-                   std::vector<double> bias);
-
-  /// Elementwise GELU (tanh approximation).  Shape-preserving.
-  NodeId gelu(NodeId x);
-
-  /// Product of two activations — the attention primitive the accelerator
-  /// streams like a weight matmul, except the "weights" are the second
-  /// activation.  With transpose_b: a {t, k} x b {u, k} -> {t, u}
-  /// (Q K^T scores); without: a {t, k} x b {k, u} -> {t, u} (P V context).
-  NodeId matmul_pair(NodeId a, NodeId b, bool transpose_b);
-
-  /// Causal attention mask on a square {t, t} score matrix: every entry is
-  /// scaled by `scale` (1/sqrt(d_k)) and entries with column > row are
-  /// forced to a large negative so softmax sends them to exactly zero.
-  NodeId causal_mask(NodeId x, double scale);
-
-  /// Innermost-dimension slice [from, from + count): per-head Q/K/V
-  /// extraction.  {t, d} -> {t, count}; rank 1 slices the feature vector.
-  NodeId slice(NodeId x, std::size_t from, std::size_t count);
-
-  /// Innermost-dimension concatenation of >= 2 values with identical
-  /// leading dimensions: per-head context reassembly.  {t, d_i} ->
-  /// {t, sum d_i}.
-  NodeId concat(const std::vector<NodeId>& xs);
 
   /// Selects the node whose value run() returns (defaults to the last).
   void mark_output(NodeId id);

@@ -92,24 +92,6 @@ void gelu_inplace(Matrix& value) {
   }
 }
 
-void causal_mask_chunks(Matrix& value, std::size_t chunk, double scale) {
-  // Large finite negative rather than -inf: exp(x - max) underflows to an
-  // exact 0.0 without ever producing inf - inf NaNs in the max-subtract.
-  constexpr double kMaskedLogit = -1e30;
-  expects(chunk >= 1 && value.cols() % chunk == 0,
-          "causal mask chunk must divide the row width");
-  const std::size_t positions = value.cols() / chunk;
-  expects(positions == chunk, "causal mask needs a square {t, t} value");
-  for (std::size_t s = 0; s < value.rows(); ++s) {
-    for (std::size_t p = 0; p < positions; ++p) {
-      for (std::size_t j = 0; j < chunk; ++j) {
-        double& v = value.data()[s * value.cols() + p * chunk + j];
-        v = j <= p ? v * scale : kMaskedLogit;
-      }
-    }
-  }
-}
-
 Matrix signed_matmul(MatmulBackend& backend, const Matrix& x, const Matrix& w,
                      WeightPlanCache* cache) {
   Matrix pos(x.rows(), x.cols());

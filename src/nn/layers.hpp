@@ -28,8 +28,7 @@ Matrix relu(Matrix x);
 /// Row-wise softmax.
 Matrix softmax(const Matrix& logits);
 
-/// Variance floor shared by every layernorm implementation in the repo, so
-/// the graph executor and the incremental transformer decoder agree bitwise.
+/// Variance floor of layernorm_chunks.
 constexpr double kLayerNormEpsilon = 1e-5;
 
 /// Softmax over each contiguous `chunk`-wide slice of every row, in place.
@@ -47,12 +46,6 @@ void layernorm_chunks(Matrix& value, std::size_t chunk,
 
 /// Elementwise GELU (tanh approximation), in place.
 void gelu_inplace(Matrix& value);
-
-/// Causal attention mask over flattened {t, t} score matrices stored as
-/// rows of t chunks of width `chunk` == t: chunk p keeps entries j <= p
-/// scaled by `scale` and forces j > p to a large negative logit (softmax
-/// sends them to exactly zero).
-void causal_mask_chunks(Matrix& value, std::size_t chunk, double scale);
 
 /// y = x W for a signed activation x through a backend whose matmul
 /// contract requires non-negative (intensity-encoded) inputs: differential

@@ -59,42 +59,6 @@ TransformerModel TransformerModel::random(const TransformerConfig& config,
   return m;
 }
 
-graph::Graph TransformerModel::build_graph(std::size_t seq_len) const {
-  expects(!layers_.empty(), "model has no layers (default-constructed?)");
-  expects(seq_len >= 1 && seq_len <= config_.max_seq,
-          "sequence length must fit the positional table");
-  const std::size_t dk = config_.head_dim();
-  const double scale = 1.0 / std::sqrt(static_cast<double>(dk));
-
-  graph::Graph g;
-  graph::Graph::NodeId x =
-      g.embedding(g.input(graph::Shape{{seq_len}}), token_table_, pos_table_);
-  for (const TransformerLayer& layer : layers_) {
-    const auto h1 = g.layernorm(x, layer.ln1_gain, layer.ln1_bias);
-    const auto q = g.matmul(h1, layer.wq);
-    const auto k = g.matmul(h1, layer.wk);
-    const auto v = g.matmul(h1, layer.wv);
-    std::vector<graph::Graph::NodeId> heads;
-    for (std::size_t head = 0; head < config_.heads; ++head) {
-      const auto qh = g.slice(q, head * dk, dk);
-      const auto kh = g.slice(k, head * dk, dk);
-      const auto vh = g.slice(v, head * dk, dk);
-      const auto scores = g.matmul_pair(qh, kh, /*transpose_b=*/true);
-      const auto probs = g.softmax(g.causal_mask(scores, scale));
-      heads.push_back(g.matmul_pair(probs, vh, /*transpose_b=*/false));
-    }
-    const auto merged = heads.size() == 1 ? heads[0] : g.concat(heads);
-    x = g.add(x, g.matmul(merged, layer.wo));
-    const auto h2 = g.layernorm(x, layer.ln2_gain, layer.ln2_bias);
-    const auto f1 = g.gelu(g.bias(g.matmul(h2, layer.w_ff1), layer.b_ff1));
-    const auto f2 = g.bias(g.matmul(f1, layer.w_ff2), layer.b_ff2);
-    x = g.add(x, f2);
-  }
-  const auto xf = g.layernorm(x, lnf_gain_, lnf_bias_);
-  g.mark_output(g.matmul(xf, unembed_));
-  return g;
-}
-
 KvCache TransformerModel::make_cache() const {
   KvCache cache;
   cache.k.resize(layers_.size());
@@ -151,8 +115,7 @@ std::vector<double> TransformerModel::decode_step(MatmulBackend& backend,
       for (std::size_t j = 0; j < ctx; ++j)
         for (std::size_t c = 0; c < dk; ++c)
           vals(j, c) = cache.v[l][j * d + head * dk + c];
-      // Softmax probabilities are non-negative: plain intensity streaming,
-      // exactly like the compiled graph's unsigned context product.
+      // Softmax probabilities are non-negative: plain intensity streaming.
       const Matrix ctxh = backend.matmul(scores, vals);
       for (std::size_t c = 0; c < dk; ++c) merged(0, head * dk + c) = ctxh(0, c);
     }

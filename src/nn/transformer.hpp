@@ -7,24 +7,18 @@
 
 #include "common/linalg.hpp"
 #include "common/rng.hpp"
-#include "graph/ir.hpp"
 #include "nn/backend.hpp"
 
 /// Small decoder-only transformer for the serving layer: pre-layernorm
 /// blocks with causal multi-head attention and a GELU MLP, greedy decoding.
 ///
-/// The same weights execute two ways:
-///  - `build_graph(seq_len)` emits a full-sequence dataflow graph that the
-///    graph compiler lowers onto the fleet (attention's activation x
-///    activation products stream through the tiling machinery as
-///    kMatmulPair steps) — the path property tests compare against the
-///    float reference.
-///  - `decode_step` advances one request by one token against a growing
-///    per-request KvCache through any MatmulBackend — the incremental path
-///    token-level serving schedules.  On the float backend the two paths
-///    agree bitwise on the final position's logits (same helpers, same
-///    accumulation order); on the photonic backend they agree within ADC
-///    tolerance (activation normalization is per-call).
+/// `decode_step` is the one execution path: it advances one request by one
+/// token against a growing per-request KvCache through any MatmulBackend.
+/// Attention's activation x activation products (the query against the
+/// cached K^T, the probabilities against the cached V) stream through the
+/// backend's tiling machinery like weight matmuls.  On the float backend
+/// its logits equal a cache-free full-sequence forward bitwise; that
+/// reference lives in tests/test_transformer.cpp.
 ///
 /// Determinism: decode touches exactly one request's state and streams
 /// per-request matmuls, so a token stream is a pure function of (weights,
@@ -85,13 +79,11 @@ class TransformerModel {
 
   const TransformerConfig& config() const { return config_; }
   const std::vector<TransformerLayer>& layers() const { return layers_; }
-
-  /// Full-sequence decoder graph over `seq_len` token ids: embedding ->
-  /// layers x (layernorm -> per-head causal attention via matmul_pair ->
-  /// residual -> layernorm -> GELU MLP -> residual) -> final layernorm ->
-  /// unembedding.  Input is the rank-1 {seq_len} id vector; output is the
-  /// {seq_len, vocab} logit sequence.
-  graph::Graph build_graph(std::size_t seq_len) const;
+  const Matrix& token_table() const { return token_table_; }
+  const Matrix& pos_table() const { return pos_table_; }
+  const std::vector<double>& lnf_gain() const { return lnf_gain_; }
+  const std::vector<double>& lnf_bias() const { return lnf_bias_; }
+  const Matrix& unembed() const { return unembed_; }
 
   /// Fresh per-request cache sized for this model's layer count.
   KvCache make_cache() const;
@@ -99,8 +91,9 @@ class TransformerModel {
   /// Advances one request by one token: appends `token`'s K/V rows to the
   /// cache at position cache.length and returns the next-token logit row
   /// (length vocab).  All matmuls stream through `backend` with
-  /// differential input splitting wherever the activation can be negative
-  /// — the same treatment the compiled graph's signed steps get.
+  /// differential input splitting (nn::signed_matmul) wherever the
+  /// activation can be negative; only the softmax-weighted context product
+  /// streams unsigned.
   std::vector<double> decode_step(MatmulBackend& backend, KvCache& cache,
                                   std::size_t token) const;
 

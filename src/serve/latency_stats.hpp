@@ -146,7 +146,7 @@ struct ServeReport : RunReport<RequestRecord> {
   /// Per-batch trace, in dispatch order.
   std::vector<BatchRecord> batches;
 
-  std::size_t dispatched_batches = 0;  ///< batches dispatched
+  std::size_t dispatched_batches = 0;  ///< batches.size(), set at close
 
   LatencyStats queue_wait;  ///< arrival -> dispatch
   LatencyStats service;     ///< dispatch -> completion

@@ -52,8 +52,7 @@ class ModelRegistry {
 
   /// Registers a decoder-only transformer under `name` (unique across both
   /// stores).  Token-level serving decodes it incrementally through
-  /// run_decode_step (Server::run's token overload); the full-sequence graph
-  /// path stays available via the model itself.
+  /// run_decode_step (Server::run's token overload).
   void add_transformer(const std::string& name,
                        const nn::TransformerModel& model);
 

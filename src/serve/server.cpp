@@ -482,7 +482,7 @@ ServeReport Server::run(const std::vector<Request>& requests,
     }
 
     BatchRecord batch_record;
-    batch_record.id = report.dispatched_batches;
+    batch_record.id = report.batches.size();
     batch_record.model = batch.front().model;
     batch_record.size = batch.size();
     batch_record.passes = result.passes;
@@ -554,7 +554,6 @@ ServeReport Server::run(const std::vector<Request>& requests,
       record.completion = completion;
       report.requests.push_back(std::move(record));
     }
-    ++report.dispatched_batches;
     report.batches.push_back(std::move(batch_record));
     report.passes += result.passes;
     report.warm_passes += result.warm_passes;
@@ -563,6 +562,7 @@ ServeReport Server::run(const std::vector<Request>& requests,
   }
 
   report.makespan = fleet_free;
+  report.dispatched_batches = report.batches.size();
 
   // The fleet totals are *derived* from the attribution rows (the
   // conservation contract), and every latency summary is exact over the

@@ -10,7 +10,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +21,7 @@
 #include "console/console.hpp"
 #include "console/demo.hpp"
 #include "console/scpi.hpp"
+#include "golden.hpp"
 
 namespace {
 
@@ -31,23 +31,11 @@ using console::DemoScenario;
 using console::ScpiCommand;
 using console::StreamOptions;
 
-std::string tests_dir() {
-  const std::string self = __FILE__;
-  return self.substr(0, self.find_last_of('/'));
-}
-
 std::string demo_script_path() {
   // The script CI runs through tools/ptc_console — the test replays the
   // committed file, not a copy, so tool and test can never drift apart.
-  const std::string self = tests_dir();
+  const std::string self = golden::tests_dir();
   return self.substr(0, self.find_last_of('/')) + "/tools/console_demo.scpi";
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 // --- SCPI grammar -----------------------------------------------------------
@@ -387,7 +375,7 @@ TEST(ConsoleSocket, OverLongLineDrawsOneErrorAndTheNextLineIsAnswered) {
 /// Replays the committed demo script on `console` with ptc_console
 /// --script's echo, returning the transcript.
 std::string replay_demo_script(Console& console) {
-  std::istringstream in(read_file(demo_script_path()));
+  std::istringstream in(golden::read_file(demo_script_path()));
   std::ostringstream out;
   StreamOptions options;
   options.echo = true;  // matches ptc_console --script
@@ -402,18 +390,6 @@ std::string transcript_for(std::size_t threads) {
   return replay_demo_script(console);
 }
 
-/// Compares `actual` byte for byte with tests/golden/<name>; on a mismatch
-/// writes it next to the golden as <name>.actual for diffing.
-void expect_matches_golden(const std::string& actual, const std::string& name) {
-  const std::string path = tests_dir() + "/golden/" + name;
-  if (actual == read_file(path)) return;
-  std::ofstream(path + ".actual") << actual;
-  ADD_FAILURE() << "console output diverged from tests/golden/" << name
-                << "; wrote " << path
-                << ".actual — review the diff, then copy it over the golden "
-                   "file if the change is intended";
-}
-
 TEST(Console, TranscriptIsByteIdenticalAcrossHostThreadCounts) {
   // The console answers only from modeled time and seeded state, so the
   // host thread-pool size must not leak into a single output byte.
@@ -425,7 +401,7 @@ TEST(Console, TranscriptIsByteIdenticalAcrossHostThreadCounts) {
 TEST(Console, TranscriptMatchesCommittedGolden) {
   const std::string actual = transcript_for(1);
   ASSERT_FALSE(actual.empty());
-  expect_matches_golden(actual, "console_transcript.txt");
+  golden::expect_matches(actual, "console_transcript.txt");
 }
 
 TEST(Console, MetricsJsonMatchesCommittedGolden) {
@@ -434,7 +410,7 @@ TEST(Console, MetricsJsonMatchesCommittedGolden) {
   DemoScenario demo(1);
   Console console = demo.make_console();
   replay_demo_script(console);
-  expect_matches_golden(console.eval("METR:JSON?"), "console_metrics.json");
+  golden::expect_matches(console.eval("METR:JSON?"), "console_metrics.json");
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 // photonic core, and serves through serve::Server with warm residency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random_matrix.hpp"
@@ -25,6 +27,7 @@
 #include "serve/load_generator.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/server.hpp"
+#include "golden.hpp"
 
 namespace {
 
@@ -274,6 +277,77 @@ TEST(GraphCompile, PassProfileCountsTilesPerStep) {
   const std::string schedule = cg.schedule_dump(16, 16, false);
   EXPECT_NE(schedule.find("conv2d 3x3 -> 6ch +relu"), std::string::npos);
   EXPECT_NE(schedule.find("11 weight-tile passes"), std::string::npos);
+}
+
+TEST(GraphCompile, ServedSchedulesMatchTheCommittedGolden) {
+  // The lowering of every graph the benchmark's mlp_serving workload
+  // serves (two MLPs and the CNN), plus the residual block, pinned byte for
+  // byte under both weight encodings.
+  Rng rng(99);
+  const nn::Mlp stream(64, 32, 10, rng);
+  const nn::Mlp resident(32, 16, 10, rng);
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"mlp 64-32-10", stream.graph()},
+      {"mlp 32-16-10", resident.graph()},
+      {"cnn 8x8", cnn_graph(8, 8, edge_kernel_bank(4), 3, 2,
+                            random_signed(36, 16, rng),
+                            std::vector<double>(16, 0.0),
+                            random_signed(16, 10, rng),
+                            std::vector<double>(10, 0.0))},
+      {"residual mlp 8-16-8",
+       residual_mlp_graph(random_signed(8, 16, rng),
+                          std::vector<double>(16, 0.0),
+                          random_signed(16, 8, rng),
+                          std::vector<double>(8, 0.0))}};
+  std::string dumps;
+  for (const auto& [name, graph] : graphs) {
+    const CompiledGraph cg = compile(graph);
+    for (const bool differential : {false, true}) {
+      dumps += "== " + name + (differential ? " (differential)" : " (offset)") +
+               "\n" + cg.schedule_dump(16, 16, differential);
+    }
+  }
+  golden::expect_matches(dumps, "schedules.txt");
+}
+
+TEST(GraphCompile, SignedActivationStreamsDifferentially) {
+  // matmul -> bias -> matmul: the biased projection can be negative, so the
+  // second step must split it into x+ / x- halves for the intensity-encoded
+  // photonic input.
+  Rng rng(53);
+  const Matrix w1 = random_signed(6, 8, rng);
+  const std::vector<double> b1(8, -0.25);
+  const Matrix w2 = random_signed(8, 4, rng);
+  Graph g;
+  g.matmul(g.bias(g.matmul(g.input(Shape{{6}}), w1), b1), w2);
+  const CompiledGraph cg = compile(g);
+  ASSERT_EQ(cg.steps.size(), 2u);
+  EXPECT_FALSE(cg.steps[0].signed_input);  // the input is intensity-encoded
+  EXPECT_EQ(cg.steps[0].rows_per_sample(), 1u);
+  EXPECT_TRUE(cg.steps[1].signed_input);
+  EXPECT_EQ(cg.steps[1].rows_per_sample(), 2u);
+
+  Rng data_rng(59);
+  const Matrix x = random_activations(4, 6, data_rng);
+  nn::FloatBackend reference;
+  nn::DenseLayer l1(6, 8);
+  l1.w = w1;
+  l1.b = b1;
+  const Matrix hidden = l1.forward(reference, x);
+  ASSERT_LT(*std::min_element(hidden.data().begin(), hidden.data().end()),
+            0.0);
+  const Matrix expected = nn::signed_matmul(reference, hidden, w2);
+  EXPECT_EQ(run(cg, reference, x).max_abs_diff(expected), 0.0);
+
+  // A raw negative activation would throw on the photonic input.
+  core::TensorCore core;
+  nn::PhotonicBackend single(core);
+  runtime::Accelerator accelerator({.cores = 8});
+  runtime::AcceleratorBackend fleet(accelerator);
+  Matrix y_single, y_fleet;
+  ASSERT_NO_THROW(y_single = run(cg, single, x));
+  ASSERT_NO_THROW(y_fleet = run(cg, fleet, x));
+  EXPECT_EQ(y_fleet.max_abs_diff(y_single), 0.0);
 }
 
 // ---------------------------------------------------------------------------

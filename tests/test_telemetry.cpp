@@ -13,9 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <new>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,6 +29,7 @@
 #include "telemetry/bench_report.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "golden.hpp"
 
 // --- global allocation counter (for the zero-allocation no-op check) -------
 namespace {
@@ -141,28 +140,6 @@ TokenServeReport token_traced_run(telemetry::Tracer* tracer) {
   policy.max_batch = 4;
   policy.kv_budget_rows = 5;
   return server.run(requests, policy);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
-
-/// Compares a trace byte for byte with tests/golden/<name>; on a mismatch
-/// writes the observed trace next to it as <name>.actual for diffing.
-void expect_matches_golden_trace(const std::string& actual,
-                                 const std::string& name) {
-  const std::string self = __FILE__;
-  const std::string path =
-      self.substr(0, self.find_last_of('/')) + "/golden/" + name;
-  if (actual == read_file(path)) return;
-  std::ofstream(path + ".actual") << actual;
-  ADD_FAILURE() << "trace diverged from tests/golden/" << name << "; wrote "
-                << path << ".actual — review the diff (ui.perfetto.dev "
-                << "renders both), then copy it over the golden file if the "
-                << "change is intended";
 }
 
 // --- histogram --------------------------------------------------------------
@@ -853,13 +830,13 @@ TEST(Trace, BitIdenticalAcrossHostThreadCounts) {
 TEST(Trace, MatchesCommittedGoldenChromeTrace) {
   telemetry::Tracer tracer;
   traced_run(&tracer, nullptr);
-  expect_matches_golden_trace(tracer.chrome_json(), "serve_trace.json");
+  golden::expect_matches(tracer.chrome_json(), "serve_trace.json");
 }
 
 TEST(Trace, TokenRunMatchesCommittedGoldenChromeTrace) {
   telemetry::Tracer tracer;
   token_traced_run(&tracer);
-  expect_matches_golden_trace(tracer.chrome_json(), "token_trace.json");
+  golden::expect_matches(tracer.chrome_json(), "token_trace.json");
 }
 
 TEST(Trace, UnattachedEmissionSitesDoNotAllocate) {

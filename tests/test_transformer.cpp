@@ -1,29 +1,30 @@
-// Transformer decoding: the incremental KV-cache decode path against the
-// compiled full-sequence graph, over seeded random (seq_len, heads,
-// d_model) draws.  The contracts the serving layer leans on:
-//  (1) decode_step's logits are bitwise equal to the compiled graph's
-//      final-position logits on the float backend (same helpers, same
-//      accumulation order),
-//  (2) the fleet executes the full-sequence graph bit-identically to a
-//      single photonic core and within ADC tolerance of the float
-//      reference,
+// Transformer decoding: the incremental KV-cache decode path against a
+// cache-free full-sequence reference written here, over seeded random
+// (seq_len, heads, d_model) draws.  The contracts the serving layer leans
+// on:
+//  (1) decode_step's logits are bitwise equal to the full-sequence forward
+//      on the float backend (same helpers, same accumulation order), and
+//      the passes a decode step loads are the passes serving bills,
+//  (2) decode on the fleet is bit-identical to a single photonic core and
+//      within ADC tolerance of the float reference,
 //  (3) a request's token stream is independent of how decode steps
 //      interleave with other requests — the property that makes
 //      continuous batching's output bit-identical to sequential decoding.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/tensor_core.hpp"
-#include "graph/compile.hpp"
-#include "graph/executor.hpp"
-#include "graph/ir.hpp"
 #include "nn/backend.hpp"
+#include "nn/layers.hpp"
 #include "nn/mlp.hpp"
+#include "nn/tiling.hpp"
 #include "nn/transformer.hpp"
 #include "runtime/accelerator.hpp"
 #include "runtime/backend.hpp"
@@ -37,13 +38,6 @@ using nn::KvCache;
 using nn::TransformerConfig;
 using nn::TransformerModel;
 
-Matrix ids_row(const std::vector<std::size_t>& tokens) {
-  Matrix x(1, tokens.size());
-  for (std::size_t p = 0; p < tokens.size(); ++p)
-    x(0, p) = static_cast<double>(tokens[p]);
-  return x;
-}
-
 std::vector<std::size_t> random_tokens(std::size_t count, std::size_t vocab,
                                        Rng& rng) {
   std::vector<std::size_t> tokens(count);
@@ -51,59 +45,119 @@ std::vector<std::size_t> random_tokens(std::size_t count, std::size_t vocab,
   return tokens;
 }
 
-// ---------------------------------------------------------------------------
-// Graph construction
-// ---------------------------------------------------------------------------
-
-TEST(Transformer, GraphShapesAndStepKinds) {
-  Rng rng(11);
-  const TransformerConfig config{.vocab = 16,
-                                 .d_model = 8,
-                                 .heads = 2,
-                                 .layers = 1,
-                                 .d_ff = 12,
-                                 .max_seq = 8};
-  const TransformerModel model = TransformerModel::random(config, rng);
-  const graph::Graph g = model.build_graph(5);
-  EXPECT_EQ(g.node(g.output_id()).shape, (graph::Shape{{5, 16}}));
-
-  const graph::CompiledGraph cg = graph::compile(g);
-  std::size_t pairs = 0;
-  for (const auto& step : cg.steps)
-    if (step.kind == graph::Step::Kind::kMatmulPair) ++pairs;
-  // Two activation x activation products per head: scores and context.
-  EXPECT_EQ(pairs, 2u * config.heads);
-}
-
-TEST(Transformer, PassCountsMatchTheCompiledSchedule) {
-  Rng rng(12);
-  const TransformerConfig config{.vocab = 16,
-                                 .d_model = 16,
-                                 .heads = 2,
-                                 .layers = 2,
-                                 .d_ff = 24,
-                                 .max_seq = 16};
-  const TransformerModel model = TransformerModel::random(config, rng);
-  const std::size_t seq = 9;
-  const graph::CompiledGraph cg = graph::compile(model.build_graph(seq));
-  const graph::PassProfile profile = cg.pass_profile(16, 16, true);
-
-  std::size_t weight_tiles = 0;
-  std::size_t attention_tiles = 0;
-  for (const auto& sp : profile.steps) {
-    const auto kind = cg.steps[sp.step].kind;
-    if (kind == graph::Step::Kind::kMatmul) weight_tiles += sp.passes;
-    if (kind == graph::Step::Kind::kMatmulPair) attention_tiles += sp.passes;
+/// Decodes `tokens` one step at a time from an empty cache; row p holds
+/// the logits after token p.
+Matrix decode_all(const TransformerModel& model, nn::MatmulBackend& backend,
+                  const std::vector<std::size_t>& tokens) {
+  KvCache cache = model.make_cache();
+  Matrix logits(tokens.size(), model.config().vocab);
+  for (std::size_t p = 0; p < tokens.size(); ++p) {
+    const std::vector<double> row =
+        model.decode_step(backend, cache, tokens[p]);
+    for (std::size_t j = 0; j < row.size(); ++j) logits(p, j) = row[j];
   }
-  EXPECT_EQ(model.weight_passes(16, 16, true), weight_tiles);
-  EXPECT_EQ(model.attention_passes(seq, 16, 16, true), attention_tiles);
+  return logits;
 }
 
+/// Cache-free full-sequence forward: every position's K and V come from one
+/// matmul over the whole sequence, then position p attends over rows 0..p.
+/// Uses decode's helpers in decode's order, so on the float backend it is
+/// the bitwise reference for decode_step.  Row p holds position p's logits.
+Matrix full_sequence_logits(const TransformerModel& model,
+                            nn::MatmulBackend& backend,
+                            const std::vector<std::size_t>& tokens) {
+  const TransformerConfig& config = model.config();
+  const std::size_t t = tokens.size();
+  const std::size_t d = config.d_model;
+  const std::size_t dk = config.head_dim();
+  const double scale = 1.0 / std::sqrt(static_cast<double>(dk));
+
+  Matrix x(t, d);
+  for (std::size_t p = 0; p < t; ++p)
+    for (std::size_t ch = 0; ch < d; ++ch)
+      x(p, ch) = model.token_table()(tokens[p], ch) + model.pos_table()(p, ch);
+
+  for (const nn::TransformerLayer& layer : model.layers()) {
+    Matrix h = x;
+    nn::layernorm_chunks(h, d, layer.ln1_gain, layer.ln1_bias);
+    const Matrix q = nn::signed_matmul(backend, h, layer.wq);
+    const Matrix k = nn::signed_matmul(backend, h, layer.wk);
+    const Matrix v = nn::signed_matmul(backend, h, layer.wv);
+    Matrix merged(t, d);
+    for (std::size_t p = 0; p < t; ++p) {
+      for (std::size_t head = 0; head < config.heads; ++head) {
+        const std::size_t base = head * dk;
+        Matrix qh(1, dk), kt(dk, p + 1), vals(p + 1, dk);
+        for (std::size_t c = 0; c < dk; ++c) qh(0, c) = q(p, base + c);
+        for (std::size_t j = 0; j <= p; ++j) {
+          for (std::size_t c = 0; c < dk; ++c) {
+            kt(c, j) = k(j, base + c);
+            vals(j, c) = v(j, base + c);
+          }
+        }
+        Matrix scores = nn::signed_matmul(backend, qh, kt);
+        for (double& s : scores.data()) s *= scale;
+        nn::softmax_chunks(scores, p + 1);
+        const Matrix ctx = backend.matmul(scores, vals);
+        for (std::size_t c = 0; c < dk; ++c) merged(p, base + c) = ctx(0, c);
+      }
+    }
+    Matrix attn = nn::signed_matmul(backend, merged, layer.wo);
+    attn += x;
+    x = std::move(attn);
+
+    Matrix h2 = x;
+    nn::layernorm_chunks(h2, d, layer.ln2_gain, layer.ln2_bias);
+    Matrix f = nn::signed_matmul(backend, h2, layer.w_ff1);
+    for (std::size_t p = 0; p < t; ++p)
+      for (std::size_t j = 0; j < config.d_ff; ++j) f(p, j) += layer.b_ff1[j];
+    nn::gelu_inplace(f);
+    Matrix f2 = nn::signed_matmul(backend, f, layer.w_ff2);
+    for (std::size_t p = 0; p < t; ++p)
+      for (std::size_t ch = 0; ch < d; ++ch) f2(p, ch) += layer.b_ff2[ch];
+    f2 += x;
+    x = std::move(f2);
+  }
+  nn::layernorm_chunks(x, d, model.lnf_gain(), model.lnf_bias());
+  return nn::signed_matmul(backend, x, model.unembed());
+}
+
+/// Float backend that records every weight-matrix residency: a matmul
+/// whose weights equal the previous load's (the x- half of a signed
+/// stream) rides that load.
+class LoadRecordingBackend final : public nn::MatmulBackend {
+ public:
+  Matrix matmul(const Matrix& x, const Matrix& w) override {
+    if (loads_.empty() || w.rows() != loads_.back().rows() ||
+        w.data() != loads_.back().data()) {
+      loads_.push_back(w);
+    }
+    return inner_.matmul(x, w);
+  }
+  const char* name() const override { return "load-recording"; }
+
+  /// tile_passes summed over the recorded loads, then forgotten.
+  std::size_t take_passes(std::size_t tile_m, std::size_t tile_k,
+                          bool differential) {
+    std::size_t passes = 0;
+    for (const Matrix& w : loads_)
+      passes += nn::tile_passes(w.rows(), w.cols(), tile_m, tile_k,
+                                differential);
+    loads_.clear();
+    return passes;
+  }
+
+ private:
+  nn::FloatBackend inner_;
+  std::vector<Matrix> loads_;
+};
+
 // ---------------------------------------------------------------------------
-// Contract 1: decode == compiled graph, bitwise, on the float backend
+// Contract 1: decode == full-sequence reference, bitwise, on the float
+// backend; serving bills the passes decode loads
 // ---------------------------------------------------------------------------
 
-TEST(Transformer, DecodeMatchesCompiledGraphBitwiseOnFloatBackend) {
+TEST(Transformer, DecodeMatchesAFullSequenceForwardBitwiseOnFloatBackend) {
   Rng param_rng(21);
   for (std::size_t trial = 0; trial < 6; ++trial) {
     const std::size_t heads = 1 + param_rng.below(3);  // 1..3 heads
@@ -121,21 +175,50 @@ TEST(Transformer, DecodeMatchesCompiledGraphBitwiseOnFloatBackend) {
         random_tokens(seq, config.vocab, param_rng);
 
     nn::FloatBackend backend;
-    const graph::CompiledGraph cg = graph::compile(model.build_graph(seq));
-    const Matrix full = graph::run(cg, backend, ids_row(tokens));
-    ASSERT_EQ(full.cols(), seq * config.vocab);
+    const Matrix full = full_sequence_logits(model, backend, tokens);
+    ASSERT_EQ(full.cols(), config.vocab);
 
     KvCache cache = model.make_cache();
-    std::vector<double> logits;
-    for (const std::size_t token : tokens)
-      logits = model.decode_step(backend, cache, token);
+    for (std::size_t p = 0; p < seq; ++p) {
+      const std::vector<double> logits =
+          model.decode_step(backend, cache, tokens[p]);
+      ASSERT_EQ(logits.size(), config.vocab);
+      for (std::size_t j = 0; j < config.vocab; ++j) {
+        EXPECT_EQ(logits[j], full(p, j))
+            << "trial " << trial << " position " << p << " logit " << j;
+      }
+    }
     EXPECT_EQ(cache.length, seq);
     EXPECT_EQ(cache.rows(), seq * config.layers);
+  }
+}
 
-    ASSERT_EQ(logits.size(), config.vocab);
-    for (std::size_t j = 0; j < config.vocab; ++j) {
-      EXPECT_EQ(logits[j], full(0, (seq - 1) * config.vocab + j))
-          << "trial " << trial << " logit " << j;
+TEST(Transformer, PassCountsMatchWhatADecodeStepLoads) {
+  Rng rng(12);
+  const TransformerConfig config{.vocab = 16,
+                                 .d_model = 16,
+                                 .heads = 2,
+                                 .layers = 2,
+                                 .d_ff = 24,
+                                 .max_seq = 16};
+  const TransformerModel model = TransformerModel::random(config, rng);
+  const std::vector<std::size_t> tokens = random_tokens(9, config.vocab, rng);
+  // The serving geometry, and a non-square one on which a context of 9
+  // crosses a tile edge and a transposed operand would count differently.
+  const std::pair<std::size_t, std::size_t> geometries[] = {{16, 16}, {4, 8}};
+  for (const auto& [tile_m, tile_k] : geometries) {
+    for (const bool differential : {false, true}) {
+      LoadRecordingBackend backend;
+      KvCache cache = model.make_cache();
+      for (const std::size_t token : tokens) {
+        model.decode_step(backend, cache, token);
+        EXPECT_EQ(backend.take_passes(tile_m, tile_k, differential),
+                  model.weight_passes(tile_m, tile_k, differential) +
+                      model.attention_passes(cache.length, tile_m, tile_k,
+                                             differential))
+            << tile_m << "x" << tile_k << " tiles, context " << cache.length
+            << (differential ? ", differential" : ", offset");
+      }
     }
   }
 }
@@ -154,18 +237,17 @@ TEST(Transformer, FleetForwardIsBitIdenticalToASinglePhotonicCore) {
                                  .max_seq = 8};
   const TransformerModel model = TransformerModel::random(config, rng);
   const std::vector<std::size_t> tokens = random_tokens(6, config.vocab, rng);
-  const graph::CompiledGraph cg = graph::compile(model.build_graph(6));
 
   nn::PhotonicBackendOptions options;
   options.differential_weights = true;
 
   core::TensorCore core;
   nn::PhotonicBackend single(core, options);
-  const Matrix y_single = graph::run(cg, single, ids_row(tokens));
+  const Matrix y_single = decode_all(model, single, tokens);
 
   runtime::Accelerator accelerator({.cores = 8});
   runtime::AcceleratorBackend fleet(accelerator, options);
-  const Matrix y_fleet = graph::run(cg, fleet, ids_row(tokens));
+  const Matrix y_fleet = decode_all(model, fleet, tokens);
 
   EXPECT_EQ(y_fleet.max_abs_diff(y_single), 0.0);
 }
@@ -180,17 +262,16 @@ TEST(Transformer, AnalogFleetTracksTheFloatReferenceWithinAdcTolerance) {
                                  .max_seq = 8};
   const TransformerModel model = TransformerModel::random(config, rng);
   const std::vector<std::size_t> tokens = random_tokens(5, config.vocab, rng);
-  const graph::CompiledGraph cg = graph::compile(model.build_graph(5));
 
   nn::FloatBackend reference;
-  const Matrix y_ref = graph::run(cg, reference, ids_row(tokens));
+  const Matrix y_ref = decode_all(model, reference, tokens);
 
   nn::PhotonicBackendOptions options;
   options.quantize_output = false;  // isolate 3-bit weight quantization
   options.differential_weights = true;
   runtime::Accelerator accelerator({.cores = 4});
   runtime::AcceleratorBackend fleet(accelerator, options);
-  const Matrix y_pho = graph::run(cg, fleet, ids_row(tokens));
+  const Matrix y_pho = decode_all(model, fleet, tokens);
 
   // Layernorms re-center each position, so quantization noise stays
   // bounded: same network, analog tolerance.
