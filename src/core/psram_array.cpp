@@ -55,6 +55,9 @@ std::size_t PsramArray::store_words(std::size_t first,
     const std::size_t word_index = first + i;
     std::uint32_t& word = words_[word_index];
     std::uint32_t applied = values[i];
+    // A word rewritten with its stored value toggles no cell: no wear, no
+    // refused toggle, and no energy (adding 0 J leaves the ledger as is).
+    if (applied == word) continue;
     std::uint32_t* cells = cell_flips_.data() + word_index * bits;
     if (!cell_limits_.empty()) {
       const double* limits = cell_limits_.data() + word_index * bits;

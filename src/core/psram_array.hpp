@@ -60,7 +60,9 @@ class PsramArray {
                          std::uint32_t value);
 
   /// Writes a full weight matrix (row-major, rows x words_per_row).
-  /// All rows are written in parallel; returns reload_time().
+  /// All rows are written in parallel; returns reload_time() whatever
+  /// changed.  Every word counts as a word write; only flipped bits cost
+  /// energy and wear, so rewriting the stored matrix books neither.
   double write_matrix(std::span<const std::uint32_t> values);
 
   /// Full-array reload latency [s]: rows write in parallel, each streaming
@@ -112,7 +114,8 @@ class PsramArray {
  private:
   /// Stores checked words from flat word index `first` on, booking each
   /// word's energy into `energy` (the ledger's psram_write slot) in word
-  /// order.  Returns the number of flipped bits.
+  /// order.  A word equal to the stored one is counted and skipped: it
+  /// flips no bit.  Returns the number of flipped bits.
   std::size_t store_words(std::size_t first,
                           std::span<const std::uint32_t> values,
                           double& energy);

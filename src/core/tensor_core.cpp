@@ -151,73 +151,88 @@ double TensorCore::load_words() {
   const double latency = psram_.write_matrix(word_scratch_);
   // Worn cells may have refused bit toggles; from here on everything —
   // ring biases, the digital reference, and the fast-path gains — sees
-  // what the array actually *stores*, not what was requested.
+  // what the array actually *stores*, not what was requested.  A macro
+  // whose stored words did not move keeps its rings and its chain entries:
+  // they were built from exactly the words it holds.  A stale chain
+  // predates the current detuning or fault set and is rebuilt whole.
   const std::span<const std::uint32_t> words = psram_.words();
   const std::size_t m = config_.macro.channels;
+  const bool chain_current = config_.fast_path && !fast_.stale;
   for (std::size_t row = 0; row < config_.rows; ++row) {
     for (std::size_t tile = 0; tile < macros_per_row(); ++tile) {
-      macros_[row][tile].load_weights(
-          words.subspan(row * config_.cols + tile * m, m));
+      const std::span<const std::uint32_t> stored =
+          words.subspan(row * config_.cols + tile * m, m);
+      VectorComputeMacro& macro = macros_[row][tile];
+      if (std::equal(stored.begin(), stored.end(), macro.weights().begin())) {
+        continue;
+      }
+      macro.load_weights(stored);
+      if (chain_current) build_macro_chain(row, tile);
     }
   }
   weights_loaded_ = true;
-  if (config_.fast_path) build_chain();
+  if (config_.fast_path && fast_.stale) build_chain();
   return latency;
 }
 
 void TensorCore::build_chain() {
-  const std::size_t bits = config_.weight_bits;
-  const std::size_t m = config_.macro.channels;
-  const std::size_t tiles = macros_per_row();
-  const std::size_t rings = config_.rows * tiles * bits * m;
   if (fast_.table.empty()) {
     // Rows are grouped in blocks of kRowBlock with their gains interleaved
     // innermost, so the side-by-side replay reads them contiguously; the
     // last block is padded with zero-gain rows whose sums are never read.
+    const std::size_t tiles = macros_per_row();
+    const std::size_t bits = config_.weight_bits;
+    const std::size_t m = config_.macro.channels;
+    const std::size_t rings = config_.rows * tiles * bits * m;
     const std::size_t blocks = (config_.rows + kRowBlock - 1) / kRowBlock;
     fast_.chain.assign(blocks * kRowBlock * tiles * bits * m, 0.0);
     fast_.table.assign(rings * 2 * m, 0.0);
     fast_.filled.assign(rings * 2, 0);
   }
-  const std::span<const std::uint32_t> words = psram_.words();
   for (std::size_t row = 0; row < config_.rows; ++row) {
-    const std::size_t block = row / kRowBlock;
-    const std::size_t j = row % kRowBlock;
-    for (std::size_t tile = 0; tile < tiles; ++tile) {
-      const std::uint32_t* tile_words = words.data() + row * config_.cols +
-                                        tile * m;
-      const VectorComputeMacro& macro = macros_[row][tile];
-      for (std::size_t bit = 0; bit < bits; ++bit) {
-        // Bit row 0 is the MSB (significance 2^(n-1)).
-        const std::size_t shift = bits - 1 - bit;
-        const std::size_t ring0 = ((row * tiles + tile) * bits + bit) * m;
-        // Per-channel products over the bit row's rings in ring order, each
-        // ring at the spectrum of its stored bit.
-        double transmission[2 * tech_wdm_channels];
-        std::fill_n(transmission, m, 1.0);
-        for (std::size_t k = 0; k < m; ++k) {
-          const bool stored = (tile_words[k] >> shift) & 1u;
-          const std::size_t slot = (ring0 + k) * 2 + (stored ? 1 : 0);
-          double* spectrum = fast_.table.data() + slot * m;
-          if (fast_.filled[slot] == 0) {
-            macro.ring_spectrum(static_cast<unsigned>(bit), k, stored,
-                                std::span(spectrum, m));
-            fast_.filled[slot] = 1;
-          }
-          for (std::size_t ch = 0; ch < m; ++ch) {
-            transmission[ch] *= spectrum[ch];
-          }
-        }
-        double* gains =
-            fast_.chain.data() + ((block * tiles + tile) * bits + bit) * m *
-                                     kRowBlock + j;
-        for (std::size_t ch = 0; ch < m; ++ch) {
-          gains[ch * kRowBlock] = transmission[ch];
-        }
-      }
+    for (std::size_t tile = 0; tile < macros_per_row(); ++tile) {
+      build_macro_chain(row, tile);
     }
   }
   fast_.stale = false;
+}
+
+void TensorCore::build_macro_chain(std::size_t row, std::size_t tile) {
+  const std::size_t bits = config_.weight_bits;
+  const std::size_t m = config_.macro.channels;
+  const std::size_t tiles = macros_per_row();
+  const std::size_t block = row / kRowBlock;
+  const std::size_t j = row % kRowBlock;
+  const std::uint32_t* tile_words =
+      psram_.words().data() + row * config_.cols + tile * m;
+  const VectorComputeMacro& macro = macros_[row][tile];
+  for (std::size_t bit = 0; bit < bits; ++bit) {
+    // Bit row 0 is the MSB (significance 2^(n-1)).
+    const std::size_t shift = bits - 1 - bit;
+    const std::size_t ring0 = ((row * tiles + tile) * bits + bit) * m;
+    // Per-channel products over the bit row's rings in ring order, each
+    // ring at the spectrum of its stored bit.
+    double transmission[2 * tech_wdm_channels];
+    std::fill_n(transmission, m, 1.0);
+    for (std::size_t k = 0; k < m; ++k) {
+      const bool stored = (tile_words[k] >> shift) & 1u;
+      const std::size_t slot = (ring0 + k) * 2 + (stored ? 1 : 0);
+      double* spectrum = fast_.table.data() + slot * m;
+      if (fast_.filled[slot] == 0) {
+        macro.ring_spectrum(static_cast<unsigned>(bit), k, stored,
+                            std::span(spectrum, m));
+        fast_.filled[slot] = 1;
+      }
+      for (std::size_t ch = 0; ch < m; ++ch) {
+        transmission[ch] *= spectrum[ch];
+      }
+    }
+    double* gains = fast_.chain.data() +
+                    ((block * tiles + tile) * bits + bit) * m * kRowBlock + j;
+    for (std::size_t ch = 0; ch < m; ++ch) {
+      gains[ch * kRowBlock] = transmission[ch];
+    }
+  }
 }
 
 void TensorCore::invalidate_fast_path() {

@@ -45,9 +45,12 @@ struct TensorCoreConfig {
   /// detuning or fault injection), building them from a per-ring table of
   /// thru transmissions, and multiply_analog replays the photocurrent sum
   /// over the cached gains instead of re-walking the spectral physics per
-  /// sample.  Table and replay use the identical floating-point operation
-  /// sequence, so results are bit-identical to the physics walk (which
-  /// remains available as the reference oracle when this is false).
+  /// sample.  A load rebuilds only the macros whose stored words moved;
+  /// after a detuning or fault change the whole chain is rebuilt.  Table
+  /// and replay use the identical floating-point operation sequence, so
+  /// results are bit-identical to the physics walk (which remains
+  /// available as the reference oracle when this is false, and skips the
+  /// same unchanged macros at load).
   bool fast_path = true;
   /// Per-die fabrication/drive-level variation (see core/variation.hpp).
   /// variation.seed == 0 is the pristine design die; a nonzero seed derives
@@ -292,16 +295,22 @@ class TensorCore {
     std::vector<std::uint8_t> filled;
   };
 
-  /// Programs the rings from the words the pSRAM stores after writing
-  /// word_scratch_, and rebuilds the fast-path gains.  Returns the reload
-  /// latency [s].
+  /// Writes word_scratch_ to the pSRAM, then reprograms only the macros
+  /// whose *stored* words differ from the words they hold (a worn cell
+  /// that refused a toggle leaves its macro unchanged) and rebuilds their
+  /// chain entries; a stale chain is rebuilt whole.  Returns the full
+  /// reload latency [s] whatever changed.
   double load_words();
 
-  /// Rebuilds the chain transmissions for the stored words from the
-  /// transmission table, filling the spectra it lacks: each chain entry is
-  /// the product over its bit row's rings in ring order, exactly as
-  /// VectorComputeMacro::chain_transmission multiplies.
+  /// Rebuilds every chain entry (build_macro_chain over all macros) and
+  /// clears the stale flag; sizes the chain and table on first use.
   void build_chain();
+
+  /// Rebuilds macro (row, tile)'s chain transmissions for its stored words
+  /// from the transmission table, filling the spectra it lacks: each chain
+  /// entry is the product over its bit row's rings in ring order, exactly
+  /// as VectorComputeMacro::chain_transmission multiplies.
+  void build_macro_chain(std::size_t row, std::size_t tile);
 
   /// Drops the transmission table and marks the chain stale after the
   /// rings were detuned or a fault set changed.

@@ -120,8 +120,8 @@ void apply_epilogue(Matrix& value, const Step& step,
         for (double& v : value.data()) v = std::max(0.0, v);
         break;
       case EpilogueOp::Kind::kSoftmax:
-        // Softmax applies to rank-1 values only: the chunk is the whole row.
-        nn::softmax_chunks(value, value.cols());
+        // Softmax applies to rank-1 values only, row by row.
+        nn::softmax_inplace(value);
         break;
       case EpilogueOp::Kind::kResidual:
         value += slots[op.residual_slot];

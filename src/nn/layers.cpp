@@ -25,61 +25,44 @@ Matrix relu(Matrix x) {
 
 Matrix softmax(const Matrix& logits) {
   Matrix out = logits;
-  for (std::size_t s = 0; s < out.rows(); ++s) {
-    double row_max = out(s, 0);
-    for (std::size_t j = 1; j < out.cols(); ++j)
-      row_max = std::max(row_max, out(s, j));
-    double sum = 0.0;
-    for (std::size_t j = 0; j < out.cols(); ++j) {
-      out(s, j) = std::exp(out(s, j) - row_max);
-      sum += out(s, j);
-    }
-    for (std::size_t j = 0; j < out.cols(); ++j) out(s, j) /= sum;
-  }
+  softmax_inplace(out);
   return out;
 }
 
-void softmax_chunks(Matrix& value, std::size_t chunk) {
-  expects(chunk >= 1 && value.cols() % chunk == 0,
-          "softmax chunk must divide the row width");
+void softmax_inplace(Matrix& value) {
+  expects(value.cols() >= 1, "softmax needs at least one column");
   for (std::size_t s = 0; s < value.rows(); ++s) {
-    for (std::size_t base = 0; base < value.cols(); base += chunk) {
-      double chunk_max = value(s, base);
-      for (std::size_t j = 1; j < chunk; ++j)
-        chunk_max = std::max(chunk_max, value(s, base + j));
-      double sum = 0.0;
-      for (std::size_t j = 0; j < chunk; ++j) {
-        value(s, base + j) = std::exp(value(s, base + j) - chunk_max);
-        sum += value(s, base + j);
-      }
-      for (std::size_t j = 0; j < chunk; ++j) value(s, base + j) /= sum;
+    double row_max = value(s, 0);
+    for (std::size_t j = 1; j < value.cols(); ++j)
+      row_max = std::max(row_max, value(s, j));
+    double sum = 0.0;
+    for (std::size_t j = 0; j < value.cols(); ++j) {
+      value(s, j) = std::exp(value(s, j) - row_max);
+      sum += value(s, j);
     }
+    for (std::size_t j = 0; j < value.cols(); ++j) value(s, j) /= sum;
   }
 }
 
-void layernorm_chunks(Matrix& value, std::size_t chunk,
-                      const std::vector<double>& gain,
-                      const std::vector<double>& bias) {
-  expects(chunk >= 2 && value.cols() % chunk == 0,
-          "layernorm chunk must divide the row width and be >= 2");
-  expects(gain.size() == chunk && bias.size() == chunk,
-          "layernorm gain/bias must match the chunk width");
+void layernorm_inplace(Matrix& value, const std::vector<double>& gain,
+                       const std::vector<double>& bias) {
+  const std::size_t width = value.cols();
+  expects(width >= 2, "layernorm needs at least two columns");
+  expects(gain.size() == width && bias.size() == width,
+          "layernorm gain/bias must match the row width");
   for (std::size_t s = 0; s < value.rows(); ++s) {
-    for (std::size_t base = 0; base < value.cols(); base += chunk) {
-      double mean = 0.0;
-      for (std::size_t j = 0; j < chunk; ++j) mean += value(s, base + j);
-      mean /= static_cast<double>(chunk);
-      double var = 0.0;
-      for (std::size_t j = 0; j < chunk; ++j) {
-        const double d = value(s, base + j) - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(chunk);
-      const double inv = 1.0 / std::sqrt(var + kLayerNormEpsilon);
-      for (std::size_t j = 0; j < chunk; ++j) {
-        value(s, base + j) =
-            gain[j] * ((value(s, base + j) - mean) * inv) + bias[j];
-      }
+    double mean = 0.0;
+    for (std::size_t j = 0; j < width; ++j) mean += value(s, j);
+    mean /= static_cast<double>(width);
+    double var = 0.0;
+    for (std::size_t j = 0; j < width; ++j) {
+      const double d = value(s, j) - mean;
+      var += d * d;
+    }
+    var /= static_cast<double>(width);
+    const double inv = 1.0 / std::sqrt(var + kLayerNormEpsilon);
+    for (std::size_t j = 0; j < width; ++j) {
+      value(s, j) = gain[j] * ((value(s, j) - mean) * inv) + bias[j];
     }
   }
 }

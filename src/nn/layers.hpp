@@ -25,24 +25,21 @@ struct DenseLayer {
 /// Element-wise ReLU.
 Matrix relu(Matrix x);
 
-/// Row-wise softmax.
+/// Row-wise softmax: a copy of `logits` through softmax_inplace.
 Matrix softmax(const Matrix& logits);
 
-/// Variance floor of layernorm_chunks.
+/// Variance floor of layernorm_inplace.
 constexpr double kLayerNormEpsilon = 1e-5;
 
-/// Softmax over each contiguous `chunk`-wide slice of every row, in place.
-/// chunk == cols is exactly softmax() — the arithmetic (max-subtract, exp,
-/// normalize, in index order) is identical, which keeps the graph
-/// executor's rank-1 epilogue bit-for-bit.
-void softmax_chunks(Matrix& value, std::size_t chunk);
+/// Row-wise softmax in place: per row, subtract the row maximum,
+/// exponentiate and normalize, each in index order.
+void softmax_inplace(Matrix& value);
 
-/// Layer normalization over each `chunk`-wide slice of every row, in
-/// place: shift to the chunk mean, scale by 1/sqrt(var + epsilon), then
-/// apply per-feature gain and bias (both length == chunk).
-void layernorm_chunks(Matrix& value, std::size_t chunk,
-                      const std::vector<double>& gain,
-                      const std::vector<double>& bias);
+/// Layer normalization of every row in place: shift to the row mean,
+/// scale by 1/sqrt(var + epsilon), then apply per-feature gain and bias
+/// (both one entry per column).
+void layernorm_inplace(Matrix& value, const std::vector<double>& gain,
+                       const std::vector<double>& bias);
 
 /// Elementwise GELU (tanh approximation), in place.
 void gelu_inplace(Matrix& value);

@@ -87,7 +87,7 @@ std::vector<double> TransformerModel::decode_step(MatmulBackend& backend,
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const TransformerLayer& layer = layers_[l];
     Matrix h = x;
-    layernorm_chunks(h, d, layer.ln1_gain, layer.ln1_bias);
+    layernorm_inplace(h, layer.ln1_gain, layer.ln1_bias);
     const Matrix q = signed_matmul(backend, h, layer.wq);
     const Matrix k = signed_matmul(backend, h, layer.wk);
     const Matrix v = signed_matmul(backend, h, layer.wv);
@@ -110,7 +110,7 @@ std::vector<double> TransformerModel::decode_step(MatmulBackend& backend,
           kt(c, j) = cache.k[l][j * d + head * dk + c];
       Matrix scores = signed_matmul(backend, qh, kt);
       for (std::size_t j = 0; j < ctx; ++j) scores(0, j) *= scale;
-      softmax_chunks(scores, ctx);
+      softmax_inplace(scores);
       Matrix vals(ctx, dk);
       for (std::size_t j = 0; j < ctx; ++j)
         for (std::size_t c = 0; c < dk; ++c)
@@ -124,7 +124,7 @@ std::vector<double> TransformerModel::decode_step(MatmulBackend& backend,
     x = std::move(attn);
 
     Matrix h2 = x;
-    layernorm_chunks(h2, d, layer.ln2_gain, layer.ln2_bias);
+    layernorm_inplace(h2, layer.ln2_gain, layer.ln2_bias);
     Matrix f = signed_matmul(backend, h2, layer.w_ff1);
     for (std::size_t j = 0; j < config_.d_ff; ++j) f(0, j) += layer.b_ff1[j];
     gelu_inplace(f);
@@ -135,7 +135,7 @@ std::vector<double> TransformerModel::decode_step(MatmulBackend& backend,
   }
   cache.length = ctx;
 
-  layernorm_chunks(x, d, lnf_gain_, lnf_bias_);
+  layernorm_inplace(x, lnf_gain_, lnf_bias_);
   const Matrix logits = signed_matmul(backend, x, unembed_);
   return logits.data();
 }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -333,6 +334,188 @@ TEST(FastPath, TableFollowsDetuningFaultsAndReloads) {
   // Detuned with no reload: the stale chain is rebuilt by the sample.
   on_both([](core::TensorCore& c) { c.set_thermal_detuning(1.1); });
   EXPECT_GT(sample("detuned, no reload").max_abs_diff(reloaded), 0.0);
+}
+
+using WordMatrix = std::vector<std::vector<std::uint32_t>>;
+
+WordMatrix random_words(const core::TensorCore& core, Rng& rng) {
+  WordMatrix words(core.rows(), std::vector<std::uint32_t>(core.cols()));
+  for (auto& row : words) {
+    for (std::uint32_t& w : row) {
+      w = static_cast<std::uint32_t>(rng.below(core.max_weight() + 1));
+    }
+  }
+  return words;
+}
+
+WordMatrix stored_words(const core::TensorCore& core) {
+  WordMatrix words(core.rows(), std::vector<std::uint32_t>(core.cols()));
+  for (std::size_t r = 0; r < core.rows(); ++r) {
+    for (std::size_t c = 0; c < core.cols(); ++c) {
+      words[r][c] = core.psram().word(r, c);
+    }
+  }
+  return words;
+}
+
+/// Analog and quantized samples of `core` must equal `fresh`'s bitwise.
+void expect_same_outputs(core::TensorCore& core, core::TensorCore& fresh,
+                         const Matrix& x, const std::string& stage) {
+  EXPECT_EQ(core.multiply_analog_batch(x).max_abs_diff(
+                fresh.multiply_analog_batch(x)),
+            0.0)
+      << stage;
+  EXPECT_EQ(core.multiply_batch(x).max_abs_diff(fresh.multiply_batch(x)), 0.0)
+      << stage;
+}
+
+TEST(FastPath, PartialReloadsMatchPhysicsAndAFreshCore) {
+  // A load rebuilds only the macros whose stored words moved.  Loads that
+  // change no word, one word of one macro, one whole row and every word are
+  // interleaved with detuning, a ring fault, clear_faults and a re-lock on
+  // a fast and a physics core.  After every step both must equal, bitwise,
+  // a fresh core of the same die brought to the same detuning and faults
+  // and loaded once: a changed macro left unprogrammed, or chain entries
+  // kept from an earlier detuning or fault set, show up even where the
+  // fast and physics cores would agree with each other.
+  core::TensorCoreConfig config = core_config(true);
+  config.variation.seed = 11;
+  core::TensorCore fast(config);
+  config.fast_path = false;
+  core::TensorCore physics(config);
+  config.fast_path = true;
+  Rng rng(71);
+  const Matrix x = random_activations(6, 16, rng);
+  WordMatrix words = random_words(fast, rng);
+  double detuning = 0.0;
+  std::vector<core::RingFaultSite> faults;
+
+  auto on_both = [&](auto&& step) {
+    step(fast);
+    step(physics);
+  };
+  auto load = [&] {
+    on_both([&](core::TensorCore& c) { c.load_weights(words); });
+  };
+  // Checks both cores against a fresh one; returns its analog samples.
+  auto sample = [&](const std::string& stage) {
+    core::TensorCore fresh(config);
+    fresh.set_thermal_detuning(detuning);
+    fresh.inject_ring_faults(faults);
+    fresh.load_weights(words);
+    expect_same_outputs(fast, fresh, x, stage + " (fast)");
+    expect_same_outputs(physics, fresh, x, stage + " (physics)");
+    return fresh.multiply_analog_batch(x);
+  };
+  // True when only output row `row` of the samples moved.
+  auto only_row_moved = [](const Matrix& before, const Matrix& after,
+                           std::size_t row) {
+    bool moved = false;
+    for (std::size_t s = 0; s < before.rows(); ++s) {
+      for (std::size_t r = 0; r < before.cols(); ++r) {
+        if (before(s, r) == after(s, r)) continue;
+        if (r != row) return false;
+        moved = true;
+      }
+    }
+    return moved;
+  };
+
+  load();
+  const Matrix first = sample("first load");
+  load();
+  EXPECT_EQ(sample("no word changed").max_abs_diff(first), 0.0);
+
+  // The last word of macro (5, 2): one macro is rebuilt, one row moves.
+  words[5][11] = (words[5][11] + 1) % 8;
+  load();
+  const Matrix one_word = sample("one word of one macro");
+  EXPECT_TRUE(only_row_moved(first, one_word, 5));
+
+  // Detuned, then a whole row reloaded with no sample between: the chain
+  // is stale, so the unchanged macros must be rebuilt too.
+  detuning = 0.6;
+  on_both([&](core::TensorCore& c) { c.set_thermal_detuning(detuning); });
+  words[3] = random_words(fast, rng)[0];
+  load();
+  const Matrix one_row = sample("detuned, then one whole row");
+  EXPECT_GT(one_row.max_abs_diff(one_word), 0.0);
+
+  // A fault on a ring whose stored bit it overrides, then a load that
+  // changes no word: the stale chain is still rebuilt whole.
+  const bool bit = (words[7][2] >> 1) & 1u;
+  faults.push_back({.row = 7, .col = 2, .bit = 1,
+                    .kind = bit ? core::RingFaultKind::kStuckOn
+                                : core::RingFaultKind::kStuckOff});
+  on_both([&](core::TensorCore& c) { c.inject_ring_faults(faults); });
+  load();
+  EXPECT_TRUE(
+      only_row_moved(one_row, sample("ring fault, then no word changed"), 7));
+
+  words = random_words(fast, rng);
+  load();
+  sample("every word, under the fault");
+
+  faults.clear();
+  on_both([](core::TensorCore& c) { c.clear_faults(); });
+  words[12][12] = (words[12][12] + 3) % 8;  // first word of macro (12, 3)
+  load();
+  sample("faults cleared, then one word");
+
+  detuning = 0.0;
+  on_both([](core::TensorCore& c) { c.recalibrate(); });
+  load();
+  const Matrix relocked = sample("re-locked, then no word changed");
+
+  words[0][1] = (words[0][1] + 5) % 8;
+  load();
+  EXPECT_TRUE(only_row_moved(relocked, sample("one word, chain current"), 0));
+}
+
+TEST(FastPath, PartialReloadsOnAWornCoreFollowTheStoredWords) {
+  // A tiny endurance budget, as in CoreFaults.EnduranceWearOut*: worn
+  // cells refuse toggles, so the stored words drift from the requested
+  // ones.  A fast and a physics core see the same wear, and after every
+  // load both must equal a healthy fresh core loaded with the words the
+  // pSRAM actually stores.
+  core::TensorCoreConfig config = core_config(true);
+  config.fault.seed = 77;
+  config.fault.psram_endurance_median = 6.0;
+  config.fault.psram_endurance_spread = 0.25;
+  core::TensorCore fast(config);
+  config.fast_path = false;
+  core::TensorCore physics(config);
+  Rng rng(72);
+  const Matrix x = random_activations(6, 16, rng);
+  WordMatrix words = random_words(fast, rng);
+  bool refused = false;
+  for (std::size_t load = 0; load < 32; ++load) {
+    switch (load % 4) {
+      case 0:  // every word
+        words = random_words(fast, rng);
+        break;
+      case 1:  // no word changes
+        break;
+      case 2:  // one word
+        words[load % 16][(5 * load) % 16] ^= 1u;
+        break;
+      default:  // one whole row
+        words[(load / 4) % 16] = random_words(fast, rng)[0];
+        break;
+    }
+    fast.load_weights(words);
+    physics.load_weights(words);
+    const WordMatrix stored = stored_words(fast);
+    ASSERT_EQ(stored, stored_words(physics));
+    refused = refused || stored != words;
+    core::TensorCore fresh(core_config(true));
+    fresh.load_weights(stored);
+    const std::string stage = "load " + std::to_string(load);
+    expect_same_outputs(fast, fresh, x, stage + " (fast)");
+    expect_same_outputs(physics, fresh, x, stage + " (physics)");
+  }
+  EXPECT_TRUE(refused);
+  EXPECT_GT(fast.psram().write_errors(), 0u);
 }
 
 TEST(FastPath, WeightLoadsAllocateNothingAfterTheFirst) {

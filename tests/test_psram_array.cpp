@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "core/psram_array.hpp"
 
 namespace {
@@ -45,6 +49,54 @@ TEST(PsramArray, MatrixReloadLatencyAt20GHz) {
   // 16 words x 3 bits per row at 20 GHz = 2.4 ns (rows in parallel).
   EXPECT_NEAR(latency * 1e9, 2.4, 1e-9);
   EXPECT_EQ(array.word(15, 15), 5u);
+}
+
+TEST(PsramArray, RewritingTheStoredMatrixCostsNothing) {
+  // A tiny endurance budget wears cells out within a few loads, so the
+  // rewrite below also passes over cells that refuse every toggle.
+  PsramArrayConfig worn_config;
+  worn_config.fault.seed = 77;
+  worn_config.fault.psram_endurance_median = 6.0;
+  PsramArray array(worn_config);
+  std::vector<std::uint32_t> values(16 * 16);
+  for (std::uint32_t load = 0; load < 12; ++load) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      values[i] = static_cast<std::uint32_t>((i * 5 + load * 3) % 8);
+    }
+    array.write_matrix(values);
+  }
+  ASSERT_GT(array.failed_cells(), 0u);
+  ASSERT_GT(array.write_errors(), 0u);
+
+  const std::vector<std::uint32_t> stored(array.words().begin(),
+                                          array.words().end());
+  const double energy = array.ledger().energy("psram_write");
+  const std::uint64_t flips = array.bit_flips();
+  const std::uint64_t writes = array.word_writes();
+  const std::uint64_t errors = array.write_errors();
+  const std::size_t failed = array.failed_cells();
+  const double remaining = array.endurance_remaining();
+  EXPECT_EQ(array.write_matrix(stored), array.reload_time());
+  EXPECT_EQ(array.ledger().energy("psram_write"), energy);  // bitwise
+  EXPECT_EQ(array.bit_flips(), flips);
+  EXPECT_EQ(array.write_errors(), errors);
+  EXPECT_EQ(array.failed_cells(), failed);
+  EXPECT_EQ(array.endurance_remaining(), remaining);
+  EXPECT_EQ(array.word_writes(), writes + 256);  // every word still counts
+  EXPECT_TRUE(std::equal(stored.begin(), stored.end(), array.words().begin()));
+
+  // One changed word books exactly its own flips: 0b101 toggles two bits.
+  PsramArray healthy;
+  healthy.write_matrix(stored);
+  const double healthy_energy = healthy.ledger().energy("psram_write");
+  const std::uint64_t healthy_flips = healthy.bit_flips();
+  std::vector<std::uint32_t> one_changed = stored;
+  one_changed[37] ^= 0b101u;
+  EXPECT_EQ(healthy.write_matrix(one_changed), healthy.reload_time());
+  EXPECT_EQ(healthy.bit_flips(), healthy_flips + 2);
+  EXPECT_EQ(healthy.ledger().energy("psram_write"),
+            healthy_energy + 2.0 * PsramArrayConfig{}.write_energy);
+  EXPECT_EQ(healthy.word(2, 5), one_changed[37]);
 }
 
 TEST(PsramArray, WordWriteTime) {

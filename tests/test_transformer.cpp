@@ -79,7 +79,7 @@ Matrix full_sequence_logits(const TransformerModel& model,
 
   for (const nn::TransformerLayer& layer : model.layers()) {
     Matrix h = x;
-    nn::layernorm_chunks(h, d, layer.ln1_gain, layer.ln1_bias);
+    nn::layernorm_inplace(h, layer.ln1_gain, layer.ln1_bias);
     const Matrix q = nn::signed_matmul(backend, h, layer.wq);
     const Matrix k = nn::signed_matmul(backend, h, layer.wk);
     const Matrix v = nn::signed_matmul(backend, h, layer.wv);
@@ -97,7 +97,7 @@ Matrix full_sequence_logits(const TransformerModel& model,
         }
         Matrix scores = nn::signed_matmul(backend, qh, kt);
         for (double& s : scores.data()) s *= scale;
-        nn::softmax_chunks(scores, p + 1);
+        nn::softmax_inplace(scores);
         const Matrix ctx = backend.matmul(scores, vals);
         for (std::size_t c = 0; c < dk; ++c) merged(p, base + c) = ctx(0, c);
       }
@@ -107,7 +107,7 @@ Matrix full_sequence_logits(const TransformerModel& model,
     x = std::move(attn);
 
     Matrix h2 = x;
-    nn::layernorm_chunks(h2, d, layer.ln2_gain, layer.ln2_bias);
+    nn::layernorm_inplace(h2, layer.ln2_gain, layer.ln2_bias);
     Matrix f = nn::signed_matmul(backend, h2, layer.w_ff1);
     for (std::size_t p = 0; p < t; ++p)
       for (std::size_t j = 0; j < config.d_ff; ++j) f(p, j) += layer.b_ff1[j];
@@ -118,7 +118,7 @@ Matrix full_sequence_logits(const TransformerModel& model,
     f2 += x;
     x = std::move(f2);
   }
-  nn::layernorm_chunks(x, d, model.lnf_gain(), model.lnf_bias());
+  nn::layernorm_inplace(x, model.lnf_gain(), model.lnf_bias());
   return nn::signed_matmul(backend, x, model.unembed());
 }
 
