@@ -29,7 +29,6 @@ struct PcmCrossbarConfig {
   unsigned levels = 16;             ///< programmable transmittance levels
   double write_pulse_time = 100e-9; ///< per multi-level update [s]
   double write_energy = 18e-12;     ///< per update [J] (melt-quench class)
-  double fast_write_rate = 1e9;     ///< single-pulse electrical write [Hz] ([50])
   std::uint64_t endurance = 100'000'000;  ///< updates before failure (~1e8)
   /// Resistance/transmittance drift coefficient: t(t_age) multiplies by
   /// (1 - drift_nu * log10(1 + t_age / 1 s)).

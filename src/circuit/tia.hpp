@@ -17,7 +17,6 @@ struct LinearTiaConfig {
   double bandwidth = 42e9;       ///< 3 dB bandwidth [Hz] (42 GHz class, [52])
   double vdd = 1.8;              ///< output clamp [V]
   double power = 38e-3;          ///< static power [W]
-  double input_referred_noise = 2e-6;  ///< RMS input current noise [A]
 };
 
 /// Linear I-to-V front end with single-pole dynamics and rail clamping.

@@ -1,6 +1,5 @@
 #include "core/fault.hpp"
 
-#include <cmath>
 #include <unordered_set>
 
 #include "common/expects.hpp"
@@ -8,33 +7,10 @@
 
 namespace ptc::core {
 
-FaultModel::FaultModel(const FaultConfig& config) : config_(config) {
-  expects(config.psram_endurance_median >= 0.0,
-          "endurance median must be non-negative");
-  expects(config.psram_endurance_spread >= 0.0,
-          "endurance spread must be non-negative");
-}
-
-std::vector<double> FaultModel::cell_limits(std::size_t cells) const {
-  if (!endurance_enabled()) return {};
-  // Fixed draw order (cell 0, 1, ...) keeps the limits a pure function of
-  // (seed, cell count): the same array geometry always wears out the same
-  // way.  Limits are clamped to >= 1 so a cell survives at least one flip.
-  Rng rng(config_.seed);
-  std::vector<double> limits(cells);
-  for (std::size_t i = 0; i < cells; ++i) {
-    const double limit = config_.psram_endurance_median *
-                         std::exp(config_.psram_endurance_spread * rng.normal());
-    limits[i] = limit < 1.0 ? 1.0 : limit;
-  }
-  return limits;
-}
-
-std::vector<RingFaultSite> FaultModel::sample_ring_faults(std::size_t rows,
-                                                          std::size_t cols,
-                                                          unsigned bits,
-                                                          std::size_t count,
-                                                          std::uint64_t seed) {
+std::vector<RingFaultSite> sample_ring_faults(std::size_t rows,
+                                              std::size_t cols, unsigned bits,
+                                              std::size_t count,
+                                              std::uint64_t seed) {
   expects(rows >= 1 && cols >= 1 && bits >= 1, "array must be non-empty");
   const std::size_t total = rows * cols * bits;
   if (count > total) count = total;

@@ -9,7 +9,7 @@
 /// The variation model (core/variation.hpp) covers *parametric* spread —
 /// every device works, just not identically.  This layer covers *hard*
 /// faults: devices that stop responding to their control inputs entirely.
-/// Four mechanisms, matching the failure surface of the paper's stack:
+/// Three mechanisms, matching the failure surface of the paper's stack:
 ///
 ///  - dead multiply rings: the pSRAM drive line to one ring latches, so the
 ///    ring sits permanently on resonance (stuck-ON, always strips its
@@ -18,9 +18,10 @@
 ///    detuning freezes at its current value, and recalibration cannot
 ///    re-lock the core;
 ///  - failed ADC ladders: one row's flash converter reads out all-zero
-///    codes regardless of the photocurrent;
-///  - pSRAM endurance: bitcells wear out after a sampled number of
-///    switching events and hold their last value forever.
+///    codes regardless of the photocurrent.
+///
+/// The pSRAM itself does not wear out: it is a volatile electro-optic latch
+/// rewritten at 20 GHz, and its write endurance is unlimited.
 ///
 /// Everything is seeded and deterministic.  Faults are applied at the ring
 /// *bias* level (see VectorComputeMacro::set_ring_fault): the physics walk
@@ -47,44 +48,13 @@ struct RingFaultSite {
   RingFaultKind kind = RingFaultKind::kStuckOn;
 };
 
-/// Seeds and budgets for the sampled parts of the fault model.  seed = 0
-/// disables endurance sampling entirely (cells never wear out), which is
-/// the default: faults are opt-in.
-struct FaultConfig {
-  std::uint64_t seed = 0;
-  /// Median bitcell switching events to failure; 0 = unlimited endurance
-  /// even when seed != 0.
-  double psram_endurance_median = 0.0;
-  /// Lognormal spread of the per-cell endurance limit (sigma of ln-limit).
-  double psram_endurance_spread = 0.25;
-};
-
-class FaultModel {
- public:
-  explicit FaultModel(const FaultConfig& config = {});
-
-  const FaultConfig& config() const { return config_; }
-  bool endurance_enabled() const {
-    return config_.seed != 0 && config_.psram_endurance_median > 0.0;
-  }
-
-  /// Per-cell endurance limits (switching events to failure), sampled
-  /// lognormally around the median in a fixed cell order.  Empty when
-  /// endurance is disabled.
-  std::vector<double> cell_limits(std::size_t cells) const;
-
-  /// Deterministically samples `count` distinct ring-fault sites for a
-  /// rows x cols x bits array.  Alternates stuck-ON / stuck-OFF so a fault
-  /// cluster corrupts in both directions.
-  static std::vector<RingFaultSite> sample_ring_faults(std::size_t rows,
-                                                       std::size_t cols,
-                                                       unsigned bits,
-                                                       std::size_t count,
-                                                       std::uint64_t seed);
-
- private:
-  FaultConfig config_;
-};
+/// Deterministically samples `count` distinct ring-fault sites for a
+/// rows x cols x bits array.  Alternates stuck-ON / stuck-OFF so a fault
+/// cluster corrupts in both directions.
+std::vector<RingFaultSite> sample_ring_faults(std::size_t rows,
+                                              std::size_t cols, unsigned bits,
+                                              std::size_t count,
+                                              std::uint64_t seed);
 
 }  // namespace ptc::core
 

@@ -1,5 +1,7 @@
 #include "core/psram_array.hpp"
 
+#include <bit>
+
 #include "common/expects.hpp"
 
 namespace ptc::core {
@@ -12,8 +14,6 @@ PsramArray::PsramArray(const PsramArrayConfig& config) : config_(config) {
   expects(config.write_rate > 0.0, "write rate must be positive");
   expects(config.write_energy >= 0.0, "write energy must be >= 0");
   words_.assign(config.rows * config.words_per_row, 0);
-  cell_flips_.assign(words_.size() * config.bits_per_word, 0);
-  cell_limits_ = FaultModel(config.fault).cell_limits(cell_flips_.size());
 }
 
 std::size_t PsramArray::bitcell_count() const {
@@ -49,39 +49,16 @@ double PsramArray::write_matrix(std::span<const std::uint32_t> values) {
 std::size_t PsramArray::store_words(std::size_t first,
                                     std::span<const std::uint32_t> values,
                                     double& energy) {
-  const unsigned bits = config_.bits_per_word;
   std::size_t flipped_total = 0;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    const std::size_t word_index = first + i;
-    std::uint32_t& word = words_[word_index];
-    std::uint32_t applied = values[i];
-    // A word rewritten with its stored value toggles no cell: no wear, no
-    // refused toggle, and no energy (adding 0 J leaves the ledger as is).
-    if (applied == word) continue;
-    std::uint32_t* cells = cell_flips_.data() + word_index * bits;
-    if (!cell_limits_.empty()) {
-      const double* limits = cell_limits_.data() + word_index * bits;
-      for (unsigned b = 0; b < bits; ++b) {
-        if ((((applied ^ word) >> b) & 1u) != 0u &&
-            static_cast<double>(cells[b]) >= limits[b]) {
-          // Worn cell: the toggle silently fails and the bit holds its
-          // last value.  No switching event, no write energy —
-          // write-verify (the write_errors counter) is how a BIST finds
-          // out.
-          applied = (applied & ~(1u << b)) | (word & (1u << b));
-          ++write_errors_;
-        }
-      }
-    }
-    const std::uint32_t flips = word ^ applied;
-    word = applied;
+    std::uint32_t& word = words_[first + i];
+    // A word rewritten with its stored value toggles no cell and books no
+    // energy (adding 0 J leaves the ledger as is).
+    if (values[i] == word) continue;
     // Every flipped bit is one switching event of its cell.
-    std::size_t flipped = 0;
-    for (unsigned b = 0; b < bits; ++b) {
-      const std::uint32_t flip = (flips >> b) & 1u;
-      cells[b] += flip;
-      flipped += flip;
-    }
+    const auto flipped =
+        static_cast<std::size_t>(std::popcount(word ^ values[i]));
+    word = values[i];
     flipped_total += flipped;
     energy += static_cast<double>(flipped) * config_.write_energy;
   }
@@ -108,26 +85,6 @@ double PsramArray::hold_wall_power() const {
 
 double PsramArray::word_write_time() const {
   return static_cast<double>(config_.bits_per_word) / config_.write_rate;
-}
-
-std::size_t PsramArray::failed_cells() const {
-  if (cell_limits_.empty()) return 0;
-  std::size_t failed = 0;
-  for (std::size_t cell = 0; cell < cell_flips_.size(); ++cell) {
-    if (static_cast<double>(cell_flips_[cell]) >= cell_limits_[cell]) ++failed;
-  }
-  return failed;
-}
-
-double PsramArray::endurance_remaining() const {
-  if (cell_limits_.empty()) return 1.0;
-  double worst = 1.0;
-  for (std::size_t cell = 0; cell < cell_flips_.size(); ++cell) {
-    const double remaining =
-        1.0 - static_cast<double>(cell_flips_[cell]) / cell_limits_[cell];
-    if (remaining < worst) worst = remaining;
-  }
-  return worst < 0.0 ? 0.0 : worst;
 }
 
 }  // namespace ptc::core

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "circuit/energy.hpp"
-#include "core/fault.hpp"
 #include "core/tech.hpp"
 
 /// Array-scale photonic SRAM.
@@ -32,11 +31,6 @@ struct PsramArrayConfig {
   double write_energy = 0.493e-12; ///< per switching event [J] (paper: ~0.5 pJ)
   double hold_bias_power = 10e-6;  ///< CW optical bias per cell [W] (-20 dBm)
   double wall_plug_efficiency = tech_wall_plug;
-  /// Write-endurance budget (hard-fault model).  With fault.seed != 0 and
-  /// fault.psram_endurance_median > 0, every bitcell gets a lognormally
-  /// sampled limit on its switching events; a cell at its limit holds its
-  /// last value forever (writes to it silently fail and cost no energy).
-  FaultConfig fault{};
 };
 
 class PsramArray {
@@ -62,7 +56,7 @@ class PsramArray {
   /// Writes a full weight matrix (row-major, rows x words_per_row).
   /// All rows are written in parallel; returns reload_time() whatever
   /// changed.  Every word counts as a word write; only flipped bits cost
-  /// energy and wear, so rewriting the stored matrix books neither.
+  /// energy, so rewriting the stored matrix books none.
   double write_matrix(std::span<const std::uint32_t> values);
 
   /// Full-array reload latency [s]: rows write in parallel, each streaming
@@ -91,25 +85,11 @@ class PsramArray {
   const circuit::EnergyLedger& ledger() const { return ledger_; }
   circuit::EnergyLedger& ledger() { return ledger_; }
 
-  // --- write-endurance counters (fleet-health sensor channels) --------------
+  // --- write counters (fleet-health sensor channels) ------------------------
   /// Word writes performed since construction (including no-flip writes).
   std::uint64_t word_writes() const { return word_writes_; }
-  /// Bitcell switching events since construction — the wear quantity an
-  /// endurance budget is written against.
+  /// Bitcell switching events since construction; each costs write_energy.
   std::uint64_t bit_flips() const { return bit_flips_; }
-
-  // --- endurance hard faults -------------------------------------------------
-  bool endurance_enabled() const { return !cell_limits_.empty(); }
-  /// Bitcells worn past their sampled endurance limit (stuck at their last
-  /// held value).  Always 0 when endurance is disabled.
-  std::size_t failed_cells() const;
-  /// Remaining endurance fraction of the *most-worn* cell, in [0, 1]; 1.0
-  /// when endurance is disabled.  This is the sensor channel the fleet
-  /// endurance alarm rides.
-  double endurance_remaining() const;
-  /// Requested bit toggles that a worn cell refused — the write-verify
-  /// error count a BIST reads back.
-  std::uint64_t write_errors() const { return write_errors_; }
 
  private:
   /// Stores checked words from flat word index `first` on, booking each
@@ -125,12 +105,6 @@ class PsramArray {
   circuit::EnergyLedger ledger_;
   std::uint64_t word_writes_ = 0;
   std::uint64_t bit_flips_ = 0;
-  /// Per-bitcell switching counts, [word][bit] flattened like words_.
-  std::vector<std::uint32_t> cell_flips_;
-  /// Sampled per-cell endurance limits, same indexing as cell_flips_;
-  /// empty when the endurance budget is disabled.
-  std::vector<double> cell_limits_;
-  std::uint64_t write_errors_ = 0;
 };
 
 }  // namespace ptc::core

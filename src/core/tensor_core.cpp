@@ -16,7 +16,6 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
         c.psram.rows = c.rows;
         c.psram.words_per_row = c.cols;
         c.psram.bits_per_word = c.weight_bits;
-        c.psram.fault = c.fault;
         c.macro.weight_bits = c.weight_bits;
         return c;
       }()),
@@ -45,21 +44,15 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
   adc_dead_.assign(config_.rows, 0);
   adcs_.reserve(config_.rows);
   for (std::size_t row = 0; row < config_.rows; ++row) {
-    EoAdcConfig adc_config = config_.adc;
-    if (variation.enabled() && config_.variation.adc_vref_sigma > 0.0) {
-      // Per-row reference ladders mismatch independently.
-      adc_config.vref_mismatch_sigma = config_.variation.adc_vref_sigma;
-      adc_config.mismatch_seed =
-          variation.child_seed(config_.rows * tiles + row);
-    }
-    adcs_.emplace_back(adc_config);
+    adcs_.emplace_back(config_.adc);
   }
 
   // Reserved calibration row: one macro per tile, weights all zero so every
   // probe ring sits on resonance — the steepest flank of its transfer
   // function, where a common-mode detuning moves the summed photocurrent
-  // the most.  Child seeds continue past the compute macros' and row ADCs'
-  // so the probe row never disturbs their variation streams.
+  // the most.  Child seeds start `rows` indices past the compute macros'
+  // (those indices stay reserved), so the probe row never disturbs the
+  // compute macros' variation streams and keeps its own.
   probe_macros_.reserve(tiles);
   for (std::size_t tile = 0; tile < tiles; ++tile) {
     VectorMacroConfig probe_macro_config = config_.macro;
@@ -149,12 +142,9 @@ double TensorCore::load_weights_normalized(const Matrix& weights) {
 
 double TensorCore::load_words() {
   const double latency = psram_.write_matrix(word_scratch_);
-  // Worn cells may have refused bit toggles; from here on everything —
-  // ring biases, the digital reference, and the fast-path gains — sees
-  // what the array actually *stores*, not what was requested.  A macro
-  // whose stored words did not move keeps its rings and its chain entries:
-  // they were built from exactly the words it holds.  A stale chain
-  // predates the current detuning or fault set and is rebuilt whole.
+  // A macro whose stored words did not move keeps its rings and its chain
+  // entries: they were built from exactly the words it holds.  A stale
+  // chain predates the current detuning or fault set and is rebuilt whole.
   const std::span<const std::uint32_t> words = psram_.words();
   const std::size_t m = config_.macro.channels;
   const bool chain_current = config_.fast_path && !fast_.stale;
@@ -607,8 +597,6 @@ TensorCore::SelfTestResult TensorCore::self_test(std::size_t samples,
       ++result.stuck_adc_rows;
     }
   }
-  result.psram_failed_cells = psram_.failed_cells();
-  result.endurance_remaining = psram_.endurance_remaining();
   result.heater_locked = !heater_stuck_;
   return result;
 }

@@ -54,15 +54,11 @@ struct TensorCoreConfig {
   bool fast_path = true;
   /// Per-die fabrication/drive-level variation (see core/variation.hpp).
   /// variation.seed == 0 is the pristine design die; a nonzero seed derives
-  /// an independent child stream per macro (and per row eoADC when
-  /// variation.adc_vref_sigma > 0), so every ring of the core is a distinct
-  /// fabricated device.  The full-scale calibration probe stays pristine:
-  /// variation manifests as a deviation from design, which the calibrated
-  /// fast path freezes and recalibrate() re-freezes.
+  /// an independent child stream per macro, so every ring of the core is a
+  /// distinct fabricated device.  The full-scale calibration probe stays
+  /// pristine: variation manifests as a deviation from design, which the
+  /// calibrated fast path freezes and recalibrate() re-freezes.
   VariationConfig variation{};
-  /// Hard-fault model seeds/budgets (core/fault.hpp); forwarded into the
-  /// pSRAM array's endurance sampler.  Disabled by default.
-  FaultConfig fault{};
 };
 
 class TensorCore {
@@ -203,9 +199,8 @@ class TensorCore {
   std::size_t ring_fault_count() const;
 
   /// Releases every injected fault (rings, heater, ADC ladders) and
-  /// restores weight-driven biases.  pSRAM endurance wear is physical
-  /// damage and persists.  The frozen detuning also persists until the
-  /// caller re-locks (see runtime::Accelerator::inject).
+  /// restores weight-driven biases.  The frozen detuning persists until
+  /// the caller re-locks (see runtime::Accelerator::inject).
   void clear_faults();
 
   // --- built-in self-test ----------------------------------------------------
@@ -218,8 +213,6 @@ class TensorCore {
   struct SelfTestResult {
     double max_row_error = 0.0;  ///< max |analog - reference| over probes
     std::size_t stuck_adc_rows = 0;
-    std::size_t psram_failed_cells = 0;
-    double endurance_remaining = 1.0;
     bool heater_locked = true;
   };
   SelfTestResult self_test(std::size_t samples, std::uint64_t seed);
@@ -296,8 +289,7 @@ class TensorCore {
   };
 
   /// Writes word_scratch_ to the pSRAM, then reprograms only the macros
-  /// whose *stored* words differ from the words they hold (a worn cell
-  /// that refused a toggle leaves its macro unchanged) and rebuilds their
+  /// whose stored words differ from the words they hold and rebuilds their
   /// chain entries; a stale chain is rebuilt whole.  Returns the full
   /// reload latency [s] whatever changed.
   double load_words();
@@ -341,7 +333,8 @@ class TensorCore {
   std::vector<std::vector<VectorComputeMacro>> macros_;
   /// Reserved calibration row (one macro per tile, all-zero weights) — the
   /// pilot-tone probe path.  Variation child seeds follow the compute
-  /// macros' and row ADCs', so adding the row never perturbs their streams.
+  /// macros' and `rows` reserved ones, so the row never perturbs their
+  /// streams.
   std::vector<VectorComputeMacro> probe_macros_;
   double probe_reference_ = 0.0;    ///< probe photocurrent at detuning 0 [A]
   std::vector<double> probe_input_; ///< all-ones pilot tone
@@ -355,9 +348,7 @@ class TensorCore {
   std::size_t samples_ = 0;
   FastGains fast_;
   bool weights_loaded_ = false;
-  /// Requested words of the load in progress, reused across loads.  Worn
-  /// cells may refuse bits, so the rings are programmed from what the
-  /// pSRAM then stores (psram_.words()), not from this.
+  /// Requested words of the load in progress, reused across loads.
   std::vector<std::uint32_t> word_scratch_;
   /// Per-row dead ADC ladders; empty-equivalent (all zero) when healthy.
   std::vector<std::uint8_t> adc_dead_;

@@ -14,7 +14,6 @@ VariationModel::VariationModel(const VariationConfig& config)
   expects(config.psram_level_sigma >= 0.0, "pSRAM level sigma must be >= 0");
   expects(config.thermal_sensitivity_spread >= 0.0,
           "thermal sensitivity spread must be >= 0");
-  expects(config.adc_vref_sigma >= 0.0, "ADC vref sigma must be >= 0");
 }
 
 VariationModel::RingDeviation VariationModel::sample_ring(Rng& rng) const {

@@ -42,9 +42,6 @@ struct VariationConfig {
   /// Fractional spread of each ring's thermo-optic sensitivity
   /// (dlambda/dT); makes thermal drift strike every ring differently.
   double thermal_sensitivity_spread = 0.05;
-  /// eoADC reference-ladder mismatch, 1-sigma [V]; forwarded into
-  /// EoAdcConfig::vref_mismatch_sigma with a per-row seed.
-  double adc_vref_sigma = 0.0;
 };
 
 /// Seeded sampler of per-ring deviations.  Pure: the same (config, rng
@@ -73,8 +70,8 @@ class VariationModel {
 
   /// Child seed for stream `index` of the fleet/device seeded by
   /// `config.seed` — per-core streams at the accelerator level, per-macro
-  /// and per-row-ADC streams inside a core.  Never zero, so a varied
-  /// parent cannot spawn a pristine child by accident.
+  /// streams inside a core.  Never zero, so a varied parent cannot spawn a
+  /// pristine child by accident.
   std::uint64_t child_seed(std::size_t index) const;
 
  private:

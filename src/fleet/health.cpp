@@ -9,15 +9,9 @@
 namespace ptc::fleet {
 
 DriftEstimator::DriftEstimator(std::vector<double> kelvin,
-                               std::vector<double> ratio,
-                               const DriftEstimatorConfig& config)
-    : config_(config) {
+                               std::vector<double> ratio) {
   expects(kelvin.size() == ratio.size() && kelvin.size() >= 2,
           "estimator curve needs >= 2 matched (kelvin, ratio) points");
-  expects(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
-          "EWMA alpha must be in (0, 1]");
-  expects(config_.slope_window >= 2,
-          "slope window needs at least two samples");
   // Strictly increasing envelope: inversion must be unique, so points that
   // fail to raise the ratio (flat bottom of the resonance notch, sampling
   // noise near 0 K) collapse onto their predecessor.
@@ -37,8 +31,7 @@ DriftEstimator::DriftEstimator(std::vector<double> kelvin,
 
 DriftEstimator DriftEstimator::characterize(core::TensorCore& core,
                                             double max_kelvin,
-                                            std::size_t points,
-                                            const DriftEstimatorConfig& config) {
+                                            std::size_t points) {
   expects(max_kelvin > 0.0, "characterization range must be positive");
   expects(points >= 2, "characterization needs >= 2 points per branch");
   std::vector<double> grid(points);
@@ -57,7 +50,7 @@ DriftEstimator DriftEstimator::characterize(core::TensorCore& core,
   for (std::size_t i = 0; i < points; ++i) {
     ratio[i] = 0.5 * (plus[i] + minus[i]);
   }
-  return DriftEstimator(std::move(grid), std::move(ratio), config);
+  return DriftEstimator(std::move(grid), std::move(ratio));
 }
 
 void DriftEstimator::reset() {
@@ -84,10 +77,10 @@ void DriftEstimator::observe(double t, double ratio) {
   raw_ = invert(ratio);
   estimate_ = observations_ == 0
                   ? raw_
-                  : estimate_ + config_.ewma_alpha * (raw_ - estimate_);
+                  : estimate_ + kEwmaAlpha * (raw_ - estimate_);
   ++observations_;
   window_.emplace_back(t, estimate_);
-  while (window_.size() > config_.slope_window) window_.pop_front();
+  while (window_.size() > kSlopeWindow) window_.pop_front();
 }
 
 double DriftEstimator::slope() const {
@@ -110,95 +103,44 @@ double DriftEstimator::slope() const {
   return den > 0.0 ? num / den : 0.0;
 }
 
-AnomalyDetector::AnomalyDetector(const AnomalyConfig& config)
-    : config_(config) {
-  expects(config_.window >= 2, "anomaly window needs >= 2 samples");
-  expects(config_.min_samples >= 2,
-          "anomaly detection needs >= 2 warm-up samples");
-  expects(config_.threshold > 0.0, "anomaly threshold must be positive");
-  expects(config_.slack >= 0.0, "CUSUM slack must be >= 0");
-  expects(config_.min_sigma > 0.0, "variance floor must be positive");
-}
-
 void AnomalyDetector::reset() {
   window_.clear();
   sum_ = 0.0;
   sum_sq_ = 0.0;
-  baseline_mean_ = 0.0;
-  baseline_sigma_ = 0.0;
-  baseline_frozen_ = false;
-  cusum_hi_ = 0.0;
-  cusum_lo_ = 0.0;
   score_ = 0.0;
   anomalous_ = false;
   observations_ = 0;
-  // alarms_ survives reset()?  No: reset is "fresh run / fresh baseline".
   alarms_ = 0;
 }
 
 bool AnomalyDetector::observe(double /*t*/, double v) {
   ++observations_;
-  if (config_.kind == AnomalyConfig::Kind::kZScore) {
-    bool detect = false;
-    if (window_.size() >= config_.min_samples) {
-      // Score against the trailing window *before* this sample joins it,
-      // so a step change cannot hide inside its own statistics.
-      const double n = static_cast<double>(window_.size());
-      const double mean = sum_ / n;
-      const double var = std::max(0.0, sum_sq_ / n - mean * mean);
-      const double sigma = std::max(std::sqrt(var), config_.min_sigma);
-      score_ = std::abs(v - mean) / sigma;
-      detect = score_ >= config_.threshold;
-    } else {
-      score_ = 0.0;
-    }
-    window_.push_back(v);
-    sum_ += v;
-    sum_sq_ += v * v;
-    if (window_.size() > config_.window) {
-      const double old = window_.front();
-      window_.pop_front();
-      sum_ -= old;
-      sum_sq_ -= old * old;
-    }
-    const bool rising = detect && !anomalous_;
-    anomalous_ = detect;
-    if (rising) ++alarms_;
-    return rising;
-  }
-
-  // CUSUM: accumulate standardized deviations against a baseline frozen
-  // from the first `window` samples; alarm when either one-sided sum
-  // crosses the decision interval, then restart the sums.
-  if (!baseline_frozen_) {
-    window_.push_back(v);
-    sum_ += v;
-    sum_sq_ += v * v;
-    if (window_.size() >= config_.window) {
-      const double n = static_cast<double>(window_.size());
-      baseline_mean_ = sum_ / n;
-      const double var =
-          std::max(0.0, sum_sq_ / n - baseline_mean_ * baseline_mean_);
-      baseline_sigma_ = std::max(std::sqrt(var), config_.min_sigma);
-      baseline_frozen_ = true;
-    }
+  bool detect = false;
+  if (window_.size() >= kMinSamples) {
+    // Score against the trailing window *before* this sample joins it, so
+    // a step change cannot hide inside its own statistics.
+    const double n = static_cast<double>(window_.size());
+    const double mean = sum_ / n;
+    const double var = std::max(0.0, sum_sq_ / n - mean * mean);
+    const double sigma = std::max(std::sqrt(var), kMinSigma);
+    score_ = std::abs(v - mean) / sigma;
+    detect = score_ >= kThreshold;
+  } else {
     score_ = 0.0;
-    anomalous_ = false;
-    return false;
   }
-  const double z = (v - baseline_mean_) / baseline_sigma_;
-  cusum_hi_ = std::max(0.0, cusum_hi_ + z - config_.slack);
-  cusum_lo_ = std::max(0.0, cusum_lo_ - z - config_.slack);
-  score_ = std::max(cusum_hi_, cusum_lo_);
-  const bool detect =
-      score_ >= config_.threshold && observations_ >= config_.min_samples;
+  window_.push_back(v);
+  sum_ += v;
+  sum_sq_ += v * v;
+  if (window_.size() > kWindow) {
+    const double old = window_.front();
+    window_.pop_front();
+    sum_ -= old;
+    sum_sq_ -= old * old;
+  }
+  const bool rising = detect && !anomalous_;
   anomalous_ = detect;
-  if (detect) {
-    ++alarms_;
-    cusum_hi_ = 0.0;
-    cusum_lo_ = 0.0;
-  }
-  return detect;
+  if (rising) ++alarms_;
+  return rising;
 }
 
 namespace {
@@ -206,24 +148,6 @@ namespace {
 /// Characterization sweep range [K] and points per signed branch.
 constexpr double kCurveMaxKelvin = 4.0;
 constexpr std::size_t kCurvePoints = 33;
-
-/// Change detection on each core's pSRAM endurance-remaining reading —
-/// CUSUM, because wear is a slow monotone ramp whose *rate change* (a cell
-/// population starting to fail) is the anomaly, not any single reading.
-/// Probe-transmission detection runs the default z-score AnomalyConfig.
-constexpr AnomalyConfig kEnduranceAnomaly{
-    .kind = AnomalyConfig::Kind::kCusum,
-    .window = 16,
-    .min_samples = 8,
-    .threshold = 8.0,
-    .slack = 0.5,
-    .min_sigma = 1e-12,
-};
-
-/// Hard floor on endurance remaining: crossing below it fires a
-/// `coreN-endurance` alert (rising edge) regardless of the detector — the
-/// end-of-life warning the operator acts on.
-constexpr double kEnduranceFloor = 0.1;
 
 }  // namespace
 
@@ -235,9 +159,6 @@ FleetHealthMonitor::FleetHealthMonitor(runtime::Accelerator& accelerator)
         accelerator_.core(i), kCurveMaxKelvin, kCurvePoints));
   }
   detectors_.resize(accelerator_.core_count());
-  endurance_detectors_.assign(accelerator_.core_count(),
-                              AnomalyDetector(kEnduranceAnomaly));
-  endurance_floor_fired_.assign(accelerator_.core_count(), 0);
   readings_.resize(accelerator_.core_count());
 }
 
@@ -252,12 +173,9 @@ void FleetHealthMonitor::set_tracer(telemetry::Tracer* tracer) {
 void FleetHealthMonitor::reset() {
   for (DriftEstimator& estimator : estimators_) estimator.reset();
   for (AnomalyDetector& detector : detectors_) detector.reset();
-  for (AnomalyDetector& detector : endurance_detectors_) detector.reset();
-  endurance_floor_fired_.assign(endurance_floor_fired_.size(), 0);
   readings_.assign(readings_.size(), SensorReading{});
   alerts_.clear();
   alerts_since_recalibration_ = 0;
-  endurance_alarms_ = 0;
   samples_taken_ = 0;
   last_sample_time_ = 0.0;
 }
@@ -265,34 +183,6 @@ void FleetHealthMonitor::reset() {
 void FleetHealthMonitor::sample(double t) {
   ++samples_taken_;
   last_sample_time_ = t;
-  // One rising-edge alert; endurance alarms bypass the recalibration
-  // counter — re-locking cannot un-wear pSRAM, so feeding them into the
-  // recalibrate_on_anomaly trigger would buy downtime for nothing.
-  const auto fire_alert = [this](double at, std::size_t core_index,
-                                 std::string name, double value, double score,
-                                 bool feeds_recalibration) {
-    HealthAlert alert;
-    alert.time = at;
-    alert.core = core_index;
-    alert.name = std::move(name);
-    alert.value = value;
-    alert.score = score;
-    if (feeds_recalibration) ++alerts_since_recalibration_;
-    if (tracer_ != nullptr) {
-      tracer_->instant(telemetry::track::kServe, "health_alert", "slo", at,
-                       {{"slo", alert.name.c_str()},
-                        {"core", core_index},
-                        {"value", value},
-                        {"score", score}});
-    }
-    if (metrics_ != nullptr) {
-      metrics_
-          ->counter("slo_alerts_total", {{"slo", alert.name}},
-                    "multi-window burn-rate alert firings")
-          .inc();
-    }
-    alerts_.push_back(std::move(alert));
-  };
   for (std::size_t i = 0; i < estimators_.size(); ++i) {
     // An evicted core is out of the serving rotation: the sweep does not
     // probe it (its reading stays as it was), and its stale estimate cannot
@@ -332,35 +222,28 @@ void FleetHealthMonitor::sample(double t) {
     }
 
     AnomalyDetector& detector = detectors_[i];
-    if (detector.observe(t, ratio)) {
-      fire_alert(t, i, "core" + std::to_string(i) + "-probe-anomaly", ratio,
-                 detector.score(), /*feeds_recalibration=*/true);
+    if (!detector.observe(t, ratio)) continue;
+    HealthAlert alert;
+    alert.time = t;
+    alert.core = i;
+    alert.name = "core" + std::to_string(i) + "-probe-anomaly";
+    alert.value = ratio;
+    alert.score = detector.score();
+    ++alerts_since_recalibration_;
+    if (tracer_ != nullptr) {
+      tracer_->instant(telemetry::track::kServe, "health_alert", "slo", t,
+                       {{"slo", alert.name.c_str()},
+                        {"core", i},
+                        {"value", ratio},
+                        {"score", alert.score}});
     }
-
-    // pSRAM endurance: only meaningful on fleets that model wear-out
-    // (core::FaultConfig::psram_endurance_median > 0).  The remaining
-    // budget is a measurable — the controller counts its own writes
-    // against the rated endurance — so the reading stays oracle-free.
-    if (core.psram().endurance_enabled()) {
-      const double remaining = core.psram().endurance_remaining();
-      if (metrics_ != nullptr) {
-        metrics_
-            ->gauge("fleet_core_endurance_remaining",
-                    {{"core", std::to_string(i)}},
-                    "fraction of rated pSRAM write endurance left per core")
-            .set(remaining);
-      }
-      AnomalyDetector& wear = endurance_detectors_[i];
-      const bool rate_change = wear.observe(t, remaining);
-      const bool floor_crossed =
-          remaining < kEnduranceFloor && endurance_floor_fired_[i] == 0;
-      if (floor_crossed) endurance_floor_fired_[i] = 1;
-      if (rate_change || floor_crossed) {
-        ++endurance_alarms_;
-        fire_alert(t, i, "core" + std::to_string(i) + "-endurance", remaining,
-                   wear.score(), /*feeds_recalibration=*/false);
-      }
+    if (metrics_ != nullptr) {
+      metrics_
+          ->counter("slo_alerts_total", {{"slo", alert.name}},
+                    "multi-window burn-rate alert firings")
+          .inc();
     }
+    alerts_.push_back(std::move(alert));
   }
 }
 

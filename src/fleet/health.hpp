@@ -20,7 +20,7 @@
 /// The point of this layer is what it does NOT read: the simulator's oracle
 /// detuning (`Accelerator::max_abs_detuning`).  Every input is a physical
 /// measurable — pilot-tone probe transmission through each core's reserved
-/// calibration row, calibration epochs, pSRAM write-endurance counters, ADC
+/// calibration row, calibration epochs, pSRAM bit-flip counters, ADC
 /// saturation rates — and the serving loop's `estimated_drift_threshold`
 /// trigger closes the recalibration loop on the *estimate* alone.  The
 /// oracle stays available to benches and tests as ground truth to score the
@@ -33,14 +33,6 @@
 /// counts.
 namespace ptc::fleet {
 
-struct DriftEstimatorConfig {
-  /// EWMA smoothing factor on the inverted kelvin estimate in (0, 1];
-  /// 1 disables smoothing.
-  double ewma_alpha = 0.35;
-  /// Trailing (t, estimate) samples the least-squares slope is fit over.
-  std::size_t slope_window = 8;
-};
-
 /// Maps probe-transmission ratios back to estimated |detuning| [K] through
 /// a measured characterization curve (core::TensorCore::probe_response_curve
 /// swept at build time), then EWMA-smooths and tracks the drift slope.
@@ -52,18 +44,21 @@ struct DriftEstimatorConfig {
 /// characterized range.
 class DriftEstimator {
  public:
+  /// EWMA smoothing factor on the inverted kelvin estimate.
+  static constexpr double kEwmaAlpha = 0.35;
+  /// Trailing (t, estimate) samples the least-squares slope is fit over.
+  static constexpr std::size_t kSlopeWindow = 8;
+
   /// `kelvin` ascending from 0; `ratio` the probe transmission at each
   /// point.  Points that do not strictly increase the ratio are dropped
   /// (monotone envelope).
-  DriftEstimator(std::vector<double> kelvin, std::vector<double> ratio,
-                 const DriftEstimatorConfig& config = {});
+  DriftEstimator(std::vector<double> kelvin, std::vector<double> ratio);
 
   /// Builds a core's estimator by sweeping its probe row over
   /// [-max_kelvin, +max_kelvin] in `points` steps per branch and averaging
   /// the branches.
   static DriftEstimator characterize(core::TensorCore& core,
-                                     double max_kelvin, std::size_t points,
-                                     const DriftEstimatorConfig& config = {});
+                                     double max_kelvin, std::size_t points);
 
   /// Forgets the EWMA / slope state (post-recalibration re-lock).
   void reset();
@@ -85,7 +80,6 @@ class DriftEstimator {
   const std::vector<double>& curve_kelvin() const { return kelvin_; }
 
  private:
-  DriftEstimatorConfig config_;
   std::vector<double> kelvin_;  ///< strictly-increasing-ratio envelope
   std::vector<double> ratio_;
   double estimate_ = 0.0;
@@ -94,32 +88,20 @@ class DriftEstimator {
   std::deque<std::pair<double, double>> window_;  ///< (t, estimate)
 };
 
-struct AnomalyConfig {
-  enum class Kind {
-    kZScore,  ///< |value - rolling mean| / rolling std >= threshold
-    kCusum,   ///< two-sided CUSUM vs a frozen baseline >= threshold
-  };
-  Kind kind = Kind::kZScore;
-  /// Rolling-window length (z-score) or baseline sample count (CUSUM).
-  std::size_t window = 32;
-  /// Observations required before any detection fires.
-  std::size_t min_samples = 8;
-  /// Detection threshold in baseline standard deviations (z threshold, or
-  /// the CUSUM decision interval h).
-  double threshold = 4.0;
-  /// CUSUM slack k [sigmas]: drifts slower than this per sample are
-  /// absorbed (ignored by z-score).
-  double slack = 0.5;
-  /// Variance floor so a perfectly flat baseline cannot divide by zero.
-  double min_sigma = 1e-12;
-};
-
-/// Online change detection over one scalar channel.  observe() returns
-/// true only on the *rising edge* of the anomaly condition — the alerting
-/// convention SLO monitors use, so firings plug into the same plumbing.
+/// Online change detection over one scalar channel: a rolling z-score,
+/// |value - window mean| / window std.  observe() returns true only on the
+/// *rising edge* of the anomaly condition — the alerting convention SLO
+/// monitors use, so firings plug into the same plumbing.
 class AnomalyDetector {
  public:
-  explicit AnomalyDetector(const AnomalyConfig& config = {});
+  /// Rolling-window length.
+  static constexpr std::size_t kWindow = 32;
+  /// Observations required before any detection fires.
+  static constexpr std::size_t kMinSamples = 8;
+  /// Detection threshold [window standard deviations].
+  static constexpr double kThreshold = 4.0;
+  /// Variance floor so a perfectly flat window cannot divide by zero.
+  static constexpr double kMinSigma = 1e-12;
 
   void reset();
 
@@ -128,24 +110,15 @@ class AnomalyDetector {
 
   /// True while the detection condition held at the last observation.
   bool anomalous() const { return anomalous_; }
-  /// Last detection statistic [sigmas] (|z|, or the larger CUSUM sum).
+  /// Last |z| score [sigmas].
   double score() const { return score_; }
   std::uint64_t alarms() const { return alarms_; }
   std::uint64_t observations() const { return observations_; }
 
-  const AnomalyConfig& config() const { return config_; }
-
  private:
-  AnomalyConfig config_;
-  std::deque<double> window_;  ///< z-score rolling window
+  std::deque<double> window_;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
-  // CUSUM state: baseline frozen after `window` samples.
-  double baseline_mean_ = 0.0;
-  double baseline_sigma_ = 0.0;
-  bool baseline_frozen_ = false;
-  double cusum_hi_ = 0.0;
-  double cusum_lo_ = 0.0;
   double score_ = 0.0;
   bool anomalous_ = false;
   std::uint64_t alarms_ = 0;
@@ -199,10 +172,9 @@ class FleetHealthMonitor {
 
   /// One sensor sweep across the fleet at modeled time `t`: takes each
   /// in-rotation core's reading (probe transmission, heater duty, pSRAM
-  /// bit flips, ADC saturation rate), updates its estimator and detectors
-  /// (the endurance detector from pSRAM endurance remaining, on fleets
-  /// that model wear), and publishes to the attached sinks.  Reads sensors
-  /// only — never the oracle detuning.
+  /// bit flips, ADC saturation rate), updates its estimator and detector,
+  /// and publishes to the attached sinks.  Reads sensors only — never the
+  /// oracle detuning.
   void sample(double t);
 
   /// The serving loop recalibrated at `t`: estimator and detector state
@@ -221,12 +193,6 @@ class FleetHealthMonitor {
   double estimate(std::size_t core) const;
   double max_estimate() const;
 
-  /// Endurance alarms fired since reset() (subset of alerts()).  These are
-  /// deliberately excluded from alerts_since_recalibration(): re-locking
-  /// cannot un-wear pSRAM, so they must not feed the recalibrate_on_anomaly
-  /// trigger into a downtime loop.
-  std::uint64_t endurance_alarms() const { return endurance_alarms_; }
-
   /// Sweeps performed since reset().
   std::uint64_t samples_taken() const { return samples_taken_; }
   /// Modeled time of the last sweep (0 before any).
@@ -241,12 +207,9 @@ class FleetHealthMonitor {
   runtime::Accelerator& accelerator_;
   std::vector<DriftEstimator> estimators_;
   std::vector<AnomalyDetector> detectors_;
-  std::vector<AnomalyDetector> endurance_detectors_;
-  std::vector<std::uint8_t> endurance_floor_fired_;  ///< rising-edge latch
   std::vector<SensorReading> readings_;
   std::vector<HealthAlert> alerts_;
   std::uint64_t alerts_since_recalibration_ = 0;
-  std::uint64_t endurance_alarms_ = 0;
   std::uint64_t samples_taken_ = 0;
   double last_sample_time_ = 0.0;
   optics::ThermalTunerConfig heater_;  ///< duty model for heater_duty

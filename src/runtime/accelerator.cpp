@@ -21,17 +21,13 @@ constexpr std::uint64_t kDriftSeed = 77;
 /// pulled to the lock point is caught by the heater_locked flag instead.
 /// The thresholds classify core health: a core FAILS on gross analog
 /// corruption, a stuck ADC ladder, or a heater that cannot re-lock; it is
-/// DEGRADED on elevated-but-servable error, worn pSRAM cells, or a thin
-/// endurance margin.  The error bars sit well above the healthy variation
-/// fleet's locked deviation (~0.003) and below a 24-ring dead cluster's
-/// (~0.02-0.05).
+/// DEGRADED on elevated-but-servable error.  The error bars sit well above
+/// the healthy variation fleet's locked deviation (~0.003) and below a
+/// 24-ring dead cluster's (~0.02-0.05).
 constexpr std::size_t kSelfTestSamples = 8;
 constexpr std::uint64_t kSelfTestSeed = 2026;
 constexpr double kDegradedError = 0.008;  ///< max row |analog - reference| bar
 constexpr double kFailError = 0.015;
-/// DEGRADED when the most-worn pSRAM cell's remaining endurance fraction
-/// drops below this.
-constexpr double kDegradedEndurance = 0.1;
 
 }  // namespace
 
@@ -45,7 +41,6 @@ Accelerator::Accelerator(const AcceleratorConfig& config)
   expects(config_.drift.tau > 0.0, "drift tau must be positive");
 
   const core::VariationModel fleet_variation(config_.variation);
-  const Rng fault_streams(config_.fault.seed);
   cores_.reserve(config_.cores);
   for (std::size_t i = 0; i < config_.cores; ++i) {
     core::TensorCoreConfig core_config = config_.core;
@@ -54,12 +49,6 @@ Accelerator::Accelerator(const AcceleratorConfig& config)
       // from an independent child stream of the fleet seed.
       core_config.variation = config_.variation;
       core_config.variation.seed = fleet_variation.child_seed(i);
-    }
-    if (config_.fault.seed != 0) {
-      // Per-die endurance sampling stream (| 1 keeps it nonzero: seed 0
-      // would disable the core's fault model).
-      core_config.fault = config_.fault;
-      core_config.fault.seed = fault_streams.split(i).next_u64() | 1u;
     }
     cores_.push_back(std::make_unique<core::TensorCore>(core_config));
   }
@@ -420,7 +409,7 @@ void Accelerator::inject(const FaultEvent& event) {
   core::TensorCore& target = *cores_[event.core];
   switch (event.kind) {
     case FaultEvent::Kind::kDeadRings:
-      target.inject_ring_faults(core::FaultModel::sample_ring_faults(
+      target.inject_ring_faults(core::sample_ring_faults(
           target.rows(), target.cols(), target.weight_bits(), event.count,
           event.seed));
       break;
@@ -461,11 +450,7 @@ CoreHealth Accelerator::run_self_test(std::size_t index) {
       target.self_test(kSelfTestSamples, kSelfTestSeed);
   if (detuning != 0.0) target.set_thermal_detuning(detuning);
   CoreHealth health = CoreHealth::kOk;
-  if (result.max_row_error >= kDegradedError ||
-      result.psram_failed_cells > 0 ||
-      result.endurance_remaining < kDegradedEndurance) {
-    health = CoreHealth::kDegraded;
-  }
+  if (result.max_row_error >= kDegradedError) health = CoreHealth::kDegraded;
   if (result.max_row_error >= kFailError ||
       result.stuck_adc_rows > 0 || !result.heater_locked) {
     health = CoreHealth::kFailed;

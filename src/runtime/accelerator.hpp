@@ -60,10 +60,6 @@ struct AcceleratorConfig {
   core::VariationConfig variation{};
   /// Thermal drift of the fleet's operating point on modeled serving time.
   DriftConfig drift{};
-  /// Hard-fault model (core/fault.hpp): when fault.seed != 0 every core
-  /// receives an independent child stream for its pSRAM endurance sampler.
-  /// Injected faults (inject()) work regardless of this seed.
-  core::FaultConfig fault{};
 };
 
 /// Determinism contract: matmul results depend only on (config, inputs) —
@@ -197,9 +193,9 @@ class Accelerator {
   std::size_t rotation_changes() const { return rotation_changes_; }
 
   /// Clears every injected fault, readmits every core, heals all health
-  /// states, and re-locks (detuning 0).  pSRAM endurance wear is physical
-  /// damage and persists.  Server::run calls this when a fault schedule is
-  /// attached so identical runs see identical fault trajectories.
+  /// states, and re-locks (detuning 0).  Server::run calls this when a
+  /// fault schedule is attached so identical runs see identical fault
+  /// trajectories.
   void reset_faults();
 
   /// Fault events injected since construction (or reset_faults()),

@@ -348,16 +348,6 @@ WordMatrix random_words(const core::TensorCore& core, Rng& rng) {
   return words;
 }
 
-WordMatrix stored_words(const core::TensorCore& core) {
-  WordMatrix words(core.rows(), std::vector<std::uint32_t>(core.cols()));
-  for (std::size_t r = 0; r < core.rows(); ++r) {
-    for (std::size_t c = 0; c < core.cols(); ++c) {
-      words[r][c] = core.psram().word(r, c);
-    }
-  }
-  return words;
-}
-
 /// Analog and quantized samples of `core` must equal `fresh`'s bitwise.
 void expect_same_outputs(core::TensorCore& core, core::TensorCore& fresh,
                          const Matrix& x, const std::string& stage) {
@@ -470,52 +460,6 @@ TEST(FastPath, PartialReloadsMatchPhysicsAndAFreshCore) {
   words[0][1] = (words[0][1] + 5) % 8;
   load();
   EXPECT_TRUE(only_row_moved(relocked, sample("one word, chain current"), 0));
-}
-
-TEST(FastPath, PartialReloadsOnAWornCoreFollowTheStoredWords) {
-  // A tiny endurance budget, as in CoreFaults.EnduranceWearOut*: worn
-  // cells refuse toggles, so the stored words drift from the requested
-  // ones.  A fast and a physics core see the same wear, and after every
-  // load both must equal a healthy fresh core loaded with the words the
-  // pSRAM actually stores.
-  core::TensorCoreConfig config = core_config(true);
-  config.fault.seed = 77;
-  config.fault.psram_endurance_median = 6.0;
-  config.fault.psram_endurance_spread = 0.25;
-  core::TensorCore fast(config);
-  config.fast_path = false;
-  core::TensorCore physics(config);
-  Rng rng(72);
-  const Matrix x = random_activations(6, 16, rng);
-  WordMatrix words = random_words(fast, rng);
-  bool refused = false;
-  for (std::size_t load = 0; load < 32; ++load) {
-    switch (load % 4) {
-      case 0:  // every word
-        words = random_words(fast, rng);
-        break;
-      case 1:  // no word changes
-        break;
-      case 2:  // one word
-        words[load % 16][(5 * load) % 16] ^= 1u;
-        break;
-      default:  // one whole row
-        words[(load / 4) % 16] = random_words(fast, rng)[0];
-        break;
-    }
-    fast.load_weights(words);
-    physics.load_weights(words);
-    const WordMatrix stored = stored_words(fast);
-    ASSERT_EQ(stored, stored_words(physics));
-    refused = refused || stored != words;
-    core::TensorCore fresh(core_config(true));
-    fresh.load_weights(stored);
-    const std::string stage = "load " + std::to_string(load);
-    expect_same_outputs(fast, fresh, x, stage + " (fast)");
-    expect_same_outputs(physics, fresh, x, stage + " (physics)");
-  }
-  EXPECT_TRUE(refused);
-  EXPECT_GT(fast.psram().write_errors(), 0u);
 }
 
 TEST(FastPath, WeightLoadsAllocateNothingAfterTheFirst) {

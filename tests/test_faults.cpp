@@ -1,10 +1,10 @@
 // Hard-fault model and fault-tolerant scheduling: seeded device faults
-// (dead rings, stuck heaters, dead ADC ladders, pSRAM endurance wear-out)
-// keep the fast path bit-identical to the physics oracle; the self-test
-// classifies core health; FAILED-core eviction remaps the tile schedule
-// bit-identically to a healthy fleet of the surviving size; and the serve
-// loop replays fault schedules deterministically on modeled time, billing
-// every self-test to the (fleet) attribution row.
+// (dead rings, stuck heaters, dead ADC ladders) keep the fast path
+// bit-identical to the physics oracle; the self-test classifies core
+// health; FAILED-core eviction remaps the tile schedule bit-identically to
+// a healthy fleet of the surviving size; and the serve loop replays fault
+// schedules deterministically on modeled time, billing every self-test to
+// the (fleet) attribution row.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -30,7 +30,6 @@
 namespace {
 
 using namespace ptc;
-using core::FaultModel;
 using core::RingFaultKind;
 using core::RingFaultSite;
 using runtime::Accelerator;
@@ -39,14 +38,14 @@ using runtime::CoreHealth;
 using runtime::FaultEvent;
 
 // ---------------------------------------------------------------------------
-// core::FaultModel
+// core::sample_ring_faults
 // ---------------------------------------------------------------------------
 
 TEST(FaultModel, SampledRingSitesAreDistinctInBoundsAndSeeded) {
   const std::size_t rows = 16, cols = 16;
   const unsigned bits = 6;
   const std::vector<RingFaultSite> sites =
-      FaultModel::sample_ring_faults(rows, cols, bits, 24, 905);
+      core::sample_ring_faults(rows, cols, bits, 24, 905);
   ASSERT_EQ(sites.size(), 24u);
   std::set<std::tuple<std::size_t, std::size_t, unsigned>> seen;
   std::size_t stuck_on = 0;
@@ -65,12 +64,12 @@ TEST(FaultModel, SampledRingSitesAreDistinctInBoundsAndSeeded) {
 
   // Pure function of the arguments; a different seed lands elsewhere.
   const std::vector<RingFaultSite> again =
-      FaultModel::sample_ring_faults(rows, cols, bits, 24, 905);
+      core::sample_ring_faults(rows, cols, bits, 24, 905);
   ASSERT_EQ(again.size(), sites.size());
   bool identical = true;
   bool differs_from_other_seed = false;
   const std::vector<RingFaultSite> other =
-      FaultModel::sample_ring_faults(rows, cols, bits, 24, 906);
+      core::sample_ring_faults(rows, cols, bits, 24, 906);
   for (std::size_t i = 0; i < sites.size(); ++i) {
     identical = identical && again[i].row == sites[i].row &&
                 again[i].col == sites[i].col && again[i].bit == sites[i].bit &&
@@ -104,7 +103,7 @@ TEST(CoreFaults, FastPathBitIdenticalToPhysicsUnderAnyFaultSet) {
 
   core::TensorCore fast_core(core_config(true));
   core::TensorCore physics_core(core_config(false));
-  const std::vector<RingFaultSite> sites = FaultModel::sample_ring_faults(
+  const std::vector<RingFaultSite> sites = core::sample_ring_faults(
       fast_core.rows(), fast_core.cols(), fast_core.weight_bits(), 12, 7);
   fast_core.inject_ring_faults(sites);
   physics_core.inject_ring_faults(sites);
@@ -145,7 +144,6 @@ TEST(CoreFaults, AdcFaultAndDeadRingsShowUpInTheSelfTest) {
   const core::TensorCore::SelfTestResult healthy = core.self_test(8, 2026);
   EXPECT_EQ(healthy.stuck_adc_rows, 0u);
   EXPECT_TRUE(healthy.heater_locked);
-  EXPECT_DOUBLE_EQ(healthy.endurance_remaining, 1.0);
 
   core.inject_adc_fault(5);
   EXPECT_TRUE(core.adc_faulted(5));
@@ -153,7 +151,7 @@ TEST(CoreFaults, AdcFaultAndDeadRingsShowUpInTheSelfTest) {
   const core::TensorCore::SelfTestResult sick = core.self_test(8, 2026);
   EXPECT_EQ(sick.stuck_adc_rows, 1u);
 
-  core.inject_ring_faults(FaultModel::sample_ring_faults(
+  core.inject_ring_faults(core::sample_ring_faults(
       core.rows(), core.cols(), core.weight_bits(), 64, 11));
   EXPECT_EQ(core.ring_fault_count(), 64u);
   const core::TensorCore::SelfTestResult corrupted = core.self_test(8, 2026);
@@ -162,34 +160,6 @@ TEST(CoreFaults, AdcFaultAndDeadRingsShowUpInTheSelfTest) {
   core.clear_faults();
   EXPECT_EQ(core.ring_fault_count(), 0u);
   EXPECT_EQ(core.adc_fault_count(), 0u);
-}
-
-TEST(CoreFaults, EnduranceWearOutIsPhysicalAndPersistsClearFaults) {
-  core::TensorCoreConfig config = core_config(true);
-  config.fault.seed = 77;
-  config.fault.psram_endurance_median = 6.0;  // cells die within a few loads
-  config.fault.psram_endurance_spread = 0.25;
-  core::TensorCore core(config);
-  ASSERT_TRUE(core.psram().endurance_enabled());
-  EXPECT_DOUBLE_EQ(core.psram().endurance_remaining(), 1.0);
-
-  Rng rng(5);
-  for (int i = 0; i < 24; ++i) {
-    // Alternating random patterns keep flipping bits against the budget.
-    core.load_weights_normalized(
-        random_activations(core.rows(), core.cols(), rng));
-  }
-  EXPECT_LT(core.psram().endurance_remaining(), 1.0);
-  EXPECT_GT(core.psram().write_errors(), 0u);
-  const core::TensorCore::SelfTestResult worn = core.self_test(8, 2026);
-  EXPECT_GT(worn.psram_failed_cells, 0u);
-  EXPECT_LT(worn.endurance_remaining, 1.0);
-
-  // clear_faults releases injected faults only — wear is physical damage.
-  const std::uint64_t errors_before = core.psram().write_errors();
-  core.clear_faults();
-  EXPECT_EQ(core.psram().write_errors(), errors_before);
-  EXPECT_LT(core.psram().endurance_remaining(), 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "core/psram_array.hpp"
 
 namespace {
@@ -52,12 +54,7 @@ TEST(PsramArray, MatrixReloadLatencyAt20GHz) {
 }
 
 TEST(PsramArray, RewritingTheStoredMatrixCostsNothing) {
-  // A tiny endurance budget wears cells out within a few loads, so the
-  // rewrite below also passes over cells that refuse every toggle.
-  PsramArrayConfig worn_config;
-  worn_config.fault.seed = 77;
-  worn_config.fault.psram_endurance_median = 6.0;
-  PsramArray array(worn_config);
+  PsramArray array;
   std::vector<std::uint32_t> values(16 * 16);
   for (std::uint32_t load = 0; load < 12; ++load) {
     for (std::size_t i = 0; i < values.size(); ++i) {
@@ -65,38 +62,75 @@ TEST(PsramArray, RewritingTheStoredMatrixCostsNothing) {
     }
     array.write_matrix(values);
   }
-  ASSERT_GT(array.failed_cells(), 0u);
-  ASSERT_GT(array.write_errors(), 0u);
 
   const std::vector<std::uint32_t> stored(array.words().begin(),
                                           array.words().end());
   const double energy = array.ledger().energy("psram_write");
   const std::uint64_t flips = array.bit_flips();
   const std::uint64_t writes = array.word_writes();
-  const std::uint64_t errors = array.write_errors();
-  const std::size_t failed = array.failed_cells();
-  const double remaining = array.endurance_remaining();
   EXPECT_EQ(array.write_matrix(stored), array.reload_time());
   EXPECT_EQ(array.ledger().energy("psram_write"), energy);  // bitwise
   EXPECT_EQ(array.bit_flips(), flips);
-  EXPECT_EQ(array.write_errors(), errors);
-  EXPECT_EQ(array.failed_cells(), failed);
-  EXPECT_EQ(array.endurance_remaining(), remaining);
   EXPECT_EQ(array.word_writes(), writes + 256);  // every word still counts
   EXPECT_TRUE(std::equal(stored.begin(), stored.end(), array.words().begin()));
 
   // One changed word books exactly its own flips: 0b101 toggles two bits.
-  PsramArray healthy;
-  healthy.write_matrix(stored);
-  const double healthy_energy = healthy.ledger().energy("psram_write");
-  const std::uint64_t healthy_flips = healthy.bit_flips();
   std::vector<std::uint32_t> one_changed = stored;
   one_changed[37] ^= 0b101u;
-  EXPECT_EQ(healthy.write_matrix(one_changed), healthy.reload_time());
-  EXPECT_EQ(healthy.bit_flips(), healthy_flips + 2);
-  EXPECT_EQ(healthy.ledger().energy("psram_write"),
-            healthy_energy + 2.0 * PsramArrayConfig{}.write_energy);
-  EXPECT_EQ(healthy.word(2, 5), one_changed[37]);
+  EXPECT_EQ(array.write_matrix(one_changed), array.reload_time());
+  EXPECT_EQ(array.bit_flips(), flips + 2);
+  EXPECT_EQ(array.ledger().energy("psram_write"),
+            energy + 2.0 * PsramArrayConfig{}.write_energy);
+  EXPECT_EQ(array.word(2, 5), one_changed[37]);
+}
+
+TEST(PsramArray, RandomWritesBookExactlyTheirFlips) {
+  // A seeded sequence of matrix and single-word writes, each keeping a
+  // random share of the stored words.  After every call the array holds
+  // exactly the requested words, and the flip and word-write counts and
+  // the write energy grew by exactly what the words passed toggled — the
+  // energy bitwise, against a reference summed in word order.
+  PsramArray array;
+  const double write_energy = PsramArrayConfig{}.write_energy;
+  const std::size_t per_row = array.words_per_row();
+  ptc::Rng rng(2026);
+  std::vector<std::uint32_t> expected(array.words().begin(),
+                                      array.words().end());
+  std::uint64_t flips = 0;
+  std::uint64_t writes = 0;
+  double energy = 0.0;
+  // Requests word `index`: its stored value with probability `keep`, a
+  // random word otherwise; books the reference counts.
+  const auto request = [&](std::size_t index, double keep) {
+    const std::uint32_t old = expected[index];
+    const std::uint32_t value =
+        rng.uniform() < keep
+            ? old
+            : static_cast<std::uint32_t>(rng.below(array.max_weight() + 1));
+    const int toggled = std::popcount(old ^ value);
+    flips += static_cast<std::uint64_t>(toggled);
+    energy += static_cast<double>(toggled) * write_energy;
+    ++writes;
+    expected[index] = value;
+  };
+  for (int call = 0; call < 200; ++call) {
+    const double keep = rng.uniform();
+    if (rng.below(2) == 0) {
+      for (std::size_t i = 0; i < expected.size(); ++i) request(i, keep);
+      EXPECT_EQ(array.write_matrix(expected), array.reload_time());
+    } else {
+      const std::size_t index = rng.below(expected.size());
+      request(index, keep);
+      array.write_word(index / per_row, index % per_row, expected[index]);
+    }
+    ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                           array.words().begin(), array.words().end()))
+        << "call " << call;
+    ASSERT_EQ(array.bit_flips(), flips) << "call " << call;
+    ASSERT_EQ(array.word_writes(), writes) << "call " << call;
+    ASSERT_EQ(array.ledger().energy("psram_write"), energy)  // bitwise
+        << "call " << call;
+  }
 }
 
 TEST(PsramArray, WordWriteTime) {
