@@ -21,7 +21,7 @@ double CascadedEoAdc::lsb() const {
   return config_.coarse.v_full_scale / static_cast<double>(1u << bits());
 }
 
-double CascadedEoAdc::residue(double v_in) {
+double CascadedEoAdc::residue(double v_in) const {
   const unsigned coarse_code = coarse_.code(v_in);
   const double reconstructed =
       static_cast<double>(coarse_code) * coarse_.lsb();
@@ -31,7 +31,7 @@ double CascadedEoAdc::residue(double v_in) {
   return std::clamp(res, 0.0, config_.fine.v_full_scale);
 }
 
-unsigned CascadedEoAdc::convert(double v_in) {
+unsigned CascadedEoAdc::convert(double v_in) const {
   const unsigned coarse_code = coarse_.code(v_in);
   const unsigned fine_code = fine_.code(residue(v_in));
   return (coarse_code << fine_.bits()) + fine_code;

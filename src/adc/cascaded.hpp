@@ -35,11 +35,11 @@ class CascadedEoAdc {
   double lsb() const;
 
   /// Converts an input on [0, v_full_scale] to a (p1+p2)-bit code.
-  unsigned convert(double v_in);
+  unsigned convert(double v_in) const;
 
   /// Residue voltage presented to the fine stage for a given input [V]
   /// (after subtract-and-amplify; clamped to the fine stage's range).
-  double residue(double v_in);
+  double residue(double v_in) const;
 
   /// Pipelined sample rate: one result per coarse-slice period [Hz].
   double sample_rate() const;
@@ -48,9 +48,6 @@ class CascadedEoAdc {
   double total_power() const;
 
   double energy_per_conversion() const;
-
-  core::EoAdc& coarse_stage() { return coarse_; }
-  core::EoAdc& fine_stage() { return fine_; }
 
   const CascadedAdcConfig& config() const { return config_; }
 

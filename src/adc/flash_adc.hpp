@@ -24,7 +24,6 @@ struct FlashAdcConfig {
       .noise_sigma = 0.5e-3,
       .energy_per_decision = 120e-15,
       .static_power = 1.55e-3,  // GS/s-class comparator incl. preamp
-      .decision_time = 40e-12,
   };
   double ladder_power = 1.0e-3;   ///< reference resistor ladder [W]
   double encoder_power = 1.0e-3;  ///< thermometer-to-binary encoder [W]

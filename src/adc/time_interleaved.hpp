@@ -11,7 +11,8 @@
 /// eoADC slices sample round-robin, multiplying the aggregate rate by K at
 /// the cost of K slice powers plus a mux/clock-skew overhead; per-slice gain
 /// mismatch can be injected to study the classic interleaving spur problem
-/// (refs [41]-[43]).
+/// (refs [41]-[43]).  The slices share one design and one reference ladder,
+/// so one converter models them all; only the input gains differ.
 namespace ptc::adc {
 
 struct TimeInterleavedConfig {
@@ -26,7 +27,7 @@ class TimeInterleavedEoAdc {
  public:
   explicit TimeInterleavedEoAdc(const TimeInterleavedConfig& config = {});
 
-  std::size_t slices() const { return adcs_.size(); }
+  std::size_t slices() const { return gains_.size(); }
   unsigned bits() const { return config_.slice.bits; }
 
   /// Converts one sample; slices are selected round-robin.
@@ -43,12 +44,10 @@ class TimeInterleavedEoAdc {
 
   double energy_per_conversion() const;
 
-  core::EoAdc& slice_adc(std::size_t k);
-
  private:
   TimeInterleavedConfig config_;
-  std::vector<core::EoAdc> adcs_;
-  std::vector<double> gains_;
+  core::EoAdc slice_;
+  std::vector<double> gains_;  ///< input gain of each slice; sizes slices()
   std::size_t next_ = 0;
 };
 

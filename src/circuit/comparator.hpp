@@ -14,7 +14,6 @@ struct ComparatorConfig {
   double noise_sigma = 0.5e-3;   ///< per-decision input noise std-dev [V]
   double energy_per_decision = 120e-15;  ///< [J]
   double static_power = 150e-6;  ///< bias power while enabled [W]
-  double decision_time = 40e-12; ///< regeneration time [s]
 };
 
 class Comparator {
@@ -26,15 +25,11 @@ class Comparator {
   explicit Comparator(const ComparatorConfig& config = {});
 
   /// Clocked decision: returns v_in > v_ref (+ offset + optional noise).
-  /// Pass a RNG to include per-decision noise; decisions are counted for
-  /// energy accounting either way.
-  bool decide(double v_in, double v_ref);
-  bool decide(double v_in, double v_ref, Rng& noise_rng);
+  /// Pass a RNG to include per-decision noise.  The owning converter
+  /// (adc::FlashAdc) bills decision energy as power at its sample rate.
+  bool decide(double v_in, double v_ref) const;
+  bool decide(double v_in, double v_ref, Rng& noise_rng) const;
 
-  /// Total decision energy consumed so far [J].
-  double consumed_energy() const;
-
-  std::size_t decision_count() const { return decisions_; }
   double offset() const { return offset_; }
 
   const ComparatorConfig& config() const { return config_; }
@@ -42,7 +37,6 @@ class Comparator {
  private:
   ComparatorConfig config_;
   double offset_ = 0.0;
-  std::size_t decisions_ = 0;
 };
 
 }  // namespace ptc::circuit

@@ -4,8 +4,7 @@
 
 namespace ptc::circuit {
 
-CeilingRomDecoder::CeilingRomDecoder(unsigned bits, const RomDecoderConfig& config)
-    : bits_(bits), config_(config) {
+CeilingRomDecoder::CeilingRomDecoder(unsigned bits) : bits_(bits) {
   expects(bits >= 1 && bits <= 4,
           "ROM decoder materializes 2^(2^bits) words; bits must be in [1, 4]");
   const std::size_t patterns = std::size_t{1} << (std::size_t{1} << bits);
@@ -49,7 +48,7 @@ CeilingRomDecoder::Word CeilingRomDecoder::encode_entry(unsigned bits,
 }
 
 CeilingRomDecoder::Decode CeilingRomDecoder::decode(
-    const std::vector<bool>& active) {
+    const std::vector<bool>& active) const {
   expects(active.size() == channel_count(),
           "decoder input width must equal 2^bits");
   unsigned pattern = 0;
@@ -59,9 +58,8 @@ CeilingRomDecoder::Decode CeilingRomDecoder::decode(
   return decode(pattern);
 }
 
-CeilingRomDecoder::Decode CeilingRomDecoder::decode(unsigned pattern) {
+CeilingRomDecoder::Decode CeilingRomDecoder::decode(unsigned pattern) const {
   expects(pattern < rom_.size(), "activation pattern wider than 2^bits");
-  ++decodes_;
   const Word word = rom_[pattern];
   Decode out;
   out.code = word.code;
@@ -69,10 +67,6 @@ CeilingRomDecoder::Decode CeilingRomDecoder::decode(unsigned pattern) {
   out.boundary = (word.flags & 2) != 0;
   out.fault = (word.flags & 4) != 0;
   return out;
-}
-
-double CeilingRomDecoder::consumed_energy() const {
-  return static_cast<double>(decodes_) * config_.energy_per_decode;
 }
 
 }  // namespace ptc::circuit

@@ -12,13 +12,10 @@
 /// activate (paper Fig. 9, V_IN = 2 V).  The decoder implements a ceiling
 /// function: it emits the code of the highest active channel, which resolves
 /// boundary cases deterministically and prevents two output codes from
-/// fighting (no static current in the ROM).
+/// fighting (no static current in the ROM).  Decoding is a pure table
+/// lookup: the converter that owns the decoder bills its power
+/// (`core::EoAdcConfig::decoder_static_power`).
 namespace ptc::circuit {
-
-struct RomDecoderConfig {
-  double energy_per_decode = 45e-15;  ///< dynamic energy per conversion [J]
-  double static_power = 40e-6;        ///< leakage [W]
-};
 
 class CeilingRomDecoder {
  public:
@@ -31,24 +28,17 @@ class CeilingRomDecoder {
 
   /// bits in [1, 4]: the ROM is explicitly materialized with 2^(2^bits)
   /// words, faithful to a ROM implementation.
-  explicit CeilingRomDecoder(unsigned bits,
-                             const RomDecoderConfig& config = {});
+  explicit CeilingRomDecoder(unsigned bits);
 
   /// Decodes a channel activation vector of length 2^bits.
-  Decode decode(const std::vector<bool>& active);
+  Decode decode(const std::vector<bool>& active) const;
 
   /// Decodes a packed activation pattern: bit k set when channel k fired.
-  /// Same ROM word and decode count as the vector form.
-  Decode decode(unsigned pattern);
+  /// Same ROM word as the vector form.
+  Decode decode(unsigned pattern) const;
 
   unsigned bits() const { return bits_; }
   std::size_t channel_count() const { return std::size_t{1} << bits_; }
-
-  /// Dynamic energy consumed so far [J].
-  double consumed_energy() const;
-  std::size_t decode_count() const { return decodes_; }
-
-  const RomDecoderConfig& config() const { return config_; }
 
  private:
   struct Word {
@@ -59,9 +49,7 @@ class CeilingRomDecoder {
   static Word encode_entry(unsigned bits, unsigned pattern);
 
   unsigned bits_;
-  RomDecoderConfig config_;
   std::vector<Word> rom_;
-  std::size_t decodes_ = 0;
 };
 
 }  // namespace ptc::circuit

@@ -6,22 +6,6 @@
 
 namespace ptc::circuit {
 
-LinearTia::LinearTia(const LinearTiaConfig& config)
-    : config_(config), lag_(1.0 / (6.283185307179586 * config.bandwidth), 0.0) {
-  expects(config.transimpedance > 0.0, "transimpedance must be positive");
-  expects(config.bandwidth > 0.0, "bandwidth must be positive");
-  expects(config.vdd > 0.0, "vdd must be positive");
-  expects(config.power >= 0.0, "power must be >= 0");
-}
-
-double LinearTia::output(double current) const {
-  return std::clamp(config_.transimpedance * current, 0.0, config_.vdd);
-}
-
-double LinearTia::step(double current, double dt) {
-  return lag_.step(output(current), dt);
-}
-
 InverterTia::InverterTia(const InverterTiaConfig& config)
     : config_(config), lag_(config.bandwidth_tau, config.bias_point) {
   expects(config.vdd > 0.0, "vdd must be positive");

@@ -3,42 +3,14 @@
 
 #include "circuit/circuit.hpp"
 
-/// Transimpedance amplifiers.
+/// Inverter-based transimpedance amplifier sensing the balanced-photodiode
+/// node Qp inside each eoADC thresholding block (ref. [46]).
 ///
-/// Two flavors appear in the paper:
-///  * a linear high-bandwidth TIA converting the summed photodiode current of
-///    a compute row into a voltage for the ADC (ref. [52]);
-///  * an inverter-based TIA sensing the balanced-photodiode node Qp inside
-///    each eoADC thresholding block (ref. [46]).
+/// The paper's other TIA, the linear 42 GHz-class row readout TIA
+/// (ref. [52]), is not a circuit model: core::TensorCore maps a row's
+/// full-scale current onto the eoADC's input range ideally and bills the
+/// TIA only as power (`TensorCoreConfig::row_tia_power`).
 namespace ptc::circuit {
-
-struct LinearTiaConfig {
-  double transimpedance = 4e3;   ///< [V/A]
-  double bandwidth = 42e9;       ///< 3 dB bandwidth [Hz] (42 GHz class, [52])
-  double vdd = 1.8;              ///< output clamp [V]
-  double power = 38e-3;          ///< static power [W]
-};
-
-/// Linear I-to-V front end with single-pole dynamics and rail clamping.
-class LinearTia {
- public:
-  explicit LinearTia(const LinearTiaConfig& config = {});
-
-  /// Static (settled) output voltage for an input current [V].
-  double output(double current) const;
-
-  /// Advances the single-pole response toward output(current).
-  double step(double current, double dt);
-
-  double value() const { return lag_.value(); }
-  void reset(double v) { lag_.reset(v); }
-
-  const LinearTiaConfig& config() const { return config_; }
-
- private:
-  LinearTiaConfig config_;
-  FirstOrderLag lag_;
-};
 
 struct InverterTiaConfig {
   double vdd = 1.8;          ///< supply [V]

@@ -12,7 +12,7 @@ namespace ptc::core {
 EoAdc::EoAdc(const EoAdcConfig& config)
     : config_(config),
       photodiode_(config.photodiode),
-      decoder_(config.bits, config.rom) {
+      decoder_(config.bits) {
   expects(config.bits >= 1 && config.bits <= 4,
           "eoADC supports 1..4 bits (2^p rings)");
   expects(config.v_full_scale > 0.0, "full scale must be positive");
@@ -21,6 +21,20 @@ EoAdc::EoAdc(const EoAdcConfig& config)
   expects(config.trip_offset_ratio >= 1.0,
           "trip offset must be >= 1 (window overlap, not dead zones)");
   expects(config.qp_capacitance > 0.0, "Qp capacitance must be positive");
+  expects(std::isfinite(config.sample_rate_with_amps) &&
+              config.sample_rate_with_amps > 0.0,
+          "sample rate must be positive and finite");
+  expects(config.wall_plug_efficiency > 0.0 &&
+              config.wall_plug_efficiency <= 1.0,
+          "wall-plug efficiency must be in (0, 1]");
+  expects(std::isfinite(config.vref_mismatch_sigma) &&
+              config.vref_mismatch_sigma >= 0.0,
+          "reference mismatch sigma must be finite and >= 0");
+  expects(std::isfinite(config.no_amp_margin) && config.no_amp_margin > 0.0,
+          "amplifier-less margin must be positive and finite");
+  expects(config.no_amp_low_level >= 0.0 &&
+              config.no_amp_low_level < config.tia.bias_point,
+          "amplifier-less low level must be in [0, TIA bias point)");
 
   Rng mismatch_rng(config.mismatch_seed);
   const std::size_t n = channel_count();
@@ -121,7 +135,7 @@ std::vector<bool> EoAdc::channel_activations(double v_in) const {
   return active;
 }
 
-EoAdc::Conversion EoAdc::convert(double v_in) {
+EoAdc::Conversion EoAdc::convert(double v_in) const {
   Conversion out;
   out.active = channel_activations(v_in);
   const auto decode = decoder_.decode(out.active);
@@ -147,7 +161,7 @@ unsigned EoAdc::deepest_channel(double v_in) const {
   return static_cast<unsigned>(best);
 }
 
-unsigned EoAdc::code(double v_in) {
+unsigned EoAdc::code(double v_in) const {
   // The negated test also sends NaN inputs down the ring walk.
   if (!(v_in >= window_v_lo_ && v_in <= window_v_hi_)) {
     return convert(v_in).code;
@@ -164,8 +178,8 @@ unsigned EoAdc::code(double v_in) {
   return decode.any_active ? decode.code : deepest_channel(v_in);
 }
 
-EoAdc::TransientResult EoAdc::convert_transient(double v_in,
-                                                sim::TraceSet* traces) {
+EoAdc::TransientResult EoAdc::convert_transient(
+    double v_in, sim::TraceSet* traces) const {
   const std::size_t n = channel_count();
   const double dt = config_.dt;
   const double vdd = config_.tia.vdd;
@@ -255,7 +269,7 @@ EoAdc::TransientResult EoAdc::convert_transient(double v_in,
   return result;
 }
 
-std::vector<double> EoAdc::code_edges() {
+std::vector<double> EoAdc::code_edges() const {
   std::vector<double> edges;
   edges.reserve(channel_count() - 1);
   for (unsigned target = 1; target < channel_count(); ++target) {
@@ -283,7 +297,7 @@ std::vector<double> EoAdc::code_edges() {
   return edges;
 }
 
-EoAdc::Linearity EoAdc::linearity() {
+EoAdc::Linearity EoAdc::linearity() const {
   Linearity lin;
   lin.code_edges = code_edges();
   const std::size_t n_edges = lin.code_edges.size();

@@ -36,6 +36,11 @@
 /// (decoded 100 = 4 LSB), so LSB = 0.5 V and V_FS = 2^3 LSB = 4.0 V;
 /// activation window half-width ~0.26 V > LSB/2, so windows overlap only at
 /// bin boundaries.
+///
+/// Conversion is pure: every conversion method is const and the converter
+/// holds no state that a conversion changes, so one instance can serve any
+/// number of identical readout channels (TensorCore reads all its rows
+/// through one).
 namespace ptc::core {
 
 struct EoAdcConfig {
@@ -56,7 +61,6 @@ struct EoAdcConfig {
   optics::PhotodiodeConfig photodiode{};
   circuit::InverterTiaConfig tia{};        ///< 0.5 mW/channel default
   circuit::VoltageAmpConfig amplifier{};   ///< 0.3 mW/channel default
-  circuit::RomDecoderConfig rom{};
   double decoder_static_power = 1.62e-3;   ///< [W]
   double clock_power = 3.0e-3;             ///< S/H + clock distribution [W]
   bool use_amplifier_chain = true;         ///< false = low-power slow mode
@@ -97,7 +101,7 @@ class EoAdc {
   };
 
   /// Static (settled) conversion: walks every channel's ring physics.
-  Conversion convert(double v_in);
+  Conversion convert(double v_in) const;
 
   /// Output code, equal to convert(v).code for every input.  All rings
   /// share one design, so channel k fires exactly when its junction bias
@@ -106,7 +110,7 @@ class EoAdc {
   /// comparison per channel and one ROM lookup; the ring walk runs only
   /// when no channel fires (deepest-dip fallback) or the input is far
   /// enough out of range to reach another resonance order.
-  unsigned code(double v_in);
+  unsigned code(double v_in) const;
 
   struct TransientResult {
     Conversion conversion;
@@ -118,11 +122,11 @@ class EoAdc {
   /// amplifier chain, ROM decode at the end of the sampling window.
   /// Waveforms (qp_k, b_k) are recorded when `traces` is given (Fig. 9).
   TransientResult convert_transient(double v_in,
-                                    sim::TraceSet* traces = nullptr);
+                                    sim::TraceSet* traces = nullptr) const;
 
   /// Code transition voltages (2^p - 1 edges), located by bisection on the
   /// static conversion.
-  std::vector<double> code_edges();
+  std::vector<double> code_edges() const;
 
   struct Linearity {
     std::vector<double> code_edges;
@@ -134,7 +138,7 @@ class EoAdc {
   };
 
   /// Transfer-function linearity (Fig. 10): DNL/INL from measured edges.
-  Linearity linearity();
+  Linearity linearity() const;
 
   // --- power / energy -------------------------------------------------------
   /// Optical power delivered on chip: 2^p * (input + reference) [W].

@@ -17,7 +17,7 @@
 ///  - stuck heater channels: the thermal tuner servo loses authority, the
 ///    detuning freezes at its current value, and recalibration cannot
 ///    re-lock the core;
-///  - failed ADC ladders: one row's flash converter reads out all-zero
+///  - failed eoADC ladders: one row's eoADC ladder reads out all-zero
 ///    codes regardless of the photocurrent.
 ///
 /// The pSRAM itself does not wear out: it is a volatile electro-optic latch

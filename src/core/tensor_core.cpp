@@ -20,7 +20,7 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
         return c;
       }()),
       psram_(config_.psram),
-      row_tia_(config_.row_tia) {
+      adc_(config_.adc) {
   expects(config_.rows >= 1, "core needs at least one row");
   expects(config_.cols >= 1, "core needs at least one column");
   expects(config_.cols % config_.macro.channels == 0,
@@ -42,10 +42,6 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
     }
   }
   adc_dead_.assign(config_.rows, 0);
-  adcs_.reserve(config_.rows);
-  for (std::size_t row = 0; row < config_.rows; ++row) {
-    adcs_.emplace_back(config_.adc);
-  }
 
   // Reserved calibration row: one macro per tile, weights all zero so every
   // probe ring sits on resonance — the steepest flank of its transfer
@@ -388,11 +384,10 @@ unsigned TensorCore::convert_row(std::size_t row, double analog) {
   // comparison also pins the eoADC decision window.
   unsigned code = 0;
   if (adc_dead_[row] == 0) {
-    code = config_.fast_path ? adcs_[row].code(v_adc)
-                             : adcs_[row].convert(v_adc).code;
+    code = config_.fast_path ? adc_.code(v_adc) : adc_.convert(v_adc).code;
   }
   ++adc_conversions_;
-  if (code == adcs_[row].max_code()) ++adc_saturations_;
+  if (code == adc_.max_code()) ++adc_saturations_;
   return code;
 }
 
@@ -404,7 +399,7 @@ std::vector<unsigned> TensorCore::multiply(const std::vector<double>& input) {
   }
   ++samples_;
   // One ADC sample window of static power is burned per multiply.
-  ledger_.accrue_static(1.0 / adcs_.front().sample_rate());
+  ledger_.accrue_static(1.0 / adc_.sample_rate());
   return codes;
 }
 
@@ -423,9 +418,9 @@ Matrix TensorCore::multiply_analog_batch(const Matrix& inputs) {
 Matrix TensorCore::multiply_batch(const Matrix& inputs) {
   expects(inputs.cols() == config_.cols, "input width must equal cols");
   Matrix out(inputs.rows(), config_.rows);
-  const double scale = static_cast<double>(adcs_.front().max_code());
+  const double scale = static_cast<double>(adc_.max_code());
   std::vector<double> analog(config_.rows, 0.0);
-  const double sample_window = 1.0 / adcs_.front().sample_rate();
+  const double sample_window = 1.0 / adc_.sample_rate();
   for (std::size_t s = 0; s < inputs.rows(); ++s) {
     analog_row_values(inputs.data().data() + s * inputs.cols(), analog.data());
     for (std::size_t r = 0; r < config_.rows; ++r) {
@@ -460,14 +455,14 @@ double TensorCore::ops_per_sample() const {
 }
 
 double TensorCore::throughput_ops() const {
-  return ops_per_sample() * adcs_.front().sample_rate();
+  return ops_per_sample() * adc_.sample_rate();
 }
 
 TensorCore::PowerBreakdown TensorCore::breakdown() const {
   PowerBreakdown b;
   const auto rows = static_cast<double>(config_.rows);
-  b.adc = rows * adcs_.front().total_power();
-  b.row_tia = rows * config_.row_tia.power;
+  b.adc = rows * adc_.total_power();
+  b.row_tia = rows * config_.row_tia_power;
   // Comb lines are broadcast across rows: one line per column channel.
   b.comb_laser = static_cast<double>(config_.cols) *
                  config_.macro.comb_power_per_line /
@@ -492,9 +487,9 @@ void TensorCore::set_readout_gain(double gain) {
   readout_gain_ = gain;
 }
 
-EoAdc& TensorCore::adc(std::size_t row) {
-  expects(row < adcs_.size(), "row index out of range");
-  return adcs_[row];
+const EoAdc& TensorCore::adc(std::size_t row) const {
+  expects(row < config_.rows, "row index out of range");
+  return adc_;
 }
 
 void TensorCore::inject_ring_fault(std::size_t row, std::size_t col,
@@ -591,7 +586,7 @@ TensorCore::SelfTestResult TensorCore::self_test(std::size_t samples,
   // should quantize clears 1.5 LSB — beyond any healthy quantization floor
   // or reference-ladder mismatch.
   const double lsb =
-      1.0 / static_cast<double>(adcs_.front().max_code()) / readout_gain_;
+      1.0 / static_cast<double>(adc_.max_code()) / readout_gain_;
   for (std::size_t r = 0; r < config_.rows; ++r) {
     if (row_max_code[r] == 0 && row_max_analog[r] > 1.5 * lsb) {
       ++result.stuck_adc_rows;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "circuit/energy.hpp"
-#include "circuit/tia.hpp"
 #include "common/linalg.hpp"
 #include "core/eoadc.hpp"
 #include "core/psram_array.hpp"
@@ -17,9 +16,14 @@
 /// The core tiles the 1x4 WDM vector-multiply macro: each of the `rows`
 /// output rows holds cols/4 macros whose photocurrents sum on the row's
 /// readout node, pass through a high-bandwidth TIA (ref. [52]) and are
-/// digitized by that row's eoADC.  Input vectors are broadcast to all rows;
-/// weights live in the embedded pSRAM array (16 x 16 x 3 bits = 768 bitcells
-/// in the paper's configuration) and update at 20 GHz.
+/// digitized by that row's eoADC.  Every row's eoADC is the same design, so
+/// the core models them with one converter built from `config.adc`: the
+/// rows share one reference ladder (per-row ladder mismatch is not
+/// modeled), while each row keeps its own dead-ladder fault flag.  The row
+/// TIA is an ideal full-scale-to-V_FS map times the readout gain, and
+/// enters the model only through its power.  Input vectors are broadcast to
+/// all rows; weights live in the embedded pSRAM array (16 x 16 x 3 bits =
+/// 768 bitcells in the paper's configuration) and update at 20 GHz.
 ///
 /// Ops accounting follows the paper: one ADC sample completes `rows` dot
 /// products of length `cols`, i.e. rows * (cols multiplies + cols adds)
@@ -34,7 +38,8 @@ struct TensorCoreConfig {
   VectorMacroConfig macro{};
   EoAdcConfig adc{};
   PsramArrayConfig psram{};  ///< geometry fields are overridden to match
-  circuit::LinearTiaConfig row_tia{};  ///< 42 GHz-class readout TIA [52]
+  /// Static power of one row's 42 GHz-class readout TIA [52] [W].
+  double row_tia_power = 38e-3;
   /// Average fraction of write bandwidth in use (weight streaming duty).
   double weight_update_duty = 0.66;
   /// Digital control + clock distribution power [W].
@@ -189,7 +194,7 @@ class TensorCore {
   void inject_stuck_heater();
   bool heater_stuck() const { return heater_stuck_; }
 
-  /// Kills row `row`'s flash ladder: quantized multiplies read out code 0
+  /// Kills row `row`'s eoADC ladder: quantized multiplies read out code 0
   /// for that row regardless of the photocurrent.  The analog taps
   /// (multiply_analog*) bypass the ADC and are unaffected.
   void inject_adc_fault(std::size_t row);
@@ -230,7 +235,7 @@ class TensorCore {
   double weight_update_rate() const { return config_.psram.write_rate; }
 
   struct PowerBreakdown {
-    double adc = 0.0;        ///< 16 eoADCs (optical + electrical)
+    double adc = 0.0;        ///< rows x one eoADC (optical + electrical)
     double row_tia = 0.0;    ///< readout TIAs
     double comb_laser = 0.0; ///< input comb lines (wall plug)
     double psram_hold = 0.0; ///< bitcell bias lasers (wall plug)
@@ -250,7 +255,9 @@ class TensorCore {
 
   const TensorCoreConfig& config() const { return config_; }
   const PsramArray& psram() const { return psram_; }
-  EoAdc& adc(std::size_t row);
+  /// The eoADC that digitizes row `row`.  Every row converts through the
+  /// same converter, so this is one object for every valid row.
+  const EoAdc& adc(std::size_t row) const;
 
  private:
   /// Rows the fast path replays side by side.
@@ -322,9 +329,10 @@ class TensorCore {
   template <std::size_t kChannels>
   void replay_rows(double* out) const;
 
-  /// Digitizes one row's normalized analog value through its eoADC (the
-  /// decision window on the fast path, the ring walk otherwise) and books
-  /// the conversion in the saturation counters.
+  /// Digitizes one row's normalized analog value through the eoADC (the
+  /// decision window on the fast path, the ring walk otherwise), unless the
+  /// row's ladder is dead, and books the conversion in the saturation
+  /// counters.
   unsigned convert_row(std::size_t row, double analog);
 
   TensorCoreConfig config_;
@@ -340,8 +348,8 @@ class TensorCore {
   std::vector<double> probe_input_; ///< all-ones pilot tone
   std::uint64_t adc_conversions_ = 0;
   std::uint64_t adc_saturations_ = 0;
-  std::vector<EoAdc> adcs_;
-  circuit::LinearTia row_tia_;
+  /// The one converter every row reads through (see the class comment).
+  EoAdc adc_;
   double full_scale_row_current_ = 0.0;
   double readout_gain_ = 1.0;
   circuit::EnergyLedger ledger_;

@@ -9,13 +9,15 @@
 ///
 /// A fabricated fleet is never a pool of identical dies: microring radius /
 /// sidewall roughness spread the resonance wavelengths, etch depth spreads
-/// the coupling gaps, loss spreads the loaded Q, the pSRAM drive levels
-/// carry per-cell offsets, and the eoADC reference ladders mismatch.  The
-/// Monte-Carlo ablation (`bench/ablation_variation`) samples these effects
-/// one device at a time; this header is the *fleet-scale* counterpart: a
-/// seeded, reproducible sampler that perturbs every ring of every macro of
-/// every core at construction, so the runtime and the serving loop operate
-/// on a realistically heterogeneous pool instead of a cloned ideal device.
+/// the coupling gaps, loss spreads the loaded Q, and the pSRAM drive levels
+/// carry per-cell offsets.  The Monte-Carlo ablation
+/// (`bench/ablation_variation`) studies one standalone eoADC at a time;
+/// this header is the *fleet-scale* counterpart: a seeded, reproducible
+/// sampler that perturbs every ring of every macro of every core at
+/// construction, so the runtime and the serving loop operate on a
+/// realistically heterogeneous pool instead of a cloned ideal device.  It
+/// samples no eoADC ladder mismatch: a core's rows read through one
+/// converter, whose ladder `EoAdcConfig::vref_mismatch_sigma` sets.
 ///
 /// Seeding discipline (see common/rng.hpp): one fleet-level seed fans out
 /// through Rng::split into per-core streams, which fan out into per-macro

@@ -32,7 +32,7 @@ struct FaultEvent {
   enum class Kind : std::uint8_t {
     kDeadRings,     ///< latch `count` seeded multiply rings on the core
     kStuckHeater,   ///< freeze the core's thermal tuner
-    kAdcLadder,     ///< kill row `row`'s flash ladder
+    kAdcLadder,     ///< kill row `row`'s eoADC ladder
     kClear,         ///< field repair: clear injected faults + re-lock
   };
   double time = 0.0;      ///< modeled injection time [s]

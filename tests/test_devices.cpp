@@ -37,21 +37,6 @@ TEST(RingDriver, EnergyPerFullSwing) {
   EXPECT_NEAR(driver.switching_energy(), 0.1377e-12, 0.002e-12);
 }
 
-TEST(LinearTia, GainAndClamping) {
-  const LinearTia tia;
-  EXPECT_NEAR(tia.output(100e-6), 0.4, 1e-9);  // 4 kOhm * 100 uA
-  EXPECT_DOUBLE_EQ(tia.output(10.0), 1.8);     // clamps at the rail
-  EXPECT_DOUBLE_EQ(tia.output(-1e-3), 0.0);
-}
-
-TEST(LinearTia, BandwidthLimitsStep) {
-  LinearTia tia;
-  // At 42 GHz BW, tau ~ 3.8 ps; a 1 ps step reaches ~23%.
-  tia.step(100e-6, 1e-12);
-  EXPECT_GT(tia.value(), 0.05);
-  EXPECT_LT(tia.value(), 0.2);
-}
-
 TEST(InverterTia, InvertsAroundBias) {
   const InverterTia tia;
   EXPECT_NEAR(tia.output(0.9), 0.9, 1e-12);
@@ -77,12 +62,10 @@ TEST(VoltageAmplifier, TransientSettlesToStatic) {
   EXPECT_NEAR(amp.value(), 0.9, 1e-12);
 }
 
-TEST(Comparator, DecisionsAndEnergy) {
-  Comparator cmp;
+TEST(Comparator, DecidesAgainstItsReference) {
+  const Comparator cmp;
   EXPECT_TRUE(cmp.decide(1.0, 0.5));
   EXPECT_FALSE(cmp.decide(0.4, 0.5));
-  EXPECT_EQ(cmp.decision_count(), 2u);
-  EXPECT_NEAR(cmp.consumed_energy(), 2 * 120e-15, 1e-18);
 }
 
 TEST(Comparator, OffsetFromRng) {

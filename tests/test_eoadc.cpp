@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "core/eoadc.hpp"
+#include "core/tensor_core.hpp"
 
 namespace {
 
@@ -410,6 +411,47 @@ TEST(EoAdc, RejectsBadConfig) {
   bad = {};
   bad.trip_offset_ratio = 0.9;
   EXPECT_THROW(EoAdc{bad}, std::invalid_argument);
+
+  // Each of these would otherwise become an infinite, negative or
+  // unphysical sample window or power, or be silently ignored.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double rate : {0.0, -8e9, kInf, kNaN}) {
+    bad = {};
+    bad.sample_rate_with_amps = rate;
+    EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << rate;
+  }
+  for (const double efficiency : {0.0, -0.23, 1.5, kNaN}) {
+    bad = {};
+    bad.wall_plug_efficiency = efficiency;
+    EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << efficiency;
+  }
+  for (const double sigma : {-1e-3, kNaN, kInf}) {
+    bad = {};
+    bad.vref_mismatch_sigma = sigma;
+    EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << sigma;
+  }
+  for (const double margin : {0.0, -1.18, kNaN}) {
+    bad = {};
+    bad.no_amp_margin = margin;
+    EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << margin;
+  }
+  for (const double level : {-0.1, EoAdcConfig{}.tia.bias_point, 1.2, kNaN}) {
+    bad = {};
+    bad.no_amp_low_level = level;
+    EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << level;
+  }
+  // The boundary values stay valid.
+  EoAdcConfig edge;
+  edge.wall_plug_efficiency = 1.0;
+  edge.no_amp_low_level = 0.0;
+  EXPECT_NO_THROW(EoAdc{edge});
+
+  // A core builds its converter from the same config, so it fails the same
+  // way.
+  TensorCoreConfig core_config;
+  core_config.adc.wall_plug_efficiency = 0.0;
+  EXPECT_THROW(TensorCore{core_config}, std::invalid_argument);
 }
 
 }  // namespace

@@ -75,13 +75,6 @@ TEST(RomDecoder, TripleActivationIsFault) {
   EXPECT_TRUE(d.fault);
 }
 
-TEST(RomDecoder, EnergyCountsDecodes) {
-  CeilingRomDecoder rom(3);
-  for (int i = 0; i < 10; ++i) rom.decode(pattern(3, 1));
-  EXPECT_EQ(rom.decode_count(), 10u);
-  EXPECT_NEAR(rom.consumed_energy(), 10 * 45e-15, 1e-18);
-}
-
 TEST(RomDecoder, ExhaustiveConsistencyThreeBits) {
   // Brute-force every 8-channel pattern against a reference decode.
   CeilingRomDecoder rom(3);

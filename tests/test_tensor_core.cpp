@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/random_matrix.hpp"
 #include "common/rng.hpp"
 #include "core/tensor_core.hpp"
 
@@ -161,6 +162,59 @@ TEST(TensorCore, EightByEightThroughputScales) {
   const TensorCore core(small_config(8, 8));
   // 8 x 2 x 8 = 128 ops/sample at 8 GS/s = 1.024 TOPS.
   EXPECT_NEAR(core.throughput_ops() / 1e12, 1.024, 1e-9);
+}
+
+TEST(TensorCore, EveryRowReadsThroughTheConfiguredLadder) {
+  // A mismatched reference ladder in config.adc reaches every row: each
+  // quantized output is the code a standalone converter built from the same
+  // config gives that row's analog value, on the decision-window fast path
+  // and on the ring-walk physics path alike.
+  for (const bool fast_path : {true, false}) {
+    SCOPED_TRACE(fast_path ? "fast path" : "physics path");
+    TensorCoreConfig config;
+    config.fast_path = fast_path;
+    config.adc.vref_mismatch_sigma = 0.05;
+    config.adc.mismatch_seed = 5;
+    TensorCore core(config);
+    const EoAdc standalone(config.adc);
+    EoAdcConfig ideal_config = config.adc;
+    ideal_config.vref_mismatch_sigma = 0.0;
+    const EoAdc ideal(ideal_config);
+
+    for (std::size_t r = 0; r < core.rows(); ++r) {
+      for (std::size_t ch = 0; ch < standalone.channel_count(); ++ch) {
+        EXPECT_EQ(core.adc(r).reference_voltage(ch),
+                  standalone.reference_voltage(ch))
+            << "row " << r << ", channel " << ch;
+      }
+    }
+
+    Rng rng(29);
+    std::vector<std::vector<std::uint32_t>> w(
+        core.rows(), std::vector<std::uint32_t>(core.cols()));
+    for (auto& row : w)
+      for (auto& v : row) v = static_cast<std::uint32_t>(rng.below(8));
+    core.load_weights(w);
+    const Matrix inputs = random_activations(64, core.cols(), rng);
+    const Matrix analog = core.multiply_analog_batch(inputs);
+    const Matrix out = core.multiply_batch(inputs);
+
+    const double scale = static_cast<double>(standalone.max_code());
+    std::size_t mismatch_decides = 0;
+    for (std::size_t s = 0; s < inputs.rows(); ++s) {
+      for (std::size_t r = 0; r < core.rows(); ++r) {
+        // Readout gain 1: the row TIA maps full scale onto V_FS.
+        const double v_adc = analog(s, r) * config.adc.v_full_scale;
+        const unsigned code = fast_path ? standalone.code(v_adc)
+                                        : standalone.convert(v_adc).code;
+        EXPECT_EQ(out(s, r), static_cast<double>(code) / scale)
+            << "sample " << s << ", row " << r;
+        if (ideal.code(v_adc) != code) ++mismatch_decides;
+      }
+    }
+    // Not vacuous: the mismatch moves at least one of these conversions.
+    EXPECT_GT(mismatch_decides, 0u);
+  }
 }
 
 TEST(TensorCore, RejectsBadShapes) {
