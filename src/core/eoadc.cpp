@@ -9,10 +9,10 @@
 
 namespace ptc::core {
 
-EoAdc::EoAdc(const EoAdcConfig& config)
-    : config_(config),
-      photodiode_(config.photodiode),
-      decoder_(config.bits) {
+namespace {
+
+/// `config`, once the converter's preconditions hold.
+const EoAdcConfig& checked(const EoAdcConfig& config) {
   expects(config.bits >= 1 && config.bits <= 4,
           "eoADC supports 1..4 bits (2^p rings)");
   expects(config.v_full_scale > 0.0, "full scale must be positive");
@@ -35,19 +35,38 @@ EoAdc::EoAdc(const EoAdcConfig& config)
   expects(config.no_amp_low_level >= 0.0 &&
               config.no_amp_low_level < config.tia.bias_point,
           "amplifier-less low level must be in [0, TIA bias point)");
+  for (const double power : {config.tia.power, config.amplifier.power,
+                             config.decoder_static_power,
+                             config.clock_power}) {
+    expects(std::isfinite(power) && power >= 0.0,
+            "TIA, amplifier, decoder and clock powers must be finite and "
+            ">= 0");
+  }
+  return config;
+}
 
+/// The ring design every channel shares.  The base ring is calibrated for
+/// the 3-bit LSB of 0.5 V (activation threshold at +-LSB/2).  Finer LSBs
+/// need proportionally higher tuning efficiency — the paper's "optimizing
+/// devices, such as using high-Q MRRs" path to higher precision
+/// (Sec. II-C).
+optics::MicroringConfig channel_ring(double lsb) {
+  optics::MicroringConfig ring_config = adc_ring_config();
+  ring_config.junction.efficiency *= 0.5 / lsb;
+  return ring_config;
+}
+
+}  // namespace
+
+EoAdc::EoAdc(const EoAdcConfig& config)
+    : config_(checked(config)),
+      ring_(channel_ring(lsb())),
+      photodiode_(config.photodiode),
+      decoder_(config.bits) {
   Rng mismatch_rng(config.mismatch_seed);
   const std::size_t n = channel_count();
-  // The base ring is calibrated for the 3-bit LSB of 0.5 V (activation
-  // threshold at +-LSB/2).  Finer LSBs need proportionally higher tuning
-  // efficiency — the paper's "optimizing devices, such as using high-Q
-  // MRRs" path to higher precision (Sec. II-C).
-  optics::MicroringConfig ring_config = adc_ring_config();
-  ring_config.junction.efficiency *= 0.5 / lsb();
-  rings_.reserve(n);
   vref_.reserve(n);
   for (std::size_t ch = 0; ch < n; ++ch) {
-    rings_.emplace_back(ring_config);
     double vref = (static_cast<double>(ch) + 0.5) * lsb();
     if (config.vref_mismatch_sigma > 0.0) {
       vref += mismatch_rng.normal(0.0, config.vref_mismatch_sigma);
@@ -59,7 +78,7 @@ EoAdc::EoAdc(const EoAdcConfig& config)
 
 bool EoAdc::fires_at_bias(double bias) const {
   return config_.input_power_per_ring *
-             rings_.front().thru_transmission_at(bias, tech_adc_wavelength) <
+             ring_.thru_transmission_at(bias, tech_adc_wavelength) <
          activation_threshold_power();
 }
 
@@ -69,14 +88,13 @@ void EoAdc::locate_window() {
   // Past that, the next resonance order could fire again: find the bias
   // whose electro-optic shift reaches FSR/2 (the shift is odd and
   // monotone) and keep window conversions inside it.
-  const optics::Microring& ring = rings_.front();
-  const double half_fsr = 0.5 * ring.fsr(tech_adc_wavelength);
+  const double half_fsr = 0.5 * ring_.fsr(tech_adc_wavelength);
   double reach = 1.0;
-  while (ring.junction().resonance_shift(reach) < half_fsr) reach *= 2.0;
+  while (ring_.junction().resonance_shift(reach) < half_fsr) reach *= 2.0;
   double near = 0.0;
   for (int i = 0; i < 100; ++i) {
     const double mid = 0.5 * (near + reach);
-    if (ring.junction().resonance_shift(mid) < half_fsr) {
+    if (ring_.junction().resonance_shift(mid) < half_fsr) {
       near = mid;
     } else {
       reach = mid;
@@ -114,12 +132,11 @@ double EoAdc::reference_voltage(std::size_t ch) const {
 double EoAdc::ring_thru_transmission(std::size_t ch, double v_in) const {
   // The junction sees V_pn = V_REF - V_IN (p-terminal at the reference,
   // n-terminal at the input, paper Sec. II-C).
-  return rings_[ch].thru_transmission_at(vref_[ch] - v_in,
-                                         tech_adc_wavelength);
+  return ring_.thru_transmission_at(vref_[ch] - v_in, tech_adc_wavelength);
 }
 
 double EoAdc::channel_thru_power(std::size_t ch, double v_in) const {
-  expects(ch < rings_.size(), "channel index out of range");
+  expects(ch < channel_count(), "channel index out of range");
   return config_.input_power_per_ring * ring_thru_transmission(ch, v_in);
 }
 
@@ -209,7 +226,7 @@ EoAdc::TransientResult EoAdc::convert_transient(
     // conversion window starts from the settled electro-optic operating
     // point; what remains is the Qp / TIA / amplifier decision dynamics.
     const double v_pn0 = vref_[ch] - v_in;
-    ring_lag.emplace_back(rings_[ch].junction().config().response_time, v_pn0);
+    ring_lag.emplace_back(ring_.junction().config().response_time, v_pn0);
     pd_lag.emplace_back(photodiode_.response_time_constant(),
                         config_.input_power_per_ring *
                             ring_thru_transmission(ch, v_in));
@@ -229,7 +246,7 @@ EoAdc::TransientResult EoAdc::convert_transient(
       const double v_pn = ring_lag[ch].step(vref_[ch] - v_in, dt);
       const double p_thru_inst =
           config_.input_power_per_ring *
-          rings_[ch].thru_transmission_at(v_pn, tech_adc_wavelength);
+          ring_.thru_transmission_at(v_pn, tech_adc_wavelength);
       const double p_thru = pd_lag[ch].step(p_thru_inst, dt);
       // Balanced PD: top (thru) charges Qp, bottom (reference) + keeper
       // discharge it.

@@ -171,9 +171,10 @@ class EoAdc {
   unsigned deepest_channel(double v_in) const;
 
   EoAdcConfig config_;
-  /// One ring per channel; each evaluation passes its junction bias
-  /// (V_REF - V_IN) explicitly, so the rings' own bias stays unused.
-  std::vector<optics::Microring> rings_;
+  /// The ring design all 2^p channels share: every evaluation passes the
+  /// channel's junction bias (V_REF,k - V_IN) explicitly, so one ring reads
+  /// every channel and its own bias stays unused.
+  optics::Microring ring_;
   std::vector<double> vref_;
   optics::Photodiode photodiode_;
   circuit::CeilingRomDecoder decoder_;

@@ -1,6 +1,5 @@
 #include "graph/compile.hpp"
 
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -8,210 +7,80 @@
 #include "nn/tiling.hpp"
 
 namespace ptc::graph {
-namespace {
-
-constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
-constexpr std::size_t kNoNode = std::numeric_limits<std::size_t>::max();
-
-}  // namespace
 
 std::size_t Step::rows_per_sample() const {
-  std::size_t rows = 1;
-  if (kind == Kind::kConv2d) {
-    rows = (in_shape.height() - kernel + 1) * (in_shape.width() - kernel + 1);
-  }
-  if (on_accelerator() && signed_input) rows *= 2;
-  return rows;
+  if (kind != Kind::kConv2d) return 1;
+  return (in_shape.height() - kernel + 1) * (in_shape.width() - kernel + 1);
 }
 
 CompiledGraph compile(const Graph& g) {
   const std::vector<Node>& nodes = g.nodes();
   expects(!nodes.empty() && nodes.front().op == Op::kInput,
           "graph must start with an input node");
-  const std::size_t output = g.output_id();
 
-  // Dead-code elimination: only nodes reachable from the output lower.
-  std::vector<bool> live(nodes.size(), false);
-  std::vector<std::size_t> stack{output};
-  while (!stack.empty()) {
-    const std::size_t id = stack.back();
-    stack.pop_back();
-    if (live[id]) continue;
-    live[id] = true;
-    for (std::size_t in : nodes[id].inputs) stack.push_back(in);
-  }
-
-  // Consumer lists over live nodes (duplicated per edge, so a node feeding
-  // both sides of an `add` counts twice and stays materialized).
-  std::vector<std::vector<std::size_t>> consumers(nodes.size());
-  for (std::size_t id = 0; id < nodes.size(); ++id) {
-    if (!live[id]) continue;
-    for (std::size_t in : nodes[id].inputs) consumers[in].push_back(id);
-  }
-
-  // Non-negativity lattice: which values are provably >= 0 everywhere, and
-  // can therefore stream straight onto the intensity-encoded photonic
-  // input.  Everything else (projection and bias results) marks its
-  // consuming accelerator step signed_input, which the executor serves with
-  // a differential x+ / x- double-stream.  The lattice keeps relu-separated
-  // graphs (inputs, relu chains, pooling) on the single-stream path.
-  std::vector<bool> nonneg(nodes.size(), false);
-  for (std::size_t id = 0; id < nodes.size(); ++id) {
-    const Node& n = nodes[id];
-    switch (n.op) {
-      case Op::kInput:  // intensity-encoded by the Request contract
-      case Op::kRelu:
-      case Op::kSoftmax:
-        nonneg[id] = true;
-        break;
-      case Op::kMaxPool:
-      case Op::kFlatten:
-        nonneg[id] = nonneg[n.inputs[0]];
-        break;
-      case Op::kAdd:
-        nonneg[id] = nonneg[n.inputs[0]] && nonneg[n.inputs[1]];
-        break;
-      default:  // matmul, conv, bias
-        nonneg[id] = false;
-        break;
-    }
+  // Dead-code elimination: only the chain the output reads back along
+  // inputs to the graph input lowers.
+  std::vector<std::size_t> chain;
+  for (std::size_t id = g.output_id(); id != 0; id = nodes[id].input) {
+    chain.push_back(id);
   }
 
   CompiledGraph cg;
-  cg.input_shape = nodes.front().shape;
-  cg.output_shape = nodes[output].shape;
-
-  std::vector<std::size_t> slot_of(nodes.size(), kNoSlot);
-  std::vector<bool> emitted(nodes.size(), false);
-  slot_of[0] = 0;
-  emitted[0] = true;
-  cg.num_slots = 1;
-
-  // The sole consumer of `tail` if it can join the current step's epilogue.
-  const auto fusable_consumer = [&](std::size_t tail) -> std::size_t {
-    if (tail == output || consumers[tail].size() != 1) return kNoNode;
-    const std::size_t c = consumers[tail].front();
-    switch (nodes[c].op) {
-      case Op::kRelu:
-      case Op::kBias:
-      case Op::kSoftmax:
-      case Op::kFlatten:
-        return c;
-      case Op::kAdd: {
-        // Residuals fuse when the other branch is already materialized.
-        const std::size_t other = nodes[c].inputs[0] == tail
-                                      ? nodes[c].inputs[1]
-                                      : nodes[c].inputs[0];
-        return slot_of[other] != kNoSlot ? c : kNoNode;
-      }
-      default:
-        return kNoNode;
+  cg.input_shape = g.input_shape();
+  cg.output_shape = g.output_shape();
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const Node& n = nodes[*it];
+    // bias, relu and flatten fuse into the step before them.
+    const bool fuses =
+        n.op == Op::kBias || n.op == Op::kRelu || n.op == Op::kFlatten;
+    if (!fuses || cg.steps.empty()) {
+      // A flatten of the graph input only rewrites the input's shape.
+      if (n.op == Op::kFlatten) continue;
+      Step step;
+      step.in_shape = nodes[n.input].shape;
+      cg.steps.push_back(std::move(step));
     }
-  };
-
-  for (std::size_t id = 1; id < nodes.size(); ++id) {
-    if (!live[id] || emitted[id]) continue;
-    const Node& n = nodes[id];
-
-    if (n.op == Op::kFlatten) {
-      // Pure metadata: the value is already stored flat.
-      slot_of[id] = slot_of[n.inputs[0]];
-      emitted[id] = true;
-      continue;
-    }
-
-    Step step;
-    step.input_slot = slot_of[n.inputs[0]];
-    step.in_shape = nodes[n.inputs[0]].shape;
-    std::ostringstream label;
-    // Appends elementwise node `e` to the epilogue, labeled `prefix` + its
-    // op name; `residual_slot` is an add's other operand.
-    const auto lower_elementwise = [&step, &label](const Node& e,
-                                                   const char* prefix,
-                                                   std::size_t residual_slot) {
-      EpilogueOp op;
-      switch (e.op) {
-        case Op::kRelu: op.kind = EpilogueOp::Kind::kRelu; break;
-        case Op::kBias:
-          op.kind = EpilogueOp::Kind::kBias;
-          op.bias = e.bias;
-          break;
-        case Op::kSoftmax: op.kind = EpilogueOp::Kind::kSoftmax; break;
-        case Op::kAdd:
-          op.kind = EpilogueOp::Kind::kResidual;
-          op.residual_slot = residual_slot;
-          break;
-        default:
-          ensures(false, "unreachable elementwise op");
-      }
-      step.epilogue.push_back(std::move(op));
-      label << prefix << op_name(e.op);
-    };
+    Step& step = cg.steps.back();
+    step.out_shape = n.shape;
     switch (n.op) {
       case Op::kMatmul:
-        step.kind = Step::Kind::kMatmul;
-        step.weights = n.weights;
-        step.signed_input = !nonneg[n.inputs[0]];
-        label << "matmul " << n.weights.rows() << "x" << n.weights.cols();
-        break;
       case Op::kConv2d:
-        step.kind = Step::Kind::kConv2d;
+        step.kind = n.op == Op::kMatmul ? Step::Kind::kMatmul
+                                        : Step::Kind::kConv2d;
         step.weights = n.weights;
         step.kernel = n.kernel;
-        step.signed_input = !nonneg[n.inputs[0]];
-        label << "conv2d " << n.kernel << "x" << n.kernel << " -> "
-              << n.weights.cols() << "ch";
+        step.label = n.op == Op::kMatmul
+                         ? "matmul " + std::to_string(n.weights.rows()) +
+                               "x" + std::to_string(n.weights.cols())
+                         : "conv2d " + std::to_string(n.kernel) + "x" +
+                               std::to_string(n.kernel) + " -> " +
+                               std::to_string(n.weights.cols()) + "ch";
+        // One plan cache per weight tensor; filled lazily on first
+        // execution (per backend geometry) and shared by every copy of
+        // this schedule.
+        step.plan_cache = std::make_shared<nn::WeightPlanCache>();
         break;
       case Op::kMaxPool:
         step.kind = Step::Kind::kMaxPool;
         step.pool = n.pool;
-        label << "maxpool " << n.pool << "x" << n.pool;
+        step.label = "maxpool " + std::to_string(n.pool) + "x" +
+                     std::to_string(n.pool);
         break;
-      case Op::kRelu:
       case Op::kBias:
-      case Op::kSoftmax:
-        lower_elementwise(n, "", kNoSlot);
+      case Op::kRelu:
+        step.epilogue.push_back(
+            {n.op == Op::kBias ? EpilogueOp::Kind::kBias
+                               : EpilogueOp::Kind::kRelu,
+             n.bias});
+        step.label += (step.label.empty() ? "" : " +") +
+                      std::string(op_name(n.op));
         break;
-      case Op::kAdd:
-        lower_elementwise(n, "", slot_of[n.inputs[1]]);
+      case Op::kFlatten:  // metadata only: out_shape absorbed it
         break;
       case Op::kInput:
-      case Op::kFlatten:
         ensures(false, "unreachable op in lowering");
     }
-    emitted[id] = true;
-
-    // Fuse the sole-consumer elementwise chain into this step's epilogue.
-    std::size_t tail = id;
-    for (std::size_t c = fusable_consumer(tail); c != kNoNode;
-         c = fusable_consumer(tail)) {
-      // A fused flatten is metadata only: the tail's shape absorbs it.
-      const Node& cn = nodes[c];
-      if (cn.op == Op::kAdd) {
-        const std::size_t other =
-            cn.inputs[0] == tail ? cn.inputs[1] : cn.inputs[0];
-        lower_elementwise(cn, " +", slot_of[other]);
-      } else if (cn.op != Op::kFlatten) {
-        lower_elementwise(cn, " +", kNoSlot);
-      }
-      emitted[c] = true;
-      tail = c;
-    }
-
-    step.out_shape = nodes[tail].shape;
-    step.output_slot = cg.num_slots++;
-    slot_of[tail] = step.output_slot;
-    step.label = label.str();
-    if (step.on_accelerator()) {
-      // One plan cache per weight tensor; filled lazily on first execution
-      // (per backend geometry) and shared by every copy of this schedule.
-      step.plan_cache = std::make_shared<nn::WeightPlanCache>();
-    }
-    cg.steps.push_back(std::move(step));
   }
-
-  ensures(slot_of[output] != kNoSlot, "graph output was never materialized");
-  cg.output_slot = slot_of[output];
   return cg;
 }
 

@@ -16,7 +16,7 @@ class WeightPlanCache;
 /// the executor interprets against any nn::MatmulBackend (and the serve
 /// layer costs against the accelerator fleet).
 ///
-/// Lowering rules:
+/// Lowering rules, applied along the chain from the input to the output:
 ///  - `matmul` becomes a kMatmul step: one tiled weight-matrix product on
 ///    the accelerator (ceil(k/tile_k) * ceil(m/tile_m) weight-tile passes,
 ///    doubled under differential encoding).
@@ -25,18 +25,15 @@ class WeightPlanCache;
 ///    batch streams through each kernel-tile residency in a single pass —
 ///    the conv lowering that maximizes the paper's reload amortization
 ///    (positions-per-sample rows per request instead of 1).
-///  - elementwise ops (`bias`, `relu`, `add`, `softmax`) are FUSED into the
-///    producing step's epilogue whenever they are the sole consumer chain;
-///    they cost no extra accelerator passes.  An elementwise op without a
-///    fusable producer (e.g. directly on the input) lowers to a host-side
-///    kElementwise step.
+///  - `bias` and `relu` are FUSED into the step before them as its
+///    epilogue; they cost no extra accelerator passes.  One with no step
+///    before it (directly on the input) lowers to a host-side kElementwise
+///    step.
 ///  - `maxpool` is a host-side kMaxPool step (data marshalling between
 ///    accelerator passes), and `flatten` disappears entirely: storage is
 ///    already flat, so it only rewrites the value's shape metadata.
-///  - an accelerator step whose input can be negative (anything but the
-///    graph input, relu and softmax outputs, and maxpool / flatten / add of
-///    those) is marked `signed_input`: see Step.
-/// Nodes not reachable from the output are dead code and emit nothing.
+/// Nodes off the chain that ends at the output are dead code and emit
+/// nothing.
 namespace ptc::graph {
 
 /// One fused elementwise operation applied in a step's epilogue, in order.
@@ -44,16 +41,15 @@ struct EpilogueOp {
   enum class Kind {
     kBias,
     kRelu,
-    kSoftmax,
-    kResidual,
   };
   Kind kind = Kind::kRelu;
-  std::vector<double> bias;       ///< kBias: per-channel addends
-  std::size_t residual_slot = 0;  ///< kResidual: value slot added in
+  std::vector<double> bias;  ///< kBias: per-channel addends
 };
 
-/// One schedule step.  kMatmul / kConv2d run on the accelerator backend;
-/// kMaxPool / kElementwise are host-side data marshalling.
+/// One schedule step: it reads the previous step's value (the graph input
+/// for the first) and produces the next.  kMatmul / kConv2d run on the
+/// accelerator backend; kMaxPool / kElementwise are host-side data
+/// marshalling.
 struct Step {
   enum class Kind {
     kMatmul,
@@ -63,23 +59,12 @@ struct Step {
   };
   Kind kind = Kind::kElementwise;
 
-  std::size_t input_slot = 0;   ///< value slot consumed
-  std::size_t output_slot = 0;  ///< value slot produced
-  Shape in_shape;               ///< shape of the consumed value
-  Shape out_shape;              ///< shape after the step + its epilogue
+  Shape in_shape;   ///< shape of the consumed value
+  Shape out_shape;  ///< shape after the step + its epilogue
 
   Matrix weights;          ///< kMatmul: k x m; kConv2d: (k*k*c_in) x c_out
   std::size_t kernel = 0;  ///< kConv2d: square kernel side
   std::size_t pool = 0;    ///< kMaxPool: window == stride
-
-  /// Accelerator steps whose streamed activation can be negative (e.g. a
-  /// biased projection feeding the next matmul).  The photonic input is
-  /// intensity-encoded (non-negative), so the executor splits x = x+ - x-
-  /// and streams both halves through the same weight plan — twice the rows,
-  /// digitally recombined.  Derived at compile time from a non-negativity
-  /// lattice (inputs, relu and softmax outputs are provably non-negative),
-  /// so relu-separated MLP/CNN schedules keep the single-stream path.
-  bool signed_input = false;
 
   std::vector<EpilogueOp> epilogue;  ///< fused elementwise tail, in order
   std::string label;                 ///< e.g. "conv2d 3x3 -> 6ch +bias +relu"
@@ -98,8 +83,7 @@ struct Step {
   }
 
   /// Matmul rows one sample streams through this step: im2col positions for
-  /// kConv2d, 1 for kMatmul — doubled when signed_input streams the
-  /// differential x+ / x- halves.
+  /// kConv2d, 1 for kMatmul.
   std::size_t rows_per_sample() const;
 };
 
@@ -122,8 +106,6 @@ struct CompiledGraph {
   std::vector<Step> steps;
   Shape input_shape;
   Shape output_shape;
-  std::size_t num_slots = 0;    ///< value slots the executor allocates
-  std::size_t output_slot = 0;  ///< slot holding the graph result
 
   std::size_t input_size() const { return input_shape.size(); }
   std::size_t output_size() const { return output_shape.size(); }

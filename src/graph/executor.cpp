@@ -1,34 +1,13 @@
 #include "graph/executor.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "common/expects.hpp"
-#include "nn/layers.hpp"
-#include "nn/tiling.hpp"
 #include "telemetry/trace.hpp"
 
 namespace ptc::graph {
 namespace {
-
-/// Backend matmul through the step's weight-plan cache when it has one
-/// (accelerator steps compiled by graph::compile), so per-batch execution
-/// skips the weight-side planning and encoding entirely.
-Matrix matmul_rows(nn::MatmulBackend& backend, const Step& step,
-                   const Matrix& x) {
-  if (step.signed_input) {
-    // The streamed activation can be negative (e.g. a biased projection):
-    // differential input streaming through the same weight plan,
-    // recombined digitally.
-    return nn::signed_matmul(backend, x, step.weights,
-                             step.plan_cache.get());
-  }
-  if (step.plan_cache != nullptr) {
-    return backend.matmul_cached(x, step.weights, *step.plan_cache);
-  }
-  return backend.matmul(x, step.weights);
-}
 
 /// Stacked im2col conv: every output position of every sample becomes one
 /// row of a single backend matmul, so the whole batch streams through each
@@ -60,7 +39,8 @@ Matrix conv2d_step(nn::MatmulBackend& backend, const Step& step,
     }
   }
 
-  const Matrix flat = matmul_rows(backend, step, patches);
+  const Matrix flat =
+      backend.matmul_cached(patches, step.weights, *step.plan_cache);
 
   // Repack (sample*position) x c_out rows into per-sample flat images.
   Matrix out(in.rows(), positions * c_out);
@@ -109,8 +89,7 @@ void apply_bias(Matrix& value, const std::vector<double>& bias) {
         value(s, p * c + ch) += bias[ch];
 }
 
-void apply_epilogue(Matrix& value, const Step& step,
-                    const std::vector<Matrix>& slots) {
+void apply_epilogue(Matrix& value, const Step& step) {
   for (const EpilogueOp& op : step.epilogue) {
     switch (op.kind) {
       case EpilogueOp::Kind::kBias:
@@ -118,13 +97,6 @@ void apply_epilogue(Matrix& value, const Step& step,
         break;
       case EpilogueOp::Kind::kRelu:
         for (double& v : value.data()) v = std::max(0.0, v);
-        break;
-      case EpilogueOp::Kind::kSoftmax:
-        // Softmax applies to rank-1 values only, row by row.
-        nn::softmax_inplace(value);
-        break;
-      case EpilogueOp::Kind::kResidual:
-        value += slots[op.residual_slot];
         break;
     }
   }
@@ -143,28 +115,25 @@ Matrix run(const CompiledGraph& compiled, nn::MatmulBackend& backend,
   // advanced; host-side steps are instants (zero modeled duration).
   telemetry::Tracer* tracer = backend.tracer();
 
-  std::vector<Matrix> slots(compiled.num_slots);
-  slots[0] = x;
+  Matrix value = x;
   for (const Step& step : compiled.steps) {
-    const Matrix& in = slots[step.input_slot];
     const double step_start = tracer != nullptr ? backend.modeled_time() : 0.0;
-    Matrix out;
     switch (step.kind) {
       case Step::Kind::kMatmul:
-        out = matmul_rows(backend, step, in);
+        // Through the step's weight-plan cache, so per-batch execution
+        // skips the weight-side planning and encoding entirely.
+        value = backend.matmul_cached(value, step.weights, *step.plan_cache);
         break;
       case Step::Kind::kConv2d:
-        out = conv2d_step(backend, step, in);
+        value = conv2d_step(backend, step, value);
         break;
       case Step::Kind::kMaxPool:
-        out = maxpool_step(step, in);
+        value = maxpool_step(step, value);
         break;
       case Step::Kind::kElementwise:
-        out = in;
         break;
     }
-    apply_epilogue(out, step, slots);
-    slots[step.output_slot] = std::move(out);
+    apply_epilogue(value, step);
     if (tracer != nullptr) {
       if (step.on_accelerator()) {
         tracer->complete(telemetry::track::kSteps, step.label.c_str(),
@@ -176,7 +145,7 @@ Matrix run(const CompiledGraph& compiled, nn::MatmulBackend& backend,
       }
     }
   }
-  return slots[compiled.output_slot];
+  return value;
 }
 
 }  // namespace ptc::graph

@@ -7,12 +7,12 @@
 
 /// Interprets a compiled schedule against any nn::MatmulBackend: the float
 /// reference, a single photonic core, or the multi-core accelerator fleet
-/// (runtime::AcceleratorBackend).  Matmul and conv steps execute on the
-/// backend; maxpool and unfused elementwise steps run on the host.  The
-/// step order is the schedule order, the epilogue order is the fusion
-/// order, and every arithmetic loop matches the nn/ layer implementations —
-/// which is why an Mlp lowered through the compiler reproduces its direct
-/// backend path bit for bit.
+/// (runtime::AcceleratorBackend).  One value passes from step to step:
+/// matmul and conv steps execute on the backend; maxpool and unfused
+/// elementwise steps run on the host.  The step order is the schedule
+/// order, the epilogue order is the fusion order, and every arithmetic loop
+/// matches the nn/ layer implementations — which is why an Mlp lowered
+/// through the compiler reproduces its direct backend path bit for bit.
 namespace ptc::graph {
 
 /// Runs a batch of flattened input rows (batch x input_size) through the

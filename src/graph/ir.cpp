@@ -34,21 +34,18 @@ const char* op_name(Op op) {
     case Op::kConv2d: return "conv2d";
     case Op::kRelu: return "relu";
     case Op::kBias: return "bias";
-    case Op::kAdd: return "add";
     case Op::kMaxPool: return "maxpool";
     case Op::kFlatten: return "flatten";
-    case Op::kSoftmax: return "softmax";
   }
   return "?";
 }
 
 Graph::NodeId Graph::append(Node node) {
   nodes_.push_back(std::move(node));
-  if (!explicit_output_) output_ = nodes_.size() - 1;
   return nodes_.size() - 1;
 }
 
-const Node& Graph::producer(NodeId id) const {
+const Node& Graph::node(NodeId id) const {
   expects(id < nodes_.size(),
           "graph node id " + std::to_string(id) +
               " is not defined yet (graph has " +
@@ -57,7 +54,19 @@ const Node& Graph::producer(NodeId id) const {
   return nodes_[id];
 }
 
-const Node& Graph::node(NodeId id) const { return producer(id); }
+const Node& Graph::photonic_operand(NodeId id, const char* op) const {
+  const Node& operand = node(id);
+  NodeId v = id;
+  while (nodes_[v].op == Op::kMaxPool || nodes_[v].op == Op::kFlatten) {
+    v = nodes_[v].input;
+  }
+  expects(nodes_[v].op == Op::kInput || nodes_[v].op == Op::kRelu,
+          std::string(op) + " operand %" + std::to_string(id) + " (" +
+              op_name(operand.op) +
+              ") may be negative; the intensity-encoded photonic input "
+              "takes the graph input, a relu, or a maxpool / flatten of one");
+  return operand;
+}
 
 Graph::NodeId Graph::input(Shape shape) {
   expects(nodes_.empty(), "input must be the first node of the graph");
@@ -71,7 +80,7 @@ Graph::NodeId Graph::input(Shape shape) {
 }
 
 Graph::NodeId Graph::matmul(NodeId x, Matrix w) {
-  const Node& in = producer(x);
+  const Node& in = photonic_operand(x, "matmul");
   expects(in.shape.dims.size() == 1,
           "matmul input must be a feature vector (flatten images first)");
   expects(w.rows() >= 1 && w.cols() >= 1, "matmul weights must be non-empty");
@@ -80,14 +89,14 @@ Graph::NodeId Graph::matmul(NodeId x, Matrix w) {
               std::to_string(w.rows()) + "x" + std::to_string(w.cols()));
   Node n;
   n.op = Op::kMatmul;
-  n.inputs = {x};
+  n.input = x;
   n.shape = Shape{{w.cols()}};
   n.weights = std::move(w);
   return append(std::move(n));
 }
 
 Graph::NodeId Graph::conv2d(NodeId x, Matrix kernels, std::size_t kernel_side) {
-  const Node& in = producer(x);
+  const Node& in = photonic_operand(x, "conv2d");
   expects(in.shape.is_image(), "conv2d input must be an h x w x c image");
   expects(kernel_side >= 1, "conv2d kernel side must be >= 1");
   expects(kernel_side <= in.shape.height() && kernel_side <= in.shape.width(),
@@ -104,7 +113,7 @@ Graph::NodeId Graph::conv2d(NodeId x, Matrix kernels, std::size_t kernel_side) {
                              in.shape.channels()));
   Node n;
   n.op = Op::kConv2d;
-  n.inputs = {x};
+  n.input = x;
   n.shape = Shape{{in.shape.height() - kernel_side + 1,
                    in.shape.width() - kernel_side + 1, kernels.cols()}};
   n.weights = std::move(kernels);
@@ -113,14 +122,14 @@ Graph::NodeId Graph::conv2d(NodeId x, Matrix kernels, std::size_t kernel_side) {
 }
 
 Graph::NodeId Graph::bias(NodeId x, std::vector<double> b) {
-  const Node& in = producer(x);
+  const Node& in = node(x);
   expects(b.size() == in.shape.channels(),
           "bias of length " + std::to_string(b.size()) +
               " does not match the channel (innermost) dimension of " +
               in.shape.str());
   Node n;
   n.op = Op::kBias;
-  n.inputs = {x};
+  n.input = x;
   n.shape = in.shape;
   n.bias = std::move(b);
   return append(std::move(n));
@@ -129,24 +138,13 @@ Graph::NodeId Graph::bias(NodeId x, std::vector<double> b) {
 Graph::NodeId Graph::relu(NodeId x) {
   Node n;
   n.op = Op::kRelu;
-  n.inputs = {x};
-  n.shape = producer(x).shape;
-  return append(std::move(n));
-}
-
-Graph::NodeId Graph::add(NodeId a, NodeId b) {
-  expects(producer(a).shape == producer(b).shape,
-          "add inputs must have identical shapes (" + producer(a).shape.str() +
-              " vs " + producer(b).shape.str() + ")");
-  Node n;
-  n.op = Op::kAdd;
-  n.inputs = {a, b};
-  n.shape = producer(a).shape;
+  n.input = x;
+  n.shape = node(x).shape;
   return append(std::move(n));
 }
 
 Graph::NodeId Graph::maxpool(NodeId x, std::size_t window) {
-  const Node& in = producer(x);
+  const Node& in = node(x);
   expects(in.shape.is_image(), "maxpool input must be an h x w x c image");
   expects(window >= 1, "maxpool window must be >= 1");
   expects(in.shape.height() >= window && in.shape.width() >= window,
@@ -154,7 +152,7 @@ Graph::NodeId Graph::maxpool(NodeId x, std::size_t window) {
               in.shape.str() + " image");
   Node n;
   n.op = Op::kMaxPool;
-  n.inputs = {x};
+  n.input = x;
   n.shape = Shape{{in.shape.height() / window, in.shape.width() / window,
                    in.shape.channels()}};
   n.pool = window;
@@ -162,36 +160,18 @@ Graph::NodeId Graph::maxpool(NodeId x, std::size_t window) {
 }
 
 Graph::NodeId Graph::flatten(NodeId x) {
-  const Node& in = producer(x);
+  const Node& in = node(x);
   expects(in.shape.is_image(), "flatten input must be an h x w x c image");
   Node n;
   n.op = Op::kFlatten;
-  n.inputs = {x};
+  n.input = x;
   n.shape = Shape{{in.shape.size()}};
   return append(std::move(n));
 }
 
-Graph::NodeId Graph::softmax(NodeId x) {
-  const Node& in = producer(x);
-  expects(in.shape.dims.size() == 1, "softmax input must be a feature vector");
-  Node n;
-  n.op = Op::kSoftmax;
-  n.inputs = {x};
-  n.shape = in.shape;
-  return append(std::move(n));
-}
-
-void Graph::mark_output(NodeId id) {
-  expects(id < nodes_.size(),
-          "output id " + std::to_string(id) + " out of range (graph has " +
-              std::to_string(nodes_.size()) + " nodes)");
-  output_ = id;
-  explicit_output_ = true;
-}
-
 Graph::NodeId Graph::output_id() const {
   expects(!nodes_.empty(), "graph is empty");
-  return output_;
+  return nodes_.size() - 1;
 }
 
 const Shape& Graph::input_shape() const {
@@ -201,33 +181,6 @@ const Shape& Graph::input_shape() const {
 
 const Shape& Graph::output_shape() const {
   return nodes_[output_id()].shape;
-}
-
-std::string Graph::dump() const {
-  std::ostringstream out;
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
-    out << "%" << id << " = " << op_name(n.op);
-    if (n.op == Op::kMatmul) {
-      out << " [" << n.weights.rows() << "x" << n.weights.cols() << "]";
-    } else if (n.op == Op::kConv2d) {
-      out << " [" << n.kernel << "x" << n.kernel << ", "
-          << n.weights.cols() << " ch]";
-    } else if (n.op == Op::kMaxPool) {
-      out << " [" << n.pool << "x" << n.pool << "]";
-    }
-    if (!n.inputs.empty()) {
-      out << " (";
-      for (std::size_t i = 0; i < n.inputs.size(); ++i) {
-        out << (i > 0 ? ", %" : "%") << n.inputs[i];
-      }
-      out << ")";
-    }
-    out << " : " << n.shape.str();
-    if (id == output_) out << "  <- output";
-    out << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace ptc::graph

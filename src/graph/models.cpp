@@ -16,22 +16,6 @@ Graph mlp_graph(const Matrix& w1, const std::vector<double>& b1,
   return g;
 }
 
-Graph residual_mlp_graph(const Matrix& w1, const std::vector<double>& b1,
-                         const Matrix& w2, const std::vector<double>& b2) {
-  expects(w2.cols() == w1.rows(),
-          "residual block must map back to its input width");
-  Graph g;
-  const auto x = g.input(Shape{{w1.rows()}});
-  auto h = g.matmul(x, w1);
-  h = g.bias(h, b1);
-  h = g.relu(h);
-  auto y = g.matmul(h, w2);
-  y = g.bias(y, b2);
-  y = g.add(y, x);
-  g.relu(y);
-  return g;
-}
-
 Matrix edge_kernel_bank(std::size_t channels) {
   expects(channels >= 1 && channels <= 8,
           "edge kernel bank provides 1..8 channels");

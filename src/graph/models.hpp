@@ -7,8 +7,8 @@
 #include "graph/ir.hpp"
 
 /// Ready-made graph builders for the architectures the examples, benches,
-/// and serving layer exercise: the two-layer MLP (nn::Mlp's lowering), a
-/// residual MLP block, and the conv -> pool -> dense digit CNN.
+/// and serving layer exercise: the two-layer MLP (nn::Mlp's lowering) and
+/// the conv -> pool -> dense digit CNN.
 namespace ptc::graph {
 
 /// input {w1.rows()} -> dense(w1, b1) -> relu -> dense(w2, b2).  This is
@@ -16,12 +16,6 @@ namespace ptc::graph {
 /// backend path bit for bit.
 Graph mlp_graph(const Matrix& w1, const std::vector<double>& b1,
                 const Matrix& w2, const std::vector<double>& b2);
-
-/// Residual block: x -> dense(w1, b1) -> relu -> dense(w2, b2) -> add(x)
-/// -> relu.  w2 must map back to the input width so the skip connection
-/// type-checks.
-Graph residual_mlp_graph(const Matrix& w1, const std::vector<double>& b1,
-                         const Matrix& w2, const std::vector<double>& b2);
 
 /// Fixed 3x3 single-channel feature bank (oriented edge and blob kernels)
 /// as a conv2d weight matrix (9 x channels), channels in [1, 8].  A frozen

@@ -75,8 +75,7 @@ void gelu_inplace(Matrix& value) {
   }
 }
 
-Matrix signed_matmul(MatmulBackend& backend, const Matrix& x, const Matrix& w,
-                     WeightPlanCache* cache) {
+Matrix signed_matmul(MatmulBackend& backend, const Matrix& x, const Matrix& w) {
   Matrix pos(x.rows(), x.cols());
   Matrix neg(x.rows(), x.cols());
   for (std::size_t i = 0; i < x.data().size(); ++i) {
@@ -84,10 +83,8 @@ Matrix signed_matmul(MatmulBackend& backend, const Matrix& x, const Matrix& w,
     pos.data()[i] = v > 0.0 ? v : 0.0;
     neg.data()[i] = v < 0.0 ? -v : 0.0;
   }
-  Matrix y = cache != nullptr ? backend.matmul_cached(pos, w, *cache)
-                              : backend.matmul(pos, w);
-  y -= cache != nullptr ? backend.matmul_cached(neg, w, *cache)
-                        : backend.matmul(neg, w);
+  Matrix y = backend.matmul(pos, w);
+  y -= backend.matmul(neg, w);
   return y;
 }
 

@@ -49,10 +49,8 @@ void gelu_inplace(Matrix& value);
 /// input streaming.  x splits into x+ = max(x, 0) and x- = max(-x, 0),
 /// both halves stream through the same weight plan, and the results
 /// recombine digitally as y = y+ - y- — the input-side mirror of the
-/// differential W+/W- weight trick.  Uses `cache` for both passes when
-/// given (the graph executor hands each step's plan cache).
-Matrix signed_matmul(MatmulBackend& backend, const Matrix& x, const Matrix& w,
-                     WeightPlanCache* cache = nullptr);
+/// differential W+/W- weight trick.
+Matrix signed_matmul(MatmulBackend& backend, const Matrix& x, const Matrix& w);
 
 /// Index of the maximum element in each row.
 std::vector<std::size_t> argmax_rows(const Matrix& m);

@@ -47,7 +47,7 @@ void ModelRegistry::add_graph(const std::string& name, const graph::Graph& g) {
   // geometry: registration pays the one-time mapping/pass/encode work, so
   // even the first dispatch of this model re-plans and re-encodes nothing.
   for (const graph::Step& step : entry.compiled.steps) {
-    if (step.on_accelerator() && step.plan_cache != nullptr) {
+    if (step.on_accelerator()) {
       step.plan_cache->get(step.weights, probe.rows(), probe.cols(),
                            backend_.options().differential_weights);
     }

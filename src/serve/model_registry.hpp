@@ -17,9 +17,9 @@
 
 /// Named model store over compiled graphs and decoder-only transformers,
 /// with the fleet's one weight-tile residency rule.  Every batch model — an
-/// nn::Mlp or any dataflow graph (CNNs, residual nets) — is lowered through
-/// the graph compiler at registration; its pass profile tells the registry
-/// how many pSRAM residencies one batch streams per step.  A batch or a
+/// nn::Mlp or any chain graph (e.g. a CNN) — is lowered through the graph
+/// compiler at registration; its pass profile tells the registry how many
+/// pSRAM residencies one batch streams per step.  A batch or a
 /// decode step is warm when the previous dispatch left its model's tiles on
 /// the current rotation — the signal the DynamicBatcher uses to favor
 /// batches that skip reloads entirely, the serving-side payoff of the
@@ -46,8 +46,8 @@ class ModelRegistry {
   /// graph and keeps the compiled schedule.
   void add(const std::string& name, const nn::Mlp& model);
 
-  /// Registers an arbitrary dataflow graph under `name` (must be unique) —
-  /// how CNN and residual workloads enter the serving layer.
+  /// Registers a chain graph under `name` (must be unique) — how CNN
+  /// workloads enter the serving layer.
   void add_graph(const std::string& name, const graph::Graph& g);
 
   /// Registers a decoder-only transformer under `name` (unique across both

@@ -441,10 +441,36 @@ TEST(EoAdc, RejectsBadConfig) {
     bad.no_amp_low_level = level;
     EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << level;
   }
+  // A negative power would otherwise pass into electrical_power() and the
+  // energy per conversion with the wrong sign.
+  for (const double power : {-1.0, -0.5e-3, kNaN, kInf}) {
+    bad = {};
+    bad.tia.power = power;
+    EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << power;
+  }
+  for (const double power : {-1.0, -0.3e-3, kNaN, kInf}) {
+    bad = {};
+    bad.amplifier.power = power;
+    EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << power;
+  }
+  for (const double power : {-1.0, -1.62e-3, kNaN, kInf}) {
+    bad = {};
+    bad.decoder_static_power = power;
+    EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << power;
+  }
+  for (const double power : {-1.0, -3e-3, kNaN, kInf}) {
+    bad = {};
+    bad.clock_power = power;
+    EXPECT_THROW(EoAdc{bad}, std::invalid_argument) << power;
+  }
   // The boundary values stay valid.
   EoAdcConfig edge;
   edge.wall_plug_efficiency = 1.0;
   edge.no_amp_low_level = 0.0;
+  edge.tia.power = 0.0;
+  edge.amplifier.power = 0.0;
+  edge.decoder_static_power = 0.0;
+  edge.clock_power = 0.0;
   EXPECT_NO_THROW(EoAdc{edge});
 
   // A core builds its converter from the same config, so it fails the same

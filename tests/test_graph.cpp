@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,10 +61,8 @@ TEST(GraphIr, BuilderInfersShapesThroughACnn) {
   EXPECT_EQ(g.node(f).shape, (Shape{{54}}));
   const auto m = g.matmul(f, Matrix(54, 10));
   EXPECT_EQ(g.node(m).shape, (Shape{{10}}));
-  const auto s = g.softmax(m);
-  EXPECT_EQ(g.output_id(), s);
+  EXPECT_EQ(g.output_id(), m);
   EXPECT_EQ(g.output_shape(), (Shape{{10}}));
-  EXPECT_NE(g.dump().find("conv2d"), std::string::npos);
 }
 
 TEST(GraphIr, BuilderRejectsIllFormedWiring) {
@@ -74,11 +73,9 @@ TEST(GraphIr, BuilderRejectsIllFormedWiring) {
   EXPECT_THROW(g.conv2d(x, Matrix(8, 2), 3), std::invalid_argument);  // rows
   EXPECT_THROW(g.conv2d(x, Matrix(25, 2), 5), std::invalid_argument);  // big
   EXPECT_THROW(g.maxpool(x, 5), std::invalid_argument);  // window too big
-  EXPECT_THROW(g.softmax(x), std::invalid_argument);     // image softmax
   EXPECT_THROW(g.bias(x, std::vector<double>(3, 0.0)),
                std::invalid_argument);  // bias length != channels
   const auto f = g.flatten(x);
-  EXPECT_THROW(g.add(f, x), std::invalid_argument);  // shape mismatch
   EXPECT_THROW(g.matmul(f, Matrix(9, 4)), std::invalid_argument);  // width
   Graph empty;
   EXPECT_THROW(empty.matmul(0, Matrix(4, 4)), std::invalid_argument);
@@ -112,12 +109,10 @@ TEST(GraphIr, BuilderRejectsUseBeforeDefOnEveryOperand) {
   const auto missing = x + 7;  // never built
   EXPECT_THROW(g.relu(missing), std::invalid_argument);
   EXPECT_THROW(g.flatten(missing), std::invalid_argument);
-  EXPECT_THROW(g.softmax(missing), std::invalid_argument);
   EXPECT_THROW(g.maxpool(missing, 2), std::invalid_argument);
   EXPECT_THROW(g.bias(missing, {0.0}), std::invalid_argument);
   EXPECT_THROW(g.conv2d(missing, Matrix(9, 2), 3), std::invalid_argument);
   EXPECT_THROW(g.matmul(missing, Matrix(4, 4)), std::invalid_argument);
-  EXPECT_THROW(g.add(x, missing), std::invalid_argument);  // second operand
   EXPECT_THROW(g.node(missing), std::invalid_argument);
   // The diagnostic names the offending id and the graph size.
   const std::string what = builder_error([&] { g.relu(missing); });
@@ -156,21 +151,16 @@ TEST(GraphIr, ShapeMismatchDiagnosticsCarryTheActualShapes) {
   EXPECT_NE(pool_what.find("4x4x2"), std::string::npos);
 }
 
-TEST(GraphIr, OutputSelectionValidatesAndLastMarkWins) {
+TEST(GraphIr, OutputIsTheLastNodeAdded) {
   Graph g;
   const auto x = g.input(Shape{{8}});
-  const auto a = g.relu(x);
-  const auto b = g.softmax(a);
-  EXPECT_EQ(g.output_id(), b);  // default: last node
-  g.mark_output(a);
-  g.mark_output(b);  // re-marking is allowed; the last mark wins
-  EXPECT_EQ(g.output_id(), b);
-  g.mark_output(a);
-  EXPECT_EQ(g.output_id(), a);
-  // Later appends no longer steal the output once it is explicit.
-  g.relu(b);
-  EXPECT_EQ(g.output_id(), a);
-  EXPECT_THROW(g.mark_output(99), std::invalid_argument);
+  EXPECT_EQ(g.output_id(), x);
+  const auto r = g.relu(x);
+  EXPECT_EQ(g.output_id(), r);
+  // A node that reads an earlier one still becomes the output.
+  const auto m = g.matmul(x, Matrix(8, 3));
+  EXPECT_EQ(g.output_id(), m);
+  EXPECT_EQ(g.output_shape(), (Shape{{3}}));
 
   Graph empty;
   EXPECT_THROW(empty.output_id(), std::invalid_argument);
@@ -218,45 +208,34 @@ TEST(GraphCompile, CnnLowersToFourStepsAndFlattenDisappears) {
   EXPECT_EQ(cg.output_size(), 10u);
 }
 
-TEST(GraphCompile, ResidualAddFusesIntoTheSecondMatmul) {
-  Rng rng(3);
-  const CompiledGraph cg = compile(residual_mlp_graph(
-      random_signed(8, 16, rng), std::vector<double>(16, 0.0),
-      random_signed(16, 8, rng), std::vector<double>(8, 0.0)));
-  ASSERT_EQ(cg.steps.size(), 2u);
-  ASSERT_EQ(cg.steps[1].epilogue.size(), 3u);
-  EXPECT_EQ(cg.steps[1].epilogue[0].kind, EpilogueOp::Kind::kBias);
-  EXPECT_EQ(cg.steps[1].epilogue[1].kind, EpilogueOp::Kind::kResidual);
-  EXPECT_EQ(cg.steps[1].epilogue[1].residual_slot, 0u);  // the graph input
-  EXPECT_EQ(cg.steps[1].epilogue[2].kind, EpilogueOp::Kind::kRelu);
-}
-
 TEST(GraphCompile, DeadBranchesEmitNothing) {
   Rng rng(3);
   Graph g;
   const auto x = g.input(Shape{{8}});
-  const auto live = g.matmul(x, random_signed(8, 4, rng));
-  g.matmul(x, random_signed(8, 16, rng));  // dead: never consumed
-  g.mark_output(live);
+  g.relu(g.matmul(x, random_signed(8, 16, rng)));  // dead: never read
+  g.matmul(x, random_signed(8, 4, rng));           // the output
   const CompiledGraph cg = compile(g);
   ASSERT_EQ(cg.steps.size(), 1u);
   EXPECT_EQ(cg.steps[0].weights.cols(), 4u);
+  EXPECT_TRUE(cg.steps[0].epilogue.empty());
 }
 
-TEST(GraphCompile, SharedValueIsMaterializedNotFused) {
-  // relu feeds both sides of an add: it must get its own step + slot.
-  Rng rng(5);
+TEST(GraphCompile, ElementwiseOnTheInputLowersToAHostStep) {
+  // No step precedes the bias, so it opens a host step; the relu and the
+  // flatten fuse into it.
   Graph g;
-  const auto x = g.input(Shape{{6}});
-  const auto m = g.matmul(x, random_signed(6, 6, rng));
-  const auto r = g.relu(m);
-  g.add(r, r);
+  auto v = g.input(Shape{{2, 2, 3}});
+  v = g.bias(v, {0.5, -1.0, 0.25});
+  v = g.relu(v);
+  v = g.flatten(v);
+  g.matmul(v, Matrix(12, 2));
   const CompiledGraph cg = compile(g);
-  // matmul+relu fuse; the add becomes a host elementwise step.
   ASSERT_EQ(cg.steps.size(), 2u);
-  EXPECT_EQ(cg.steps[1].kind, Step::Kind::kElementwise);
-  ASSERT_EQ(cg.steps[1].epilogue.size(), 1u);
-  EXPECT_EQ(cg.steps[1].epilogue[0].kind, EpilogueOp::Kind::kResidual);
+  EXPECT_EQ(cg.steps[0].kind, Step::Kind::kElementwise);
+  EXPECT_EQ(cg.steps[0].label, "bias +relu");
+  EXPECT_EQ(cg.steps[0].out_shape, (Shape{{12}}));
+  EXPECT_EQ(cg.steps[1].kind, Step::Kind::kMatmul);
+  EXPECT_EQ(cg.steps[1].in_shape, (Shape{{12}}));
 }
 
 TEST(GraphCompile, PassProfileCountsTilesPerStep) {
@@ -281,8 +260,8 @@ TEST(GraphCompile, PassProfileCountsTilesPerStep) {
 
 TEST(GraphCompile, ServedSchedulesMatchTheCommittedGolden) {
   // The lowering of every graph the benchmark's mlp_serving workload
-  // serves (two MLPs and the CNN), plus the residual block, pinned byte for
-  // byte under both weight encodings.
+  // serves (two MLPs and the CNN), pinned byte for byte under both weight
+  // encodings.
   Rng rng(99);
   const nn::Mlp stream(64, 32, 10, rng);
   const nn::Mlp resident(32, 16, 10, rng);
@@ -293,12 +272,7 @@ TEST(GraphCompile, ServedSchedulesMatchTheCommittedGolden) {
                             random_signed(36, 16, rng),
                             std::vector<double>(16, 0.0),
                             random_signed(16, 10, rng),
-                            std::vector<double>(10, 0.0))},
-      {"residual mlp 8-16-8",
-       residual_mlp_graph(random_signed(8, 16, rng),
-                          std::vector<double>(16, 0.0),
-                          random_signed(16, 8, rng),
-                          std::vector<double>(8, 0.0))}};
+                            std::vector<double>(10, 0.0))}};
   std::string dumps;
   for (const auto& [name, graph] : graphs) {
     const CompiledGraph cg = compile(graph);
@@ -310,44 +284,32 @@ TEST(GraphCompile, ServedSchedulesMatchTheCommittedGolden) {
   golden::expect_matches(dumps, "schedules.txt");
 }
 
-TEST(GraphCompile, SignedActivationStreamsDifferentially) {
-  // matmul -> bias -> matmul: the biased projection can be negative, so the
-  // second step must split it into x+ / x- halves for the intensity-encoded
-  // photonic input.
+TEST(GraphIr, MatmulAndConvRejectOperandsThatMayBeNegative) {
+  // The photonic input is intensity-encoded: a matmul or conv2d operand
+  // must be the graph input, a relu, or a maxpool / flatten of one.
   Rng rng(53);
-  const Matrix w1 = random_signed(6, 8, rng);
-  const std::vector<double> b1(8, -0.25);
-  const Matrix w2 = random_signed(8, 4, rng);
   Graph g;
-  g.matmul(g.bias(g.matmul(g.input(Shape{{6}}), w1), b1), w2);
-  const CompiledGraph cg = compile(g);
-  ASSERT_EQ(cg.steps.size(), 2u);
-  EXPECT_FALSE(cg.steps[0].signed_input);  // the input is intensity-encoded
-  EXPECT_EQ(cg.steps[0].rows_per_sample(), 1u);
-  EXPECT_TRUE(cg.steps[1].signed_input);
-  EXPECT_EQ(cg.steps[1].rows_per_sample(), 2u);
+  const auto x = g.input(Shape{{4, 4, 1}});
+  const auto conv = g.conv2d(x, random_signed(4, 2, rng), 2);  // 3x3x2
+  EXPECT_THROW(g.conv2d(conv, Matrix(2, 1), 1), std::invalid_argument);
+  const auto pooled = g.maxpool(conv, 3);
+  EXPECT_THROW(g.matmul(g.flatten(pooled), Matrix(2, 1)),
+               std::invalid_argument);
+  const auto r = g.relu(conv);
+  const auto biased = g.bias(r, {0.5, -0.5});  // relu then bias: signed
+  const std::size_t before = g.size();
+  EXPECT_THROW(g.conv2d(biased, Matrix(2, 1), 1), std::invalid_argument);
+  EXPECT_EQ(g.size(), before);  // a rejected op leaves the graph unchanged
+  // The diagnostic names the operand and its op.
+  const std::string what =
+      builder_error([&] { g.conv2d(biased, Matrix(2, 1), 1); });
+  EXPECT_NE(what.find("%" + std::to_string(biased) + " (bias)"),
+            std::string::npos);
 
-  Rng data_rng(59);
-  const Matrix x = random_activations(4, 6, data_rng);
-  nn::FloatBackend reference;
-  nn::DenseLayer l1(6, 8);
-  l1.w = w1;
-  l1.b = b1;
-  const Matrix hidden = l1.forward(reference, x);
-  ASSERT_LT(*std::min_element(hidden.data().begin(), hidden.data().end()),
-            0.0);
-  const Matrix expected = nn::signed_matmul(reference, hidden, w2);
-  EXPECT_EQ(run(cg, reference, x).max_abs_diff(expected), 0.0);
-
-  // A raw negative activation would throw on the photonic input.
-  core::TensorCore core;
-  nn::PhotonicBackend single(core);
-  runtime::Accelerator accelerator({.cores = 8});
-  runtime::AcceleratorBackend fleet(accelerator);
-  Matrix y_single, y_fleet;
-  ASSERT_NO_THROW(y_single = run(cg, single, x));
-  ASSERT_NO_THROW(y_fleet = run(cg, fleet, x));
-  EXPECT_EQ(y_fleet.max_abs_diff(y_single), 0.0);
+  // Provably non-negative operands are accepted.
+  EXPECT_NO_THROW(g.conv2d(g.maxpool(r, 1), Matrix(2, 1), 1));
+  EXPECT_NO_THROW(g.matmul(g.flatten(g.maxpool(r, 3)), Matrix(2, 1)));
+  EXPECT_NO_THROW(g.matmul(g.flatten(x), Matrix(16, 1)));
 }
 
 // ---------------------------------------------------------------------------
@@ -443,46 +405,6 @@ TEST(GraphExecutor, ConvViaGraphMatchesNnConv2dSingleChannel) {
       EXPECT_DOUBLE_EQ(actual(0, i * expected.cols() + j), expected(i, j));
 }
 
-TEST(GraphExecutor, ResidualBlockMatchesManualComputation) {
-  Rng rng(13);
-  const Matrix w1 = random_signed(8, 16, rng);
-  const Matrix w2 = random_signed(16, 8, rng);
-  const std::vector<double> b1(16, 0.25), b2(8, -0.125);
-  const CompiledGraph cg = compile(residual_mlp_graph(w1, b1, w2, b2));
-
-  Rng data_rng(17);
-  const Matrix x = random_activations(5, 8, data_rng);
-  nn::FloatBackend backend;
-  const Matrix y = run(cg, backend, x);
-
-  nn::DenseLayer l1(8, 16), l2(16, 8);
-  l1.w = w1;
-  l1.b = b1;
-  l2.w = w2;
-  l2.b = b2;
-  const Matrix expected =
-      nn::relu(l2.forward(backend, nn::relu(l1.forward(backend, x))) + x);
-  EXPECT_EQ(y.max_abs_diff(expected), 0.0);
-}
-
-TEST(GraphExecutor, SoftmaxEpilogueNormalizesRows) {
-  Rng rng(19);
-  Graph g;
-  const auto x = g.input(Shape{{6}});
-  g.softmax(g.matmul(x, random_signed(6, 4, rng)));
-  const CompiledGraph cg = compile(g);
-  ASSERT_EQ(cg.steps.size(), 1u);  // softmax fused into the matmul epilogue
-
-  Rng data_rng(23);
-  nn::FloatBackend backend;
-  const Matrix y = run(cg, backend, random_activations(3, 6, data_rng));
-  for (std::size_t s = 0; s < y.rows(); ++s) {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < y.cols(); ++j) sum += y(s, j);
-    EXPECT_NEAR(sum, 1.0, 1e-12);
-  }
-}
-
 TEST(GraphExecutor, RejectsMismatchedInputWidth) {
   Rng rng(29);
   const CompiledGraph cg = compile(
@@ -490,6 +412,177 @@ TEST(GraphExecutor, RejectsMismatchedInputWidth) {
                 random_signed(8, 4, rng), std::vector<double>(4, 0.0)));
   nn::FloatBackend backend;
   EXPECT_THROW(run(cg, backend, Matrix(2, 11)), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Random chains against a straight-line float interpreter
+// ---------------------------------------------------------------------------
+
+/// One sample through chain graph `g`, node by node, written from the op
+/// definitions in ir.hpp rather than from the executor.
+std::vector<double> interpret(const Graph& g, std::vector<double> v) {
+  for (std::size_t id = 1; id < g.size(); ++id) {
+    const Node& n = g.node(id);
+    const Shape& in = g.node(n.input).shape;
+    std::vector<double> out(n.shape.size(), 0.0);
+    switch (n.op) {
+      case Op::kMatmul:
+        for (std::size_t j = 0; j < out.size(); ++j)
+          for (std::size_t i = 0; i < v.size(); ++i)
+            out[j] += v[i] * n.weights(i, j);
+        break;
+      case Op::kConv2d: {
+        const std::size_t k = n.kernel, c = in.channels();
+        for (std::size_t i = 0; i < n.shape.height(); ++i)
+          for (std::size_t j = 0; j < n.shape.width(); ++j)
+            for (std::size_t co = 0; co < n.shape.channels(); ++co) {
+              double sum = 0.0;
+              for (std::size_t di = 0; di < k; ++di)
+                for (std::size_t dj = 0; dj < k; ++dj)
+                  for (std::size_t ci = 0; ci < c; ++ci)
+                    sum += v[((i + di) * in.width() + j + dj) * c + ci] *
+                           n.weights((di * k + dj) * c + ci, co);
+              out[(i * n.shape.width() + j) * n.shape.channels() + co] = sum;
+            }
+        break;
+      }
+      case Op::kBias:
+        for (std::size_t e = 0; e < out.size(); ++e)
+          out[e] = v[e] + n.bias[e % n.bias.size()];
+        break;
+      case Op::kRelu:
+        for (std::size_t e = 0; e < out.size(); ++e)
+          out[e] = std::max(0.0, v[e]);
+        break;
+      case Op::kMaxPool: {
+        const std::size_t p = n.pool, c = in.channels();
+        for (std::size_t i = 0; i < n.shape.height(); ++i)
+          for (std::size_t j = 0; j < n.shape.width(); ++j)
+            for (std::size_t ch = 0; ch < c; ++ch) {
+              double m = v[((i * p) * in.width() + j * p) * c + ch];
+              for (std::size_t di = 0; di < p; ++di)
+                for (std::size_t dj = 0; dj < p; ++dj)
+                  m = std::max(
+                      m, v[((i * p + di) * in.width() + j * p + dj) * c + ch]);
+              out[(i * n.shape.width() + j) * c + ch] = m;
+            }
+        break;
+      }
+      case Op::kFlatten:
+        out = v;
+        break;
+      case Op::kInput:
+        ADD_FAILURE() << "second input node";
+        break;
+    }
+    v = std::move(out);
+  }
+  return v;
+}
+
+TEST(GraphFuzz, RandomChainsMatchAFloatInterpreter) {
+  Rng rng(2027);
+  const auto pick = [&rng](std::size_t lo, std::size_t hi) {
+    return lo + static_cast<std::size_t>(rng.below(hi - lo + 1));
+  };
+  nn::FloatBackend reference;
+  core::TensorCore core;
+  runtime::Accelerator accelerator({.cores = 3});
+  nn::PhotonicBackendOptions differential;
+  differential.differential_weights = true;
+  nn::PhotonicBackend single(core), single_differential(core, differential);
+  runtime::AcceleratorBackend fleet(accelerator),
+      fleet_differential(accelerator, differential);
+
+  std::size_t rejected = 0;
+  for (std::size_t chain = 0; chain < 300; ++chain) {
+    Graph g;
+    auto v = g.input(rng.bernoulli(0.5)
+                         ? Shape{{pick(1, 12)}}
+                         : Shape{{pick(1, 6), pick(1, 6), pick(1, 3)}});
+    bool non_negative = true;  // what the test knows of the current value
+    const std::size_t length = pick(1, 7);
+    for (std::size_t op = 0; op < length; ++op) {
+      const Shape shape = g.node(v).shape;
+      const std::size_t side = std::min(shape.height(), shape.width());
+      if (!non_negative) {
+        // An accelerator op on a value that may be negative is rejected.
+        const std::size_t before = g.size();
+        if (shape.is_image()) {
+          EXPECT_THROW(g.conv2d(v, Matrix(shape.channels(), 2), 1),
+                       std::invalid_argument);
+        } else {
+          EXPECT_THROW(g.matmul(v, Matrix(shape.channels(), 2)),
+                       std::invalid_argument);
+        }
+        EXPECT_EQ(g.size(), before);
+        ++rejected;
+      }
+      std::vector<Op> legal = {Op::kBias, Op::kRelu};
+      if (shape.is_image()) {
+        legal.insert(legal.end(), {Op::kMaxPool, Op::kFlatten});
+        if (non_negative) legal.push_back(Op::kConv2d);
+      } else if (non_negative) {
+        legal.push_back(Op::kMatmul);
+      }
+      switch (legal[rng.below(legal.size())]) {
+        case Op::kMatmul:
+          v = g.matmul(v, random_signed(shape.channels(), pick(1, 12), rng));
+          non_negative = false;
+          break;
+        case Op::kConv2d: {
+          const std::size_t k = pick(1, std::min<std::size_t>(side, 3));
+          v = g.conv2d(
+              v, random_signed(k * k * shape.channels(), pick(1, 4), rng), k);
+          non_negative = false;
+          break;
+        }
+        case Op::kBias: {
+          std::vector<double> b(shape.channels());
+          for (double& e : b) e = rng.uniform(-0.5, 0.5);
+          v = g.bias(v, std::move(b));
+          non_negative = false;
+          break;
+        }
+        case Op::kRelu:
+          v = g.relu(v);
+          non_negative = true;
+          break;
+        case Op::kMaxPool:
+          v = g.maxpool(v, pick(1, std::min<std::size_t>(side, 3)));
+          break;
+        case Op::kFlatten:
+          v = g.flatten(v);
+          break;
+        case Op::kInput:
+          break;
+      }
+    }
+
+    const CompiledGraph cg = compile(g);
+    const Matrix x =
+        random_activations(pick(1, 3), g.input_shape().size(), rng);
+    const Matrix y = run(cg, reference, x);
+    ASSERT_EQ(y.cols(), g.output_shape().size());
+    for (std::size_t s = 0; s < x.rows(); ++s) {
+      const std::vector<double> expected = interpret(
+          g, std::vector<double>(x.data().begin() + s * x.cols(),
+                                 x.data().begin() + (s + 1) * x.cols()));
+      double scale = 1.0;
+      for (double e : expected) scale = std::max(scale, std::fabs(e));
+      for (std::size_t j = 0; j < expected.size(); ++j) {
+        ASSERT_NEAR(y(s, j), expected[j], 1e-12 * scale)
+            << "chain " << chain << " sample " << s << " output " << j;
+      }
+    }
+
+    // The single core and the fleet agree bit for bit, in both encodings.
+    const bool diff = chain % 2 == 1;
+    const Matrix y_single = run(cg, diff ? single_differential : single, x);
+    const Matrix y_fleet = run(cg, diff ? fleet_differential : fleet, x);
+    ASSERT_EQ(y_fleet.max_abs_diff(y_single), 0.0) << "chain " << chain;
+  }
+  EXPECT_GT(rejected, 100u);  // the rejection path ran often
 }
 
 // ---------------------------------------------------------------------------
