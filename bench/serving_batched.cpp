@@ -15,9 +15,12 @@
 // slots on the critical-path core), so every number here is deterministic.
 //
 // Set PTC_TRACE=/path/to/trace.json to re-run the batch<=32 dynamic policy
-// with a span tracer attached and write the serving run as a Chrome trace.
+// with a span tracer attached and write the serving run as a Chrome trace;
+// the bench exits nonzero if telemetry::lint_chrome_trace finds a problem
+// in it.
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -120,6 +123,12 @@ int main() {
     std::cout << "\nwrote Chrome trace (" << tracer.size() << " events, "
               << traced.completed << " requests, batch<=32 wait 50 ns) to "
               << trace_path << "\n";
+    const std::vector<std::string> problems =
+        telemetry::lint_chrome_trace(tracer.chrome_json());
+    for (const std::string& problem : problems) {
+      std::cout << "FAIL: trace lint: " << problem << "\n";
+    }
+    if (!problems.empty()) return 1;
   }
   return 0;
 }

@@ -16,8 +16,9 @@
 // closing multi-tenant section mixes all three tenants through one fleet;
 // with PTC_TRACE=<path> it attaches a span tracer, prints each model's
 // compiled pass schedule (graph::schedule_dump), writes the Chrome trace,
-// and verifies the trace's span counts against the ServeReport — the
-// end-to-end observability check CI's bench-smoke job runs.
+// lints it (telemetry::lint_chrome_trace) and verifies its span counts
+// against the ServeReport — the end-to-end observability check CI's
+// bench-smoke job runs.
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -230,6 +231,12 @@ int main() {
                 << mixed_report.dispatched_batches << " batches)\n";
       return 1;
     }
+    const std::vector<std::string> problems =
+        telemetry::lint_chrome_trace(tracer.chrome_json());
+    for (const std::string& problem : problems) {
+      std::cout << "FAIL: trace lint: " << problem << "\n";
+    }
+    if (!problems.empty()) return 1;
     std::cout << "\nmetrics exposition:\n" << metrics.prometheus_text();
   }
 

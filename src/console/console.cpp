@@ -613,7 +613,6 @@ std::string Console::cmd_metrics(const ScpiCommand& command) {
     while (!text.empty() && text.back() == '\n') text.pop_back();
     return text;
   }
-  if (mnemonic_matches(sub, "JSON")) return metrics->to_json();
   return error("unknown METRics command \"" + sub + "\"");
 }
 
@@ -662,7 +661,6 @@ std::string Console::cmd_help() const {
          "TRACE:SIZE?                    trace events buffered\n"
          "TRACE:DUMP <path>              write Chrome trace JSON\n"
          "METRics:PROMetheus?            metrics, Prometheus text format\n"
-         "METRics:JSON?                  metrics, JSON export\n"
          "MODEL:SCHEDule? <name>         a model's tile schedule\n"
          "SYSTem:ERRor?                  pop the oldest queued error\n"
          "EXIT                           leave the console";

@@ -492,15 +492,6 @@ const EoAdc& TensorCore::adc(std::size_t row) const {
   return adc_;
 }
 
-void TensorCore::inject_ring_fault(std::size_t row, std::size_t col,
-                                   unsigned bit, RingFaultKind kind) {
-  expects(row < config_.rows && col < config_.cols,
-          "ring coordinates out of range");
-  const std::size_t m = config_.macro.channels;
-  macros_[row][col / m].set_ring_fault(bit, col % m, kind);
-  invalidate_fast_path();
-}
-
 void TensorCore::inject_ring_faults(const std::vector<RingFaultSite>& sites) {
   const std::size_t m = config_.macro.channels;
   for (const RingFaultSite& site : sites) {

@@ -179,13 +179,11 @@ class TensorCore {
   std::vector<double> reference(const std::vector<double>& input) const;
 
   // --- hard-fault injection (core/fault.hpp) --------------------------------
-  /// Latches one multiply ring's drive line.  (row, col) address the weight
-  /// matrix entry, bit the weight-bit row (0 = MSB).  The fault is applied
-  /// at the ring-bias level and the fast path's transmission table is
-  /// rebuilt under it before the next sample, so fast path and physics
-  /// oracle stay bit-identical under the fault.
-  void inject_ring_fault(std::size_t row, std::size_t col, unsigned bit,
-                         RingFaultKind kind);
+  /// Latches each site's multiply-ring drive line.  (row, col) address the
+  /// weight matrix entry, bit the weight-bit row (0 = MSB).  The faults are
+  /// applied at the ring-bias level and the fast path's transmission table
+  /// is rebuilt under them before the next sample, so fast path and physics
+  /// oracle stay bit-identical under the faults.
   void inject_ring_faults(const std::vector<RingFaultSite>& sites);
 
   /// Freezes the thermal tuner at the current detuning: further

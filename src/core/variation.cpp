@@ -1,6 +1,7 @@
 #include "core/variation.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/expects.hpp"
 
@@ -8,12 +9,17 @@ namespace ptc::core {
 
 VariationModel::VariationModel(const VariationConfig& config)
     : config_(config) {
-  expects(config.resonance_sigma >= 0.0, "resonance sigma must be >= 0");
-  expects(config.q_spread >= 0.0, "Q spread must be >= 0");
-  expects(config.coupling_spread >= 0.0, "coupling spread must be >= 0");
-  expects(config.psram_level_sigma >= 0.0, "pSRAM level sigma must be >= 0");
-  expects(config.thermal_sensitivity_spread >= 0.0,
-          "thermal sensitivity spread must be >= 0");
+  const auto spread_ok = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  expects(spread_ok(config.resonance_sigma),
+          "variation.resonance_sigma must be finite and >= 0");
+  expects(spread_ok(config.q_spread),
+          "variation.q_spread must be finite and >= 0");
+  expects(spread_ok(config.coupling_spread),
+          "variation.coupling_spread must be finite and >= 0");
+  expects(spread_ok(config.psram_level_sigma),
+          "variation.psram_level_sigma must be finite and >= 0");
+  expects(spread_ok(config.thermal_sensitivity_spread),
+          "variation.thermal_sensitivity_spread must be finite and >= 0");
 }
 
 VariationModel::RingDeviation VariationModel::sample_ring(Rng& rng) const {

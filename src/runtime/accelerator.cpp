@@ -37,8 +37,10 @@ Accelerator::Accelerator(const AcceleratorConfig& config)
                                 : std::max<std::size_t>(config.cores, 1)) {
   expects(config_.cores >= 1, "accelerator needs at least one core");
 
-  expects(config_.drift.sigma >= 0.0, "drift sigma must be >= 0");
-  expects(config_.drift.tau > 0.0, "drift tau must be positive");
+  expects(std::isfinite(config_.drift.sigma) && config_.drift.sigma >= 0.0,
+          "drift.sigma must be finite and >= 0");
+  expects(std::isfinite(config_.drift.tau) && config_.drift.tau > 0.0,
+          "drift.tau must be finite and positive");
 
   const core::VariationModel fleet_variation(config_.variation);
   cores_.reserve(config_.cores);

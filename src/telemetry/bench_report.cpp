@@ -27,10 +27,6 @@ BenchReport::BenchReport(std::string bench_name)
   expects(!bench_name_.empty(), "bench name must be non-empty");
 }
 
-void BenchReport::set_meta(const std::string& key, const std::string& value) {
-  meta_.emplace_back(key, json::quote(value));
-}
-
 void BenchReport::set_meta(const std::string& key, double value) {
   meta_.emplace_back(key, json::format_number(value));
 }

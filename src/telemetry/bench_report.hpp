@@ -48,9 +48,8 @@ class BenchReport {
 
   explicit BenchReport(std::string bench_name);
 
-  /// Free-form context (matrix shape, request counts, ...) — recorded, not
+  /// Numeric context (matrix shape, request counts, ...) — recorded, not
   /// compared.
-  void set_meta(const std::string& key, const std::string& value);
   void set_meta(const std::string& key, double value);
 
   /// Adds a gated metric.

@@ -27,18 +27,7 @@ double Histogram::bucket_upper_edge(std::size_t i) const {
                             static_cast<double>(options_.buckets_per_decade));
 }
 
-double Histogram::bucket_width_ratio() const {
-  return std::pow(10.0,
-                  1.0 / static_cast<double>(options_.buckets_per_decade));
-}
-
 void Histogram::observe(double v) {
-  if (count_ == 0) {
-    min_ = max_ = v;
-  } else {
-    if (v < min_) min_ = v;
-    if (v > max_) max_ = v;
-  }
   ++count_;
   sum_ += v;
 
@@ -61,27 +50,6 @@ void Histogram::observe(double v) {
     return;
   }
   ++buckets_[i];
-}
-
-double Histogram::percentile(double p) const {
-  if (count_ == 0) return 0.0;
-  expects(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
-  const std::uint64_t rank = static_cast<std::uint64_t>(
-      std::ceil(p / 100.0 * static_cast<double>(count_) - 1e-9));
-
-  const auto clamp = [this](double v) {
-    if (v < min_) return min_;
-    if (v > max_) return max_;
-    return v;
-  };
-
-  std::uint64_t cumulative = underflow_;
-  if (rank <= cumulative) return clamp(options_.min);
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    cumulative += buckets_[i];
-    if (rank <= cumulative) return clamp(bucket_upper_edge(i));
-  }
-  return max_;  // overflow bucket: the exact max is the best statement
 }
 
 namespace {
@@ -163,38 +131,6 @@ void write_samples(std::ostream& out, const std::string& name,
   out << name << "_count" << tail << " " << h.count() << "\n";
 }
 
-std::string fields_json(const Counter& c) {
-  return "\"value\": " + json::format_number(c.value());
-}
-
-std::string fields_json(const Gauge& g) {
-  return "\"value\": " + json::format_number(g.value()) +
-         ", \"max\": " + json::format_number(g.max());
-}
-
-std::string fields_json(const Histogram& h) {
-  std::string out = "\"count\": " + std::to_string(h.count());
-  out += ", \"sum\": " + json::format_number(h.sum());
-  out += ", \"min\": " + json::format_number(h.min_value());
-  out += ", \"max\": " + json::format_number(h.max_value());
-  out += ", \"p50\": " + json::format_number(h.percentile(50.0));
-  out += ", \"p95\": " + json::format_number(h.percentile(95.0));
-  out += ", \"p99\": " + json::format_number(h.percentile(99.0));
-  return out;
-}
-
-std::string labels_json(const LabelSet& labels) {
-  std::string out = "{";
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += json::quote(labels[i].first);
-    out += ": ";
-    out += json::quote(labels[i].second);
-  }
-  out += "}";
-  return out;
-}
-
 }  // namespace
 
 std::string render_labels(const LabelSet& labels) {
@@ -215,28 +151,27 @@ T& MetricsRegistry::lookup(const std::string& name, const LabelSet* labels,
                            const std::string& help,
                            const HistogramOptions& options) {
   // Validate before touching the table, so a rejected call changes nothing.
-  LabelSet canonical = labels != nullptr ? canonicalize(*labels) : LabelSet{};
-  const std::string key = labels != nullptr ? render_labels(canonical) : "";
+  const std::string key =
+      labels != nullptr ? render_labels(canonicalize(*labels)) : "";
   auto it = entries_.find(name);
   if (it != entries_.end()) {
     expects(it->second.kind == kKindIndex<T>,
             "metric name already registered with a different kind");
     const auto found = it->second.children.find(key);
     if (found != it->second.children.end()) {
-      return std::get<T>(found->second.instrument);
+      return std::get<T>(found->second);
     }
   }
   // Build the instrument (a new name's geometry is checked here) before the
   // table changes; an existing name keeps the geometry its first call set.
-  Child child{std::move(canonical),
-              make_instrument<T>(it != entries_.end() ? it->second.options
-                                                      : options)};
+  Instrument instrument = make_instrument<T>(
+      it != entries_.end() ? it->second.options : options);
   if (it == entries_.end()) {
     it = entries_.emplace(name, Entry{kKindIndex<T>, "", options, {}}).first;
   }
   if (it->second.help.empty()) it->second.help = help;
-  return std::get<T>(it->second.children.emplace(key, std::move(child))
-                         .first->second.instrument);
+  return std::get<T>(
+      it->second.children.emplace(key, std::move(instrument)).first->second);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name,
@@ -284,17 +219,6 @@ bool MetricsRegistry::contains(const std::string& name,
          it->second.children.count(render_labels(canonicalize(labels))) > 0;
 }
 
-std::vector<LabelSet> MetricsRegistry::label_sets(
-    const std::string& name) const {
-  std::vector<LabelSet> out;
-  const auto it = entries_.find(name);
-  if (it == entries_.end()) return out;
-  for (const auto& [key, child] : it->second.children) {
-    if (!key.empty()) out.push_back(child.labels);
-  }
-  return out;
-}
-
 std::string MetricsRegistry::prometheus_text() const {
   std::ostringstream out;
   for (const auto& [name, entry] : entries_) {
@@ -302,42 +226,12 @@ std::string MetricsRegistry::prometheus_text() const {
       out << "# HELP " << name << " " << entry.help << "\n";
     }
     out << "# TYPE " << name << " " << kKindNames[entry.kind] << "\n";
-    for (const auto& [selector, child] : entry.children) {
+    for (const auto& [selector, instrument] : entry.children) {
       std::visit([&](const auto& m) { write_samples(out, name, selector, m); },
-                 child.instrument);
+                 instrument);
     }
   }
   return out.str();
-}
-
-std::string MetricsRegistry::to_json() const {
-  const auto fields = [](const Child& child) {
-    return std::visit([](const auto& m) { return fields_json(m); },
-                      child.instrument);
-  };
-  std::string kinds[3];  // indexed by Entry::kind
-  for (const auto& [name, entry] : entries_) {
-    std::string& out = kinds[entry.kind];
-    if (!out.empty()) out += ", ";
-    out += json::quote(name) + ": {";
-    // Plain fields lead the entry (the "" key sorts first); labeled
-    // children follow in one "series" array.
-    auto it = entry.children.begin();
-    if (it->first.empty()) out += fields((it++)->second);
-    if (it != entry.children.end()) {
-      if (it != entry.children.begin()) out += ", ";
-      out += "\"series\": [";
-      for (auto first = it; it != entry.children.end(); ++it) {
-        if (it != first) out += ", ";
-        out += "{\"labels\": " + labels_json(it->second.labels) + ", " +
-               fields(it->second) + "}";
-      }
-      out += "]";
-    }
-    out += "}";
-  }
-  return "{\n  \"counters\": {" + kinds[0] + "},\n  \"gauges\": {" + kinds[1] +
-         "},\n  \"histograms\": {" + kinds[2] + "}\n}\n";
 }
 
 }  // namespace ptc::telemetry

@@ -10,10 +10,12 @@
 #include <vector>
 
 /// Uniform metrics spine for the simulator: counters, gauges, and
-/// fixed-bucket log-scale histograms behind one registry with
-/// Prometheus-style text exposition and JSON export.  This replaces the
-/// scattered tallies (AcceleratorStats fields, ad-hoc bench counters) with
-/// one namespace any layer can publish into.
+/// fixed-bucket log-scale histograms behind one registry, exported as
+/// Prometheus-style text (the console's METR:PROM?).  Any layer can publish
+/// into it.  It sits beside the exact tallies (AcceleratorStats, the
+/// serving reports) rather than replacing them, and every quantile the
+/// program prints is exact nearest-rank over those records
+/// (statistics::percentile), never an estimate from these buckets.
 ///
 /// Counters, gauges, and histograms also come in *labeled families*: the
 /// same metric name fanned out across label sets
@@ -39,20 +41,14 @@ class Counter {
   double value_ = 0.0;
 };
 
-/// Last-write-wins instantaneous value (plus the running max, which serving
-/// summaries like "worst detuning seen" want for free).
+/// Last-write-wins instantaneous value.
 class Gauge {
  public:
-  void set(double v) {
-    value_ = v;
-    if (v > max_) max_ = v;
-  }
+  void set(double v) { value_ = v; }
   double value() const { return value_; }
-  double max() const { return max_; }
 
  private:
   double value_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Fixed-bucket log-scale histogram geometry: `buckets_per_decade` equal
@@ -66,10 +62,7 @@ struct HistogramOptions {
 };
 
 /// Log-scale histogram with O(buckets) memory regardless of sample count.
-/// Percentiles are nearest-rank over bucket counts and return the covering
-/// bucket's upper edge clamped to the exact observed [min, max] — always
-/// within one bucket of the exact nearest-rank sample.  count/sum/min/max
-/// are exact.
+/// count and sum are exact; the buckets are what the exposition exports.
 class Histogram {
  public:
   explicit Histogram(const HistogramOptions& options = {});
@@ -78,13 +71,6 @@ class Histogram {
 
   std::uint64_t count() const { return count_; }
   double sum() const { return sum_; }
-  double mean() const { return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0; }
-  /// Exact smallest / largest observed value (0 when empty).
-  double min_value() const { return count_ > 0 ? min_ : 0.0; }
-  double max_value() const { return count_ > 0 ? max_ : 0.0; }
-
-  /// Nearest-rank percentile (p in (0, 100]); 0 when empty.
-  double percentile(double p) const;
 
   const HistogramOptions& options() const { return options_; }
   /// Finite buckets only (underflow/overflow excluded).
@@ -95,10 +81,6 @@ class Histogram {
   /// Upper edge of finite bucket i: min * 10^((i+1)/buckets_per_decade).
   double bucket_upper_edge(std::size_t i) const;
 
-  /// Largest ratio between a bucket's upper and lower edge — the worst-case
-  /// multiplicative error of percentile() vs the exact nearest-rank sample.
-  double bucket_width_ratio() const;
-
  private:
   HistogramOptions options_;
   std::vector<std::uint64_t> buckets_;
@@ -106,8 +88,6 @@ class Histogram {
   std::uint64_t overflow_ = 0;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// One metric label set: key -> value pairs.  Accessor calls may pass keys
@@ -152,34 +132,22 @@ class MetricsRegistry {
   /// True when `name` has a child for exactly this label set.
   bool contains(const std::string& name, const LabelSet& labels) const;
 
-  /// Label sets registered under `name`, in canonical (rendered) order.
-  std::vector<LabelSet> label_sets(const std::string& name) const;
-
   /// Prometheus text exposition format (sorted by name): counters and
   /// gauges as single samples (labeled children as `name{k="v",...}`
   /// series, escaped per the text-format spec), histograms as cumulative
   /// `_bucket{le=...}` series plus `_sum` and `_count`.
   std::string prometheus_text() const;
 
-  /// JSON export of the same data (one object per instrument kind).
-  /// Labeled families export a "series" array of {labels, value} objects
-  /// alongside the plain "value" when one exists.
-  std::string to_json() const;
-
  private:
   /// Every child of one name holds the same alternative: the name's kind.
   using Instrument = std::variant<Counter, Gauge, Histogram>;
-  struct Child {
-    LabelSet labels;  ///< canonical (sorted by key)
-    Instrument instrument;
-  };
   struct Entry {
     std::size_t kind = 0;  ///< Instrument::index() of every child
     std::string help;
     HistogramOptions options;  ///< histogram geometry, fixed by the first call
     /// Keyed by render_labels() of the canonical set; the plain instrument
     /// is keyed "", so it sorts (and exports) before every selector.
-    std::map<std::string, Child> children;
+    std::map<std::string, Instrument> children;
   };
 
   /// Finds or creates `name`'s child for `labels` (nullptr: the plain

@@ -140,8 +140,9 @@ const char* trace_path_from_env();
 /// "core"), core_evicted / core_readmitted (numeric "core"), token_step
 /// (numeric "batch" and "passes"), kv_evicted (string "tenant", numeric
 /// "rows"), request_preempted (string "tenant", numeric "request").  Returns
-/// human-readable problems (empty == lint-clean).  This is the trace-lint
-/// gate CI runs via tests/test_telemetry.cpp.
+/// human-readable problems (empty == lint-clean).  tests/test_telemetry.cpp
+/// runs it on the tests' traces, and bench_serving_batched and
+/// bench_serving_policies on the traces they write under PTC_TRACE.
 std::vector<std::string> lint_chrome_trace(const std::string& json_text);
 
 }  // namespace ptc::telemetry

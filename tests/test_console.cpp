@@ -1,9 +1,8 @@
 // Operator console tests: the SCPI grammar, the command surface against a
 // live serving stack, socket sessions driven over socketpair(), and the CI
-// golden contracts — the committed demo script replayed at several host
+// golden contract — the committed demo script replayed at several host
 // thread counts must produce output byte-identical to
-// tests/golden/console_transcript.txt, and its METR:JSON? reply must match
-// tests/golden/console_metrics.json.  On divergence a test writes
+// tests/golden/console_transcript.txt.  On divergence the test writes
 // <golden>.actual next to the golden for diffing.
 #include <gtest/gtest.h>
 
@@ -119,6 +118,10 @@ TEST(Console, UnknownCommandQueuesSystemError) {
   // SYST:ERR? pops the queued message, then reports an empty queue.
   EXPECT_NE(console.eval("SYST:ERR?"), "0,\"No error\"");
   EXPECT_EQ(console.eval("SYST:ERR?"), "0,\"No error\"");
+  // The metrics export is METR:PROM? alone.
+  const std::string json_reply = console.eval("METR:JSON?");
+  EXPECT_EQ(json_reply.rfind("ERR:", 0), 0u) << json_reply;
+  EXPECT_NE(console.eval("SYST:ERR?"), "0,\"No error\"");
 }
 
 TEST(Console, CoreIndexOutsideTheFleetAnswersError) {
@@ -402,15 +405,6 @@ TEST(Console, TranscriptMatchesCommittedGolden) {
   const std::string actual = transcript_for(1);
   ASSERT_FALSE(actual.empty());
   golden::expect_matches(actual, "console_transcript.txt");
-}
-
-TEST(Console, MetricsJsonMatchesCommittedGolden) {
-  // The transcript pins METR:PROM?; this pins METR:JSON? after the same
-  // commands, so both registry writers are held to committed bytes.
-  DemoScenario demo(1);
-  Console console = demo.make_console();
-  replay_demo_script(console);
-  golden::expect_matches(console.eval("METR:JSON?"), "console_metrics.json");
 }
 
 }  // namespace

@@ -311,7 +311,10 @@ TEST(FastPath, TableFollowsDetuningFaultsAndReloads) {
   sample("w2 at the same detuning");
 
   on_both([&](core::TensorCore& c) {
-    c.inject_ring_fault(2, 5, 1, core::RingFaultKind::kStuckOn);
+    c.inject_ring_faults({{.row = 2,
+                           .col = 5,
+                           .bit = 1,
+                           .kind = core::RingFaultKind::kStuckOn}});
   });
   sample("ring fault injected");
   on_both([](core::TensorCore& c) { c.clear_faults(); });

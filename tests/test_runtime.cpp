@@ -7,6 +7,7 @@
 #include <atomic>
 #include <functional>
 #include <latch>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -282,6 +283,15 @@ TEST(Accelerator, StatsResetClearsCounters) {
 
 TEST(Accelerator, RejectsBadConfiguration) {
   EXPECT_THROW(Accelerator({.cores = 0}), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double DriftConfig::*field : {&DriftConfig::sigma, &DriftConfig::tau}) {
+    for (const double value : {-1.0, nan, inf}) {
+      AcceleratorConfig bad{.cores = 1};
+      bad.drift.*field = value;
+      EXPECT_THROW(Accelerator{bad}, std::invalid_argument) << value;
+    }
+  }
   Accelerator accelerator({.cores = 2});
   EXPECT_THROW(accelerator.core(2), std::invalid_argument);
   Rng rng(1);

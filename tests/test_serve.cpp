@@ -582,7 +582,7 @@ TEST(Server, BatchSizeHistogramKeepsEveryBatchInAFiniteBucket) {
   EXPECT_EQ(sizes.count(), report.dispatched_batches);
   EXPECT_EQ(sizes.underflow(), 0u);
   EXPECT_EQ(sizes.overflow(), 0u);
-  EXPECT_LE(sizes.percentile(99.0), 8.0);
+  for (const auto& batch : report.batches) EXPECT_LE(batch.size, 8u);
 }
 
 TEST(LatencyStatsSummary, EmptySampleYieldsZeros) {

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -87,9 +88,18 @@ TEST(VariationModel, ChildSeedsAreDistinctAndNeverZero) {
 }
 
 TEST(VariationModel, RejectsNegativeSigmas) {
-  VariationConfig bad = test_variation(1);
-  bad.q_spread = -0.1;
-  EXPECT_THROW(VariationModel{bad}, std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double VariationConfig::*field :
+       {&VariationConfig::resonance_sigma, &VariationConfig::q_spread,
+        &VariationConfig::coupling_spread, &VariationConfig::psram_level_sigma,
+        &VariationConfig::thermal_sensitivity_spread}) {
+    for (const double value : {-1.0, nan, inf}) {
+      VariationConfig bad = test_variation(1);
+      bad.*field = value;
+      EXPECT_THROW(VariationModel{bad}, std::invalid_argument) << value;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@
 # and tests off, and ptc_benchmark (benchmark/) with the same flags.  Then
 # runs the set CI's sanitize leg runs -- bench_fig*, bench_ablation_*,
 # bench_perf_analysis, bench_table1_comparison, bench_scaling_cores,
-# bench_serving_*, example_* and the console demo script -- plus
+# bench_serving_*, example_* and the console demo script -- then, as CI's
+# Release job does, bench_serving_batched and bench_serving_policies again
+# with PTC_TRACE set (each writes and lints a Chrome trace) and
+# bench_bench_compare over the five deterministic BENCH_*.json pairs, plus
 # `ptc_benchmark --workload W --seconds 1 --trace 1` for each of the four
-# workloads.  bench_perf_matmul stays out, as in that leg: it takes about
-# 150 s at -O0.  Finally merges gcov's JSON over both builds and prints
-# every src/ function that executed zero times, and their count.
+# workloads.  bench_perf_matmul (and so BENCH_perf.json) stays out, as in
+# the sanitize leg: it takes about 150 s at -O0.  Finally merges gcov's JSON
+# over both builds and prints every src/ function that executed zero
+# times, and their count.
 #
 #   bash tools/traffic_coverage.sh
 #
@@ -45,6 +49,17 @@ for bin in ./bench_fig* ./bench_ablation_* ./bench_perf_analysis \
 done
 echo "== ptc_console" >&2
 ./ptc_console --script "$root/tools/console_demo.scpi" > /dev/null
+for bin in ./bench_serving_batched ./bench_serving_policies; do
+  echo "== PTC_TRACE=serving_trace.json ${bin#./}" >&2
+  PTC_TRACE=serving_trace.json "$bin" > /dev/null
+done
+# The serving benches above wrote fresh artifacts into this directory.
+echo "== bench_bench_compare" >&2
+compare=()
+for name in drift serving health faults transformer; do
+  compare+=("$root/BENCH_$name.json" "BENCH_$name.json")
+done
+./bench_bench_compare "${compare[@]}" > /dev/null
 # From the checkout root, as benchmark/run.sh runs it: the workloads
 # cross-check the committed BENCH_*.json baselines.
 cd "$root"
