@@ -8,42 +8,25 @@ FlashAdc::FlashAdc(const FlashAdcConfig& config) : config_(config) {
   expects(config.bits >= 1 && config.bits <= 10, "bits must be in [1, 10]");
   expects(config.v_full_scale > 0.0, "full scale must be positive");
   expects(config.sample_rate > 0.0, "sample rate must be positive");
-
-  Rng rng(config.offset_seed);
-  const std::size_t n = comparator_count();
-  comparators_.reserve(n);
-  thresholds_.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    if (config.include_offsets) {
-      comparators_.emplace_back(config.comparator, rng);
-    } else {
-      comparators_.emplace_back(config.comparator);
-    }
-    thresholds_.push_back(static_cast<double>(k + 1) * lsb());
-  }
-  thermometer_.assign(n, false);
 }
 
 double FlashAdc::lsb() const {
   return config_.v_full_scale / static_cast<double>(1u << config_.bits);
 }
 
-unsigned FlashAdc::convert(double v_in) {
+unsigned FlashAdc::convert(double v_in) const {
   unsigned count = 0;
-  for (std::size_t k = 0; k < comparators_.size(); ++k) {
-    thermometer_[k] = comparators_[k].decide(v_in, thresholds_[k]);
-    if (thermometer_[k]) ++count;
+  for (std::size_t k = 1; k <= comparator_count(); ++k) {
+    if (v_in > static_cast<double>(k) * lsb()) ++count;
   }
-  // A well-formed thermometer code's ones-count *is* the binary code; using
-  // the count also tolerates bubble errors from comparator offsets.
   return count;
 }
 
 double FlashAdc::electrical_power() const {
   const double comparator_power =
       static_cast<double>(comparator_count()) *
-      (config_.comparator.static_power +
-       config_.comparator.energy_per_decision * config_.sample_rate);
+      (config_.comparator_static_power +
+       config_.comparator_energy_per_decision * config_.sample_rate);
   return comparator_power + config_.ladder_power + config_.encoder_power +
          config_.clock_power;
 }

@@ -1,11 +1,7 @@
 #ifndef PTC_ADC_FLASH_ADC_HPP
 #define PTC_ADC_FLASH_ADC_HPP
 
-#include <cstdint>
-#include <vector>
-
-#include "circuit/comparator.hpp"
-#include "common/rng.hpp"
+#include <cstddef>
 
 /// Electrical thermometer-coded flash ADC — the conventional high-speed
 /// architecture the eoADC is contrasted against (paper Sec. II-C, refs
@@ -19,17 +15,12 @@ struct FlashAdcConfig {
   unsigned bits = 3;
   double v_full_scale = 4.0;
   double sample_rate = 8e9;  ///< [Hz]
-  circuit::ComparatorConfig comparator{
-      .offset_sigma = 2e-3,
-      .noise_sigma = 0.5e-3,
-      .energy_per_decision = 120e-15,
-      .static_power = 1.55e-3,  // GS/s-class comparator incl. preamp
-  };
+  /// Bias power of one GS/s-class comparator, preamp included [W].
+  double comparator_static_power = 1.55e-3;
+  double comparator_energy_per_decision = 120e-15;  ///< [J]
   double ladder_power = 1.0e-3;   ///< reference resistor ladder [W]
   double encoder_power = 1.0e-3;  ///< thermometer-to-binary encoder [W]
   double clock_power = 3.0e-3;    ///< S/H + clock distribution [W]
-  std::uint64_t offset_seed = 42;
-  bool include_offsets = false;   ///< draw comparator offsets at random
 };
 
 class FlashAdc {
@@ -40,11 +31,9 @@ class FlashAdc {
   std::size_t comparator_count() const { return (1u << config_.bits) - 1; }
   double lsb() const;
 
-  /// Converts the input; every comparator fires (thermometer code).
-  unsigned convert(double v_in);
-
-  /// Thermometer pattern of the last conversion (for tests).
-  const std::vector<bool>& last_thermometer() const { return thermometer_; }
+  /// Converts the input against the ideal ladder: every comparator fires,
+  /// and the thermometer code's ones-count is the output code.
+  unsigned convert(double v_in) const;
 
   /// Comparator activations per conversion — 2^p - 1, versus the eoADC's 1.
   std::size_t activations_per_conversion() const {
@@ -59,9 +48,6 @@ class FlashAdc {
 
  private:
   FlashAdcConfig config_;
-  std::vector<circuit::Comparator> comparators_;
-  std::vector<double> thresholds_;
-  std::vector<bool> thermometer_;
 };
 
 }  // namespace ptc::adc

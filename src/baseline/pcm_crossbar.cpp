@@ -45,11 +45,6 @@ double PcmCrossbar::program(const Matrix& weights) {
   return writes_per_row * config_.write_pulse_time;
 }
 
-double PcmCrossbar::transmittance(std::size_t row, std::size_t col) const {
-  expects(row < config_.rows && col < config_.cols, "cell index out of range");
-  return transmittances_[row * config_.cols + col];
-}
-
 std::vector<double> PcmCrossbar::multiply(const std::vector<double>& x,
                                           double age_seconds) const {
   expects(x.size() == config_.cols, "input size must equal cols");
@@ -69,10 +64,6 @@ std::vector<double> PcmCrossbar::multiply(const std::vector<double>& x,
 
 std::uint64_t PcmCrossbar::max_cell_updates() const {
   return *std::max_element(update_counts_.begin(), update_counts_.end());
-}
-
-bool PcmCrossbar::worn_out() const {
-  return max_cell_updates() > config_.endurance;
 }
 
 }  // namespace ptc::baseline

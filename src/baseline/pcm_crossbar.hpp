@@ -46,9 +46,6 @@ class PcmCrossbar {
   /// write (energy, latency, endurance).  Returns the programming time [s].
   double program(const Matrix& weights);
 
-  /// Transmittance of a cell right after programming (quantized to levels).
-  double transmittance(std::size_t row, std::size_t col) const;
-
   /// Incoherent crossbar read: y_r = sum_c T_rc * x_c, with optional aging
   /// time applied to model PCM drift [s since programming].
   std::vector<double> multiply(const std::vector<double>& x,
@@ -57,11 +54,8 @@ class PcmCrossbar {
   /// Total write energy consumed so far [J].
   double write_energy_consumed() const { return write_energy_consumed_; }
 
-  /// Largest per-cell update count so far (endurance tracking).
+  /// Largest per-cell update count so far, against config().endurance.
   std::uint64_t max_cell_updates() const;
-
-  /// True when any cell exceeded its endurance budget.
-  bool worn_out() const;
 
   const PcmCrossbarConfig& config() const { return config_; }
 

@@ -23,28 +23,12 @@ double VoltageAmplifier::stage_transfer(double v_in) const {
   return std::clamp(v, 0.0, config_.vdd);
 }
 
-double VoltageAmplifier::output(double v_in) const {
-  double v = v_in;
-  for (std::size_t i = 0; i < config_.stages; ++i) v = stage_transfer(v);
-  return v;
-}
-
 double VoltageAmplifier::step(double v_in, double dt) {
   double v = v_in;
   for (auto& stage : stages_) {
     v = stage.step(stage_transfer(v), dt);
   }
   return v;
-}
-
-double VoltageAmplifier::value() const { return stages_.back().value(); }
-
-void VoltageAmplifier::reset(double v) {
-  for (auto& stage : stages_) stage.reset(v);
-}
-
-bool VoltageAmplifier::logic_value() const {
-  return value() > 0.5 * config_.vdd;
 }
 
 }  // namespace ptc::circuit

@@ -22,18 +22,10 @@ class VoltageAmplifier {
  public:
   explicit VoltageAmplifier(const VoltageAmpConfig& config = {});
 
-  /// Static settled output for an input level (cascaded inverting stages:
-  /// even stage count => overall non-inverting) [V].
-  double output(double v_in) const;
-
   /// Advances all stages by dt and returns the final-stage output [V].
+  /// Each stage inverts around the bias point, so an even stage count is
+  /// non-inverting overall.
   double step(double v_in, double dt);
-
-  double value() const;
-  void reset(double v);
-
-  /// True when the settled output is a logic high (above vdd/2).
-  bool logic_value() const;
 
   const VoltageAmpConfig& config() const { return config_; }
 

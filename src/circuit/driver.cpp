@@ -24,8 +24,4 @@ double RingDriver::step(double v_in, double dt) {
   return after;
 }
 
-double RingDriver::switching_energy() const {
-  return 0.5 * config_.load_capacitance * config_.vdd * config_.vdd;
-}
-
 }  // namespace ptc::circuit

@@ -28,9 +28,6 @@ class RingDriver {
   double output() const { return lag_.value(); }
   void reset(double v) { lag_.reset(v); }
 
-  /// Energy for one full output swing 0 <-> vdd [J].
-  double switching_energy() const;
-
   /// Dynamic energy dissipated so far, accumulated from actual output
   /// movement (C * Vdd * |dV| for a rail-to-rail driver) [J].
   double consumed_energy() const { return consumed_energy_; }

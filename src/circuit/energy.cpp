@@ -42,12 +42,6 @@ double EnergyLedger::static_power(const std::string& category) const {
   return it == static_powers_.end() ? 0.0 : it->second;
 }
 
-double EnergyLedger::total_static_power() const {
-  double sum = 0.0;
-  for (const auto& [category, watts] : static_powers_) sum += watts;
-  return sum;
-}
-
 std::vector<EnergyLedger::Entry> EnergyLedger::entries() const {
   std::vector<Entry> out;
   for (const auto& [category, joules] : energies_) {

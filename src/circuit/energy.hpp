@@ -41,9 +41,6 @@ class EnergyLedger {
   /// Registered static power for a category [W] (0 if unknown).
   double static_power(const std::string& category) const;
 
-  /// Sum of all registered static powers [W].
-  double total_static_power() const;
-
   struct Entry {
     std::string category;
     double energy;

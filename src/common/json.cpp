@@ -191,6 +191,9 @@ class Parser {
     char* end = nullptr;
     const double x = std::strtod(token.c_str(), &end);
     if (end == nullptr || *end != '\0') fail("malformed number");
+    // strtod saturates an out-of-range literal such as 1e999 to +-inf,
+    // which JSON cannot carry and which no reader can compare against.
+    if (!std::isfinite(x)) fail("number out of range");
     return Value::number(x);
   }
 
@@ -205,11 +208,6 @@ class Parser {
 };
 
 }  // namespace
-
-bool Value::as_bool() const {
-  if (kind_ != Kind::kBool) fail_kind("bool");
-  return bool_;
-}
 
 double Value::as_number() const {
   if (kind_ != Kind::kNumber) fail_kind("number");

@@ -29,7 +29,6 @@ class Value {
   bool is_object() const { return kind_ == Kind::kObject; }
 
   /// Typed accessors; throw std::invalid_argument on a kind mismatch.
-  bool as_bool() const;
   double as_number() const;
   const std::string& as_string() const;
   const std::vector<Value>& as_array() const;

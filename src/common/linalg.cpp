@@ -20,12 +20,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> values) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::transposed() const {
   Matrix out(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r)
@@ -65,9 +59,6 @@ Matrix& Matrix::operator*=(double scale) {
   return *this;
 }
 
-Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
-Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
-Matrix operator*(Matrix lhs, double scale) { return lhs *= scale; }
 Matrix operator*(double scale, Matrix rhs) { return rhs *= scale; }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -80,14 +71,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
       for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
     }
   }
-  return out;
-}
-
-std::vector<double> matvec(const Matrix& a, const std::vector<double>& x) {
-  expects(x.size() == a.cols(), "matvec dimension mismatch");
-  std::vector<double> out(a.rows(), 0.0);
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) out[i] += a(i, j) * x[j];
   return out;
 }
 

@@ -22,9 +22,6 @@ class Matrix {
   /// Construction from nested initializer lists: Matrix{{1,2},{3,4}}.
   Matrix(std::initializer_list<std::initializer_list<double>> values);
 
-  /// Identity matrix of size n.
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
@@ -62,16 +59,10 @@ class Matrix {
   std::vector<double> data_;
 };
 
-Matrix operator+(Matrix lhs, const Matrix& rhs);
-Matrix operator-(Matrix lhs, const Matrix& rhs);
-Matrix operator*(Matrix lhs, double scale);
 Matrix operator*(double scale, Matrix rhs);
 
 /// Matrix product (inner dimensions must agree).
 Matrix matmul(const Matrix& a, const Matrix& b);
-
-/// Matrix-vector product (x.size() must equal a.cols()).
-std::vector<double> matvec(const Matrix& a, const std::vector<double>& x);
 
 }  // namespace ptc
 

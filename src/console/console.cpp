@@ -54,7 +54,17 @@ void Console::set_token_run_callback(
 }
 
 std::string Console::error(const std::string& message) {
-  errors_.push_back("-100,\"" + message + "\"");
+  if (errors_.size() == kErrorQueueCapacity) {
+    errors_.back() = "-350,\"Queue overflow\"";
+  } else {
+    // IEEE 488.2 string data: an embedded quote is doubled.
+    std::string entry = "-100,\"";
+    for (const char c : message) {
+      entry += c;
+      if (c == '"') entry += '"';
+    }
+    errors_.push_back(entry + '"');
+  }
   return "ERR: " + message;
 }
 

@@ -47,10 +47,16 @@ class Console {
   void set_token_run_callback(
       std::function<serve::TokenServeReport()> callback);
 
+  /// SYSTem:ERRor? holds at most this many entries.  An error that finds
+  /// the queue full replaces the newest entry with -350,"Queue overflow",
+  /// as SCPI instruments do, so no client can grow the queue without bound.
+  static constexpr std::size_t kErrorQueueCapacity = 32;
+
   /// Evaluates one command line and returns the reply ("" for a blank or
   /// comment-only line; "ERR: ..." on failure, which also queues the
-  /// message for SYSTem:ERRor?).  Replies are single lines except the
-  /// METRics / MODEL:SCHEDule dumps.
+  /// message for SYSTem:ERRor? as one SCPI string, embedded quotes
+  /// doubled).  Replies are single lines except the METRics /
+  /// MODEL:SCHEDule dumps.
   std::string eval(const std::string& line);
 
   /// True once EXIT/QUIT has been evaluated.

@@ -73,11 +73,6 @@ std::uint32_t PsramArray::word(std::size_t row, std::size_t index) const {
   return words_[row * config_.words_per_row + index];
 }
 
-bool PsramArray::bit(std::size_t row, std::size_t index, unsigned b) const {
-  expects(b < config_.bits_per_word, "bit index out of range");
-  return (word(row, index) >> b) & 1u;
-}
-
 double PsramArray::hold_wall_power() const {
   return static_cast<double>(bitcell_count()) * config_.hold_bias_power /
          config_.wall_plug_efficiency;

@@ -71,10 +71,6 @@ class PsramArray {
   /// Every stored word, row-major (rows x words_per_row).
   std::span<const std::uint32_t> words() const { return words_; }
 
-  /// Individual stored bit (bit b of word (row, index)); this is the line
-  /// that drives a multiply ring.
-  bool bit(std::size_t row, std::size_t index, unsigned b) const;
-
   /// Static hold power: per-cell optical bias at wall-plug efficiency [W].
   double hold_wall_power() const;
 

@@ -168,8 +168,4 @@ double PsramBitcell::recovery_margin(double resolution) {
   return lo;
 }
 
-double PsramBitcell::hold_wall_power() const {
-  return config_.bias_power / config_.wall_plug_efficiency;
-}
-
 }  // namespace ptc::core

@@ -102,9 +102,6 @@ class PsramBitcell {
   /// bisection — an operational static-noise-margin measure [V].
   double recovery_margin(double resolution = 0.01);
 
-  /// Hold-state optical wall-plug power of the bias laser [W].
-  double hold_wall_power() const;
-
   const PsramConfig& config() const { return config_; }
 
  private:

@@ -151,9 +151,7 @@ double VectorComputeMacro::compute_current(const std::vector<double>& inputs,
           "need exactly one input per channel");
 
   // Comb + encoders produce the WDM input bundle.
-  optics::FrequencyComb comb(optics::WavelengthGrid(wavelengths_),
-                             config_.comb_power_per_line,
-                             config_.wall_plug_efficiency);
+  const optics::FrequencyComb comb(wavelengths_, config_.comb_power_per_line);
   const optics::WdmSignal encoded = encoder_.encode(comb.emit(), inputs);
 
   // Binary-weighted splitter cascade: tap k carries IN / 2^(k+1).
@@ -196,11 +194,6 @@ double VectorComputeMacro::ideal_normalized(
   }
   return acc / (static_cast<double>(config_.channels) *
                 static_cast<double>(max_weight()));
-}
-
-double VectorComputeMacro::comb_wall_power() const {
-  return config_.comb_power_per_line * static_cast<double>(config_.channels) /
-         config_.wall_plug_efficiency;
 }
 
 }  // namespace ptc::core

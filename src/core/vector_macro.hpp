@@ -43,7 +43,6 @@ struct VectorMacroConfig {
   double encoder_extinction_db = 25.0;
   double splitter_excess_db = 0.1;
   optics::PhotodiodeConfig photodiode{};
-  double wall_plug_efficiency = tech_wall_plug;
   /// Per-device fabrication/drive-level variation; variation.seed == 0 is
   /// the pristine design device.  A TensorCore derives one child seed per
   /// macro, so every macro of a varied core is a distinct device.
@@ -116,9 +115,6 @@ class VectorComputeMacro {
   /// Releases every latched ring: biases follow the weight bits again.
   void clear_ring_faults();
   std::size_t ring_fault_count() const { return ring_fault_count_; }
-
-  /// Optical wall-plug power of the macro's comb lines [W].
-  double comb_wall_power() const;
 
   const VectorMacroConfig& config() const { return config_; }
 

@@ -111,7 +111,7 @@ struct CompiledGraph {
   std::size_t output_size() const { return output_shape.size(); }
 
   /// Residency metadata for cores with tile_m rows x tile_k cols, mirroring
-  /// nn::plan_tiled_matmul's tile counts (doubled under differential
+  /// nn::build_weight_plan's tile counts (doubled under differential
   /// weight encoding).
   PassProfile pass_profile(std::size_t tile_m, std::size_t tile_k,
                            bool differential) const;

@@ -41,9 +41,6 @@ class WeightPlanCache {
   std::shared_ptr<const WeightPlan> get(const Matrix& w, std::size_t tile_m,
                                         std::size_t tile_k, bool differential);
 
-  /// Forgets every cached plan.
-  void invalidate();
-
   /// Number of plan builds performed (misses), for tests and diagnostics.
   std::size_t builds() const;
 

@@ -11,20 +11,10 @@ double SignedMapping::to_unit(double w) const {
   return 0.5 * (w / scale + 1.0);
 }
 
-double SignedMapping::from_unit(double u) const {
-  return (2.0 * u - 1.0) * scale;
-}
-
 SignedMapping signed_mapping_for(const Matrix& w) {
   double max_abs = 0.0;
   for (double v : w.data()) max_abs = std::max(max_abs, std::fabs(v));
   return SignedMapping{max_abs > 0.0 ? max_abs : 1.0};
-}
-
-Matrix to_unit_matrix(const Matrix& w, const SignedMapping& mapping) {
-  Matrix out = w;
-  for (double& v : out.data()) v = std::clamp(mapping.to_unit(v), 0.0, 1.0);
-  return out;
 }
 
 double normalized_activations(const Matrix& x, Matrix& out) {

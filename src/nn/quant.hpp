@@ -16,15 +16,10 @@ struct SignedMapping {
 
   /// w (|w| <= scale) -> [0, 1].
   double to_unit(double w) const;
-  /// [0, 1] -> w.
-  double from_unit(double u) const;
 };
 
 /// Computes the mapping for a tensor (scale = max abs value; 1 when all 0).
 SignedMapping signed_mapping_for(const Matrix& w);
-
-/// Maps a whole matrix into [0, 1] with the given mapping.
-Matrix to_unit_matrix(const Matrix& w, const SignedMapping& mapping);
 
 /// Normalization of a non-negative activation matrix to [0, 1]: writes
 /// x / scale into `out` (resized to x's shape) without mutating x and

@@ -38,11 +38,6 @@ std::shared_ptr<const WeightPlan> WeightPlanCache::get(const Matrix& w,
   return built;
 }
 
-void WeightPlanCache::invalidate() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-}
-
 std::size_t WeightPlanCache::builds() const {
   std::lock_guard<std::mutex> lock(mu_);
   return builds_;
@@ -110,15 +105,6 @@ TilePlan plan_from_weights(std::shared_ptr<const WeightPlan> weights,
   plan.passes = weights->passes;
   plan.x_scale = normalized_activations(x, x_norm);
   plan.weights = std::move(weights);
-  return plan;
-}
-
-TilePlan plan_tiled_matmul(Matrix& x, const Matrix& w, std::size_t tile_m,
-                           std::size_t tile_k, bool differential) {
-  Matrix x_norm;
-  TilePlan plan = plan_from_weights(
-      build_weight_plan(w, tile_m, tile_k, differential), x, x_norm);
-  x = std::move(x_norm);
   return plan;
 }
 

@@ -102,15 +102,6 @@ struct TilePlan {
 TilePlan plan_from_weights(std::shared_ptr<const WeightPlan> weights,
                            const Matrix& x, Matrix& x_norm);
 
-/// Builds the plan for x (s x k) times w (k x m) on cores with tile_m rows
-/// and tile_k cols.  `x` is normalized to [0, 1] in place (the scale is
-/// recorded in the plan).  `differential` selects the two-pass W+/W-
-/// encoding over the single-pass offset encoding.  Convenience wrapper that
-/// builds the weight half fresh; hot paths go through WeightPlanCache +
-/// plan_from_weights instead.
-TilePlan plan_tiled_matmul(Matrix& x, const Matrix& w, std::size_t tile_m,
-                           std::size_t tile_k, bool differential);
-
 /// Encodes the (tile_m x tile_k) weight block of `pass` into [0, 1] unit
 /// weights, padding out-of-range cells with the pass pad value.
 Matrix encode_weight_block(const WeightPlan& plan, const TilePass& pass,

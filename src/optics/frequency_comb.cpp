@@ -1,29 +1,28 @@
 #include "optics/frequency_comb.hpp"
 
+#include <algorithm>
+
 #include "common/expects.hpp"
 #include "common/units.hpp"
 
 namespace ptc::optics {
 
-FrequencyComb::FrequencyComb(WavelengthGrid grid, double power_per_line,
-                             double wall_plug_efficiency)
-    : grid_(std::move(grid)),
-      power_per_line_(power_per_line),
-      wall_plug_efficiency_(wall_plug_efficiency) {
+FrequencyComb::FrequencyComb(std::vector<double> wavelengths,
+                             double power_per_line)
+    : wavelengths_(std::move(wavelengths)), power_per_line_(power_per_line) {
+  expects(!wavelengths_.empty(), "a comb needs at least one line");
+  expects(std::is_sorted(wavelengths_.begin(), wavelengths_.end()) &&
+              std::adjacent_find(wavelengths_.begin(), wavelengths_.end()) ==
+                  wavelengths_.end(),
+          "comb wavelengths must be strictly increasing");
+  expects(wavelengths_.front() > 0.0, "wavelengths must be positive");
   expects(power_per_line >= 0.0, "comb line power must be non-negative");
-  expects(wall_plug_efficiency > 0.0 && wall_plug_efficiency <= 1.0,
-          "wall-plug efficiency must be in (0, 1]");
 }
 
 WdmSignal FrequencyComb::emit() const {
   WdmSignal out;
-  for (double w : grid_.wavelengths()) out.add_channel(w, power_per_line_);
+  for (double w : wavelengths_) out.add_channel(w, power_per_line_);
   return out;
-}
-
-double FrequencyComb::wall_power() const {
-  return power_per_line_ * static_cast<double>(grid_.size()) /
-         wall_plug_efficiency_;
 }
 
 IntensityEncoder::IntensityEncoder(double insertion_loss_db, double extinction_db)

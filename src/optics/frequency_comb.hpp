@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "optics/optical_signal.hpp"
-#include "optics/spectrum.hpp"
 
 /// Optical frequency comb plus the intensity encoders that imprint the analog
 /// input vector onto the comb lines (paper Sec. II-B: "the analog
@@ -12,27 +11,21 @@
 /// comb").
 namespace ptc::optics {
 
-/// Multi-line comb source: equally spaced lines of equal power.
+/// Multi-line comb source: lines of equal power on a WDM wavelength grid.
+/// The vector-multiply macro of the paper places four lines (lambda_1 ..
+/// lambda_4, 2.33 nm apart) within one microring free spectral range.
 class FrequencyComb {
  public:
-  /// grid of line wavelengths, per-line optical power [W], wall-plug
-  /// efficiency of the pump.
-  FrequencyComb(WavelengthGrid grid, double power_per_line,
-                double wall_plug_efficiency = 0.23);
-
-  const WavelengthGrid& grid() const { return grid_; }
-  double power_per_line() const { return power_per_line_; }
+  /// Line wavelengths [m], strictly increasing and positive, and the
+  /// per-line optical power [W].
+  FrequencyComb(std::vector<double> wavelengths, double power_per_line);
 
   /// All comb lines at full power.
   WdmSignal emit() const;
 
-  /// Total electrical power to sustain the comb [W].
-  double wall_power() const;
-
  private:
-  WavelengthGrid grid_;
+  std::vector<double> wavelengths_;
   double power_per_line_;
-  double wall_plug_efficiency_;
 };
 
 /// Bank of intensity modulators that encodes a normalized analog vector

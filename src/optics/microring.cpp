@@ -46,15 +46,10 @@ Microring::Microring(const MicroringConfig& config)
   amplitude_ = std::sqrt(units::db_to_ratio(-loss_db));
 }
 
-void Microring::set_heater_shift(double dlambda) {
-  expects(dlambda >= 0.0, "heaters can only red-shift the resonance");
-  heater_shift_ = dlambda;
-}
-
 double Microring::tuning_shift(double bias) const {
   const double electro_optic = junction_.resonance_shift(bias) - pin_shift_;
   const double thermal = config_.dlambda_dt * dtemp_;
-  return electro_optic + thermal + heater_shift_ + fab_error_;
+  return electro_optic + thermal + fab_error_;
 }
 
 double Microring::index_shift(double bias) const {
@@ -118,12 +113,6 @@ double Microring::drop_transmission(double wavelength) const {
   return std::clamp(numer / d, 0.0, 1.0);
 }
 
-double Microring::absorbed_fraction(double wavelength) const {
-  return std::clamp(
-      1.0 - thru_transmission(wavelength) - drop_transmission(wavelength), 0.0,
-      1.0);
-}
-
 double Microring::resonance_near(double wavelength) const {
   // Solve n(lambda) L + n_section dL = m lambda by fixed-point iteration;
   // the index varies slowly, so a handful of iterations suffices.
@@ -172,11 +161,6 @@ double Microring::fwhm(double wavelength) const {
     return 0.5 * (lo + hi);
   };
   return cross(+1.0) + cross(-1.0);
-}
-
-double Microring::q_factor(double wavelength) const {
-  const double res = resonance_near(wavelength);
-  return res / fwhm(res);
 }
 
 }  // namespace ptc::optics

@@ -23,9 +23,9 @@
 /// amplitude a from the propagation loss, and an effective index
 ///   n(lambda) = n_eff0 + dn/dlambda (lambda - lambda_design) + dn_tuning
 /// whose dispersion term reproduces the group index (and hence the FSR), and
-/// whose tuning term aggregates pn-junction bias, heater trim, ambient
-/// temperature, and fabrication error — all expressed as equivalent
-/// resonance shifts (delta_n = n_g * delta_lambda / lambda).
+/// whose tuning term aggregates pn-junction bias, ambient temperature, and
+/// fabrication error — all expressed as equivalent resonance shifts
+/// (delta_n = n_g * delta_lambda / lambda).
 ///
 /// The resonance is *pinned*: at bias == pin_bias (and zero thermal/fab
 /// offsets, dL = 0) one resonance falls exactly on design_wavelength.  dL
@@ -65,10 +65,6 @@ class Microring {
   void set_temperature_offset(double delta_kelvin) { dtemp_ = delta_kelvin; }
   double temperature_offset() const { return dtemp_; }
 
-  /// Static heater trim expressed as a resonance red-shift [m].
-  void set_heater_shift(double dlambda);
-  double heater_shift() const { return heater_shift_; }
-
   /// Fabrication-induced resonance error [m] (Monte-Carlo variation).
   void set_resonance_error(double dlambda) { fab_error_ = dlambda; }
   double resonance_error() const { return fab_error_; }
@@ -93,9 +89,6 @@ class Microring {
   /// Power transmission input -> drop port (0 for all-pass rings).
   double drop_transmission(double wavelength) const;
 
-  /// Fraction of input power absorbed in the ring (1 - thru - drop).
-  double absorbed_fraction(double wavelength) const;
-
   /// Resonance wavelength nearest to `wavelength`, including every active
   /// tuning contribution [m].
   double resonance_near(double wavelength) const;
@@ -107,9 +100,6 @@ class Microring {
   /// measured numerically [m].
   double fwhm(double wavelength) const;
 
-  /// Loaded quality factor at the resonance nearest `wavelength`.
-  double q_factor(double wavelength) const;
-
   // --- derived device constants ---------------------------------------------
   double circumference() const { return circumference_; }
   double self_coupling_thru() const { return t1_; }
@@ -120,7 +110,7 @@ class Microring {
   const PnPhaseShifter& junction() const { return junction_; }
 
  private:
-  /// Aggregate resonance shift from bias/thermal/heater/fabrication [m].
+  /// Aggregate resonance shift from bias/thermal/fabrication [m].
   double tuning_shift(double bias) const;
 
   /// Effective-index change of the tuning shift at the given bias.
@@ -144,7 +134,6 @@ class Microring {
 
   double bias_ = 0.0;
   double dtemp_ = 0.0;
-  double heater_shift_ = 0.0;
   double fab_error_ = 0.0;
 };
 

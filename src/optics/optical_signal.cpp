@@ -1,18 +1,8 @@
 #include "optics/optical_signal.hpp"
 
-#include <cmath>
-
 #include "common/expects.hpp"
 
 namespace ptc::optics {
-
-WdmSignal::WdmSignal(std::vector<ChannelPower> channels)
-    : channels_(std::move(channels)) {
-  for (const auto& ch : channels_) {
-    expects(ch.wavelength > 0.0, "channel wavelength must be positive");
-    expects(ch.power >= 0.0, "channel power must be non-negative");
-  }
-}
 
 WdmSignal WdmSignal::single(double wavelength, double power) {
   WdmSignal s;
@@ -45,22 +35,6 @@ double WdmSignal::total_power() const {
 WdmSignal& WdmSignal::scale(double factor) {
   expects(factor >= 0.0, "scale factor must be non-negative");
   for (auto& ch : channels_) ch.power *= factor;
-  return *this;
-}
-
-WdmSignal& WdmSignal::add(const WdmSignal& other) {
-  constexpr double match_tol = 1e-15;  // 1 fm
-  for (const auto& theirs : other.channels_) {
-    bool merged = false;
-    for (auto& ours : channels_) {
-      if (std::fabs(ours.wavelength - theirs.wavelength) < match_tol) {
-        ours.power += theirs.power;
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) channels_.push_back(theirs);
-  }
   return *this;
 }
 

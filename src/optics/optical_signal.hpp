@@ -23,9 +23,6 @@ class WdmSignal {
  public:
   WdmSignal() = default;
 
-  /// Builds a signal from explicit channels (wavelengths need not be sorted).
-  explicit WdmSignal(std::vector<ChannelPower> channels);
-
   /// Single-wavelength convenience factory.
   static WdmSignal single(double wavelength, double power);
 
@@ -44,10 +41,6 @@ class WdmSignal {
 
   /// Multiplies every channel power by `factor` (>= 0).
   WdmSignal& scale(double factor);
-
-  /// Adds the power of `other` channel-by-channel.  Channels are matched by
-  /// wavelength (within 1 fm); unmatched channels are appended.
-  WdmSignal& add(const WdmSignal& other);
 
  private:
   std::vector<ChannelPower> channels_;

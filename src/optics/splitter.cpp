@@ -1,7 +1,5 @@
 #include "optics/splitter.hpp"
 
-#include <cmath>
-
 #include "common/expects.hpp"
 #include "common/units.hpp"
 
@@ -42,10 +40,6 @@ std::vector<WdmSignal> BinaryWeightedTaps::split(const WdmSignal& in) const {
   }
   // `remainder` (IN / 2^n) is terminated into a passive absorber.
   return taps;
-}
-
-double BinaryWeightedTaps::residual_fraction() const {
-  return std::pow(0.5, static_cast<double>(n_taps_));
 }
 
 }  // namespace ptc::optics

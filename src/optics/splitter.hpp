@@ -40,10 +40,6 @@ class BinaryWeightedTaps {
   /// Returns n_taps signals; taps[k] == in * 2^-(k+1) (ignoring excess loss).
   std::vector<WdmSignal> split(const WdmSignal& in) const;
 
-  /// Power left in the terminated residual branch for a unit input, i.e.
-  /// 2^-n ignoring excess loss.  Exposed for power-accounting tests.
-  double residual_fraction() const;
-
   std::size_t n_taps() const { return n_taps_; }
 
  private:

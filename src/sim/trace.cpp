@@ -29,11 +29,6 @@ double Trace::final_value() const {
   return values_.back();
 }
 
-double Trace::min_value() const {
-  expects(!values_.empty(), "trace is empty");
-  return *std::min_element(values_.begin(), values_.end());
-}
-
 double Trace::max_value() const {
   expects(!values_.empty(), "trace is empty");
   return *std::max_element(values_.begin(), values_.end());
@@ -76,13 +71,6 @@ const Trace& TraceSet::get(const std::string& name) const {
 
 bool TraceSet::contains(const std::string& name) const {
   return traces_.find(name) != traces_.end();
-}
-
-std::vector<std::string> TraceSet::names() const {
-  std::vector<std::string> out;
-  out.reserve(traces_.size());
-  for (const auto& [name, trace] : traces_) out.push_back(name);
-  return out;
 }
 
 void TraceSet::write_csv(const std::string& path) const {

@@ -27,7 +27,6 @@ class Trace {
   double value_at(double t) const;
 
   double final_value() const;
-  double min_value() const;
   double max_value() const;
 
   /// First time the waveform crosses `level` in the given direction at or
@@ -54,7 +53,6 @@ class TraceSet {
   const Trace& get(const std::string& name) const;
 
   bool contains(const std::string& name) const;
-  std::vector<std::string> names() const;
 
   /// Writes all traces resampled onto the union time axis as CSV columns.
   void write_csv(const std::string& path) const;

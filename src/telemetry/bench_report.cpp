@@ -1,5 +1,6 @@
 #include "telemetry/bench_report.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -98,23 +99,36 @@ bool parse_metrics(const json::Value& report, const char* which,
                          json::format_number(version));
       return false;
     }
+    const std::size_t problems_before = problems.size();
     for (const json::Value& metric : report.at("metrics").as_array()) {
+      const std::string& name = metric.at("name").as_string();
+      const std::string where =
+          std::string(which) + ": metric \"" + name + "\": ";
       ParsedMetric parsed;
       parsed.value = metric.at("value").as_number();
+      // A misspelt direction must not turn a gate into an informational row.
       const std::string& direction = metric.at("direction").as_string();
       if (direction == "higher") {
         parsed.direction = Direction::kHigherIsBetter;
       } else if (direction == "lower") {
         parsed.direction = Direction::kLowerIsBetter;
-      } else {
+      } else if (direction == "none") {
         parsed.direction = Direction::kInformational;
+      } else {
+        problems.push_back(where + "unknown direction \"" + direction +
+                           "\" (expected higher, lower or none)");
       }
       parsed.tolerance =
           metric.contains("tolerance") ? metric.at("tolerance").as_number()
                                        : 0.0;
-      out[metric.at("name").as_string()] = parsed;
+      if (!(parsed.tolerance >= 0.0 && std::isfinite(parsed.tolerance))) {
+        problems.push_back(where + "tolerance " +
+                           json::format_number(parsed.tolerance) +
+                           " is not a finite value >= 0");
+      }
+      out[name] = parsed;
     }
-    return true;
+    return problems.size() == problems_before;
   } catch (const std::exception& e) {
     problems.push_back(std::string(which) + ": " + e.what());
     return false;

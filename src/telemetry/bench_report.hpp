@@ -93,13 +93,16 @@ struct MetricComparison {
 struct BenchComparison {
   bool pass = true;  ///< no gated metric regressed and schemas line up
   std::vector<MetricComparison> metrics;
-  std::vector<std::string> problems;  ///< schema/name mismatches
+  std::vector<std::string> problems;  ///< schema, name or metric faults
 };
 
 /// Diffs a current BENCH report against the committed baseline.  Gating
 /// (direction, tolerance) is read from the *baseline* — the committed
 /// trajectory owns the bar; a current run cannot loosen it.  A gated
-/// baseline metric missing from the current report is a failure.
+/// baseline metric missing from the current report is a failure, and so is
+/// a metric in either report whose direction is not exactly "higher",
+/// "lower" or "none" or whose tolerance is negative or not finite (each
+/// named in `problems`).
 BenchComparison compare_bench_reports(const json::Value& baseline,
                                       const json::Value& current);
 

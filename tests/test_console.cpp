@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <deque>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +21,10 @@
 #include "console/console.hpp"
 #include "console/demo.hpp"
 #include "console/scpi.hpp"
+#include "nn/mlp.hpp"
+#include "runtime/accelerator.hpp"
+#include "serve/model_registry.hpp"
+#include "serve/server.hpp"
 #include "golden.hpp"
 
 namespace {
@@ -122,6 +127,62 @@ TEST(Console, UnknownCommandQueuesSystemError) {
   const std::string json_reply = console.eval("METR:JSON?");
   EXPECT_EQ(json_reply.rfind("ERR:", 0), 0u) << json_reply;
   EXPECT_NE(console.eval("SYST:ERR?"), "0,\"No error\"");
+}
+
+/// True when `entry` is one SCPI error-queue response: a decimal code, a
+/// comma, and one string in double quotes whose embedded quotes are all
+/// doubled (IEEE 488.2 string data).
+bool is_scpi_error_entry(const std::string& entry) {
+  const std::size_t comma = entry.find(',');
+  if (comma == std::string::npos || comma == 0) return false;
+  for (std::size_t i = 0; i < comma; ++i) {
+    const bool sign = i == 0 && entry[i] == '-' && comma > 1;
+    if (!sign && (entry[i] < '0' || entry[i] > '9')) return false;
+  }
+  if (entry.size() < comma + 3 || entry[comma + 1] != '"' ||
+      entry.back() != '"') {
+    return false;
+  }
+  for (std::size_t i = comma + 2; i + 1 < entry.size(); ++i) {
+    if (entry[i] != '"') continue;
+    if (i + 2 >= entry.size() || entry[i + 1] != '"') return false;
+    ++i;  // skip the doubling quote
+  }
+  return true;
+}
+
+TEST(Console, ErrorQueueQuotesMessagesAndOverflowsAtItsCapacity) {
+  DemoScenario demo(1);
+  Console console = demo.make_console();
+  // The unknown header is echoed in quotes; the queued string doubles them.
+  EXPECT_EQ(console.eval("BOGUS:THING?"),
+            R"x(ERR: undefined header "BOGUS" (try HELP))x");
+  EXPECT_EQ(console.eval("SYST:ERR?"),
+            R"x(-100,"undefined header ""BOGUS"" (try HELP)")x");
+  EXPECT_EQ(console.eval("SYST:ERR?"), "0,\"No error\"");
+
+  // Bad 60 KB headers, each under the socket's line cap, queue at most
+  // the capacity; the newest entry then reports the overflow.
+  const std::size_t bad = Console::kErrorQueueCapacity + 8;
+  for (std::size_t i = 0; i < bad; ++i) {
+    const std::string reply =
+        console.eval(std::string(60000, 'X') + std::to_string(i) + "?");
+    ASSERT_EQ(reply.rfind("ERR:", 0), 0u);
+  }
+  std::vector<std::string> drained;
+  for (std::string entry = console.eval("SYST:ERR?");
+       entry != "0,\"No error\""; entry = console.eval("SYST:ERR?")) {
+    EXPECT_TRUE(is_scpi_error_entry(entry)) << entry.substr(0, 80);
+    drained.push_back(entry);
+    ASSERT_LE(drained.size(), bad);
+  }
+  ASSERT_EQ(drained.size(), Console::kErrorQueueCapacity);
+  EXPECT_NE(drained.front().find("X0\"\""), std::string::npos);  // oldest kept
+  EXPECT_EQ(drained.back(), "-350,\"Queue overflow\"");
+  // Draining frees the queue: the next error queues normally.
+  console.eval("BOGUS?");
+  EXPECT_EQ(console.eval("SYST:ERR?"),
+            R"x(-100,"undefined header ""BOGUS"" (try HELP)")x");
 }
 
 TEST(Console, CoreIndexOutsideTheFleetAnswersError) {
@@ -318,6 +379,115 @@ TEST(Console, ExitStopsTheStreamAndCountsErrors) {
   EXPECT_TRUE(console.exit_requested());
   // The post-EXIT line is never evaluated.
   EXPECT_EQ(out.str().find("SNAP?"), std::string::npos);
+}
+
+// --- fuzzing ----------------------------------------------------------------
+
+/// Mirrors dispatch's SYSTem:ERRor? branch: true for a line that pops the
+/// error queue instead of answering.
+bool pops_error_queue(const std::string& line) {
+  ScpiCommand command;
+  std::string parse_error;
+  return console::parse_scpi(line, &command, &parse_error) &&
+         command.query && command.mnemonics.size() == 2 &&
+         console::mnemonic_matches(command.mnemonics[0], "SYSTem") &&
+         console::mnemonic_matches(command.mnemonics[1], "ERRor");
+}
+
+TEST(ConsoleFuzz, RandomLinesAnswerOrQueueOneError) {
+  // A small fleet with no run callbacks, no tracer and no metrics registry:
+  // every command answers from device state or errors, and TRACE:DUMP has
+  // nothing to write.
+  runtime::Accelerator accelerator({.cores = 2});
+  serve::ModelRegistry registry(accelerator);
+  Rng model_rng(3);
+  registry.add("mlp", nn::Mlp(8, 6, 4, model_rng));
+  serve::Server server(registry);
+  Console console(server, registry, accelerator);
+
+  const std::vector<std::string> words = {
+      "*IDN", "SNAP", "SNAPSHOT", "SERVE", "RUN", "TOK", "MEAS", "LAT",
+      "THR", "ACC", "FLEET", "CORES", "CORE0", "CORE1", "CORE9", "EPOCH",
+      "DETUN", "HEALTH", "TEN", "LIST", "COST", "SLO", "BURN", "HEAL",
+      "ALERTS", "ALERT", "FAULT", "INJ", "EVICT", "READMIT", "CLEAR",
+      "DEADRINGS", "HEATER", "ADC", "RECAL", "TRACE", "DUMP", "SIZE",
+      "METR", "PROM", "MODEL", "SCHED", "mlp", "SYST", "ERR", "HELP",
+      "EXIT", "P50", "P99", "MAX", "MEAN", "(fleet)"};
+  const std::string punctuation = ":?;#,\" 0123456789";
+  Rng rng(20261019);
+  const auto random_line = [&] {
+    std::string line;
+    const std::size_t pieces = 1 + rng.below(8);
+    for (std::size_t p = 0; p < pieces; ++p) {
+      switch (rng.below(6)) {
+        case 0:
+        case 1:
+          line += words[rng.below(words.size())];
+          break;
+        case 2:
+        case 3:
+          line += punctuation[rng.below(punctuation.size())];
+          break;
+        case 4:  // a token far longer than any mnemonic
+          line += std::string(1 + rng.below(600),
+                              static_cast<char>('A' + rng.below(26)));
+          break;
+        default:  // random bytes; lines never carry their newline
+          for (std::size_t b = rng.below(12); b > 0; --b) {
+            const char c = static_cast<char>(rng.below(256));
+            line += c == '\n' ? ' ' : c;
+          }
+      }
+    }
+    return line;
+  };
+
+  // The queue the console should hold: one entry per ERR reply, quotes
+  // doubled, the newest replaced on overflow, popped by SYST:ERR?.
+  std::deque<std::string> expected;
+  const auto drain = [&] {
+    for (std::size_t popped = 0;; ++popped) {
+      const std::string entry = console.eval("SYST:ERR?");
+      if (entry == "0,\"No error\"") {
+        EXPECT_TRUE(expected.empty()) << expected.size() << " not popped";
+        expected.clear();
+        return;
+      }
+      ASSERT_LE(popped, Console::kErrorQueueCapacity);
+      EXPECT_TRUE(is_scpi_error_entry(entry)) << entry.substr(0, 80);
+      ASSERT_FALSE(expected.empty()) << "unexpected entry " << entry;
+      EXPECT_EQ(entry, expected.front());
+      expected.pop_front();
+    }
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const std::string line =
+        rng.below(64) == 0 ? std::string("SYST:ERR?") : random_line();
+    const bool pops = pops_error_queue(line);
+    const std::string reply = console.eval(line);
+    if (reply.rfind("ERR: ", 0) == 0) {
+      std::string entry = "-100,\"";
+      for (const char c : reply.substr(5)) {
+        entry += c;
+        if (c == '"') entry += '"';
+      }
+      entry += '"';
+      if (expected.size() == Console::kErrorQueueCapacity) {
+        expected.back() = "-350,\"Queue overflow\"";
+      } else {
+        expected.push_back(entry);
+      }
+    } else if (pops) {
+      if (expected.empty()) {
+        EXPECT_EQ(reply, "0,\"No error\"");
+      } else {
+        EXPECT_EQ(reply, expected.front());
+        expected.pop_front();
+      }
+    }
+    if (i % 997 == 0) drain();
+  }
+  drain();
 }
 
 // --- socket sessions --------------------------------------------------------

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "circuit/amplifier.hpp"
-#include "circuit/comparator.hpp"
 #include "circuit/driver.hpp"
 #include "circuit/tia.hpp"
 
@@ -34,7 +33,6 @@ TEST(RingDriver, EnergyPerFullSwing) {
   for (int i = 0; i < 500; ++i) driver.step(1.8, 1e-12);
   // 0.5 * C * Vdd * dV = 0.5 * 85 fF * 1.8 * 1.8 = 0.1377 pJ.
   EXPECT_NEAR(driver.consumed_energy(), 0.1377e-12, 0.002e-12);
-  EXPECT_NEAR(driver.switching_energy(), 0.1377e-12, 0.002e-12);
 }
 
 TEST(InverterTia, InvertsAroundBias) {
@@ -46,49 +44,29 @@ TEST(InverterTia, InvertsAroundBias) {
   EXPECT_DOUBLE_EQ(tia.output(1.8), 0.0);
 }
 
+/// Output of a fresh amplifier held at `v_in` for 100 ps (40 stage taus).
+double settled_output(double v_in) {
+  VoltageAmplifier amp;
+  double out = 0.0;
+  for (int i = 0; i < 200; ++i) out = amp.step(v_in, 0.5e-12);
+  return out;
+}
+
 TEST(VoltageAmplifier, EvenStagesNonInverting) {
-  const VoltageAmplifier amp;  // 2 stages
-  EXPECT_GT(amp.output(0.95), 0.9);   // above bias stays above (x36 gain)
-  EXPECT_LT(amp.output(0.85), 0.9);
-  EXPECT_DOUBLE_EQ(amp.output(1.2), 1.8);  // saturates
+  // 2 stages of x6: above bias stays above, below stays below.
+  EXPECT_GT(settled_output(0.95), 0.9);
+  EXPECT_LT(settled_output(0.85), 0.9);
+  EXPECT_NEAR(settled_output(1.2), 1.8, 1e-6);  // saturates at the rail
 }
 
 TEST(VoltageAmplifier, TransientSettlesToStatic) {
+  // Static transfer at 0.95 V: 0.9 - 6 * 0.05 = 0.6 V, then
+  // 0.9 + 6 * 0.3 = 2.7 V, clipped to the 1.8 V rail.
   VoltageAmplifier amp;
-  for (int i = 0; i < 200; ++i) amp.step(0.95, 0.5e-12);
-  EXPECT_NEAR(amp.value(), amp.output(0.95), 1e-6);
-  EXPECT_TRUE(amp.logic_value());
-  amp.reset(0.9);
-  EXPECT_NEAR(amp.value(), 0.9, 1e-12);
-}
-
-TEST(Comparator, DecidesAgainstItsReference) {
-  const Comparator cmp;
-  EXPECT_TRUE(cmp.decide(1.0, 0.5));
-  EXPECT_FALSE(cmp.decide(0.4, 0.5));
-}
-
-TEST(Comparator, OffsetFromRng) {
-  ComparatorConfig config;
-  config.offset_sigma = 10e-3;
-  Rng rng(99);
-  Comparator cmp(config, rng);
-  EXPECT_NE(cmp.offset(), 0.0);
-  EXPECT_LT(std::abs(cmp.offset()), 60e-3);  // within ~6 sigma
-}
-
-TEST(Comparator, NoisyDecisionsFlipNearThreshold) {
-  ComparatorConfig config;
-  config.noise_sigma = 5e-3;
-  Comparator cmp(config);
-  Rng rng(7);
-  int highs = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (cmp.decide(0.5, 0.5, rng)) ++highs;
-  }
-  // Exactly at threshold, noise splits decisions roughly evenly.
-  EXPECT_GT(highs, 350);
-  EXPECT_LT(highs, 650);
+  const double first = amp.step(0.95, 0.5e-12);
+  EXPECT_GT(first, 0.9);  // starts from the bias point
+  EXPECT_LT(first, 1.8);  // finite bandwidth: not there after one step
+  EXPECT_NEAR(settled_output(0.95), 1.8, 1e-6);
 }
 
 }  // namespace

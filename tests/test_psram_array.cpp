@@ -26,9 +26,7 @@ TEST(PsramArray, WordReadBack) {
   array.write_word(3, 5, 6);
   EXPECT_EQ(array.word(3, 5), 6u);
   EXPECT_EQ(array.word(3, 6), 0u);
-  EXPECT_TRUE(array.bit(3, 5, 1));   // 6 = 0b110
-  EXPECT_TRUE(array.bit(3, 5, 2));
-  EXPECT_FALSE(array.bit(3, 5, 0));
+  EXPECT_EQ(array.words()[3 * array.words_per_row() + 5], 6u);  // row-major
 }
 
 TEST(PsramArray, WriteEnergyCountsOnlyFlippedBits) {
@@ -161,7 +159,7 @@ TEST(PsramArray, RejectsOutOfRange) {
   EXPECT_THROW(array.write_word(16, 0, 1), std::invalid_argument);
   EXPECT_THROW(array.write_word(0, 16, 1), std::invalid_argument);
   EXPECT_THROW(array.write_word(0, 0, 8), std::invalid_argument);
-  EXPECT_THROW(array.bit(0, 0, 3), std::invalid_argument);
+  EXPECT_THROW(array.word(0, 16), std::invalid_argument);
   EXPECT_THROW(array.write_matrix(std::vector<std::uint32_t>(5)),
                std::invalid_argument);
 }

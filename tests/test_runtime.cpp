@@ -122,9 +122,11 @@ TEST(ThreadPool, SingleWorkerStillCompletesParallelFor) {
 nn::TilePlan plan_for(std::size_t samples, std::size_t k, std::size_t m,
                       bool differential = false) {
   Rng rng(5);
-  Matrix x = random_activations(samples, k, rng);
-  Matrix w = random_signed(k, m, rng);
-  return nn::plan_tiled_matmul(x, w, 16, 16, differential);
+  const Matrix x = random_activations(samples, k, rng);
+  const Matrix w = random_signed(k, m, rng);
+  Matrix x_norm;
+  return nn::plan_from_weights(nn::build_weight_plan(w, 16, 16, differential),
+                               x, x_norm);
 }
 
 TEST(TileScheduler, EvenWorkloadBalancesPerfectly) {

@@ -433,13 +433,19 @@ TEST(Json, ParsesDocumentsAndRejectsGarbage) {
   EXPECT_DOUBLE_EQ(v.at("a").as_array()[1].as_number(), 2.5);
   EXPECT_DOUBLE_EQ(v.at("a").as_array()[2].as_number(), -300.0);
   EXPECT_EQ(v.at("s").as_string(), "x\n\"y\"");
-  EXPECT_TRUE(v.at("t").as_bool());
+  EXPECT_TRUE(v.at("t").is_bool());
   EXPECT_TRUE(v.at("n").is_null());
   EXPECT_FALSE(v.contains("missing"));
 
   EXPECT_THROW(json::parse("{"), std::invalid_argument);
   EXPECT_THROW(json::parse("[1,]"), std::invalid_argument);
   EXPECT_THROW(json::parse("{} trailing"), std::invalid_argument);
+  // A literal past double's range would read back as +-inf: refused.
+  EXPECT_THROW(json::parse("1e999"), std::invalid_argument);
+  EXPECT_THROW(json::parse("[-1e999]"), std::invalid_argument);
+  EXPECT_THROW(json::parse(R"({"v": 1e400})"), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(json::parse("1.7976931348623157e308").as_number(),
+                   1.7976931348623157e308);
   EXPECT_THROW(v.at("s").as_number(), std::invalid_argument);
   // Deep nesting is refused before it can exhaust the stack.
   EXPECT_THROW(json::parse(std::string(50000, '[')), std::invalid_argument);
@@ -872,6 +878,48 @@ TEST(BenchCompare, MismatchedBenchNameOrSchemaFails) {
   const json::Value other =
       json::parse(telemetry::BenchReport("different").to_json());
   EXPECT_FALSE(telemetry::compare_bench_reports(baseline, other).pass);
+}
+
+TEST(BenchCompare, UnknownDirectionOrBadToleranceFailsNamingTheMetric) {
+  // One metric "speedup" with the given direction and tolerance, at `value`.
+  const auto report = [](const std::string& direction,
+                         const std::string& tolerance, double value) {
+    return json::parse(
+        R"({"schema_version": )" +
+        json::format_number(telemetry::BenchReport::kSchemaVersion) +
+        R"(, "bench": "sample", "metrics": [{"name": "speedup", "value": )" +
+        json::format_number(value) + R"(, "direction": )" +
+        json::quote(direction) + R"(, "tolerance": )" + tolerance + "}]}");
+  };
+  const auto names_speedup = [](const telemetry::BenchComparison& c) {
+    for (const std::string& problem : c.problems) {
+      if (problem.find("\"speedup\"") != std::string::npos) return true;
+    }
+    return false;
+  };
+  for (const char* direction : {"higher", "lower", "none"}) {
+    EXPECT_TRUE(telemetry::compare_bench_reports(
+                    report(direction, "0.4", 10.0),
+                    report(direction, "0.4", 10.0))
+                    .pass)
+        << direction;
+  }
+  // A misspelt direction, even with a 100x regression behind it.
+  for (const char* direction : {"hgher", "Higher", "", "informational"}) {
+    const telemetry::BenchComparison c = telemetry::compare_bench_reports(
+        report(direction, "0.4", 10.0), report("higher", "0.4", 0.1));
+    EXPECT_FALSE(c.pass) << direction;
+    EXPECT_TRUE(names_speedup(c)) << direction;
+  }
+  // A negative tolerance sets no usable bar.
+  const telemetry::BenchComparison negative = telemetry::compare_bench_reports(
+      report("higher", "-0.5", 10.0), report("higher", "0.4", 10.0));
+  EXPECT_FALSE(negative.pass);
+  EXPECT_TRUE(names_speedup(negative));
+  // The current report is held to the same vocabulary.
+  EXPECT_FALSE(telemetry::compare_bench_reports(report("higher", "0.4", 10.0),
+                                                report("hgher", "0.4", 10.0))
+                   .pass);
 }
 
 TEST(BenchCompare, CommittedBaselinesAreSelfConsistent) {

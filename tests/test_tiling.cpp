@@ -23,6 +23,14 @@ namespace {
 using namespace ptc;
 using namespace ptc::nn;
 
+/// Plans x (s x k) times w (k x m) on 16x16 cores as the hot paths do: a
+/// weight plan completed for the batch.
+TilePlan plan_16x16(const Matrix& x, const Matrix& w, bool differential) {
+  Matrix x_norm;
+  return plan_from_weights(build_weight_plan(w, 16, 16, differential), x,
+                           x_norm);
+}
+
 /// Photonic (analog readout, differential weights) vs float reference, plus
 /// the fleet-vs-single-core bit-identity, for an s x k times k x m matmul.
 void check_shape(std::size_t s, std::size_t k, std::size_t m,
@@ -57,17 +65,17 @@ void check_shape(std::size_t s, std::size_t k, std::size_t m,
 
 TEST(TilingEdgeCases, NonMultipleOf16Shapes) {
   Rng x_rng(1);
-  Matrix x = random_activations(5, 17, x_rng);
+  const Matrix x = random_activations(5, 17, x_rng);
   Rng w_rng(2);
   const Matrix w = random_signed(17, 23, w_rng);
-  const TilePlan plan = plan_tiled_matmul(x, w, 16, 16, false);
+  const TilePlan plan = plan_16x16(x, w, false);
   EXPECT_EQ(plan.k_tiles(), 2u);
   EXPECT_EQ(plan.m_tiles(), 2u);
   EXPECT_EQ(plan.passes.size(), 4u);
 
   Rng x2_rng(3);
-  Matrix x2 = random_activations(5, 17, x2_rng);
-  const TilePlan differential = plan_tiled_matmul(x2, w, 16, 16, true);
+  const Matrix x2 = random_activations(5, 17, x2_rng);
+  const TilePlan differential = plan_16x16(x2, w, true);
   EXPECT_EQ(differential.passes.size(), 8u);
 
   check_shape(5, 17, 23, 100);
@@ -77,10 +85,10 @@ TEST(TilingEdgeCases, NonMultipleOf16Shapes) {
 TEST(TilingEdgeCases, InnerDimensionOfOne) {
   // k = 1: one input column drives every output — the 1x1-conv shape.
   Rng x_rng(4);
-  Matrix x = random_activations(4, 1, x_rng);
+  const Matrix x = random_activations(4, 1, x_rng);
   Rng w_rng(5);
   const Matrix w = random_signed(1, 20, w_rng);
-  const TilePlan plan = plan_tiled_matmul(x, w, 16, 16, false);
+  const TilePlan plan = plan_16x16(x, w, false);
   EXPECT_EQ(plan.k_tiles(), 1u);
   EXPECT_EQ(plan.m_tiles(), 2u);
 
@@ -91,10 +99,10 @@ TEST(TilingEdgeCases, InnerDimensionOfOne) {
 TEST(TilingEdgeCases, BatchOfOne) {
   // One request row: the latency-critical serving shape.
   Rng x_rng(6);
-  Matrix x = random_activations(1, 40, x_rng);
+  const Matrix x = random_activations(1, 40, x_rng);
   Rng w_rng(7);
   const Matrix w = random_signed(40, 12, w_rng);
-  const TilePlan plan = plan_tiled_matmul(x, w, 16, 16, false);
+  const TilePlan plan = plan_16x16(x, w, false);
   EXPECT_EQ(plan.samples, 1u);
   EXPECT_EQ(plan.passes.size(), 3u);  // ceil(40/16) x ceil(12/16)
 
@@ -105,10 +113,10 @@ TEST(TilingEdgeCases, SingleTileFitsWithoutPaddingArtifacts) {
   // Shapes inside one 16x16 tile: exactly one pass, and the zero-padded
   // tail columns must contribute nothing.
   Rng x_rng(8);
-  Matrix x = random_activations(4, 8, x_rng);
+  const Matrix x = random_activations(4, 8, x_rng);
   Rng w_rng(9);
   const Matrix w = random_signed(8, 8, w_rng);
-  const TilePlan plan = plan_tiled_matmul(x, w, 16, 16, false);
+  const TilePlan plan = plan_16x16(x, w, false);
   EXPECT_EQ(plan.passes.size(), 1u);
 
   check_shape(4, 8, 8, 105);
