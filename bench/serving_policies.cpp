@@ -15,8 +15,8 @@
 // are bit-deterministic, so the gated metrics carry tight tolerances.  The
 // closing multi-tenant section mixes all three tenants through one fleet;
 // with PTC_TRACE=<path> it attaches a span tracer, prints each model's
-// compiled pass schedule (graph::schedule_dump), writes the Chrome trace,
-// lints it (telemetry::lint_chrome_trace) and verifies its span counts
+// pass schedule (graph::Graph::schedule_dump), writes the Chrome trace
+// (which the writer lints first) and verifies its span counts
 // against the ServeReport — the end-to-end observability check CI's
 // bench-smoke job runs.
 #include <cstdlib>
@@ -231,12 +231,6 @@ int main() {
                 << mixed_report.dispatched_batches << " batches)\n";
       return 1;
     }
-    const std::vector<std::string> problems =
-        telemetry::lint_chrome_trace(tracer.chrome_json());
-    for (const std::string& problem : problems) {
-      std::cout << "FAIL: trace lint: " << problem << "\n";
-    }
-    if (!problems.empty()) return 1;
     std::cout << "\nmetrics exposition:\n" << metrics.prometheus_text();
   }
 

@@ -1,6 +1,6 @@
 // CNN digit classification through the graph compiler: the first non-MLP
 // workload.  A conv -> pool -> dense network runs on the accelerator fleet
-// as a compiled schedule — the frozen 3x3 feature bank does inference-only
+// as a graph schedule — the frozen 3x3 feature bank does inference-only
 // convolution on the photonic substrate (im2col lowered into tiled
 // matmuls), while the dense head is trained in float on the extracted
 // features, the standard split when the analog hardware serves inference.
@@ -11,7 +11,6 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "graph/compile.hpp"
 #include "graph/executor.hpp"
 #include "graph/models.hpp"
 #include "nn/backend.hpp"
@@ -26,9 +25,9 @@ namespace {
 
 using namespace ptc;
 
-double accuracy(const graph::CompiledGraph& compiled,
-                nn::MatmulBackend& backend, const nn::Dataset& data) {
-  const Matrix logits = graph::run(compiled, backend, data.inputs);
+double accuracy(const graph::Graph& graph, nn::MatmulBackend& backend,
+                const nn::Dataset& data) {
+  const Matrix logits = graph::run(graph, backend, data.inputs);
   const auto predicted = nn::argmax_rows(logits);
   std::size_t correct = 0;
   for (std::size_t s = 0; s < data.size(); ++s)
@@ -51,22 +50,14 @@ int main() {
   constexpr std::size_t kPool = 2;
   const Matrix bank = graph::edge_kernel_bank(kChannels);
 
-  graph::Graph features;
-  {
-    auto v = features.input(
-        graph::Shape{{nn::glyph_side, nn::glyph_side, 1}});
-    v = features.conv2d(v, bank, kKernel);
-    v = features.relu(v);
-    v = features.maxpool(v, kPool);
-    features.flatten(v);
-  }
-  const graph::CompiledGraph feature_schedule = graph::compile(features);
-  const std::size_t feature_width = feature_schedule.output_size();
+  graph::Graph features(graph::Shape{{nn::glyph_side, nn::glyph_side, 1}});
+  features.conv2d(bank, kKernel).relu().maxpool(kPool).flatten();
+  const std::size_t feature_width = features.output_size();
 
   // Train the dense head in float on the extracted features.
   nn::FloatBackend reference;
   nn::Dataset train_features{
-      graph::run(feature_schedule, reference, train.inputs), train.labels};
+      graph::run(features, reference, train.inputs), train.labels};
   std::cout << "training a conv(" << kChannels << "ch)->pool->dense("
             << feature_width << "-32-10) head in float on " << train.size()
             << " synthetic glyphs...\n";
@@ -79,11 +70,10 @@ int main() {
     }
   }
 
-  // Assemble the full CNN and lower it once.
+  // Assemble the full CNN.
   const graph::Graph cnn = graph::cnn_graph(
       nn::glyph_side, nn::glyph_side, bank, kKernel, kPool, head.layer1().w,
       head.layer1().b, head.layer2().w, head.layer2().b);
-  const graph::CompiledGraph compiled = graph::compile(cnn);
 
   constexpr std::size_t kCores = 8;
   nn::PhotonicBackendOptions analog;
@@ -101,8 +91,8 @@ int main() {
   std::cout << "\ncompiled CNN schedule (" << kCores << "-core fleet, "
             << probe.rows() << "x" << probe.cols()
             << " tiles, differential weights):\n"
-            << compiled.schedule_dump(probe.rows(), probe.cols(),
-                                      analog.differential_weights);
+            << cnn.schedule_dump(probe.rows(), probe.cols(),
+                                 analog.differential_weights);
 
   std::cout << "\nrunning inference on " << test.size() << " samples...\n\n";
   telemetry::Tracer tracer;
@@ -110,17 +100,15 @@ int main() {
   if (trace_path != nullptr) accelerator.set_tracer(&tracer);
   TablePrinter table({"backend", "weights", "readout", "accuracy"});
   table.add_row({"float reference", "fp64", "exact",
-                 TablePrinter::num(100.0 * accuracy(compiled, reference, test),
-                                   4) +
+                 TablePrinter::num(100.0 * accuracy(cnn, reference, test), 4) +
                      " %"});
   table.add_row(
       {"fleet (analog readout)", "3-bit pSRAM", "ideal high-res ADC",
-       TablePrinter::num(100.0 * accuracy(compiled, fleet_analog, test), 4) +
+       TablePrinter::num(100.0 * accuracy(cnn, fleet_analog, test), 4) +
            " %"});
   table.add_row(
       {"fleet (3-bit eoADC, gain 8)", "3-bit pSRAM", "3-bit eoADC",
-       TablePrinter::num(100.0 * accuracy(compiled, fleet_quantized, test),
-                         4) +
+       TablePrinter::num(100.0 * accuracy(cnn, fleet_quantized, test), 4) +
            " %"});
   table.print(std::cout);
 
@@ -131,7 +119,7 @@ int main() {
             << " us, modeled makespan "
             << TablePrinter::num(stats.makespan * 1e6, 4)
             << " us\nthe conv step streams "
-            << compiled.pass_profile(probe.rows(), probe.cols(), true)
+            << cnn.pass_profile(probe.rows(), probe.cols(), true)
                    .steps.front()
                    .rows_per_sample
             << " im2col rows per image through each kernel-tile residency — "

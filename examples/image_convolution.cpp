@@ -1,6 +1,6 @@
 // Image convolution through the graph compiler: Sobel edge detection over a
-// synthetic scene, expressed as a one-node conv2d graph (both Sobel kernels
-// as output channels) and lowered onto the accelerator fleet — im2col
+// synthetic scene, expressed as a one-step conv2d graph (both Sobel kernels
+// as output channels) run on the accelerator fleet — im2col
 // gathers every output position into a single stacked matmul, so the whole
 // image streams through each kernel-tile residency in one pass (paper refs
 // [30], [49]).
@@ -8,9 +8,8 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "graph/compile.hpp"
 #include "graph/executor.hpp"
-#include "graph/ir.hpp"
+#include "graph/graph.hpp"
 #include "nn/backend.hpp"
 #include "runtime/accelerator.hpp"
 #include "runtime/backend.hpp"
@@ -57,7 +56,7 @@ int main() {
     for (std::size_t j = 4; j < 10; ++j) img(0, i * kSide + j) = 0.9;
   print_ascii(channel(img, input_shape, 0), "input image (12x12)");
 
-  // Both Sobel kernels as the two output channels of one conv2d node,
+  // Both Sobel kernels as the two output channels of one conv2d step,
   // flattened (di, dj) into the im2col weight layout.
   const double sobel_x[9] = {-1, 0, 1, -2, 0, 2, -1, 0, 1};
   const double sobel_y[9] = {-1, -2, -1, 0, 0, 0, 1, 2, 1};
@@ -67,9 +66,8 @@ int main() {
     kernels(i, 1) = sobel_y[i];
   }
 
-  graph::Graph g;
-  g.conv2d(g.input(input_shape), kernels, 3);
-  const graph::CompiledGraph compiled = graph::compile(g);
+  graph::Graph g(input_shape);
+  g.conv2d(kernels, 3);
 
   nn::PhotonicBackendOptions options;
   options.quantize_output = false;
@@ -79,8 +77,8 @@ int main() {
   runtime::AcceleratorBackend fleet(accelerator, options);
   nn::FloatBackend reference;
 
-  const Matrix ref = graph::run(compiled, reference, img);
-  const Matrix pho = graph::run(compiled, fleet, img);
+  const Matrix ref = graph::run(g, reference, img);
+  const Matrix pho = graph::run(g, fleet, img);
   // Snapshot the fleet stats so the printed counts cover one frame only.
   const runtime::AcceleratorStats frame_stats = accelerator.stats();
 
@@ -90,11 +88,11 @@ int main() {
   quantized.quantize_output = true;
   runtime::AcceleratorBackend fleet_quantized(accelerator, quantized);
   const double energy_before = accelerator.fleet_ledger().total_energy();
-  graph::run(compiled, fleet_quantized, img);
+  graph::run(g, fleet_quantized, img);
   const double energy =
       accelerator.fleet_ledger().total_energy() - energy_before;
 
-  const graph::Shape& out_shape = compiled.output_shape;
+  const graph::Shape& out_shape = g.output_shape();
   const Matrix gx = channel(pho, out_shape, 0);
   const Matrix gy = channel(pho, out_shape, 1);
   print_ascii(gx, "\nphotonic Sobel-X response");
@@ -111,8 +109,8 @@ int main() {
   std::cout << "\ncompiled schedule ("
             << accelerator.core_count() << "-core fleet, " << probe.rows()
             << "x" << probe.cols() << " tiles, differential weights):\n"
-            << compiled.schedule_dump(probe.rows(), probe.cols(),
-                                      options.differential_weights);
+            << g.schedule_dump(probe.rows(), probe.cols(),
+                               options.differential_weights);
 
   std::cout << "\nphotonic vs float Sobel max deviation: "
             << TablePrinter::num(ref.max_abs_diff(pho), 3)

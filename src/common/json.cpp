@@ -1,6 +1,5 @@
 #include "common/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -130,6 +129,9 @@ class Parser {
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') break;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out.push_back(c);
         continue;
@@ -177,20 +179,38 @@ class Parser {
     return out;
   }
 
+  /// Consumes a run of decimal digits and returns its length.
+  std::size_t digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+      ++pos_;
+    }
+    return pos_ - from;
+  }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
   Value parse_number() {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = digits();
+    if (int_digits == 0 && pos_ == start) fail("expected a value");
+    bool ok = int_digits == 1 || (int_digits > 1 && text_[int_start] != '0');
+    if (ok && pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
+      ok = digits() > 0;
     }
-    if (pos_ == start) fail("expected a value");
+    if (ok && pos_ < text_.size() &&
+        (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      ok = digits() > 0;
+    }
+    if (!ok) fail("malformed number");
     const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double x = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') fail("malformed number");
+    const double x = std::strtod(token.c_str(), nullptr);
     // strtod saturates an out-of-range literal such as 1e999 to +-inf,
     // which JSON cannot carry and which no reader can compare against.
     if (!std::isfinite(x)) fail("number out of range");

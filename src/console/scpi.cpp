@@ -23,23 +23,24 @@ std::string scpi_upper(const std::string& s) {
   return out;
 }
 
-bool mnemonic_matches(const std::string& token, const std::string& spec) {
-  // Split the spec into its short form (capitals) and full long form.
-  std::string short_form;
-  std::string long_form;
+bool mnemonic_matches(std::string_view token, std::string_view spec) {
+  // Lengths first: a token longer than the long form (or shorter than the
+  // capitals of the short form) fails before any character is read.
+  if (token.size() > spec.size()) return false;
+  std::size_t short_size = 0;
   for (const char c : spec) {
-    const char upper =
-        static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
     if (std::isupper(static_cast<unsigned char>(c)) != 0 || c == '*') {
-      short_form.push_back(upper);
+      ++short_size;
     }
-    long_form.push_back(upper);
   }
-  const std::string t = scpi_upper(token);
-  if (t.size() < short_form.size() || t.size() > long_form.size()) {
-    return false;
+  if (token.size() < short_size) return false;
+  for (std::size_t i = 0; i < token.size(); ++i) {
+    if (std::toupper(static_cast<unsigned char>(token[i])) !=
+        std::toupper(static_cast<unsigned char>(spec[i]))) {
+      return false;
+    }
   }
-  return long_form.compare(0, t.size(), t) == 0;
+  return true;
 }
 
 bool mnemonic_index(const std::string& token, const std::string& spec,
@@ -50,7 +51,9 @@ bool mnemonic_index(const std::string& token, const std::string& spec,
     --digits;
   }
   if (digits == token.size()) return false;  // no numeric suffix
-  if (!mnemonic_matches(token.substr(0, digits), spec)) return false;
+  if (!mnemonic_matches(std::string_view(token).substr(0, digits), spec)) {
+    return false;
+  }
   // from_chars refuses a suffix past size_t's range instead of wrapping it.
   const char* end = token.data() + token.size();
   return std::from_chars(token.data() + digits, end, *index).ec == std::errc{};

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 /// SCPI-flavored command grammar for the operator console: colon-separated
@@ -33,7 +34,7 @@ bool parse_scpi(const std::string& line, ScpiCommand* command,
 /// spec spells the short form in capitals and the optional tail in
 /// lowercase: spec "MEASure" accepts MEAS, MEASU, ..., MEASURE — any
 /// prefix of the long form that covers at least the short form.
-bool mnemonic_matches(const std::string& token, const std::string& spec);
+bool mnemonic_matches(std::string_view token, std::string_view spec);
 
 /// Matches `token` against an indexed mnemonic (`CORE<n>`): the leading
 /// alphabetic part must match `spec` (short/long rules as above) and the

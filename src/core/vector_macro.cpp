@@ -10,6 +10,7 @@ namespace ptc::core {
 VectorComputeMacro::VectorComputeMacro(const VectorMacroConfig& config)
     : config_(config),
       encoder_(config.encoder_insertion_loss_db, config.encoder_extinction_db),
+      taps_(config.weight_bits, config.splitter_excess_db),
       photodiode_(config.photodiode) {
   expects(config.channels >= 1 && config.channels <= tech_wdm_channels * 2,
           "channel count exceeds the usable FSR window");
@@ -21,6 +22,8 @@ VectorComputeMacro::VectorComputeMacro(const VectorMacroConfig& config)
   for (std::size_t ch = 0; ch < config.channels; ++ch) {
     wavelengths_.push_back(channel_wavelength(ch));
   }
+  comb_lines_ =
+      optics::FrequencyComb(wavelengths_, config.comb_power_per_line).emit();
 
   const VariationModel variation(config.variation);
   Rng variation_rng(config.variation.seed);
@@ -150,14 +153,10 @@ double VectorComputeMacro::compute_current(const std::vector<double>& inputs,
   expects(inputs.size() == config_.channels,
           "need exactly one input per channel");
 
-  // Comb + encoders produce the WDM input bundle.
-  const optics::FrequencyComb comb(wavelengths_, config_.comb_power_per_line);
-  const optics::WdmSignal encoded = encoder_.encode(comb.emit(), inputs);
-
-  // Binary-weighted splitter cascade: tap k carries IN / 2^(k+1).
-  const optics::BinaryWeightedTaps taps(config_.weight_bits,
-                                        config_.splitter_excess_db);
-  const std::vector<optics::WdmSignal> bit_inputs = taps.split(encoded);
+  // The encoders imprint the inputs on the comb lines; the splitter
+  // cascade makes the binary-weighted copies.
+  const std::vector<optics::WdmSignal> bit_inputs =
+      taps_.split(encoder_.encode(comb_lines_, inputs));
 
   if (per_bit != nullptr) per_bit->assign(config_.weight_bits, 0.0);
   double total_power_on_pds = 0.0;

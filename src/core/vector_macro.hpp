@@ -127,7 +127,10 @@ class VectorComputeMacro {
 
   VectorMacroConfig config_;
   std::vector<double> wavelengths_;  ///< channel_wavelength(ch) per channel
+  optics::WdmSignal comb_lines_;     ///< the comb's full-power line bundle
   optics::IntensityEncoder encoder_;
+  /// Binary-weighted splitter cascade: tap k carries IN / 2^(k+1).
+  optics::BinaryWeightedTaps taps_;
   optics::Photodiode photodiode_;
   /// rings_[bit_row][channel]; bit_row 0 = MSB (receives IN/2).  Their
   /// bias is never set: evaluations pass ring_bias() explicitly.

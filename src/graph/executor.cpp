@@ -79,7 +79,7 @@ Matrix maxpool_step(const Step& step, const Matrix& in) {
 
 /// Broadcast bias over positions with channel innermost.  For rank-1
 /// values positions == 1 and this is exactly DenseLayer::forward's bias
-/// loop — the bit-identity anchor for the Mlp lowering.
+/// loop — the bit-identity anchor for nn::Mlp's graph.
 void apply_bias(Matrix& value, const std::vector<double>& bias) {
   const std::size_t c = bias.size();
   const std::size_t positions = value.cols() / c;
@@ -104,10 +104,9 @@ void apply_epilogue(Matrix& value, const Step& step) {
 
 }  // namespace
 
-Matrix run(const CompiledGraph& compiled, nn::MatmulBackend& backend,
-           const Matrix& x) {
+Matrix run(const Graph& graph, nn::MatmulBackend& backend, const Matrix& x) {
   expects(x.rows() >= 1, "batch must contain at least one sample");
-  expects(x.cols() == compiled.input_size(),
+  expects(x.cols() == graph.input_size(),
           "input width does not match the graph input shape");
 
   // With a tracer attached (AcceleratorBackend under PTC_TRACE), every
@@ -116,7 +115,7 @@ Matrix run(const CompiledGraph& compiled, nn::MatmulBackend& backend,
   telemetry::Tracer* tracer = backend.tracer();
 
   Matrix value = x;
-  for (const Step& step : compiled.steps) {
+  for (const Step& step : graph.steps()) {
     const double step_start = tracer != nullptr ? backend.modeled_time() : 0.0;
     switch (step.kind) {
       case Step::Kind::kMatmul:

@@ -6,13 +6,8 @@ namespace ptc::graph {
 
 Graph mlp_graph(const Matrix& w1, const std::vector<double>& b1,
                 const Matrix& w2, const std::vector<double>& b2) {
-  Graph g;
-  const auto x = g.input(Shape{{w1.rows()}});
-  auto h = g.matmul(x, w1);
-  h = g.bias(h, b1);
-  h = g.relu(h);
-  auto y = g.matmul(h, w2);
-  g.bias(y, b2);
+  Graph g(Shape{{w1.rows()}});
+  g.matmul(w1).bias(b1).relu().matmul(w2).bias(b2);
   return g;
 }
 
@@ -42,17 +37,16 @@ Graph cnn_graph(std::size_t image_h, std::size_t image_w,
                 std::size_t pool, const Matrix& w1,
                 const std::vector<double>& b1, const Matrix& w2,
                 const std::vector<double>& b2) {
-  Graph g;
-  const auto x = g.input(Shape{{image_h, image_w, 1}});
-  auto v = g.conv2d(x, conv_kernels, kernel_side);
-  v = g.relu(v);
-  v = g.maxpool(v, pool);
-  v = g.flatten(v);
-  v = g.matmul(v, w1);
-  v = g.bias(v, b1);
-  v = g.relu(v);
-  v = g.matmul(v, w2);
-  g.bias(v, b2);
+  Graph g(Shape{{image_h, image_w, 1}});
+  g.conv2d(conv_kernels, kernel_side)
+      .relu()
+      .maxpool(pool)
+      .flatten()
+      .matmul(w1)
+      .bias(b1)
+      .relu()
+      .matmul(w2)
+      .bias(b2);
   return g;
 }
 

@@ -4,16 +4,16 @@
 #include <cstddef>
 #include <vector>
 
-#include "graph/ir.hpp"
+#include "graph/graph.hpp"
 
 /// Ready-made graph builders for the architectures the examples, benches,
-/// and serving layer exercise: the two-layer MLP (nn::Mlp's lowering) and
+/// and serving layer exercise: the two-layer MLP (nn::Mlp's graph) and
 /// the conv -> pool -> dense digit CNN.
 namespace ptc::graph {
 
 /// input {w1.rows()} -> dense(w1, b1) -> relu -> dense(w2, b2).  This is
-/// the graph nn::Mlp lowers itself to; executing it reproduces the direct
-/// backend path bit for bit.
+/// nn::Mlp's graph; executing it reproduces the direct backend path bit for
+/// bit.
 Graph mlp_graph(const Matrix& w1, const std::vector<double>& b1,
                 const Matrix& w2, const std::vector<double>& b2);
 

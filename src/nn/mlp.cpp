@@ -9,23 +9,28 @@
 #include "graph/models.hpp"
 
 namespace ptc::nn {
+namespace {
 
+/// An in x out layer with N(0, sigma) weights and zero bias.
+DenseLayer random_layer(std::size_t in, std::size_t out, double sigma,
+                        Rng& rng) {
+  DenseLayer layer(in, out);
+  for (double& v : layer.w.data()) v = rng.normal(0.0, sigma);
+  return layer;
+}
+
+}  // namespace
+
+// He initialization for the ReLU layer, Xavier-ish for the output.
 Mlp::Mlp(std::size_t in, std::size_t hidden, std::size_t out, Rng& rng)
-    : layer1_(in, hidden), layer2_(hidden, out) {
-  // He initialization for the ReLU layer, Xavier-ish for the output.
-  const double s1 = std::sqrt(2.0 / static_cast<double>(in));
-  const double s2 = std::sqrt(1.0 / static_cast<double>(hidden));
-  for (double& v : layer1_.w.data()) v = rng.normal(0.0, s1);
-  for (double& v : layer2_.w.data()) v = rng.normal(0.0, s2);
-  compiled_ = graph::compile(graph());
-}
-
-graph::Graph Mlp::graph() const {
-  return graph::mlp_graph(layer1_.w, layer1_.b, layer2_.w, layer2_.b);
-}
+    : layer1_(random_layer(in, hidden,
+                           std::sqrt(2.0 / static_cast<double>(in)), rng)),
+      layer2_(random_layer(hidden, out,
+                           std::sqrt(1.0 / static_cast<double>(hidden)), rng)),
+      graph_(graph::mlp_graph(layer1_.w, layer1_.b, layer2_.w, layer2_.b)) {}
 
 Matrix Mlp::forward(MatmulBackend& backend, const Matrix& x) const {
-  return graph::run(compiled_, backend, x);
+  return graph::run(graph_, backend, x);
 }
 
 std::vector<std::size_t> Mlp::predict(MatmulBackend& backend,
@@ -105,8 +110,8 @@ double Mlp::train_epoch(const Dataset& data, double learning_rate,
     }
     ++batches;
   }
-  // The weights changed: relower the schedule over the new values.
-  compiled_ = graph::compile(graph());
+  // The weights changed: rebuild the graph over the new values.
+  graph_ = graph::mlp_graph(layer1_.w, layer1_.b, layer2_.w, layer2_.b);
   return loss_sum / static_cast<double>(data.size());
 }
 

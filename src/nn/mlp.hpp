@@ -5,16 +5,15 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "graph/compile.hpp"
-#include "graph/ir.hpp"
+#include "graph/graph.hpp"
 #include "nn/dataset.hpp"
 #include "nn/layers.hpp"
 
 /// Two-layer MLP (dense -> ReLU -> dense) with a plain SGD trainer.
-/// Training runs in float; inference lowers the model through the graph
-/// compiler (see graph/compile.hpp) and executes the compiled schedule on
-/// any backend — bit-identical to the direct DenseLayer path, which is how
-/// the digit-classifier example compares float vs photonic accuracy.
+/// Training runs in float; inference executes the model's graph (see
+/// graph/graph.hpp) on any backend — bit-identical to the direct DenseLayer
+/// path, which is how the digit-classifier example compares float vs
+/// photonic accuracy.
 namespace ptc::nn {
 
 class Mlp {
@@ -22,13 +21,13 @@ class Mlp {
   /// Architecture: in -> hidden (ReLU) -> out.
   Mlp(std::size_t in, std::size_t hidden, std::size_t out, Rng& rng);
 
-  /// The model as a dataflow graph over its current weights:
+  /// The model as a graph over its current weights:
   /// input -> dense -> relu -> dense.
-  graph::Graph graph() const;
+  const graph::Graph& graph() const { return graph_; }
 
-  /// Logits for a batch through the given backend, via the compiled graph
-  /// schedule (compiled eagerly at construction and after each training
-  /// epoch, so forward() is read-only and thread-compatible).
+  /// Logits for a batch through the given backend, via graph() (built at
+  /// construction and after each training epoch, so forward() is read-only
+  /// and thread-compatible).
   Matrix forward(MatmulBackend& backend, const Matrix& x) const;
 
   /// Predicted class per sample.
@@ -49,8 +48,8 @@ class Mlp {
  private:
   DenseLayer layer1_;
   DenseLayer layer2_;
-  /// Lowered schedule over the current weights; rebuilt after training.
-  graph::CompiledGraph compiled_;
+  /// Over the current weights; rebuilt after training.
+  graph::Graph graph_;
 };
 
 }  // namespace ptc::nn

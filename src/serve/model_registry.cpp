@@ -38,15 +38,13 @@ void ModelRegistry::add_graph(const std::string& name, const graph::Graph& g) {
 
   // The pass profile counts each step's nn::tile_passes at this geometry.
   const core::TensorCore& probe = accelerator_.core(0);
-  Entry entry;
-  entry.compiled = graph::compile(g);
-  entry.profile = entry.compiled.pass_profile(
-      probe.rows(), probe.cols(), backend_.options().differential_weights);
+  Entry entry{g, g.pass_profile(probe.rows(), probe.cols(),
+                                 backend_.options().differential_weights)};
 
   // Pre-warm every accelerator step's weight-plan cache for the fleet's
   // geometry: registration pays the one-time mapping/pass/encode work, so
   // even the first dispatch of this model re-plans and re-encodes nothing.
-  for (const graph::Step& step : entry.compiled.steps) {
+  for (const graph::Step& step : entry.graph.steps()) {
     if (step.on_accelerator()) {
       step.plan_cache->get(step.weights, probe.rows(), probe.cols(),
                            backend_.options().differential_weights);
@@ -86,13 +84,12 @@ const ModelRegistry::Entry& ModelRegistry::entry(
   return it->second;
 }
 
-const graph::CompiledGraph& ModelRegistry::compiled(
-    const std::string& name) const {
-  return entry(name).compiled;
+const graph::Graph& ModelRegistry::compiled(const std::string& name) const {
+  return entry(name).graph;
 }
 
 std::size_t ModelRegistry::input_width(const std::string& name) const {
-  return entry(name).compiled.input_size();
+  return entry(name).graph.input_size();
 }
 
 std::size_t ModelRegistry::passes(const std::string& name) const {
@@ -120,13 +117,13 @@ BatchDispatch ModelRegistry::run_batch(const std::string& name,
                                        const Matrix& x) {
   const Entry& e = entry(name);
   expects(x.rows() >= 1, "batch must contain at least one request");
-  expects(x.cols() == e.compiled.input_size(),
+  expects(x.cols() == e.graph.input_size(),
           "batch width does not match the model input width");
 
   BatchDispatch out;
   out.warm = warm(name);
   run_untraced(accelerator_,
-               [&] { out.logits = graph::run(e.compiled, backend_, x); });
+               [&] { out.logits = graph::run(e.graph, backend_, x); });
 
   telemetry::Tracer* tracer = accelerator_.tracer();
   for (const graph::StepPasses& sp : e.profile.steps) {
@@ -135,7 +132,7 @@ BatchDispatch ModelRegistry::run_batch(const std::string& name,
         sp.passes, out.warm ? sp.passes : 0, x.rows() * sp.rows_per_sample);
     if (tracer != nullptr) {
       tracer->complete(telemetry::track::kSteps,
-                       e.compiled.steps[sp.step].label.c_str(), "step",
+                       e.graph.steps()[sp.step].label.c_str(), "step",
                        step_start, accelerator_.trace_time(),
                        {{"passes", sp.passes},
                         {"warm", out.warm},
@@ -185,16 +182,16 @@ BatchDispatch ModelRegistry::run_decode_step(
 
 std::string ModelRegistry::schedule_dump(const std::string& name) const {
   const core::TensorCore& probe = accelerator_.core(0);
-  return entry(name).compiled.schedule_dump(
+  return entry(name).graph.schedule_dump(
       probe.rows(), probe.cols(), backend_.options().differential_weights);
 }
 
 Matrix ModelRegistry::reference_batch(const std::string& name,
                                       const Matrix& x) {
   const Entry& e = entry(name);
-  expects(x.cols() == e.compiled.input_size(),
+  expects(x.cols() == e.graph.input_size(),
           "batch width does not match the model input width");
-  return graph::run(e.compiled, reference_backend_, x);
+  return graph::run(e.graph, reference_backend_, x);
 }
 
 }  // namespace ptc::serve

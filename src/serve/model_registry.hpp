@@ -7,23 +7,21 @@
 #include <vector>
 
 #include "common/linalg.hpp"
-#include "graph/compile.hpp"
-#include "graph/ir.hpp"
+#include "graph/graph.hpp"
 #include "nn/backend.hpp"
 #include "nn/mlp.hpp"
 #include "nn/transformer.hpp"
 #include "runtime/accelerator.hpp"
 #include "runtime/backend.hpp"
 
-/// Named model store over compiled graphs and decoder-only transformers,
-/// with the fleet's one weight-tile residency rule.  Every batch model — an
-/// nn::Mlp or any chain graph (e.g. a CNN) — is lowered through the graph
-/// compiler at registration; its pass profile tells the registry how many
-/// pSRAM residencies one batch streams per step.  A batch or a
-/// decode step is warm when the previous dispatch left its model's tiles on
-/// the current rotation — the signal the DynamicBatcher uses to favor
-/// batches that skip reloads entirely, the serving-side payoff of the
-/// paper's 20 GHz weight-streaming argument.
+/// Named model store over graphs and decoder-only transformers, with the
+/// fleet's one weight-tile residency rule.  Every batch model — an nn::Mlp
+/// or any chain graph (e.g. a CNN) — is kept as its graph, whose pass
+/// profile tells the registry how many pSRAM residencies one batch streams
+/// per step.  A batch or a decode step is warm when the previous dispatch
+/// left its model's tiles on the current rotation — the signal the
+/// DynamicBatcher uses to favor batches that skip reloads entirely, the
+/// serving-side payoff of the paper's 20 GHz weight-streaming argument.
 namespace ptc::serve {
 
 /// Output + modeled cost of dispatching one batch through the fleet.
@@ -42,8 +40,8 @@ class ModelRegistry {
   explicit ModelRegistry(runtime::Accelerator& accelerator,
                          const nn::PhotonicBackendOptions& options = {});
 
-  /// Registers an MLP under `name` (must be unique): lowers the model's
-  /// graph and keeps the compiled schedule.
+  /// Registers an MLP under `name` (must be unique): keeps the model's
+  /// graph.
   void add(const std::string& name, const nn::Mlp& model);
 
   /// Registers a chain graph under `name` (must be unique) — how CNN
@@ -72,11 +70,11 @@ class ModelRegistry {
   bool contains(const std::string& name) const;
   std::size_t size() const { return models_.size(); }
 
-  /// Compiled schedule of a registered model.
-  const graph::CompiledGraph& compiled(const std::string& name) const;
+  /// The graph (the step schedule) of a registered model.
+  const graph::Graph& compiled(const std::string& name) const;
 
   /// Printable per-step pass schedule of a registered model for the
-  /// fleet's core geometry (graph::CompiledGraph::schedule_dump) — what
+  /// fleet's core geometry (graph::Graph::schedule_dump) — what
   /// benches print alongside a PTC_TRACE capture.
   std::string schedule_dump(const std::string& name) const;
 
@@ -112,7 +110,7 @@ class ModelRegistry {
   /// cold.
   BatchDispatch run_batch(const std::string& name, const Matrix& x);
 
-  /// Float-reference logits for the same batch: the compiled schedule run
+  /// Float-reference logits for the same batch: the model's graph run
   /// on an exact digital backend.  The Server compares argmaxes against
   /// run_batch's to measure the accuracy cost of device variation and
   /// thermal drift; costs nothing on the modeled hardware clock.
@@ -133,7 +131,7 @@ class ModelRegistry {
 
  private:
   struct Entry {
-    graph::CompiledGraph compiled;
+    graph::Graph graph;
     graph::PassProfile profile;  ///< for the fleet's core geometry
   };
 

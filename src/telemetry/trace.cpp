@@ -183,11 +183,19 @@ std::string Tracer::chrome_json() const {
 }
 
 void Tracer::write_chrome_json_file(const std::string& path) const {
+  // Lint before anything reaches the disk: a trace that a viewer would
+  // misread is never written.
+  const std::string text = chrome_json();
+  const std::vector<std::string> problems = lint_chrome_trace(text);
+  if (!problems.empty()) {
+    throw std::runtime_error("telemetry: trace lint: " + problems.front() +
+                             " (nothing written to " + path + ")");
+  }
   std::ofstream out(path);
   if (!out) {
     throw std::runtime_error("telemetry: cannot open trace file " + path);
   }
-  write_chrome_json(out);
+  out << text;
   if (!out.good()) {
     throw std::runtime_error("telemetry: failed writing trace file " + path);
   }

@@ -117,7 +117,9 @@ class Tracer {
   /// Chrome trace-event JSON ({"traceEvents": [...]}, ts in microseconds).
   void write_chrome_json(std::ostream& out) const;
   std::string chrome_json() const;
-  /// Writes chrome_json() to `path`; throws std::runtime_error on IO error.
+  /// Writes chrome_json() to `path` once lint_chrome_trace finds no
+  /// problem.  Throws std::runtime_error naming the first problem (and
+  /// writes nothing), or on an IO error.
   void write_chrome_json_file(const std::string& path) const;
 
  private:
@@ -140,9 +142,9 @@ const char* trace_path_from_env();
 /// "core"), core_evicted / core_readmitted (numeric "core"), token_step
 /// (numeric "batch" and "passes"), kv_evicted (string "tenant", numeric
 /// "rows"), request_preempted (string "tenant", numeric "request").  Returns
-/// human-readable problems (empty == lint-clean).  tests/test_telemetry.cpp
-/// runs it on the tests' traces, and bench_serving_batched and
-/// bench_serving_policies on the traces they write under PTC_TRACE.
+/// human-readable problems (empty == lint-clean).  Every
+/// Tracer::write_chrome_json_file runs it first, and tests/test_telemetry.cpp
+/// runs it on the tests' traces.
 std::vector<std::string> lint_chrome_trace(const std::string& json_text);
 
 }  // namespace ptc::telemetry

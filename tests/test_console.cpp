@@ -428,8 +428,9 @@ TEST(ConsoleFuzz, RandomLinesAnswerOrQueueOneError) {
         case 3:
           line += punctuation[rng.below(punctuation.size())];
           break;
-        case 4:  // a token far longer than any mnemonic
-          line += std::string(1 + rng.below(600),
+        case 4:  // a token far longer than any mnemonic; one in 16 runs
+                 // up to 60 kB, near the socket's 64 KiB line cap
+          line += std::string(1 + rng.below(rng.below(16) == 0 ? 60000 : 600),
                               static_cast<char>('A' + rng.below(26)));
           break;
         default:  // random bytes; lines never carry their newline

@@ -23,9 +23,8 @@
 #include "common/random_matrix.hpp"
 #include "common/rng.hpp"
 #include "core/tensor_core.hpp"
-#include "graph/compile.hpp"
 #include "graph/executor.hpp"
-#include "graph/ir.hpp"
+#include "graph/graph.hpp"
 #include "nn/backend.hpp"
 #include "nn/dataset.hpp"
 #include "nn/mlp.hpp"
@@ -553,15 +552,13 @@ TEST(FastPath, MlpForwardBitIdenticalEndToEnd) {
 
 TEST(FastPath, CnnGraphBitIdenticalOnTheFleet) {
   Rng rng(10);
-  graph::Graph g;
-  const auto in = g.input(graph::Shape{{8, 8, 1}});
-  auto v = g.conv2d(in, random_signed(9, 4, rng), 3);
-  v = g.bias(v, std::vector<double>(4, 0.05));
-  v = g.relu(v);
-  v = g.maxpool(v, 2);
-  v = g.flatten(v);
-  g.matmul(v, random_signed(36, 5, rng));
-  const graph::CompiledGraph compiled = graph::compile(g);
+  graph::Graph g(graph::Shape{{8, 8, 1}});
+  g.conv2d(random_signed(9, 4, rng), 3)
+      .bias(std::vector<double>(4, 0.05))
+      .relu()
+      .maxpool(2)
+      .flatten()
+      .matmul(random_signed(36, 5, rng));
 
   Rng data_rng(11);
   const Matrix x = random_activations(4, 64, data_rng);
@@ -576,8 +573,7 @@ TEST(FastPath, CnnGraphBitIdenticalOnTheFleet) {
   runtime::Accelerator physics_fleet(physics_config);
   runtime::AcceleratorBackend fast(fast_fleet, options);
   runtime::AcceleratorBackend physics(physics_fleet, options);
-  EXPECT_EQ(graph::run(compiled, fast, x).max_abs_diff(
-                graph::run(compiled, physics, x)),
+  EXPECT_EQ(graph::run(g, fast, x).max_abs_diff(graph::run(g, physics, x)),
             0.0);
 }
 
@@ -628,7 +624,7 @@ TEST(PlanCache, CachedMatmulBitIdenticalToUncached) {
 }
 
 TEST(PlanCache, MlpTrainingRefreshesCompiledPlans) {
-  // Training rewrites the weights and relowers the schedule; the rebuilt
+  // Training rewrites the weights and rebuilds the graph; the rebuilt
   // step caches must serve plans for the *new* weights — pinned by
   // comparing against an uncached float forward after the update.
   Rng rng(14);
@@ -649,7 +645,7 @@ TEST(PlanCache, MlpTrainingRefreshesCompiledPlans) {
   const Matrix after = model.forward(reference, x);
   EXPECT_GT(after.max_abs_diff(before), 0.0);
 
-  // The compiled schedule (with its refreshed plan caches) must agree with
+  // The rebuilt graph (with its fresh plan caches) must agree with
   // the raw layer math over the new weights.
   Matrix manual = matmul(x, model.layer1().w);
   for (std::size_t s = 0; s < manual.rows(); ++s)

@@ -1,9 +1,9 @@
-// Graph compiler: IR construction and validation, lowering + epilogue
-// fusion, the executor against every backend, and the subsystem's two
-// contracts — (1) an nn::Mlp lowered through the compiler reproduces the
+// Graph compiler: the chain builder's validation, shape inference and
+// epilogue fusion, the executor against every backend, and the subsystem's
+// two contracts — (1) an nn::Mlp run through its graph reproduces the
 // direct backend path bit for bit, and (2) a conv -> pool -> dense CNN
-// compiles, runs on the multi-core fleet bit-identically to a single
-// photonic core, and serves through serve::Server with warm residency.
+// runs on the multi-core fleet bit-identically to a single photonic core,
+// and serves through serve::Server with warm residency.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,9 +15,8 @@
 #include "common/random_matrix.hpp"
 #include "common/rng.hpp"
 #include "core/tensor_core.hpp"
-#include "graph/compile.hpp"
 #include "graph/executor.hpp"
-#include "graph/ir.hpp"
+#include "graph/graph.hpp"
 #include "graph/models.hpp"
 #include "nn/backend.hpp"
 #include "nn/layers.hpp"
@@ -36,7 +35,7 @@ using namespace ptc;
 using namespace ptc::graph;
 
 // ---------------------------------------------------------------------------
-// IR: shapes, builder validation, shape inference
+// Builder: shapes, validation, shape inference
 // ---------------------------------------------------------------------------
 
 TEST(GraphIr, ShapeSizeAndFormatting) {
@@ -50,35 +49,30 @@ TEST(GraphIr, ShapeSizeAndFormatting) {
 }
 
 TEST(GraphIr, BuilderInfersShapesThroughACnn) {
-  Graph g;
-  const auto x = g.input(Shape{{8, 8, 1}});
-  const auto c = g.conv2d(x, Matrix(9, 6), 3);
-  EXPECT_EQ(g.node(c).shape, (Shape{{6, 6, 6}}));
-  const auto r = g.relu(c);
-  const auto p = g.maxpool(r, 2);
-  EXPECT_EQ(g.node(p).shape, (Shape{{3, 3, 6}}));
-  const auto f = g.flatten(p);
-  EXPECT_EQ(g.node(f).shape, (Shape{{54}}));
-  const auto m = g.matmul(f, Matrix(54, 10));
-  EXPECT_EQ(g.node(m).shape, (Shape{{10}}));
-  EXPECT_EQ(g.output_id(), m);
+  Graph g(Shape{{8, 8, 1}});
+  EXPECT_EQ(g.output_shape(), (Shape{{8, 8, 1}}));
+  g.conv2d(Matrix(9, 6), 3);
+  EXPECT_EQ(g.output_shape(), (Shape{{6, 6, 6}}));
+  g.relu().maxpool(2);
+  EXPECT_EQ(g.output_shape(), (Shape{{3, 3, 6}}));
+  g.flatten();
+  EXPECT_EQ(g.output_shape(), (Shape{{54}}));
+  g.matmul(Matrix(54, 10));
   EXPECT_EQ(g.output_shape(), (Shape{{10}}));
+  EXPECT_EQ(g.steps().back().out_shape, g.output_shape());
+  EXPECT_EQ(g.input_shape(), (Shape{{8, 8, 1}}));
 }
 
 TEST(GraphIr, BuilderRejectsIllFormedWiring) {
-  Graph g;
-  const auto x = g.input(Shape{{4, 4, 1}});
-  EXPECT_THROW(g.input(Shape{{4}}), std::invalid_argument);  // second input
-  EXPECT_THROW(g.matmul(x, Matrix(16, 4)), std::invalid_argument);  // image
-  EXPECT_THROW(g.conv2d(x, Matrix(8, 2), 3), std::invalid_argument);  // rows
-  EXPECT_THROW(g.conv2d(x, Matrix(25, 2), 5), std::invalid_argument);  // big
-  EXPECT_THROW(g.maxpool(x, 5), std::invalid_argument);  // window too big
-  EXPECT_THROW(g.bias(x, std::vector<double>(3, 0.0)),
+  Graph g(Shape{{4, 4, 1}});
+  EXPECT_THROW(g.matmul(Matrix(16, 4)), std::invalid_argument);  // image
+  EXPECT_THROW(g.conv2d(Matrix(8, 2), 3), std::invalid_argument);  // rows
+  EXPECT_THROW(g.conv2d(Matrix(25, 2), 5), std::invalid_argument);  // big
+  EXPECT_THROW(g.maxpool(5), std::invalid_argument);  // window too big
+  EXPECT_THROW(g.bias(std::vector<double>(3, 0.0)),
                std::invalid_argument);  // bias length != channels
-  const auto f = g.flatten(x);
-  EXPECT_THROW(g.matmul(f, Matrix(9, 4)), std::invalid_argument);  // width
-  Graph empty;
-  EXPECT_THROW(empty.matmul(0, Matrix(4, 4)), std::invalid_argument);
+  g.flatten();
+  EXPECT_THROW(g.matmul(Matrix(9, 4)), std::invalid_argument);  // width
 }
 
 // What a builder precondition actually said when it fired.
@@ -93,173 +87,119 @@ std::string builder_error(F&& build) {
 }
 
 TEST(GraphIr, BuilderRejectsMalformedInputShapes) {
-  Graph rank2;
-  EXPECT_THROW(rank2.input(Shape{{4, 4}}), std::invalid_argument);
-  Graph rank0;
-  EXPECT_THROW(rank0.input(Shape{{}}), std::invalid_argument);
-  Graph zero;
-  EXPECT_THROW(zero.input(Shape{{0}}), std::invalid_argument);
-  Graph zero_channel;
-  EXPECT_THROW(zero_channel.input(Shape{{4, 4, 0}}), std::invalid_argument);
-}
-
-TEST(GraphIr, BuilderRejectsUseBeforeDefOnEveryOperand) {
-  Graph g;
-  const auto x = g.input(Shape{{4, 4, 1}});
-  const auto missing = x + 7;  // never built
-  EXPECT_THROW(g.relu(missing), std::invalid_argument);
-  EXPECT_THROW(g.flatten(missing), std::invalid_argument);
-  EXPECT_THROW(g.maxpool(missing, 2), std::invalid_argument);
-  EXPECT_THROW(g.bias(missing, {0.0}), std::invalid_argument);
-  EXPECT_THROW(g.conv2d(missing, Matrix(9, 2), 3), std::invalid_argument);
-  EXPECT_THROW(g.matmul(missing, Matrix(4, 4)), std::invalid_argument);
-  EXPECT_THROW(g.node(missing), std::invalid_argument);
-  // The diagnostic names the offending id and the graph size.
-  const std::string what = builder_error([&] { g.relu(missing); });
-  EXPECT_NE(what.find(std::to_string(missing)), std::string::npos);
-  EXPECT_NE(what.find("1 nodes"), std::string::npos);
+  EXPECT_THROW(Graph(Shape{{4, 4}}), std::invalid_argument);
+  EXPECT_THROW(Graph(Shape{{}}), std::invalid_argument);
+  EXPECT_THROW(Graph(Shape{{0}}), std::invalid_argument);
+  EXPECT_THROW(Graph((Shape{{4, 4, 0}})), std::invalid_argument);
 }
 
 TEST(GraphIr, BuilderRejectsDegenerateOperators) {
-  Graph g;
-  const auto x = g.input(Shape{{4, 4, 1}});
-  EXPECT_THROW(g.conv2d(x, Matrix(0, 0), 0), std::invalid_argument);
-  EXPECT_THROW(g.conv2d(x, Matrix(9, 0), 3), std::invalid_argument);
-  EXPECT_THROW(g.maxpool(x, 0), std::invalid_argument);
-  const auto f = g.flatten(x);
-  EXPECT_THROW(g.matmul(f, Matrix(16, 0)), std::invalid_argument);
-  EXPECT_THROW(g.flatten(f), std::invalid_argument);  // already rank 1
-  EXPECT_THROW(g.maxpool(f, 2), std::invalid_argument);  // vector maxpool
-  EXPECT_THROW(g.conv2d(f, Matrix(9, 2), 3), std::invalid_argument);
+  Graph g(Shape{{4, 4, 1}});
+  EXPECT_THROW(g.conv2d(Matrix(0, 0), 0), std::invalid_argument);
+  EXPECT_THROW(g.conv2d(Matrix(9, 0), 3), std::invalid_argument);
+  EXPECT_THROW(g.maxpool(0), std::invalid_argument);
+  g.flatten();
+  EXPECT_THROW(g.matmul(Matrix(16, 0)), std::invalid_argument);
+  EXPECT_THROW(g.flatten(), std::invalid_argument);  // already rank 1
+  EXPECT_THROW(g.maxpool(2), std::invalid_argument);  // vector maxpool
+  EXPECT_THROW(g.conv2d(Matrix(9, 2), 3), std::invalid_argument);
 }
 
 TEST(GraphIr, ShapeMismatchDiagnosticsCarryTheActualShapes) {
-  Graph g;
-  const auto x = g.input(Shape{{4, 4, 2}});
+  Graph g(Shape{{4, 4, 2}});
   const std::string bias_what =
-      builder_error([&] { g.bias(x, std::vector<double>(5, 0.0)); });
+      builder_error([&] { g.bias(std::vector<double>(5, 0.0)); });
   EXPECT_NE(bias_what.find("5"), std::string::npos);
   EXPECT_NE(bias_what.find("4x4x2"), std::string::npos);
 
   const std::string conv_what =
-      builder_error([&] { g.conv2d(x, Matrix(9, 3), 3); });
+      builder_error([&] { g.conv2d(Matrix(9, 3), 3); });
   EXPECT_NE(conv_what.find("9 rows"), std::string::npos);
   EXPECT_NE(conv_what.find("18"), std::string::npos);  // 3*3*2 expected rows
 
-  const std::string pool_what = builder_error([&] { g.maxpool(x, 9); });
+  const std::string pool_what = builder_error([&] { g.maxpool(9); });
   EXPECT_NE(pool_what.find("9"), std::string::npos);
   EXPECT_NE(pool_what.find("4x4x2"), std::string::npos);
 }
 
-TEST(GraphIr, OutputIsTheLastNodeAdded) {
-  Graph g;
-  const auto x = g.input(Shape{{8}});
-  EXPECT_EQ(g.output_id(), x);
-  const auto r = g.relu(x);
-  EXPECT_EQ(g.output_id(), r);
-  // A node that reads an earlier one still becomes the output.
-  const auto m = g.matmul(x, Matrix(8, 3));
-  EXPECT_EQ(g.output_id(), m);
-  EXPECT_EQ(g.output_shape(), (Shape{{3}}));
-
-  Graph empty;
-  EXPECT_THROW(empty.output_id(), std::invalid_argument);
-  EXPECT_THROW(empty.input_shape(), std::invalid_argument);
-  EXPECT_THROW(empty.output_shape(), std::invalid_argument);
-}
-
 // ---------------------------------------------------------------------------
-// Lowering: step selection, epilogue fusion, dead code
+// Steps: step selection and epilogue fusion
 // ---------------------------------------------------------------------------
 
 TEST(GraphCompile, MlpLowersToTwoFusedMatmulSteps) {
   Rng rng(7);
-  const CompiledGraph cg = compile(
+  const Graph g =
       mlp_graph(random_signed(12, 8, rng), std::vector<double>(8, 0.1),
-                random_signed(8, 4, rng), std::vector<double>(4, 0.0)));
-  ASSERT_EQ(cg.steps.size(), 2u);
-  EXPECT_EQ(cg.steps[0].kind, Step::Kind::kMatmul);
-  ASSERT_EQ(cg.steps[0].epilogue.size(), 2u);
-  EXPECT_EQ(cg.steps[0].epilogue[0].kind, EpilogueOp::Kind::kBias);
-  EXPECT_EQ(cg.steps[0].epilogue[1].kind, EpilogueOp::Kind::kRelu);
-  EXPECT_EQ(cg.steps[1].kind, Step::Kind::kMatmul);
-  ASSERT_EQ(cg.steps[1].epilogue.size(), 1u);
-  EXPECT_EQ(cg.steps[1].epilogue[0].kind, EpilogueOp::Kind::kBias);
-  EXPECT_EQ(cg.input_size(), 12u);
-  EXPECT_EQ(cg.output_size(), 4u);
+                random_signed(8, 4, rng), std::vector<double>(4, 0.0));
+  const std::vector<Step>& steps = g.steps();
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(steps[0].kind, Step::Kind::kMatmul);
+  ASSERT_EQ(steps[0].epilogue.size(), 2u);
+  EXPECT_EQ(steps[0].epilogue[0].kind, EpilogueOp::Kind::kBias);
+  EXPECT_EQ(steps[0].epilogue[1].kind, EpilogueOp::Kind::kRelu);
+  EXPECT_EQ(steps[1].kind, Step::Kind::kMatmul);
+  ASSERT_EQ(steps[1].epilogue.size(), 1u);
+  EXPECT_EQ(steps[1].epilogue[0].kind, EpilogueOp::Kind::kBias);
+  EXPECT_EQ(g.input_size(), 12u);
+  EXPECT_EQ(g.output_size(), 4u);
 }
 
 TEST(GraphCompile, CnnLowersToFourStepsAndFlattenDisappears) {
   Rng rng(7);
-  const CompiledGraph cg = compile(cnn_graph(
+  const Graph g = cnn_graph(
       8, 8, edge_kernel_bank(6), 3, 2, random_signed(54, 32, rng),
       std::vector<double>(32, 0.0), random_signed(32, 10, rng),
-      std::vector<double>(10, 0.0)));
-  ASSERT_EQ(cg.steps.size(), 4u);
-  EXPECT_EQ(cg.steps[0].kind, Step::Kind::kConv2d);
-  ASSERT_EQ(cg.steps[0].epilogue.size(), 1u);
-  EXPECT_EQ(cg.steps[0].epilogue[0].kind, EpilogueOp::Kind::kRelu);
-  EXPECT_EQ(cg.steps[0].rows_per_sample(), 36u);
-  EXPECT_EQ(cg.steps[1].kind, Step::Kind::kMaxPool);
+      std::vector<double>(10, 0.0));
+  const std::vector<Step>& steps = g.steps();
+  ASSERT_EQ(steps.size(), 4u);
+  EXPECT_EQ(steps[0].kind, Step::Kind::kConv2d);
+  ASSERT_EQ(steps[0].epilogue.size(), 1u);
+  EXPECT_EQ(steps[0].epilogue[0].kind, EpilogueOp::Kind::kRelu);
+  EXPECT_EQ(steps[0].rows_per_sample(), 36u);
+  EXPECT_EQ(steps[1].kind, Step::Kind::kMaxPool);
   // flatten fused into the maxpool step's output shape: rank 1 already.
-  EXPECT_EQ(cg.steps[1].out_shape, (Shape{{54}}));
-  EXPECT_EQ(cg.steps[2].kind, Step::Kind::kMatmul);
-  EXPECT_EQ(cg.steps[3].kind, Step::Kind::kMatmul);
-  EXPECT_EQ(cg.output_size(), 10u);
-}
-
-TEST(GraphCompile, DeadBranchesEmitNothing) {
-  Rng rng(3);
-  Graph g;
-  const auto x = g.input(Shape{{8}});
-  g.relu(g.matmul(x, random_signed(8, 16, rng)));  // dead: never read
-  g.matmul(x, random_signed(8, 4, rng));           // the output
-  const CompiledGraph cg = compile(g);
-  ASSERT_EQ(cg.steps.size(), 1u);
-  EXPECT_EQ(cg.steps[0].weights.cols(), 4u);
-  EXPECT_TRUE(cg.steps[0].epilogue.empty());
+  EXPECT_EQ(steps[1].out_shape, (Shape{{54}}));
+  EXPECT_EQ(steps[2].kind, Step::Kind::kMatmul);
+  EXPECT_EQ(steps[3].kind, Step::Kind::kMatmul);
+  EXPECT_EQ(g.output_size(), 10u);
 }
 
 TEST(GraphCompile, ElementwiseOnTheInputLowersToAHostStep) {
   // No step precedes the bias, so it opens a host step; the relu and the
   // flatten fuse into it.
-  Graph g;
-  auto v = g.input(Shape{{2, 2, 3}});
-  v = g.bias(v, {0.5, -1.0, 0.25});
-  v = g.relu(v);
-  v = g.flatten(v);
-  g.matmul(v, Matrix(12, 2));
-  const CompiledGraph cg = compile(g);
-  ASSERT_EQ(cg.steps.size(), 2u);
-  EXPECT_EQ(cg.steps[0].kind, Step::Kind::kElementwise);
-  EXPECT_EQ(cg.steps[0].label, "bias +relu");
-  EXPECT_EQ(cg.steps[0].out_shape, (Shape{{12}}));
-  EXPECT_EQ(cg.steps[1].kind, Step::Kind::kMatmul);
-  EXPECT_EQ(cg.steps[1].in_shape, (Shape{{12}}));
+  Graph g(Shape{{2, 2, 3}});
+  g.bias({0.5, -1.0, 0.25}).relu().flatten().matmul(Matrix(12, 2));
+  const std::vector<Step>& steps = g.steps();
+  ASSERT_EQ(steps.size(), 2u);
+  EXPECT_EQ(steps[0].kind, Step::Kind::kElementwise);
+  EXPECT_EQ(steps[0].label, "bias +relu");
+  EXPECT_EQ(steps[0].out_shape, (Shape{{12}}));
+  EXPECT_EQ(steps[1].kind, Step::Kind::kMatmul);
+  EXPECT_EQ(steps[1].in_shape, (Shape{{12}}));
 }
 
 TEST(GraphCompile, PassProfileCountsTilesPerStep) {
   Rng rng(7);
-  const CompiledGraph cg = compile(cnn_graph(
+  const Graph g = cnn_graph(
       8, 8, edge_kernel_bank(6), 3, 2, random_signed(54, 32, rng),
       std::vector<double>(32, 0.0), random_signed(32, 10, rng),
-      std::vector<double>(10, 0.0)));
-  const PassProfile offset = cg.pass_profile(16, 16, false);
+      std::vector<double>(10, 0.0));
+  const PassProfile offset = g.pass_profile(16, 16, false);
   ASSERT_EQ(offset.steps.size(), 3u);  // conv, dense, dense
   EXPECT_EQ(offset.steps[0].passes, 1u);           // 9x6 -> one tile
   EXPECT_EQ(offset.steps[0].rows_per_sample, 36u);  // 6x6 positions
   EXPECT_EQ(offset.steps[1].passes, 8u);  // ceil(54/16) * ceil(32/16)
   EXPECT_EQ(offset.steps[2].passes, 2u);  // ceil(32/16) * ceil(10/16)
   EXPECT_EQ(offset.total_passes, 11u);
-  EXPECT_EQ(cg.pass_profile(16, 16, true).total_passes, 22u);
+  EXPECT_EQ(g.pass_profile(16, 16, true).total_passes, 22u);
 
-  const std::string schedule = cg.schedule_dump(16, 16, false);
+  const std::string schedule = g.schedule_dump(16, 16, false);
   EXPECT_NE(schedule.find("conv2d 3x3 -> 6ch +relu"), std::string::npos);
   EXPECT_NE(schedule.find("11 weight-tile passes"), std::string::npos);
 }
 
 TEST(GraphCompile, ServedSchedulesMatchTheCommittedGolden) {
-  // The lowering of every graph the benchmark's mlp_serving workload
+  // The schedule of every graph the benchmark's mlp_serving workload
   // serves (two MLPs and the CNN), pinned byte for byte under both weight
   // encodings.
   Rng rng(99);
@@ -275,10 +215,9 @@ TEST(GraphCompile, ServedSchedulesMatchTheCommittedGolden) {
                             std::vector<double>(10, 0.0))}};
   std::string dumps;
   for (const auto& [name, graph] : graphs) {
-    const CompiledGraph cg = compile(graph);
     for (const bool differential : {false, true}) {
       dumps += "== " + name + (differential ? " (differential)" : " (offset)") +
-               "\n" + cg.schedule_dump(16, 16, differential);
+               "\n" + graph.schedule_dump(16, 16, differential);
     }
   }
   golden::expect_matches(dumps, "schedules.txt");
@@ -288,28 +227,30 @@ TEST(GraphIr, MatmulAndConvRejectOperandsThatMayBeNegative) {
   // The photonic input is intensity-encoded: a matmul or conv2d operand
   // must be the graph input, a relu, or a maxpool / flatten of one.
   Rng rng(53);
-  Graph g;
-  const auto x = g.input(Shape{{4, 4, 1}});
-  const auto conv = g.conv2d(x, random_signed(4, 2, rng), 2);  // 3x3x2
-  EXPECT_THROW(g.conv2d(conv, Matrix(2, 1), 1), std::invalid_argument);
-  const auto pooled = g.maxpool(conv, 3);
-  EXPECT_THROW(g.matmul(g.flatten(pooled), Matrix(2, 1)),
-               std::invalid_argument);
-  const auto r = g.relu(conv);
-  const auto biased = g.bias(r, {0.5, -0.5});  // relu then bias: signed
-  const std::size_t before = g.size();
-  EXPECT_THROW(g.conv2d(biased, Matrix(2, 1), 1), std::invalid_argument);
-  EXPECT_EQ(g.size(), before);  // a rejected op leaves the graph unchanged
-  // The diagnostic names the operand and its op.
-  const std::string what =
-      builder_error([&] { g.conv2d(biased, Matrix(2, 1), 1); });
-  EXPECT_NE(what.find("%" + std::to_string(biased) + " (bias)"),
+  Graph g(Shape{{4, 4, 1}});
+  g.conv2d(random_signed(4, 2, rng), 2);  // 3x3x2
+  EXPECT_THROW(g.conv2d(Matrix(2, 1), 1), std::invalid_argument);
+  Graph pooled = g;
+  pooled.maxpool(3).flatten();
+  EXPECT_THROW(pooled.matmul(Matrix(2, 1)), std::invalid_argument);
+
+  Graph relu = g;
+  relu.relu();
+  g.relu().bias({0.5, -0.5});  // relu then bias: signed
+  const std::string before = g.schedule_dump(16, 16, false);
+  EXPECT_THROW(g.conv2d(Matrix(2, 1), 1), std::invalid_argument);
+  // A rejected op leaves the graph unchanged.
+  EXPECT_EQ(g.schedule_dump(16, 16, false), before);
+  EXPECT_EQ(g.output_shape(), (Shape{{3, 3, 2}}));
+  // The diagnostic names the op and the value's shape.
+  const std::string what = builder_error([&] { g.conv2d(Matrix(2, 1), 1); });
+  EXPECT_NE(what.find("conv2d operand 3x3x2 may be negative"),
             std::string::npos);
 
   // Provably non-negative operands are accepted.
-  EXPECT_NO_THROW(g.conv2d(g.maxpool(r, 1), Matrix(2, 1), 1));
-  EXPECT_NO_THROW(g.matmul(g.flatten(g.maxpool(r, 3)), Matrix(2, 1)));
-  EXPECT_NO_THROW(g.matmul(g.flatten(x), Matrix(16, 1)));
+  EXPECT_NO_THROW(Graph{relu}.maxpool(1).conv2d(Matrix(2, 1), 1));
+  EXPECT_NO_THROW(Graph{relu}.maxpool(3).flatten().matmul(Matrix(2, 1)));
+  EXPECT_NO_THROW(Graph(Shape{{4, 4, 1}}).flatten().matmul(Matrix(16, 1)));
 }
 
 // ---------------------------------------------------------------------------
@@ -317,19 +258,18 @@ TEST(GraphIr, MatmulAndConvRejectOperandsThatMayBeNegative) {
 // ---------------------------------------------------------------------------
 
 TEST(GraphExecutor, ConvMatchesHandComputedValidConvolution) {
-  Graph g;
   Matrix kernel(4, 1);  // 2x2 kernel {{1, 2}, {3, 4}} flattened (di, dj)
   kernel(0, 0) = 1.0;
   kernel(1, 0) = 2.0;
   kernel(2, 0) = 3.0;
   kernel(3, 0) = 4.0;
-  g.conv2d(g.input(Shape{{3, 3, 1}}), kernel, 2);
-  const CompiledGraph cg = compile(g);
+  Graph g(Shape{{3, 3, 1}});
+  g.conv2d(kernel, 2);
 
   Matrix x(1, 9);
   for (std::size_t i = 0; i < 9; ++i) x(0, i) = static_cast<double>(i);
   nn::FloatBackend backend;
-  const Matrix y = run(cg, backend, x);
+  const Matrix y = run(g, backend, x);
   ASSERT_EQ(y.cols(), 4u);  // 2x2x1 output
   // Window at (0,0): 1*0 + 2*1 + 3*3 + 4*4 = 27, then +1 per column step,
   // +3 per row step, scaled by the kernel sum (10).
@@ -341,12 +281,11 @@ TEST(GraphExecutor, ConvMatchesHandComputedValidConvolution) {
 
 TEST(GraphExecutor, MultiChannelConvSumsOverInputChannels) {
   // 1x1 kernel over a 2-channel image: output = 1*ch0 + 10*ch1.
-  Graph g;
   Matrix kernel(2, 1);
   kernel(0, 0) = 1.0;
   kernel(1, 0) = 10.0;
-  g.conv2d(g.input(Shape{{1, 2, 2}}), kernel, 1);
-  const CompiledGraph cg = compile(g);
+  Graph g(Shape{{1, 2, 2}});
+  g.conv2d(kernel, 1);
 
   Matrix x(1, 4);  // layout (i*w + j) * c + ch
   x(0, 0) = 1.0;  // (0,0) ch0
@@ -354,21 +293,20 @@ TEST(GraphExecutor, MultiChannelConvSumsOverInputChannels) {
   x(0, 2) = 3.0;  // (0,1) ch0
   x(0, 3) = 4.0;  // (0,1) ch1
   nn::FloatBackend backend;
-  const Matrix y = run(cg, backend, x);
+  const Matrix y = run(g, backend, x);
   ASSERT_EQ(y.cols(), 2u);
   EXPECT_DOUBLE_EQ(y(0, 0), 21.0);
   EXPECT_DOUBLE_EQ(y(0, 1), 43.0);
 }
 
 TEST(GraphExecutor, MaxPoolTakesWindowMaximaPerChannel) {
-  Graph g;
-  g.maxpool(g.input(Shape{{2, 4, 2}}), 2);
-  const CompiledGraph cg = compile(g);
+  Graph g(Shape{{2, 4, 2}});
+  g.maxpool(2);
 
   Matrix x(1, 16);
   for (std::size_t i = 0; i < 16; ++i) x(0, i) = static_cast<double>(i);
   nn::FloatBackend backend;
-  const Matrix y = run(cg, backend, x);
+  const Matrix y = run(g, backend, x);
   ASSERT_EQ(y.cols(), 4u);  // 1x2x2
   // Channel 0 maxima of the two 2x2 windows: indices {0,2,8,10} -> 10 and
   // {4,6,12,14} -> 14; channel 1 is one higher.
@@ -379,7 +317,7 @@ TEST(GraphExecutor, MaxPoolTakesWindowMaximaPerChannel) {
 }
 
 TEST(GraphExecutor, ConvViaGraphMatchesNnConv2dSingleChannel) {
-  // The compiler's stacked im2col agrees with the reference nn::conv2d.
+  // The executor's stacked im2col agrees with the reference nn::conv2d.
   Rng rng(11);
   Matrix img(6, 6);
   for (double& v : img.data()) v = rng.uniform();
@@ -392,12 +330,12 @@ TEST(GraphExecutor, ConvViaGraphMatchesNnConv2dSingleChannel) {
   std::size_t idx = 0;
   for (std::size_t i = 0; i < 3; ++i)
     for (std::size_t j = 0; j < 3; ++j) kernel(idx++, 0) = sobel(i, j);
-  Graph g;
-  g.conv2d(g.input(Shape{{6, 6, 1}}), kernel, 3);
+  Graph g(Shape{{6, 6, 1}});
+  g.conv2d(kernel, 3);
   Matrix x(1, 36);
   for (std::size_t i = 0; i < 6; ++i)
     for (std::size_t j = 0; j < 6; ++j) x(0, i * 6 + j) = img(i, j);
-  const Matrix actual = run(compile(g), backend, x);
+  const Matrix actual = run(g, backend, x);
 
   ASSERT_EQ(actual.cols(), expected.rows() * expected.cols());
   for (std::size_t i = 0; i < expected.rows(); ++i)
@@ -407,80 +345,96 @@ TEST(GraphExecutor, ConvViaGraphMatchesNnConv2dSingleChannel) {
 
 TEST(GraphExecutor, RejectsMismatchedInputWidth) {
   Rng rng(29);
-  const CompiledGraph cg = compile(
+  const Graph g =
       mlp_graph(random_signed(12, 8, rng), std::vector<double>(8, 0.0),
-                random_signed(8, 4, rng), std::vector<double>(4, 0.0)));
+                random_signed(8, 4, rng), std::vector<double>(4, 0.0));
   nn::FloatBackend backend;
-  EXPECT_THROW(run(cg, backend, Matrix(2, 11)), std::invalid_argument);
+  EXPECT_THROW(run(g, backend, Matrix(2, 11)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
 // Random chains against a straight-line float interpreter
 // ---------------------------------------------------------------------------
 
-/// One sample through chain graph `g`, node by node, written from the op
-/// definitions in ir.hpp rather than from the executor.
-std::vector<double> interpret(const Graph& g, std::vector<double> v) {
-  for (std::size_t id = 1; id < g.size(); ++id) {
-    const Node& n = g.node(id);
-    const Shape& in = g.node(n.input).shape;
-    std::vector<double> out(n.shape.size(), 0.0);
-    switch (n.op) {
-      case Op::kMatmul:
+/// One op of a random chain, as the fuzz test recorded it.
+struct ChainOp {
+  enum class Kind { kMatmul, kConv2d, kBias, kRelu, kMaxPool, kFlatten };
+  Kind kind = Kind::kRelu;
+  Matrix weights;            ///< kMatmul: k x m; kConv2d: (k*k*c) x c_out
+  std::vector<double> bias;  ///< kBias: per-channel addends
+  std::size_t side = 0;      ///< kConv2d: kernel side; kMaxPool: window
+};
+
+/// One sample of shape `in` through the recorded chain, op by op, written
+/// from the op definitions in graph.hpp rather than from the builder or
+/// the executor.
+std::vector<double> interpret(Shape in, const std::vector<ChainOp>& ops,
+                              std::vector<double> v) {
+  for (const ChainOp& op : ops) {
+    const std::size_t c = in.channels();
+    Shape out = in;
+    std::vector<double> next = v;
+    switch (op.kind) {
+      case ChainOp::Kind::kMatmul:
+        out = Shape{{op.weights.cols()}};
+        next.assign(out.size(), 0.0);
         for (std::size_t j = 0; j < out.size(); ++j)
           for (std::size_t i = 0; i < v.size(); ++i)
-            out[j] += v[i] * n.weights(i, j);
+            next[j] += v[i] * op.weights(i, j);
         break;
-      case Op::kConv2d: {
-        const std::size_t k = n.kernel, c = in.channels();
-        for (std::size_t i = 0; i < n.shape.height(); ++i)
-          for (std::size_t j = 0; j < n.shape.width(); ++j)
-            for (std::size_t co = 0; co < n.shape.channels(); ++co) {
+      case ChainOp::Kind::kConv2d: {
+        const std::size_t k = op.side;
+        out = Shape{{in.height() - k + 1, in.width() - k + 1,
+                     op.weights.cols()}};
+        next.assign(out.size(), 0.0);
+        for (std::size_t i = 0; i < out.height(); ++i)
+          for (std::size_t j = 0; j < out.width(); ++j)
+            for (std::size_t co = 0; co < out.channels(); ++co) {
               double sum = 0.0;
               for (std::size_t di = 0; di < k; ++di)
                 for (std::size_t dj = 0; dj < k; ++dj)
                   for (std::size_t ci = 0; ci < c; ++ci)
                     sum += v[((i + di) * in.width() + j + dj) * c + ci] *
-                           n.weights((di * k + dj) * c + ci, co);
-              out[(i * n.shape.width() + j) * n.shape.channels() + co] = sum;
+                           op.weights((di * k + dj) * c + ci, co);
+              next[(i * out.width() + j) * out.channels() + co] = sum;
             }
         break;
       }
-      case Op::kBias:
-        for (std::size_t e = 0; e < out.size(); ++e)
-          out[e] = v[e] + n.bias[e % n.bias.size()];
+      case ChainOp::Kind::kBias:
+        for (std::size_t e = 0; e < next.size(); ++e)
+          next[e] = v[e] + op.bias[e % op.bias.size()];
         break;
-      case Op::kRelu:
-        for (std::size_t e = 0; e < out.size(); ++e)
-          out[e] = std::max(0.0, v[e]);
+      case ChainOp::Kind::kRelu:
+        for (double& e : next) e = std::max(0.0, e);
         break;
-      case Op::kMaxPool: {
-        const std::size_t p = n.pool, c = in.channels();
-        for (std::size_t i = 0; i < n.shape.height(); ++i)
-          for (std::size_t j = 0; j < n.shape.width(); ++j)
+      case ChainOp::Kind::kMaxPool: {
+        const std::size_t p = op.side;
+        out = Shape{{in.height() / p, in.width() / p, c}};
+        next.assign(out.size(), 0.0);
+        for (std::size_t i = 0; i < out.height(); ++i)
+          for (std::size_t j = 0; j < out.width(); ++j)
             for (std::size_t ch = 0; ch < c; ++ch) {
               double m = v[((i * p) * in.width() + j * p) * c + ch];
               for (std::size_t di = 0; di < p; ++di)
                 for (std::size_t dj = 0; dj < p; ++dj)
                   m = std::max(
                       m, v[((i * p + di) * in.width() + j * p + dj) * c + ch]);
-              out[(i * n.shape.width() + j) * c + ch] = m;
+              next[(i * out.width() + j) * c + ch] = m;
             }
         break;
       }
-      case Op::kFlatten:
-        out = v;
-        break;
-      case Op::kInput:
-        ADD_FAILURE() << "second input node";
+      case ChainOp::Kind::kFlatten:
+        out = Shape{{in.size()}};
         break;
     }
-    v = std::move(out);
+    in = std::move(out);
+    v = std::move(next);
   }
   return v;
 }
 
 TEST(GraphFuzz, RandomChainsMatchAFloatInterpreter) {
+  using Kind = ChainOp::Kind;
   Rng rng(2027);
   const auto pick = [&rng](std::size_t lo, std::size_t hi) {
     return lo + static_cast<std::size_t>(rng.below(hi - lo + 1));
@@ -496,78 +450,82 @@ TEST(GraphFuzz, RandomChainsMatchAFloatInterpreter) {
 
   std::size_t rejected = 0;
   for (std::size_t chain = 0; chain < 300; ++chain) {
-    Graph g;
-    auto v = g.input(rng.bernoulli(0.5)
-                         ? Shape{{pick(1, 12)}}
-                         : Shape{{pick(1, 6), pick(1, 6), pick(1, 3)}});
+    const Shape input = rng.bernoulli(0.5)
+                            ? Shape{{pick(1, 12)}}
+                            : Shape{{pick(1, 6), pick(1, 6), pick(1, 3)}};
+    Graph g(input);
+    std::vector<ChainOp> ops;
     bool non_negative = true;  // what the test knows of the current value
     const std::size_t length = pick(1, 7);
-    for (std::size_t op = 0; op < length; ++op) {
-      const Shape shape = g.node(v).shape;
+    for (std::size_t n = 0; n < length; ++n) {
+      const Shape shape = g.output_shape();
       const std::size_t side = std::min(shape.height(), shape.width());
       if (!non_negative) {
-        // An accelerator op on a value that may be negative is rejected.
-        const std::size_t before = g.size();
+        // An accelerator op on a value that may be negative is rejected,
+        // and leaves the graph as it was.
+        const std::string before = g.schedule_dump(16, 16, false);
         if (shape.is_image()) {
-          EXPECT_THROW(g.conv2d(v, Matrix(shape.channels(), 2), 1),
+          EXPECT_THROW(g.conv2d(Matrix(shape.channels(), 2), 1),
                        std::invalid_argument);
         } else {
-          EXPECT_THROW(g.matmul(v, Matrix(shape.channels(), 2)),
+          EXPECT_THROW(g.matmul(Matrix(shape.channels(), 2)),
                        std::invalid_argument);
         }
-        EXPECT_EQ(g.size(), before);
+        EXPECT_EQ(g.schedule_dump(16, 16, false), before);
         ++rejected;
       }
-      std::vector<Op> legal = {Op::kBias, Op::kRelu};
+      std::vector<Kind> legal = {Kind::kBias, Kind::kRelu};
       if (shape.is_image()) {
-        legal.insert(legal.end(), {Op::kMaxPool, Op::kFlatten});
-        if (non_negative) legal.push_back(Op::kConv2d);
+        legal.insert(legal.end(), {Kind::kMaxPool, Kind::kFlatten});
+        if (non_negative) legal.push_back(Kind::kConv2d);
       } else if (non_negative) {
-        legal.push_back(Op::kMatmul);
+        legal.push_back(Kind::kMatmul);
       }
-      switch (legal[rng.below(legal.size())]) {
-        case Op::kMatmul:
-          v = g.matmul(v, random_signed(shape.channels(), pick(1, 12), rng));
+      ChainOp op;
+      op.kind = legal[rng.below(legal.size())];
+      switch (op.kind) {
+        case Kind::kMatmul:
+          op.weights = random_signed(shape.channels(), pick(1, 12), rng);
+          g.matmul(op.weights);
           non_negative = false;
           break;
-        case Op::kConv2d: {
-          const std::size_t k = pick(1, std::min<std::size_t>(side, 3));
-          v = g.conv2d(
-              v, random_signed(k * k * shape.channels(), pick(1, 4), rng), k);
+        case Kind::kConv2d:
+          op.side = pick(1, std::min<std::size_t>(side, 3));
+          op.weights = random_signed(op.side * op.side * shape.channels(),
+                                     pick(1, 4), rng);
+          g.conv2d(op.weights, op.side);
           non_negative = false;
           break;
-        }
-        case Op::kBias: {
-          std::vector<double> b(shape.channels());
-          for (double& e : b) e = rng.uniform(-0.5, 0.5);
-          v = g.bias(v, std::move(b));
+        case Kind::kBias:
+          op.bias.resize(shape.channels());
+          for (double& e : op.bias) e = rng.uniform(-0.5, 0.5);
+          g.bias(op.bias);
           non_negative = false;
           break;
-        }
-        case Op::kRelu:
-          v = g.relu(v);
+        case Kind::kRelu:
+          g.relu();
           non_negative = true;
           break;
-        case Op::kMaxPool:
-          v = g.maxpool(v, pick(1, std::min<std::size_t>(side, 3)));
+        case Kind::kMaxPool:
+          op.side = pick(1, std::min<std::size_t>(side, 3));
+          g.maxpool(op.side);
           break;
-        case Op::kFlatten:
-          v = g.flatten(v);
-          break;
-        case Op::kInput:
+        case Kind::kFlatten:
+          g.flatten();
           break;
       }
+      ops.push_back(std::move(op));
     }
 
-    const CompiledGraph cg = compile(g);
-    const Matrix x =
-        random_activations(pick(1, 3), g.input_shape().size(), rng);
-    const Matrix y = run(cg, reference, x);
+    const Matrix x = random_activations(pick(1, 3), input.size(), rng);
+    const Matrix y = run(g, reference, x);
     ASSERT_EQ(y.cols(), g.output_shape().size());
     for (std::size_t s = 0; s < x.rows(); ++s) {
       const std::vector<double> expected = interpret(
-          g, std::vector<double>(x.data().begin() + s * x.cols(),
-                                 x.data().begin() + (s + 1) * x.cols()));
+          input, ops,
+          std::vector<double>(x.data().begin() + s * x.cols(),
+                              x.data().begin() + (s + 1) * x.cols()));
+      ASSERT_EQ(expected.size(), y.cols()) << "chain " << chain;
       double scale = 1.0;
       for (double e : expected) scale = std::max(scale, std::fabs(e));
       for (std::size_t j = 0; j < expected.size(); ++j) {
@@ -578,15 +536,15 @@ TEST(GraphFuzz, RandomChainsMatchAFloatInterpreter) {
 
     // The single core and the fleet agree bit for bit, in both encodings.
     const bool diff = chain % 2 == 1;
-    const Matrix y_single = run(cg, diff ? single_differential : single, x);
-    const Matrix y_fleet = run(cg, diff ? fleet_differential : fleet, x);
+    const Matrix y_single = run(g, diff ? single_differential : single, x);
+    const Matrix y_fleet = run(g, diff ? fleet_differential : fleet, x);
     ASSERT_EQ(y_fleet.max_abs_diff(y_single), 0.0) << "chain " << chain;
   }
   EXPECT_GT(rejected, 100u);  // the rejection path ran often
 }
 
 // ---------------------------------------------------------------------------
-// Contract 1: Mlp through the compiler is bit-identical to the direct path
+// Contract 1: Mlp through its graph is bit-identical to the direct path
 // ---------------------------------------------------------------------------
 
 TEST(GraphMlp, ForwardIsBitIdenticalToTheDirectDensePath) {
@@ -595,7 +553,7 @@ TEST(GraphMlp, ForwardIsBitIdenticalToTheDirectDensePath) {
   Rng data_rng(31);
   const Matrix x = random_activations(7, 20, data_rng);
 
-  // The pre-compiler reference path: dense -> relu -> dense by hand.
+  // The direct reference path: dense -> relu -> dense by hand.
   const auto direct = [&](nn::MatmulBackend& backend) {
     return mlp.layer2().forward(backend,
                                 nn::relu(mlp.layer1().forward(backend, x)));
@@ -623,8 +581,8 @@ TEST(GraphMlp, ScheduleIsRecompiledAfterTraining) {
   const Matrix before = mlp.forward(backend, data.inputs);
   mlp.train_epoch(data, 0.1, 16, rng);
   const Matrix after = mlp.forward(backend, data.inputs);
-  // Training moved the weights; a stale compiled schedule would return
-  // `before` unchanged.
+  // Training moved the weights; a stale graph would return `before`
+  // unchanged.
   EXPECT_GT(after.max_abs_diff(before), 0.0);
 }
 
@@ -640,7 +598,7 @@ Graph test_cnn(Rng& rng) {
 
 TEST(GraphCnn, FleetExecutionIsBitIdenticalToASinglePhotonicCore) {
   Rng rng(41);
-  const CompiledGraph cg = compile(test_cnn(rng));
+  const Graph g = test_cnn(rng);
   Rng data_rng(43);
   const Matrix x = random_activations(3, 64, data_rng);
 
@@ -649,11 +607,11 @@ TEST(GraphCnn, FleetExecutionIsBitIdenticalToASinglePhotonicCore) {
 
   core::TensorCore core;
   nn::PhotonicBackend single(core, options);
-  const Matrix y_single = run(cg, single, x);
+  const Matrix y_single = run(g, single, x);
 
   runtime::Accelerator accelerator({.cores = 8});
   runtime::AcceleratorBackend fleet(accelerator, options);
-  const Matrix y_fleet = run(cg, fleet, x);
+  const Matrix y_fleet = run(g, fleet, x);
 
   EXPECT_EQ(y_fleet.max_abs_diff(y_single), 0.0);
   ASSERT_EQ(y_fleet.cols(), 10u);
@@ -661,19 +619,19 @@ TEST(GraphCnn, FleetExecutionIsBitIdenticalToASinglePhotonicCore) {
 
 TEST(GraphCnn, AnalogFleetTracksTheFloatReferenceLoosely) {
   Rng rng(41);
-  const CompiledGraph cg = compile(test_cnn(rng));
+  const Graph g = test_cnn(rng);
   Rng data_rng(47);
   const Matrix x = random_activations(2, 64, data_rng);
 
   nn::FloatBackend reference;
-  const Matrix y_ref = run(cg, reference, x);
+  const Matrix y_ref = run(g, reference, x);
 
   nn::PhotonicBackendOptions options;
   options.quantize_output = false;  // isolate 3-bit weight quantization
   options.differential_weights = true;
   runtime::Accelerator accelerator({.cores = 8});
   runtime::AcceleratorBackend fleet(accelerator, options);
-  const Matrix y_pho = run(cg, fleet, x);
+  const Matrix y_pho = run(g, fleet, x);
 
   // Not bit-equal (3-bit pSRAM weights), but clearly the same network.
   EXPECT_LT(y_pho.max_abs_diff(y_ref), 0.35 * y_ref.norm());

@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <new>
 #include <string>
 #include <vector>
@@ -447,6 +451,17 @@ TEST(Json, ParsesDocumentsAndRejectsGarbage) {
   EXPECT_DOUBLE_EQ(json::parse("1.7976931348623157e308").as_number(),
                    1.7976931348623157e308);
   EXPECT_THROW(v.at("s").as_number(), std::invalid_argument);
+  // Only RFC 8259 numbers: no leading '+' or zero, no bare '.' on either
+  // side of the fraction.
+  for (const char* number : {"+1", ".5", "5.", "01", "1.e5", "-", "1e", "-01"}) {
+    EXPECT_THROW(json::parse(number), std::invalid_argument) << number;
+  }
+  for (const char* number : {"0", "-0", "0.5", "1e5", "1E+5", "-2.5e-3"}) {
+    EXPECT_NO_THROW(json::parse(number)) << number;
+  }
+  // A control byte inside a string must be escaped.
+  EXPECT_THROW(json::parse("\"a\001b\""), std::invalid_argument);
+  EXPECT_EQ(json::parse("\"a\\u0001b\"").as_string(), "a\001b");
   // Deep nesting is refused before it can exhaust the stack.
   EXPECT_THROW(json::parse(std::string(50000, '[')), std::invalid_argument);
 }
@@ -461,6 +476,66 @@ TEST(Json, NumberFormattingRoundTrips) {
     EXPECT_DOUBLE_EQ(std::strtod(text.c_str(), nullptr), x) << text;
   }
   EXPECT_EQ(json::quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+}
+
+TEST(JsonFuzz, TruncatedAndMutatedDocumentsParseOrThrowInvalidArgument) {
+  const auto parses = [](const std::string& text) {
+    try {
+      json::parse(text);
+      return true;
+    } catch (const std::invalid_argument&) {
+      return false;  // anything else escapes and fails the test
+    }
+  };
+  std::vector<std::string> documents;
+  for (const char* name :
+       {"BENCH_drift.json", "BENCH_faults.json", "BENCH_health.json",
+        "BENCH_perf.json", "BENCH_serving.json", "BENCH_transformer.json",
+        "tests/golden/serve_trace.json"}) {
+    const std::string text =
+        golden::read_file(golden::tests_dir() + "/../" + name);
+    ASSERT_TRUE(parses(text)) << name;
+    // Every prefix that stops before the closing bracket is incomplete.
+    const std::size_t closing = text.find_last_not_of(" \t\r\n");
+    std::size_t parsed = 0;
+    for (std::size_t n = 0; n <= closing; ++n) {
+      if (parses(text.substr(0, n))) ++parsed;
+    }
+    EXPECT_EQ(parsed, 0u) << name;
+    documents.push_back(text);
+  }
+
+  // Seeded byte mutations: each one parses or is refused cleanly.
+  Rng rng(20261019);
+  for (int i = 0; i < 20000; ++i) {
+    std::string text = documents[rng.below(documents.size())];
+    for (std::uint64_t edits = 1 + rng.below(4); edits > 0; --edits) {
+      const std::size_t at = rng.below(text.size());
+      const char byte = static_cast<char>(rng.below(256));
+      switch (rng.below(4)) {
+        case 0: text[at] = byte; break;
+        case 1: text.insert(text.begin() + at, byte); break;
+        case 2: text.erase(at, 1 + rng.below(8)); break;
+        default: {  // duplicate a short span elsewhere
+          const std::string span =
+              text.substr(rng.below(text.size()), rng.below(16));
+          text.insert(at, span);
+        }
+      }
+      if (text.empty()) text.push_back('{');
+    }
+    parses(text);
+  }
+
+  // quote() writes every byte value in a form parse() reads back.
+  std::string bytes;
+  for (int b = 0; b < 256; ++b) bytes.push_back(static_cast<char>(b));
+  EXPECT_EQ(json::parse(json::quote(bytes)).as_string(), bytes);
+  for (int i = 0; i < 200; ++i) {
+    std::string s(rng.below(64), '\0');
+    for (char& c : s) c = static_cast<char>(rng.below(256));
+    EXPECT_EQ(json::parse(json::quote(s)).as_string(), s);
+  }
 }
 
 // --- span tracing -----------------------------------------------------------
@@ -511,6 +586,33 @@ TEST(Trace, LintCatchesBadNestingAndUnpairedAsync) {
 
   EXPECT_FALSE(telemetry::lint_chrome_trace("not json").empty());
   EXPECT_FALSE(telemetry::lint_chrome_trace("{}").empty());
+}
+
+TEST(Trace, FileWriterLintsFirstAndWritesNothingOnAProblem) {
+  const std::string path = ::testing::TempDir() + "ptc_lint_on_write.json";
+  std::remove(path.c_str());
+  telemetry::Tracer tracer;
+  // Two overlapping (non-nested) complete spans on one track.
+  tracer.complete(1, "a", "t", 0.0, 10e-6);
+  tracer.complete(1, "b", "t", 5e-6, 15e-6);
+  try {
+    tracer.write_chrome_json_file(path);
+    ADD_FAILURE() << "a trace that fails lint was written";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).find("telemetry: trace lint: "), 0u)
+        << e.what();
+  }
+  EXPECT_FALSE(std::ifstream(path).good()) << "the file was created";
+
+  // A lint-clean trace is written byte for byte as chrome_json().
+  tracer.clear();
+  tracer.complete(1, "a", "t", 0.0, 10e-6);
+  tracer.write_chrome_json_file(path);
+  std::ifstream in(path);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, tracer.chrome_json());
+  std::remove(path.c_str());
 }
 
 TEST(Trace, LintCatchesCounterTimeRegression) {

@@ -1,4 +1,4 @@
-// nn/tiling edge cases the graph compiler leans on: shapes that are not
+// nn/tiling edge cases the graph executor leans on: shapes that are not
 // multiples of the 16x16 tile, k = 1 inner dimensions (1x1 convolutions),
 // batch = 1 requests, and single-tile graphs.  Each case checks the plan
 // geometry, the float agreement of the photonic path, and the runtime
@@ -10,9 +10,8 @@
 #include "common/random_matrix.hpp"
 #include "common/rng.hpp"
 #include "core/tensor_core.hpp"
-#include "graph/compile.hpp"
 #include "graph/executor.hpp"
-#include "graph/ir.hpp"
+#include "graph/graph.hpp"
 #include "nn/backend.hpp"
 #include "nn/tiling.hpp"
 #include "runtime/accelerator.hpp"
@@ -145,16 +144,12 @@ TEST(TilingEdgeCases, TilePassesCountsTheBuiltPassList) {
 }
 
 TEST(TilingEdgeCases, SingleTileGraphRunsOnTheFleetBitIdentically) {
-  // A whole graph whose every matmul is one tile — the smallest compiled
-  // schedule the serving layer can mark fully resident.
+  // A whole graph whose every matmul is one tile — the smallest schedule
+  // the serving layer can mark fully resident.
   Rng rng(10);
-  graph::Graph g;
-  const auto x = g.input(graph::Shape{{8}});
-  auto v = g.matmul(x, random_signed(8, 8, rng));
-  v = g.bias(v, std::vector<double>(8, 0.1));
-  g.relu(v);
-  const graph::CompiledGraph compiled = graph::compile(g);
-  EXPECT_EQ(compiled.pass_profile(16, 16, false).total_passes, 1u);
+  graph::Graph g(graph::Shape{{8}});
+  g.matmul(random_signed(8, 8, rng)).bias(std::vector<double>(8, 0.1)).relu();
+  EXPECT_EQ(g.pass_profile(16, 16, false).total_passes, 1u);
 
   Rng data_rng(11);
   const Matrix input = random_activations(6, 8, data_rng);
@@ -163,11 +158,11 @@ TEST(TilingEdgeCases, SingleTileGraphRunsOnTheFleetBitIdentically) {
   options.differential_weights = true;
   core::TensorCore core;
   PhotonicBackend photonic(core, options);
-  const Matrix single = graph::run(compiled, photonic, input);
+  const Matrix single = graph::run(g, photonic, input);
 
   runtime::Accelerator accelerator({.cores = 5});
   runtime::AcceleratorBackend fleet(accelerator, options);
-  const Matrix multi = graph::run(compiled, fleet, input);
+  const Matrix multi = graph::run(g, fleet, input);
   EXPECT_EQ(multi.max_abs_diff(single), 0.0);
 }
 

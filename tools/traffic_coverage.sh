@@ -9,14 +9,15 @@
 # sanitize leg runs -- bench_fig*, bench_ablation_*, bench_perf_analysis,
 # bench_table1_comparison, bench_scaling_cores, bench_serving_*, example_*
 # and the console demo script -- then, as CI's Release job does,
-# bench_serving_batched and bench_serving_policies again with PTC_TRACE set
-# (each writes and lints a Chrome trace) and bench_bench_compare over the
-# five deterministic BENCH_*.json pairs, plus
+# bench_serving_batched, bench_serving_policies, example_cnn_digits,
+# example_multi_tenant and bench_scaling_cores again with PTC_TRACE set
+# (each writes a Chrome trace, which the writer lints first) and
+# bench_bench_compare over the five deterministic BENCH_*.json pairs, plus
 # `ptc_benchmark --workload W --seconds 1 --trace 1` for each of the four
-# workloads.  bench_perf_matmul (and so BENCH_perf.json) stays out, as in
-# the sanitize leg: it takes about 150 s at -O0.  Finally merges gcov's JSON
-# over both builds and prints every src/ function that executed zero
-# times, and their count.
+# workloads.  bench_perf_matmul (and so BENCH_perf.json and its trace)
+# stays out, as in the sanitize leg: it takes about 150 s at -O0.  Finally
+# merges gcov's JSON over both builds and prints every src/ function that
+# executed zero times, and their count.
 #
 #   bash tools/traffic_coverage.sh           # print the never-run list
 #   bash tools/traffic_coverage.sh --check   # exit 1 unless it matches
@@ -71,9 +72,10 @@ for bin in ./bench_fig* ./bench_ablation_* ./bench_perf_analysis \
 done
 echo "== ptc_console" >&2
 ./ptc_console --script "$root/tools/console_demo.scpi" > /dev/null
-for bin in ./bench_serving_batched ./bench_serving_policies; do
-  echo "== PTC_TRACE=serving_trace.json ${bin#./}" >&2
-  PTC_TRACE=serving_trace.json "$bin" > /dev/null
+for bin in ./bench_serving_batched ./bench_serving_policies \
+           ./example_cnn_digits ./example_multi_tenant ./bench_scaling_cores; do
+  echo "== PTC_TRACE=trace.json ${bin#./}" >&2
+  PTC_TRACE=trace.json "$bin" > /dev/null
 done
 # The serving benches above wrote fresh artifacts into this directory.
 echo "== bench_bench_compare" >&2
@@ -114,7 +116,9 @@ for dirpath, _, names in os.walk(out):
                 path = os.path.normpath(
                     os.path.join(report["current_working_directory"],
                                  f["file"]))
-                if not path.startswith(src):
+                # A deleted source leaves its stale .gcno in a reused
+                # build directory: only files that still exist count.
+                if not path.startswith(src) or not os.path.exists(path):
                     continue
                 for fn in f["functions"]:
                     key = (os.path.relpath(path, root),
