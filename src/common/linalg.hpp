@@ -25,8 +25,8 @@ class Matrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
-  /// Bounds-checked element access; inline, because the tiling and
-  /// readout loops index every sample through it.
+  /// Bounds-checked element access.  The tiling and readout loops check a
+  /// matrix's shape once and index its rows through data() instead.
   double& operator()(std::size_t r, std::size_t c) {
     expects(r < rows_ && c < cols_, "Matrix index out of range");
     return data_[r * cols_ + c];

@@ -57,13 +57,20 @@ std::string Console::error(const std::string& message) {
   if (errors_.size() == kErrorQueueCapacity) {
     errors_.back() = "-350,\"Queue overflow\"";
   } else {
-    // IEEE 488.2 string data: an embedded quote is doubled.
+    // IEEE 488.2 string data: an embedded quote is doubled.  The runs
+    // between quotes are appended whole, in one pass over the message.
     std::string entry = "-100,\"";
-    for (const char c : message) {
-      entry += c;
-      if (c == '"') entry += '"';
+    entry.reserve(entry.size() + message.size() + 1);
+    std::size_t begin = 0;
+    for (std::size_t quote = message.find('"'); quote != std::string::npos;
+         quote = message.find('"', begin)) {
+      entry.append(message, begin, quote + 1 - begin);
+      entry += '"';
+      begin = quote + 1;
     }
-    errors_.push_back(entry + '"');
+    entry.append(message, begin);
+    entry += '"';
+    errors_.push_back(std::move(entry));
   }
   return "ERR: " + message;
 }
@@ -129,7 +136,7 @@ std::string Console::dispatch(const ScpiCommand& command) {
     if (command.mnemonics.size() == 2 &&
         mnemonic_matches(command.mnemonics[1], "ERRor") && command.query) {
       if (errors_.empty()) return "0,\"No error\"";
-      std::string oldest = errors_.front();
+      std::string oldest = std::move(errors_.front());
       errors_.pop_front();
       return oldest;
     }

@@ -1,5 +1,6 @@
 #include "console/scpi.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 
@@ -8,11 +9,11 @@ namespace {
 
 bool is_space(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
-/// Header characters: mnemonic letters/digits, `:` separators, `*` common
-/// commands, `_` inside mnemonics.
+/// Header characters: mnemonic ASCII letters/digits, `:` separators, `*`
+/// common commands, `_` inside mnemonics.
 bool is_header_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == ':' ||
-         c == '*' || c == '_';
+  return (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z') ||
+         (c >= 'a' && c <= 'z') || c == ':' || c == '*' || c == '_';
 }
 
 }  // namespace
@@ -62,15 +63,15 @@ bool mnemonic_index(const std::string& token, const std::string& spec,
 bool parse_scpi(const std::string& line, ScpiCommand* command,
                 std::string* error) {
   *command = ScpiCommand{};
-  // Strip comments, then surrounding whitespace.
-  std::string text = line;
-  const std::size_t comment = text.find_first_of(";#");
-  if (comment != std::string::npos) text.resize(comment);
-  std::size_t begin = 0;
-  while (begin < text.size() && is_space(text[begin])) ++begin;
-  std::size_t end = text.size();
-  while (end > begin && is_space(text[end - 1])) --end;
-  text = text.substr(begin, end - begin);
+  // Strip comments, then surrounding whitespace: views of the line, so
+  // only the mnemonics and arguments below are copied, once each.
+  std::string_view text = line;
+  const auto comment = std::find_if(text.begin(), text.end(), [](char c) {
+    return c == ';' || c == '#';
+  });
+  text = text.substr(0, static_cast<std::size_t>(comment - text.begin()));
+  while (!text.empty() && is_space(text.front())) text.remove_prefix(1);
+  while (!text.empty() && is_space(text.back())) text.remove_suffix(1);
   if (text.empty()) return true;
 
   // Header runs to the first whitespace; a trailing '?' marks a query.
@@ -78,10 +79,10 @@ bool parse_scpi(const std::string& line, ScpiCommand* command,
   while (header_end < text.size() && !is_space(text[header_end])) {
     ++header_end;
   }
-  std::string header = text.substr(0, header_end);
-  if (!header.empty() && header.back() == '?') {
+  std::string_view header = text.substr(0, header_end);
+  if (header.back() == '?') {
     command->query = true;
-    header.pop_back();
+    header.remove_suffix(1);
   }
   if (header.empty()) {
     *error = "empty command header";
@@ -100,7 +101,8 @@ bool parse_scpi(const std::string& line, ScpiCommand* command,
         *error = "empty mnemonic in command header";
         return false;
       }
-      command->mnemonics.push_back(header.substr(token_begin, i - token_begin));
+      command->mnemonics.emplace_back(
+          header.substr(token_begin, i - token_begin));
       token_begin = i + 1;
     }
   }
@@ -111,7 +113,7 @@ bool parse_scpi(const std::string& line, ScpiCommand* command,
     while (i < text.size() && (is_space(text[i]) || text[i] == ',')) ++i;
     std::size_t start = i;
     while (i < text.size() && !is_space(text[i]) && text[i] != ',') ++i;
-    if (i > start) command->args.push_back(text.substr(start, i - start));
+    if (i > start) command->args.emplace_back(text.substr(start, i - start));
   }
   return true;
 }

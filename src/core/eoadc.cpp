@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "common/expects.hpp"
@@ -73,7 +74,9 @@ EoAdc::EoAdc(const EoAdcConfig& config)
     }
     vref_.push_back(vref);
   }
+  breaks_.fill(std::numeric_limits<double>::infinity());
   locate_window();
+  build_table();
 }
 
 bool EoAdc::fires_at_bias(double bias) const {
@@ -118,6 +121,71 @@ void EoAdc::locate_window() {
   window_hi_ = edge(0.0, bias_limit_);
   window_v_lo_ = *std::max_element(vref_.begin(), vref_.end()) - bias_limit_;
   window_v_hi_ = *std::min_element(vref_.begin(), vref_.end()) + bias_limit_;
+}
+
+void EoAdc::build_table() {
+  // Empty when no single window exists: code() then always walks the rings.
+  if (!(window_v_lo_ <= window_v_hi_)) return;
+
+  // First input in [window_v_lo_, window_v_hi_] where `holds` is true, for
+  // a predicate that never turns false as the input rises; +inf when it
+  // never holds there.  Bisected to adjacent doubles.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto first_true = [this](auto holds) {
+    double lo = window_v_lo_;
+    double hi = window_v_hi_;
+    if (holds(lo)) return lo;
+    if (!holds(hi)) return kInf;
+    while (std::nextafter(lo, hi) != hi) {
+      double mid = lo + 0.5 * (hi - lo);
+      if (!(mid > lo && mid < hi)) mid = std::nextafter(lo, hi);
+      (holds(mid) ? hi : lo) = mid;
+    }
+    return hi;
+  };
+  // The same subtraction the ring walk evaluates the ring at; channel k
+  // fires on [enter[k], leave[k]).
+  const std::size_t n = channel_count();
+  std::vector<double> enter(n);
+  std::vector<double> leave(n);
+  std::vector<double> ends;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double vref = vref_[k];
+    enter[k] = first_true([&](double v) { return vref - v <= window_hi_; });
+    leave[k] = first_true([&](double v) { return vref - v < window_lo_; });
+    for (const double end : {enter[k], leave[k]}) {
+      if (end > window_v_lo_ && end != kInf) ends.push_back(end);
+    }
+  }
+  std::sort(ends.begin(), ends.end());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  break_count_ = ends.size();
+  std::copy(ends.begin(), ends.end(), breaks_.begin());
+
+  // No channel changes state inside an interval, so the pattern at its left
+  // end is the pattern on the whole interval.
+  for (std::size_t i = 0; i <= break_count_; ++i) {
+    const double left = i == 0 ? window_v_lo_ : breaks_[i - 1];
+    unsigned pattern = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      const bool fires = enter[k] <= left && left < leave[k];
+      pattern |= static_cast<unsigned>(fires) << k;
+    }
+    const auto decode = decoder_.decode(pattern);
+    interval_code_[i] =
+        decode.any_active ? static_cast<std::uint8_t>(decode.code) : kWalk;
+  }
+
+  if (break_count_ >= 2) {
+    bucket_scale_ = static_cast<double>(kBuckets) /
+                    (breaks_[break_count_ - 1] - breaks_[0]);
+  }
+  // Each bucket's scan starts past every break of the buckets below it.
+  for (std::size_t i = 0; i < break_count_; ++i) {
+    for (std::size_t b = bucket(breaks_[i]) + 1; b < kBuckets; ++b) {
+      ++bucket_start_[b];
+    }
+  }
 }
 
 double EoAdc::lsb() const {
@@ -176,23 +244,6 @@ unsigned EoAdc::deepest_channel(double v_in) const {
     }
   }
   return static_cast<unsigned>(best);
-}
-
-unsigned EoAdc::code(double v_in) const {
-  // The negated test also sends NaN inputs down the ring walk.
-  if (!(v_in >= window_v_lo_ && v_in <= window_v_hi_)) {
-    return convert(v_in).code;
-  }
-  unsigned pattern = 0;
-  for (std::size_t ch = 0; ch < vref_.size(); ++ch) {
-    // The same subtraction ring_thru_transmission evaluates the ring at.
-    const double bias = vref_[ch] - v_in;
-    // Bitwise & keeps the test branch-free: which channel fires is data.
-    const bool fires = (bias >= window_lo_) & (bias <= window_hi_);
-    pattern |= static_cast<unsigned>(fires) << ch;
-  }
-  const auto decode = decoder_.decode(pattern);
-  return decode.any_active ? decode.code : deepest_channel(v_in);
 }
 
 EoAdc::TransientResult EoAdc::convert_transient(

@@ -1,6 +1,8 @@
 #ifndef PTC_CORE_EOADC_HPP
 #define PTC_CORE_EOADC_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -106,11 +108,29 @@ class EoAdc {
   /// Output code, equal to convert(v).code for every input.  All rings
   /// share one design, so channel k fires exactly when its junction bias
   /// V_REF,k - V_IN lies in one active window [beta_lo, beta_hi], located
-  /// once at construction to adjacent doubles.  The conversion is then a
-  /// comparison per channel and one ROM lookup; the ring walk runs only
-  /// when no channel fires (deepest-dip fallback) or the input is far
-  /// enough out of range to reach another resonance order.
-  unsigned code(double v_in) const;
+  /// once at construction to adjacent doubles.  The computed bias never
+  /// rises as V_IN does, so channel k fires on one input interval
+  /// [enter_k, leave_k), and the 1-hot pattern changes only at those
+  /// breaks (at most 2^(p+1)).  Construction bisects every break to
+  /// adjacent doubles and stores, per interval between breaks, the ROM
+  /// code of the pattern at its left end.  A conversion then finds its
+  /// interval (a bucket of 64 over the breaks, then a short forward scan
+  /// over the exact break doubles) and reads the code.  The ring walk runs
+  /// only on an interval where no channel fires (deepest-dip fallback),
+  /// and for inputs far enough out of range to reach another resonance
+  /// order, or NaN.
+  unsigned code(double v_in) const {
+    // The negated test also sends NaN inputs down the ring walk.
+    if (!(v_in >= window_v_lo_ && v_in <= window_v_hi_)) {
+      return convert(v_in).code;
+    }
+    // Every break in a lower bucket lies below v_in (the bucket index
+    // never falls as v_in rises); the +inf sentinel ends the scan.
+    std::size_t i = bucket_start_[bucket(v_in)];
+    while (v_in >= breaks_[i]) ++i;
+    const std::uint8_t c = interval_code_[i];
+    return c != kWalk ? c : deepest_channel(v_in);
+  }
 
   struct TransientResult {
     Conversion conversion;
@@ -157,7 +177,8 @@ class EoAdc {
   const EoAdcConfig& config() const { return config_; }
 
  private:
-  /// Test fixture that pins the decision window to the ring physics.
+  /// Test fixture that pins the decision window and the interval table to
+  /// the ring physics.
   friend class EoAdcWindow;
 
   double ring_thru_transmission(std::size_t ch, double v_in) const;
@@ -167,8 +188,25 @@ class EoAdc {
   bool fires_at_bias(double bias) const;
   /// Locates the active window and the input range where it is exact.
   void locate_window();
+  /// Builds the interval table over [window_v_lo_, window_v_hi_].
+  void build_table();
+  /// Bucket of an input on the uniform grid over the breaks, clamped to
+  /// [0, kBuckets - 1]; never decreases as v_in rises.
+  std::size_t bucket(double v_in) const {
+    const double pos = (v_in - breaks_[0]) * bucket_scale_;
+    if (!(pos > 0.0)) return 0;
+    return pos < static_cast<double>(kBuckets - 1)
+               ? static_cast<std::size_t>(pos)
+               : kBuckets - 1;
+  }
   /// No channel fired: the channel with the deepest dip (nearest code).
   unsigned deepest_channel(double v_in) const;
+
+  /// Breaks of a 4-bit ladder: each of 16 channels enters and leaves once.
+  static constexpr std::size_t kMaxBreaks = 32;
+  static constexpr std::size_t kBuckets = 64;
+  /// Interval code that sends the input to the deepest-dip walk.
+  static constexpr std::uint8_t kWalk = 0xFF;
 
   EoAdcConfig config_;
   /// The ring design all 2^p channels share: every evaluation passes the
@@ -190,6 +228,18 @@ class EoAdc {
   /// resonance, so the window is the whole active set.
   double window_v_lo_ = 1.0;
   double window_v_hi_ = -1.0;
+  /// Sorted, distinct inputs in (window_v_lo_, window_v_hi_] where some
+  /// channel starts or stops firing, then +inf up to the end of the array.
+  std::array<double, kMaxBreaks + 1> breaks_;
+  std::size_t break_count_ = 0;
+  /// Per interval i = [breaks_[i - 1], breaks_[i]) (interval 0 starts at
+  /// window_v_lo_): the ROM code of its pattern, or kWalk when no channel
+  /// fires.
+  std::array<std::uint8_t, kMaxBreaks + 1> interval_code_{};
+  /// Per bucket: the number of breaks in lower buckets.
+  std::array<std::uint8_t, kBuckets> bucket_start_{};
+  /// kBuckets / (last break - first break); 0 with fewer than two breaks.
+  double bucket_scale_ = 0.0;
 };
 
 }  // namespace ptc::core

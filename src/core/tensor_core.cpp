@@ -375,28 +375,32 @@ std::vector<double> TensorCore::multiply_analog(
   return row_values;
 }
 
-unsigned TensorCore::convert_row(std::size_t row, double analog) {
+template <class Emit>
+std::uint64_t TensorCore::read_out(const double* analog, Emit emit) const {
   // Row TIA maps the full-scale current range onto the ADC input range,
-  // scaled by the programmable readout gain.
-  const double v_adc = analog * readout_gain_ * config_.adc.v_full_scale;
-  // A dead ladder clocks its conversion but reads out all-zero codes.  The
-  // physics oracle converts through the ring walk, so every fast-vs-physics
-  // comparison also pins the eoADC decision window.
-  unsigned code = 0;
-  if (adc_dead_[row] == 0) {
-    code = config_.fast_path ? adc_.code(v_adc) : adc_.convert(v_adc).code;
+  // scaled by the programmable readout gain.  The physics oracle converts
+  // through the ring walk, so every fast-vs-physics comparison also pins
+  // the eoADC interval table.
+  const unsigned max_code = adc_.max_code();
+  std::uint64_t saturations = 0;
+  for (std::size_t row = 0; row < config_.rows; ++row) {
+    const double v_adc = analog[row] * readout_gain_ * config_.adc.v_full_scale;
+    unsigned code = 0;
+    if (adc_dead_[row] == 0) {
+      code = config_.fast_path ? adc_.code(v_adc) : adc_.convert(v_adc).code;
+    }
+    saturations += code == max_code ? 1 : 0;
+    emit(row, code);
   }
-  ++adc_conversions_;
-  if (code == adc_.max_code()) ++adc_saturations_;
-  return code;
+  return saturations;
 }
 
 std::vector<unsigned> TensorCore::multiply(const std::vector<double>& input) {
   const std::vector<double> analog = multiply_analog(input);
   std::vector<unsigned> codes(config_.rows, 0);
-  for (std::size_t row = 0; row < config_.rows; ++row) {
-    codes[row] = convert_row(row, analog[row]);
-  }
+  adc_saturations_ += read_out(
+      analog.data(), [&](std::size_t row, unsigned code) { codes[row] = code; });
+  adc_conversions_ += config_.rows;
   ++samples_;
   // One ADC sample window of static power is burned per multiply.
   ledger_.accrue_static(1.0 / adc_.sample_rate());
@@ -418,17 +422,26 @@ Matrix TensorCore::multiply_analog_batch(const Matrix& inputs) {
 Matrix TensorCore::multiply_batch(const Matrix& inputs) {
   expects(inputs.cols() == config_.cols, "input width must equal cols");
   Matrix out(inputs.rows(), config_.rows);
-  const double scale = static_cast<double>(adc_.max_code());
+  const unsigned max_code = adc_.max_code();
+  const double scale = static_cast<double>(max_code);
+  std::vector<double> level(max_code + 1);
+  for (unsigned code = 0; code <= max_code; ++code) {
+    level[code] = static_cast<double>(code) / scale;
+  }
   std::vector<double> analog(config_.rows, 0.0);
   const double sample_window = 1.0 / adc_.sample_rate();
+  std::uint64_t saturations = 0;
   for (std::size_t s = 0; s < inputs.rows(); ++s) {
     analog_row_values(inputs.data().data() + s * inputs.cols(), analog.data());
-    for (std::size_t r = 0; r < config_.rows; ++r) {
-      out(s, r) = static_cast<double>(convert_row(r, analog[r])) / scale;
-    }
+    double* row_out = out.data().data() + s * out.cols();
+    saturations += read_out(analog.data(), [&](std::size_t row, unsigned code) {
+      row_out[row] = level[code];
+    });
     ++samples_;
     ledger_.accrue_static(sample_window);
   }
+  adc_conversions_ += inputs.rows() * config_.rows;
+  adc_saturations_ += saturations;
   return out;
 }
 

@@ -101,7 +101,13 @@ class TensorCore {
   std::vector<double> multiply_analog(const std::vector<double>& input);
 
   /// Batched multiply: each row of `inputs` (n_samples x cols) is one input
-  /// vector; returns n_samples x rows of ADC codes scaled to [0, 1].
+  /// vector; returns n_samples x rows of ADC codes scaled to [0, 1].  Each
+  /// sample's rows are read out in one loop: the dead-ladder test, the
+  /// eoADC code (its interval table on the fast path, the ring walk
+  /// otherwise) and a lookup of code / max_code in a table of every code's
+  /// level, built once per call with that same division.  The conversion
+  /// and saturation counters advance once per call; the result equals
+  /// n_samples multiply() calls with their codes divided by max_code.
   Matrix multiply_batch(const Matrix& inputs);
 
   /// Batched analog multiply: each row of `inputs` (n_samples x cols) is one
@@ -327,11 +333,14 @@ class TensorCore {
   template <std::size_t kChannels>
   void replay_rows(double* out) const;
 
-  /// Digitizes one row's normalized analog value through the eoADC (the
-  /// decision window on the fast path, the ring walk otherwise), unless the
-  /// row's ladder is dead, and books the conversion in the saturation
-  /// counters.
-  unsigned convert_row(std::size_t row, double analog);
+  /// Reads out one sample's normalized analog row values (rows() of them):
+  /// each row's eoADC code, through the interval table on the fast path and
+  /// the ring walk otherwise, or 0 where the row's ladder is dead (a dead
+  /// ladder still clocks its conversion).  Hands every (row, code) to
+  /// `emit` and returns how many codes read full scale; the caller books
+  /// the counters.
+  template <class Emit>
+  std::uint64_t read_out(const double* analog, Emit emit) const;
 
   TensorCoreConfig config_;
   PsramArray psram_;

@@ -134,6 +134,16 @@ Matrix encode_weight_block(const WeightPlan& plan, const TilePass& pass,
   return block;
 }
 
+namespace {
+
+/// Throws unless `pass` addresses a tile of `plan`.
+void expect_pass_in_plan(const TilePlan& plan, const TilePass& pass) {
+  expects(pass.kt < plan.k_tiles() && pass.mt < plan.m_tiles(),
+          "pass tile out of range for the tile plan");
+}
+
+}  // namespace
+
 TilePassResult run_tile_pass(core::TensorCore& core, const TilePlan& plan,
                              std::size_t pass_index, const Matrix& x_norm,
                              const PhotonicBackendOptions& options) {
@@ -141,7 +151,10 @@ TilePassResult run_tile_pass(core::TensorCore& core, const TilePlan& plan,
           "core geometry must match the tile plan");
   expects(plan.weights != nullptr && pass_index < plan.passes.size(),
           "pass index out of range for the tile plan");
+  expects(x_norm.rows() == plan.samples && x_norm.cols() == plan.k,
+          "normalized input shape must be samples x k");
   const TilePass& pass = plan.passes[pass_index];
+  expect_pass_in_plan(plan, pass);
 
   TilePassResult result;
   result.reload_time =
@@ -156,11 +169,12 @@ TilePassResult run_tile_pass(core::TensorCore& core, const TilePlan& plan,
   const std::size_t k_begin = pass.kt * plan.tile_k;
   const std::size_t k_count = std::min(plan.tile_k, plan.k - k_begin);
   for (std::size_t s = 0; s < plan.samples; ++s) {
+    const double* x_row = x_norm.data().data() + s * plan.k + k_begin;
+    double* block_row = block.data().data() + s * plan.tile_k;
     double input_sum = 0.0;
     for (std::size_t c = 0; c < k_count; ++c) {
-      const double v = x_norm(s, k_begin + c);
-      block(s, c) = v;
-      input_sum += v;
+      block_row[c] = x_row[c];
+      input_sum += x_row[c];
     }
     input_sums[s] = input_sum;
   }
@@ -178,14 +192,17 @@ TilePassResult run_tile_pass(core::TensorCore& core, const TilePlan& plan,
     t = core.multiply_analog_batch(block);
   }
 
+  // Only the pass's valid output rows; the padded ones stay zero.
   const bool offset_correct = pass.encoding == TilePass::Encoding::kOffset;
+  const std::size_t m_count =
+      std::min(plan.tile_m, plan.m - pass.mt * plan.tile_m);
   for (std::size_t s = 0; s < plan.samples; ++s) {
-    for (std::size_t r = 0; r < plan.tile_m; ++r) {
-      const std::size_t out_idx = pass.mt * plan.tile_m + r;
-      if (out_idx >= plan.m) continue;
+    const double* t_row = t.data().data() + s * plan.tile_m;
+    double* out_row = result.contribution.data().data() + s * plan.tile_m;
+    for (std::size_t r = 0; r < m_count; ++r) {
       const double t_r = options.quantize_output
-                             ? t(s, r) / options.adc_range_gain
-                             : t(s, r);
+                             ? t_row[r] / options.adc_range_gain
+                             : t_row[r];
       const double unit_dot = t_r * static_cast<double>(plan.tile_k);
       // Offset encoding: sum w * in = scale * (2 * unit_dot - sum in).
       // Differential encoding: the pass directly yields scale * unit_dot.
@@ -193,7 +210,7 @@ TilePassResult run_tile_pass(core::TensorCore& core, const TilePlan& plan,
           offset_correct
               ? plan.mapping.scale * (2.0 * unit_dot - input_sums[s])
               : plan.mapping.scale * unit_dot;
-      result.contribution(s, r) = pass.sign * plan.x_scale * dot;
+      out_row[r] = pass.sign * plan.x_scale * dot;
     }
   }
   return result;
@@ -203,12 +220,16 @@ void accumulate_pass(Matrix& y, const TilePlan& plan, const TilePass& pass,
                      const Matrix& contribution) {
   expects(y.rows() == plan.samples && y.cols() == plan.m,
           "result shape must match the tile plan");
+  expects(contribution.rows() == plan.samples &&
+              contribution.cols() == plan.tile_m,
+          "contribution shape must be samples x tile_m");
+  expect_pass_in_plan(plan, pass);
+  const std::size_t m_begin = pass.mt * plan.tile_m;
+  const std::size_t m_count = std::min(plan.tile_m, plan.m - m_begin);
   for (std::size_t s = 0; s < plan.samples; ++s) {
-    for (std::size_t r = 0; r < plan.tile_m; ++r) {
-      const std::size_t out_idx = pass.mt * plan.tile_m + r;
-      if (out_idx >= plan.m) continue;
-      y(s, out_idx) += contribution(s, r);
-    }
+    double* y_row = y.data().data() + s * plan.m + m_begin;
+    const double* c_row = contribution.data().data() + s * plan.tile_m;
+    for (std::size_t r = 0; r < m_count; ++r) y_row[r] += c_row[r];
   }
 }
 

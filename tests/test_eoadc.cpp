@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -193,18 +196,19 @@ TEST(EoAdc, FourBitVariantWorks) {
 
 // --- decision window vs ring walk ---------------------------------------------
 //
-// code() decides through the bias window located at construction; convert()
-// walks every ring.  The two must agree on every input, so the sweeps below
-// hunt where a mismatch could hide: far out in bias up to (and past) the
-// half-FSR limit the window is trusted to, the last doubles at either window
-// edge, and the code edges of every channel (including ladders mismatched
-// badly enough to leave dead zones, where the deepest-dip fallback decides).
+// code() decides through the interval table built from the bias window
+// located at construction; convert() walks every ring.  The two must agree
+// on every input, so the sweeps below hunt where a mismatch could hide: far
+// out in bias up to (and past) the half-FSR limit the window is trusted to,
+// the last doubles at either window edge, every break of the table, and the
+// code edges of every channel (including ladders mismatched badly enough to
+// leave dead zones, where the deepest-dip fallback decides).
 
 }  // namespace
 
 namespace ptc::core {
 
-/// Reads the decision window EoAdc keeps private.
+/// Reads the decision window and interval table EoAdc keeps private.
 class EoAdcWindow : public ::testing::Test {
  protected:
   static bool fires(EoAdc& adc, double bias) { return adc.fires_at_bias(bias); }
@@ -213,6 +217,18 @@ class EoAdcWindow : public ::testing::Test {
   static double bias_limit(const EoAdc& adc) { return adc.bias_limit_; }
   static bool in_window(const EoAdc& adc, double bias) {
     return bias >= low(adc) && bias <= high(adc);
+  }
+  /// Inputs the interval table covers: [input_low, input_high].
+  static double input_low(const EoAdc& adc) { return adc.window_v_lo_; }
+  static double input_high(const EoAdc& adc) { return adc.window_v_hi_; }
+  /// The table's breaks, in ascending order.
+  static std::vector<double> breaks(const EoAdc& adc) {
+    return {adc.breaks_.begin(),
+            adc.breaks_.begin() + static_cast<std::ptrdiff_t>(adc.break_count_)};
+  }
+  /// True when interval i sends its inputs to the deepest-dip walk.
+  static bool walks(const EoAdc& adc, std::size_t i) {
+    return adc.interval_code_[i] == EoAdc::kWalk;
   }
 };
 
@@ -235,7 +251,7 @@ std::string describe(const WindowCase& c) {
 std::vector<WindowCase> window_cases() {
   std::vector<WindowCase> cases;
   for (unsigned bits = 1; bits <= 4; ++bits) {
-    for (const double sigma : {0.01, 0.05, 0.2}) {
+    for (const double sigma : {0.0, 0.01, 0.05, 0.2}) {
       cases.push_back({bits, sigma, true});
     }
   }
@@ -382,6 +398,63 @@ TEST_F(EoAdcWindow, CodeMatchesRingWalkAroundEveryChannelEdge) {
     }
     EXPECT_EQ(code_mismatches(adc, inputs), 0u) << describe(c);
   }
+}
+
+TEST_F(EoAdcWindow, TableMatchesRingWalkAtEveryBreak) {
+  // code() reads the interval table; convert() walks every ring.  They
+  // must agree at every break and 2 ulps either side, at every interval's
+  // midpoint, and on a 1 mV sweep over [-V_FS / 2, 1.5 V_FS].
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const WindowCase& c : window_cases()) {
+    EoAdc adc = make_adc(c);
+    const std::vector<double> ends = breaks(adc);
+    ASSERT_FALSE(ends.empty()) << describe(c);
+    ASSERT_LE(ends.size(), 2 * adc.channel_count()) << describe(c);
+    ASSERT_TRUE(std::adjacent_find(ends.begin(), ends.end(),
+                                   std::greater_equal<>()) == ends.end())
+        << describe(c) << ": breaks not strictly ascending";
+    ASSERT_GT(ends.front(), input_low(adc)) << describe(c);
+    ASSERT_LE(ends.back(), input_high(adc)) << describe(c);
+
+    std::vector<double> inputs;
+    for (const double end : ends) {
+      double below = end;
+      double above = end;
+      inputs.push_back(end);
+      for (int i = 0; i < 2; ++i) {
+        below = std::nextafter(below, -kInf);
+        above = std::nextafter(above, kInf);
+        inputs.push_back(below);
+        inputs.push_back(above);
+      }
+    }
+    for (std::size_t i = 0; i <= ends.size(); ++i) {
+      const double left = i == 0 ? input_low(adc) : ends[i - 1];
+      const double right = i == ends.size() ? input_high(adc) : ends[i];
+      inputs.push_back(left + 0.5 * (right - left));
+    }
+    const double full_scale = adc.config().v_full_scale;
+    const int steps = static_cast<int>(std::lround(2.0 * full_scale / 1e-3));
+    for (int i = 0; i <= steps; ++i) {
+      inputs.push_back(-0.5 * full_scale + 1e-3 * i);
+    }
+    EXPECT_EQ(code_mismatches(adc, inputs), 0u) << describe(c);
+  }
+
+  // The ideal 3-bit ladder: some channel fires on every interval that meets
+  // [0, V_FS], so in-range inputs at readout gain 1 never walk the rings.
+  const EoAdc ideal;
+  const std::vector<double> ends = breaks(ideal);
+  const double full_scale = ideal.config().v_full_scale;
+  std::size_t in_range = 0;
+  for (std::size_t i = 0; i <= ends.size(); ++i) {
+    const double left = i == 0 ? input_low(ideal) : ends[i - 1];
+    const double right = i == ends.size() ? input_high(ideal) : ends[i];
+    if (left > full_scale || right <= 0.0) continue;
+    ++in_range;
+    EXPECT_FALSE(walks(ideal, i)) << "interval " << i;
+  }
+  EXPECT_GE(in_range, ideal.channel_count());
 }
 
 TEST_F(EoAdcWindow, NoChannelFallbackMatchesRingWalk) {

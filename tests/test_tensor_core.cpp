@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "common/random_matrix.hpp"
 #include "common/rng.hpp"
@@ -214,6 +217,54 @@ TEST(TensorCore, EveryRowReadsThroughTheConfiguredLadder) {
     }
     // Not vacuous: the mismatch moves at least one of these conversions.
     EXPECT_GT(mismatch_decides, 0u);
+  }
+}
+
+TEST(TensorCore, BatchReadoutCountsEveryConversionAndMatchesSingleSamples) {
+  // A batch books one conversion per row per sample, dead ladders included
+  // (they still clock), and one saturation per full-scale code it outputs.
+  // The dead row reads zero, and the batch equals single-sample multiplies
+  // with their codes divided by max_code, bit for bit.  A readout gain of
+  // 4 drives some rows to full scale.
+  for (const bool fast_path : {true, false}) {
+    SCOPED_TRACE(fast_path ? "fast path" : "physics path");
+    TensorCoreConfig config;
+    config.fast_path = fast_path;
+    TensorCore core(config);
+    Rng rng(31);
+    std::vector<std::vector<std::uint32_t>> w(
+        core.rows(), std::vector<std::uint32_t>(core.cols()));
+    for (auto& row : w)
+      for (auto& v : row) v = static_cast<std::uint32_t>(rng.below(8));
+    core.load_weights(w);
+    constexpr std::size_t kDeadRow = 6;
+    core.inject_adc_fault(kDeadRow);
+    core.set_readout_gain(4.0);
+    const Matrix inputs = random_activations(24, core.cols(), rng);
+
+    const std::uint64_t conversions = core.adc_conversions();
+    const std::uint64_t saturations = core.adc_saturations();
+    const Matrix out = core.multiply_batch(inputs);
+    EXPECT_EQ(core.adc_conversions() - conversions,
+              inputs.rows() * core.rows());
+    std::uint64_t full_scale = 0;
+    for (const double level : out.data()) full_scale += level == 1.0 ? 1 : 0;
+    ASSERT_GT(full_scale, 0u);
+    ASSERT_LT(full_scale, out.data().size() - inputs.rows());
+    EXPECT_EQ(core.adc_saturations() - saturations, full_scale);
+
+    const double scale = static_cast<double>(core.adc(0).max_code());
+    for (std::size_t s = 0; s < inputs.rows(); ++s) {
+      EXPECT_EQ(out(s, kDeadRow), 0.0) << "sample " << s;
+      const auto first = inputs.data().begin() +
+                         static_cast<std::ptrdiff_t>(s * inputs.cols());
+      const std::vector<unsigned> codes = core.multiply(
+          {first, first + static_cast<std::ptrdiff_t>(inputs.cols())});
+      for (std::size_t r = 0; r < core.rows(); ++r) {
+        EXPECT_EQ(out(s, r), static_cast<double>(codes[r]) / scale)
+            << "sample " << s << ", row " << r;
+      }
+    }
   }
 }
 

@@ -122,6 +122,39 @@ TEST(TilingEdgeCases, SingleTileFitsWithoutPaddingArtifacts) {
   check_shape(2, 16, 16, 106);  // exact tile boundary
 }
 
+TEST(TilingEdgeCases, PassesCheckEachMatrixShapeOnce) {
+  // run_tile_pass and accumulate_pass index rows through pointers, so each
+  // checks the shape of every matrix it reads or writes once per call.
+  Rng rng(77);
+  const Matrix x = random_activations(5, 20, rng);
+  const Matrix w = random_signed(20, 18, rng);
+  Matrix x_norm;
+  const TilePlan plan =
+      plan_from_weights(build_weight_plan(w, 16, 16, false), x, x_norm);
+  core::TensorCore core;
+  const PhotonicBackendOptions options;
+  const TilePassResult pass = run_tile_pass(core, plan, 0, x_norm, options);
+  Matrix y(plan.samples, plan.m, 0.0);
+  EXPECT_NO_THROW(accumulate_pass(y, plan, plan.passes[0], pass.contribution));
+
+  // An x_norm narrower than k, even for the first k tile, which it covers.
+  const Matrix narrow(plan.samples, plan.k - 1, 0.5);
+  EXPECT_THROW(run_tile_pass(core, plan, 0, narrow, options),
+               std::invalid_argument);
+  // A contribution that is not samples x tile_m.
+  for (const Matrix& bad : {Matrix(plan.samples, plan.tile_m - 1),
+                            Matrix(plan.samples + 1, plan.tile_m)}) {
+    EXPECT_THROW(accumulate_pass(y, plan, plan.passes[0], bad),
+                 std::invalid_argument);
+  }
+  // A result that is not samples x m.
+  for (Matrix bad : {Matrix(plan.samples, plan.m - 1),
+                     Matrix(plan.samples + 1, plan.m)}) {
+    EXPECT_THROW(accumulate_pass(bad, plan, plan.passes[0], pass.contribution),
+                 std::invalid_argument);
+  }
+}
+
 TEST(TilingEdgeCases, TilePassesCountsTheBuiltPassList) {
   // nn::tile_passes is the size of build_weight_plan's pass list: ragged
   // and exact shapes, square and non-square tiles, offset and differential.
