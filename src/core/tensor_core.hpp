@@ -51,11 +51,14 @@ struct TensorCoreConfig {
   /// thru transmissions, and multiply_analog replays the photocurrent sum
   /// over the cached gains instead of re-walking the spectral physics per
   /// sample.  A load rebuilds only the macros whose stored words moved;
-  /// after a detuning or fault change the whole chain is rebuilt.  Table
-  /// and replay use the identical floating-point operation sequence, so
-  /// results are bit-identical to the physics walk (which remains
-  /// available as the reference oracle when this is false, and skips the
-  /// same unchanged macros at load).
+  /// after a detuning or fault change the whole chain is rebuilt.  The
+  /// table is filled through VectorComputeMacro::ring_spectrum — the same
+  /// ring evaluation the physics walk multiplies, with each ring's
+  /// electro-optic shift derived once per bias — and table and replay use
+  /// the identical floating-point operation sequence, so results are
+  /// bit-identical to the physics walk (which remains available as the
+  /// reference oracle when this is false, and skips the same unchanged
+  /// macros at load).
   bool fast_path = true;
   /// Per-die fabrication/drive-level variation (see core/variation.hpp).
   /// variation.seed == 0 is the pristine design die; a nonzero seed derives
@@ -124,11 +127,13 @@ class TensorCore {
   // --- thermal drift / online recalibration ---------------------------------
   /// Ambient thermal detuning from the calibrated operating point [K]:
   /// every multiply ring is detuned through its own (variation-spread)
-  /// thermo-optic sensitivity.  The fast path's transmission table is
-  /// dropped and its gains are rebuilt at the new operating point by the
-  /// next weight load or sample, whichever comes first, so the fast path
-  /// stays bit-identical to the physics walk at every detuning.  The call
-  /// itself evaluates no ring.
+  /// thermo-optic sensitivity.  The core records the detuning in each
+  /// macro (one number per macro, the probe row's included) and writes no
+  /// ring.  The fast path's transmission table is dropped and its gains
+  /// are rebuilt at the new operating point by the next weight load or
+  /// sample, whichever comes first, so the fast path stays bit-identical
+  /// to the physics walk at every detuning.  The call itself evaluates no
+  /// ring.
   void set_thermal_detuning(double delta_kelvin);
   double thermal_detuning() const { return detuning_; }
 
@@ -292,7 +297,9 @@ class TensorCore {
     /// A multiply ring's bias takes one of two values (its stored bit plus
     /// drive offset, or its fault latch), so each ring has two spectra of m
     /// channel transmissions, [row][tile][bit_row][ring][bit][channel]
-    /// flattened, each filled on first use.
+    /// flattened, each filled on first use by
+    /// VectorComputeMacro::ring_spectrum from the ring's cached
+    /// electro-optic shift for that bit.
     std::vector<double> table;
     /// One flag per (ring, bit) spectrum of `table`: filled since the last
     /// detuning or fault change.
@@ -311,8 +318,8 @@ class TensorCore {
 
   /// Rebuilds macro (row, tile)'s chain transmissions for its stored words
   /// from the transmission table, filling the spectra it lacks: each chain
-  /// entry is the product over its bit row's rings in ring order, exactly
-  /// as VectorComputeMacro::chain_transmission multiplies.
+  /// entry is the product over its bit row's rings in ring order from 1.0,
+  /// exactly as VectorComputeMacro::multiply multiplies.
   void build_macro_chain(std::size_t row, std::size_t tile);
 
   /// Drops the transmission table and marks the chain stale after the

@@ -1,5 +1,6 @@
 #include "core/vector_macro.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/expects.hpp"
@@ -25,30 +26,33 @@ VectorComputeMacro::VectorComputeMacro(const VectorMacroConfig& config)
   comb_lines_ =
       optics::FrequencyComb(wavelengths_, config.comb_power_per_line).emit();
 
+  designs_.reserve(config.channels);
+  for (std::size_t ch = 0; ch < config.channels; ++ch) {
+    // Multiply rings sit on resonance at 0 V (weight bit 0 strips the
+    // channel) and shift off resonance at VDD (bit 1 passes it).
+    designs_.emplace_back(compute_ring_config(ch, /*pin_bias=*/0.0));
+  }
   const VariationModel variation(config.variation);
   Rng variation_rng(config.variation.seed);
-  rings_.resize(config.weight_bits);
-  if (variation.enabled()) bias_offsets_.resize(config.weight_bits);
+  rings_.resize(static_cast<std::size_t>(config.weight_bits) * config.channels);
   for (unsigned row = 0; row < config.weight_bits; ++row) {
-    rings_[row].reserve(config.channels);
-    if (variation.enabled()) bias_offsets_[row].reserve(config.channels);
     for (std::size_t ch = 0; ch < config.channels; ++ch) {
-      // Multiply rings sit on resonance at 0 V (weight bit 0 strips the
-      // channel) and shift off resonance at VDD (bit 1 passes it).
-      optics::MicroringConfig ring = compute_ring_config(ch, /*pin_bias=*/0.0);
+      Ring& ring = rings_[row * config.channels + ch];
       if (variation.enabled()) {
         // Per-ring fabrication spread, drawn in (bit_row, channel) order.
         const auto d = variation.sample_ring(variation_rng);
-        ring.loss_db_per_cm *= d.loss_scale;
-        ring.coupling_gap_thru *= d.coupling_scale;
-        ring.coupling_gap_drop *= d.coupling_scale;
-        ring.dlambda_dt *= d.thermal_scale;
-        rings_[row].emplace_back(ring);
-        rings_[row].back().set_resonance_error(d.resonance_error);
-        bias_offsets_[row].push_back(d.bias_offset);
+        optics::MicroringConfig varied = designs_[ch].config();
+        varied.loss_db_per_cm *= d.loss_scale;
+        varied.coupling_gap_thru *= d.coupling_scale;
+        varied.coupling_gap_drop *= d.coupling_scale;
+        varied.dlambda_dt *= d.thermal_scale;
+        ring.device = optics::Microring(varied).device();
+        ring.device.resonance_error = d.resonance_error;
+        ring.bias_offset = d.bias_offset;
       } else {
-        rings_[row].emplace_back(ring);
+        ring.device = designs_[ch].device();
       }
+      refresh_shifts(row, ch);
     }
   }
   weights_.assign(config.channels, 0);
@@ -86,17 +90,31 @@ double VectorComputeMacro::ring_bias(unsigned bit_row, std::size_t ring,
         break;
     }
   }
-  const double offset =
-      bias_offsets_.empty() ? 0.0 : bias_offsets_[bit_row][ring];
+  const double offset = rings_[bit_row * config_.channels + ring].bias_offset;
   return (bit ? tech_vdd : 0.0) + offset;
+}
+
+void VectorComputeMacro::refresh_shifts(unsigned bit_row, std::size_t ring) {
+  Ring& r = rings_[bit_row * config_.channels + ring];
+  for (const bool bit : {false, true}) {
+    r.eo_shift[bit ? 1 : 0] =
+        designs_[ring].electro_optic_shift(ring_bias(bit_row, ring, bit));
+  }
 }
 
 void VectorComputeMacro::ring_spectrum(unsigned bit_row, std::size_t ring,
                                        bool bit, std::span<double> out) const {
   expects(bit_row < config_.weight_bits, "bit row out of range");
   expects(ring < config_.channels, "ring out of range");
-  rings_[bit_row][ring].thru_spectrum_at(ring_bias(bit_row, ring, bit),
-                                         wavelengths_, out);
+  expects(out.size() == config_.channels, "need one output per channel");
+  const Ring& r = rings_[bit_row * config_.channels + ring];
+  const optics::RingGeometry& geometry = designs_[ring].geometry();
+  const double dn = optics::ring_index_shift(
+      geometry, r.device, r.eo_shift[bit ? 1 : 0], temperature_offset_);
+  for (std::size_t ch = 0; ch < config_.channels; ++ch) {
+    out[ch] = optics::ring_thru_transmission(geometry, r.device, dn,
+                                             wavelengths_[ch]);
+  }
 }
 
 void VectorComputeMacro::set_ring_fault(unsigned bit_row, std::size_t channel,
@@ -116,36 +134,18 @@ void VectorComputeMacro::set_ring_fault(unsigned bit_row, std::size_t channel,
     --ring_fault_count_;
   }
   slot = static_cast<std::uint8_t>(kind);
+  refresh_shifts(bit_row, channel);
 }
 
 void VectorComputeMacro::clear_ring_faults() {
+  for (std::size_t i = 0; i < ring_faults_.size(); ++i) {
+    if (ring_faults_[i] == 0) continue;
+    ring_faults_[i] = 0;
+    refresh_shifts(static_cast<unsigned>(i / config_.channels),
+                   i % config_.channels);
+  }
   ring_faults_.clear();
   ring_fault_count_ = 0;
-}
-
-void VectorComputeMacro::set_temperature_offset(double delta_kelvin) {
-  temperature_offset_ = delta_kelvin;
-  for (auto& row : rings_) {
-    for (auto& ring : row) {
-      ring.set_temperature_offset(delta_kelvin);
-    }
-  }
-}
-
-double VectorComputeMacro::chain_transmission(std::size_t bit_row,
-                                              std::size_t channel) const {
-  expects(bit_row < rings_.size(), "bit row out of range");
-  expects(channel < config_.channels, "channel out of range");
-  const double lambda = wavelengths_[channel];
-  // Bit row 0 is the MSB (significance 2^(n-1)).
-  const unsigned bit_index = config_.weight_bits - 1 - bit_row;
-  double transmission = 1.0;
-  for (std::size_t ring = 0; ring < config_.channels; ++ring) {
-    const bool bit = (weights_[ring] >> bit_index) & 1u;
-    transmission *= rings_[bit_row][ring].thru_transmission_at(
-        ring_bias(static_cast<unsigned>(bit_row), ring, bit), lambda);
-  }
-  return transmission;
 }
 
 double VectorComputeMacro::compute_current(const std::vector<double>& inputs,
@@ -158,15 +158,27 @@ double VectorComputeMacro::compute_current(const std::vector<double>& inputs,
   const std::vector<optics::WdmSignal> bit_inputs =
       taps_.split(encoder_.encode(comb_lines_, inputs));
 
+  const std::size_t m = config_.channels;
   if (per_bit != nullptr) per_bit->assign(config_.weight_bits, 0.0);
   double total_power_on_pds = 0.0;
   for (unsigned row = 0; row < config_.weight_bits; ++row) {
+    // Every channel passes through every ring of the row — this is where
+    // inter-channel crosstalk enters.  Each ring is evaluated once, at its
+    // stored bit, and its spectrum multiplies into every channel's chain
+    // transmission in ring order.  Bit row 0 is the MSB (significance
+    // 2^(n-1)).
+    const unsigned bit_index = config_.weight_bits - 1 - row;
+    double transmission[2 * tech_wdm_channels];
+    double spectrum[2 * tech_wdm_channels];
+    std::fill_n(transmission, m, 1.0);
+    for (std::size_t ring = 0; ring < m; ++ring) {
+      const bool bit = (weights_[ring] >> bit_index) & 1u;
+      ring_spectrum(row, ring, bit, std::span(spectrum, m));
+      for (std::size_t ch = 0; ch < m; ++ch) transmission[ch] *= spectrum[ch];
+    }
     double row_power = 0.0;
-    for (std::size_t ch = 0; ch < config_.channels; ++ch) {
-      // Channel ch passes through every ring of the row — this is where
-      // inter-channel crosstalk enters.
-      row_power +=
-          bit_inputs[row].channel(ch).power * chain_transmission(row, ch);
+    for (std::size_t ch = 0; ch < m; ++ch) {
+      row_power += bit_inputs[row].channel(ch).power * transmission[ch];
     }
     if (per_bit != nullptr)
       (*per_bit)[row] = photodiode_.config().responsivity * row_power;

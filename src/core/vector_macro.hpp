@@ -33,6 +33,14 @@
 /// The spectral evaluation includes inter-channel crosstalk: every ring's
 /// transfer function is evaluated at *every* channel wavelength, exactly the
 /// methodology the paper describes in Sec. IV-B.
+///
+/// The macro keeps no ring objects.  The design at each ring position
+/// fixes an optics::RingGeometry; each multiply ring keeps only what
+/// variation spreads (optics::RingDevice), its drive-level offset, and the
+/// electro-optic shift of each bias its stored bit selects, derived once
+/// per bias (at construction and at every fault change).  The thermal
+/// detuning is one number per macro, passed to optics::ring_index_shift
+/// at every evaluation.
 namespace ptc::core {
 
 struct VectorMacroConfig {
@@ -66,11 +74,13 @@ class VectorComputeMacro {
   }
 
   /// Ambient temperature deviation from the calibrated operating point [K],
-  /// applied to every multiply ring.  Each ring responds through its own
+  /// seen by every multiply ring.  Each ring responds through its own
   /// (variation-spread) thermo-optic sensitivity, so a common-mode drift
-  /// still detunes the rings heterogeneously.
-  void set_temperature_offset(double delta_kelvin);
-  double temperature_offset() const { return temperature_offset_; }
+  /// still detunes the rings heterogeneously.  Stores one number: every
+  /// evaluation passes it to the ring-transfer helper.
+  void set_temperature_offset(double delta_kelvin) {
+    temperature_offset_ = delta_kelvin;
+  }
 
   const std::vector<std::uint32_t>& weights() const { return weights_; }
 
@@ -91,25 +101,23 @@ class VectorComputeMacro {
   /// Full-scale photocurrent (all inputs 1, all weights max) [A].
   double full_scale_current() const { return full_scale_current_; }
 
-  /// Transmission of channel `channel` through bit-row `bit_row`'s ring
-  /// chain, given current weights — the ring walk of the physics path, and
-  /// exposes crosstalk for tests/benches.
-  double chain_transmission(std::size_t bit_row, std::size_t channel) const;
-
   /// Thru transmissions of ring `ring` of bit row `bit_row` at every
   /// channel wavelength (out[ch], channels() entries) when its pSRAM cell
-  /// stores `bit`, whatever the loaded weights.  chain_transmission(b, ch)
-  /// is the product of out[ch] over the row's rings in ring order, each at
-  /// its stored bit.
+  /// stores `bit`, whatever the loaded weights: one index shift, then one
+  /// transmission per channel.  Bit row b's chain transmission at channel
+  /// ch — what its photodiode sees of that channel — is the product of
+  /// out[ch] over the row's rings in ring order from 1.0, each at its
+  /// stored bit; multiply() builds it that way.
   void ring_spectrum(unsigned bit_row, std::size_t ring, bool bit,
                      std::span<double> out) const;
 
   // --- hard faults -----------------------------------------------------------
   /// Latches one multiply ring's drive line: from now on the ring ignores
   /// its weight bit (and drive-level offset) and sits at the stuck bias.
-  /// Every transmission evaluation derives the ring's bias from (stored
-  /// bit, drive-level offset, fault latch), so the physics walk and the
-  /// fast path see the identical faulted device.
+  /// The ring's electro-optic shifts are re-derived from (stored bit,
+  /// drive-level offset, fault latch) here, and every evaluation reads
+  /// them, so the physics walk and the fast path see the identical faulted
+  /// device.
   void set_ring_fault(unsigned bit_row, std::size_t channel,
                       RingFaultKind kind);
   /// Releases every latched ring: biases follow the weight bits again.
@@ -124,6 +132,16 @@ class VectorComputeMacro {
   /// Junction bias of ring (bit_row, ring) storing `bit`: VDD or 0 plus the
   /// ring's drive-level offset, unless a fault latches the drive line.
   double ring_bias(unsigned bit_row, std::size_t ring, bool bit) const;
+  /// Re-derives ring (bit_row, ring)'s electro-optic shift for both bits.
+  void refresh_shifts(unsigned bit_row, std::size_t ring);
+
+  /// One multiply ring: what variation spreads, and the electro-optic
+  /// shift of the bias each stored bit selects.
+  struct Ring {
+    optics::RingDevice device;
+    double bias_offset = 0.0;     ///< static pSRAM drive-level offset [V]
+    double eo_shift[2] = {};      ///< at stored bit 0 / 1 (or its latch) [m]
+  };
 
   VectorMacroConfig config_;
   std::vector<double> wavelengths_;  ///< channel_wavelength(ch) per channel
@@ -132,12 +150,11 @@ class VectorComputeMacro {
   /// Binary-weighted splitter cascade: tap k carries IN / 2^(k+1).
   optics::BinaryWeightedTaps taps_;
   optics::Photodiode photodiode_;
-  /// rings_[bit_row][channel]; bit_row 0 = MSB (receives IN/2).  Their
-  /// bias is never set: evaluations pass ring_bias() explicitly.
-  std::vector<std::vector<optics::Microring>> rings_;
-  /// Static per-ring pSRAM drive-level offsets [V], same indexing as
-  /// rings_; empty when variation is disabled.
-  std::vector<std::vector<double>> bias_offsets_;
+  /// The design ring at each ring position (its geometry and junction):
+  /// ring k of every bit row is built from compute_ring_config(k).
+  std::vector<optics::Microring> designs_;
+  /// rings_[bit_row * channels + ring]; bit_row 0 = MSB (receives IN/2).
+  std::vector<Ring> rings_;
   std::vector<std::uint32_t> weights_;
   /// Per-ring stuck-at states, [bit_row][channel] flattened; empty until
   /// the first fault is injected (the common, healthy case stays free).

@@ -9,8 +9,34 @@
 
 namespace ptc::optics {
 
-namespace {
-constexpr double two_pi = 2.0 * std::numbers::pi;
+double ring_drop_transmission(const RingGeometry& g, const RingDevice& d,
+                              double dn, double wavelength) {
+  if (!g.add_drop) return 0.0;
+  const double a = d.amplitude;
+  const double cos_phi = std::cos(ring_round_trip_phase(g, dn, wavelength));
+  const double t1t2a = d.t1 * d.t2 * a;
+  const double den = 1.0 - 2.0 * t1t2a * cos_phi + t1t2a * t1t2a;
+  const double numer = (1.0 - d.t1 * d.t1) * (1.0 - d.t2 * d.t2) * a;
+  return std::clamp(numer / den, 0.0, 1.0);
+}
+
+double ring_resonance_near(const RingGeometry& g, double dn,
+                           double wavelength) {
+  // Solve n(lambda) L + n_section dL = m lambda by fixed-point iteration;
+  // the index varies slowly, so a handful of iterations suffices.
+  auto optical_path = [&](double lam) {
+    const double n_eff =
+        g.n_eff0 + g.dn_dlambda * (lam - g.design_wavelength) + dn;
+    return n_eff * g.circumference + g.section_path;
+  };
+  const double m = std::round(optical_path(wavelength) / wavelength);
+  double lam = wavelength;
+  for (int i = 0; i < 20; ++i) {
+    const double next = optical_path(lam) / m;
+    if (std::fabs(next - lam) < 1e-18) return next;
+    lam = next;
+  }
+  return lam;
 }
 
 Microring::Microring(const MicroringConfig& config)
@@ -23,119 +49,55 @@ Microring::Microring(const MicroringConfig& config)
   expects(config.n_eff > 1.0 && config.n_g >= 1.0, "invalid modal indices");
   expects(config.loss_db_per_cm >= 0.0, "loss must be >= 0");
 
-  circumference_ = two_pi * config.radius;
+  const double circumference = 2.0 * std::numbers::pi * config.radius;
 
   // Pin one resonance exactly at design_wavelength for dl = 0 and
   // bias = pin_bias: choose the azimuthal order m from the nominal index,
   // then back out the index that makes m * lambda_design an exact round trip.
-  const double m = std::round(config.n_eff * circumference_ /
-                              config.design_wavelength);
+  const double m =
+      std::round(config.n_eff * circumference / config.design_wavelength);
   expects(m >= 1.0, "ring is too small to support a resonance");
-  n_eff0_ = m * config.design_wavelength / circumference_;
+  const double n_eff0 = m * config.design_wavelength / circumference;
 
+  geometry_.design_wavelength = config.design_wavelength;
+  geometry_.n_g = config.n_g;
+  geometry_.n_eff0 = n_eff0;
   // Dispersion chosen so the configured group index (and hence FSR) holds:
   // n_g = n_eff - lambda * dn/dlambda.
-  dn_dlambda_ = (n_eff0_ - config.n_g) / config.design_wavelength;
+  geometry_.dn_dlambda = (n_eff0 - config.n_g) / config.design_wavelength;
+  geometry_.circumference = circumference;
+  geometry_.section_path = config.n_section * config.dl;
+  geometry_.add_drop = config.add_drop;
 
   const DirectionalCoupler coupler(config.coupler);
-  t1_ = coupler.self_coupling(config.coupling_gap_thru);
-  t2_ = config.add_drop ? coupler.self_coupling(config.coupling_gap_drop) : 1.0;
-
+  device_.t1 = coupler.self_coupling(config.coupling_gap_thru);
+  device_.t2 =
+      config.add_drop ? coupler.self_coupling(config.coupling_gap_drop) : 1.0;
   const double loss_db =
-      config.loss_db_per_cm * (circumference_ + config.dl) * 100.0;
-  amplitude_ = std::sqrt(units::db_to_ratio(-loss_db));
-}
-
-double Microring::tuning_shift(double bias) const {
-  const double electro_optic = junction_.resonance_shift(bias) - pin_shift_;
-  const double thermal = config_.dlambda_dt * dtemp_;
-  return electro_optic + thermal + fab_error_;
-}
-
-double Microring::index_shift(double bias) const {
-  // Tuning is expressed as a resonance shift; the equivalent index change is
-  // delta_n = n_g * delta_lambda / lambda (group index because a resonance
-  // displacement is a group-delay quantity).
-  return config_.n_g * tuning_shift(bias) / config_.design_wavelength;
-}
-
-double Microring::round_trip_phase(double dn_tuning, double wavelength) const {
-  const double n_eff = n_eff0_ +
-                       dn_dlambda_ * (wavelength - config_.design_wavelength) +
-                       dn_tuning;
-  const double optical_path =
-      n_eff * circumference_ + config_.n_section * config_.dl;
-  return two_pi * optical_path / wavelength;
-}
-
-double Microring::thru_at_phase(double phase) const {
-  const double a = amplitude_;
-  const double cos_phi = std::cos(phase);
-  if (config_.add_drop) {
-    const double t1t2a = t1_ * t2_ * a;
-    const double d = 1.0 - 2.0 * t1t2a * cos_phi + t1t2a * t1t2a;
-    const double numer =
-        t2_ * t2_ * a * a - 2.0 * t1t2a * cos_phi + t1_ * t1_;
-    return std::clamp(numer / d, 0.0, 1.0);
-  }
-  const double ta = t1_ * a;
-  const double d = 1.0 - 2.0 * ta * cos_phi + ta * ta;
-  const double numer = a * a - 2.0 * ta * cos_phi + t1_ * t1_;
-  return std::clamp(numer / d, 0.0, 1.0);
+      config.loss_db_per_cm * (circumference + config.dl) * 100.0;
+  device_.amplitude = std::sqrt(units::db_to_ratio(-loss_db));
+  device_.dlambda_dt = config.dlambda_dt;
 }
 
 double Microring::thru_transmission_at(double bias, double wavelength) const {
   expects(wavelength > 0.0, "wavelength must be positive");
-  return thru_at_phase(round_trip_phase(index_shift(bias), wavelength));
-}
-
-void Microring::thru_spectrum_at(double bias,
-                                 std::span<const double> wavelengths,
-                                 std::span<double> out) const {
-  expects(out.size() == wavelengths.size(),
-          "need one output per wavelength");
-  const double dn_tuning = index_shift(bias);
-  for (std::size_t i = 0; i < wavelengths.size(); ++i) {
-    expects(wavelengths[i] > 0.0, "wavelength must be positive");
-    out[i] = thru_at_phase(round_trip_phase(dn_tuning, wavelengths[i]));
-  }
+  return ring_thru_transmission(geometry_, device_, index_shift(bias),
+                                wavelength);
 }
 
 double Microring::drop_transmission(double wavelength) const {
   expects(wavelength > 0.0, "wavelength must be positive");
-  if (!config_.add_drop) return 0.0;
-  const double a = amplitude_;
-  const double cos_phi =
-      std::cos(round_trip_phase(index_shift(bias_), wavelength));
-  const double t1t2a = t1_ * t2_ * a;
-  const double d = 1.0 - 2.0 * t1t2a * cos_phi + t1t2a * t1t2a;
-  const double numer = (1.0 - t1_ * t1_) * (1.0 - t2_ * t2_) * a;
-  return std::clamp(numer / d, 0.0, 1.0);
+  return ring_drop_transmission(geometry_, device_, index_shift(bias_),
+                                wavelength);
 }
 
 double Microring::resonance_near(double wavelength) const {
-  // Solve n(lambda) L + n_section dL = m lambda by fixed-point iteration;
-  // the index varies slowly, so a handful of iterations suffices.
-  const double dn_tuning = index_shift(bias_);
-  auto optical_path = [&](double lam) {
-    const double n_eff = n_eff0_ +
-                         dn_dlambda_ * (lam - config_.design_wavelength) +
-                         dn_tuning;
-    return n_eff * circumference_ + config_.n_section * config_.dl;
-  };
-  const double m = std::round(optical_path(wavelength) / wavelength);
-  double lam = wavelength;
-  for (int i = 0; i < 20; ++i) {
-    const double next = optical_path(lam) / m;
-    if (std::fabs(next - lam) < 1e-18) return next;
-    lam = next;
-  }
-  return lam;
+  return ring_resonance_near(geometry_, index_shift(bias_), wavelength);
 }
 
 double Microring::fsr(double wavelength) const {
   const double group_path =
-      config_.n_g * circumference_ + config_.n_section * config_.dl;
+      config_.n_g * geometry_.circumference + geometry_.section_path;
   return wavelength * wavelength / group_path;
 }
 

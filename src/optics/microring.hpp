@@ -1,7 +1,9 @@
 #ifndef PTC_OPTICS_MICRORING_HPP
 #define PTC_OPTICS_MICRORING_HPP
 
-#include <span>
+#include <algorithm>
+#include <cmath>
+#include <numbers>
 
 #include "optics/coupler.hpp"
 #include "optics/pn_phase_shifter.hpp"
@@ -26,6 +28,15 @@
 /// whose tuning term aggregates pn-junction bias, ambient temperature, and
 /// fabrication error — all expressed as equivalent resonance shifts
 /// (delta_n = n_g * delta_lambda / lambda).
+///
+/// The transfer functions are free functions of a ring's constants, split
+/// by who shares them: RingGeometry (fixed by the design, the same for
+/// every ring built from one config) and RingDevice (what fabrication
+/// variation spreads).  `Microring` evaluates them for one standalone
+/// device at its calibrated temperature; core::VectorComputeMacro keeps
+/// only a RingDevice and two cached electro-optic shifts per multiply ring
+/// and passes its macro's thermal detuning, so every ring of the simulator
+/// goes through the same formula.
 ///
 /// The resonance is *pinned*: at bias == pin_bias (and zero thermal/fab
 /// offsets, dL = 0) one resonance falls exactly on design_wavelength.  dL
@@ -52,22 +63,90 @@ struct MicroringConfig {
   CouplerConfig coupler;              ///< gap -> coupling mapping
 };
 
+/// The round-trip-phase terms a ring's design fixes; fabrication variation
+/// leaves them alone.
+struct RingGeometry {
+  double design_wavelength = 0.0;  ///< [m]
+  double n_g = 0.0;                ///< group index
+  double n_eff0 = 0.0;             ///< pinned effective index at design
+  double dn_dlambda = 0.0;         ///< modal dispersion, reproduces n_g [1/m]
+  double circumference = 0.0;      ///< [m]
+  double section_path = 0.0;       ///< n_section * dL [m]
+  bool add_drop = true;
+};
+
+/// The terms fabrication variation spreads from ring to ring.
+struct RingDevice {
+  double t1 = 0.0;               ///< input-bus field self-coupling
+  double t2 = 0.0;               ///< drop-bus field self-coupling (1 all-pass)
+  double amplitude = 0.0;        ///< single-pass field amplitude a
+  double dlambda_dt = 0.0;       ///< thermo-optic sensitivity [m/K]
+  double resonance_error = 0.0;  ///< fabrication resonance error [m]
+};
+
+/// Effective-index change of a ring tuned by an electro-optic resonance
+/// shift `eo_shift` [m] (junction shift at its bias minus the shift at its
+/// pin bias) at `delta_kelvin` from the calibrated temperature.  Tuning is
+/// expressed as a resonance shift; the equivalent index change is
+/// delta_n = n_g * delta_lambda / lambda (group index because a resonance
+/// displacement is a group-delay quantity).
+inline double ring_index_shift(const RingGeometry& g, const RingDevice& d,
+                               double eo_shift, double delta_kelvin) {
+  const double thermal = d.dlambda_dt * delta_kelvin;
+  const double tuning = eo_shift + thermal + d.resonance_error;
+  return g.n_g * tuning / g.design_wavelength;
+}
+
+/// Round-trip phase at `wavelength` [m] under tuning index change `dn`.
+inline double ring_round_trip_phase(const RingGeometry& g, double dn,
+                                    double wavelength) {
+  const double n_eff =
+      g.n_eff0 + g.dn_dlambda * (wavelength - g.design_wavelength) + dn;
+  const double optical_path = n_eff * g.circumference + g.section_path;
+  return 2.0 * std::numbers::pi * optical_path / wavelength;
+}
+
+/// Power transmission input -> thru port [0, 1] at `wavelength` [m] under
+/// tuning index change `dn` (ring_index_shift).
+inline double ring_thru_transmission(const RingGeometry& g,
+                                     const RingDevice& d, double dn,
+                                     double wavelength) {
+  const double t1 = d.t1;
+  const double a = d.amplitude;
+  const double cos_phi = std::cos(ring_round_trip_phase(g, dn, wavelength));
+  if (g.add_drop) {
+    const double t2 = d.t2;
+    const double t1t2a = t1 * t2 * a;
+    const double den = 1.0 - 2.0 * t1t2a * cos_phi + t1t2a * t1t2a;
+    const double numer = t2 * t2 * a * a - 2.0 * t1t2a * cos_phi + t1 * t1;
+    return std::clamp(numer / den, 0.0, 1.0);
+  }
+  const double ta = t1 * a;
+  const double den = 1.0 - 2.0 * ta * cos_phi + ta * ta;
+  const double numer = a * a - 2.0 * ta * cos_phi + t1 * t1;
+  return std::clamp(numer / den, 0.0, 1.0);
+}
+
+/// Power transmission input -> drop port (0 for all-pass rings).
+double ring_drop_transmission(const RingGeometry& g, const RingDevice& d,
+                              double dn, double wavelength);
+
+/// Resonance wavelength nearest to `wavelength` under tuning index change
+/// `dn` [m].
+double ring_resonance_near(const RingGeometry& g, double dn,
+                           double wavelength);
+
 class Microring {
  public:
   explicit Microring(const MicroringConfig& config);
 
-  // --- electrical / environmental state -----------------------------------
+  // --- electrical state -----------------------------------------------------
   /// Sets the pn-junction bias [V] (instantaneous; drivers model dynamics).
+  /// A ring object sits at its calibrated temperature with no fabrication
+  /// error: a drifting or varied multiply ring is a RingDevice its macro
+  /// evaluates with its own detuning.
   void set_bias(double v) { bias_ = v; }
   double bias() const { return bias_; }
-
-  /// Ambient temperature deviation from nominal [K].
-  void set_temperature_offset(double delta_kelvin) { dtemp_ = delta_kelvin; }
-  double temperature_offset() const { return dtemp_; }
-
-  /// Fabrication-induced resonance error [m] (Monte-Carlo variation).
-  void set_resonance_error(double dlambda) { fab_error_ = dlambda; }
-  double resonance_error() const { return fab_error_; }
 
   // --- spectral responses ---------------------------------------------------
   /// Power transmission input -> thru port at the given wavelength [0, 1].
@@ -75,22 +154,16 @@ class Microring {
     return thru_transmission_at(bias_, wavelength);
   }
 
-  /// Thru transmission the ring would have at junction bias `bias` [V],
-  /// every other tuning contribution as currently set.  Callers that derive
-  /// the bias per evaluation (weight bits, reference ladders) read the
-  /// spectrum through this without writing the bias into the ring.
+  /// Thru transmission the ring would have at junction bias `bias` [V].
+  /// Callers that derive the bias per evaluation (reference ladders) read
+  /// the spectrum through this without writing the bias into the ring.
   double thru_transmission_at(double bias, double wavelength) const;
-
-  /// thru_transmission_at(bias, wavelengths[i]) into out[i] for every i,
-  /// evaluating the bias's tuning shift once.
-  void thru_spectrum_at(double bias, std::span<const double> wavelengths,
-                        std::span<double> out) const;
 
   /// Power transmission input -> drop port (0 for all-pass rings).
   double drop_transmission(double wavelength) const;
 
-  /// Resonance wavelength nearest to `wavelength`, including every active
-  /// tuning contribution [m].
+  /// Resonance wavelength nearest to `wavelength`, including the bias
+  /// tuning [m].
   double resonance_near(double wavelength) const;
 
   /// Free spectral range at the given wavelength [m].
@@ -100,41 +173,32 @@ class Microring {
   /// measured numerically [m].
   double fwhm(double wavelength) const;
 
+  /// Electro-optic resonance shift at junction bias `bias` relative to the
+  /// pin bias [m] — the `eo_shift` ring_index_shift takes.
+  double electro_optic_shift(double bias) const {
+    return junction_.resonance_shift(bias) - pin_shift_;
+  }
+
   // --- derived device constants ---------------------------------------------
-  double circumference() const { return circumference_; }
-  double self_coupling_thru() const { return t1_; }
-  double self_coupling_drop() const { return t2_; }
-  double single_pass_amplitude() const { return amplitude_; }
+  const RingGeometry& geometry() const { return geometry_; }
+  const RingDevice& device() const { return device_; }
 
   const MicroringConfig& config() const { return config_; }
   const PnPhaseShifter& junction() const { return junction_; }
 
  private:
-  /// Aggregate resonance shift from bias/thermal/fabrication [m].
-  double tuning_shift(double bias) const;
-
-  /// Effective-index change of the tuning shift at the given bias.
-  double index_shift(double bias) const;
-
-  /// Round-trip phase at the given wavelength and tuning index change.
-  double round_trip_phase(double dn_tuning, double wavelength) const;
-
-  /// Thru transmission at the given round-trip phase.
-  double thru_at_phase(double phase) const;
+  /// Tuning index change at the given bias.
+  double index_shift(double bias) const {
+    return ring_index_shift(geometry_, device_, electro_optic_shift(bias),
+                            0.0);
+  }
 
   MicroringConfig config_;
   PnPhaseShifter junction_;
-  double pin_shift_;   ///< electro-optic shift at pin_bias [m]
-  double circumference_;
-  double n_eff0_;      ///< pinned effective index at design wavelength
-  double dn_dlambda_;  ///< modal dispersion, reproduces n_g
-  double t1_;
-  double t2_;
-  double amplitude_;   ///< single-pass field amplitude a
-
+  double pin_shift_;  ///< electro-optic shift at pin_bias [m]
+  RingGeometry geometry_;
+  RingDevice device_;
   double bias_ = 0.0;
-  double dtemp_ = 0.0;
-  double fab_error_ = 0.0;
 };
 
 }  // namespace ptc::optics

@@ -361,6 +361,20 @@ void expect_same_outputs(core::TensorCore& core, core::TensorCore& fresh,
       << stage;
 }
 
+/// True when only output row `row` of the samples moved.
+bool only_row_moved(const Matrix& before, const Matrix& after,
+                    std::size_t row) {
+  bool moved = false;
+  for (std::size_t s = 0; s < before.rows(); ++s) {
+    for (std::size_t r = 0; r < before.cols(); ++r) {
+      if (before(s, r) == after(s, r)) continue;
+      if (r != row) return false;
+      moved = true;
+    }
+  }
+  return moved;
+}
+
 TEST(FastPath, PartialReloadsMatchPhysicsAndAFreshCore) {
   // A load rebuilds only the macros whose stored words moved.  Loads that
   // change no word, one word of one macro, one whole row and every word are
@@ -398,19 +412,6 @@ TEST(FastPath, PartialReloadsMatchPhysicsAndAFreshCore) {
     expect_same_outputs(fast, fresh, x, stage + " (fast)");
     expect_same_outputs(physics, fresh, x, stage + " (physics)");
     return fresh.multiply_analog_batch(x);
-  };
-  // True when only output row `row` of the samples moved.
-  auto only_row_moved = [](const Matrix& before, const Matrix& after,
-                           std::size_t row) {
-    bool moved = false;
-    for (std::size_t s = 0; s < before.rows(); ++s) {
-      for (std::size_t r = 0; r < before.cols(); ++r) {
-        if (before(s, r) == after(s, r)) continue;
-        if (r != row) return false;
-        moved = true;
-      }
-    }
-    return moved;
   };
 
   load();
@@ -462,6 +463,70 @@ TEST(FastPath, PartialReloadsMatchPhysicsAndAFreshCore) {
   words[0][1] = (words[0][1] + 5) % 8;
   load();
   EXPECT_TRUE(only_row_moved(relocked, sample("one word, chain current"), 0));
+}
+
+TEST(FastPath, ProbeSweepAndDetuningRoundTripLeaveNoTrace) {
+  // drift_serving's core: 6-bit weights on a varied die.  A core taken
+  // through a +-4 K probe sweep, a ring fault and its clearing, a detuning
+  // y and back to x must equal, bit for bit, a fresh core of the same die
+  // taken straight to x: in its fast outputs, its physics outputs and its
+  // probe reading.  Each macro holds its detuning and each ring its cached
+  // electro-optic shifts, so nothing of the sweep, the fault or y may
+  // survive in them or in the transmission table.
+  core::TensorCoreConfig config = core_config(true);
+  config.weight_bits = 6;
+  config.variation.seed = 42;
+  Rng rng(72);
+  const WordMatrix words = random_words(core::TensorCore(config), rng);
+  const Matrix x = random_activations(6, 16, rng);
+  std::vector<double> sweep;
+  for (double k = -4.0; k <= 4.0; k += 0.5) sweep.push_back(k);
+  const double x_kelvin = 0.35;
+  const double y_kelvin = -1.2;
+  const std::size_t row = 4;
+  const std::size_t col = 9;
+  const unsigned bit_row = 2;
+  const bool stored = (words[row][col] >> (5 - bit_row)) & 1u;
+  const core::RingFaultSite fault{
+      .row = row, .col = col, .bit = bit_row,
+      .kind = stored ? core::RingFaultKind::kStuckOn
+                     : core::RingFaultKind::kStuckOff};
+
+  std::vector<Matrix> fresh_outputs;
+  for (const bool fast_path : {true, false}) {
+    config.fast_path = fast_path;
+    const std::string path = fast_path ? " (fast)" : " (physics)";
+    core::TensorCore core(config);
+    core.load_weights(words);
+    core.set_thermal_detuning(x_kelvin);
+    const Matrix at_x = core.multiply_analog_batch(x);
+    const double probe_at_x = core.probe_transmission();
+
+    const std::vector<double> curve = core.probe_response_curve(sweep);
+    EXPECT_NE(curve.front(), curve[curve.size() / 2]) << path;
+    EXPECT_EQ(core.probe_transmission(), probe_at_x)
+        << "after the sweep" << path;
+    EXPECT_EQ(core.multiply_analog_batch(x).max_abs_diff(at_x), 0.0)
+        << "after the sweep" << path;
+
+    core.inject_ring_faults({fault});
+    EXPECT_TRUE(only_row_moved(at_x, core.multiply_analog_batch(x), row))
+        << "under the fault" << path;
+    core.clear_faults();
+    core.set_thermal_detuning(y_kelvin);
+    EXPECT_GT(core.multiply_analog_batch(x).max_abs_diff(at_x), 0.0)
+        << "at y" << path;
+    EXPECT_NE(core.probe_transmission(), probe_at_x) << "at y" << path;
+    core.set_thermal_detuning(x_kelvin);
+
+    core::TensorCore fresh(config);
+    fresh.load_weights(words);
+    fresh.set_thermal_detuning(x_kelvin);
+    expect_same_outputs(core, fresh, x, "back at x" + path);
+    EXPECT_EQ(core.probe_transmission(), fresh.probe_transmission()) << path;
+    fresh_outputs.push_back(fresh.multiply_analog_batch(x));
+  }
+  EXPECT_EQ(fresh_outputs[0].max_abs_diff(fresh_outputs[1]), 0.0);
 }
 
 TEST(FastPath, WeightLoadsAllocateNothingAfterTheFirst) {

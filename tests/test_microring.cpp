@@ -99,22 +99,35 @@ TEST(ComputeRing, PeriodicResonances) {
 }
 
 TEST(ComputeRing, ThermalShiftRedshifts) {
-  Microring ring(compute_ring_config(0, 0.0));
-  const double res0 = ring.resonance_near(1310e-9);
-  ring.set_temperature_offset(5.0);  // +5 K
-  const double res1 = ring.resonance_near(1310e-9);
+  // A ring object sits at its calibrated temperature; drift reaches a ring
+  // through ring_index_shift's temperature, which a macro passes.
+  const Microring ring(compute_ring_config(0, 0.0));
+  const RingGeometry& g = ring.geometry();
+  const double res0 = ring_resonance_near(
+      g, ring_index_shift(g, ring.device(), 0.0, 0.0), 1310e-9);
+  EXPECT_EQ(res0, ring.resonance_near(1310e-9));
+  const double res1 = ring_resonance_near(
+      g, ring_index_shift(g, ring.device(), 0.0, 5.0), 1310e-9);  // +5 K
   EXPECT_NEAR((res1 - res0) * 1e12, 350.0, 1.0);  // 5 K x 70 pm/K
 }
 
 TEST(ComputeRing, HeaterAndFabricationShifts) {
-  // Drift and heater re-locks move the resonance through
-  // set_temperature_offset (ThermalShiftRedshifts above); a fabrication
-  // error shifts it one for one, either way.
-  Microring ring(compute_ring_config(0, 0.0));
-  ring.set_resonance_error(100e-12);
-  EXPECT_NEAR((ring.resonance_near(1310e-9) - 1310e-9) * 1e12, 100.0, 0.5);
-  ring.set_resonance_error(-60e-12);
-  EXPECT_NEAR((ring.resonance_near(1310e-9) - 1310e-9) * 1e12, -60.0, 0.5);
+  // Drift and heater re-locks move the resonance through the temperature
+  // (ThermalShiftRedshifts above); a fabrication error shifts it one for
+  // one, either way.
+  const Microring ring(compute_ring_config(0, 0.0));
+  const RingGeometry& g = ring.geometry();
+  RingDevice device = ring.device();
+  device.resonance_error = 100e-12;
+  EXPECT_NEAR((ring_resonance_near(g, ring_index_shift(g, device, 0.0, 0.0),
+                                   1310e-9) -
+               1310e-9) * 1e12,
+              100.0, 0.5);
+  device.resonance_error = -60e-12;
+  EXPECT_NEAR((ring_resonance_near(g, ring_index_shift(g, device, 0.0, 0.0),
+                                   1310e-9) -
+               1310e-9) * 1e12,
+              -60.0, 0.5);
 }
 
 // ---------------------------------------------------------------------------

@@ -119,24 +119,72 @@ TEST(VectorMacro, PerBitCurrentsAreBinaryWeighted) {
               expected_ratio, 0.01);
 }
 
+/// Transmission of channel `ch` through bit row `row`'s ring chain when
+/// the rings store `bits` (ring k at bits[k]): the product of the rings'
+/// spectra in ring order from 1.0, as multiply() builds it.
+double chain(const VectorComputeMacro& macro, unsigned row,
+             const std::vector<bool>& bits, std::size_t ch) {
+  std::vector<double> spectrum(macro.channels());
+  double transmission = 1.0;
+  for (std::size_t k = 0; k < macro.channels(); ++k) {
+    macro.ring_spectrum(row, k, bits[k], spectrum);
+    transmission *= spectrum[ch];
+  }
+  return transmission;
+}
+
 TEST(VectorMacro, CrosstalkOnOtherChannelsIsSmall) {
-  VectorComputeMacro macro;
+  const VectorComputeMacro macro;
   // Channel 0's ring on resonance; channels 1..3 pass nearly intact.  The
   // chain includes each channel's *own* off-state ring (~0.97 insertion),
   // so the crosstalk added by the resonant ring 0 must be the small part.
-  macro.load_weights({0, 7, 7, 7});
+  const std::vector<bool> ring0_on{false, true, true, true};
   for (std::size_t ch = 1; ch < 4; ++ch) {
     for (unsigned row = 0; row < 3; ++row) {
-      EXPECT_GT(macro.chain_transmission(row, ch), 0.95)
+      EXPECT_GT(chain(macro, row, ring0_on, ch), 0.95)
           << "row " << row << " channel " << ch;
     }
   }
   // Isolate ring 0's contribution: with all weights passing, the chain
   // changes by well under 1% when ring 0 goes on resonance.
-  const double before = macro.chain_transmission(0, 1);
-  macro.load_weights({7, 7, 7, 7});
-  const double after = macro.chain_transmission(0, 1);
+  const double before = chain(macro, 0, ring0_on, 1);
+  const double after = chain(macro, 0, {true, true, true, true}, 1);
   EXPECT_NEAR(before / after, 1.0, 0.01);
+}
+
+TEST(VectorMacro, MultiplyIsTheRingSpectraChain) {
+  // The physics walk evaluates each ring once per bit row and multiplies
+  // its spectrum into every channel's chain in ring order.  Under an
+  // all-ones input every channel of a bit row carries the same tap power,
+  // so each row's current is that power times the row's summed chain
+  // transmission, and adjacent rows' powers differ by one splitter stage.
+  VectorMacroConfig config;
+  config.weight_bits = 6;
+  config.variation.seed = 42;
+  VectorComputeMacro macro(config);
+  macro.set_temperature_offset(1.5);
+  const std::vector<std::uint32_t> words{5, 63, 0, 42};
+  macro.load_weights(words);
+  const auto result = macro.multiply({1.0, 1.0, 1.0, 1.0});
+  const VectorComputeMacro cold(config);  // the same die at detuning 0
+  std::vector<double> tap(6);
+  for (unsigned row = 0; row < 6; ++row) {
+    std::vector<bool> bits;
+    for (const std::uint32_t w : words) bits.push_back((w >> (5 - row)) & 1u);
+    double sum = 0.0;
+    double cold_sum = 0.0;
+    for (std::size_t ch = 0; ch < 4; ++ch) {
+      sum += chain(macro, row, bits, ch);
+      cold_sum += chain(cold, row, bits, ch);
+    }
+    tap[row] = result.per_bit_current[row] / sum;
+    // The macro holds the detuning: its rings see it, the cold die's not.
+    EXPECT_NE(sum, cold_sum) << "row " << row;
+  }
+  for (unsigned row = 1; row < 6; ++row) {
+    EXPECT_NEAR(tap[row - 1] / tap[row], 2.0 * std::pow(10.0, 0.01), 1e-12)
+        << "row " << row;
+  }
 }
 
 TEST(VectorMacro, WdmChannelsComputeIndependently) {
