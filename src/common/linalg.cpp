@@ -10,6 +10,12 @@ namespace ptc {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
+void Matrix::assign(std::size_t rows, std::size_t cols, double fill) {
+  rows_ = rows;
+  cols_ = cols;
+  data_.assign(rows * cols, fill);
+}
+
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> values) {
   rows_ = values.size();
   cols_ = rows_ ? values.begin()->size() : 0;

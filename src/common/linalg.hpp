@@ -25,6 +25,10 @@ class Matrix {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
+  /// Reshapes to rows x cols filled with `fill`, reusing the storage when
+  /// its capacity suffices (buffers kept across calls stay allocated).
+  void assign(std::size_t rows, std::size_t cols, double fill = 0.0);
+
   /// Bounds-checked element access.  The tiling and readout loops check a
   /// matrix's shape once and index its rows through data() instead.
   double& operator()(std::size_t r, std::size_t c) {

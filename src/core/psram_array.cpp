@@ -29,21 +29,9 @@ std::size_t PsramArray::write_word(std::size_t row, std::size_t index,
   expects(row < config_.rows && index < config_.words_per_row,
           "word coordinates out of range");
   expects(value <= max_weight(), "weight exceeds the word precision");
+  ++word_writes_;
   return store_words(row * config_.words_per_row + index,
                      std::span(&value, 1), ledger_.energy_slot("psram_write"));
-}
-
-double PsramArray::write_matrix(std::span<const std::uint32_t> values) {
-  expects(values.size() == words_.size(),
-          "matrix size must match the array geometry");
-  const std::uint32_t max = max_weight();
-  for (const std::uint32_t value : values) {
-    expects(value <= max, "weight exceeds the word precision");
-  }
-  // One ledger lookup per matrix; the words book their energy in word
-  // order, the same sum write_word would build.
-  store_words(0, values, ledger_.energy_slot("psram_write"));
-  return reload_time();
 }
 
 std::size_t PsramArray::store_words(std::size_t first,
@@ -62,7 +50,6 @@ std::size_t PsramArray::store_words(std::size_t first,
     flipped_total += flipped;
     energy += static_cast<double>(flipped) * config_.write_energy;
   }
-  word_writes_ += values.size();
   bit_flips_ += flipped_total;
   return flipped_total;
 }

@@ -1,11 +1,13 @@
 #ifndef PTC_CORE_PSRAM_ARRAY_HPP
 #define PTC_CORE_PSRAM_ARRAY_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "circuit/energy.hpp"
+#include "common/expects.hpp"
 #include "core/tech.hpp"
 
 /// Array-scale photonic SRAM.
@@ -53,11 +55,18 @@ class PsramArray {
   std::size_t write_word(std::size_t row, std::size_t index,
                          std::uint32_t value);
 
-  /// Writes a full weight matrix (row-major, rows x words_per_row).
-  /// All rows are written in parallel; returns reload_time() whatever
-  /// changed.  Every word counts as a word write; only flipped bits cost
-  /// energy, so rewriting the stored matrix books none.
-  double write_matrix(std::span<const std::uint32_t> values);
+  /// Writes a full weight matrix (row-major, rows x words_per_row) in
+  /// blocks of `block` words, which must divide the array.  Every word's
+  /// range is checked before any is stored, so a rejected matrix changes
+  /// nothing.  A block equal to the stored words is skipped; any other is
+  /// stored, then `on_store(first)` is called with its first flat word
+  /// index.  All rows are written in parallel; returns reload_time()
+  /// whatever changed.  Every word counts as a word write; only flipped
+  /// bits cost energy, booked in word order (the sum write_word would
+  /// build), so rewriting the stored matrix books none.
+  template <class OnStore>
+  double write_matrix(std::span<const std::uint32_t> values, std::size_t block,
+                      OnStore&& on_store);
 
   /// Full-array reload latency [s]: rows write in parallel, each streaming
   /// words_per_row * bits_per_word slots at the write rate (paper: 2.4 ns).
@@ -89,9 +98,10 @@ class PsramArray {
 
  private:
   /// Stores checked words from flat word index `first` on, booking each
-  /// word's energy into `energy` (the ledger's psram_write slot) in word
-  /// order.  A word equal to the stored one is counted and skipped: it
-  /// flips no bit.  Returns the number of flipped bits.
+  /// word's flips and energy into `energy` (the ledger's psram_write slot)
+  /// in word order.  A word equal to the stored one flips no bit and is
+  /// skipped.  Callers count the word writes.  Returns the number of
+  /// flipped bits.
   std::size_t store_words(std::size_t first,
                           std::span<const std::uint32_t> values,
                           double& energy);
@@ -102,6 +112,35 @@ class PsramArray {
   std::uint64_t word_writes_ = 0;
   std::uint64_t bit_flips_ = 0;
 };
+
+template <class OnStore>
+double PsramArray::write_matrix(std::span<const std::uint32_t> values,
+                                std::size_t block, OnStore&& on_store) {
+  expects(values.size() == words_.size(),
+          "matrix size must match the array geometry");
+  expects(block >= 1 && values.size() % block == 0,
+          "write blocks must tile the array");
+  // A word fits the precision iff it sets no bit above max_weight(), so
+  // the OR of all words sets one iff some word does: one pass checks
+  // them all before the first store.
+  std::uint32_t set_bits = 0;
+  for (const std::uint32_t value : values) set_bits |= value;
+  expects((set_bits & ~max_weight()) == 0,
+          "weight exceeds the word precision");
+  // One ledger lookup per matrix; blocks store in word order.
+  double& energy = ledger_.energy_slot("psram_write");
+  for (std::size_t first = 0; first < values.size(); first += block) {
+    std::uint32_t moved = 0;
+    for (std::size_t i = first; i < first + block; ++i) {
+      moved |= values[i] ^ words_[i];
+    }
+    if (moved == 0) continue;
+    store_words(first, values.subspan(first, block), energy);
+    on_store(first);
+  }
+  word_writes_ += values.size();
+  return reload_time();
+}
 
 }  // namespace ptc::core
 

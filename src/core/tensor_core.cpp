@@ -92,6 +92,15 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
   fast_.tap_factor = units::db_to_ratio(-config_.macro.splitter_excess_db) * 0.5;
   fast_.responsivity = config_.macro.photodiode.responsivity;
 
+  // Every code's readout level, code / max_code, for the batch readout.
+  const unsigned max_code = adc_.max_code();
+  code_levels_.resize(max_code + 1);
+  for (unsigned code = 0; code <= max_code; ++code) {
+    code_levels_[code] =
+        static_cast<double>(code) / static_cast<double>(max_code);
+  }
+  analog_scratch_.assign(config_.rows, 0.0);
+
   const auto power_parts = breakdown();
   ledger_.add_static_power("adc", power_parts.adc);
   ledger_.add_static_power("row_tia", power_parts.row_tia);
@@ -120,7 +129,8 @@ double TensorCore::load_weights_normalized(const Matrix& weights) {
   expects(weights.rows() == config_.rows && weights.cols() == config_.cols,
           "weight matrix shape mismatch");
   const double scale = static_cast<double>(max_weight());
-  // Matrix storage is row-major, the pSRAM's word order.
+  // Matrix storage is row-major, the pSRAM's word order.  A rejected value
+  // throws before load_words stores anything.
   const std::vector<double>& values = weights.data();
   word_scratch_.resize(values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -137,25 +147,26 @@ double TensorCore::load_weights_normalized(const Matrix& weights) {
 }
 
 double TensorCore::load_words() {
-  const double latency = psram_.write_matrix(word_scratch_);
-  // A macro whose stored words did not move keeps its rings and its chain
-  // entries: they were built from exactly the words it holds.  A stale
-  // chain predates the current detuning or fault set and is rebuilt whole.
-  const std::span<const std::uint32_t> words = psram_.words();
+  // The pSRAM's words always equal the macros' copies: both start all
+  // zero, and only this loop changes either, reprogramming a macro right
+  // after its block is stored.  So the blocks the pSRAM skips as unchanged
+  // are exactly the macros whose rings and chain entries were built from
+  // the words they hold.  A stale chain predates the current detuning or
+  // fault set and is rebuilt whole below.
   const std::size_t m = config_.macro.channels;
   const bool chain_current = config_.fast_path && !fast_.stale;
-  for (std::size_t row = 0; row < config_.rows; ++row) {
-    for (std::size_t tile = 0; tile < macros_per_row(); ++tile) {
-      const std::span<const std::uint32_t> stored =
-          words.subspan(row * config_.cols + tile * m, m);
-      VectorComputeMacro& macro = macros_[row][tile];
-      if (std::equal(stored.begin(), stored.end(), macro.weights().begin())) {
-        continue;
-      }
-      macro.load_weights(stored);
-      if (chain_current) build_macro_chain(row, tile);
-    }
-  }
+  const double latency =
+      psram_.write_matrix(word_scratch_, m, [&](std::size_t first) {
+        const std::size_t row = first / config_.cols;
+        const std::size_t tile = (first - row * config_.cols) / m;
+        macros_[row][tile].load_weights(psram_.words().subspan(first, m));
+        if (!chain_current) return;
+        if (m == tech_wdm_channels) {
+          build_macro_chain<tech_wdm_channels>(row, tile);
+        } else {
+          build_macro_chain<0>(row, tile);
+        }
+      });
   weights_loaded_ = true;
   if (config_.fast_path && fast_.stale) build_chain();
   return latency;
@@ -175,18 +186,26 @@ void TensorCore::build_chain() {
     fast_.table.assign(rings * 2 * m, 0.0);
     fast_.filled.assign(rings * 2, 0);
   }
+  const bool fixed_channels = config_.macro.channels == tech_wdm_channels;
   for (std::size_t row = 0; row < config_.rows; ++row) {
     for (std::size_t tile = 0; tile < macros_per_row(); ++tile) {
-      build_macro_chain(row, tile);
+      if (fixed_channels) {
+        build_macro_chain<tech_wdm_channels>(row, tile);
+      } else {
+        build_macro_chain<0>(row, tile);
+      }
     }
   }
   fast_.stale = false;
 }
 
+template <std::size_t kChannels>
 void TensorCore::build_macro_chain(std::size_t row, std::size_t tile) {
+  // A compile-time channel count only lets the compiler unroll the
+  // channel loops, as in replay_rows; the product order is the same.
   const std::size_t bits = config_.weight_bits;
-  const std::size_t m = config_.macro.channels;
-  const std::size_t tiles = macros_per_row();
+  const std::size_t m = kChannels != 0 ? kChannels : config_.macro.channels;
+  const std::size_t tiles = config_.cols / m;
   const std::size_t block = row / kRowBlock;
   const std::size_t j = row % kRowBlock;
   const std::uint32_t* tile_words =
@@ -407,41 +426,57 @@ std::vector<unsigned> TensorCore::multiply(const std::vector<double>& input) {
   return codes;
 }
 
+std::size_t TensorCore::batch_samples(std::span<const double> inputs,
+                                      std::span<double> out) const {
+  const std::size_t samples = inputs.size() / config_.cols;
+  expects(inputs.size() == samples * config_.cols,
+          "inputs must hold whole rows of cols values");
+  expects(out.size() == samples * config_.rows,
+          "outputs must hold one row of rows values per sample");
+  return samples;
+}
+
+void TensorCore::multiply_analog_batch(std::span<const double> inputs,
+                                       std::span<double> out) {
+  const std::size_t samples = batch_samples(inputs, out);
+  for (std::size_t s = 0; s < samples; ++s) {
+    // A sample is a contiguous slice; its analog values land directly in
+    // its output row — no per-sample copies.
+    analog_row_values(inputs.data() + s * config_.cols,
+                      out.data() + s * config_.rows);
+  }
+}
+
 Matrix TensorCore::multiply_analog_batch(const Matrix& inputs) {
   expects(inputs.cols() == config_.cols, "input width must equal cols");
   Matrix out(inputs.rows(), config_.rows);
-  for (std::size_t s = 0; s < inputs.rows(); ++s) {
-    // Matrix storage is row-major, so a sample is a contiguous slice; the
-    // analog values land directly in the output row — no per-sample copies.
-    analog_row_values(inputs.data().data() + s * inputs.cols(),
-                      out.data().data() + s * out.cols());
-  }
+  multiply_analog_batch(inputs.data(), out.data());
   return out;
+}
+
+void TensorCore::multiply_batch(std::span<const double> inputs,
+                                std::span<double> out) {
+  const std::size_t samples = batch_samples(inputs, out);
+  const double sample_window = 1.0 / adc_.sample_rate();
+  std::uint64_t saturations = 0;
+  for (std::size_t s = 0; s < samples; ++s) {
+    analog_row_values(inputs.data() + s * config_.cols, analog_scratch_.data());
+    double* row_out = out.data() + s * config_.rows;
+    saturations += read_out(analog_scratch_.data(),
+                            [&](std::size_t row, unsigned code) {
+                              row_out[row] = code_levels_[code];
+                            });
+    ++samples_;
+    ledger_.accrue_static(sample_window);
+  }
+  adc_conversions_ += samples * config_.rows;
+  adc_saturations_ += saturations;
 }
 
 Matrix TensorCore::multiply_batch(const Matrix& inputs) {
   expects(inputs.cols() == config_.cols, "input width must equal cols");
   Matrix out(inputs.rows(), config_.rows);
-  const unsigned max_code = adc_.max_code();
-  const double scale = static_cast<double>(max_code);
-  std::vector<double> level(max_code + 1);
-  for (unsigned code = 0; code <= max_code; ++code) {
-    level[code] = static_cast<double>(code) / scale;
-  }
-  std::vector<double> analog(config_.rows, 0.0);
-  const double sample_window = 1.0 / adc_.sample_rate();
-  std::uint64_t saturations = 0;
-  for (std::size_t s = 0; s < inputs.rows(); ++s) {
-    analog_row_values(inputs.data().data() + s * inputs.cols(), analog.data());
-    double* row_out = out.data().data() + s * out.cols();
-    saturations += read_out(analog.data(), [&](std::size_t row, unsigned code) {
-      row_out[row] = level[code];
-    });
-    ++samples_;
-    ledger_.accrue_static(sample_window);
-  }
-  adc_conversions_ += inputs.rows() * config_.rows;
-  adc_saturations_ += saturations;
+  multiply_batch(inputs.data(), out.data());
   return out;
 }
 

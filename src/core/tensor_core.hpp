@@ -2,6 +2,7 @@
 #define PTC_CORE_TENSOR_CORE_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/energy.hpp"
@@ -50,11 +51,14 @@ struct TensorCoreConfig {
   /// detuning or fault injection), building them from a per-ring table of
   /// thru transmissions, and multiply_analog replays the photocurrent sum
   /// over the cached gains instead of re-walking the spectral physics per
-  /// sample.  A load rebuilds only the macros whose stored words moved;
-  /// after a detuning or fault change the whole chain is rebuilt.  The
-  /// table is filled through VectorComputeMacro::ring_spectrum — the same
-  /// ring evaluation the physics walk multiplies, with each ring's
-  /// electro-optic shift derived once per bias — and table and replay use
+  /// sample.  A load is one loop over the macros' word blocks: it
+  /// range-checks every word first, skips each block equal to the stored
+  /// words, and stores the rest, reprogramming that macro and rebuilding
+  /// its chain entries; after a detuning or fault change the whole chain
+  /// is rebuilt.  The table is filled through
+  /// VectorComputeMacro::ring_spectrum — the same ring evaluation the
+  /// physics walk multiplies, with each ring's electro-optic shift
+  /// derived once per bias — and table and replay use
   /// the identical floating-point operation sequence, so results are
   /// bit-identical to the physics walk (which remains available as the
   /// reference oracle when this is false, and skips the same unchanged
@@ -108,15 +112,22 @@ class TensorCore {
   /// sample's rows are read out in one loop: the dead-ladder test, the
   /// eoADC code (its interval table on the fast path, the ring walk
   /// otherwise) and a lookup of code / max_code in a table of every code's
-  /// level, built once per call with that same division.  The conversion
+  /// level, built once per core with that same division.  The conversion
   /// and saturation counters advance once per call; the result equals
   /// n_samples multiply() calls with their codes divided by max_code.
   Matrix multiply_batch(const Matrix& inputs);
+  /// Row form: `inputs` holds n_samples rows of cols() values back to
+  /// back, and each sample's rows() levels land in its row of `out`
+  /// (n_samples * rows() values).  The Matrix form wraps this one.
+  void multiply_batch(std::span<const double> inputs, std::span<double> out);
 
   /// Batched analog multiply: each row of `inputs` (n_samples x cols) is one
   /// input vector; returns n_samples x rows of normalized analog row values.
   /// Like multiply_analog, this does not advance the sample/energy ledger.
   Matrix multiply_analog_batch(const Matrix& inputs);
+  /// Row form, laid out as multiply_batch's; the Matrix form wraps it.
+  void multiply_analog_batch(std::span<const double> inputs,
+                             std::span<double> out);
 
   /// True when the calibrated fast path is armed (config.fast_path and
   /// weights have been loaded since).
@@ -306,10 +317,11 @@ class TensorCore {
     std::vector<std::uint8_t> filled;
   };
 
-  /// Writes word_scratch_ to the pSRAM, then reprograms only the macros
-  /// whose stored words differ from the words they hold and rebuilds their
-  /// chain entries; a stale chain is rebuilt whole.  Returns the full
-  /// reload latency [s] whatever changed.
+  /// Writes word_scratch_ to the pSRAM in one loop, one macro's block at a
+  /// time: every word is range-checked first, then each block whose words
+  /// moved is stored, its macro reprogrammed and, when the chain is
+  /// current, its chain entries rebuilt.  A stale chain is rebuilt whole.
+  /// Returns the full reload latency [s] whatever changed.
   double load_words();
 
   /// Rebuilds every chain entry (build_macro_chain over all macros) and
@@ -319,8 +331,16 @@ class TensorCore {
   /// Rebuilds macro (row, tile)'s chain transmissions for its stored words
   /// from the transmission table, filling the spectra it lacks: each chain
   /// entry is the product over its bit row's rings in ring order from 1.0,
-  /// exactly as VectorComputeMacro::multiply multiplies.
+  /// exactly as VectorComputeMacro::multiply multiplies.  kChannels is the
+  /// macro channel count when fixed at compile time, 0 to read it from the
+  /// config (the dispatch replay_rows uses).
+  template <std::size_t kChannels>
   void build_macro_chain(std::size_t row, std::size_t tile);
+
+  /// Checks a row-form batch (whole input rows, one output row per sample)
+  /// and returns its sample count.
+  std::size_t batch_samples(std::span<const double> inputs,
+                            std::span<double> out) const;
 
   /// Drops the transmission table and marks the chain stale after the
   /// rings were detuned or a fault set changed.
@@ -379,6 +399,8 @@ class TensorCore {
   std::size_t calibration_epoch_ = 0;    ///< recalibrate() count
   std::vector<double> tap_scratch_;    ///< per-sample tap powers, reused
   std::vector<double> input_scratch_;  ///< physics-path tile slice, reused
+  std::vector<double> analog_scratch_;  ///< one sample's analog rows, reused
+  std::vector<double> code_levels_;     ///< code / max_code for every code
 };
 
 }  // namespace ptc::core

@@ -25,9 +25,11 @@ Matrix PhotonicBackend::matmul_cached(const Matrix& x, const Matrix& w,
       x, x_norm);
 
   Matrix y(plan.samples, plan.m, 0.0);
+  // The passes run one after another, so one set of buffers serves them.
+  TilePassBuffers buffers;
+  TilePassResult result;
   for (std::size_t i = 0; i < plan.passes.size(); ++i) {
-    const TilePassResult result =
-        run_tile_pass(core_, plan, i, x_norm, options_);
+    run_tile_pass(core_, plan, i, x_norm, options_, buffers, result);
     accumulate_pass(y, plan, plan.passes[i], result.contribution);
     reload_time_ += result.reload_time;
     ++tile_loads_;

@@ -24,7 +24,7 @@ double normalized_activations(const Matrix& x, Matrix& out) {
     max_val = std::max(max_val, v);
   }
   const double scale = max_val > 0.0 ? max_val : 1.0;
-  out = Matrix(x.rows(), x.cols());
+  out.assign(x.rows(), x.cols());
   for (std::size_t i = 0; i < x.data().size(); ++i) {
     out.data()[i] = x.data()[i] / scale;
   }

@@ -22,8 +22,9 @@ struct SignedMapping {
 SignedMapping signed_mapping_for(const Matrix& w);
 
 /// Normalization of a non-negative activation matrix to [0, 1]: writes
-/// x / scale into `out` (resized to x's shape) without mutating x and
-/// returns the scale (max element; 1 when all zero).
+/// x / scale into `out` (reshaped to x's shape, its storage reused)
+/// without mutating x and returns the scale (max element; 1 when all
+/// zero).
 double normalized_activations(const Matrix& x, Matrix& out);
 
 }  // namespace ptc::nn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "common/expects.hpp"
@@ -24,10 +25,9 @@ std::shared_ptr<const WeightPlan> WeightPlanCache::get(const Matrix& w,
     if (p.tile_m == tile_m && p.tile_k == tile_k &&
         p.differential == differential && p.source.rows() == w.rows() &&
         p.source.cols() == w.cols() && p.source.data() == w.data()) {
-      std::shared_ptr<const WeightPlan> hit = *it;
-      entries_.erase(it);
-      entries_.insert(entries_.begin(), hit);
-      return hit;
+      // Promote the hit to most-recently-used in place.
+      std::rotate(entries_.begin(), it, std::next(it));
+      return entries_.front();
     }
   }
   std::shared_ptr<const WeightPlan> built =
@@ -102,7 +102,7 @@ TilePlan plan_from_weights(std::shared_ptr<const WeightPlan> weights,
   plan.tile_k = weights->tile_k;
   plan.tile_m = weights->tile_m;
   plan.mapping = weights->mapping;
-  plan.passes = weights->passes;
+  plan.passes = weights->passes;  // a view; plan.weights keeps it alive
   plan.x_scale = normalized_activations(x, x_norm);
   plan.weights = std::move(weights);
   return plan;
@@ -110,23 +110,30 @@ TilePlan plan_from_weights(std::shared_ptr<const WeightPlan> weights,
 
 Matrix encode_weight_block(const WeightPlan& plan, const TilePass& pass,
                            const Matrix& w) {
+  expects(w.rows() == plan.k && w.cols() == plan.m,
+          "weights must be the plan's k x m matrix");
   Matrix block(plan.tile_m, plan.tile_k, pass.pad_value);
-  for (std::size_t r = 0; r < plan.tile_m; ++r) {
-    const std::size_t out_idx = pass.mt * plan.tile_m + r;
-    if (out_idx >= plan.m) continue;
-    for (std::size_t c = 0; c < plan.tile_k; ++c) {
-      const std::size_t in_idx = pass.kt * plan.tile_k + c;
-      if (in_idx >= plan.k) continue;
-      const double v = w(in_idx, out_idx);
+  // The block's cells inside w; the rest keep the pad value.
+  const std::size_t m_begin = pass.mt * plan.tile_m;
+  const std::size_t k_begin = pass.kt * plan.tile_k;
+  const std::size_t m_count =
+      m_begin < plan.m ? std::min(plan.tile_m, plan.m - m_begin) : 0;
+  const std::size_t k_count =
+      k_begin < plan.k ? std::min(plan.tile_k, plan.k - k_begin) : 0;
+  const double* source = w.data().data();
+  for (std::size_t r = 0; r < m_count; ++r) {
+    double* block_row = block.data().data() + r * plan.tile_k;
+    for (std::size_t c = 0; c < k_count; ++c) {
+      const double v = source[(k_begin + c) * plan.m + m_begin + r];
       switch (pass.encoding) {
         case TilePass::Encoding::kOffset:
-          block(r, c) = plan.mapping.to_unit(v);
+          block_row[c] = plan.mapping.to_unit(v);
           break;
         case TilePass::Encoding::kPositive:
-          block(r, c) = std::max(0.0, v) / plan.mapping.scale;
+          block_row[c] = std::max(0.0, v) / plan.mapping.scale;
           break;
         case TilePass::Encoding::kNegative:
-          block(r, c) = std::max(0.0, -v) / plan.mapping.scale;
+          block_row[c] = std::max(0.0, -v) / plan.mapping.scale;
           break;
       }
     }
@@ -144,9 +151,10 @@ void expect_pass_in_plan(const TilePlan& plan, const TilePass& pass) {
 
 }  // namespace
 
-TilePassResult run_tile_pass(core::TensorCore& core, const TilePlan& plan,
-                             std::size_t pass_index, const Matrix& x_norm,
-                             const PhotonicBackendOptions& options) {
+void run_tile_pass(core::TensorCore& core, const TilePlan& plan,
+                   std::size_t pass_index, const Matrix& x_norm,
+                   const PhotonicBackendOptions& options,
+                   TilePassBuffers& buffers, TilePassResult& result) {
   expects(core.rows() == plan.tile_m && core.cols() == plan.tile_k,
           "core geometry must match the tile plan");
   expects(plan.weights != nullptr && pass_index < plan.passes.size(),
@@ -156,63 +164,75 @@ TilePassResult run_tile_pass(core::TensorCore& core, const TilePlan& plan,
   const TilePass& pass = plan.passes[pass_index];
   expect_pass_in_plan(plan, pass);
 
-  TilePassResult result;
   result.reload_time =
       core.load_weights_normalized(plan.weights->encoded[pass_index]);
-  result.contribution = Matrix(plan.samples, plan.tile_m, 0.0);
 
   // Gather this pass's input slice once — samples x tile_k, zero-padded at
   // the tile edge — along with the per-sample input sums the offset
-  // encoding's digital correction needs.
-  Matrix block(plan.samples, plan.tile_k, 0.0);
-  std::vector<double> input_sums(plan.samples, 0.0);
+  // encoding's digital correction needs.  The buffers outlive the pass, so
+  // every row's padding is rewritten: an earlier, wider pass left data
+  // there.
+  buffers.block.resize(plan.samples * plan.tile_k);
+  buffers.input_sums.resize(plan.samples);
   const std::size_t k_begin = pass.kt * plan.tile_k;
   const std::size_t k_count = std::min(plan.tile_k, plan.k - k_begin);
   for (std::size_t s = 0; s < plan.samples; ++s) {
     const double* x_row = x_norm.data().data() + s * plan.k + k_begin;
-    double* block_row = block.data().data() + s * plan.tile_k;
+    double* block_row = buffers.block.data() + s * plan.tile_k;
     double input_sum = 0.0;
     for (std::size_t c = 0; c < k_count; ++c) {
       block_row[c] = x_row[c];
       input_sum += x_row[c];
     }
-    input_sums[s] = input_sum;
+    std::fill(block_row + k_count, block_row + plan.tile_k, 0.0);
+    buffers.input_sums[s] = input_sum;
   }
 
   // Row value t_r ~= sum_c in_c * w_unit_rc / tile_k (normalized).  The
-  // whole batch streams through the residency in one call; under
-  // quantization the readout gain is programmed once for the pass instead
-  // of being toggled around every sample.
-  Matrix t;
+  // whole batch streams through the residency in one call, reading out
+  // straight into the contribution rows; under quantization the readout
+  // gain is programmed once for the pass instead of being toggled around
+  // every sample.
+  Matrix& contribution = result.contribution;
+  contribution.assign(plan.samples, plan.tile_m);
   if (options.quantize_output) {
     core.set_readout_gain(options.adc_range_gain);
-    t = core.multiply_batch(block);
+    core.multiply_batch(buffers.block, contribution.data());
     core.set_readout_gain(1.0);
   } else {
-    t = core.multiply_analog_batch(block);
+    core.multiply_analog_batch(buffers.block, contribution.data());
   }
 
-  // Only the pass's valid output rows; the padded ones stay zero.
+  // Each row value becomes its contribution in place; only the pass's
+  // valid output rows carry one, and the padded rows are zeroed.
   const bool offset_correct = pass.encoding == TilePass::Encoding::kOffset;
   const std::size_t m_count =
       std::min(plan.tile_m, plan.m - pass.mt * plan.tile_m);
   for (std::size_t s = 0; s < plan.samples; ++s) {
-    const double* t_row = t.data().data() + s * plan.tile_m;
-    double* out_row = result.contribution.data().data() + s * plan.tile_m;
+    double* out_row = contribution.data().data() + s * plan.tile_m;
     for (std::size_t r = 0; r < m_count; ++r) {
       const double t_r = options.quantize_output
-                             ? t_row[r] / options.adc_range_gain
-                             : t_row[r];
+                             ? out_row[r] / options.adc_range_gain
+                             : out_row[r];
       const double unit_dot = t_r * static_cast<double>(plan.tile_k);
       // Offset encoding: sum w * in = scale * (2 * unit_dot - sum in).
       // Differential encoding: the pass directly yields scale * unit_dot.
       const double dot =
           offset_correct
-              ? plan.mapping.scale * (2.0 * unit_dot - input_sums[s])
+              ? plan.mapping.scale * (2.0 * unit_dot - buffers.input_sums[s])
               : plan.mapping.scale * unit_dot;
       out_row[r] = pass.sign * plan.x_scale * dot;
     }
+    std::fill(out_row + m_count, out_row + plan.tile_m, 0.0);
   }
+}
+
+TilePassResult run_tile_pass(core::TensorCore& core, const TilePlan& plan,
+                             std::size_t pass_index, const Matrix& x_norm,
+                             const PhotonicBackendOptions& options) {
+  TilePassBuffers buffers;
+  TilePassResult result;
+  run_tile_pass(core, plan, pass_index, x_norm, options, buffers, result);
   return result;
 }
 

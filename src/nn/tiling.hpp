@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/linalg.hpp"
@@ -88,7 +89,8 @@ struct TilePlan {
   std::size_t tile_m = 0;   ///< core rows (outputs per tile)
   double x_scale = 1.0;     ///< activation normalization scale
   SignedMapping mapping{};  ///< signed-weight mapping for the whole tensor
-  std::vector<TilePass> passes;
+  /// A view of weights->passes; `weights` keeps the list alive.
+  std::span<const TilePass> passes;
   /// Weight half this plan was derived from (holds the encoded blocks).
   std::shared_ptr<const WeightPlan> weights;
 
@@ -97,13 +99,15 @@ struct TilePlan {
 };
 
 /// Completes a cached weight plan into a full TilePlan for the batch `x`:
-/// writes the normalized activations into `x_norm` (a fresh matrix — no
-/// intermediate full copy) and records the scale.
+/// writes the normalized activations into `x_norm` (reusing its storage —
+/// no intermediate full copy) and records the scale.  The plan views the
+/// weight plan's pass list rather than copying it.
 TilePlan plan_from_weights(std::shared_ptr<const WeightPlan> weights,
                            const Matrix& x, Matrix& x_norm);
 
 /// Encodes the (tile_m x tile_k) weight block of `pass` into [0, 1] unit
-/// weights, padding out-of-range cells with the pass pad value.
+/// weights, padding out-of-range cells with the pass pad value.  `w` must
+/// be the plan's k x m weights; its shape is checked once.
 Matrix encode_weight_block(const WeightPlan& plan, const TilePass& pass,
                            const Matrix& w);
 
@@ -114,10 +118,29 @@ struct TilePassResult {
   double reload_time = 0.0; ///< [s]
 };
 
+/// Gather buffers of a tile-pass executor, reused from pass to pass: the
+/// pass's input slice and the per-sample input sums.  A set serves one
+/// pass at a time, so whoever runs passes concurrently owns one set per
+/// executing core.
+struct TilePassBuffers {
+  std::vector<double> block;       ///< samples x tile_k, zero-padded
+  std::vector<double> input_sums;  ///< one per sample
+};
+
 /// Runs pass `pass_index` on `core`: loads the pre-encoded weight block and
 /// streams the whole normalized batch through it in one call (readout gain
-/// programmed once per pass, no per-sample allocations), returning the
-/// contribution matrix.  Only the executing core's state is touched.
+/// programmed once per pass), writing the contribution into
+/// `result.contribution` (reshaped to samples x tile_m, its storage
+/// reused; the padded rows beyond m read zero) and the reload latency into
+/// `result.reload_time`.  Gathers into `buffers`; with buffers and result
+/// kept across passes it allocates nothing once they have grown.  Only the
+/// executing core's state is touched.
+void run_tile_pass(core::TensorCore& core, const TilePlan& plan,
+                   std::size_t pass_index, const Matrix& x_norm,
+                   const PhotonicBackendOptions& options,
+                   TilePassBuffers& buffers, TilePassResult& result);
+
+/// Value form: the pass above into fresh buffers and a fresh result.
 TilePassResult run_tile_pass(core::TensorCore& core, const TilePlan& plan,
                              std::size_t pass_index, const Matrix& x_norm,
                              const PhotonicBackendOptions& options);

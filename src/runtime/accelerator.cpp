@@ -54,6 +54,7 @@ Accelerator::Accelerator(const AcceleratorConfig& config)
     }
     cores_.push_back(std::make_unique<core::TensorCore>(core_config));
   }
+  pass_buffers_.resize(cores_.size());
   health_.assign(cores_.size(), CoreHealth::kOk);
   evicted_.assign(cores_.size(), 0);
   rebuild_active();
@@ -86,19 +87,13 @@ PassCost Accelerator::pass_cost(std::size_t samples) const {
 
 BatchCost Accelerator::batch_cost(std::size_t passes, std::size_t warm_passes,
                                   std::size_t samples) const {
-  expects(warm_passes <= passes, "warm passes cannot exceed total passes");
   const PassCost cost = pass_cost(samples);
   // Cold passes first: the greedy balances best when the expensive
   // (reload + compute) passes land before the compute-only warm ones.
-  std::vector<double> pass_costs;
-  pass_costs.reserve(passes);
-  pass_costs.assign(passes - warm_passes, cost.total());
-  pass_costs.insert(pass_costs.end(), warm_passes, cost.compute_s);
-  const Schedule schedule = TileScheduler::assign_costs(pass_costs,
-                                                        active_.size());
+  Schedule schedule;
+  TileScheduler::assign(passes, warm_passes, cost, active_.size(), schedule);
   if (tracer_ != nullptr) {
-    trace_batch_schedule(schedule, pass_costs, cost.reload_s,
-                         passes - warm_passes, "pass");
+    trace_batch_schedule(schedule, cost, passes - warm_passes, "pass");
   }
   if (metrics_ != nullptr) {
     // Per-core cost decomposition of the modeled schedule — the `core`
@@ -128,8 +123,8 @@ BatchCost Accelerator::batch_cost(std::size_t passes, std::size_t warm_passes,
 }
 
 void Accelerator::trace_batch_schedule(const Schedule& schedule,
-                                       const std::vector<double>& pass_costs,
-                                       double reload_s, std::size_t cold_count,
+                                       const PassCost& cost,
+                                       std::size_t cold_count,
                                        const char* label) const {
   // Canonical core order on the calling thread: the trace is a pure
   // function of the schedule, independent of host threading.
@@ -137,17 +132,18 @@ void Accelerator::trace_batch_schedule(const Schedule& schedule,
   for (const CoreShard& shard : schedule.shards) {
     double t = start;
     for (const std::size_t index : shard.pass_indices) {
-      const double cost = pass_costs[index];
-      const bool cold = index < cold_count && reload_s > 0.0;
+      const double pass_s =
+          index < cold_count ? cost.total() : cost.compute_s;
+      const bool reload = index < cold_count && cost.reload_s > 0.0;
       // Shard cores are rotation slots; the track is the physical core.
       const int tid = telemetry::track::kCoreBase +
                       static_cast<int>(active_[shard.core]);
-      tracer_->complete(tid, label, "fleet", t, t + cost,
-                        {{"pass", index}, {"cold", cold}});
-      if (cold) {
-        tracer_->complete(tid, "reload", "fleet", t, t + reload_s, {});
+      tracer_->complete(tid, label, "fleet", t, t + pass_s,
+                        {{"pass", index}, {"cold", reload}});
+      if (reload) {
+        tracer_->complete(tid, "reload", "fleet", t, t + cost.reload_s, {});
       }
-      t += cost;
+      t += pass_s;
     }
   }
   trace_time_ = start + schedule.makespan();
@@ -278,12 +274,11 @@ Matrix Accelerator::matmul(const Matrix& x, const Matrix& w,
                            const nn::PhotonicBackendOptions& options,
                            nn::WeightPlanCache& plan_cache) {
   core::TensorCore& front = *cores_.front();
-  Matrix x_norm;
   const std::size_t builds_before = plan_cache.builds();
   const nn::TilePlan plan = nn::plan_from_weights(
       plan_cache.get(w, front.rows(), front.cols(),
                      options.differential_weights),
-      x, x_norm);
+      x, x_norm_);
   if (metrics_ != nullptr) {
     const bool miss = plan_cache.builds() > builds_before;
     metrics_
@@ -295,26 +290,29 @@ Matrix Accelerator::matmul(const Matrix& x, const Matrix& w,
   }
 
   const PassCost cost = pass_cost(plan.samples);
-  const Schedule schedule = TileScheduler::assign(plan, active_.size(), cost);
+  TileScheduler::assign(plan.passes.size(), 0, cost, active_.size(),
+                        schedule_);
 
   // Each shard runs its passes on its own core (shard.core is a rotation
-  // slot, mapped through active_ to the physical core); results land in
-  // disjoint slots, so the only synchronization needed is the parallel_for
-  // barrier.  Only shards that received passes become indices: a small
-  // matmul on a large fleet would otherwise wake a worker per idle core, and
-  // a one-shard matmul runs on the calling thread without waking any.
-  std::vector<const CoreShard*> busy;
-  busy.reserve(schedule.shards.size());
-  for (const CoreShard& shard : schedule.shards) {
-    if (!shard.pass_indices.empty()) busy.push_back(&shard);
+  // slot, mapped through active_ to the physical core), gathering into
+  // that core's buffers; results land in disjoint per-pass slots, so the
+  // only synchronization needed is the parallel_for barrier.  Only shards
+  // that received passes become indices: a small matmul on a large fleet
+  // would otherwise wake a worker per idle core, and a one-shard matmul
+  // runs on the calling thread without waking any.
+  busy_.clear();
+  for (const CoreShard& shard : schedule_.shards) {
+    if (!shard.pass_indices.empty()) busy_.push_back(&shard);
   }
-  std::vector<nn::TilePassResult> results(plan.passes.size());
-  pool_.parallel_for(0, busy.size(), [&](std::size_t s) {
-    const CoreShard& shard = *busy[s];
-    core::TensorCore& shard_core = *cores_[active_[shard.core]];
+  if (results_.size() < plan.passes.size()) {
+    results_.resize(plan.passes.size());
+  }
+  pool_.parallel_for(0, busy_.size(), [&](std::size_t s) {
+    const CoreShard& shard = *busy_[s];
+    const std::size_t physical = active_[shard.core];
     for (std::size_t index : shard.pass_indices) {
-      results[index] =
-          nn::run_tile_pass(shard_core, plan, index, x_norm, options);
+      nn::run_tile_pass(*cores_[physical], plan, index, x_norm_, options,
+                        pass_buffers_[physical], results_[index]);
     }
   });
 
@@ -322,8 +320,8 @@ Matrix Accelerator::matmul(const Matrix& x, const Matrix& w,
   // accumulation regardless of which core ran which pass.
   Matrix y(plan.samples, plan.m, 0.0);
   for (std::size_t i = 0; i < plan.passes.size(); ++i) {
-    accumulate_pass(y, plan, plan.passes[i], results[i].contribution);
-    stats_.reload_time += results[i].reload_time;
+    accumulate_pass(y, plan, plan.passes[i], results_[i].contribution);
+    stats_.reload_time += results_[i].reload_time;
   }
 
   ++stats_.matmuls;
@@ -331,9 +329,9 @@ Matrix Accelerator::matmul(const Matrix& x, const Matrix& w,
   stats_.samples += plan.passes.size() * plan.samples;
   stats_.ops += front.ops_per_sample() *
                 static_cast<double>(plan.passes.size() * plan.samples);
-  stats_.makespan += schedule.makespan();
-  stats_.busy_time += schedule.total_busy();
-  for (const CoreShard& shard : schedule.shards) {
+  stats_.makespan += schedule_.makespan();
+  stats_.busy_time += schedule_.total_busy();
+  for (const CoreShard& shard : schedule_.shards) {
     stats_.core_busy[active_[shard.core]] += shard.busy_time;
   }
   if (metrics_ != nullptr) {
@@ -359,9 +357,7 @@ Matrix Accelerator::matmul(const Matrix& x, const Matrix& w,
   if (tracer_ != nullptr) {
     // Per-core pass spans at the modeled-time cursor — uniform cold costs,
     // exactly the shard timing stats_ recorded.
-    const std::vector<double> pass_costs(plan.passes.size(), cost.total());
-    trace_batch_schedule(schedule, pass_costs, cost.reload_s,
-                         plan.passes.size(), "pass");
+    trace_batch_schedule(schedule_, cost, plan.passes.size(), "pass");
   }
   return y;
 }

@@ -85,7 +85,10 @@ class Accelerator {
   /// input batch through every residency it owns (minimizing pSRAM
   /// reloads).  Weight-plan construction (mapping, pass list, encoded
   /// blocks) is cached per weight version — in the accelerator's own cache,
-  /// or the caller's via the second overload.
+  /// or the caller's via the second overload.  One caller at a time: a
+  /// matmul mutates the cores and reuses its dispatch buffers (normalized
+  /// activations, schedule, per-pass contributions, per-core gather
+  /// buffers) across calls.
   Matrix matmul(const Matrix& x, const Matrix& w,
                 const nn::PhotonicBackendOptions& options = {});
   Matrix matmul(const Matrix& x, const Matrix& w,
@@ -238,13 +241,11 @@ class Accelerator {
   void reset_stats();
 
  private:
-  /// Emits one batch's per-core pass/reload spans (pass_costs in the
-  /// cold-first order batch_cost builds) starting at the cursor, and
-  /// advances the cursor by the schedule makespan.
-  void trace_batch_schedule(const Schedule& schedule,
-                            const std::vector<double>& pass_costs,
-                            double reload_s, std::size_t cold_count,
-                            const char* label) const;
+  /// Emits one batch's per-core pass/reload spans (passes below
+  /// cold_count cold, as TileScheduler::assign costs them) starting at the
+  /// cursor, and advances the cursor by the schedule makespan.
+  void trace_batch_schedule(const Schedule& schedule, const PassCost& cost,
+                            std::size_t cold_count, const char* label) const;
 
   void rebuild_active();
 
@@ -262,6 +263,14 @@ class Accelerator {
   double reload_latency_ = 0.0;  ///< modeled full-tile reload latency [s]
   AcceleratorStats stats_;
   nn::WeightPlanCache plan_cache_;  ///< weight plans for direct matmul calls
+  // matmul()'s dispatch buffers, kept across calls (matmul has one caller
+  // at a time, since it mutates the cores).  Inside the pool each shard
+  // touches only its own core's pass buffers and its own passes' results.
+  Matrix x_norm_;                          ///< normalized activations
+  Schedule schedule_;                      ///< the matmul's pass schedule
+  std::vector<const CoreShard*> busy_;     ///< shards that received passes
+  std::vector<nn::TilePassResult> results_;     ///< per pass, canonical order
+  std::vector<nn::TilePassBuffers> pass_buffers_;  ///< per physical core
   // Drift state (empty / zero while drift is disabled).
   std::vector<optics::ThermalDrift> drift_;  ///< per-core OU detuning [K]
   std::vector<Rng> drift_rng_;               ///< per-core drift streams

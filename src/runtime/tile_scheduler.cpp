@@ -20,28 +20,24 @@ double Schedule::total_busy() const {
   return sum;
 }
 
-Schedule TileScheduler::assign(const nn::TilePlan& plan, std::size_t cores,
-                               const PassCost& cost) {
-  // All passes cost the same here (same batch, same tile geometry), so the
-  // greedy degenerates to round-robin — but the least-loaded rule keeps the
-  // schedule balanced if per-pass costs ever diverge (e.g. warm serve-layer
-  // passes that skip the reload).
-  return assign_costs(std::vector<double>(plan.passes.size(), cost.total()),
-                      cores);
-}
-
-Schedule TileScheduler::assign_costs(const std::vector<double>& pass_costs,
-                                     std::size_t cores) {
+void TileScheduler::assign(std::size_t passes, std::size_t warm_passes,
+                           const PassCost& cost, std::size_t cores,
+                           Schedule& schedule) {
   expects(cores >= 1, "schedule needs at least one core");
-  for (double c : pass_costs) {
-    expects(c >= 0.0, "pass cost must be non-negative");
+  expects(warm_passes <= passes, "warm passes cannot exceed total passes");
+  expects(cost.reload_s >= 0.0 && cost.compute_s >= 0.0,
+          "pass cost must be non-negative");
+
+  schedule.shards.resize(cores);
+  for (std::size_t c = 0; c < cores; ++c) {
+    CoreShard& shard = schedule.shards[c];
+    shard.core = c;
+    shard.pass_indices.clear();
+    shard.busy_time = 0.0;
   }
 
-  Schedule schedule;
-  schedule.shards.resize(cores);
-  for (std::size_t c = 0; c < cores; ++c) schedule.shards[c].core = c;
-
-  for (std::size_t i = 0; i < pass_costs.size(); ++i) {
+  const std::size_t cold = passes - warm_passes;
+  for (std::size_t i = 0; i < passes; ++i) {
     std::size_t best = 0;
     for (std::size_t c = 1; c < cores; ++c) {
       if (schedule.shards[c].busy_time < schedule.shards[best].busy_time) {
@@ -49,9 +45,9 @@ Schedule TileScheduler::assign_costs(const std::vector<double>& pass_costs,
       }
     }
     schedule.shards[best].pass_indices.push_back(i);
-    schedule.shards[best].busy_time += pass_costs[i];
+    schedule.shards[best].busy_time +=
+        i < cold ? cost.total() : cost.compute_s;
   }
-  return schedule;
 }
 
 }  // namespace ptc::runtime

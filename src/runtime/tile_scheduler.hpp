@@ -4,8 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "nn/tiling.hpp"
-
 /// Static dispatch of matmul tile passes across a pool of tensor cores —
 /// the simulation-side analogue of a multi-board DAC controller fanning one
 /// command stream out to many analog units.
@@ -43,26 +41,26 @@ struct Schedule {
   double total_busy() const;
 };
 
-/// Cuts a tile plan across `cores` tensor cores.
+/// Cuts a matmul's tile passes across `cores` tensor cores.
 ///
 /// Every pass already groups the full input batch with its weight-tile
 /// residency (one reload amortized over all samples — see nn/tiling.hpp),
-/// so the scheduler's job reduces to balancing pass counts: a deterministic
+/// so the scheduler's job reduces to balancing pass costs: a deterministic
 /// longest-processing-time greedy that assigns each pass, in canonical
 /// order, to the least-loaded core (ties break toward the lowest index).
-/// The assignment is a pure function of (plan, cores, cost) — host thread
-/// timing never influences which core computes which tile.
+/// The assignment is a pure function of its arguments — host thread timing
+/// never influences which core computes which tile.
 class TileScheduler {
  public:
-  static Schedule assign(const nn::TilePlan& plan, std::size_t cores,
-                         const PassCost& cost);
-
-  /// Lower-level entry point taking an explicit per-pass cost list — the
-  /// generalization the serve layer's batch costing uses, where passes
-  /// whose weight tile is already resident skip the reload and are cheaper
-  /// than cold passes.  Costs must be non-negative.
-  static Schedule assign_costs(const std::vector<double>& pass_costs,
-                               std::size_t cores);
+  /// Fills `schedule` (one shard per core, its storage reused) with
+  /// `passes` passes.  The first passes - warm_passes are cold and cost
+  /// cost.total(); the rest are warm — their weight tile is still resident,
+  /// as in the serve layer's batch costing — and cost only cost.compute_s.
+  /// A fleet matmul's passes are all cold, so all cost the same and the
+  /// greedy degenerates to round-robin.
+  static void assign(std::size_t passes, std::size_t warm_passes,
+                     const PassCost& cost, std::size_t cores,
+                     Schedule& schedule);
 };
 
 }  // namespace ptc::runtime

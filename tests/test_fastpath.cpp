@@ -158,9 +158,10 @@ TEST(FastPath, BitIdenticalForRowCountsOffTheReplayBlock) {
 }
 
 TEST(FastPath, BitIdenticalForChannelCountsOffTheSpecialization) {
-  // The replay is compiled for the default 4-channel macro and for a
-  // channel count read at run time; the run-time one must match the
-  // physics walk too.
+  // The replay and the chain builder are compiled for the default 4-channel
+  // macro and for a channel count read at run time; the run-time ones must
+  // match the physics walk too, after the first load (the whole chain) and
+  // after a reload that rebuilds only the macros whose words moved.
   for (const std::size_t channels : {1, 2, 3, 8}) {
     core::TensorCoreConfig config = core_config(true);
     config.macro.channels = channels;
@@ -170,18 +171,23 @@ TEST(FastPath, BitIdenticalForChannelCountsOffTheSpecialization) {
     config.fast_path = false;
     core::TensorCore physics(config);
     Rng rng(60 + channels);
-    const Matrix w = random_activations(config.rows, config.cols, rng);
-    fast.load_weights_normalized(w);
-    physics.load_weights_normalized(w);
-    ASSERT_TRUE(fast.fast_path_active()) << channels << " channels";
+    Matrix w = random_activations(config.rows, config.cols, rng);
     const Matrix x = random_activations(24, config.cols, rng);
-    EXPECT_EQ(fast.multiply_analog_batch(x).max_abs_diff(
-                  physics.multiply_analog_batch(x)),
-              0.0)
-        << channels << " channels";
-    EXPECT_EQ(fast.multiply_batch(x).max_abs_diff(physics.multiply_batch(x)),
-              0.0)
-        << channels << " channels";
+    for (const char* load : {"first load", "partial reload"}) {
+      fast.load_weights_normalized(w);
+      physics.load_weights_normalized(w);
+      ASSERT_TRUE(fast.fast_path_active()) << channels << " channels";
+      EXPECT_EQ(fast.multiply_analog_batch(x).max_abs_diff(
+                    physics.multiply_analog_batch(x)),
+                0.0)
+          << channels << " channels, " << load;
+      EXPECT_EQ(
+          fast.multiply_batch(x).max_abs_diff(physics.multiply_batch(x)), 0.0)
+          << channels << " channels, " << load;
+      // Move one entry in each of two rows: their macros rebuild alone.
+      w(1, config.cols - 1) = 1.0 - w(1, config.cols - 1);
+      w(4, 0) = 1.0 - w(4, 0);
+    }
   }
 }
 
@@ -540,6 +546,77 @@ TEST(FastPath, WeightLoadsAllocateNothingAfterTheFirst) {
   // A detuning drops the table; the reload refills it in place.
   core.set_thermal_detuning(0.5);
   EXPECT_EQ(allocations_during([&] { core.load_weights_normalized(w1); }), 0u);
+}
+
+TEST(FastPath, TilePassesIntoReusedBuffersAllocateNothing) {
+  // A cached plan's passes, run into one set of gather buffers and one
+  // reused contribution, allocate nothing once those have grown — for
+  // every encoding and readout, across ragged and full tiles, and at a
+  // smaller batch after a larger one.  Each pass equals the value form's,
+  // which gathers into fresh buffers, bit for bit.
+  core::TensorCore core(core_config(true));
+  Rng rng(31);
+  const Matrix w = random_signed(40, 20, rng);  // ragged k and m tiles
+  const Matrix x_large = random_activations(6, 40, rng);
+  const Matrix x_small = random_activations(2, 40, rng);
+  for (const bool differential : {false, true}) {
+    for (const bool quantize : {true, false}) {
+      PhotonicBackendOptions options;
+      options.differential_weights = differential;
+      options.quantize_output = quantize;
+      const auto weights = build_weight_plan(w, 16, 16, differential);
+      TilePassBuffers buffers;
+      TilePassResult result;
+      Matrix x_norm;
+      const auto run_all = [&](const Matrix& x) {
+        const TilePlan plan = plan_from_weights(weights, x, x_norm);
+        for (std::size_t i = 0; i < plan.passes.size(); ++i) {
+          run_tile_pass(core, plan, i, x_norm, options, buffers, result);
+        }
+      };
+      run_all(x_large);  // grows the buffers and the contribution
+      const std::string label = std::string("differential=") +
+                                (differential ? "1" : "0") +
+                                " quantize=" + (quantize ? "1" : "0");
+      EXPECT_EQ(allocations_during([&] { run_all(x_large); }), 0u) << label;
+      EXPECT_EQ(allocations_during([&] { run_all(x_small); }), 0u) << label;
+
+      const TilePlan plan = plan_from_weights(weights, x_small, x_norm);
+      for (std::size_t i = 0; i < plan.passes.size(); ++i) {
+        run_tile_pass(core, plan, i, x_norm, options, buffers, result);
+        const TilePassResult fresh =
+            run_tile_pass(core, plan, i, x_norm, options);
+        EXPECT_EQ(result.contribution.rows(), plan.samples);
+        EXPECT_EQ(result.contribution.data(), fresh.contribution.data())
+            << label << " pass " << i;
+        EXPECT_EQ(result.reload_time, fresh.reload_time);
+      }
+    }
+  }
+}
+
+TEST(FastPath, FleetMatmulAllocatesAFixedCountPerCall) {
+  // On cached plans a fleet matmul allocates only its result and the
+  // pool's task function: as many times for a batch-1 one-pass weight as
+  // for matmul_kernel's 256 x 128 times 128 x 64 over eight cores.
+  runtime::AcceleratorConfig config;
+  config.cores = 8;
+  config.threads = 2;
+  runtime::Accelerator fleet(config);
+  Rng rng(37);
+  const Matrix x_one = random_activations(1, 16, rng);
+  const Matrix w_one = random_signed(16, 16, rng);
+  const Matrix x_kernel = random_activations(256, 128, rng);
+  const Matrix w_kernel = random_signed(128, 64, rng);
+  // Warm-up builds both plans and grows every dispatch buffer.
+  fleet.matmul(x_kernel, w_kernel);
+  fleet.matmul(x_one, w_one);
+  const std::size_t one_pass =
+      allocations_during([&] { fleet.matmul(x_one, w_one); });
+  const std::size_t kernel =
+      allocations_during([&] { fleet.matmul(x_kernel, w_kernel); });
+  EXPECT_EQ(one_pass, kernel);
+  EXPECT_EQ(kernel, 2u);
 }
 
 /// Backend-level identity across encodings and readout modes, including

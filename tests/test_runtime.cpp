@@ -133,7 +133,8 @@ TEST(TileScheduler, EvenWorkloadBalancesPerfectly) {
   // 128x128 weights on 16x16 tiles: 64 equal passes over 8 cores.
   const nn::TilePlan plan = plan_for(4, 128, 128);
   ASSERT_EQ(plan.passes.size(), 64u);
-  const Schedule schedule = TileScheduler::assign(plan, 8, {2.4e-9, 8e-9});
+  Schedule schedule;
+  TileScheduler::assign(plan.passes.size(), 0, {2.4e-9, 8e-9}, 8, schedule);
   ASSERT_EQ(schedule.shards.size(), 8u);
   std::set<std::size_t> seen;
   for (const CoreShard& shard : schedule.shards) {
@@ -146,8 +147,12 @@ TEST(TileScheduler, EvenWorkloadBalancesPerfectly) {
 
 TEST(TileScheduler, AssignmentIsDeterministic) {
   const nn::TilePlan plan = plan_for(3, 100, 50, true);
-  const Schedule a = TileScheduler::assign(plan, 5, {1.0, 2.0});
-  const Schedule b = TileScheduler::assign(plan, 5, {1.0, 2.0});
+  Schedule a;
+  Schedule b;
+  TileScheduler::assign(plan.passes.size(), 0, {1.0, 2.0}, 5, a);
+  // A reused schedule that held a larger one first comes out the same.
+  TileScheduler::assign(2 * plan.passes.size(), 3, {2.0, 1.0}, 7, b);
+  TileScheduler::assign(plan.passes.size(), 0, {1.0, 2.0}, 5, b);
   ASSERT_EQ(a.shards.size(), b.shards.size());
   for (std::size_t c = 0; c < a.shards.size(); ++c) {
     EXPECT_EQ(a.shards[c].pass_indices, b.shards[c].pass_indices);
@@ -157,7 +162,8 @@ TEST(TileScheduler, AssignmentIsDeterministic) {
 
 TEST(TileScheduler, SingleCoreGetsEverything) {
   const nn::TilePlan plan = plan_for(2, 40, 28);
-  const Schedule schedule = TileScheduler::assign(plan, 1, {1.0, 1.0});
+  Schedule schedule;
+  TileScheduler::assign(plan.passes.size(), 0, {1.0, 1.0}, 1, schedule);
   ASSERT_EQ(schedule.shards.size(), 1u);
   EXPECT_EQ(schedule.shards[0].pass_indices.size(), plan.passes.size());
   EXPECT_DOUBLE_EQ(schedule.makespan(), schedule.total_busy());

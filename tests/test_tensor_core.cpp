@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -277,6 +278,58 @@ TEST(TensorCore, RejectsBadShapes) {
   EXPECT_THROW(core.load_weights(bad), std::invalid_argument);
   Matrix w(16, 16, 2.0);  // out of [0, 1]
   EXPECT_THROW(core.load_weights_normalized(w), std::invalid_argument);
+
+  // A rejected load changes nothing: every value and word is checked
+  // before the first is stored.  Each bad load differs from the resident
+  // words from its first block on and is bad only in its last entry.
+  for (const bool fast_path : {true, false}) {
+    TensorCoreConfig config;
+    config.fast_path = fast_path;
+    config.variation.seed = 17;
+    TensorCore varied(config);
+    Rng rng(29);
+    std::vector<std::vector<std::uint32_t>> words_a(
+        16, std::vector<std::uint32_t>(16));
+    for (auto& row : words_a) {
+      for (std::uint32_t& word : row) {
+        word = static_cast<std::uint32_t>(rng.below(8));
+      }
+    }
+    varied.load_weights(words_a);
+    const Matrix x = random_activations(4, 16, rng);
+    const std::vector<std::uint32_t> stored(varied.psram().words().begin(),
+                                            varied.psram().words().end());
+    const std::uint64_t flips = varied.psram().bit_flips();
+    const std::uint64_t writes = varied.psram().word_writes();
+    const double energy = varied.psram().ledger().energy("psram_write");
+    const Matrix analog = varied.multiply_analog_batch(x);
+    const Matrix codes = varied.multiply_batch(x);
+
+    Matrix other = random_activations(16, 16, rng);
+    for (const double bad : {1.5, std::nan("")}) {
+      other(15, 15) = bad;
+      EXPECT_THROW(varied.load_weights_normalized(other),
+                   std::invalid_argument);
+    }
+    std::vector<std::vector<std::uint32_t>> words_bad = words_a;
+    for (auto& row : words_bad) {
+      for (std::uint32_t& word : row) word = 7 - word;
+    }
+    words_bad[15][15] = 8;
+    EXPECT_THROW(varied.load_weights(words_bad), std::invalid_argument);
+
+    const char* path = fast_path ? "fast" : "physics";
+    EXPECT_TRUE(std::equal(stored.begin(), stored.end(),
+                           varied.psram().words().begin(),
+                           varied.psram().words().end()))
+        << path;
+    EXPECT_EQ(varied.psram().bit_flips(), flips) << path;
+    EXPECT_EQ(varied.psram().word_writes(), writes) << path;
+    EXPECT_EQ(varied.psram().ledger().energy("psram_write"), energy)  // bitwise
+        << path;
+    EXPECT_EQ(varied.multiply_analog_batch(x).data(), analog.data()) << path;
+    EXPECT_EQ(varied.multiply_batch(x).data(), codes.data()) << path;
+  }
 }
 
 }  // namespace
