@@ -52,7 +52,8 @@ int main() {
   constexpr std::size_t kCores = 8;
   constexpr std::size_t kRequests = 256;
   constexpr double kRate = 100e6;    // ~2.6 us horizon: a few drift tau
-  constexpr double kProbe = 30e-9;   // sweep latency 0.4 ns -> ~1.3% duty
+  // A sweep is 4 samples at 8 GS/s, 0.5 ns: about 1.7% duty at 30 ns.
+  constexpr double kProbe = 30e-9;
 
   // Same fleet as the drift frontier (6-bit weights, variation seed 42,
   // OU tau = 4 us) so the oracle rows here line up with BENCH_drift.json.

@@ -6,20 +6,7 @@ namespace ptc::adc {
 
 FlashAdc::FlashAdc(const FlashAdcConfig& config) : config_(config) {
   expects(config.bits >= 1 && config.bits <= 10, "bits must be in [1, 10]");
-  expects(config.v_full_scale > 0.0, "full scale must be positive");
   expects(config.sample_rate > 0.0, "sample rate must be positive");
-}
-
-double FlashAdc::lsb() const {
-  return config_.v_full_scale / static_cast<double>(1u << config_.bits);
-}
-
-unsigned FlashAdc::convert(double v_in) const {
-  unsigned count = 0;
-  for (std::size_t k = 1; k <= comparator_count(); ++k) {
-    if (v_in > static_cast<double>(k) * lsb()) ++count;
-  }
-  return count;
 }
 
 double FlashAdc::electrical_power() const {

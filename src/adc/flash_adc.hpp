@@ -13,7 +13,6 @@ namespace ptc::adc {
 
 struct FlashAdcConfig {
   unsigned bits = 3;
-  double v_full_scale = 4.0;
   double sample_rate = 8e9;  ///< [Hz]
   /// Bias power of one GS/s-class comparator, preamp included [W].
   double comparator_static_power = 1.55e-3;
@@ -29,11 +28,6 @@ class FlashAdc {
 
   unsigned bits() const { return config_.bits; }
   std::size_t comparator_count() const { return (1u << config_.bits) - 1; }
-  double lsb() const;
-
-  /// Converts the input against the ideal ladder: every comparator fires,
-  /// and the thermometer code's ones-count is the output code.
-  unsigned convert(double v_in) const;
 
   /// Comparator activations per conversion — 2^p - 1, versus the eoADC's 1.
   std::size_t activations_per_conversion() const {

@@ -45,23 +45,6 @@ double PcmCrossbar::program(const Matrix& weights) {
   return writes_per_row * config_.write_pulse_time;
 }
 
-std::vector<double> PcmCrossbar::multiply(const std::vector<double>& x,
-                                          double age_seconds) const {
-  expects(x.size() == config_.cols, "input size must equal cols");
-  expects(age_seconds >= 0.0, "age must be >= 0");
-  const double drift =
-      1.0 - config_.drift_nu * std::log10(1.0 + age_seconds);
-  std::vector<double> y(config_.rows, 0.0);
-  for (std::size_t r = 0; r < config_.rows; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < config_.cols; ++c) {
-      acc += transmittances_[r * config_.cols + c] * drift * x[c];
-    }
-    y[r] = acc;
-  }
-  return y;
-}
-
 std::uint64_t PcmCrossbar::max_cell_updates() const {
   return *std::max_element(update_counts_.begin(), update_counts_.end());
 }

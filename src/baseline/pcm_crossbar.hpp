@@ -6,9 +6,9 @@
 
 #include "common/linalg.hpp"
 
-/// Phase-change-material photonic crossbar — a functional model of the
-/// PCM-based in-memory photonic engines the paper compares against (Sec. I,
-/// refs [28], [30], [31], [36]; Table I row [50]).
+/// Phase-change-material photonic crossbar — a model of the weight writes of
+/// the PCM-based in-memory photonic engines the paper compares against
+/// (Sec. I, refs [28], [30], [31], [36]; Table I row [50]).
 ///
 /// Weights are stored as the optical transmittance of a PCM patch on each
 /// crossing (amorphous = transparent, crystalline = absorbing).  Reads are
@@ -30,9 +30,6 @@ struct PcmCrossbarConfig {
   double write_pulse_time = 100e-9; ///< per multi-level update [s]
   double write_energy = 18e-12;     ///< per update [J] (melt-quench class)
   std::uint64_t endurance = 100'000'000;  ///< updates before failure (~1e8)
-  /// Resistance/transmittance drift coefficient: t(t_age) multiplies by
-  /// (1 - drift_nu * log10(1 + t_age / 1 s)).
-  double drift_nu = 0.02;
 };
 
 class PcmCrossbar {
@@ -45,11 +42,6 @@ class PcmCrossbar {
   /// Programs normalized weights in [0, 1]; each changed cell consumes one
   /// write (energy, latency, endurance).  Returns the programming time [s].
   double program(const Matrix& weights);
-
-  /// Incoherent crossbar read: y_r = sum_c T_rc * x_c, with optional aging
-  /// time applied to model PCM drift [s since programming].
-  std::vector<double> multiply(const std::vector<double>& x,
-                               double age_seconds = 0.0) const;
 
   /// Total write energy consumed so far [J].
   double write_energy_consumed() const { return write_energy_consumed_; }

@@ -80,18 +80,4 @@ LinearFit linear_fit(const std::vector<double>& xs, const std::vector<double>& y
   return fit;
 }
 
-std::vector<std::size_t> histogram(const std::vector<double>& xs, double lo,
-                                   double hi, std::size_t bins) {
-  expects(bins > 0, "histogram requires at least one bin");
-  expects(hi > lo, "histogram requires hi > lo");
-  std::vector<std::size_t> counts(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (double x : xs) {
-    auto idx = static_cast<long>((x - lo) / width);
-    idx = std::clamp<long>(idx, 0, static_cast<long>(bins) - 1);
-    ++counts[static_cast<std::size_t>(idx)];
-  }
-  return counts;
-}
-
 }  // namespace ptc

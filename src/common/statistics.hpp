@@ -1,7 +1,6 @@
 #ifndef PTC_COMMON_STATISTICS_HPP
 #define PTC_COMMON_STATISTICS_HPP
 
-#include <cstddef>
 #include <vector>
 
 /// Descriptive statistics and least-squares fitting, used by the Fig. 7
@@ -42,11 +41,6 @@ struct LinearFit {
 
 /// Fits a line through (xs, ys); both vectors must have equal length >= 2.
 LinearFit linear_fit(const std::vector<double>& xs, const std::vector<double>& ys);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; out-of-range
-/// samples clamp into the first/last bucket.
-std::vector<std::size_t> histogram(const std::vector<double>& xs, double lo,
-                                   double hi, std::size_t bins);
 
 }  // namespace ptc
 

@@ -4,38 +4,11 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/constants.hpp"
-#include "common/expects.hpp"
-
 namespace ptc::units {
 
 double dbm_to_watt(double dbm) { return 1e-3 * std::pow(10.0, dbm / 10.0); }
 
-double watt_to_dbm(double watt) {
-  expects(watt > 0.0, "watt_to_dbm requires positive power");
-  return 10.0 * std::log10(watt / 1e-3);
-}
-
-double ratio_to_db(double ratio) {
-  expects(ratio > 0.0, "ratio_to_db requires positive ratio");
-  return 10.0 * std::log10(ratio);
-}
-
 double db_to_ratio(double db) { return std::pow(10.0, db / 10.0); }
-
-double wavelength_to_frequency(double wavelength_m) {
-  expects(wavelength_m > 0.0, "wavelength must be positive");
-  return constants::c0 / wavelength_m;
-}
-
-double frequency_to_wavelength(double frequency_hz) {
-  expects(frequency_hz > 0.0, "frequency must be positive");
-  return constants::c0 / frequency_hz;
-}
-
-double photon_energy(double wavelength_m) {
-  return constants::h_planck * wavelength_to_frequency(wavelength_m);
-}
 
 std::string si_format(double value, const std::string& unit) {
   struct Prefix {

@@ -3,45 +3,17 @@
 
 #include <string>
 
-/// Unit conversions for optical power, wavelength/frequency and SI-prefixed
-/// pretty printing.  Plain doubles carry SI units (watt, metre, second, volt);
-/// the helpers below convert to/from the engineering units the paper quotes
-/// (dBm, nm, GHz, pJ, ...).
+/// Optical power and decibel conversions and SI-prefixed pretty printing.
+/// Plain doubles carry SI units (watt, metre, second, volt); the helpers
+/// below convert to and from the engineering units the paper quotes (dBm,
+/// dB, pJ, ...).
 namespace ptc::units {
-
-// ---------------------------------------------------------------------------
-// SI prefix multipliers, usable as readable literals: 50 * pico, 1310 * nano.
-// ---------------------------------------------------------------------------
-inline constexpr double femto = 1e-15;
-inline constexpr double pico = 1e-12;
-inline constexpr double nano = 1e-9;
-inline constexpr double micro = 1e-6;
-inline constexpr double milli = 1e-3;
-inline constexpr double kilo = 1e3;
-inline constexpr double mega = 1e6;
-inline constexpr double giga = 1e9;
-inline constexpr double tera = 1e12;
 
 /// Converts optical power from dBm to watts.  dbm_to_watt(0) == 1 mW.
 double dbm_to_watt(double dbm);
 
-/// Converts optical power from watts to dBm.  Requires watt > 0.
-double watt_to_dbm(double watt);
-
-/// Converts a power ratio to decibels.  Requires ratio > 0.
-double ratio_to_db(double ratio);
-
 /// Converts decibels to a power ratio.
 double db_to_ratio(double db);
-
-/// Converts a vacuum wavelength [m] to optical frequency [Hz].
-double wavelength_to_frequency(double wavelength_m);
-
-/// Converts an optical frequency [Hz] to vacuum wavelength [m].
-double frequency_to_wavelength(double frequency_hz);
-
-/// Photon energy h*f for a vacuum wavelength [J].
-double photon_energy(double wavelength_m);
 
 /// Formats a value with an SI prefix and unit, e.g. si_format(2.32e-12, "J")
 /// returns "2.32 pJ".  Uses three significant digits.

@@ -145,27 +145,4 @@ bool PsramBitcell::is_stable() const {
   return q_high || q_low;
 }
 
-double PsramBitcell::recovery_margin(double resolution) {
-  expects(resolution > 0.0, "resolution must be positive");
-  const bool original = q();
-  double lo = 0.0;                 // recovers
-  double hi = 0.5 * config_.vdd;   // flips (metastable point)
-  while (hi - lo > resolution) {
-    const double perturb = 0.5 * (lo + hi);
-    initialize(original);
-    // Push both nodes toward the metastable point.
-    v_q_ = original ? config_.vdd - perturb : perturb;
-    v_qb_ = original ? perturb : config_.vdd - perturb;
-    hold(3e-9);
-    const bool recovered = q() == original && is_stable();
-    if (recovered) {
-      lo = perturb;
-    } else {
-      hi = perturb;
-    }
-  }
-  initialize(original);
-  return lo;
-}
-
 }  // namespace ptc::core

@@ -1,8 +1,6 @@
 #ifndef PTC_CORE_PSRAM_BITCELL_HPP
 #define PTC_CORE_PSRAM_BITCELL_HPP
 
-#include <optional>
-
 #include "circuit/driver.hpp"
 #include "core/tech.hpp"
 #include "optics/microring.hpp"
@@ -92,15 +90,9 @@ class PsramBitcell {
   /// Stored value (Q above VDD/2).
   bool q() const { return v_q_ > 0.5 * config_.vdd; }
   double q_voltage() const { return v_q_; }
-  double qb_voltage() const { return v_qb_; }
 
   /// True when Q/QB are complementary and both within 10% of the rails.
   bool is_stable() const;
-
-  /// Largest symmetric voltage perturbation (applied toward the metastable
-  /// point on both nodes) from which the latch still recovers, found by
-  /// bisection — an operational static-noise-margin measure [V].
-  double recovery_margin(double resolution = 0.01);
 
   const PsramConfig& config() const { return config_; }
 

@@ -21,7 +21,6 @@ optics::MicroringConfig compute_ring_config(std::size_t channel,
   config.loss_db_per_cm = 3.0;
   config.junction.efficiency = 340e-12;   // high-efficiency phase shifter
   config.junction.built_in_potential = 0.9;
-  config.junction.junction_capacitance = 22e-15;
   config.junction.response_time = 5e-12;
   return config;
 }
@@ -39,7 +38,6 @@ optics::MicroringConfig adc_ring_config() {
   config.loss_db_per_cm = 8.0;            // doped junction ring
   config.junction.efficiency = 17.65e-12; // depletion-mode (fast, small)
   config.junction.built_in_potential = 0.9;
-  config.junction.junction_capacitance = 15e-15;
   config.junction.response_time = 2e-12;
   return config;
 }

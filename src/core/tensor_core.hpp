@@ -101,7 +101,6 @@ class TensorCore {
   /// workloads use it to occupy the full ADC range; digital consumers divide
   /// the codes by the same gain.  Must be > 0; default 1.
   void set_readout_gain(double gain);
-  double readout_gain() const { return readout_gain_; }
 
   /// Analog row values before quantization (normalized to [0, 1]);
   /// useful for accuracy analysis.

@@ -98,9 +98,6 @@ class VectorComputeMacro {
   /// sum_k in_k * w_k / (m * (2^n - 1)).
   double ideal_normalized(const std::vector<double>& inputs) const;
 
-  /// Full-scale photocurrent (all inputs 1, all weights max) [A].
-  double full_scale_current() const { return full_scale_current_; }
-
   /// Thru transmissions of ring `ring` of bit row `bit_row` at every
   /// channel wavelength (out[ch], channels() entries) when its pSRAM cell
   /// stores `bit`, whatever the loaded weights: one index shift, then one

@@ -1,6 +1,5 @@
 #include "optics/pn_phase_shifter.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/expects.hpp"
@@ -10,7 +9,6 @@ namespace ptc::optics {
 PnPhaseShifter::PnPhaseShifter(const PnJunctionConfig& config) : config_(config) {
   expects(config.efficiency > 0.0, "tuning efficiency must be positive");
   expects(config.built_in_potential > 0.0, "built-in potential must be positive");
-  expects(config.junction_capacitance > 0.0, "junction capacitance must be positive");
   expects(config.response_time > 0.0, "response time must be positive");
 }
 
@@ -22,22 +20,6 @@ double PnPhaseShifter::resonance_shift(double v) const {
   const double mag = 2.0 * std::sqrt(vbi) * (std::sqrt(vbi + std::fabs(v)) -
                                              std::sqrt(vbi));
   return config_.efficiency * std::copysign(mag, v);
-}
-
-double PnPhaseShifter::capacitance(double v) const {
-  // Depletion capacitance Cj = Cj0 / sqrt(1 + v_rev / Vbi); clamp the forward
-  // excursion so the expression stays finite near v_rev = -Vbi.
-  const double vbi = config_.built_in_potential;
-  const double v_rev = std::max(-0.5 * vbi, v);
-  return config_.junction_capacitance / std::sqrt(1.0 + v_rev / vbi);
-}
-
-double PnPhaseShifter::switching_energy(double v_from, double v_to) const {
-  // Energy drawn from the driver to slew the (voltage-dependent) junction
-  // capacitance; evaluated with the mean capacitance over the swing.
-  const double c_mean = 0.5 * (capacitance(v_from) + capacitance(v_to));
-  const double dv = v_to - v_from;
-  return 0.5 * c_mean * dv * dv;
 }
 
 }  // namespace ptc::optics

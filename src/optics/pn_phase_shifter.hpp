@@ -18,8 +18,6 @@ struct PnJunctionConfig {
   double efficiency = 17e-12;
   /// Built-in potential [V]; sets the square-root compression knee.
   double built_in_potential = 0.9;
-  /// Zero-bias junction capacitance [F].
-  double junction_capacitance = 18e-15;
   /// Electro-optic response time constant [s] (depletion-mode: ~ps class).
   double response_time = 2e-12;
 };
@@ -31,13 +29,6 @@ class PnPhaseShifter {
   /// Resonance wavelength shift for junction voltage v [m].  Odd-symmetric,
   /// equal to efficiency * v for small |v|, compressing as sqrt for large |v|.
   double resonance_shift(double v) const;
-
-  /// Small-signal voltage-dependent junction capacitance [F] (depletion
-  /// approximation, clamped near forward bias).
-  double capacitance(double v) const;
-
-  /// CV^2-type switching energy to move the junction from v_from to v_to [J].
-  double switching_energy(double v_from, double v_to) const;
 
   const PnJunctionConfig& config() const { return config_; }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/expects.hpp"
-
 namespace ptc::runtime {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -55,7 +53,6 @@ void ThreadPool::claim(const Body& body, std::size_t end) {
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const Body& body) {
-  expects(static_cast<bool>(body), "parallel_for body must be callable");
   if (begin >= end) return;
   const std::size_t count = end - begin;
   // One range at a time.  The busy mark is an atomic flag, not a mutex held

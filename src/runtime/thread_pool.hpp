@@ -5,9 +5,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 /// Host-side execution runtime for the multi-tile accelerator: a fork-join
@@ -29,7 +30,30 @@ namespace ptc::runtime {
 /// variable between ranges, and the pool allocates nothing per call.
 class ThreadPool {
  public:
-  using Body = std::function<void(std::size_t)>;
+  /// The loop body: a non-owning reference to the caller's
+  /// `void(std::size_t)` callable.  parallel_for calls it only before it
+  /// returns, so a lambda passed in place is neither copied nor allocated.
+  class Body {
+   public:
+    template <class F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, Body> &&
+               std::is_invocable_v<F&, std::size_t>)
+    Body(F&& body)  // implicit, so a lambda converts at the call
+        : object_(const_cast<void*>(
+              static_cast<const void*>(std::addressof(body)))),
+          call_(&invoke<std::remove_reference_t<F>>) {}
+
+    void operator()(std::size_t i) const { call_(object_, i); }
+
+   private:
+    template <class F>
+    static void invoke(void* object, std::size_t i) {
+      (*static_cast<F*>(object))(i);
+    }
+
+    void* object_;
+    void (*call_)(void*, std::size_t);
+  };
 
   /// Spawns `threads` workers; 0 picks std::thread::hardware_concurrency()
   /// (at least 1).  The thread calling parallel_for takes a share as well.

@@ -334,8 +334,14 @@ ServeReport Server::run(const std::vector<Request>& requests,
       const runtime::BatchCost probe =
           accelerator_.probe_cost(fleet::FleetHealthMonitor::kProbeSamples);
       health->sample(probe_at);
-      next_probe = probe_at + policy.probe_period;
       fleet_free = std::max(fleet_free, probe_at + probe.latency);
+      // The next sweep falls due strictly after this one frees the fleet.
+      // A period equal to the sweep latency, or one rounding to it, would
+      // otherwise win the tie against a ready batch at every turn.
+      next_probe =
+          std::max(probe_at + policy.probe_period,
+                   std::nextafter(fleet_free,
+                                  std::numeric_limits<double>::infinity()));
       // Probing is fleet overhead no tenant caused: bill the reserved row,
       // so the report's probe totals conserve like every other cost.
       TenantCost& fleet_row = billing.row(TenantCost::kFleetTenant);

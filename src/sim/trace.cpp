@@ -34,34 +34,6 @@ double Trace::max_value() const {
   return *std::max_element(values_.begin(), values_.end());
 }
 
-std::optional<double> Trace::first_crossing(double level, bool rising,
-                                            double t_after) const {
-  for (std::size_t i = 1; i < times_.size(); ++i) {
-    if (times_[i] < t_after) continue;
-    const double prev = values_[i - 1];
-    const double curr = values_[i];
-    const bool crossed = rising ? (prev < level && curr >= level)
-                                : (prev > level && curr <= level);
-    if (crossed) {
-      // Interpolate the crossing instant within the step.
-      const double frac = (level - prev) / (curr - prev);
-      return times_[i - 1] + frac * (times_[i] - times_[i - 1]);
-    }
-  }
-  return std::nullopt;
-}
-
-bool Trace::settled_at(double level, double tol, double t_after) const {
-  expects(!times_.empty(), "trace is empty");
-  bool saw_any = false;
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    if (times_[i] < t_after) continue;
-    saw_any = true;
-    if (values_[i] < level - tol || values_[i] > level + tol) return false;
-  }
-  return saw_any;
-}
-
 const Trace& TraceSet::get(const std::string& name) const {
   const auto it = traces_.find(name);
   if (it == traces_.end())

@@ -2,13 +2,12 @@
 #define PTC_SIM_TRACE_HPP
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
 /// Waveform recording for transient simulations (pSRAM writes, eoADC
-/// conversions) with the query helpers the verification figures need:
-/// threshold crossings, settling checks, and CSV export.
+/// conversions), with interpolated lookup and the CSV export the
+/// verification figures are replotted from.
 namespace ptc::sim {
 
 /// A single named waveform: (time, value) samples in non-decreasing time
@@ -28,14 +27,6 @@ class Trace {
 
   double final_value() const;
   double max_value() const;
-
-  /// First time the waveform crosses `level` in the given direction at or
-  /// after `t_after`; nullopt when it never does.
-  std::optional<double> first_crossing(double level, bool rising,
-                                       double t_after = 0.0) const;
-
-  /// True when every sample at or after t_after stays within +-tol of level.
-  bool settled_at(double level, double tol, double t_after) const;
 
  private:
   std::vector<double> times_;

@@ -3,11 +3,14 @@
 // simulator's oracle, anomaly detection fires on rising edges only, and the
 // serving loop's estimated_drift_threshold trigger closes the
 // recalibration loop oracle-free — bit-identically on any host thread
-// count.
+// count.  A seeded fuzz holds every serve policy and fault schedule to
+// failing up front or serving every request.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -413,6 +416,142 @@ TEST(ServerHealth, EstimateTracksTheOracleThroughADriftingRun) {
     EXPECT_NEAR(health->estimate(i), oracle, 0.5 * oracle + 0.05)
         << "core " << i;
   }
+}
+
+TEST(ServerHealth, ProbingAtTheSweepLatencyStillDispatches) {
+  // A period equal to the sweep latency is legal.  Each sweep then ends
+  // exactly when the next falls due; a period a few ulps above it rounds
+  // to the same instant once the clock has grown.  Either way a ready
+  // batch must win before the next sweep, or the run never ends.
+  runtime::Accelerator accelerator(fleet_config(1));
+  serve::ModelRegistry registry(accelerator);
+  Rng rng(2025);
+  registry.add("vision", nn::Mlp(32, 24, 10, rng));
+  serve::Server server(registry);
+  const serve::LoadGenerator generator(
+      {{.name = "mobile", .model = "vision", .rate = 100e6, .requests = 8}},
+      7);
+  const double latency =
+      accelerator.probe_cost(FleetHealthMonitor::kProbeSamples).latency;
+  ASSERT_GT(latency, 0.0);
+  for (const double period :
+       {latency, std::nextafter(latency, 1.0), latency * (1.0 + 1e-14)}) {
+    serve::BatchPolicy policy{.max_batch = 4, .max_wait = 25e-9,
+                              .probe_period = period};
+    const serve::ServeReport report =
+        server.run(generator.generate(registry), policy);
+    EXPECT_EQ(report.completed, 8u) << period;
+    EXPECT_GT(report.probes, 0u) << period;
+  }
+}
+
+TEST(ServerHealth, FuzzedPoliciesAndFaultSchedulesFailUpFrontOrServeAll) {
+  // Seeded draws of every BatchPolicy knob and of fault schedules, from
+  // edge values: each run must either throw std::invalid_argument before
+  // the fleet moves, or end with every request completed or shed.
+  runtime::Accelerator accelerator(fleet_config(2));
+  serve::ModelRegistry registry(accelerator);
+  Rng model_rng(2025);
+  registry.add("vision", nn::Mlp(16, 12, 4, model_rng));
+  serve::Server server(registry);
+  const std::vector<serve::Request> requests =
+      serve::LoadGenerator({{.name = "t", .model = "vision", .rate = 200e6,
+                             .requests = 12}},
+                           7)
+          .generate(registry);
+  const double latency =
+      accelerator.probe_cost(FleetHealthMonitor::kProbeSamples).latency;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(4242);
+  // One draw in ten comes from the bad set: most policies and schedules
+  // stay legal and get served.
+  const auto pick = [&](const auto& values) {
+    return values[rng.below(values.size())];
+  };
+  const auto draw = [&](const auto& good, const auto& bad) {
+    return rng.below(10) == 0 ? pick(bad) : pick(good);
+  };
+  const std::vector<double> good_seconds = {
+      0.0, 1e-300, latency, std::nextafter(latency, inf), 25e-9, 1e-6, 1e3,
+      inf};
+  const std::vector<double> bad_seconds = {-1e-9, -inf, nan};
+  const auto seconds = [&] { return draw(good_seconds, bad_seconds); };
+  using Sizes = std::vector<std::size_t>;
+
+  std::size_t served = 0;
+  std::size_t refused = 0;
+  std::size_t refused_schedules = 0;
+  for (int round = 0; round < 300; ++round) {
+    serve::BatchPolicy policy;
+    policy.max_batch = draw(Sizes{1, 3, 8}, Sizes{0});
+    policy.max_wait = seconds();
+    policy.recalibration_period = seconds();
+    policy.drift_threshold = seconds();
+    policy.probe_period = seconds();
+    policy.estimated_drift_threshold = rng.bernoulli(0.5) ? 0.0 : seconds();
+    policy.recalibrate_on_anomaly = rng.bernoulli(0.25);
+    policy.evict_on_fault = rng.bernoulli(0.5);
+    policy.recalibrate_on_fault = rng.bernoulli(0.5);
+    policy.degraded_queue_limit = pick(Sizes{0, 1, 4});
+    // A legal run sweeps about once per probe period of modeled time, and
+    // a sparse batch may wait max_wait: hold max_wait to 1000 periods.
+    if (policy.probe_period > 0.0 && std::isfinite(policy.probe_period) &&
+        std::isfinite(policy.max_wait)) {
+      policy.max_wait = std::min(policy.max_wait, 1e3 * policy.probe_period);
+    }
+
+    std::vector<runtime::FaultEvent> schedule(rng.below(4));
+    for (runtime::FaultEvent& event : schedule) {
+      event.time = draw(std::vector<double>{0.0, 1e-9, 30e-9, 100e-9, -1e-9},
+                        std::vector<double>{nan, inf, -inf});
+      event.core = draw(Sizes{0, 1, 2, 3}, Sizes{4, 99});
+      event.kind = static_cast<runtime::FaultEvent::Kind>(rng.below(4));
+      event.count = pick(Sizes{0, 24, 10000});
+      event.row = draw(Sizes{0, 15}, Sizes{16, 40});
+      event.seed = rng.next_u64();
+    }
+    // Sorted half the time; otherwise in the order drawn.
+    if (rng.bernoulli(0.5)) {
+      std::sort(schedule.begin(), schedule.end(),
+                [](const runtime::FaultEvent& a, const runtime::FaultEvent& b) {
+                  return a.time < b.time;
+                });
+    }
+    server.set_fault_schedule({});
+    try {
+      server.set_fault_schedule(schedule);
+    } catch (const std::invalid_argument&) {
+      ++refused_schedules;  // the empty schedule stays attached
+    }
+
+    const std::size_t matmuls = accelerator.stats().matmuls;
+    const std::size_t faults = accelerator.faults_injected();
+    const std::string resident = registry.resident_model();
+    std::vector<double> detunings;
+    for (std::size_t i = 0; i < accelerator.core_count(); ++i) {
+      detunings.push_back(accelerator.core(i).thermal_detuning());
+    }
+    try {
+      const serve::ServeReport report = server.run(requests, policy);
+      EXPECT_EQ(report.completed + report.shed, requests.size())
+          << "round " << round;
+      ++served;
+    } catch (const std::invalid_argument&) {
+      ++refused;
+      EXPECT_EQ(accelerator.stats().matmuls, matmuls) << "round " << round;
+      EXPECT_EQ(accelerator.faults_injected(), faults) << "round " << round;
+      EXPECT_EQ(registry.resident_model(), resident) << "round " << round;
+      for (std::size_t i = 0; i < accelerator.core_count(); ++i) {
+        EXPECT_EQ(accelerator.core(i).thermal_detuning(), detunings[i])
+            << "round " << round << " core " << i;
+      }
+    }
+  }
+  // The draws reach every outcome, often.
+  EXPECT_GT(served, 100u);
+  EXPECT_GT(refused, 50u);
+  EXPECT_GT(refused_schedules, 50u);
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/statistics.hpp"
 #include "optics/pn_phase_shifter.hpp"
 #include "optics/thermal.hpp"
@@ -41,24 +39,6 @@ TEST(PnPhaseShifter, CompressiveAtLargeBias) {
     EXPECT_GT(s, prev);
     prev = s;
   }
-}
-
-TEST(PnPhaseShifter, DepletionCapacitanceShrinksWithReverseBias) {
-  const PnPhaseShifter pn;
-  const double c0 = pn.capacitance(0.0);
-  EXPECT_NEAR(c0, pn.config().junction_capacitance, 1e-18);
-  EXPECT_LT(pn.capacitance(2.0), c0);
-  EXPECT_GT(pn.capacitance(-0.3), c0);  // forward: larger
-  // Clamped near -Vbi instead of diverging.
-  EXPECT_TRUE(std::isfinite(pn.capacitance(-0.9)));
-}
-
-TEST(PnPhaseShifter, SwitchingEnergyQuadraticInSwing) {
-  const PnPhaseShifter pn;
-  const double e1 = pn.switching_energy(0.0, 0.9);
-  const double e2 = pn.switching_energy(0.0, 1.8);
-  EXPECT_GT(e2, 2.0 * e1);  // superlinear (quadratic-ish)
-  EXPECT_NEAR(pn.switching_energy(1.8, 1.8), 0.0, 1e-24);
 }
 
 TEST(ThermalDrift, MeanRevertingStatistics) {

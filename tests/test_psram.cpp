@@ -111,15 +111,6 @@ TEST(PsramBitcell, StateSurvivesWithBias) {
   EXPECT_GT(cell.q_voltage(), 1.6);
 }
 
-TEST(PsramBitcell, RecoveryMarginIsHealthy) {
-  PsramBitcell cell;
-  cell.initialize(true);
-  const double margin = cell.recovery_margin(0.02);
-  // The positive-feedback latch should recover from sizable perturbations.
-  EXPECT_GT(margin, 0.25);
-  EXPECT_LE(margin, 0.9);
-}
-
 TEST(PsramBitcell, TracesRecordWriteWaveforms) {
   PsramBitcell cell;
   cell.initialize(false);

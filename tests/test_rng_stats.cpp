@@ -201,12 +201,4 @@ TEST(Statistics, LinearFitR2DropsWithNoise) {
   EXPECT_GT(fit.r_squared, 0.8);
 }
 
-TEST(Statistics, HistogramBucketsAndClamping) {
-  const std::vector<double> xs{-1.0, 0.1, 0.2, 0.55, 0.9, 2.0};
-  const auto h = histogram(xs, 0.0, 1.0, 2);
-  ASSERT_EQ(h.size(), 2u);
-  EXPECT_EQ(h[0], 3u);  // -1 clamps into the first bucket
-  EXPECT_EQ(h[1], 3u);  // 2.0 clamps into the last
-}
-
 }  // namespace

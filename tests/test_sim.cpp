@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include <cstdio>
 #include <fstream>
 
@@ -32,38 +30,6 @@ TEST(Trace, RejectsOutOfOrder) {
   t.record(1.0, 0.0);
   EXPECT_THROW(t.record(0.5, 0.0), std::invalid_argument);
   EXPECT_NO_THROW(t.record(1.0, 1.0));  // equal time allowed
-}
-
-TEST(Trace, FirstCrossingInterpolation) {
-  Trace t;
-  t.record(0.0, 0.0);
-  t.record(1.0, 2.0);
-  const auto rising = t.first_crossing(1.0, true);
-  ASSERT_TRUE(rising.has_value());
-  EXPECT_NEAR(*rising, 0.5, 1e-12);
-  EXPECT_FALSE(t.first_crossing(1.0, false).has_value());
-  EXPECT_FALSE(t.first_crossing(5.0, true).has_value());
-}
-
-TEST(Trace, CrossingAfterTime) {
-  Trace t;
-  for (int i = 0; i <= 20; ++i) {
-    t.record(0.1 * i, std::sin(0.1 * i * 6.28318));
-  }
-  const auto c1 = t.first_crossing(0.0, false, 0.2);
-  ASSERT_TRUE(c1.has_value());
-  EXPECT_GT(*c1, 0.2);
-}
-
-TEST(Trace, SettledAt) {
-  Trace t;
-  t.record(0.0, 0.0);
-  t.record(1.0, 1.7);
-  t.record(2.0, 1.8);
-  t.record(3.0, 1.79);
-  EXPECT_TRUE(t.settled_at(1.8, 0.05, 1.5));
-  EXPECT_FALSE(t.settled_at(1.8, 0.05, 0.5));
-  EXPECT_FALSE(t.settled_at(1.8, 0.05, 10.0));  // nothing after 10
 }
 
 TEST(TraceSet, NamedTracesAndCsv) {

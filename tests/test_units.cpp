@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/constants.hpp"
 #include "common/expects.hpp"
 #include "common/units.hpp"
 
@@ -18,37 +17,8 @@ TEST(Units, DbmToWattReferencePoints) {
   EXPECT_NEAR(dbm_to_watt(-30.0), 1e-6, 1e-15);
 }
 
-TEST(Units, WattToDbmRoundTrip) {
-  for (double dbm = -40.0; dbm <= 20.0; dbm += 3.7) {
-    EXPECT_NEAR(watt_to_dbm(dbm_to_watt(dbm)), dbm, 1e-9);
-  }
-}
-
-TEST(Units, WattToDbmRejectsNonPositive) {
-  EXPECT_THROW(watt_to_dbm(0.0), std::invalid_argument);
-  EXPECT_THROW(watt_to_dbm(-1.0), std::invalid_argument);
-}
-
 TEST(Units, DbRatioRoundTrip) {
-  EXPECT_NEAR(ratio_to_db(10.0), 10.0, 1e-12);
-  EXPECT_NEAR(ratio_to_db(0.5), -3.0103, 1e-4);
   EXPECT_NEAR(db_to_ratio(-3.0), 0.501187, 1e-6);
-  for (double db = -30.0; db < 30.0; db += 2.1) {
-    EXPECT_NEAR(ratio_to_db(db_to_ratio(db)), db, 1e-9);
-  }
-}
-
-TEST(Units, WavelengthFrequencyConversion) {
-  // O-band 1310 nm <-> ~228.85 THz.
-  const double f = wavelength_to_frequency(1310e-9);
-  EXPECT_NEAR(f, 228.85e12, 0.05e12);
-  EXPECT_NEAR(frequency_to_wavelength(f), 1310e-9, 1e-15);
-}
-
-TEST(Units, PhotonEnergyAt1310nm) {
-  // E = h c / lambda ~ 0.946 eV at 1310 nm.
-  const double e_joule = photon_energy(1310e-9);
-  EXPECT_NEAR(e_joule / ptc::constants::q_e, 0.9464, 1e-3);
 }
 
 TEST(Units, SiFormatChoosesPrefixes) {
@@ -68,11 +38,6 @@ TEST(Expects, ThrowsWithMessage) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("bad input"), std::string::npos);
   }
-}
-
-TEST(Constants, PhysicalValues) {
-  EXPECT_NEAR(ptc::constants::c0, 2.99792458e8, 1.0);
-  EXPECT_NEAR(ptc::constants::v_thermal, 0.02585, 1e-4);
 }
 
 }  // namespace

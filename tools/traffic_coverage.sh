@@ -28,8 +28,9 @@
 # fails on a never-run function the list lacks, on a listed function that
 # now runs or is no longer compiled, and on a malformed line, a duplicate
 # or a reason other than the codes below (the list's header says what each
-# one means): reference, input, operator, build, roadmap, api, test-tool
-# and test-only.
+# one means): reference, input, operator, build, roadmap, api and
+# test-tool.  None of them covers a function that only its own tests
+# reach; such a function is deleted with those tests.
 #
 # Everything is written under build-traffic/, the never-run list also to
 # build-traffic/never_run.txt in either mode.  Needs gcov with
@@ -138,7 +139,7 @@ if mode == "list":
     sys.exit(0)
 
 codes = {"reference", "input", "operator", "build", "roadmap", "api",
-         "test-tool", "test-only"}
+         "test-tool"}
 listed = {}  # (file, name) -> reason
 problems = []
 with open(os.path.join(root, "tools", "traffic_allowlist.txt")) as allowlist:
