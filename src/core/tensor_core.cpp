@@ -5,7 +5,6 @@
 
 #include "common/expects.hpp"
 #include "common/rng.hpp"
-#include "common/units.hpp"
 
 namespace ptc::core {
 
@@ -20,10 +19,11 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
         return c;
       }()),
       psram_(config_.psram),
+      input_(config_.macro),
       adc_(config_.adc) {
   expects(config_.rows >= 1, "core needs at least one row");
   expects(config_.cols >= 1, "core needs at least one column");
-  expects(config_.cols % config_.macro.channels == 0,
+  expects(config_.cols % tech_wdm_channels == 0,
           "cols must be a multiple of the macro channel count");
 
   const VariationModel variation(config_.variation);
@@ -43,12 +43,12 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
   }
   adc_dead_.assign(config_.rows, 0);
 
-  // Reserved calibration row: one macro per tile, weights all zero so every
-  // probe ring sits on resonance — the steepest flank of its transfer
-  // function, where a common-mode detuning moves the summed photocurrent
-  // the most.  Child seeds start `rows` indices past the compute macros'
-  // (those indices stay reserved), so the probe row never disturbs the
-  // compute macros' variation streams and keeps its own.
+  // Reserved calibration row: one macro per tile, weights all zero (as a
+  // macro is built) so every probe ring sits on resonance — the steepest
+  // flank of its transfer function, where a common-mode detuning moves the
+  // summed photocurrent the most.  Child seeds start `rows` indices past
+  // the compute macros' (those indices stay reserved), so the probe row
+  // never disturbs the compute macros' variation streams and keeps its own.
   probe_macros_.reserve(tiles);
   for (std::size_t tile = 0; tile < tiles; ++tile) {
     VectorMacroConfig probe_macro_config = config_.macro;
@@ -58,13 +58,11 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
           variation.child_seed(config_.rows * tiles + config_.rows + tile);
     }
     probe_macros_.emplace_back(probe_macro_config);
-    probe_macros_.back().load_weights(
-        std::vector<std::uint32_t>(config_.macro.channels, 0));
   }
-  probe_input_.assign(config_.macro.channels, 1.0);
+  probe_input_.assign(tech_wdm_channels, 1.0);
   probe_reference_ = 0.0;
   for (const VectorComputeMacro& macro : probe_macros_) {
-    probe_reference_ += macro.multiply(probe_input_).photocurrent;
+    probe_reference_ += macro.photocurrent(probe_input_);
   }
   ensures(probe_reference_ > 0.0, "probe row calibration failed");
 
@@ -76,21 +74,10 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
   probe_config.variation = VariationConfig{};
   VectorComputeMacro probe(probe_config);
   probe.load_weights(
-      std::vector<std::uint32_t>(config_.macro.channels, probe.max_weight()));
-  const auto fs =
-      probe.multiply(std::vector<double>(config_.macro.channels, 1.0));
-  full_scale_row_current_ = fs.photocurrent * static_cast<double>(tiles);
+      std::vector<std::uint32_t>(tech_wdm_channels, probe.max_weight()));
+  full_scale_row_current_ =
+      probe.photocurrent(probe_input_) * static_cast<double>(tiles);
   ensures(full_scale_row_current_ > 0.0, "row full-scale calibration failed");
-
-  // Constants of the per-sample walk, computed exactly as the physics path
-  // computes them (same functions, same inputs -> same doubles).
-  fast_.comb_power = config_.macro.comb_power_per_line;
-  fast_.encoder_loss =
-      units::db_to_ratio(-config_.macro.encoder_insertion_loss_db);
-  fast_.encoder_floor = units::db_to_ratio(-config_.macro.encoder_extinction_db);
-  // Each 50:50 splitter stage multiplies the remainder by excess * 0.5.
-  fast_.tap_factor = units::db_to_ratio(-config_.macro.splitter_excess_db) * 0.5;
-  fast_.responsivity = config_.macro.photodiode.responsivity;
 
   // Every code's readout level, code / max_code, for the batch readout.
   const unsigned max_code = adc_.max_code();
@@ -111,7 +98,7 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
 }
 
 std::size_t TensorCore::macros_per_row() const {
-  return config_.cols / config_.macro.channels;
+  return config_.cols / tech_wdm_channels;
 }
 
 double TensorCore::load_weights(
@@ -153,19 +140,14 @@ double TensorCore::load_words() {
   // are exactly the macros whose rings and chain entries were built from
   // the words they hold.  A stale chain predates the current detuning or
   // fault set and is rebuilt whole below.
-  const std::size_t m = config_.macro.channels;
+  constexpr std::size_t m = tech_wdm_channels;
   const bool chain_current = config_.fast_path && !fast_.stale;
   const double latency =
       psram_.write_matrix(word_scratch_, m, [&](std::size_t first) {
         const std::size_t row = first / config_.cols;
         const std::size_t tile = (first - row * config_.cols) / m;
         macros_[row][tile].load_weights(psram_.words().subspan(first, m));
-        if (!chain_current) return;
-        if (m == tech_wdm_channels) {
-          build_macro_chain<tech_wdm_channels>(row, tile);
-        } else {
-          build_macro_chain<0>(row, tile);
-        }
+        if (chain_current) build_macro_chain(row, tile);
       });
   weights_loaded_ = true;
   if (config_.fast_path && fast_.stale) build_chain();
@@ -179,32 +161,24 @@ void TensorCore::build_chain() {
     // last block is padded with zero-gain rows whose sums are never read.
     const std::size_t tiles = macros_per_row();
     const std::size_t bits = config_.weight_bits;
-    const std::size_t m = config_.macro.channels;
+    constexpr std::size_t m = tech_wdm_channels;
     const std::size_t rings = config_.rows * tiles * bits * m;
     const std::size_t blocks = (config_.rows + kRowBlock - 1) / kRowBlock;
     fast_.chain.assign(blocks * kRowBlock * tiles * bits * m, 0.0);
     fast_.table.assign(rings * 2 * m, 0.0);
     fast_.filled.assign(rings * 2, 0);
   }
-  const bool fixed_channels = config_.macro.channels == tech_wdm_channels;
   for (std::size_t row = 0; row < config_.rows; ++row) {
     for (std::size_t tile = 0; tile < macros_per_row(); ++tile) {
-      if (fixed_channels) {
-        build_macro_chain<tech_wdm_channels>(row, tile);
-      } else {
-        build_macro_chain<0>(row, tile);
-      }
+      build_macro_chain(row, tile);
     }
   }
   fast_.stale = false;
 }
 
-template <std::size_t kChannels>
 void TensorCore::build_macro_chain(std::size_t row, std::size_t tile) {
-  // A compile-time channel count only lets the compiler unroll the
-  // channel loops, as in replay_rows; the product order is the same.
   const std::size_t bits = config_.weight_bits;
-  const std::size_t m = kChannels != 0 ? kChannels : config_.macro.channels;
+  constexpr std::size_t m = tech_wdm_channels;
   const std::size_t tiles = config_.cols / m;
   const std::size_t block = row / kRowBlock;
   const std::size_t j = row % kRowBlock;
@@ -217,7 +191,7 @@ void TensorCore::build_macro_chain(std::size_t row, std::size_t tile) {
     const std::size_t ring0 = ((row * tiles + tile) * bits + bit) * m;
     // Per-channel products over the bit row's rings in ring order, each
     // ring at the spectrum of its stored bit.
-    double transmission[2 * tech_wdm_channels];
+    double transmission[m];
     std::fill_n(transmission, m, 1.0);
     for (std::size_t k = 0; k < m; ++k) {
       const bool stored = (tile_words[k] >> shift) & 1u;
@@ -274,7 +248,7 @@ void TensorCore::recalibrate() {
 double TensorCore::probe_transmission() const {
   double current = 0.0;
   for (const VectorComputeMacro& macro : probe_macros_) {
-    current += macro.multiply(probe_input_).photocurrent;
+    current += macro.photocurrent(probe_input_);
   }
   return current / probe_reference_;
 }
@@ -292,13 +266,12 @@ std::vector<double> TensorCore::probe_response_curve(
 }
 
 void TensorCore::analog_row_values_physics(const double* input, double* out) {
-  const std::size_t m = config_.macro.channels;
-  input_scratch_.resize(m);
+  constexpr std::size_t m = tech_wdm_channels;
   for (std::size_t row = 0; row < config_.rows; ++row) {
     double current = 0.0;
     for (std::size_t tile = 0; tile < macros_per_row(); ++tile) {
-      input_scratch_.assign(input + tile * m, input + (tile + 1) * m);
-      current += macros_[row][tile].multiply(input_scratch_).photocurrent;
+      current += macros_[row][tile].photocurrent(
+          std::span(input + tile * m, m));
     }
     out[row] = current / full_scale_row_current_;
   }
@@ -311,50 +284,32 @@ void TensorCore::analog_row_values(const double* input, double* out) {
   }
   if (fast_.stale) build_chain();
 
-  // Per-sample tap powers q[tile][bit_row][ch]: the encoded channel power
-  // after the binary-weighted splitter cascade.  These replay the physics
-  // walk's exact operation sequence — encoder transmission, one multiply
-  // per splitter stage — and are shared by every output row.
+  // Per-sample tap powers q[tile][bit_row][ch], through the input path the
+  // physics walk uses, shared by every output row.
   const std::size_t bits = config_.weight_bits;
-  const std::size_t m = config_.macro.channels;
+  constexpr std::size_t m = tech_wdm_channels;
   const std::size_t tiles = macros_per_row();
   tap_scratch_.resize(tiles * bits * m);
   for (std::size_t tile = 0; tile < tiles; ++tile) {
     for (std::size_t ch = 0; ch < m; ++ch) {
-      const double x = input[tile * m + ch];
-      // Same input-domain contract the physics walk's encoder enforces.
-      expects(x >= 0.0 && x <= 1.0,
-              "encoded values must be normalized to [0, 1]");
-      const double transmission =
-          fast_.encoder_floor + (1.0 - fast_.encoder_floor) * x;
-      double p = fast_.comb_power * (fast_.encoder_loss * transmission);
-      for (std::size_t bit = 0; bit < bits; ++bit) {
-        p *= fast_.tap_factor;
-        tap_scratch_[(tile * bits + bit) * m + ch] = p;
-      }
+      input_.taps(input[tile * m + ch], config_.weight_bits,
+                  tap_scratch_.data() + tile * bits * m + ch, m);
     }
   }
-
-  if (m == tech_wdm_channels) {
-    replay_rows<tech_wdm_channels>(out);
-  } else {
-    replay_rows<0>(out);
-  }
+  replay_rows(out);
 }
 
-template <std::size_t kChannels>
 void TensorCore::replay_rows(double* out) const {
   // Canonical-order photocurrent sum: channels within a bit row, bit rows
   // within a macro, macro tiles along the row — the same nesting the
   // spectral walk uses, so the accumulation is bit-identical.  Rows are
   // independent sums, so kRowBlock of them replay side by side (each with
   // its own accumulators, each in the canonical order) over their
-  // interleaved gains; the tap powers are loaded once per block.  A
-  // compile-time channel count only lets the compiler unroll the channel
-  // loop; the operation order is the same.
+  // interleaved gains; the tap powers are loaded once per block.
   const std::size_t bits = config_.weight_bits;
-  const std::size_t m = kChannels != 0 ? kChannels : config_.macro.channels;
+  constexpr std::size_t m = tech_wdm_channels;
   const std::size_t tiles = macros_per_row();
+  const double responsivity = config_.macro.photodiode.responsivity;
   const double* taps = tap_scratch_.data();
   const std::size_t row_stride = tiles * bits * m;
   for (std::size_t row = 0; row < config_.rows; row += kRowBlock) {
@@ -377,7 +332,7 @@ void TensorCore::replay_rows(double* out) const {
         }
       }
       for (std::size_t j = 0; j < kRowBlock; ++j) {
-        current[j] += fast_.responsivity * power_on_pds[j];
+        current[j] += responsivity * power_on_pds[j];
       }
     }
     for (std::size_t j = 0; j < kRowBlock && row + j < config_.rows; ++j) {
@@ -541,7 +496,7 @@ const EoAdc& TensorCore::adc(std::size_t row) const {
 }
 
 void TensorCore::inject_ring_faults(const std::vector<RingFaultSite>& sites) {
-  const std::size_t m = config_.macro.channels;
+  constexpr std::size_t m = tech_wdm_channels;
   for (const RingFaultSite& site : sites) {
     expects(site.row < config_.rows && site.col < config_.cols,
             "ring coordinates out of range");

@@ -57,12 +57,12 @@ struct TensorCoreConfig {
   /// its chain entries; after a detuning or fault change the whole chain
   /// is rebuilt.  The table is filled through
   /// VectorComputeMacro::ring_spectrum — the same ring evaluation the
-  /// physics walk multiplies, with each ring's electro-optic shift
-  /// derived once per bias — and table and replay use
-  /// the identical floating-point operation sequence, so results are
-  /// bit-identical to the physics walk (which remains available as the
-  /// reference oracle when this is false, and skips the same unchanged
-  /// macros at load).
+  /// physics walk multiplies, with each ring's electro-optic shift derived
+  /// once per bias.  Both paths compute a sample's tap powers through
+  /// InputPath::taps, and table and replay use the identical
+  /// floating-point operation sequence, so results are bit-identical to
+  /// the physics walk (which remains available as the reference oracle
+  /// when this is false, and skips the same unchanged macros at load).
   bool fast_path = true;
   /// Per-die fabrication/drive-level variation (see core/variation.hpp).
   /// variation.seed == 0 is the pristine design die; a nonzero seed derives
@@ -283,20 +283,14 @@ class TensorCore {
   static constexpr std::size_t kRowBlock = 4;
 
   /// Weight-load-time linearization of the analog multiply.  The physics
-  /// walk per sample is (per macro): encode the comb lines, split them into
-  /// binary-weighted bit-row taps, and attenuate each tap channel by the
-  /// transmission of the whole ring chain of that bit row.  Every factor in
-  /// that chain except the input itself is frozen between weight loads, so
-  /// it is cached here and replayed per sample with the identical
-  /// floating-point operation sequence (canonical channel-, bit-row-,
-  /// tile-order summation) — bit-identical to the physics walk by
-  /// construction.
+  /// walk per sample is (per macro): compute each channel's bit-row tap
+  /// powers (InputPath::taps), and attenuate each tap by the transmission
+  /// of the whole ring chain of that bit row.  The chain transmissions are
+  /// frozen between weight loads, so they are cached here; the replay
+  /// computes the taps through the same InputPath and sums in the identical
+  /// floating-point order (canonical channel-, bit-row-, tile-order
+  /// summation) — bit-identical to the physics walk by construction.
   struct FastGains {
-    double comb_power = 0.0;     ///< per-line comb power [W]
-    double encoder_loss = 0.0;   ///< encoder insertion loss (power ratio)
-    double encoder_floor = 0.0;  ///< finite-extinction leakage floor
-    double tap_factor = 0.0;     ///< per-splitter-stage factor (0.5 * excess)
-    double responsivity = 0.0;   ///< photodiode responsivity [A/W]
     /// Ring-chain transmissions in blocks of kRowBlock rows,
     /// [block][tile][bit_row][channel][row in block] flattened; the last
     /// block is padded with zero gains.
@@ -330,10 +324,7 @@ class TensorCore {
   /// Rebuilds macro (row, tile)'s chain transmissions for its stored words
   /// from the transmission table, filling the spectra it lacks: each chain
   /// entry is the product over its bit row's rings in ring order from 1.0,
-  /// exactly as VectorComputeMacro::multiply multiplies.  kChannels is the
-  /// macro channel count when fixed at compile time, 0 to read it from the
-  /// config (the dispatch replay_rows uses).
-  template <std::size_t kChannels>
+  /// exactly as VectorComputeMacro::multiply multiplies.
   void build_macro_chain(std::size_t row, std::size_t tile);
 
   /// Checks a row-form batch (whole input rows, one output row per sample)
@@ -354,9 +345,7 @@ class TensorCore {
   void analog_row_values_physics(const double* input, double* out);
 
   /// Row sums of the fast replay over the sample's tap powers (already in
-  /// tap_scratch_).  kChannels is the macro channel count when fixed at
-  /// compile time, 0 to read it from the config.
-  template <std::size_t kChannels>
+  /// tap_scratch_).
   void replay_rows(double* out) const;
 
   /// Reads out one sample's normalized analog row values (rows() of them):
@@ -370,7 +359,9 @@ class TensorCore {
 
   TensorCoreConfig config_;
   PsramArray psram_;
-  /// macros_[row][tile]: each macro covers channels_per_macro columns.
+  /// Every channel's input path (the macros' config is the core's).
+  InputPath input_;
+  /// macros_[row][tile]: each macro covers tech_wdm_channels columns.
   std::vector<std::vector<VectorComputeMacro>> macros_;
   /// Reserved calibration row (one macro per tile, all-zero weights) — the
   /// pilot-tone probe path.  Variation child seeds follow the compute
@@ -397,7 +388,6 @@ class TensorCore {
   double detuning_ = 0.0;                ///< thermal detuning [K]
   std::size_t calibration_epoch_ = 0;    ///< recalibrate() count
   std::vector<double> tap_scratch_;    ///< per-sample tap powers, reused
-  std::vector<double> input_scratch_;  ///< physics-path tile slice, reused
   std::vector<double> analog_scratch_;  ///< one sample's analog rows, reused
   std::vector<double> code_levels_;     ///< code / max_code for every code
 };

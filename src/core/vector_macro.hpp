@@ -6,24 +6,23 @@
 #include <span>
 #include <vector>
 
+#include "common/expects.hpp"
 #include "core/fault.hpp"
 #include "core/tech.hpp"
 #include "core/variation.hpp"
-#include "optics/frequency_comb.hpp"
 #include "optics/microring.hpp"
 #include "optics/photodiode.hpp"
-#include "optics/splitter.hpp"
 
 /// Mixed-signal multi-bit photonic vector-multiply compute core — paper
 /// Fig. 2 / Sec. II-B.
 ///
 /// The macro multiplies an analog intensity-encoded input vector
-/// IN = [IN_1 .. IN_m] (one WDM channel per element) by an n-bit digital
-/// weight vector stored in pSRAM:
+/// IN = [IN_1 .. IN_m] (one WDM channel per element, m = tech_wdm_channels)
+/// by an n-bit digital weight vector stored in pSRAM:
 ///
-///  * a frequency comb + intensity encoders produce the WDM input bundle;
-///  * a cascade of n 50:50 splitters creates binary-scaled copies IN/2,
-///    IN/4, ..., IN/2^n — one per weight bit, MSB row first;
+///  * each channel's comb line passes an intensity encoder and a cascade
+///    of n 50:50 splitters, which make binary-scaled copies IN/2, IN/4,
+///    ..., IN/2^n — one per weight bit, MSB row first (InputPath);
 ///  * bit row b carries m microrings, ring (b, k) tuned to channel k and
 ///    driven by weight bit w_k[n-1-b]: on resonance (bit = 0) it strips the
 ///    channel from the bus, off resonance (bit = 1) it passes it;
@@ -44,7 +43,6 @@
 namespace ptc::core {
 
 struct VectorMacroConfig {
-  std::size_t channels = tech_wdm_channels;  ///< m (vector length per macro)
   unsigned weight_bits = 3;                  ///< n
   double comb_power_per_line = 2.2e-3;       ///< [W] per WDM channel
   double encoder_insertion_loss_db = 0.5;
@@ -57,11 +55,41 @@ struct VectorMacroConfig {
   VariationConfig variation{};
 };
 
+/// One channel's input path: its comb line, intensity encoder and
+/// binary-weighted splitter cascade, as the constants a configuration
+/// fixes.  The physics walk and the tensor core's fast path both compute
+/// tap powers through taps(), so they multiply the same doubles in the
+/// same order.
+struct InputPath {
+  /// Checks insertion loss >= 0 dB, extinction > 0 dB, excess loss >= 0 dB
+  /// and comb power > 0.
+  explicit InputPath(const VectorMacroConfig& config);
+
+  double line_power;  ///< comb line power [W]
+  double loss;        ///< encoder insertion loss (power ratio)
+  double floor;       ///< finite-extinction leakage floor (power ratio)
+  double tap_factor;  ///< per splitter stage: 0.5 times its excess loss
+
+  /// Tap powers [W] of one channel encoding x in [0, 1]: out[b * stride]
+  /// for bit row b = 0 (MSB, IN/2) .. bits - 1 (IN/2^bits).  The encoder
+  /// spans [floor, 1] instead of [0, 1]; each stage multiplies the
+  /// remainder by tap_factor, and the last remainder goes to an absorber.
+  void taps(double x, unsigned bits, double* out, std::size_t stride) const {
+    expects(x >= 0.0 && x <= 1.0,
+            "encoded values must be normalized to [0, 1]");
+    const double transmission = floor + (1.0 - floor) * x;
+    double p = line_power * (loss * transmission);
+    for (unsigned b = 0; b < bits; ++b) {
+      p *= tap_factor;
+      out[b * stride] = p;
+    }
+  }
+};
+
 class VectorComputeMacro {
  public:
   explicit VectorComputeMacro(const VectorMacroConfig& config = {});
 
-  std::size_t channels() const { return config_.channels; }
   unsigned weight_bits() const { return config_.weight_bits; }
   std::uint32_t max_weight() const { return (1u << config_.weight_bits) - 1; }
 
@@ -94,14 +122,18 @@ class VectorComputeMacro {
   /// (values in [0, 1], one per channel).
   Result multiply(const std::vector<double>& inputs) const;
 
+  /// multiply()'s photocurrent [A] alone, from a view of the inputs;
+  /// allocates nothing.
+  double photocurrent(std::span<const double> inputs) const;
+
   /// Ideal (error-free) normalized result for comparison:
   /// sum_k in_k * w_k / (m * (2^n - 1)).
   double ideal_normalized(const std::vector<double>& inputs) const;
 
   /// Thru transmissions of ring `ring` of bit row `bit_row` at every
-  /// channel wavelength (out[ch], channels() entries) when its pSRAM cell
-  /// stores `bit`, whatever the loaded weights: one index shift, then one
-  /// transmission per channel.  Bit row b's chain transmission at channel
+  /// channel wavelength (out[ch], tech_wdm_channels entries) when its pSRAM
+  /// cell stores `bit`, whatever the loaded weights: one index shift, then
+  /// one transmission per channel.  Bit row b's chain transmission at channel
   /// ch — what its photodiode sees of that channel — is the product of
   /// out[ch] over the row's rings in ring order from 1.0, each at its
   /// stored bit; multiply() builds it that way.
@@ -124,8 +156,10 @@ class VectorComputeMacro {
   const VectorMacroConfig& config() const { return config_; }
 
  private:
-  double compute_current(const std::vector<double>& inputs,
-                         std::vector<double>* per_bit) const;
+  /// Summed photocurrent; with `per_bit`, also each bit row's current
+  /// (weight_bits() entries).
+  double compute_current(std::span<const double> inputs,
+                         double* per_bit) const;
   /// Junction bias of ring (bit_row, ring) storing `bit`: VDD or 0 plus the
   /// ring's drive-level offset, unless a fault latches the drive line.
   double ring_bias(unsigned bit_row, std::size_t ring, bool bit) const;
@@ -141,16 +175,14 @@ class VectorComputeMacro {
   };
 
   VectorMacroConfig config_;
-  std::vector<double> wavelengths_;  ///< channel_wavelength(ch) per channel
-  optics::WdmSignal comb_lines_;     ///< the comb's full-power line bundle
-  optics::IntensityEncoder encoder_;
-  /// Binary-weighted splitter cascade: tap k carries IN / 2^(k+1).
-  optics::BinaryWeightedTaps taps_;
+  double wavelengths_[tech_wdm_channels];  ///< channel_wavelength(ch)
+  InputPath input_;
   optics::Photodiode photodiode_;
   /// The design ring at each ring position (its geometry and junction):
   /// ring k of every bit row is built from compute_ring_config(k).
   std::vector<optics::Microring> designs_;
-  /// rings_[bit_row * channels + ring]; bit_row 0 = MSB (receives IN/2).
+  /// rings_[bit_row * tech_wdm_channels + ring]; bit_row 0 = MSB (receives
+  /// IN/2).
   std::vector<Ring> rings_;
   std::vector<std::uint32_t> weights_;
   /// Per-ring stuck-at states, [bit_row][channel] flattened; empty until

@@ -157,40 +157,6 @@ TEST(FastPath, BitIdenticalForRowCountsOffTheReplayBlock) {
   }
 }
 
-TEST(FastPath, BitIdenticalForChannelCountsOffTheSpecialization) {
-  // The replay and the chain builder are compiled for the default 4-channel
-  // macro and for a channel count read at run time; the run-time ones must
-  // match the physics walk too, after the first load (the whole chain) and
-  // after a reload that rebuilds only the macros whose words moved.
-  for (const std::size_t channels : {1, 2, 3, 8}) {
-    core::TensorCoreConfig config = core_config(true);
-    config.macro.channels = channels;
-    config.rows = 6;
-    config.cols = 4 * channels;
-    core::TensorCore fast(config);
-    config.fast_path = false;
-    core::TensorCore physics(config);
-    Rng rng(60 + channels);
-    Matrix w = random_activations(config.rows, config.cols, rng);
-    const Matrix x = random_activations(24, config.cols, rng);
-    for (const char* load : {"first load", "partial reload"}) {
-      fast.load_weights_normalized(w);
-      physics.load_weights_normalized(w);
-      ASSERT_TRUE(fast.fast_path_active()) << channels << " channels";
-      EXPECT_EQ(fast.multiply_analog_batch(x).max_abs_diff(
-                    physics.multiply_analog_batch(x)),
-                0.0)
-          << channels << " channels, " << load;
-      EXPECT_EQ(
-          fast.multiply_batch(x).max_abs_diff(physics.multiply_batch(x)), 0.0)
-          << channels << " channels, " << load;
-      // Move one entry in each of two rows: their macros rebuild alone.
-      w(1, config.cols - 1) = 1.0 - w(1, config.cols - 1);
-      w(4, 0) = 1.0 - w(4, 0);
-    }
-  }
-}
-
 TEST(FastPath, BatchAllocationsDoNotGrowWithSamples) {
   core::TensorCore core(core_config(true));
   Rng rng(21);
@@ -546,6 +512,33 @@ TEST(FastPath, WeightLoadsAllocateNothingAfterTheFirst) {
   // A detuning drops the table; the reload refills it in place.
   core.set_thermal_detuning(0.5);
   EXPECT_EQ(allocations_during([&] { core.load_weights_normalized(w1); }), 0u);
+}
+
+TEST(FastPath, ProbeReadingsAndPhysicsSamplesAllocateNothing) {
+  // A probe reading walks every probe macro's rings, and a physics-oracle
+  // sample every compute macro's; both read each macro's photocurrent from
+  // a view of the input.  First drift_serving's core: 6-bit, varied and
+  // detuned.
+  core::TensorCoreConfig config = core_config(true);
+  config.weight_bits = 6;
+  config.variation.seed = 42;
+  core::TensorCore drifting(config);
+  Rng rng(29);
+  drifting.load_weights(random_words(drifting, rng));
+  drifting.set_thermal_detuning(0.35);
+  const double reading = drifting.probe_transmission();  // warm-up
+  EXPECT_NE(reading, 1.0);
+  EXPECT_EQ(allocations_during([&] { drifting.probe_transmission(); }), 0u);
+
+  // One row-form sample of a 3-bit 16 x 16 physics oracle.
+  core::TensorCore physics(core_config(false));
+  physics.load_weights_normalized(random_activations(16, 16, rng));
+  const Matrix x = random_activations(1, 16, rng);
+  Matrix out(1, 16);
+  physics.multiply_analog_batch(x.data(), out.data());  // warm-up
+  EXPECT_EQ(allocations_during(
+                [&] { physics.multiply_analog_batch(x.data(), out.data()); }),
+            0u);
 }
 
 TEST(FastPath, TilePassesIntoReusedBuffersAllocateNothing) {

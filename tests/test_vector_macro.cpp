@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
 
 #include "common/statistics.hpp"
 #include "core/tensor_core.hpp"
@@ -12,7 +14,7 @@ using namespace ptc::core;
 
 TEST(VectorMacro, DefaultsMatchPaperGeometry) {
   const VectorComputeMacro macro;
-  EXPECT_EQ(macro.channels(), 4u);
+  EXPECT_EQ(tech_wdm_channels, 4u);
   EXPECT_EQ(macro.weight_bits(), 3u);
   EXPECT_EQ(macro.max_weight(), 7u);
 }
@@ -124,9 +126,9 @@ TEST(VectorMacro, PerBitCurrentsAreBinaryWeighted) {
 /// spectra in ring order from 1.0, as multiply() builds it.
 double chain(const VectorComputeMacro& macro, unsigned row,
              const std::vector<bool>& bits, std::size_t ch) {
-  std::vector<double> spectrum(macro.channels());
+  std::vector<double> spectrum(tech_wdm_channels);
   double transmission = 1.0;
-  for (std::size_t k = 0; k < macro.channels(); ++k) {
+  for (std::size_t k = 0; k < tech_wdm_channels; ++k) {
     macro.ring_spectrum(row, k, bits[k], spectrum);
     transmission *= spectrum[ch];
   }
@@ -200,7 +202,7 @@ TEST(VectorMacro, CombWallPower) {
   // The core bills the comb lines of its macros: a core one macro wide
   // draws 4 lines x 2.2 mW / 0.23.
   TensorCoreConfig config;
-  config.cols = config.macro.channels;
+  config.cols = tech_wdm_channels;
   const TensorCore core(config);
   EXPECT_NEAR(core.breakdown().comb_laser * 1e3, 38.26, 0.1);
 }
@@ -212,6 +214,81 @@ TEST(VectorMacro, RejectsBadUsage) {
   macro.load_weights({1, 1, 1, 1});
   EXPECT_THROW(macro.multiply({1.0}), std::invalid_argument);
   EXPECT_THROW(macro.multiply({2.0, 0.0, 0.0, 0.0}), std::invalid_argument);
+}
+
+TEST(VectorMacro, RejectsBadConfig) {
+  using Edit = void (*)(VectorMacroConfig&);
+  const Edit edits[] = {
+      [](VectorMacroConfig& c) { c.encoder_insertion_loss_db = -0.1; },
+      [](VectorMacroConfig& c) { c.encoder_extinction_db = 0.0; },
+      [](VectorMacroConfig& c) { c.splitter_excess_db = -0.1; },
+      [](VectorMacroConfig& c) { c.comb_power_per_line = 0.0; },
+      [](VectorMacroConfig& c) { c.comb_power_per_line = -1e-3; },
+      [](VectorMacroConfig& c) { c.weight_bits = 0; },
+      [](VectorMacroConfig& c) { c.weight_bits = 9; },
+  };
+  for (std::size_t i = 0; i < std::size(edits); ++i) {
+    VectorMacroConfig config;
+    edits[i](config);
+    EXPECT_THROW(VectorComputeMacro{config}, std::invalid_argument)
+        << "edit " << i;
+  }
+  // The bounds themselves are legal: a lossless encoder and splitter
+  // cascade, and 8-bit weights.
+  VectorMacroConfig edge;
+  edge.encoder_insertion_loss_db = 0.0;
+  edge.splitter_excess_db = 0.0;
+  edge.weight_bits = 8;
+  EXPECT_NO_THROW(VectorComputeMacro{edge});
+  // A core builds its input path from its macro config too.
+  TensorCoreConfig core;
+  core.macro.encoder_extinction_db = 0.0;
+  EXPECT_THROW(TensorCore{core}, std::invalid_argument);
+}
+
+TEST(InputPath, TapsAreTheClosedForm) {
+  // Tap b of a channel encoding x is its comb line times the encoder's
+  // transmission (insertion loss times a finite-extinction span
+  // [floor, 1]) times b + 1 splitter stages, each 0.5 times its excess
+  // loss: all from the dB figures, for the default macro and a lossier one.
+  VectorMacroConfig lossy;
+  lossy.comb_power_per_line = 1e-3;
+  lossy.encoder_insertion_loss_db = 1.5;
+  lossy.encoder_extinction_db = 12.0;
+  lossy.splitter_excess_db = 0.4;
+  for (const VectorMacroConfig& config : {VectorMacroConfig{}, lossy}) {
+    const InputPath path(config);
+    const double loss =
+        std::pow(10.0, -config.encoder_insertion_loss_db / 10.0);
+    const double floor = std::pow(10.0, -config.encoder_extinction_db / 10.0);
+    const double tap_factor =
+        0.5 * std::pow(10.0, -config.splitter_excess_db / 10.0);
+    for (unsigned bits = 1; bits <= 8; ++bits) {
+      for (const double x : {0.0, 0.5, 1.0}) {
+        // Stride 2: the taps land in every other slot.
+        std::vector<double> out(2 * bits, -1.0);
+        path.taps(x, bits, out.data(), 2);
+        for (unsigned b = 0; b < bits; ++b) {
+          const double expected = config.comb_power_per_line *
+                                  (loss * (floor + (1.0 - floor) * x)) *
+                                  std::pow(tap_factor, b + 1);
+          EXPECT_NEAR(out[2 * b], expected, 1e-12 * expected)
+              << bits << " bits, x = " << x << ", tap " << b;
+          EXPECT_EQ(out[2 * b + 1], -1.0) << bits << " bits, tap " << b;
+        }
+      }
+    }
+    double out[1];
+    EXPECT_THROW(path.taps(1.5, 1, out, 1), std::invalid_argument);
+    EXPECT_THROW(path.taps(-0.1, 1, out, 1), std::invalid_argument);
+  }
+  // The comb lines sit on the paper's WDM grid: 1310 nm, 2.33 nm apart.
+  EXPECT_DOUBLE_EQ(channel_wavelength(0), 1310e-9);
+  for (std::size_t ch = 1; ch < tech_wdm_channels; ++ch) {
+    EXPECT_NEAR(channel_wavelength(ch) - channel_wavelength(ch - 1), 2.33e-9,
+                1e-15)
+        << "channel " << ch;
+  }
 }
 
 TEST(VectorMacro, FiveBitPrecisionStillLinear) {
